@@ -3,9 +3,14 @@
 The algebra is graded by weight.  Basis indices are partitions; the bases are
 the elementary (e), complete homogeneous (h), power sum (p) and monomial (m)
 families.  e, h and p are multiplicative, so products there just merge
-partitions; products in the m basis and all basis conversions go through one
-pivot: the literal expansion as a symmetric polynomial in weight-many
-variables, which doubles as an independently checkable oracle.
+partitions.  Basis conversions and products in the m basis come from integer
+counts (Macdonald, *Symmetric Functions and Hall Polynomials*, I.6): the
+coefficient of m_mu in e_lam, h_lam or p_lam counts matrices with row sums
+lam and column sums mu, and the coefficient of m_nu in m_lam * m_mu counts
+arrangements of lam and mu that add up to nu.  The literal expansion as a
+symmetric polynomial in finitely many variables (``expand``) stays as the
+public evaluation and as the independent oracle that ``verify`` checks the
+counts against.
 
 The Hopf structure lives on the e basis (each generator series is grouplike),
 with everything else reached by conversion.  All coefficients are Fractions;
@@ -16,6 +21,7 @@ from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, combinations_with_replacement
+from operator import add
 import warnings
 
 from .errors import AlgebraMismatchError, DomainError
@@ -114,39 +120,42 @@ def m(*parts):
     return SymElement({tuple(parts): ONE}, "m")
 
 
-# -- polynomial expansion (the pivot oracle) ------------------------------
+# -- polynomial expansion (public, and the oracle for the counts) ----------
+# Coefficients stay ints until expand() scales them by the Fraction
+# coefficients of its argument.
 
 def _poly_mul(a, b):
+    """Product of two polynomials given as {exponent vector: coefficient}."""
     out = {}
     for ka, va in a.items():
         for kb, vb in b.items():
-            key = tuple(x + y for x, y in zip(ka, kb))
-            add_term(out, key, va * vb)
-    return out
+            key = tuple(map(add, ka, kb))
+            out[key] = out.get(key, 0) + va * vb
+    return {key: c for key, c in out.items() if c}
 
 
 def _gen_poly(basis, n, nvars):
     """Expansion of a single generator e_n / h_n / p_n in nvars variables."""
     if n == 0:
-        return {(0,) * nvars: ONE}
+        return {(0,) * nvars: 1}
     out = {}
     if basis == "e":
         for pos in combinations(range(nvars), n):
             key = [0] * nvars
             for q in pos:
                 key[q] = 1
-            out[tuple(key)] = ONE
+            out[tuple(key)] = 1
     elif basis == "h":
         for multi in combinations_with_replacement(range(nvars), n):
             key = [0] * nvars
             for q in multi:
                 key[q] += 1
-            out[tuple(key)] = ONE
+            out[tuple(key)] = 1
     elif basis == "p":
         for i in range(nvars):
             key = [0] * nvars
             key[i] = n
-            out[tuple(key)] = ONE
+            out[tuple(key)] = 1
     else:
         raise DomainError("no generator expansion for basis %r" % (basis,))
     return out
@@ -155,7 +164,7 @@ def _gen_poly(basis, n, nvars):
 def _m_poly(lam, nvars):
     """m_lam in nvars variables: one monomial per distinct arrangement."""
     if not lam:
-        return {(0,) * nvars: ONE}
+        return {(0,) * nvars: 1}
     if len(lam) > nvars:
         return {}
     counts = sorted(Counter(lam).items())
@@ -163,7 +172,7 @@ def _m_poly(lam, nvars):
 
     def place(avail, i, current):
         if i == len(counts):
-            out[tuple(current)] = ONE
+            out[tuple(current)] = 1
             return
         v, k = counts[i]
         for pos in combinations(avail, k):
@@ -194,7 +203,7 @@ def expand(f, nvars):
         if f.basis == "m":
             poly = _m_poly(lam, nvars)
         else:
-            poly = {(0,) * nvars: ONE}
+            poly = {(0,) * nvars: 1}
             for k in lam:
                 poly = _poly_mul(poly, _gen_poly(f.basis, k, nvars))
         for key, v in poly.items():
@@ -229,42 +238,112 @@ def format_polynomial(poly):
     return "".join(bits)
 
 
+# -- counting (the route products and conversions take) ---------------------
+
+def _without(parts, x):
+    """The multiset ``parts`` with one copy of ``x`` removed (none for 0)."""
+    if not x:
+        return parts
+    i = parts.index(x)
+    return parts[:i] + parts[i + 1:]
+
+
+def _arrangements(nu, lam, mu):
+    """Distinct arrangements alpha of lam, padded to len(nu), for which
+    nu - alpha is an arrangement of mu."""
+    if len(nu) < max(len(lam), len(mu)):
+        return 0
+    if not nu:
+        return 1
+    v, rest = nu[0], nu[1:]
+    total = 0
+    # distinct values only: swapping equal parts gives the same arrangement
+    for a in set(lam) | {0}:
+        b = v - a
+        if b == 0 or b in mu:
+            total += _arrangements(rest, _without(lam, a), _without(mu, b))
+    return total
+
+
+@lru_cache(maxsize=None)
+def _m_product(lam, mu):
+    """m_lam * m_mu as ((nu, count), ...): the coefficient of m_nu is the
+    number of ways x^nu splits as a monomial of m_lam times one of m_mu."""
+    lo, hi = max(len(lam), len(mu)), len(lam) + len(mu)
+    out = []
+    for nu in partitions_of(sum(lam) + sum(mu)):
+        if lo <= len(nu) <= hi:
+            count = _arrangements(nu, lam, mu)
+            if count:
+                out.append((nu, count))
+    return tuple(out)
+
+
 def _monomial_mul(a, b):
-    """Product of two m-basis elements through the polynomial pivot."""
-    nvars = max(1, a.max_weight() + b.max_weight())
-    prod = _poly_mul(expand(a, nvars), expand(b, nvars))
+    """Product of two m-basis elements from the counted structure constants."""
     out = {}
-    for key, c in prod.items():
-        if all(key[i] >= key[i + 1] for i in range(len(key) - 1)):
-            # weakly decreasing exponent vector = the dominant representative
-            # of its orbit; read the m-coordinate here and nowhere else
-            add_term(out, tuple(x for x in key if x), c)
+    for lam, ca in a.terms.items():
+        for mu, cb in b.terms.items():
+            for nu, count in _m_product(lam, mu):
+                add_term(out, nu, ca * cb * count)
     return SymElement(out, "m")
+
+
+# what one row of the matrix may put in a column when it has r left to place
+_ROW_STEPS = {
+    "e": lambda r: (0, 1),
+    "h": lambda r: range(r + 1),
+    "p": lambda r: (0, r),
+}
+
+
+def _column_fills(basis, rows, c):
+    """Yield the row sums left over, one tuple per way to fill a column of sum c."""
+    if not rows:
+        if not c:
+            yield ()
+        return
+    r = rows[0]
+    for a in _ROW_STEPS[basis](r):
+        if a <= c:
+            for rest in _column_fills(basis, rows[1:], c - a):
+                yield (r - a,) + rest
+
+
+@lru_cache(maxsize=None)
+def _count_matrices(basis, rows, cols):
+    """Matrices with row sums ``rows`` (a partition) and column sums ``cols``
+    whose rows take the steps of ``basis``, counted column by column."""
+    if not cols:
+        return int(not rows)
+    return sum(_count_matrices(basis, sort_to_partition(x for x in left if x), cols[1:])
+               for left in _column_fills(basis, rows, cols[0]))
 
 
 # -- basis conversion ------------------------------------------------------
 
 @lru_cache(maxsize=None)
 def _transition(basis, w):
-    """(partitions of w, matrix): row i gives basis_{lam_i} in m-coordinates."""
+    """(partitions of w, matrix): row i gives basis_{lam_i} in m-coordinates.
+
+    The entry for (lam, mu) is the coefficient of x^mu in basis_lam, which
+    counts matrices with row sums lam and column sums mu: 0-1 matrices for e,
+    nonnegative integer matrices for h, and for p matrices with one nonzero
+    entry per row (Macdonald I.6).  The literal expansion gives the same
+    matrix and is checked against it in ``verify``.
+    """
     parts = partitions_of(w)
-    n = len(parts)
     if basis == "m":
-        rows = tuple(tuple(ONE if i == j else ZERO for j in range(n)) for i in range(n))
-        return parts, rows
-    nvars = max(w, 1)
-    rows = []
-    for lam in parts:
-        poly = expand(SymElement({lam: ONE}, basis), nvars)
-        rows.append(tuple(poly.get(mu + (0,) * (nvars - len(mu)), ZERO) for mu in parts))
-    return parts, tuple(rows)
+        return parts, tuple(tuple(ONE if i == j else ZERO for j in parts) for i in parts)
+    return parts, tuple(tuple(Fraction(_count_matrices(basis, lam, mu)) for mu in parts)
+                        for lam in parts)
 
 
 @lru_cache(maxsize=None)
 def _transition_inverse(basis, w):
-    parts, rows = _transition(basis, w)
-    inv = invert_matrix(rows)
-    return tuple(tuple(r) for r in inv)
+    """Inverse of the transition matrix, each row as its nonzero (j, entry) pairs."""
+    rows = _transition(basis, w)[1]
+    return tuple(tuple((j, x) for j, x in enumerate(r) if x) for r in invert_matrix(rows))
 
 
 def convert(f, to, integral=False):
@@ -296,9 +375,11 @@ def convert(f, to, integral=False):
             if to == "m":
                 coords = vec
             else:
-                inv = _transition_inverse(to, w)
-                rng = range(len(parts))
-                coords = [sum((vec[i] * inv[i][j] for i in rng), ZERO) for j in rng]
+                coords = [ZERO] * len(parts)
+                for x, inv_row in zip(vec, _transition_inverse(to, w)):
+                    if x:
+                        for j, entry in inv_row:
+                            coords[j] += x * entry
             for lam, c in zip(parts, coords):
                 if c:
                     add_term(out, lam, c)

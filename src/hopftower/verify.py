@@ -17,6 +17,7 @@ import json
 import random
 from fractions import Fraction
 from functools import lru_cache
+from itertools import chain
 
 from . import diffeo
 from . import nsym as nsym_mod
@@ -45,6 +46,21 @@ def _ok(label, detail=""):
 
 def _fail(label, detail):
     return (label, False, detail)
+
+
+def _first_failure(checks):
+    """Walk ``(case, passed)`` pairs up to the first failure.
+
+    Returns the failing case (None if every case passed) and the number of
+    cases checked.  ``checks`` is usually a generator, so nothing past the
+    first failure is computed.
+    """
+    checked = 0
+    for case, passed in checks:
+        checked += 1
+        if not passed:
+            return case, checked
+    return None, checked
 
 
 # -- generic Hopf structure checks -----------------------------------------
@@ -104,21 +120,12 @@ def suite_hopf_axioms(weight=None, cap=None):
     results = []
     for st in _STRUCTURES:
         bound = weight if weight is not None else st.default_bound
-        count = 0
-        bad = None
         for check_name, check in (("coassociativity", _coassociative),
                                   ("counit", _counit_ok),
                                   ("antipode convolution", _convolution_ok)):
-            count = 0
-            bad = None
-            for w in range(bound + 1):
-                for idx in st.indices(w):
-                    count += 1
-                    if not check(st, st.make(idx)):
-                        bad = idx
-                        break
-                if bad is not None:
-                    break
+            bad, count = _first_failure(
+                (idx, check(st, st.make(idx)))
+                for w in range(bound + 1) for idx in st.indices(w))
             label = "%s %s (weight <= %d, %d elements)" % (
                 st.name, check_name, bound, count)
             if bad is None:
@@ -148,21 +155,63 @@ def _fdb_chi_index_oracle(idx):
     return out
 
 
+def _expanded_transition(basis, w):
+    """The transition matrix of ``basis`` read off the literal expansion."""
+    nvars = max(w, 1)
+    parts = partitions_of(w)
+    rows = []
+    for lam in parts:
+        poly = sym_mod.expand(SymElement({lam: 1}, basis), nvars)
+        rows.append(tuple(poly.get(mu + (0,) * (nvars - len(mu)), ZERO) for mu in parts))
+    return tuple(rows)
+
+
+def _expanded_m_product(lam, mu):
+    """m_lam * m_mu read off the product of the two literal expansions."""
+    nvars = max(1, sum(lam) + sum(mu))
+    prod = sym_mod._poly_mul(sym_mod.expand(SymElement({lam: 1}, "m"), nvars),
+                             sym_mod.expand(SymElement({mu: 1}, "m"), nvars))
+    # a weakly decreasing exponent vector is the dominant monomial of its orbit
+    return SymElement({tuple(x for x in key if x): c for key, c in prod.items()
+                       if list(key) == sorted(key, reverse=True)}, "m")
+
+
 def suite_antipode(weight=None, cap=None):
     results = []
     bound = weight if weight is not None else 8
     bad = None
+    h_series = sym_mod.h_series(bound)
     for n in range(1, bound + 1):
         want = convert(h(n), "e").scale(Fraction(-1) ** n)
         if sym_mod.antipode(e(n)) != want:
             bad = n
             break
-        if sym_mod.h_series(bound).coefficient(n) != convert(h(n), "e"):
+        if h_series.coefficient(n) != convert(h(n), "e"):
             bad = n
             break
     label = "antipode(e_n) = (-1)^n h_n and h-series agreement (n <= %d)" % bound
     results.append(_ok(label) if bad is None else
                    _fail(label, "fails at n=%d" % bad))
+
+    tbound = min(bound, 7)
+    bad, _ = _first_failure(
+        ((basis, w), sym_mod._transition(basis, w)[1] == _expanded_transition(basis, w))
+        for basis in ("e", "h", "p") for w in range(tbound + 1))
+    label = "counted transition matrices equal the expansion (e, h, p; weight <= %d)" % (
+        tbound)
+    results.append(_ok(label) if bad is None else
+                   _fail(label, "fails on %r" % (bad,)))
+
+    mbound = min(bound, 6)
+    bad, checked = _first_failure(
+        ((lam, mu), SymElement({lam: 1}, "m") * SymElement({mu: 1}, "m")
+         == _expanded_m_product(lam, mu))
+        for w1 in range(mbound + 1) for w2 in range(mbound + 1 - w1)
+        for lam in partitions_of(w1) for mu in partitions_of(w2))
+    label = "counted m-products equal the product of expansions " \
+            "(total weight <= %d, %d pairs)" % (mbound, checked)
+    results.append(_ok(label) if bad is None else
+                   _fail(label, "fails on %r" % (bad,)))
 
     bad = None
     for n in range(1, bound + 1):
@@ -191,79 +240,63 @@ def suite_duality(weight=None, cap=None):
     results = []
     bound = weight if weight is not None else 6
 
-    bad = None
-    for w in range(bound + 1):
-        for I in compositions_of(w):
-            for J in compositions_of(w):
-                want = ONE if I == J else ZERO
-                if pair(NSymElement({I: 1}), QSymElement({J: 1})) != want:
-                    bad = (I, J)
-    for wa in range(4):
-        for wb in range(4):
-            if wa == wb:
-                continue
-            for I in compositions_of(wa):
-                for J in compositions_of(wb):
-                    if pair(NSymElement({I: 1}), QSymElement({J: 1})) != ZERO:
-                        bad = (I, J)
+    same_weight = ((I, J) for w in range(bound + 1)
+                   for I in compositions_of(w) for J in compositions_of(w))
+    cross_weight = ((I, J) for wa in range(4) for wb in range(4) if wa != wb
+                    for I in compositions_of(wa) for J in compositions_of(wb))
+    bad, _ = _first_failure(
+        ((I, J), pair(NSymElement({I: 1}), QSymElement({J: 1}))
+         == (ONE if I == J else ZERO))
+        for I, J in chain(same_weight, cross_weight))
     label = "basis pairing is delta (weight <= %d)" % bound
     results.append(_ok(label) if bad is None else
                    _fail(label, "fails on %r" % (bad,)))
 
-    bad = None
-    checked = 0
-    for w in range(2, bound + 1):
-        for wa in range(1, w):
-            for I in compositions_of(wa):
-                for J in compositions_of(w - wa):
-                    left = NSymElement({I: 1}) * NSymElement({J: 1})
-                    tens = Tensor.of(NSymElement({I: 1}), NSymElement({J: 1}))
-                    for K in compositions_of(w):
-                        checked += 1
-                        mk = QSymElement({K: 1})
-                        lhs = pair(left, mk)
-                        rhs = pair_tensor(tens, qsym_mod.coproduct(mk))
-                        if lhs != rhs:
-                            bad = (I, J, K)
+    def product_adjoint():
+        for w in range(2, bound + 1):
+            for wa in range(1, w):
+                for I in compositions_of(wa):
+                    for J in compositions_of(w - wa):
+                        left = NSymElement({I: 1}) * NSymElement({J: 1})
+                        tens = Tensor.of(NSymElement({I: 1}), NSymElement({J: 1}))
+                        for K in compositions_of(w):
+                            mk = QSymElement({K: 1})
+                            yield (I, J, K), (pair(left, mk) == pair_tensor(
+                                tens, qsym_mod.coproduct(mk)))
+
+    bad, checked = _first_failure(product_adjoint())
     label = "product adjoint to deconcatenation (weight <= %d, %d triples)" % (
         bound, checked)
     results.append(_ok(label) if bad is None else
                    _fail(label, "fails on %r" % (bad,)))
 
-    bad = None
-    checked = 0
-    for w in range(2, bound + 1):
-        for K in compositions_of(w):
-            dz = nsym_mod.coproduct(NSymElement({K: 1}))
-            for wa in range(1, w):
-                for I in compositions_of(wa):
-                    for J in compositions_of(w - wa):
-                        checked += 1
-                        lhs = pair_tensor(dz, Tensor.of(QSymElement({I: 1}),
-                                                        QSymElement({J: 1})))
-                        rhs = pair(NSymElement({K: 1}),
-                                   QSymElement({I: 1}) * QSymElement({J: 1}))
-                        if lhs != rhs:
-                            bad = (K, I, J)
+    def coproduct_adjoint():
+        for w in range(2, bound + 1):
+            for K in compositions_of(w):
+                dz = nsym_mod.coproduct(NSymElement({K: 1}))
+                for wa in range(1, w):
+                    for I in compositions_of(wa):
+                        for J in compositions_of(w - wa):
+                            lhs = pair_tensor(dz, Tensor.of(QSymElement({I: 1}),
+                                                            QSymElement({J: 1})))
+                            rhs = pair(NSymElement({K: 1}),
+                                       QSymElement({I: 1}) * QSymElement({J: 1}))
+                            yield (K, I, J), lhs == rhs
+
+    bad, checked = _first_failure(coproduct_adjoint())
     label = "coproduct adjoint to quasi-shuffle (weight <= %d, %d triples)" % (
         bound, checked)
     results.append(_ok(label) if bad is None else
                    _fail(label, "fails on %r" % (bad,)))
 
     qbound = min(bound, 5)
-    bad = None
-    for w in range(2, qbound + 1):
-        for wa in range(1, w):
-            for I in compositions_of(wa):
-                for J in compositions_of(w - wa):
-                    nvars = w
-                    prod = QSymElement({I: 1}) * QSymElement({J: 1})
-                    direct = expand_ordered(prod, nvars)
-                    pieces = sym_mod._poly_mul(
-                        expand_ordered(QSymElement({I: 1}), nvars),
-                        expand_ordered(QSymElement({J: 1}), nvars))
-                    if direct != pieces:
-                        bad = (I, J)
+    # the number of variables is the weight w of the product
+    bad, _ = _first_failure(
+        ((I, J), expand_ordered(QSymElement({I: 1}) * QSymElement({J: 1}), w)
+         == sym_mod._poly_mul(expand_ordered(QSymElement({I: 1}), w),
+                              expand_ordered(QSymElement({J: 1}), w)))
+        for w in range(2, qbound + 1) for wa in range(1, w)
+        for I in compositions_of(wa) for J in compositions_of(w - wa))
     label = "quasi-shuffle equals ordered-variable expansion (weight <= %d)" % qbound
     results.append(_ok(label) if bad is None else
                    _fail(label, "fails on %r" % (bad,)))
@@ -295,13 +328,9 @@ def suite_bfk(weight=None, cap=None):
 
     bound = weight if weight is not None else 7
     st = next(s for s in _STRUCTURES if s.name == "bfk")
-    bad = None
-    count = 0
-    for w in range(bound + 1):
-        for idx in compositions_of(w):
-            count += 1
-            if not _coassociative(st, NSymElement({idx: 1})):
-                bad = idx
+    bad, count = _first_failure(
+        (idx, _coassociative(st, NSymElement({idx: 1})))
+        for w in range(bound + 1) for idx in compositions_of(w))
     label = "renormalization coproduct coassociative (weight <= %d, %d words)" % (
         bound, count)
     results.append(_ok(label) if bad is None else
@@ -316,35 +345,35 @@ def suite_comodule_algebroid(weight=None, cap=None):
     bound = weight if weight is not None else 6
     cosimp_bound = min(bound, 5)
 
+    def comodule_ok(alg, lam):
+        x = alg.base_element(lam)
+        psi = alg.coaction(x)
+        left = psi.apply(0, lambda idx: alg.coaction(alg.base_element(idx)),
+                         (alg.base_cls, alg.hopf_cls))
+        right = psi.apply(1, lambda idx: alg.h_coproduct(alg.hopf_element(idx)),
+                          (alg.hopf_cls, alg.hopf_cls))
+        return left == right and psi.project_counit(1) == Tensor.of(x)
+
     for name, alg in ALGEBROIDS.items():
-        bad = None
-        for w in range(bound + 1):
-            for lam in alg.base_indices(w):
-                x = alg.base_element(lam)
-                psi = alg.coaction(x)
-                left = psi.apply(0, lambda idx: alg.coaction(alg.base_element(idx)),
-                                 (alg.base_cls, alg.hopf_cls))
-                right = psi.apply(1, lambda idx: alg.h_coproduct(alg.hopf_element(idx)),
-                                  (alg.hopf_cls, alg.hopf_cls))
-                if left != right or psi.project_counit(1) != Tensor.of(x):
-                    bad = lam
+        bad, _ = _first_failure(
+            (lam, comodule_ok(alg, lam))
+            for w in range(bound + 1) for lam in alg.base_indices(w))
         label = "%s comodule axioms (weight <= %d)" % (name, bound)
         results.append(_ok(label) if bad is None else
                        _fail(label, "fails on %r" % (bad,)))
 
-    for name, alg in ALGEBROIDS.items():
-        bad = None
+    def cosimplicial_checks(alg):
         for w in range(cosimp_bound + 1):
             for lam in alg.base_indices(w):
                 x = alg.as_level(alg.base_element(lam))
                 for jj in range(1, 3):
                     for ii in range(jj):
-                        lhs = coface(alg, coface(alg, x, ii), jj)
-                        rhs = coface(alg, coface(alg, x, jj - 1), ii)
-                        if lhs != rhs:
-                            bad = (lam, ii, jj)
-                if differential(alg, differential(alg, x)):
-                    bad = (lam, "d2")
+                        yield (lam, ii, jj), (coface(alg, coface(alg, x, ii), jj)
+                                              == coface(alg, coface(alg, x, jj - 1), ii))
+                yield (lam, "d2"), not differential(alg, differential(alg, x))
+
+    for name, alg in ALGEBROIDS.items():
+        bad, _ = _first_failure(cosimplicial_checks(alg))
         label = "%s cosimplicial identities and d^2 = 0 (weight <= %d)" % (
             name, cosimp_bound)
         results.append(_ok(label) if bad is None else

@@ -3,16 +3,21 @@
 The conversion tables in weight <= 4 are frozen from the classical
 identities (Newton relations and their inverses), worked out by hand, so
 they check the transition-matrix machinery against an independent source.
+The counted transition matrices and m-products are also compared with the
+literal polynomial expansion up to weight 6; ``verify`` goes on to weight 7.
 """
 
 from fractions import Fraction
 
 import pytest
 
+from hopftower import sym
 from hopftower.errors import DomainError
+from hopftower.indices import partitions_of
 from hopftower.linear import Tensor
 from hopftower.sym import (SymElement, antipode, convert, coproduct, e,
                            e_series, h, h_series, hall_pair, involution, m, p)
+from hopftower.verify import _expanded_m_product, _expanded_transition
 
 # hand-frozen expansions in the e basis
 H_IN_E = {
@@ -79,6 +84,29 @@ def test_monomial_product_cross_check_through_e():
         lhs = convert(a * b, "e")
         rhs = convert(a, "e") * convert(b, "e")
         assert lhs == rhs
+
+
+def test_counted_transition_matrices_equal_the_expansion():
+    for basis in ("e", "h", "p", "m"):
+        for w in range(7):
+            parts, rows = sym._transition(basis, w)
+            assert parts == partitions_of(w)
+            assert rows == _expanded_transition(basis, w), (basis, w)
+
+
+def test_counted_m_products_equal_the_expansion():
+    for w1 in range(7):
+        for w2 in range(7 - w1):
+            for lam in partitions_of(w1):
+                for mu in partitions_of(w2):
+                    assert m(*lam) * m(*mu) == _expanded_m_product(lam, mu), (lam, mu)
+    assert m(4, 3) * m(3, 2) == _expanded_m_product((4, 3), (3, 2))
+
+
+def test_cold_round_trip_at_weight_ten():
+    for cache in (sym._transition, sym._transition_inverse, sym._count_matrices):
+        cache.cache_clear()
+    assert convert(convert(h(10), "e"), "h") == h(10)
 
 
 def test_multiplicative_bases_concatenate():
