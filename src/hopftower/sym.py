@@ -297,17 +297,22 @@ _ROW_STEPS = {
 }
 
 
+@lru_cache(maxsize=None)
 def _column_fills(basis, rows, c):
-    """Yield the row sums left over, one tuple per way to fill a column of sum c."""
+    """The ways to fill a column of sum c, as ((rows left, ways), ...).
+
+    ``rows`` and each ``rows left`` are partitions: the remaining row sums,
+    sorted, with the rows already used up dropped.
+    """
     if not rows:
-        if not c:
-            yield ()
-        return
+        return () if c else (((), 1),)
     r = rows[0]
+    out = Counter()
     for a in _ROW_STEPS[basis](r):
         if a <= c:
-            for rest in _column_fills(basis, rows[1:], c - a):
-                yield (r - a,) + rest
+            for left, ways in _column_fills(basis, rows[1:], c - a):
+                out[sort_to_partition(left + (r - a,)) if a < r else left] += ways
+    return tuple(out.items())
 
 
 @lru_cache(maxsize=None)
@@ -316,8 +321,8 @@ def _count_matrices(basis, rows, cols):
     whose rows take the steps of ``basis``, counted column by column."""
     if not cols:
         return int(not rows)
-    return sum(_count_matrices(basis, sort_to_partition(x for x in left if x), cols[1:])
-               for left in _column_fills(basis, rows, cols[0]))
+    return sum(ways * _count_matrices(basis, left, cols[1:])
+               for left, ways in _column_fills(basis, rows, cols[0]))
 
 
 # -- basis conversion ------------------------------------------------------
