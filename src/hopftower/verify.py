@@ -379,30 +379,32 @@ def suite_comodule_algebroid(weight=None, cap=None):
         results.append(_ok(label) if bad is None else
                        _fail(label, "fails on %r" % (bad,)))
 
-    bad = None
-    for w in range(cosimp_bound + 1):
-        dom0, cod0, rows0 = differential_matrix(ALGEBROIDS["S.B"], w, 0)
-        dom1, cod1, rows1 = differential_matrix(ALGEBROIDS["S.B"], w, 1)
-        assert cod0 == dom1
-        for i in range(len(dom0)):
-            acc = [ZERO] * len(cod1)
-            for j, c in enumerate(rows0[i]):
-                if c:
-                    for k, d in enumerate(rows1[j]):
-                        acc[k] += c * d
-            if any(acc):
-                bad = (w, dom0[i])
+    def matrix_squares():
+        for w in range(cosimp_bound + 1):
+            dom0, cod0, rows0 = differential_matrix(ALGEBROIDS["S.B"], w, 0)
+            dom1, cod1, rows1 = differential_matrix(ALGEBROIDS["S.B"], w, 1)
+            assert cod0 == dom1
+            for i in range(len(dom0)):
+                acc = [ZERO] * len(cod1)
+                for j, c in enumerate(rows0[i]):
+                    if c:
+                        for k, d in enumerate(rows1[j]):
+                            acc[k] += c * d
+                yield (w, dom0[i]), not any(acc)
+
+    bad, _ = _first_failure(matrix_squares())
     label = "normalized differential squares to zero in matrix form (weight <= %d)" % (
         cosimp_bound)
     results.append(_ok(label) if bad is None else
                    _fail(label, "fails on %r" % (bad,)))
 
-    bad = None
-    for w in range(4):
-        got = cohomology_rank("S.B", w, 0)
-        oracle = invariants_rank_oracle(ALGEBROIDS["S.B"], w)
-        if got != 1 or oracle != 1:
-            bad = (w, got, oracle)
+    def h0_ranks():
+        for w in range(4):
+            got = cohomology_rank("S.B", w, 0)
+            oracle = invariants_rank_oracle(ALGEBROIDS["S.B"], w)
+            yield (w, got, oracle), got == oracle == 1
+
+    bad, _ = _first_failure(h0_ranks())
     label = "H^0 of the S.B complex is rank 1 in weights 0-3 (two routes)"
     results.append(_ok(label) if bad is None else
                    _fail(label, "weight %r gave %r/%r" % bad))

@@ -104,7 +104,8 @@ def test_counted_m_products_equal_the_expansion():
 
 
 def test_cold_round_trip_at_weight_ten():
-    for cache in (sym._transition, sym._transition_inverse, sym._count_matrices):
+    for cache in (sym._transition, sym._transition_inverse, sym._count_matrices,
+                  sym._column_fills):
         cache.cache_clear()
     assert convert(convert(h(10), "e"), "h") == h(10)
 
