@@ -2,44 +2,68 @@
 
 Just the two routines the rest of the package needs: the rank of a matrix
 (for cohomology dimensions of the cobar complexes) and the inverse of a
-square change-of-basis matrix.  Everything is plain Gaussian elimination on
-lists of ``Fraction`` rows; sizes stay small enough that nothing smarter is
-warranted.
+square change-of-basis matrix.
+
+The cobar differentials are sparse with integer entries, so ``matrix_rank``
+works fraction-free: each row is scaled to a primitive integer vector stored
+as a ``{column: int}`` dict, and forward elimination cross-multiplies by
+gcd-reduced pivots (fraction-free in the spirit of Bareiss, Math. Comp. 22,
+1968) and divides every new row by its content, which keeps the integers
+small.  Rank needs neither back-substitution nor normalised pivots.  All
+arithmetic is exact ``int``; ``verify`` keeps dense Fraction Gauss-Jordan as
+the independent route.
+``invert_matrix`` is plain Gauss-Jordan on lists of ``Fraction`` rows.
 """
 
 from fractions import Fraction
+from math import gcd, lcm
 
 from .errors import DomainError
 
 
+def _primitive(row):
+    """Divide a nonempty integer row by the gcd of its entries."""
+    content = gcd(*row.values())
+    if content != 1:
+        row = {j: c // content for j, c in row.items()}
+    return row
+
+
+def _integer_row(values):
+    """A rational row as a primitive ``{column: int}`` dict of its nonzeros."""
+    entries = [(j, Fraction(x)) for j, x in enumerate(values) if x]
+    if not entries:
+        return {}
+    scale = lcm(*(x.denominator for _, x in entries))
+    return _primitive({j: x.numerator * (scale // x.denominator)
+                       for j, x in entries})
+
+
 def matrix_rank(rows):
-    """Rank of a matrix given as a list of equal-length Fraction rows."""
-    if not rows:
-        return 0
-    m = [list(map(Fraction, r)) for r in rows]
-    ncols = len(m[0])
-    rank = 0
-    row = 0
-    for col in range(ncols):
-        pivot = None
-        for r in range(row, len(m)):
-            if m[r][col]:
-                pivot = r
+    """Rank over Q of a matrix given as a list of equal-length rational rows."""
+    pivots = {}  # leading column -> primitive row whose first nonzero is there
+    for values in rows:
+        row = _integer_row(values)
+        while row:
+            lead = min(row)
+            pivot = pivots.get(lead)
+            if pivot is None:
+                pivots[lead] = row
                 break
-        if pivot is None:
-            continue
-        m[row], m[pivot] = m[pivot], m[row]
-        inv = 1 / m[row][col]
-        m[row] = [x * inv for x in m[row]]
-        for r in range(len(m)):
-            if r != row and m[r][col]:
-                f = m[r][col]
-                m[r] = [a - f * b for a, b in zip(m[r], m[row])]
-        row += 1
-        rank += 1
-        if row == len(m):
-            break
-    return rank
+            g = gcd(row[lead], pivot[lead])
+            a, b = pivot[lead] // g, row[lead] // g
+            # a*row - b*pivot cancels the lead column.
+            if a != 1:
+                row = {j: a * c for j, c in row.items()}
+            for j, c in pivot.items():
+                v = row.get(j, 0) - b * c
+                if v:
+                    row[j] = v
+                else:
+                    del row[j]
+            if row:
+                row = _primitive(row)
+    return len(pivots)
 
 
 def invert_matrix(rows):

@@ -24,10 +24,11 @@ from . import nsym as nsym_mod
 from . import qsym as qsym_mod
 from . import sym as sym_mod
 from . import topology
-from .algebroid import (ALGEBROIDS, coface, cohomology_rank, differential,
-                        differential_matrix, invariants_rank_oracle)
+from .algebroid import (ALGEBROIDS, WEIGHT_BOUND, coface, cohomology_rank,
+                        differential, differential_matrix, invariants_rank_oracle)
 from .diffeo import FdBElement, t
 from .errors import ExpressionError
+from .exactlinalg import matrix_rank
 from .expr import parse_element
 from .indices import compositions_of, partitions_of
 from .jsonio import document_for, dumps, from_document
@@ -340,6 +341,36 @@ def suite_bfk(weight=None, cap=None):
 
 # -- comodules and the cobar complex ---------------------------------------
 
+def _dense_rank_oracle(rows):
+    """Rank by dense Gauss-Jordan over Fractions, the slow route for matrix_rank."""
+    if not rows:
+        return 0
+    m = [list(map(Fraction, r)) for r in rows]
+    ncols = len(m[0])
+    rank = 0
+    row = 0
+    for col in range(ncols):
+        pivot = None
+        for r in range(row, len(m)):
+            if m[r][col]:
+                pivot = r
+                break
+        if pivot is None:
+            continue
+        m[row], m[pivot] = m[pivot], m[row]
+        inv = 1 / m[row][col]
+        m[row] = [x * inv for x in m[row]]
+        for r in range(len(m)):
+            if r != row and m[r][col]:
+                f = m[r][col]
+                m[r] = [a - f * b for a, b in zip(m[r], m[row])]
+        row += 1
+        rank += 1
+        if row == len(m):
+            break
+    return rank
+
+
 def suite_comodule_algebroid(weight=None, cap=None):
     results = []
     bound = weight if weight is not None else 6
@@ -408,6 +439,22 @@ def suite_comodule_algebroid(weight=None, cap=None):
     label = "H^0 of the S.B complex is rank 1 in weights 0-3 (two routes)"
     results.append(_ok(label) if bad is None else
                    _fail(label, "weight %r gave %r/%r" % bad))
+
+    rank_bound = min(bound, WEIGHT_BOUND)
+
+    def differential_ranks():
+        for name, alg in ALGEBROIDS.items():
+            for w in range(rank_bound + 1):
+                for s in (0, 1):
+                    rows = differential_matrix(alg, w, s)[2]
+                    got, want = matrix_rank(rows), _dense_rank_oracle(rows)
+                    yield (name, w, s, got, want), got == want
+
+    bad, _ = _first_failure(differential_ranks())
+    label = ("differential matrix ranks match dense Gauss-Jordan "
+             "(weight <= %d, levels 0 and 1)" % rank_bound)
+    results.append(_ok(label) if bad is None else
+                   _fail(label, "fails on %r" % (bad,)))
     return results
 
 
@@ -421,26 +468,29 @@ def suite_topology(weight=None, cap=None):
     results = []
     bound = weight if weight is not None else 7
 
-    bad = None
     log = topology.miscenko_log(bound + 1)
-    for n in range(1, bound + 1):
-        structural = _t_to_b(_fdb_chi_gen_oracle(n))
-        if log.coefficient(n + 1) != structural or topology.chi_b(n) != structural:
-            bad = n
+
+    def log_coefficients():
+        for n in range(1, bound + 1):
+            structural = _t_to_b(_fdb_chi_gen_oracle(n))
+            yield n, log.coefficient(n + 1) == structural == topology.chi_b(n)
+
+    bad, _ = _first_failure(log_coefficients())
     label = "log coefficients equal the structural antipode of b_n (n <= %d)" % bound
     results.append(_ok(label) if bad is None else
                    _fail(label, "fails at n=%d" % bad))
 
-    bad = None
-    for n in range(6):
-        for lam in partitions_of(n):
-            if topology.cp_char_number(n, lam) != topology.cp_char_number_oracle(n, lam):
-                bad = (n, lam)
-    hits = [(topology.cp_char_number(1, (1,)), Fraction(-2)),
-            (topology.cp_char_number(2, (1, 1)), Fraction(6)),
-            (topology.cp_char_number(2, (2,)), Fraction(-3))]
-    if any(a != b for a, b in hits):
-        bad = ("pinned", hits)
+    def projective_numbers():
+        for n in range(6):
+            for lam in partitions_of(n):
+                yield (n, lam), (topology.cp_char_number(n, lam)
+                                 == topology.cp_char_number_oracle(n, lam))
+        hits = [(topology.cp_char_number(1, (1,)), Fraction(-2)),
+                (topology.cp_char_number(2, (1, 1)), Fraction(6)),
+                (topology.cp_char_number(2, (2,)), Fraction(-3))]
+        yield ("pinned", hits), all(a == b for a, b in hits)
+
+    bad, _ = _first_failure(projective_numbers())
     label = "projective-space numbers match the normal-bundle oracle (n <= 5)"
     results.append(_ok(label) if bad is None else
                    _fail(label, "fails on %r" % (bad,)))
@@ -514,38 +564,37 @@ def suite_counts(weight=None, cap=None):
     results = []
     bound = weight if weight is not None else 12
 
-    bad = None
-    for n in range(bound + 1):
-        want = 1 if n == 0 else 2 ** (n - 1)
-        if len(compositions_of(n)) != want:
-            bad = n
-    if compositions_of(3) != ((3,), (2, 1), (1, 2), (1, 1, 1)):
-        bad = "order-3"
-    if compositions_of(0) != ((),):
-        bad = "order-0"
+    def composition_counts():
+        for n in range(bound + 1):
+            yield n, len(compositions_of(n)) == (1 if n == 0 else 2 ** (n - 1))
+        yield "order-3", compositions_of(3) == ((3,), (2, 1), (1, 2), (1, 1, 1))
+        yield "order-0", compositions_of(0) == ((),)
+
+    bad, _ = _first_failure(composition_counts())
     label = "compositions of n number 2^(n-1) (n <= %d), pinned order at 3" % bound
     results.append(_ok(label) if bad is None else
                    _fail(label, "fails at %r" % (bad,)))
 
-    bad = None
-    for n in range(9):
-        if set(partitions_of(n)) != set(_brute_partitions(n)):
-            bad = n
-    if set(partitions_of(3)) != {(3,), (2, 1), (1, 1, 1)}:
-        bad = "pinned-3"
-    if len(partitions_of(4)) != 5:
-        bad = "count-4"
+    def partition_sets():
+        for n in range(9):
+            yield n, set(partitions_of(n)) == set(_brute_partitions(n))
+        yield "pinned-3", set(partitions_of(3)) == {(3,), (2, 1), (1, 1, 1)}
+        yield "count-4", len(partitions_of(4)) == 5
+
+    bad, _ = _first_failure(partition_sets())
     label = "partitions agree with brute-force enumeration (n <= 8)"
     results.append(_ok(label) if bad is None else
                    _fail(label, "fails at %r" % (bad,)))
 
     kbound = min(bound, 10)
-    bad = None
-    for k in range(1, kbound + 1):
-        inv = topology.crn_invariant(k)
-        if (len(inv.terms) != 2 ** (k - 1)
-                or any(c != ONE for c in inv.terms.values())):
-            bad = k
+
+    def invariant_terms():
+        for k in range(1, kbound + 1):
+            inv = topology.crn_invariant(k)
+            yield k, (len(inv.terms) == 2 ** (k - 1)
+                      and all(c == ONE for c in inv.terms.values()))
+
+    bad, _ = _first_failure(invariant_terms())
     label = "composition-sum invariant has 2^(k-1) unit terms (k <= %d)" % kbound
     results.append(_ok(label) if bad is None else
                    _fail(label, "fails at k=%d" % bad))

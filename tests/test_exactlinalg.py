@@ -1,0 +1,79 @@
+"""Sparse fraction-free rank against dense Gauss-Jordan and sympy."""
+
+import copy
+from fractions import Fraction
+
+import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from hopftower.exactlinalg import matrix_rank
+from hopftower.verify import _dense_rank_oracle
+
+entries = st.one_of(
+    st.just(Fraction(0)),
+    st.integers(-6, 6).map(Fraction),
+    st.fractions(min_value=-20, max_value=20, max_denominator=15),
+)
+
+
+@st.composite
+def matrices(draw):
+    """Random rational matrices, tall, wide or square, with some rows that
+    repeat or combine earlier ones, shuffled."""
+    ncols = draw(st.integers(1, 8))
+    rows = draw(st.lists(st.lists(entries, min_size=ncols, max_size=ncols),
+                         min_size=1, max_size=8))
+    for _ in range(draw(st.integers(0, 4))):
+        i = draw(st.integers(0, len(rows) - 1))
+        j = draw(st.integers(0, len(rows) - 1))
+        if draw(st.booleans()):
+            rows.append(list(rows[i]))
+        else:
+            a, b = draw(entries), draw(entries)
+            rows.append([a * x + b * y for x, y in zip(rows[i], rows[j])])
+    return draw(st.permutations(rows))
+
+
+def _sympy_rank(rows):
+    return sympy.Matrix([[sympy.Rational(x.numerator, x.denominator) for x in r]
+                         for r in rows]).rank()
+
+
+@settings(max_examples=200, deadline=None)
+@given(matrices())
+def test_rank_matches_dense_oracle_and_sympy(rows):
+    rank = matrix_rank(rows)
+    assert rank == _dense_rank_oracle(rows) == _sympy_rank(rows)
+
+
+def test_empty_and_zero_matrices():
+    assert matrix_rank([]) == 0
+    assert matrix_rank([[]]) == 0
+    assert matrix_rank([[0, 0, 0]] * 4) == 0
+    assert matrix_rank([[Fraction(0)] * 3, [0, 0, Fraction(0)]]) == 0
+
+
+def test_single_row():
+    assert matrix_rank([[0, Fraction(-3, 4), 0, 7]]) == 1
+    assert matrix_rank([[Fraction(5)]]) == 1
+
+
+def test_entries_near_ten_to_the_thirty():
+    big = 10 ** 30
+    rows = [[Fraction(big + (i + 1) ** j, 1 + (i * j) % 5) for j in range(6)]
+            for i in range(5)]
+    rows.append([(big - 7) * x - (big + 3) * y for x, y in zip(rows[0], rows[3])])
+    rows.append([x / big for x in rows[2]])
+    want = _sympy_rank(rows)
+    assert want == 5
+    assert matrix_rank(rows) == _dense_rank_oracle(rows) == want
+
+
+def test_input_is_not_mutated_and_rank_is_an_int():
+    rows = [[Fraction(1, 2), 0, 3], [1, Fraction(0), 6], [0, Fraction(2, 3), 0]]
+    before = copy.deepcopy(rows)
+    rank = matrix_rank(rows)
+    assert rows == before
+    assert all(type(x) is type(y) for r, s in zip(rows, before) for x, y in zip(r, s))
+    assert type(rank) is int and rank == 2

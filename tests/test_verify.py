@@ -19,3 +19,19 @@ def test_duality_reports_the_first_failing_pair(monkeypatch):
     assert label.startswith("basis pairing is delta")
     assert not ok
     assert detail == "fails on %r" % (((1,), (1,)),)
+
+
+def test_topology_reports_the_first_failing_projective_number(monkeypatch):
+    real = verify.topology.cp_char_number
+    broken = {(1, (1,)), (3, (3,))}
+
+    def cp_char_number(n, lam):
+        got = real(n, lam)
+        return got + 1 if (n, tuple(lam)) in broken else got
+
+    monkeypatch.setattr(verify.topology, "cp_char_number", cp_char_number)
+    records = verify.suite_topology(weight=2, cap=2)
+    label, ok, detail = records[1]
+    assert label.startswith("projective-space numbers")
+    assert not ok
+    assert detail == "fails on %r" % ((1, (1,)),)
