@@ -7,18 +7,24 @@ t(T) = T + t_1 T^2 + ... and its antipode is Lagrange reversion.
 The noncommutative counterpart (Brouder-Frabetti-Krattenthaler, BFK) reuses
 the free associative algebra on Z_k but installs the renormalization
 coproduct: Delta Z_n is the T^{n+1} coefficient of sum_k Z_{k-1} (x) Z(T)^k.
-Its antipode comes from the generic connected-graded recursion and
-abelianizes to Lagrange reversion, which is the main cross-check.
+Its antipode on generators comes from ``linear.recursive_antipode``, the
+connected-graded recursion, and abelianizes to Lagrange reversion, which is
+the main cross-check.
 
 The same substitution combinatorics, read on the commutative side, yields
 the coaction of the diffeomorphism algebra on symmetric functions.
+
+Only the generator images live here: every coproduct, coaction and antipode
+reaches words through ``linear.on_words``, multiplicatively or, for the
+BFK antipode, as an antimorphism.
 """
 
 from functools import lru_cache
 
 from .indices import sort_to_partition, weak_compositions
-from .linear import CommutativeElement, Tensor, TensorSpace, add_term
-from .nsym import NSymElement, z_series
+from .linear import (CommutativeElement, Tensor, TensorSpace, add_term, on_words,
+                     recursive_antipode)
+from .nsym import NSymElement, z, z_series
 from .scalars import ONE
 from .series import TruncatedSeries, generator_series
 from . import sym
@@ -60,14 +66,7 @@ def _fdb_coproduct_gen(n):
 
 def fdb_coproduct(f):
     """Composition coproduct, extended to t-monomials multiplicatively."""
-    space = (FdBElement, FdBElement)
-    total = Tensor(space, {})
-    for lam, c in f.terms.items():
-        acc = Tensor(space, {((), ()): c})
-        for k in lam:
-            acc = acc * _fdb_coproduct_gen(k)
-        total = total + acc
-    return total
+    return on_words(f, _fdb_coproduct_gen)
 
 
 def fdb_counit(f):
@@ -84,14 +83,7 @@ def _fdb_antipode_gen(n):
 
 def fdb_antipode(f):
     """Lagrange reversion coefficients, extended as an algebra morphism."""
-    out = {}
-    for lam, c in f.terms.items():
-        prod = FdBElement({(): ONE})
-        for k in lam:
-            prod = prod * _fdb_antipode_gen(k)
-        for idx, cc in prod.terms.items():
-            add_term(out, idx, c * cc)
-    return FdBElement(out)
+    return on_words(f, _fdb_antipode_gen)
 
 
 # -- coaction on symmetric functions --------------------------------------
@@ -117,15 +109,7 @@ def coaction_sym(f):
     multiplicatively, making S a comodule algebra.  Input in any basis; the
     left slots of the output are in the e basis.
     """
-    fe = sym.convert(f, "e")
-    space = (sym.SymElement, FdBElement)
-    total = Tensor(space, {})
-    for lam, c in fe.terms.items():
-        acc = Tensor(space, {((), ()): c})
-        for k in lam:
-            acc = acc * _coaction_gen(k)
-        total = total + acc
-    return total
+    return on_words(sym.convert(f, "e"), _coaction_gen)
 
 
 # -- renormalization coproduct (BFK) --------------------------------------
@@ -151,14 +135,7 @@ def _bfk_coproduct_gen(n):
 
 def bfk_coproduct(f):
     """Renormalization coproduct on the Z-algebra, extended multiplicatively."""
-    space = (NSymElement, NSymElement)
-    total = Tensor(space, {})
-    for word, c in f.terms.items():
-        acc = Tensor(space, {((), ()): c})
-        for k in word:
-            acc = acc * _bfk_coproduct_gen(k)
-        total = total + acc
-    return total
+    return on_words(f, _bfk_coproduct_gen)
 
 
 def bfk_counit(f):
@@ -168,31 +145,12 @@ def bfk_counit(f):
 @lru_cache(maxsize=None)
 def _bfk_antipode_gen(n):
     """Antipode of Z_n by the connected-graded recursion through Delta."""
-    if n == 0:
-        return NSymElement.one()
-    acc = NSymElement({(n,): -ONE})
-    delta = _bfk_coproduct_gen(n)
-    collected = {}
-    for (left, right), c in delta.terms.items():
-        if left == () or right == ():
-            continue
-        # left slots of generator coproducts are single generators Z_m, m < n
-        add_term(collected.setdefault(left[0], {}), right, c)
-    for m in sorted(collected):
-        acc = acc - _bfk_antipode_gen(m) * NSymElement(collected[m])
-    return acc
+    return recursive_antipode(_bfk_coproduct_gen(n), lambda w: bfk_antipode(z(*w)))
 
 
 def bfk_antipode(f):
     """Renormalization antipode; extended to words as an antimorphism."""
-    out = {}
-    for word, c in f.terms.items():
-        prod = NSymElement({(): ONE})
-        for k in reversed(word):
-            prod = prod * _bfk_antipode_gen(k)
-        for idx, cc in prod.terms.items():
-            add_term(out, idx, c * cc)
-    return NSymElement(out)
+    return on_words(f, _bfk_antipode_gen, reverse=True)
 
 
 def bfk_abelianize(f):

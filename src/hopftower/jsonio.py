@@ -31,7 +31,7 @@ from .nsym import NSymElement
 from .qsym import QSymElement
 from .scalars import format_scalar, parse_scalar
 from .series import TruncatedSeries
-from .sym import SymElement
+from .sym import SymElement, convert
 from .topology import BElement, BetaPolynomial
 
 _TAG_TO_CLASS = {
@@ -126,11 +126,13 @@ def series_document(s, structure=None):
         tag = _class_tag(algebra)
         doc = {"algebra": tag}
         if tag == "sym":
+            # one basis for the whole series: the lowest-degree coefficient's
             basis = "e"
-            for k in sorted(s.coeffs, key=lambda kk: (s._degree(kk),)):
+            for k in sorted(s.coeffs, key=s._degree):
                 basis = s.coeffs[k].basis
                 break
             doc["basis"] = basis
+            s = s.map_coefficients(lambda v: convert(v, basis))
         elif tag == "nsym":
             doc["structure"] = structure or "binomial"
     doc["cap"] = s.cap

@@ -1,4 +1,5 @@
-"""Sparse linear combinations indexed by integer tuples, and tensors of them.
+"""Sparse linear combinations indexed by integer tuples, tensors of them, and
+the shared engine that builds every Hopf structure of the package.
 
 Every graded algebra in the package stores its elements the same way: a dict
 from basis index (a tuple of positive integers, ``()`` for the unit) to a
@@ -6,9 +7,17 @@ nonzero ``Fraction``.  Subclasses fix the product of two basis indices; the
 bilinear extension, scalar action, grading helpers and canonical printing all
 live here.  Elements are treated as immutable once built, which keeps the
 memoised structure constants safe to share.
+
+Each coproduct, coaction and antipode is given on the generators and then
+extended over words.  ``on_words`` does that extension, multiplicatively or
+as an antimorphism, memoising each word's image by prefix; ``binomial_gen``
+is the generator coproduct of a grouplike generator series.  Where no closed
+form on generators is known, ``recursive_antipode`` computes the antipode
+from the coproduct by the connected-graded recursion (Takeuchi 1971).
 """
 
 from fractions import Fraction
+from functools import lru_cache
 
 from .errors import AlgebraMismatchError, DomainError
 from .indices import index_sort_key
@@ -49,6 +58,10 @@ class LinearElement:
     def _new(self, terms):
         """Build a same-algebra element; subclasses carrying extra state override."""
         return type(self)(terms)
+
+    def slot_form(self):
+        """This element as a tensor slot holds it; sym overrides (slots are e-based)."""
+        return self
 
     @classmethod
     def from_index(cls, idx, coeff=1):
@@ -251,9 +264,14 @@ class Tensor:
                     data[tuple(tuple(i) for i in key)] = coeff
         self.terms = data
 
+    def _new(self, terms):
+        """Build a tensor over the same factors."""
+        return Tensor(self.factors, terms)
+
     @classmethod
     def of(cls, *elements):
         """Tensor product of algebra elements, expanded bilinearly."""
+        elements = [x.slot_form() for x in elements]
         factors = tuple(type(x) for x in elements)
         keys = {(): ONE}
         for x in elements:
@@ -285,17 +303,17 @@ class Tensor:
         out = dict(self.terms)
         for key, c in other.terms.items():
             add_term(out, key, c)
-        return Tensor(self.factors, out)
+        return self._new(out)
 
     def __neg__(self):
-        return Tensor(self.factors, {k: -c for k, c in self.terms.items()})
+        return self._new({k: -c for k, c in self.terms.items()})
 
     def __sub__(self, other):
         return self + (-other)
 
     def scale(self, q):
         q = Fraction(q)
-        return Tensor(self.factors, {k: c * q for k, c in self.terms.items()} if q else {})
+        return self._new({k: c * q for k, c in self.terms.items()} if q else {})
 
     def __rmul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -318,7 +336,7 @@ class Tensor:
                     partial = nxt
                 for key, c in partial:
                     add_term(out, key, c)
-        return Tensor(self.factors, out)
+        return self._new(out)
 
     # -- slot surgery -----------------------------------------------------
 
@@ -431,3 +449,52 @@ class TensorSpace:
 
     def __repr__(self):
         return "TensorSpace(%s)" % ", ".join(f.__name__ for f in self.factors)
+
+
+# -- the shared Hopf engine ----------------------------------------------------
+
+@lru_cache(maxsize=None)
+def binomial_gen(cls, k):
+    """sum_{i+j=k} g_i (x) g_j: the coproduct of g_k in a grouplike generator series."""
+    return Tensor((cls, cls), {((i,) if i else (), (k - i,) if k - i else ()): ONE
+                               for i in range(k + 1)})
+
+
+@lru_cache(maxsize=None)
+def _word_image(gen, word):
+    """The image of ``word`` under the letter map ``gen``, built by prefix."""
+    if len(word) < 2:
+        return gen(word[0] if word else 0)
+    return _word_image(gen, word[:-1]) * gen(word[-1])
+
+
+def on_words(f, gen, reverse=False):
+    """Extend the letter map ``gen`` (an element or tensor per letter, ``gen(0)``
+    the unit) over the words indexing ``f``: multiplicatively, or as an
+    antimorphism with ``reverse=True``.
+
+    ``gen`` must be a module-level function, as it keys the word cache.
+    """
+    out = {}
+    for word, c in f.terms.items():
+        for key, cc in _word_image(gen, word[::-1] if reverse else word).terms.items():
+            add_term(out, key, c * cc)
+    return gen(0)._new(out)
+
+
+def recursive_antipode(delta_x, antipode):
+    """The antipode of x read off its coproduct, for a connected graded bialgebra.
+
+    S(x) = e(x) - sum c S(x') x'' over the terms c x' (x) x'' of ``delta_x``
+    whose right slot is not the unit (Takeuchi 1971); ``antipode`` maps a
+    basis index of the left slot, always of lower weight, to its image.
+    """
+    cls = delta_x.factors[1]
+    rights = {}
+    for (i, j), c in delta_x.terms.items():
+        if j:
+            rights.setdefault(i, {})[j] = -c
+    out = cls({(): delta_x.terms.get(((), ()), ZERO)})
+    for i, r in rights.items():
+        out = out + antipode(i) * cls(r)
+    return out

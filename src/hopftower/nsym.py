@@ -11,10 +11,10 @@ of this onto the symmetric function Hopf algebra.
 """
 
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 
 from .indices import compositions_of, sort_to_partition
-from .linear import LinearElement, Tensor, add_term
+from .linear import LinearElement, add_term, binomial_gen, on_words
 from .scalars import ONE
 from .series import generator_series
 from . import sym
@@ -30,6 +30,9 @@ class NSymElement(LinearElement):
         return ((i + j, ONE),)
 
 
+_binomial = partial(binomial_gen, NSymElement)
+
+
 def z(*parts):
     return NSymElement({tuple(parts): ONE})
 
@@ -41,19 +44,7 @@ def z_series(cap):
 
 def coproduct(f):
     """Binomial coproduct, extended to words multiplicatively."""
-    space = (NSymElement, NSymElement)
-    total = Tensor(space, {})
-    for word, c in f.terms.items():
-        acc = Tensor(space, {((), ()): c})
-        for k in word:
-            split = {}
-            for i in range(k + 1):
-                left = (i,) if i else ()
-                right = (k - i,) if k - i else ()
-                split[(left, right)] = ONE
-            acc = acc * Tensor(space, split)
-        total = total + acc
-    return total
+    return on_words(f, _binomial)
 
 
 def counit(f):
@@ -71,22 +62,12 @@ def _antipode_gen(n):
 
 def antipode(f):
     """Antipode; an antimorphism, so words are processed in reverse order."""
-    out = {}
-    for word, c in f.terms.items():
-        prod = NSymElement({(): ONE})
-        for k in reversed(word):
-            prod = prod * _antipode_gen(k)
-        for idx, cc in prod.terms.items():
-            add_term(out, idx, c * cc)
-    return NSymElement(out)
+    return on_words(f, _antipode_gen, reverse=True)
 
 
 def abelianize(f):
     """Quotient onto symmetric functions: Z_I goes to e_{sort(I)}."""
-    out = {}
-    for word, c in f.terms.items():
-        add_term(out, sort_to_partition(word), c)
-    return sym.SymElement(out, "e")
+    return sym.SymElement(f.map_indices(sort_to_partition), "e")
 
 
 def abelianize_tensor(t):

@@ -7,13 +7,18 @@ deconcatenation.  This algebra is the graded dual of the noncommutative
 symmetric functions under the basis pairing <Z_I, M_J> = delta, and the
 symmetric functions sit inside it by fanning a partition out over all of
 its rearrangements.
+
+QSym is not free on the M_I, so its antipode is not a word extension: each
+basis element's image comes from ``linear.recursive_antipode``, the
+connected-graded recursion through deconcatenation.  ``verify`` checks it
+against Ehrenborg's closed coarsening formula.
 """
 
 from functools import lru_cache
 from itertools import combinations, permutations
 
 from .errors import AlgebraMismatchError
-from .linear import LinearElement, Tensor, add_term
+from .linear import LinearElement, Tensor, add_term, recursive_antipode
 from .nsym import NSymElement
 from .scalars import ONE, ZERO
 from . import sym
@@ -71,19 +76,11 @@ def counit(f):
 @lru_cache(maxsize=None)
 def _antipode_basis(I):
     """Antipode on M_I by the connected-graded recursion."""
-    if not I:
-        return QSymElement({(): ONE})
-    acc = QSymElement({I: -ONE})
-    for k in range(1, len(I)):
-        acc = acc - _antipode_basis(I[:k]) * QSymElement({I[k:]: ONE})
-    return acc
+    return recursive_antipode(coproduct(QSymElement.from_index(I)), _antipode_basis)
 
 
 def antipode(f):
-    out = QSymElement()
-    for I, c in f.terms.items():
-        out = out + _antipode_basis(I).scale(c)
-    return out
+    return sum((_antipode_basis(I).scale(c) for I, c in f.terms.items()), QSymElement())
 
 
 def pair(a, b):

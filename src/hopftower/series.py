@@ -16,6 +16,7 @@ that makes the noncommutative functional calculus here come out right.
 from fractions import Fraction
 
 from .errors import AlgebraMismatchError, DomainError
+from .linear import add_term
 from .scalars import ONE, ZERO
 
 
@@ -39,7 +40,7 @@ class TruncatedSeries:
                 if self._degree(key) > cap:
                     continue
                 v = self._norm_coeff(v)
-                if self._nonzero(v):
+                if v:
                     data[key] = v
         self.coeffs = data
 
@@ -65,10 +66,6 @@ class TruncatedSeries:
 
     def _zero_coeff(self):
         return ZERO if _is_scalar_algebra(self.algebra) else self.algebra.zero()
-
-    @staticmethod
-    def _nonzero(v):
-        return bool(v)
 
     def _coeff_commutative(self):
         if _is_scalar_algebra(self.algebra):
@@ -129,14 +126,8 @@ class TruncatedSeries:
         cap = min(self.cap, other.cap)
         out = {k: v for k, v in self.coeffs.items() if self._degree(k) <= cap}
         for k, v in other.coeffs.items():
-            if self._degree(k) > cap:
-                continue
-            cur = out.get(k)
-            s = v if cur is None else cur + v
-            if self._nonzero(s):
-                out[k] = s
-            elif k in out:
-                del out[k]
+            if self._degree(k) <= cap:
+                add_term(out, k, v)
         return self._spawn(out, cap=cap)
 
     __radd__ = __add__
@@ -179,13 +170,7 @@ class TruncatedSeries:
                 if d1 + self._degree(k2) > cap:
                     continue
                 key = k1 + k2 if self.nvars == 1 else tuple(a + b for a, b in zip(k1, k2))
-                p = v1 * v2
-                cur = out.get(key)
-                s = p if cur is None else cur + p
-                if self._nonzero(s):
-                    out[key] = s
-                elif key in out:
-                    del out[key]
+                add_term(out, key, v1 * v2)
         return self._spawn(out, cap=cap)
 
     def __pow__(self, n):
@@ -248,13 +233,7 @@ class TruncatedSeries:
             if cn is None:
                 continue
             for k, v in power.coeffs.items():
-                term = cn * v  # outer coefficients act on the left
-                cur = result.get(k)
-                s = term if cur is None else cur + term
-                if self._nonzero(s):
-                    result[k] = s
-                elif k in result:
-                    del result[k]
+                add_term(result, k, cn * v)  # outer coefficients act on the left
         return TruncatedSeries(self.algebra, result, cap, inner.nvars)
 
     def revert(self):
@@ -276,7 +255,7 @@ class TruncatedSeries:
             partial = TruncatedSeries(self.algebra, g, n, 1)
             comp = self.truncate(n).compose(partial)
             err = comp.coeffs.get(n)
-            if err is not None and self._nonzero(err):
+            if err:
                 g[n] = -err
         out = TruncatedSeries(self.algebra, g, cap, 1)
         return out

@@ -19,7 +19,7 @@ conversions involving the p basis are the only place denominators appear.
 
 from collections import Counter
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import combinations, combinations_with_replacement
 from operator import add
 import warnings
@@ -27,7 +27,7 @@ import warnings
 from .errors import AlgebraMismatchError, DomainError
 from .exactlinalg import invert_matrix
 from .indices import compositions_of, partitions_of, sort_to_partition
-from .linear import LinearElement, Tensor, add_term
+from .linear import LinearElement, add_term, binomial_gen, on_words
 from .scalars import ONE, ZERO
 from .series import TruncatedSeries
 
@@ -58,6 +58,9 @@ class SymElement(LinearElement):
 
     def _letter(self):
         return self.basis
+
+    def slot_form(self):
+        return convert(self, "e")
 
     @classmethod
     def from_index(cls, idx, coeff=1, basis="e"):
@@ -102,6 +105,9 @@ class SymElement(LinearElement):
         if self.basis == "m":
             return _monomial_mul(self, other)
         return super().__mul__(other)
+
+
+_binomial = partial(binomial_gen, SymElement)
 
 
 def e(*parts):
@@ -401,20 +407,7 @@ def coproduct(f):
 
     Input in any basis; the output tensor is expressed in the e basis.
     """
-    fe = convert(f, "e")
-    space = (SymElement, SymElement)
-    total = Tensor(space, {})
-    for lam, c in fe.terms.items():
-        acc = Tensor(space, {((), ()): c})
-        for k in lam:
-            split = {}
-            for i in range(k + 1):
-                left = (i,) if i else ()
-                right = (k - i,) if k - i else ()
-                split[(left, right)] = ONE
-            acc = acc * Tensor(space, split)
-        total = total + acc
-    return total
+    return on_words(convert(f, "e"), _binomial)
 
 
 def counit(f):
@@ -427,20 +420,12 @@ def _antipode_e_gen(n):
     terms = {}
     for comp in compositions_of(n):
         add_term(terms, sort_to_partition(comp), Fraction(-1) ** len(comp))
-    return tuple(terms.items())
+    return SymElement(terms, "e")
 
 
 def antipode(f):
     """Hopf antipode; an algebra involution here since S is commutative."""
-    fe = convert(f, "e")
-    out = {}
-    for lam, c in fe.terms.items():
-        prod = SymElement({(): ONE}, "e")
-        for k in lam:
-            prod = prod * SymElement(dict(_antipode_e_gen(k)), "e")
-        for idx, cc in prod.terms.items():
-            add_term(out, idx, c * cc)
-    return convert(SymElement(out, "e"), f.basis)
+    return convert(on_words(convert(f, "e"), _antipode_e_gen), f.basis)
 
 
 def involution(f, which):

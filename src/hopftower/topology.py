@@ -138,12 +138,7 @@ class BetaPolynomial:
     def __add__(self, other):
         out = dict(self.coeffs)
         for k, v in other.coeffs.items():
-            cur = out.get(k)
-            s = v if cur is None else cur + v
-            if s:
-                out[k] = s
-            elif k in out:
-                del out[k]
+            add_term(out, k, v)
         return BetaPolynomial(out)
 
     def __neg__(self):
@@ -164,13 +159,7 @@ class BetaPolynomial:
         out = {}
         for k1, v1 in self.coeffs.items():
             for k2, v2 in other.coeffs.items():
-                prod = v1 * v2
-                cur = out.get(k1 + k2)
-                s = prod if cur is None else cur + prod
-                if s:
-                    out[k1 + k2] = s
-                elif k1 + k2 in out:
-                    del out[k1 + k2]
+                add_term(out, k1 + k2, v1 * v2)
         return BetaPolynomial(out)
 
     def __rmul__(self, other):

@@ -17,7 +17,7 @@ import json
 import random
 from fractions import Fraction
 from functools import lru_cache
-from itertools import chain
+from itertools import accumulate, chain
 
 from . import diffeo
 from . import nsym as nsym_mod
@@ -32,7 +32,7 @@ from .exactlinalg import matrix_rank
 from .expr import parse_element
 from .indices import compositions_of, partitions_of
 from .jsonio import document_for, dumps, from_document
-from .linear import Tensor
+from .linear import Tensor, on_words, recursive_antipode
 from .nsym import NSymElement, z
 from .qsym import M, QSymElement, expand_ordered, pair, pair_tensor
 from .scalars import ONE, ZERO
@@ -141,19 +141,21 @@ def suite_hopf_axioms(weight=None, cap=None):
 @lru_cache(maxsize=None)
 def _fdb_chi_gen_oracle(n):
     """Antipode of t_n by the connected-graded recursion, not by reversion."""
-    x = t(n)
-    acc = -x
-    for (i, j), c in diffeo.fdb_coproduct(x).terms.items():
-        if sum(i) and sum(j):
-            acc = acc - (_fdb_chi_index_oracle(i) * FdBElement({j: 1})).scale(c)
-    return acc
+    return recursive_antipode(
+        diffeo._fdb_coproduct_gen(n),
+        lambda idx: on_words(FdBElement.from_index(idx), _fdb_chi_gen_oracle))
 
 
-def _fdb_chi_index_oracle(idx):
-    out = FdBElement.one()
-    for k in idx:
-        out = out * _fdb_chi_gen_oracle(k)
-    return out
+def _ehrenborg_antipode(I):
+    """S(M_I) = (-1)^len(I) * sum of M_J over the coarsenings J of reversed I
+    (Ehrenborg, Adv. Math. 119, 1996): a closed form, with no recursion."""
+    rev = I[::-1]
+    out = {}
+    for blocks in compositions_of(len(I)):
+        ends = list(accumulate(blocks))
+        J = tuple(sum(rev[a:b]) for a, b in zip([0] + ends, ends))
+        out[J] = Fraction(-1) ** len(I)
+    return QSymElement(out)
 
 
 def _expanded_transition(basis, w):
@@ -180,16 +182,11 @@ def _expanded_m_product(lam, mu):
 def suite_antipode(weight=None, cap=None):
     results = []
     bound = weight if weight is not None else 8
-    bad = None
     h_series = sym_mod.h_series(bound)
-    for n in range(1, bound + 1):
-        want = convert(h(n), "e").scale(Fraction(-1) ** n)
-        if sym_mod.antipode(e(n)) != want:
-            bad = n
-            break
-        if h_series.coefficient(n) != convert(h(n), "e"):
-            bad = n
-            break
+    bad, _ = _first_failure(
+        (n, sym_mod.antipode(e(n)) == convert(h(n), "e").scale(Fraction(-1) ** n)
+         and h_series.coefficient(n) == convert(h(n), "e"))
+        for n in range(1, bound + 1))
     label = "antipode(e_n) = (-1)^n h_n and h-series agreement (n <= %d)" % bound
     results.append(_ok(label) if bad is None else
                    _fail(label, "fails at n=%d" % bad))
@@ -214,21 +211,25 @@ def suite_antipode(weight=None, cap=None):
     results.append(_ok(label) if bad is None else
                    _fail(label, "fails on %r" % (bad,)))
 
-    bad = None
-    for n in range(1, bound + 1):
-        if diffeo.fdb_antipode(t(n)) != _fdb_chi_gen_oracle(n):
-            bad = n
-            break
+    qbound = min(bound, 6)
+    bad, checked = _first_failure(
+        (I, qsym_mod.antipode(M(*I)) == _ehrenborg_antipode(I))
+        for w in range(qbound + 1) for I in compositions_of(w))
+    label = "qsym antipode: graded recursion equals Ehrenborg's coarsening formula " \
+            "(weight <= %d, %d compositions)" % (qbound, checked)
+    results.append(_ok(label) if bad is None else
+                   _fail(label, "fails on %r" % (bad,)))
+
+    bad, _ = _first_failure((n, diffeo.fdb_antipode(t(n)) == _fdb_chi_gen_oracle(n))
+                            for n in range(1, bound + 1))
     label = "diffeo antipode: reversion equals graded recursion (n <= %d)" % bound
     results.append(_ok(label) if bad is None else
                    _fail(label, "fails at n=%d" % bad))
 
     bfk_bound = min(bound, 6)
-    bad = None
-    for n in range(1, bfk_bound + 1):
-        if diffeo.bfk_abelianize(diffeo.bfk_antipode(z(n))) != diffeo.fdb_antipode(t(n)):
-            bad = n
-            break
+    bad, _ = _first_failure(
+        (n, diffeo.bfk_abelianize(diffeo.bfk_antipode(z(n))) == diffeo.fdb_antipode(t(n)))
+        for n in range(1, bfk_bound + 1))
     label = "renormalization antipode abelianizes to diffeo antipode (n <= %d)" % bfk_bound
     results.append(_ok(label) if bad is None else
                    _fail(label, "fails at n=%d" % bad))

@@ -197,6 +197,19 @@ def test_series_documents_round_trip():
         assert back.cap == s.cap and back.nvars == s.nvars
 
 
+def test_sym_series_documents_keep_every_coefficient():
+    # the product's T^0 and T^1 coefficients are e-based, its T^2 one m-based;
+    # the document names one basis, so every coefficient is written in it
+    s = TruncatedSeries(SymElement, {0: SymElement.one(), 1: m(1)}, 2)
+    square = s * s
+    assert square.coefficient(2).basis == "m"
+    back = loads(dumps(document_for(square)))
+    assert back == square
+    assert back.coefficient(2) == m(1, 1).scale(2) + m(2) == e(1, 1)
+    assert loads(dumps(document_for(parse_series("(1 + m[1]*T)*(1 + m[1]*T)", 2)))) \
+        == parse_series("1 + 2*e[1]*T + e[1,1]*T^2", 2)
+
+
 def test_scalar_zero_document():
     assert dumps(document_for(Fraction(0))) == '{"algebra":"scalar","terms":[]}'
     assert from_document({"algebra": "scalar", "terms": []}) == 0
