@@ -10,10 +10,10 @@ memoised structure constants safe to share.
 
 Each coproduct, coaction and antipode is given on the generators and then
 extended over words.  ``on_words`` does that extension, multiplicatively or
-as an antimorphism, memoising each word's image by prefix; ``binomial_gen``
-is the generator coproduct of a grouplike generator series.  Where no closed
-form on generators is known, ``recursive_antipode`` computes the antipode
-from the coproduct by the connected-graded recursion (Takeuchi 1971).
+as an antimorphism, one letter at a time; ``binomial_gen`` is the generator
+coproduct of a grouplike generator series.  Where no closed form on
+generators is known, ``recursive_antipode`` computes the antipode from the
+coproduct by the connected-graded recursion (Takeuchi 1971).
 """
 
 from fractions import Fraction
@@ -460,24 +460,17 @@ def binomial_gen(cls, k):
                                for i in range(k + 1)})
 
 
-@lru_cache(maxsize=None)
-def _word_image(gen, word):
-    """The image of ``word`` under the letter map ``gen``, built by prefix."""
-    if len(word) < 2:
-        return gen(word[0] if word else 0)
-    return _word_image(gen, word[:-1]) * gen(word[-1])
-
-
 def on_words(f, gen, reverse=False):
     """Extend the letter map ``gen`` (an element or tensor per letter, ``gen(0)``
     the unit) over the words indexing ``f``: multiplicatively, or as an
-    antimorphism with ``reverse=True``.
-
-    ``gen`` must be a module-level function, as it keys the word cache.
-    """
+    antimorphism with ``reverse=True``."""
     out = {}
     for word, c in f.terms.items():
-        for key, cc in _word_image(gen, word[::-1] if reverse else word).terms.items():
+        letters = iter(word[::-1] if reverse else word)
+        image = gen(next(letters, 0))
+        for k in letters:
+            image = image * gen(k)
+        for key, cc in image.terms.items():
             add_term(out, key, c * cc)
     return gen(0)._new(out)
 

@@ -30,9 +30,6 @@ class NSymElement(LinearElement):
         return ((i + j, ONE),)
 
 
-_binomial = partial(binomial_gen, NSymElement)
-
-
 def z(*parts):
     return NSymElement({tuple(parts): ONE})
 
@@ -44,7 +41,7 @@ def z_series(cap):
 
 def coproduct(f):
     """Binomial coproduct, extended to words multiplicatively."""
-    return on_words(f, _binomial)
+    return on_words(f, partial(binomial_gen, NSymElement))
 
 
 def counit(f):

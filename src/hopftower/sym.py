@@ -107,9 +107,6 @@ class SymElement(LinearElement):
         return super().__mul__(other)
 
 
-_binomial = partial(binomial_gen, SymElement)
-
-
 def e(*parts):
     return SymElement({tuple(parts): ONE}, "e")
 
@@ -407,7 +404,7 @@ def coproduct(f):
 
     Input in any basis; the output tensor is expressed in the e basis.
     """
-    return on_words(convert(f, "e"), _binomial)
+    return on_words(convert(f, "e"), partial(binomial_gen, SymElement))
 
 
 def counit(f):

@@ -28,6 +28,12 @@ def test_antipode_structures():
     assert code == 1 and "bfk" in err
 
 
+def test_antipode_of_a_long_power():
+    long = "Z[%s]" % ",".join(["1"] * 1000)
+    for structure in ("binomial", "bfk"):
+        assert run("antipode", "--structure", structure, "Z[1]^1000") == (0, long, "")
+
+
 def test_convert_paths():
     assert run("convert", "h[2]", "--to", "e")[1] == "e[1,1] - e[2]"
     assert run("convert", "Z[1,2]", "--to", "t")[1] == "t[2,1]"
