@@ -17,6 +17,7 @@ import json
 import sys
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
+from functools import lru_cache
 
 from . import diffeo
 from . import nsym as nsym_mod
@@ -444,12 +445,22 @@ def build_parser():
     return parser
 
 
+@lru_cache(maxsize=None)
+def _parser():
+    """The one parser of this process, built on the first command.
+
+    Parsing leaves no state in it: ``--suite`` and ``--involution`` append
+    to a fresh list on every call.
+    """
+    return build_parser()
+
+
 def run_command(argv, stdout=None, stderr=None):
     """Run one invocation, writing to the given streams.  Returns the exit
     code instead of raising SystemExit, so it can be driven in-process."""
     out = stdout if stdout is not None else sys.stdout
     err = stderr if stderr is not None else sys.stderr
-    parser = build_parser()
+    parser = _parser()
     try:
         with redirect_stdout(out), redirect_stderr(err):
             try:

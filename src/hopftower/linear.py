@@ -56,8 +56,18 @@ class LinearElement:
     # -- construction -----------------------------------------------------
 
     def _new(self, terms):
-        """Build a same-algebra element; subclasses carrying extra state override."""
-        return type(self)(terms)
+        """Adopt ``terms`` as a same-algebra element, with no second pass.
+
+        This is the trusted path arithmetic takes; user input goes through the
+        validating constructor.  Every caller passes a freshly built dict that
+        nothing else holds, whose keys are canonical (tuples of positive ints,
+        partitions sorted decreasingly for commutative classes) and whose
+        values are nonzero ``Fraction``s.  Subclasses carrying extra state
+        override this.
+        """
+        obj = object.__new__(type(self))
+        obj.terms = terms
+        return obj
 
     def slot_form(self):
         """This element as a tensor slot holds it; sym overrides (slots are e-based)."""
@@ -159,7 +169,7 @@ class LinearElement:
             for j, cj in other.terms.items():
                 cij = ci * cj
                 for idx, bc in self.basis_mul(i, j):
-                    add_term(out, idx, cij * bc)
+                    add_term(out, idx, cij if bc is ONE else cij * bc)
         return self._new(out)
 
     def __rmul__(self, other):
@@ -265,8 +275,16 @@ class Tensor:
         self.terms = data
 
     def _new(self, terms):
-        """Build a tensor over the same factors."""
-        return Tensor(self.factors, terms)
+        """Adopt ``terms`` as a tensor over the same factors, with no second pass.
+
+        The invariant of ``LinearElement._new`` holds here too: a fresh dict,
+        keys tuples of canonical basis indices (one per slot), values nonzero
+        ``Fraction``s.
+        """
+        obj = object.__new__(Tensor)
+        obj.factors = self.factors
+        obj.terms = terms
+        return obj
 
     @classmethod
     def of(cls, *elements):
@@ -332,7 +350,7 @@ class Tensor:
                     nxt = []
                     for prefix, c in partial:
                         for idx, bc in f.basis_mul(i1, i2):
-                            nxt.append((prefix + (idx,), c * bc))
+                            nxt.append((prefix + (idx,), c if bc is ONE else c * bc))
                     partial = nxt
                 for key, c in partial:
                     add_term(out, key, c)

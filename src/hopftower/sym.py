@@ -54,7 +54,11 @@ class SymElement(LinearElement):
         self.basis = basis
 
     def _new(self, terms):
-        return SymElement(terms, self.basis)
+        """The trusted builder of ``LinearElement._new``, keeping the basis."""
+        obj = object.__new__(SymElement)
+        obj.terms = terms
+        obj.basis = self.basis
+        return obj
 
     def _letter(self):
         return self.basis
@@ -289,7 +293,7 @@ def _monomial_mul(a, b):
         for mu, cb in b.terms.items():
             for nu, count in _m_product(lam, mu):
                 add_term(out, nu, ca * cb * count)
-    return SymElement(out, "m")
+    return a._new(out)
 
 
 # what one row of the matrix may put in a column when it has r left to place

@@ -5,6 +5,7 @@ import json
 import subprocess
 import sys
 
+from hopftower import cli
 from hopftower.cli import run_command
 
 
@@ -111,6 +112,8 @@ def test_capability_errors_exit_2():
     assert code == 2
     code, _, err = run("coproduct", "b[1]")
     assert code == 2
+    code, _, err = run("crn", "--weight", "30")
+    assert code == 2 and "2^29" in err and "131072" in err
 
 
 def test_syntax_error_reports_column():
@@ -168,3 +171,25 @@ def test_console_entry_point_subprocess():
         capture_output=True, text=True)
     assert proc.returncode == 1
     assert "column 5" in proc.stderr
+
+
+def test_one_parser_serves_every_call(monkeypatch):
+    """Reusing the parser changes nothing: errors, repeats and appended
+    ``--suite`` lists come out as from a fresh parser."""
+    calls = [("eval",), ("crn", "--weight", "x"), ("no-such-command",),
+             ("crn", "--weight", "30"), ("eval", "e[1]^2"), ("eval", "e[1]^2"),
+             ("verify", "--suite", "counts"), ("verify", "--suite", "topology")]
+    fresh = []
+    for argv in calls:
+        cli._parser.cache_clear()
+        fresh.append(run(*argv))
+    built = []
+    build = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or build())
+    cli._parser.cache_clear()
+    assert [run(*argv) for argv in calls] == fresh
+    assert len(built) == 1
+    assert [code for code, _, _ in fresh[:4]] == [1, 1, 1, 2]
+    assert all(err for _, _, err in fresh[:4])
+    assert fresh[-2][1].endswith("3/3 checks passed")
+    assert fresh[-1][1].endswith("7/7 checks passed")

@@ -6,17 +6,23 @@ extension on random linear combinations (not just basis elements) of all
 five structures, and check ``linear.recursive_antipode`` against the closed
 forms the library keeps: the composition sum for NSym, the e-basis sum for
 symmetric functions and Lagrange reversion for the diffeomorphism algebra.
+Arithmetic builds its results through the trusted ``_new`` path, so the last
+properties check that every result is canonical, equal to its rebuild through
+the validating constructor, and shares no dict with its operands.
 """
 
 from fractions import Fraction
+from functools import partial
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hopftower import diffeo, nsym, qsym, sym
 from hopftower.diffeo import FdBElement
+from hopftower.errors import DomainError
 from hopftower.indices import compositions_of, partitions_of
-from hopftower.linear import Tensor, recursive_antipode
+from hopftower.linear import Tensor, binomial_gen, on_words, recursive_antipode
 from hopftower.nsym import NSymElement
 from hopftower.qsym import M, QSymElement
 from hopftower.sym import SymElement, e
@@ -126,3 +132,70 @@ def test_long_words_are_extended_letter_by_letter():
     assert nsym.antipode(z_word) == z_word
     assert diffeo.bfk_antipode(z_word) == z_word
     assert diffeo.coaction_sym(e(*word)) == Tensor.of(e(*word), FdBElement.one())
+
+
+# -- arithmetic results are canonical and own their dicts -----------------------
+
+def _rebuilt(r):
+    """``r`` rebuilt through the validating public constructor."""
+    if isinstance(r, Tensor):
+        return Tensor(r.factors, r.terms)
+    if isinstance(r, SymElement):
+        return SymElement(r.terms, r.basis)
+    return type(r)(r.terms)
+
+
+def _assert_canonical(r):
+    assert all(type(c) is Fraction and c for c in r.terms.values())
+    if isinstance(r, Tensor):
+        # the tensor constructor takes slot keys as given; check each slot
+        for key in r.terms:
+            assert len(key) == r.arity
+            for f, idx in zip(r.factors, key):
+                assert list(f({idx: 1}).terms) == [idx]
+    assert _rebuilt(r).terms == r.terms
+
+
+def _results(name, x, y, q):
+    """Every arithmetic route of the engine, applied to x and y."""
+    _, _, delta, antipode = STRUCTURES[name]
+    dx, dy = delta(x), delta(y)
+    yield from (x * y, y * x, x + y, x - y, -x, x + 1, x * 1, x.scale(q), x.scale(0),
+                x ** 2, delta(x * y), antipode(x), antipode(x * y), dx, dx * dy,
+                dx + dy, dx - dy, dx.scale(q), Tensor.of(x, y) * Tensor.of(y, x))
+    for w in x.weights():
+        yield x.component(w)
+
+
+@settings(max_examples=60, deadline=None)
+@given(element_pairs(), coeffs)
+def test_arithmetic_results_are_canonical(case, q):
+    name, x, y = case
+    for r in _results(name, x, y, q):
+        _assert_canonical(r)
+
+
+@settings(max_examples=30, deadline=None)
+@given(element_pairs())
+def test_results_share_no_dict_with_their_operands(case):
+    name, x, y = case
+    delta = STRUCTURES[name][2]
+    t = delta(x)
+    gen = partial(binomial_gen, NSymElement)
+    word = NSymElement({(2, 1): 1, (1,): 3})
+    before = [dict(v.terms) for v in (x, y, t, word, gen(1), gen(2))]
+    for r in (x + y, x * 1, -x, x.scale(2), on_words(word, gen), t * t):
+        r.terms.clear()
+        r.terms[(7,)] = Fraction(5)
+    assert [v.terms for v in (x, y, t, word, gen(1), gen(2))] == before
+
+
+def test_public_constructors_still_validate():
+    with pytest.raises(DomainError):
+        NSymElement({(0,): 1})
+    with pytest.raises(DomainError):
+        SymElement({(1.5,): 1})
+    with pytest.raises(DomainError):
+        FdBElement({("2",): 1})
+    with pytest.raises(DomainError):
+        QSymElement({(Fraction(1, 2),): 1})

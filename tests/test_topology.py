@@ -11,7 +11,7 @@ from fractions import Fraction
 import pytest
 
 from hopftower.diffeo import FdBElement, fdb_antipode
-from hopftower.errors import DomainError
+from hopftower.errors import CapabilityError, DomainError
 from hopftower.nsym import z
 from hopftower.series import TruncatedSeries
 from hopftower.topology import (BElement, BetaPolynomial,
@@ -147,6 +147,16 @@ def test_composition_sum_invariant():
     inv = crn_invariant(6)
     assert len(inv.terms) == 32
     assert set(inv.terms.values()) == {Fraction(1)}
+
+
+def test_composition_sum_invariant_is_budgeted():
+    """Past weight 18 the 2^(k-1) compositions are refused before any is
+    built; the message names the estimate and the bound."""
+    for k in (19, 30):
+        with pytest.raises(CapabilityError) as caught:
+            crn_invariant(k)
+        assert "2^%d compositions" % (k - 1) in str(caught.value)
+        assert "2^17 = 131072" in str(caught.value)
 
 
 QT_CP1 = {"factors": [1], "roots": [[1], [1]]}
