@@ -55,8 +55,7 @@ class SymElement(LinearElement):
 
     def _new(self, terms):
         """The trusted builder of ``LinearElement._new``, keeping the basis."""
-        obj = object.__new__(SymElement)
-        obj.terms = terms
+        obj = super()._new(terms)
         obj.basis = self.basis
         return obj
 
