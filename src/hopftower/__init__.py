@@ -22,9 +22,11 @@ anywhere:
   two-variable addition law, its beta deformation and noncommutative
   lift, and cumulant and composition-sum invariants (``topology``).
 
-Expression parsing lives in :mod:`hopftower.expr`, canonical JSON in
-:mod:`hopftower.jsonio`, the self-check suites in :mod:`hopftower.verify`
-and the command line in :mod:`hopftower.cli`.
+The registry of algebras and Hopf structures that the other modules read
+lives in :mod:`hopftower.structures`, expression parsing in
+:mod:`hopftower.expr`, canonical JSON in :mod:`hopftower.jsonio`, the
+self-check suites in :mod:`hopftower.verify` (loaded on first use of
+``run_suites``) and the command line in :mod:`hopftower.cli`.
 """
 
 from .algebroid import (ALGEBROIDS, coface, cohomology_rank, differential,
@@ -46,7 +48,6 @@ from .topology import (BElement, BetaPolynomial, ProjectiveProductSpace, b,
                        cp_hurewicz, cp_infinity_coproduct, crn_invariant,
                        cumulant_series, fgl, miscenko_log,
                        quasitoric_char_number)
-from .verify import run_suites
 
 __all__ = [
     "ALGEBROIDS", "AlgebraMismatchError", "BElement", "BetaPolynomial",
@@ -66,3 +67,11 @@ __all__ = [
 ]
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name):
+    # the self-check suites are the largest module, so load them on first use
+    if name == "run_suites":
+        from .verify import run_suites
+        return run_suites
+    raise AttributeError("module %r has no attribute %r" % (__name__, name))

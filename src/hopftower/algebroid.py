@@ -13,42 +13,42 @@ Gaussian elimination.  Degrees 0 and 1 and modest weights are supported;
 everything else raises a capability error rather than grinding.
 """
 
-from .diffeo import FdBElement, bfk_coproduct, coaction_sym, fdb_coproduct
+from . import structures
+from .diffeo import bfk_coproduct, coaction_sym, fdb_coproduct
 from .errors import CapabilityError, DomainError
 from .exactlinalg import matrix_rank
-from .indices import compositions_of, partitions_of
 from .linear import Tensor, add_term
 from .nsym import NSymElement
 from .scalars import ONE, ZERO
-from .sym import SymElement
 
 LEVEL_BOUND = 2
 WEIGHT_BOUND = 5
 
 
 class SplitAlgebroid:
-    """Bundle of the data the cobar machinery needs for one algebroid."""
+    """Bundle of the data the cobar machinery needs for one algebroid: the
+    tags of the base algebra and the Hopf algebra, the coaction and the
+    coproduct of the Hopf algebra."""
 
-    __slots__ = ("name", "base_cls", "hopf_cls", "coaction", "h_coproduct",
-                 "base_indices", "h_indices", "_base_make", "_h_make")
+    __slots__ = ("name", "base", "hopf", "coaction", "h_coproduct")
 
-    def __init__(self, name, base_cls, hopf_cls, coaction, h_coproduct,
-                 base_indices, h_indices, base_make, h_make):
+    def __init__(self, name, base, hopf, coaction, h_coproduct):
         self.name = name
-        self.base_cls = base_cls
-        self.hopf_cls = hopf_cls
+        self.base = base
+        self.hopf = hopf
         self.coaction = coaction
         self.h_coproduct = h_coproduct
-        self.base_indices = base_indices
-        self.h_indices = h_indices
-        self._base_make = base_make
-        self._h_make = h_make
+
+    base_cls = property(lambda self: structures.ALGEBRAS[self.base].cls)
+    hopf_cls = property(lambda self: structures.ALGEBRAS[self.hopf].cls)
+    base_indices = property(lambda self: structures.ALGEBRAS[self.base].indices)
+    h_indices = property(lambda self: structures.ALGEBRAS[self.hopf].indices)
 
     def base_element(self, idx, coeff=1):
-        return self._base_make(idx, coeff)
+        return structures.ALGEBRAS[self.base].element({idx: coeff})
 
     def hopf_element(self, idx, coeff=1):
-        return self._h_make(idx, coeff)
+        return structures.ALGEBRAS[self.hopf].element({idx: coeff})
 
     def as_level(self, x):
         """Wrap a plain base element as a level-0 (arity-1) tensor."""
@@ -60,17 +60,8 @@ class SplitAlgebroid:
         return "SplitAlgebroid(%s)" % self.name
 
 
-SB = SplitAlgebroid(
-    "S.B", SymElement, FdBElement, coaction_sym, fdb_coproduct,
-    partitions_of, partitions_of,
-    lambda idx, c=1: SymElement({idx: c}, "e"),
-    lambda idx, c=1: FdBElement({idx: c}))
-
-NN = SplitAlgebroid(
-    "N.N", NSymElement, NSymElement, bfk_coproduct, bfk_coproduct,
-    compositions_of, compositions_of,
-    lambda idx, c=1: NSymElement({idx: c}),
-    lambda idx, c=1: NSymElement({idx: c}))
+SB = SplitAlgebroid("S.B", "sym", "fdb", coaction_sym, fdb_coproduct)
+NN = SplitAlgebroid("N.N", "nsym", "nsym", bfk_coproduct, bfk_coproduct)
 
 ALGEBROIDS = {"S.B": SB, "N.N": NN}
 

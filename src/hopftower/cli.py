@@ -22,6 +22,7 @@ from functools import lru_cache
 from . import diffeo
 from . import nsym as nsym_mod
 from . import qsym as qsym_mod
+from . import structures
 from . import sym as sym_mod
 from . import topology
 from .algebroid import cohomology_rank
@@ -30,15 +31,17 @@ from .errors import (AlgebraMismatchError, CapabilityError, DomainError,
                      ExpressionError)
 from .expr import compose_series, parse_element, parse_series
 from .jsonio import document_for, dumps
-from .nsym import NSymElement
-from .qsym import QSymElement
-from .series import TruncatedSeries
 from .sym import SymElement
-from .topology import BElement, ProjectiveProductSpace
+from .topology import ProjectiveProductSpace
 from .verify import SUITES, render_report, run_suites
 
-_FAMILY_CLS = {"sym": SymElement, "nsym": NSymElement, "qsym": QSymElement,
-               "fdb": FdBElement, "bpoly": BElement}
+# the maps down the tower that ``convert --to`` follows, by (source, target) tag
+_TOWER_MAPS = {("sym", "qsym"): qsym_mod.include_symmetric,
+               ("nsym", "sym"): nsym_mod.abelianize,
+               ("nsym", "fdb"): diffeo.bfk_abelianize}
+
+# the dual pairings ``pair`` offers, by (left, right) tag
+_PAIRINGS = {("sym", "sym"): sym_mod.hall_pair, ("nsym", "qsym"): qsym_mod.pair}
 
 
 class _ParserExit(Exception):
@@ -58,12 +61,11 @@ class _ArgumentParser(argparse.ArgumentParser):
         raise _ParserExit(status, message.rstrip() if message else None)
 
 
-def _parse_pinned(text, algebra=None):
-    """Parse an element, promoting a bare number into the pinned algebra."""
-    value, family = parse_element(text, algebra)
-    if isinstance(value, Fraction) and family in _FAMILY_CLS:
-        value = _FAMILY_CLS[family].one().scale(value)
-    return value, family
+def _promote(value, family):
+    """A bare number as an element of ``family``; anything else unchanged."""
+    if isinstance(value, Fraction) and family != "scalar":
+        return structures.ALGEBRAS[family].cls.one().scale(value)
+    return value
 
 
 def _print_element(x, args, out):
@@ -112,102 +114,40 @@ def _cmd_eval(args, out):
 
 
 def _cmd_coproduct(args, out):
-    value, family = _parse_pinned(args.expr, args.algebra)
-    structure = args.structure
+    value, family = parse_element(args.expr, args.algebra)
     if family == "scalar":
         raise DomainError("a bare number needs --algebra to pick a coproduct")
-    if family == "sym":
-        if structure == "fdb":
-            result = diffeo.coaction_sym(value)
-            structure = None
-        elif structure in (None, "binomial"):
-            result = sym_mod.coproduct(value)
-            structure = None
-        else:
-            raise DomainError("structure %r is not defined on symmetric "
-                              "functions" % structure)
-    elif family == "nsym":
-        if structure == "bfk":
-            result = diffeo.bfk_coproduct(value)
-        elif structure in (None, "binomial"):
-            result = nsym_mod.coproduct(value)
-            structure = "binomial"
-        else:
-            raise DomainError("structure %r is not defined on the "
-                              "noncommutative algebra" % structure)
-    elif family == "qsym":
-        if structure is not None:
-            raise DomainError("the quasisymmetric coproduct takes no "
-                              "--structure")
-        result = qsym_mod.coproduct(value)
-    elif family == "fdb":
-        if structure is not None:
-            raise DomainError("the diffeomorphism coproduct takes no "
-                              "--structure")
-        result = diffeo.fdb_coproduct(value)
-    else:
-        raise CapabilityError("no coproduct is implemented on the bordism "
-                              "coefficient algebra")
+    st = structures.find(family, args.structure, "coproduct")
+    result = st.coproduct(_promote(value, family))
     if getattr(args, "text", False):
         print(str(result), file=out)
     else:
-        print(dumps(document_for(result, structure)), file=out)
+        print(dumps(document_for(result, st.flag)), file=out)
     return 0
 
 
 def _cmd_antipode(args, out):
-    value, family = _parse_pinned(args.expr, None)
-    structure = args.structure
-    if structure == "bfk" and family not in ("nsym", "scalar"):
-        raise DomainError("structure 'bfk' applies to Z expressions only")
-    if family == "scalar":
-        result = value
-    elif family == "sym":
-        result = sym_mod.antipode(value)
-    elif family == "nsym":
-        result = (diffeo.bfk_antipode(value) if structure == "bfk"
-                  else nsym_mod.antipode(value))
-    elif family == "qsym":
-        result = qsym_mod.antipode(value)
-    elif family == "fdb":
-        result = diffeo.fdb_antipode(value)
-    else:
-        chi = diffeo.fdb_antipode(FdBElement(dict(value.terms)))
-        result = BElement(dict(chi.terms))
-    _print_element(result, args, out)
+    value, family = parse_element(args.expr)
+    if family != "scalar":
+        value = structures.find(family, args.structure, "antipode").antipode(value)
+    _print_element(value, args, out)
     return 0
 
 
 def _cmd_convert(args, out):
     value, family = parse_element(args.expr)
-    involutions = args.involution or []
-    if involutions and family != "sym":
-        raise DomainError("involutions are defined on symmetric functions")
-    for which in involutions:
+    for which in args.involution or []:
         value = sym_mod.involution(value, which)
-    to = args.to
-    if to is not None and family != "scalar":
-        if family == "sym":
-            if to == "M":
-                value = qsym_mod.include_symmetric(value)
-            elif to in ("e", "h", "p", "m"):
-                value = sym_mod.convert(value, to, integral=args.integral)
-            else:
-                raise DomainError("cannot convert symmetric functions to %r"
-                                  % to)
-        elif family == "nsym":
-            if to == "t":
-                value = diffeo.bfk_abelianize(value)
-            elif to in ("e", "h", "p", "m"):
-                value = sym_mod.convert(nsym_mod.abelianize(value), to,
-                                        integral=args.integral)
-            else:
-                raise DomainError("cannot convert Z expressions to %r" % to)
-        elif family == "qsym" and to == "M":
-            pass
-        else:
-            raise DomainError("cannot convert a %s expression to %r"
-                              % (family, to))
+    if args.to is not None and family != "scalar":
+        target = structures.tag_of_letter(args.to)
+        if target != family:
+            step = _TOWER_MAPS.get((family, target))
+            if step is None:
+                raise DomainError("cannot convert a %s expression to %r"
+                                  % (family, args.to))
+            value = step(value)
+        if isinstance(value, SymElement):
+            value = sym_mod.convert(value, args.to, integral=args.integral)
     _print_element(value, args, out)
     return 0
 
@@ -215,28 +155,15 @@ def _cmd_convert(args, out):
 def _cmd_pair(args, out):
     a, fa = parse_element(args.left)
     b, fb = parse_element(args.right)
-    fams = {fa, fb} - {"scalar"}
-    if not fams:
+    if fa == fb == "scalar":
         result = a * b
-    elif fams == {"sym"}:
-        if fa == "scalar":
-            a = SymElement.one().scale(a)
-        if fb == "scalar":
-            b = SymElement.one().scale(b)
-        result = sym_mod.hall_pair(a, b)
-    elif fams <= {"nsym", "qsym"}:
-        if fa not in ("nsym", "scalar") or fb not in ("qsym", "scalar"):
-            raise AlgebraMismatchError(
-                "pair takes a Z expression on the left and an M expression "
-                "on the right")
-        if fa == "scalar":
-            a = NSymElement.one().scale(a)
-        if fb == "scalar":
-            b = QSymElement.one().scale(b)
-        result = qsym_mod.pair(a, b)
     else:
-        raise AlgebraMismatchError(
-            "no pairing between %s and %s expressions" % (fa, fb))
+        sides = next((k for k in _PAIRINGS
+                      if fa in (k[0], "scalar") and fb in (k[1], "scalar")), None)
+        if sides is None:
+            raise AlgebraMismatchError(
+                "no pairing between %s and %s expressions" % (fa, fb))
+        result = _PAIRINGS[sides](_promote(a, sides[0]), _promote(b, sides[1]))
     print(str(result), file=out)
     return 0
 
@@ -350,18 +277,25 @@ def build_parser():
     p.add_argument("--json", action="store_true")
     p.set_defaults(handler=_cmd_eval)
 
+    def offered(part, column):
+        # the registry's values of `column` among the structures defining
+        # `part`, in row order
+        return list(dict.fromkeys(
+            getattr(st, column) for st in structures.STRUCTURES.values()
+            if getattr(st, part) and getattr(st, column)))
+
     p = sub.add_parser("coproduct", help="coproduct (or coaction) of an "
                                          "element")
     p.add_argument("expr")
-    p.add_argument("--structure", choices=["binomial", "bfk", "fdb"])
-    p.add_argument("--algebra", choices=["sym", "nsym", "qsym", "fdb"],
+    p.add_argument("--structure", choices=offered("coproduct", "flag"))
+    p.add_argument("--algebra", choices=offered("coproduct", "algebra"),
                    help="algebra for expressions with no generator letters")
     p.add_argument("--text", action="store_true")
     p.set_defaults(handler=_cmd_coproduct)
 
     p = sub.add_parser("antipode", help="antipode of an element")
     p.add_argument("expr")
-    p.add_argument("--structure", choices=["binomial", "bfk"])
+    p.add_argument("--structure", choices=offered("antipode", "flag"))
     p.add_argument("--json", action="store_true")
     p.set_defaults(handler=_cmd_antipode)
 

@@ -69,10 +69,6 @@ def fdb_coproduct(f):
     return on_words(f, _fdb_coproduct_gen)
 
 
-def fdb_counit(f):
-    return f.counit()
-
-
 @lru_cache(maxsize=None)
 def _fdb_antipode_gen(n):
     """Antipode of t_n: the T^{n+1} coefficient of the reverted series."""
@@ -138,10 +134,6 @@ def bfk_coproduct(f):
     return on_words(f, _bfk_coproduct_gen)
 
 
-def bfk_counit(f):
-    return f.counit()
-
-
 @lru_cache(maxsize=None)
 def _bfk_antipode_gen(n):
     """Antipode of Z_n by the connected-graded recursion through Delta."""
@@ -156,12 +148,3 @@ def bfk_antipode(f):
 def bfk_abelianize(f):
     """Quotient to the commutative diffeomorphism algebra: Z words to t monomials."""
     return FdBElement(f.map_indices(sort_to_partition))
-
-
-def bfk_abelianize_tensor(tensor):
-    """Slotwise abelianization of a tensor of Z-algebra elements."""
-    out = tensor
-    for pos in range(tensor.arity):
-        out = out.apply(pos, lambda idx: FdBElement({sort_to_partition(idx): ONE}),
-                        (FdBElement,))
-    return out

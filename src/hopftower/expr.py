@@ -11,10 +11,10 @@ Element grammar, whitespace insensitive::
 ``GEN`` is a single letter naming a generator family: ``e h p m`` for
 symmetric functions (the letter doubles as the basis tag), ``Z`` for the
 noncommutative power series generators, ``M`` for quasisymmetric monomials,
-``t`` for diffeomorphism coordinates and ``b`` for bordism generators.  One
-expression must stay inside a single family; plain numbers mix with all of
-them.  The optional leading sign is an extension so antipode output can be
-pasted back in unchanged.
+``t`` for diffeomorphism coordinates and ``b`` for bordism generators, as
+registered in :mod:`hopftower.structures`.  One expression must stay inside
+a single family; plain numbers mix with all of them.  The optional leading
+sign is an extension so antipode output can be pasted back in unchanged.
 
 Series expressions extend the same grammar with three more atoms:
 
@@ -35,28 +35,10 @@ reported at the last character.
 
 from fractions import Fraction
 
-from . import diffeo
-from . import nsym as nsym_mod
-from . import sym as sym_mod
-from . import topology
-from .diffeo import FdBElement
+from . import structures
 from .errors import AlgebraMismatchError, ExpressionError
-from .nsym import NSymElement
-from .qsym import QSymElement
 from .series import TruncatedSeries
-from .sym import SymElement
 from .topology import BElement, BetaPolynomial
-
-FAMILIES = {"e": "sym", "h": "sym", "p": "sym", "m": "sym",
-            "Z": "nsym", "M": "qsym", "t": "fdb", "b": "bpoly"}
-
-_SERIES_LETTERS = {
-    "e": sym_mod.e_series,
-    "h": sym_mod.h_series,
-    "t": diffeo.t_series,
-    "Z": nsym_mod.z_series,
-    "b": topology.b_series,
-}
 
 _FUNCTIONS = {"invert": 1, "revert": 1, "exp": 1, "log": 1,
               "alternate": 1, "residue": 1, "shift": 2, "compose": 2}
@@ -105,7 +87,7 @@ def _tokenize(text):
             if len(word) == 1:
                 if word == "T":
                     toks.append(("var", word, pos))
-                elif word in FAMILIES:
+                elif structures.tag_of_letter(word) is not None:
                     toks.append(("gen", word, pos))
                 else:
                     raise ExpressionError("unknown letter %r" % word, pos)
@@ -227,7 +209,7 @@ class _Parser:
     def generator(self):
         head = self.take()
         if self.series_mode and self.peek()[0] == "lparen":
-            if head[1] not in _SERIES_LETTERS:
+            if structures.named_series(head[1]) is None:
                 self._fail("no named series for letter %r" % head[1], head[2])
             self.take()
             arg = self.expr()
@@ -270,24 +252,12 @@ def _collect_letters(node, acc):
         _collect_letters(node[1], acc)
 
 
-def _make(letter, parts):
-    if letter in ("e", "h", "p", "m"):
-        return SymElement({parts: 1}, basis=letter)
-    if letter == "Z":
-        return NSymElement({parts: 1})
-    if letter == "M":
-        return QSymElement({parts: 1})
-    if letter == "t":
-        return FdBElement({parts: 1})
-    return BElement({parts: 1})
-
-
 def _eval_element(node):
     kind = node[0]
     if kind == "num":
         return node[1]
     if kind == "gen":
-        return _make(node[1], node[2])
+        return structures.generator(node[1], node[2])
     if kind == "pow":
         return _eval_element(node[1]) ** node[2]
     if kind == "mul":
@@ -318,7 +288,7 @@ def parse_element(text, algebra=None):
     _collect_letters(node, seen)
     family = algebra
     for letter, pos in seen:
-        fam = FAMILIES[letter]
+        fam = structures.tag_of_letter(letter)
         if family is None:
             family = fam
         elif fam != family:
@@ -370,10 +340,10 @@ def _eval_series(node, cap):
         return TruncatedSeries(
             BetaPolynomial, {0: BetaPolynomial({1: BElement.one()})}, cap)
     if kind == "gen":
-        el = _make(node[1], node[2])
+        el = structures.generator(node[1], node[2])
         return TruncatedSeries(type(el), {0: el}, cap)
     if kind == "sercall":
-        named = _SERIES_LETTERS[node[1]](cap)
+        named = structures.named_series(node[1])(cap)
         inner = _eval_series(node[2], cap)
         return named.compose(_promote(inner, named.algebra))
     if kind == "call":

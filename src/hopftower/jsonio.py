@@ -23,35 +23,22 @@ Shapes:
 import json
 from fractions import Fraction
 
-from .diffeo import FdBElement
+from . import structures
 from .errors import DomainError
 from .indices import index_sort_key
 from .linear import Tensor, TensorSpace
-from .nsym import NSymElement
-from .qsym import QSymElement
 from .scalars import format_scalar, parse_scalar
 from .series import TruncatedSeries
 from .sym import SymElement, convert
 from .topology import BElement, BetaPolynomial
 
-_TAG_TO_CLASS = {
-    "sym": SymElement,
-    "nsym": NSymElement,
-    "qsym": QSymElement,
-    "fdb": FdBElement,
-    "bpoly": BElement,
-}
-
 
 def _class_tag(cls):
-    for tag, c in _TAG_TO_CLASS.items():
-        if c is cls:
-            return tag
     if cls is Fraction:
         return "scalar"
     if cls is BetaPolynomial:
         return "bpoly"
-    raise DomainError("no JSON tag for %r" % (cls,))
+    return structures.tag_of_class(cls)
 
 
 def _term_list(terms):
@@ -73,20 +60,15 @@ def element_document(x, structure=None):
     if isinstance(x, Fraction):
         terms = [] if not x else [{"index": [], "coeff": format_scalar(x)}]
         return {"algebra": "scalar", "terms": terms}
-    if isinstance(x, SymElement):
-        return {"algebra": "sym", "basis": x.basis, "terms": _term_list(x.terms)}
-    if isinstance(x, NSymElement):
-        return {"algebra": "nsym", "structure": structure or "binomial",
-                "terms": _term_list(x.terms)}
-    if isinstance(x, QSymElement):
-        return {"algebra": "qsym", "terms": _term_list(x.terms)}
-    if isinstance(x, FdBElement):
-        return {"algebra": "fdb", "terms": _term_list(x.terms)}
-    if isinstance(x, BElement):
-        return {"algebra": "bpoly", "terms": _term_list(x.terms)}
     if isinstance(x, BetaPolynomial):
         return {"algebra": "bpoly", "beta": _beta_list(x)}
-    raise DomainError("cannot serialize %r" % type(x).__name__)
+    doc = {"algebra": _class_tag(type(x))}
+    if isinstance(x, SymElement):
+        doc["basis"] = x.basis
+    elif doc["algebra"] == "nsym":
+        doc["structure"] = structure or "binomial"
+    doc["terms"] = _term_list(x.terms)
+    return doc
 
 
 def tensor_document(t, structure=None):
@@ -189,13 +171,7 @@ def _element_from(doc):
         return total
     if tag == "bpoly" and "beta" in doc:
         return _beta_from(doc["beta"])
-    cls = _TAG_TO_CLASS.get(tag)
-    if cls is None:
-        raise DomainError("unknown algebra tag %r" % (tag,))
-    terms = _terms_from(doc["terms"])
-    if cls is SymElement:
-        return SymElement(terms, basis=doc.get("basis", "e"))
-    return cls(terms)
+    return structures.algebra(tag).element(_terms_from(doc["terms"]), doc.get("basis"))
 
 
 def _tensor_terms_from(entries, arity):
@@ -212,22 +188,20 @@ def _tensor_terms_from(entries, arity):
 
 
 def _tensor_from(doc):
-    factors = tuple(_TAG_TO_CLASS[tag] for tag in doc["factors"])
+    factors = tuple(structures.algebra(tag).cls for tag in doc["factors"])
     return Tensor(factors, _tensor_terms_from(doc["terms"], len(factors)))
 
 
 def _series_from(doc):
     tag = doc["algebra"]
     if tag == "tensor":
-        algebra = TensorSpace(*[_TAG_TO_CLASS[t] for t in doc["factors"]])
+        algebra = TensorSpace(*[structures.algebra(t).cls for t in doc["factors"]])
     elif tag == "scalar":
         algebra = Fraction
     elif tag == "bpoly" and any("beta" in e for e in doc["series"]):
         algebra = BetaPolynomial
     else:
-        algebra = _TAG_TO_CLASS.get(tag)
-        if algebra is None:
-            raise DomainError("unknown algebra tag %r" % (tag,))
+        algebra = structures.algebra(tag).cls
     nvars = int(doc.get("vars", 1))
     coeffs = {}
     for entry in doc["series"]:
@@ -240,11 +214,9 @@ def _series_from(doc):
             coeffs[key] = Tensor(algebra.factors,
                                  _tensor_terms_from(entry["terms"],
                                                     len(algebra.factors)))
-        elif algebra is SymElement:
-            coeffs[key] = SymElement(_terms_from(entry["terms"]),
-                                     basis=doc.get("basis", "e"))
         else:
-            coeffs[key] = algebra(_terms_from(entry["terms"]))
+            coeffs[key] = structures.algebra(tag).element(_terms_from(entry["terms"]),
+                                                          doc.get("basis"))
     return TruncatedSeries(algebra, coeffs, int(doc["cap"]), nvars)
 
 

@@ -44,10 +44,6 @@ def coproduct(f):
     return on_words(f, partial(binomial_gen, NSymElement))
 
 
-def counit(f):
-    return f.counit()
-
-
 @lru_cache(maxsize=None)
 def _antipode_gen(n):
     """Antipode of Z_n: alternating sum of Z_I over compositions I of n."""
@@ -65,17 +61,3 @@ def antipode(f):
 def abelianize(f):
     """Quotient onto symmetric functions: Z_I goes to e_{sort(I)}."""
     return sym.SymElement(f.map_indices(sort_to_partition), "e")
-
-
-def abelianize_tensor(t):
-    """Slotwise abelianization of a tensor of NSymElements."""
-    out = t
-    for pos in range(t.arity):
-        out = out.apply(pos, lambda idx: sym.SymElement({sort_to_partition(idx): ONE}, "e"),
-                        (sym.SymElement,))
-    return out
-
-
-def abelianize_series(s):
-    """Push a series with NSymElement coefficients down to SymElements."""
-    return s.map_coefficients(abelianize, algebra=sym.SymElement)

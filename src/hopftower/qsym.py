@@ -69,10 +69,6 @@ def coproduct(f):
     return Tensor(space, out)
 
 
-def counit(f):
-    return f.counit()
-
-
 @lru_cache(maxsize=None)
 def _antipode_basis(I):
     """Antipode on M_I by the connected-graded recursion."""

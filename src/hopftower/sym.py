@@ -410,10 +410,6 @@ def coproduct(f):
     return on_words(convert(f, "e"), partial(binomial_gen, SymElement))
 
 
-def counit(f):
-    return f.counit()
-
-
 @lru_cache(maxsize=None)
 def _antipode_e_gen(n):
     """Antipode of e_n: alternating sum of e_I over all compositions I of n."""
@@ -435,6 +431,8 @@ def involution(f, which):
     to (-1)^k h_k and omega sends e_k to h_k, both landing in the h basis.
     All three are algebra morphisms and square to the identity.
     """
+    if not isinstance(f, SymElement):
+        raise DomainError("involutions are defined on symmetric functions")
     if which not in ("dual", "whitney", "omega"):
         raise DomainError("unknown involution %r" % (which,))
     fe = convert(f, "e")

@@ -22,6 +22,7 @@ from itertools import accumulate, chain
 from . import diffeo
 from . import nsym as nsym_mod
 from . import qsym as qsym_mod
+from . import structures
 from . import sym as sym_mod
 from . import topology
 from .algebroid import (ALGEBROIDS, WEIGHT_BOUND, coface, cohomology_rank,
@@ -66,69 +67,49 @@ def _first_failure(checks):
 
 # -- generic Hopf structure checks -----------------------------------------
 
-class _Structure:
-    def __init__(self, name, cls, delta, antipode, indices, default_bound, make):
-        self.name = name
-        self.cls = cls
-        self.delta = delta
-        self.antipode = antipode
-        self.indices = indices
-        self.default_bound = default_bound
-        self.make = make
-
-
-_STRUCTURES = [
-    _Structure("sym-binomial", SymElement, sym_mod.coproduct, sym_mod.antipode,
-               partitions_of, 7, lambda idx: SymElement({idx: 1}, "e")),
-    _Structure("nsym-binomial", NSymElement, nsym_mod.coproduct,
-               nsym_mod.antipode, compositions_of, 7,
-               lambda idx: NSymElement({idx: 1})),
-    _Structure("qsym", QSymElement, qsym_mod.coproduct, qsym_mod.antipode,
-               compositions_of, 6, lambda idx: QSymElement({idx: 1})),
-    _Structure("fdb", FdBElement, diffeo.fdb_coproduct, diffeo.fdb_antipode,
-               partitions_of, 6, lambda idx: FdBElement({idx: 1})),
-    _Structure("bfk", NSymElement, diffeo.bfk_coproduct, diffeo.bfk_antipode,
-               compositions_of, 6, lambda idx: NSymElement({idx: 1})),
-]
-
-
 def _coassociative(st, x):
-    d = st.delta(x)
-    pair_fac = (st.cls, st.cls)
-    left = d.apply(0, lambda idx: st.delta(st.make(idx)), pair_fac)
-    right = d.apply(1, lambda idx: st.delta(st.make(idx)), pair_fac)
+    alg = structures.ALGEBRAS[st.algebra]
+    d = st.coproduct(x)
+    pair_fac = (alg.cls, alg.cls)
+    left = d.apply(0, lambda idx: st.coproduct(alg.element({idx: 1})), pair_fac)
+    right = d.apply(1, lambda idx: st.coproduct(alg.element({idx: 1})), pair_fac)
     return left == right
 
 
 def _counit_ok(st, x):
-    d = st.delta(x)
+    d = st.coproduct(x)
     wrapped = Tensor.of(x)
     return d.project_counit(0) == wrapped and d.project_counit(1) == wrapped
 
 
 def _convolution_ok(st, x):
-    d = st.delta(x)
-    left = st.cls.zero()
-    right = st.cls.zero()
+    alg = structures.ALGEBRAS[st.algebra]
+    d = st.coproduct(x)
+    left = alg.cls.zero()
+    right = alg.cls.zero()
     for (i, j), c in d.terms.items():
-        left = left + (st.antipode(st.make(i)) * st.make(j)).scale(c)
-        right = right + (st.make(i) * st.antipode(st.make(j))).scale(c)
-    target = st.cls.one().scale(x.counit())
+        xi, xj = alg.element({i: 1}), alg.element({j: 1})
+        left = left + (st.antipode(xi) * xj).scale(c)
+        right = right + (xi * st.antipode(xj)).scale(c)
+    target = alg.cls.one().scale(x.counit())
     return left == target and right == target
 
 
 def suite_hopf_axioms(weight=None, cap=None):
     results = []
-    for st in _STRUCTURES:
-        bound = weight if weight is not None else st.default_bound
+    for name, st in structures.STRUCTURES.items():
+        if st.bound is None:
+            continue
+        alg = structures.ALGEBRAS[st.algebra]
+        bound = weight if weight is not None else st.bound
         for check_name, check in (("coassociativity", _coassociative),
                                   ("counit", _counit_ok),
                                   ("antipode convolution", _convolution_ok)):
             bad, count = _first_failure(
-                (idx, check(st, st.make(idx)))
-                for w in range(bound + 1) for idx in st.indices(w))
+                (idx, check(st, alg.element({idx: 1})))
+                for w in range(bound + 1) for idx in alg.indices(w))
             label = "%s %s (weight <= %d, %d elements)" % (
-                st.name, check_name, bound, count)
+                name, check_name, bound, count)
             if bad is None:
                 results.append(_ok(label))
             else:
@@ -329,9 +310,8 @@ def suite_bfk(weight=None, cap=None):
                          "not cocommutative", "got %s" % got3))
 
     bound = weight if weight is not None else 7
-    st = next(s for s in _STRUCTURES if s.name == "bfk")
     bad, count = _first_failure(
-        (idx, _coassociative(st, NSymElement({idx: 1})))
+        (idx, _coassociative(structures.STRUCTURES["bfk"], NSymElement({idx: 1})))
         for w in range(bound + 1) for idx in compositions_of(w))
     label = "renormalization coproduct coassociative (weight <= %d, %d words)" % (
         bound, count)
@@ -808,15 +788,12 @@ DOCUMENTED_INVOCATIONS = [
 
 
 def _random_element(rng, family):
-    if family == "sym":
-        basis = rng.choice(("e", "h", "p", "m"))
+    alg = structures.ALGEBRAS[family]
+    # a sym letter names the basis, drawn before the terms
+    letter = rng.choice(alg.letters) if len(alg.letters) > 1 else None
     terms = {}
     for _ in range(rng.randint(1, 4)):
-        w = rng.randint(1, 6)
-        if family in ("sym", "fdb", "bpoly"):
-            pool = partitions_of(w)
-        else:
-            pool = compositions_of(w)
+        pool = alg.indices(rng.randint(1, 6))
         idx = pool[rng.randrange(len(pool))]
         num = rng.choice([x for x in range(-9, 10) if x])
         den = rng.randint(1, 9)
@@ -824,11 +801,7 @@ def _random_element(rng, family):
     terms = {k: v for k, v in terms.items() if v}
     if not terms:
         terms = {(1,): Fraction(1)}
-    if family == "sym":
-        return SymElement(terms, basis)
-    cls = {"nsym": NSymElement, "qsym": QSymElement,
-           "fdb": FdBElement, "bpoly": BElement}[family]
-    return cls(terms)
+    return alg.element(terms, letter)
 
 
 def suite_cli_roundtrip(weight=None, cap=None):
@@ -839,7 +812,7 @@ def suite_cli_roundtrip(weight=None, cap=None):
     rng = random.Random(20260825)
     per_family = 1000
     bad = None
-    for family in ("sym", "nsym", "qsym", "fdb", "bpoly"):
+    for family in structures.ALGEBRAS:
         for _ in range(per_family):
             x = _random_element(rng, family)
             text = str(x)

@@ -225,3 +225,14 @@ def test_byte_stability_under_reserialization():
     one = dumps(document_for(x))
     two = dumps(document_for(from_document(json.loads(one))))
     assert one == two
+
+
+def test_every_unknown_tag_is_rejected():
+    tensor = {"algebra": "tensor", "factors": ["xx", "nsym"], "terms": []}
+    series = {"algebra": "tensor", "factors": ["nsym", "xx"], "cap": 2, "vars": 1,
+              "series": []}
+    for doc in (tensor, series):
+        with pytest.raises(DomainError, match="'xx'"):
+            from_document(doc)
+    with pytest.raises(DomainError, match=r"\['sym'\]"):
+        from_document({"algebra": ["sym"], "terms": []})

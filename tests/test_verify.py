@@ -1,6 +1,20 @@
-"""The verify suites report the first failing case, not the last."""
+"""The verify suites load on first use and report the first failing case,
+not the last."""
+
+import subprocess
+import sys
 
 from hopftower import verify
+
+
+def test_import_leaves_verify_unloaded():
+    script = ("import sys, hopftower\n"
+              "assert 'hopftower.verify' not in sys.modules\n"
+              "assert callable(hopftower.run_suites)\n"
+              "from hopftower import *\n"
+              "assert run_suites is sys.modules['hopftower.verify'].run_suites\n")
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_duality_reports_the_first_failing_pair(monkeypatch):
