@@ -65,18 +65,9 @@ def weak_compositions(total, parts):
             yield (first,) + rest
 
 
-def concat(i, j):
-    """Concatenation of compositions; the free product of indices."""
-    return tuple(i) + tuple(j)
-
-
 def sort_to_partition(comp):
     """Forget the order of a composition, yielding a partition."""
     return tuple(sorted(comp, reverse=True))
-
-
-def weight(idx):
-    return sum(idx)
 
 
 def index_sort_key(idx):

@@ -221,12 +221,18 @@ def _series_from(doc):
 
 
 def from_document(doc):
-    """Inverse of ``document_for``: rebuild the value a document describes."""
-    if "series" in doc:
-        return _series_from(doc)
-    if doc.get("algebra") == "tensor":
-        return _tensor_from(doc)
-    return _element_from(doc)
+    """Inverse of ``document_for``: rebuild the value a document describes.
+
+    A document that lacks a required key raises ``DomainError`` naming it.
+    """
+    try:
+        if "series" in doc:
+            return _series_from(doc)
+        if doc.get("algebra") == "tensor":
+            return _tensor_from(doc)
+        return _element_from(doc)
+    except KeyError as exc:
+        raise DomainError("document lacks the %r key" % (exc.args[0],)) from exc
 
 
 def loads(text):

@@ -106,9 +106,6 @@ class LinearElement:
     def max_weight(self):
         return max((sum(i) for i in self.terms), default=0)
 
-    def is_homogeneous(self, w):
-        return all(sum(i) == w for i in self.terms)
-
     def map_indices(self, fn):
         """Relabel basis indices through ``fn``, merging collisions."""
         out = {}
@@ -388,20 +385,6 @@ class Tensor:
             k = list(key)
             k[i], k[j] = k[j], k[i]
             add_term(out, tuple(k), c)
-        return Tensor(factors, out)
-
-    def merge_slots(self, i, j):
-        """Multiply slot ``j`` into slot ``i`` (in that order) and drop slot ``j``."""
-        if self.factors[i] is not self.factors[j]:
-            raise AlgebraMismatchError("cannot merge slots over different algebras")
-        factors = self.factors[:j] + self.factors[j + 1:]
-        out = {}
-        for key, c in self.terms.items():
-            for idx, bc in self.factors[i].basis_mul(key[i], key[j]):
-                k = list(key)
-                k[i] = idx
-                del k[j]
-                add_term(out, tuple(k), c * bc)
         return Tensor(factors, out)
 
     def project_counit(self, pos):

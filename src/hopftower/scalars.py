@@ -26,6 +26,3 @@ def parse_scalar(text):
     except (ValueError, ZeroDivisionError) as exc:
         raise DomainError("not a rational literal: %r" % (text,)) from exc
 
-
-def is_integer(q):
-    return q.denominator == 1

@@ -352,8 +352,6 @@ class TruncatedSeries:
         return TruncatedSeries(self.algebra, out, self.cap, 1)
 
     def __str__(self):
-        if not self.coeffs:
-            return "0"
         def key_str(k):
             if self.nvars == 1:
                 if k == 0:
@@ -371,31 +369,41 @@ class TruncatedSeries:
         else:
             # display X before Y within each total degree
             order = sorted(self.coeffs, key=lambda kk: (sum(kk), tuple(-x for x in kk)))
-        pieces = []
-        for k in order:
-            vs = str(self.coeffs[k])
-            ks = key_str(k)
-            if " " in vs:
-                vs = "(%s)" % vs
-            if not ks:
-                piece = vs
-            elif vs == "1":
-                piece = ks
-            elif vs == "-1":
-                piece = "-" + ks
-            else:
-                piece = "%s*%s" % (vs, ks)
-            pieces.append(piece)
-        out = pieces[0]
-        for piece in pieces[1:]:
-            if piece.startswith("-"):
-                out += " - " + piece[1:]
-            else:
-                out += " + " + piece
-        return out
+        return format_terms((self.coeffs[k], key_str(k)) for k in order)
 
     def __repr__(self):
         return "TruncatedSeries(%s, cap=%d)" % (self, self.cap)
+
+
+def format_terms(terms):
+    """Print ``(coefficient, monomial)`` pairs as a signed sum, or ``0``.
+
+    A coefficient containing spaces is parenthesised, a coefficient of 1 or
+    -1 is absorbed into the sign, and an empty monomial prints the bare
+    coefficient.
+    """
+    pieces = []
+    for coeff, mono in terms:
+        body = str(coeff)
+        if " " in body:
+            body = "(%s)" % body
+        if not mono:
+            pieces.append(body)
+        elif body == "1":
+            pieces.append(mono)
+        elif body == "-1":
+            pieces.append("-" + mono)
+        else:
+            pieces.append("%s*%s" % (body, mono))
+    if not pieces:
+        return "0"
+    out = pieces[0]
+    for piece in pieces[1:]:
+        if piece.startswith("-"):
+            out += " - " + piece[1:]
+        else:
+            out += " + " + piece
+    return out
 
 
 def _factorial(n):

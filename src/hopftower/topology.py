@@ -21,7 +21,7 @@ from .indices import compositions_of, sort_to_partition
 from .linear import CommutativeElement, add_term
 from .nsym import NSymElement, z_series
 from .scalars import ONE, ZERO
-from .series import TruncatedSeries, generator_series
+from .series import TruncatedSeries, format_terms, generator_series
 from . import qsym
 from . import sym
 
@@ -168,30 +168,11 @@ class BetaPolynomial:
         return NotImplemented
 
     def __str__(self):
-        if not self.coeffs:
-            return "0"
-        pieces = []
-        for k in sorted(self.coeffs):
-            body = str(self.coeffs[k])
-            if " " in body:
-                body = "(%s)" % body
+        def power(k):
             if k == 0:
-                pieces.append(body)
-                continue
-            beta = "beta" if k == 1 else "beta^%d" % k
-            if body == "1":
-                pieces.append(beta)
-            elif body == "-1":
-                pieces.append("-" + beta)
-            else:
-                pieces.append("%s*%s" % (body, beta))
-        out = pieces[0]
-        for piece in pieces[1:]:
-            if piece.startswith("-"):
-                out += " - " + piece[1:]
-            else:
-                out += " + " + piece
-        return out
+                return ""
+            return "beta" if k == 1 else "beta^%d" % k
+        return format_terms((self.coeffs[k], power(k)) for k in sorted(self.coeffs))
 
     def __repr__(self):
         return str(self)

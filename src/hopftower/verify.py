@@ -1,7 +1,9 @@
 """Property-check suites and the documented command-line invocation table.
 
 Each suite returns a list of ``(label, ok, detail)`` records; the CLI turns
-them into a pass/fail report.  The checks deliberately compute everything
+them into a pass/fail report.  Every record comes from one runner,
+``_check``, which walks a check's cases up to the first failure and names
+that case in the detail.  The checks deliberately compute everything
 twice along independent routes wherever the library offers one (series
 reversion against the connected-graded recursion, matrix ranks against a
 direct kernel solve, quasi-shuffle against expansion in ordered variables,
@@ -42,27 +44,24 @@ from .sym import SymElement, convert, e, h
 from .topology import BElement, BetaPolynomial, b
 
 
-def _ok(label, detail=""):
-    return (label, True, detail)
+_COUNT = "{count}"
 
 
-def _fail(label, detail):
-    return (label, False, detail)
+def _check(label, checks, detail="fails on %r"):
+    """Walk ``(case, passed)`` pairs up to the first failure and make the record.
 
-
-def _first_failure(checks):
-    """Walk ``(case, passed)`` pairs up to the first failure.
-
-    Returns the failing case (None if every case passed) and the number of
-    cases checked.  ``checks`` is usually a generator, so nothing past the
-    first failure is computed.
+    ``checks`` is usually a generator, so nothing past the first failure is
+    computed.  The record is ``(label, ok, detail)``: a ``{count}`` in
+    ``label`` becomes the number of cases walked (filled in literally, so a
+    brace elsewhere in the label is harmless), and a failing record's detail
+    is ``detail % (case,)``.
     """
     checked = 0
     for case, passed in checks:
         checked += 1
         if not passed:
-            return case, checked
-    return None, checked
+            return (label.replace(_COUNT, str(checked)), False, detail % (case,))
+    return (label.replace(_COUNT, str(checked)), True, "")
 
 
 # -- generic Hopf structure checks -----------------------------------------
@@ -105,15 +104,11 @@ def suite_hopf_axioms(weight=None, cap=None):
         for check_name, check in (("coassociativity", _coassociative),
                                   ("counit", _counit_ok),
                                   ("antipode convolution", _convolution_ok)):
-            bad, count = _first_failure(
-                (idx, check(st, alg.element({idx: 1})))
-                for w in range(bound + 1) for idx in alg.indices(w))
-            label = "%s %s (weight <= %d, %d elements)" % (
-                name, check_name, bound, count)
-            if bad is None:
-                results.append(_ok(label))
-            else:
-                results.append(_fail(label, "fails on index %r" % (bad,)))
+            results.append(_check(
+                "%s %s (weight <= %d, {count} elements)" % (name, check_name, bound),
+                ((idx, check(st, alg.element({idx: 1})))
+                 for w in range(bound + 1) for idx in alg.indices(w)),
+                "fails on index %r"))
     return results
 
 
@@ -161,79 +156,56 @@ def _expanded_m_product(lam, mu):
 
 
 def suite_antipode(weight=None, cap=None):
-    results = []
     bound = weight if weight is not None else 8
     h_series = sym_mod.h_series(bound)
-    bad, _ = _first_failure(
-        (n, sym_mod.antipode(e(n)) == convert(h(n), "e").scale(Fraction(-1) ** n)
-         and h_series.coefficient(n) == convert(h(n), "e"))
-        for n in range(1, bound + 1))
-    label = "antipode(e_n) = (-1)^n h_n and h-series agreement (n <= %d)" % bound
-    results.append(_ok(label) if bad is None else
-                   _fail(label, "fails at n=%d" % bad))
-
     tbound = min(bound, 7)
-    bad, _ = _first_failure(
-        ((basis, w), sym_mod._transition(basis, w)[1] == _expanded_transition(basis, w))
-        for basis in ("e", "h", "p") for w in range(tbound + 1))
-    label = "counted transition matrices equal the expansion (e, h, p; weight <= %d)" % (
-        tbound)
-    results.append(_ok(label) if bad is None else
-                   _fail(label, "fails on %r" % (bad,)))
-
     mbound = min(bound, 6)
-    bad, checked = _first_failure(
-        ((lam, mu), SymElement({lam: 1}, "m") * SymElement({mu: 1}, "m")
-         == _expanded_m_product(lam, mu))
-        for w1 in range(mbound + 1) for w2 in range(mbound + 1 - w1)
-        for lam in partitions_of(w1) for mu in partitions_of(w2))
-    label = "counted m-products equal the product of expansions " \
-            "(total weight <= %d, %d pairs)" % (mbound, checked)
-    results.append(_ok(label) if bad is None else
-                   _fail(label, "fails on %r" % (bad,)))
-
     qbound = min(bound, 6)
-    bad, checked = _first_failure(
-        (I, qsym_mod.antipode(M(*I)) == _ehrenborg_antipode(I))
-        for w in range(qbound + 1) for I in compositions_of(w))
-    label = "qsym antipode: graded recursion equals Ehrenborg's coarsening formula " \
-            "(weight <= %d, %d compositions)" % (qbound, checked)
-    results.append(_ok(label) if bad is None else
-                   _fail(label, "fails on %r" % (bad,)))
-
-    bad, _ = _first_failure((n, diffeo.fdb_antipode(t(n)) == _fdb_chi_gen_oracle(n))
-                            for n in range(1, bound + 1))
-    label = "diffeo antipode: reversion equals graded recursion (n <= %d)" % bound
-    results.append(_ok(label) if bad is None else
-                   _fail(label, "fails at n=%d" % bad))
-
     bfk_bound = min(bound, 6)
-    bad, _ = _first_failure(
-        (n, diffeo.bfk_abelianize(diffeo.bfk_antipode(z(n))) == diffeo.fdb_antipode(t(n)))
-        for n in range(1, bfk_bound + 1))
-    label = "renormalization antipode abelianizes to diffeo antipode (n <= %d)" % bfk_bound
-    results.append(_ok(label) if bad is None else
-                   _fail(label, "fails at n=%d" % bad))
-    return results
+    return [
+        _check("antipode(e_n) = (-1)^n h_n and h-series agreement (n <= %d)" % bound,
+               ((n, sym_mod.antipode(e(n)) == convert(h(n), "e").scale(Fraction(-1) ** n)
+                 and h_series.coefficient(n) == convert(h(n), "e"))
+                for n in range(1, bound + 1)),
+               "fails at n=%d"),
+        _check("counted transition matrices equal the expansion (e, h, p; weight <= %d)"
+               % tbound,
+               (((basis, w), sym_mod._transition(basis, w)[1]
+                 == _expanded_transition(basis, w))
+                for basis in ("e", "h", "p") for w in range(tbound + 1))),
+        _check("counted m-products equal the product of expansions "
+               "(total weight <= %d, {count} pairs)" % mbound,
+               (((lam, mu), SymElement({lam: 1}, "m") * SymElement({mu: 1}, "m")
+                 == _expanded_m_product(lam, mu))
+                for w1 in range(mbound + 1) for w2 in range(mbound + 1 - w1)
+                for lam in partitions_of(w1) for mu in partitions_of(w2))),
+        _check("qsym antipode: graded recursion equals Ehrenborg's coarsening formula "
+               "(weight <= %d, {count} compositions)" % qbound,
+               ((I, qsym_mod.antipode(M(*I)) == _ehrenborg_antipode(I))
+                for w in range(qbound + 1) for I in compositions_of(w))),
+        _check("diffeo antipode: reversion equals graded recursion (n <= %d)" % bound,
+               ((n, diffeo.fdb_antipode(t(n)) == _fdb_chi_gen_oracle(n))
+                for n in range(1, bound + 1)),
+               "fails at n=%d"),
+        _check("renormalization antipode abelianizes to diffeo antipode (n <= %d)"
+               % bfk_bound,
+               ((n, diffeo.bfk_abelianize(diffeo.bfk_antipode(z(n)))
+                 == diffeo.fdb_antipode(t(n)))
+                for n in range(1, bfk_bound + 1)),
+               "fails at n=%d"),
+    ]
 
 
 # -- duality ----------------------------------------------------------------
 
 def suite_duality(weight=None, cap=None):
-    results = []
     bound = weight if weight is not None else 6
+    qbound = min(bound, 5)
 
     same_weight = ((I, J) for w in range(bound + 1)
                    for I in compositions_of(w) for J in compositions_of(w))
     cross_weight = ((I, J) for wa in range(4) for wb in range(4) if wa != wb
                     for I in compositions_of(wa) for J in compositions_of(wb))
-    bad, _ = _first_failure(
-        ((I, J), pair(NSymElement({I: 1}), QSymElement({J: 1}))
-         == (ONE if I == J else ZERO))
-        for I, J in chain(same_weight, cross_weight))
-    label = "basis pairing is delta (weight <= %d)" % bound
-    results.append(_ok(label) if bad is None else
-                   _fail(label, "fails on %r" % (bad,)))
 
     def product_adjoint():
         for w in range(2, bound + 1):
@@ -246,12 +218,6 @@ def suite_duality(weight=None, cap=None):
                             mk = QSymElement({K: 1})
                             yield (I, J, K), (pair(left, mk) == pair_tensor(
                                 tens, qsym_mod.coproduct(mk)))
-
-    bad, checked = _first_failure(product_adjoint())
-    label = "product adjoint to deconcatenation (weight <= %d, %d triples)" % (
-        bound, checked)
-    results.append(_ok(label) if bad is None else
-                   _fail(label, "fails on %r" % (bad,)))
 
     def coproduct_adjoint():
         for w in range(2, bound + 1):
@@ -266,57 +232,48 @@ def suite_duality(weight=None, cap=None):
                                        QSymElement({I: 1}) * QSymElement({J: 1}))
                             yield (K, I, J), lhs == rhs
 
-    bad, checked = _first_failure(coproduct_adjoint())
-    label = "coproduct adjoint to quasi-shuffle (weight <= %d, %d triples)" % (
-        bound, checked)
-    results.append(_ok(label) if bad is None else
-                   _fail(label, "fails on %r" % (bad,)))
-
-    qbound = min(bound, 5)
-    # the number of variables is the weight w of the product
-    bad, _ = _first_failure(
-        ((I, J), expand_ordered(QSymElement({I: 1}) * QSymElement({J: 1}), w)
-         == sym_mod._poly_mul(expand_ordered(QSymElement({I: 1}), w),
-                              expand_ordered(QSymElement({J: 1}), w)))
-        for w in range(2, qbound + 1) for wa in range(1, w)
-        for I in compositions_of(wa) for J in compositions_of(w - wa))
-    label = "quasi-shuffle equals ordered-variable expansion (weight <= %d)" % qbound
-    results.append(_ok(label) if bad is None else
-                   _fail(label, "fails on %r" % (bad,)))
-    return results
+    return [
+        _check("basis pairing is delta (weight <= %d)" % bound,
+               (((I, J), pair(NSymElement({I: 1}), QSymElement({J: 1}))
+                 == (ONE if I == J else ZERO))
+                for I, J in chain(same_weight, cross_weight))),
+        _check("product adjoint to deconcatenation (weight <= %d, {count} triples)" % bound,
+               product_adjoint()),
+        _check("coproduct adjoint to quasi-shuffle (weight <= %d, {count} triples)" % bound,
+               coproduct_adjoint()),
+        # the number of variables is the weight w of the product
+        _check("quasi-shuffle equals ordered-variable expansion (weight <= %d)" % qbound,
+               (((I, J), expand_ordered(QSymElement({I: 1}) * QSymElement({J: 1}), w)
+                 == sym_mod._poly_mul(expand_ordered(QSymElement({I: 1}), w),
+                                      expand_ordered(QSymElement({J: 1}), w)))
+                for w in range(2, qbound + 1) for wa in range(1, w)
+                for I in compositions_of(wa) for J in compositions_of(w - wa))),
+    ]
 
 
 # -- renormalization coproduct ---------------------------------------------
 
 def suite_bfk(weight=None, cap=None):
-    results = []
     nn = (NSymElement, NSymElement)
 
     want2 = Tensor(nn, {((2,), ()): 1, ((1,), (1,)): 2, ((), (2,)): 1})
     got2 = diffeo.bfk_coproduct(z(2))
-    results.append(_ok("coproduct of Z_2 has the 2 Z_1 (x) Z_1 cross term")
-                   if got2 == want2 else
-                   _fail("coproduct of Z_2 has the 2 Z_1 (x) Z_1 cross term",
-                         "got %s" % got2))
+    results = [_check("coproduct of Z_2 has the 2 Z_1 (x) Z_1 cross term",
+                      [(got2, got2 == want2)], "got %s")]
 
     want3 = Tensor(nn, {((3,), ()): 1, ((), (3,)): 1, ((1,), (1, 1)): 1,
                         ((1,), (2,)): 2, ((2,), (1,)): 3})
     got3 = diffeo.bfk_coproduct(z(3))
-    ok3 = got3 == want3 and got3.swap_slots(0, 1) != got3
-    results.append(_ok("coproduct of Z_3: mixed coefficients 2 and 3, "
-                       "not cocommutative")
-                   if ok3 else
-                   _fail("coproduct of Z_3: mixed coefficients 2 and 3, "
-                         "not cocommutative", "got %s" % got3))
+    results.append(_check("coproduct of Z_3: mixed coefficients 2 and 3, "
+                          "not cocommutative",
+                          [(got3, got3 == want3 and got3.swap_slots(0, 1) != got3)],
+                          "got %s"))
 
     bound = weight if weight is not None else 7
-    bad, count = _first_failure(
-        (idx, _coassociative(structures.STRUCTURES["bfk"], NSymElement({idx: 1})))
-        for w in range(bound + 1) for idx in compositions_of(w))
-    label = "renormalization coproduct coassociative (weight <= %d, %d words)" % (
-        bound, count)
-    results.append(_ok(label) if bad is None else
-                   _fail(label, "fails on %r" % (bad,)))
+    results.append(_check(
+        "renormalization coproduct coassociative (weight <= %d, {count} words)" % bound,
+        ((idx, _coassociative(structures.STRUCTURES["bfk"], NSymElement({idx: 1})))
+         for w in range(bound + 1) for idx in compositions_of(w))))
     return results
 
 
@@ -367,12 +324,10 @@ def suite_comodule_algebroid(weight=None, cap=None):
         return left == right and psi.project_counit(1) == Tensor.of(x)
 
     for name, alg in ALGEBROIDS.items():
-        bad, _ = _first_failure(
-            (lam, comodule_ok(alg, lam))
-            for w in range(bound + 1) for lam in alg.base_indices(w))
-        label = "%s comodule axioms (weight <= %d)" % (name, bound)
-        results.append(_ok(label) if bad is None else
-                       _fail(label, "fails on %r" % (bad,)))
+        results.append(_check(
+            "%s comodule axioms (weight <= %d)" % (name, bound),
+            ((lam, comodule_ok(alg, lam))
+             for w in range(bound + 1) for lam in alg.base_indices(w))))
 
     def cosimplicial_checks(alg):
         for w in range(cosimp_bound + 1):
@@ -385,11 +340,9 @@ def suite_comodule_algebroid(weight=None, cap=None):
                 yield (lam, "d2"), not differential(alg, differential(alg, x))
 
     for name, alg in ALGEBROIDS.items():
-        bad, _ = _first_failure(cosimplicial_checks(alg))
-        label = "%s cosimplicial identities and d^2 = 0 (weight <= %d)" % (
-            name, cosimp_bound)
-        results.append(_ok(label) if bad is None else
-                       _fail(label, "fails on %r" % (bad,)))
+        results.append(_check(
+            "%s cosimplicial identities and d^2 = 0 (weight <= %d)" % (name, cosimp_bound),
+            cosimplicial_checks(alg)))
 
     def matrix_squares():
         for w in range(cosimp_bound + 1):
@@ -404,22 +357,19 @@ def suite_comodule_algebroid(weight=None, cap=None):
                             acc[k] += c * d
                 yield (w, dom0[i]), not any(acc)
 
-    bad, _ = _first_failure(matrix_squares())
-    label = "normalized differential squares to zero in matrix form (weight <= %d)" % (
-        cosimp_bound)
-    results.append(_ok(label) if bad is None else
-                   _fail(label, "fails on %r" % (bad,)))
+    results.append(_check(
+        "normalized differential squares to zero in matrix form (weight <= %d)"
+        % cosimp_bound,
+        matrix_squares()))
 
     def h0_ranks():
         for w in range(4):
             got = cohomology_rank("S.B", w, 0)
             oracle = invariants_rank_oracle(ALGEBROIDS["S.B"], w)
-            yield (w, got, oracle), got == oracle == 1
+            yield "weight %r gave %r/%r" % (w, got, oracle), got == oracle == 1
 
-    bad, _ = _first_failure(h0_ranks())
-    label = "H^0 of the S.B complex is rank 1 in weights 0-3 (two routes)"
-    results.append(_ok(label) if bad is None else
-                   _fail(label, "weight %r gave %r/%r" % bad))
+    results.append(_check("H^0 of the S.B complex is rank 1 in weights 0-3 (two routes)",
+                          h0_ranks(), "%s"))
 
     rank_bound = min(bound, WEIGHT_BOUND)
 
@@ -431,35 +381,26 @@ def suite_comodule_algebroid(weight=None, cap=None):
                     got, want = matrix_rank(rows), _dense_rank_oracle(rows)
                     yield (name, w, s, got, want), got == want
 
-    bad, _ = _first_failure(differential_ranks())
-    label = ("differential matrix ranks match dense Gauss-Jordan "
-             "(weight <= %d, levels 0 and 1)" % rank_bound)
-    results.append(_ok(label) if bad is None else
-                   _fail(label, "fails on %r" % (bad,)))
+    results.append(_check("differential matrix ranks match dense Gauss-Jordan "
+                          "(weight <= %d, levels 0 and 1)" % rank_bound,
+                          differential_ranks()))
     return results
 
 
 # -- topology ---------------------------------------------------------------
 
-def _t_to_b(x):
-    return BElement(dict(x.terms))
-
-
 def suite_topology(weight=None, cap=None):
-    results = []
     bound = weight if weight is not None else 7
 
     log = topology.miscenko_log(bound + 1)
 
     def log_coefficients():
         for n in range(1, bound + 1):
-            structural = _t_to_b(_fdb_chi_gen_oracle(n))
+            structural = BElement(dict(_fdb_chi_gen_oracle(n).terms))
             yield n, log.coefficient(n + 1) == structural == topology.chi_b(n)
 
-    bad, _ = _first_failure(log_coefficients())
-    label = "log coefficients equal the structural antipode of b_n (n <= %d)" % bound
-    results.append(_ok(label) if bad is None else
-                   _fail(label, "fails at n=%d" % bad))
+    results = [_check("log coefficients equal the structural antipode of b_n (n <= %d)"
+                      % bound, log_coefficients(), "fails at n=%d")]
 
     def projective_numbers():
         for n in range(6):
@@ -471,10 +412,8 @@ def suite_topology(weight=None, cap=None):
                 (topology.cp_char_number(2, (2,)), Fraction(-3))]
         yield ("pinned", hits), all(a == b for a, b in hits)
 
-    bad, _ = _first_failure(projective_numbers())
-    label = "projective-space numbers match the normal-bundle oracle (n <= 5)"
-    results.append(_ok(label) if bad is None else
-                   _fail(label, "fails on %r" % (bad,)))
+    results.append(_check("projective-space numbers match the normal-bundle oracle (n <= 5)",
+                          projective_numbers()))
 
     fcap = cap if cap is not None else 6
     F = topology.fgl(fcap)
@@ -492,38 +431,37 @@ def suite_topology(weight=None, cap=None):
     rhs = topology.evaluate_bivariate(F, xvar, g3, fcap)
     if lhs != rhs:
         problems.append("associativity")
-    label = "group law is unital, commutative, associative (degree <= %d)" % fcap
-    results.append(_ok(label) if not problems else
-                   _fail(label, "failed: %s" % ", ".join(problems)))
+    results.append(_check("group law is unital, commutative, associative (degree <= %d)"
+                          % fcap, [(", ".join(problems), not problems)], "failed: %s"))
 
     B = topology.beta_series(fcap)
     lift = F.map_coefficients(lambda el: BetaPolynomial({0: el}),
                               algebra=BetaPolynomial)
     lhs = B.compose(lift)
     rhs = B.embed_bivariate(0) * B.embed_bivariate(1)
-    label = "beta series turns the group law into a product (degree <= %d)" % fcap
-    results.append(_ok(label) if lhs == rhs else _fail(label, "mismatch"))
+    results.append(_check("beta series turns the group law into a product (degree <= %d)"
+                          % fcap, [("mismatch", lhs == rhs)], "%s"))
     pinned = (B.coefficient(0) == BetaPolynomial.one()
               and B.coefficient(1) == BetaPolynomial({1: BElement.one()})
               and B.coefficient(2) == BetaPolynomial({1: b(1).scale(-1),
                                                       2: BElement({(): Fraction(1, 2)})}))
-    label = "beta series low coefficients: 1, beta, beta^2/2 - beta b_1"
-    results.append(_ok(label) if pinned else _fail(label, "mismatch"))
+    results.append(_check("beta series low coefficients: 1, beta, beta^2/2 - beta b_1",
+                          [("mismatch", pinned)], "%s"))
 
     ncap = min(fcap, 5)
     CP = topology.cp_infinity_coproduct(ncap)
     okc = (topology.abelianize_series_to_b(CP) == topology.fgl(ncap)
            and CP.set_variable_zero(1) == TruncatedSeries(NSymElement, {1: 1}, ncap)
            and CP.coefficient((1, 1)) == z(1).scale(2))
-    label = "noncommutative addition series degenerates and abelianizes correctly"
-    results.append(_ok(label) if okc else _fail(label, "mismatch"))
+    results.append(_check("noncommutative addition series degenerates and abelianizes "
+                          "correctly", [("mismatch", okc)], "%s"))
 
     C = topology.cumulant_series(3)
     okq = (C.coefficient(1) == NSymElement({(): -1})
            and C.coefficient(2) == -z(1)
            and C.coefficient(3) == -(z(1, 1).scale(2) - z(2)))
-    label = "cumulant series pinned coefficients through T^3"
-    results.append(_ok(label) if okq else _fail(label, "got %s" % C))
+    results.append(_check("cumulant series pinned coefficients through T^3",
+                          [(C, okq)], "got %s"))
     return results
 
 
@@ -542,8 +480,8 @@ def _brute_partitions(n, maxpart=None):
 
 
 def suite_counts(weight=None, cap=None):
-    results = []
     bound = weight if weight is not None else 12
+    kbound = min(bound, 10)
 
     def composition_counts():
         for n in range(bound + 1):
@@ -551,23 +489,11 @@ def suite_counts(weight=None, cap=None):
         yield "order-3", compositions_of(3) == ((3,), (2, 1), (1, 2), (1, 1, 1))
         yield "order-0", compositions_of(0) == ((),)
 
-    bad, _ = _first_failure(composition_counts())
-    label = "compositions of n number 2^(n-1) (n <= %d), pinned order at 3" % bound
-    results.append(_ok(label) if bad is None else
-                   _fail(label, "fails at %r" % (bad,)))
-
     def partition_sets():
         for n in range(9):
             yield n, set(partitions_of(n)) == set(_brute_partitions(n))
         yield "pinned-3", set(partitions_of(3)) == {(3,), (2, 1), (1, 1, 1)}
         yield "count-4", len(partitions_of(4)) == 5
-
-    bad, _ = _first_failure(partition_sets())
-    label = "partitions agree with brute-force enumeration (n <= 8)"
-    results.append(_ok(label) if bad is None else
-                   _fail(label, "fails at %r" % (bad,)))
-
-    kbound = min(bound, 10)
 
     def invariant_terms():
         for k in range(1, kbound + 1):
@@ -575,11 +501,14 @@ def suite_counts(weight=None, cap=None):
             yield k, (len(inv.terms) == 2 ** (k - 1)
                       and all(c == ONE for c in inv.terms.values()))
 
-    bad, _ = _first_failure(invariant_terms())
-    label = "composition-sum invariant has 2^(k-1) unit terms (k <= %d)" % kbound
-    results.append(_ok(label) if bad is None else
-                   _fail(label, "fails at k=%d" % bad))
-    return results
+    return [
+        _check("compositions of n number 2^(n-1) (n <= %d), pinned order at 3" % bound,
+               composition_counts(), "fails at %r"),
+        _check("partitions agree with brute-force enumeration (n <= 8)",
+               partition_sets(), "fails at %r"),
+        _check("composition-sum invariant has 2^(k-1) unit terms (k <= %d)" % kbound,
+               invariant_terms(), "fails at k=%d"),
+    ]
 
 
 # -- CLI round trips and the documented invocation table --------------------
@@ -808,59 +737,46 @@ def suite_cli_roundtrip(weight=None, cap=None):
     from .cli import run_command  # deferred: cli imports this module
     import io
 
-    results = []
     rng = random.Random(20260825)
     per_family = 1000
-    bad = None
-    for family in structures.ALGEBRAS:
-        for _ in range(per_family):
-            x = _random_element(rng, family)
-            text = str(x)
-            try:
-                value, fam = parse_element(text)
-            except ExpressionError as exc:
-                bad = (family, text, str(exc))
-                break
-            if value != x or fam != family:
-                bad = (family, text, "value or family mismatch")
-                break
-            doc = dumps(document_for(x))
-            if dumps(document_for(x)) != doc:
-                bad = (family, text, "unstable JSON")
-                break
-            back = from_document(json.loads(doc))
-            if back != x or (isinstance(x, SymElement)
-                             and back.basis != x.basis):
-                bad = (family, text, "JSON round trip")
-                break
-        if bad:
-            break
-    label = "parse/print and JSON round trips on %d random elements per algebra" % (
-        per_family)
-    results.append(_ok(label) if bad is None else
-                   _fail(label, "%r" % (bad,)))
 
-    bad = None
-    for argv, expected_out, expected_exit in DOCUMENTED_INVOCATIONS:
-        out1, err1 = io.StringIO(), io.StringIO()
-        code1 = run_command(list(argv), out1, err1)
-        out2, err2 = io.StringIO(), io.StringIO()
-        code2 = run_command(list(argv), out2, err2)
-        if code1 != expected_exit:
-            bad = (argv, "exit %d != %d; stderr: %s"
-                   % (code1, expected_exit, err1.getvalue().strip()))
-            break
-        if (code1, out1.getvalue()) != (code2, out2.getvalue()):
-            bad = (argv, "output not byte-stable")
-            break
-        if expected_out is not None and out1.getvalue().rstrip("\n") != expected_out:
-            bad = (argv, "got %r" % out1.getvalue().rstrip("\n"))
-            break
-    label = "documented invocations: %d commands, pinned output and exit codes" % (
-        len(DOCUMENTED_INVOCATIONS))
-    results.append(_ok(label) if bad is None else
-                   _fail(label, "%s -> %s" % bad))
-    return results
+    def round_trips():
+        for family in structures.ALGEBRAS:
+            for _ in range(per_family):
+                x = _random_element(rng, family)
+                text = str(x)
+                try:
+                    value, fam = parse_element(text)
+                except ExpressionError as exc:
+                    yield (family, text, str(exc)), False
+                    return
+                yield (family, text, "value or family mismatch"), value == x and fam == family
+                doc = dumps(document_for(x))
+                yield (family, text, "unstable JSON"), dumps(document_for(x)) == doc
+                back = from_document(json.loads(doc))
+                yield (family, text, "JSON round trip"), back == x and (
+                    not isinstance(x, SymElement) or back.basis == x.basis)
+
+    def invocations():
+        for argv, expected_out, expected_exit in DOCUMENTED_INVOCATIONS:
+            out1, err1 = io.StringIO(), io.StringIO()
+            code1 = run_command(list(argv), out1, err1)
+            out2, err2 = io.StringIO(), io.StringIO()
+            code2 = run_command(list(argv), out2, err2)
+            yield ("%s -> exit %d != %d; stderr: %s"
+                   % (argv, code1, expected_exit, err1.getvalue().strip()),
+                   code1 == expected_exit)
+            yield ("%s -> output not byte-stable" % (argv,),
+                   (code1, out1.getvalue()) == (code2, out2.getvalue()))
+            got = out1.getvalue().rstrip("\n")
+            yield "%s -> got %r" % (argv, got), expected_out is None or got == expected_out
+
+    return [
+        _check("parse/print and JSON round trips on %d random elements per algebra"
+               % per_family, round_trips(), "%r"),
+        _check("documented invocations: %d commands, pinned output and exit codes"
+               % len(DOCUMENTED_INVOCATIONS), invocations(), "%s"),
+    ]
 
 
 SUITES = {

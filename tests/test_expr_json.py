@@ -220,6 +220,16 @@ def test_unknown_algebra_tag_is_rejected():
         from_document({"algebra": "octonion", "terms": []})
 
 
+def test_missing_keys_are_named():
+    missing = [({"algebra": "sym"}, "terms"),
+               ({"algebra": "sym", "series": []}, "cap"),
+               ({"terms": []}, "algebra"),
+               ({"algebra": "tensor", "terms": []}, "factors")]
+    for doc, key in missing:
+        with pytest.raises(DomainError, match="'%s'" % key):
+            from_document(doc)
+
+
 def test_byte_stability_under_reserialization():
     x = coproduct(e(2, 1))
     one = dumps(document_for(x))

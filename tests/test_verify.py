@@ -1,5 +1,5 @@
-"""The verify suites load on first use and report the first failing case,
-not the last."""
+"""The verify suites load on first use, make every record through one check
+runner, and report the first failing case, not the last."""
 
 import subprocess
 import sys
@@ -49,3 +49,39 @@ def test_topology_reports_the_first_failing_projective_number(monkeypatch):
     assert label.startswith("projective-space numbers")
     assert not ok
     assert detail == "fails on %r" % ((1, (1,)),)
+
+
+def test_cli_roundtrip_reports_the_first_broken_invocation(monkeypatch):
+    rows = [(("eval", "e[1]*e[1]"), "e[1,1]", 0),
+            (("eval", "Z[2]*Z[1]"), "Z[1,2]", 0),
+            (("eval", "e[2,1]^2"), "e[2,1]", 0)]
+    monkeypatch.setattr(verify, "DOCUMENTED_INVOCATIONS", rows)
+    label, ok, detail = verify.suite_cli_roundtrip()[1]
+    assert label == ("documented invocations: 3 commands, "
+                     "pinned output and exit codes")
+    assert not ok
+    assert detail == "%s -> got %r" % (rows[1][0], "Z[2,1]")
+
+
+def test_every_record_comes_from_the_check_runner(monkeypatch):
+    made = []
+    real = verify._check
+
+    def check(*args, **kwargs):
+        made.append(real(*args, **kwargs))
+        return made[-1]
+
+    monkeypatch.setattr(verify, "_check", check)
+    for name, suite in verify.SUITES.items():
+        if name == "cli-roundtrip":
+            continue
+        records = suite(weight=2, cap=2)
+        assert records
+        for record in records:
+            assert any(record is m for m in made), (name, record)
+
+
+def test_check_fills_the_count_literally():
+    record = verify._check("toy{1} 100% (weight <= 2, {count} elements)",
+                           ((n, n < 3) for n in range(5)))
+    assert record == ("toy{1} 100% (weight <= 2, 4 elements)", False, "fails on 3")
