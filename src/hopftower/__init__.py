@@ -1,7 +1,8 @@
 """Exact computer algebra for a tower of combinatorial Hopf algebras.
 
 The package implements, over the rationals and with no floating point
-anywhere:
+anywhere (each stored coefficient is a nonzero ``int``, or a ``Fraction`` whose
+denominator is greater than 1, as :mod:`hopftower.scalars` normalises it):
 
 * symmetric functions in the e, h, p and m bases with basis conversion,
   three involutions, the Hall pairing, coproduct and antipode (``sym``);

@@ -63,7 +63,7 @@ class _ArgumentParser(argparse.ArgumentParser):
 
 def _promote(value, family):
     """A bare number as an element of ``family``; anything else unchanged."""
-    if isinstance(value, Fraction) and family != "scalar":
+    if isinstance(value, (int, Fraction)) and family != "scalar":
         return structures.ALGEBRAS[family].cls.one().scale(value)
     return value
 

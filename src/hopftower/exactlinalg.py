@@ -12,13 +12,15 @@ gcd-reduced pivots (fraction-free in the spirit of Bareiss, Math. Comp. 22,
 small.  Rank needs neither back-substitution nor normalised pivots.  All
 arithmetic is exact ``int``; ``verify`` keeps dense Fraction Gauss-Jordan as
 the independent route.
-``invert_matrix`` is plain Gauss-Jordan on lists of ``Fraction`` rows.
+``invert_matrix`` is plain Gauss-Jordan on lists of rational rows, each entry
+kept in the canonical form of ``scalars.rational`` so that integer matrices
+with unit pivots are inverted in ``int`` arithmetic throughout.
 """
 
-from fractions import Fraction
 from math import gcd, lcm
 
 from .errors import DomainError
+from .scalars import quotient, rational
 
 
 def _primitive(row):
@@ -31,7 +33,7 @@ def _primitive(row):
 
 def _integer_row(values):
     """A rational row as a primitive ``{column: int}`` dict of its nonzeros."""
-    entries = [(j, Fraction(x)) for j, x in enumerate(values) if x]
+    entries = [(j, x) for j, x in enumerate(values) if x]
     if not entries:
         return {}
     scale = lcm(*(x.denominator for _, x in entries))
@@ -73,7 +75,7 @@ def invert_matrix(rows):
     for i, r in enumerate(rows):
         if len(r) != n:
             raise DomainError("matrix is not square")
-        aug.append(list(map(Fraction, r)) + [Fraction(int(i == j)) for j in range(n)])
+        aug.append(list(map(rational, r)) + [int(i == j) for j in range(n)])
     for col in range(n):
         pivot = None
         for r in range(col, n):
@@ -83,10 +85,10 @@ def invert_matrix(rows):
         if pivot is None:
             raise DomainError("matrix is singular")
         aug[col], aug[pivot] = aug[pivot], aug[col]
-        inv = 1 / aug[col][col]
-        aug[col] = [x * inv for x in aug[col]]
+        inv = quotient(1, aug[col][col])
+        aug[col] = [rational(x * inv) for x in aug[col]]
         for r in range(n):
             if r != col and aug[r][col]:
                 f = aug[r][col]
-                aug[r] = [a - f * b for a, b in zip(aug[r], aug[col])]
+                aug[r] = [rational(a - f * b) for a, b in zip(aug[r], aug[col])]
     return [row[n:] for row in aug]

@@ -37,6 +37,7 @@ from fractions import Fraction
 
 from . import structures
 from .errors import AlgebraMismatchError, ExpressionError
+from .scalars import quotient
 from .series import TruncatedSeries
 from .topology import BElement, BetaPolynomial
 
@@ -69,10 +70,10 @@ def _tokenize(text):
                 den = int(text[j + 1:k])
                 if den == 0:
                     raise ExpressionError("zero denominator", pos)
-                toks.append(("num", Fraction(num, den), pos))
+                toks.append(("num", quotient(num, den), pos))
                 i = k
             else:
-                toks.append(("num", Fraction(num), pos))
+                toks.append(("num", num, pos))
                 i = j
             continue
         if ch in _SYMBOLS:
@@ -386,7 +387,7 @@ def _eval_call(node, cap):
         return TruncatedSeries(first.algebra, {0: first.residue()}, cap)
     if name == "shift":
         offset = _eval_series(args[1], cap)
-        k = offset.coeffs.get(0, Fraction(0))
+        k = offset.coeffs.get(0, 0)
         if (offset.algebra is not Fraction or set(offset.coeffs) - {0}
                 or k.denominator != 1):
             raise ExpressionError("shift offset must be an integer", pos)

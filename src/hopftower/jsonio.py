@@ -27,7 +27,7 @@ from . import structures
 from .errors import DomainError
 from .indices import index_sort_key
 from .linear import Tensor, TensorSpace
-from .scalars import format_scalar, parse_scalar
+from .scalars import format_scalar, parse_scalar, rational
 from .series import TruncatedSeries
 from .sym import SymElement, convert
 from .topology import BElement, BetaPolynomial
@@ -57,7 +57,7 @@ def _beta_list(poly):
 
 def element_document(x, structure=None):
     """Canonical document for a single element (or plain rational)."""
-    if isinstance(x, Fraction):
+    if isinstance(x, (int, Fraction)):
         terms = [] if not x else [{"index": [], "coeff": format_scalar(x)}]
         return {"algebra": "scalar", "terms": terms}
     if isinstance(x, BetaPolynomial):
@@ -89,7 +89,7 @@ def tensor_document(t, structure=None):
 
 
 def _coeff_body(v):
-    if isinstance(v, Fraction):
+    if isinstance(v, (int, Fraction)):
         return {"coeff": format_scalar(v)}
     if isinstance(v, BetaPolynomial):
         return {"beta": _beta_list(v)}
@@ -165,10 +165,7 @@ def _beta_from(entries):
 def _element_from(doc):
     tag = doc["algebra"]
     if tag == "scalar":
-        total = Fraction(0)
-        for entry in doc["terms"]:
-            total += parse_scalar(entry["coeff"])
-        return total
+        return rational(sum((parse_scalar(entry["coeff"]) for entry in doc["terms"]), 0))
     if tag == "bpoly" and "beta" in doc:
         return _beta_from(doc["beta"])
     return structures.algebra(tag).element(_terms_from(doc["terms"]), doc.get("basis"))
@@ -223,7 +220,9 @@ def _series_from(doc):
 def from_document(doc):
     """Inverse of ``document_for``: rebuild the value a document describes.
 
-    A document that lacks a required key raises ``DomainError`` naming it.
+    A document that lacks a required key raises ``DomainError`` naming it,
+    and so does one of the wrong shape (not an object, a term that is not an
+    object, a cap that is not an integer, and so on).
     """
     try:
         if "series" in doc:
@@ -231,8 +230,12 @@ def from_document(doc):
         if doc.get("algebra") == "tensor":
             return _tensor_from(doc)
         return _element_from(doc)
+    except DomainError:
+        raise
     except KeyError as exc:
         raise DomainError("document lacks the %r key" % (exc.args[0],)) from exc
+    except (AttributeError, TypeError, ValueError) as exc:
+        raise DomainError("malformed document: %s" % (exc,)) from exc
 
 
 def loads(text):

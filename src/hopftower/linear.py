@@ -3,10 +3,12 @@ the shared engine that builds every Hopf structure of the package.
 
 Every graded algebra in the package stores its elements the same way: a dict
 from basis index (a tuple of positive integers, ``()`` for the unit) to a
-nonzero ``Fraction``.  Subclasses fix the product of two basis indices; the
-bilinear extension, scalar action, grading helpers and canonical printing all
-live here.  Elements are treated as immutable once built, which keeps the
-memoised structure constants safe to share.
+coefficient that is a nonzero ``int`` or a ``Fraction`` whose denominator is
+greater than 1 (``scalars.rational`` is the normaliser).  Subclasses fix the
+product of two basis indices; the bilinear extension, scalar action, grading
+helpers and canonical printing all live here.  Elements are treated as
+immutable once built, which keeps the memoised structure constants safe to
+share.
 
 Each coproduct, coaction and antipode is given on the generators and then
 extended over words.  ``on_words`` does that extension, multiplicatively or
@@ -21,14 +23,19 @@ from functools import lru_cache
 
 from .errors import AlgebraMismatchError, DomainError
 from .indices import index_sort_key
-from .scalars import ONE, ZERO
+from .scalars import ONE, ZERO, rational
 
 
 def add_term(data, idx, coeff):
-    """Accumulate ``coeff`` on ``idx`` inside ``data``, dropping zeros."""
+    """Accumulate ``coeff`` on ``idx`` inside ``data``, dropping zeros.
+
+    A scalar that comes out integral is stored as its ``int``.
+    """
     c = data.get(idx)
     c = coeff if c is None else c + coeff
     if c:
+        if type(c) is Fraction and c.denominator == 1:
+            c = c.numerator
         data[idx] = c
     elif idx in data:
         del data[idx]
@@ -47,8 +54,7 @@ class LinearElement:
                 idx = tuple(idx)
                 if any(not isinstance(p, int) or p < 1 for p in idx):
                     raise DomainError("index parts must be positive integers")
-                if not isinstance(coeff, Fraction):
-                    coeff = Fraction(coeff)
+                coeff = rational(coeff)
                 if coeff:
                     data[idx] = coeff
         self.terms = data
@@ -62,8 +68,8 @@ class LinearElement:
         validating constructor.  Every caller passes a freshly built dict that
         nothing else holds, whose keys are canonical (tuples of positive ints,
         partitions sorted decreasingly for commutative classes) and whose
-        values are nonzero ``Fraction``s.  Subclasses carrying extra state
-        override this.
+        values are nonzero ``int``s or ``Fraction``s with denominator > 1.
+        Subclasses carrying extra state override this.
         """
         obj = object.__new__(type(self))
         obj.terms = terms
@@ -118,24 +124,25 @@ class LinearElement:
     def __bool__(self):
         return bool(self.terms)
 
+    # each binary operation tests for its own type before the scalar types,
+    # whose isinstance check runs the slower ABC machinery of Fraction
+
     def __eq__(self, other):
+        if type(other) is type(self):
+            return self.terms == other.terms
         if isinstance(other, (int, Fraction)):
-            other = Fraction(other)
             return self.terms == ({(): other} if other else {})
-        if type(other) is not type(self):
-            return NotImplemented
-        return self.terms == other.terms
+        return NotImplemented
 
     def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
-            out = dict(self.terms)
-            add_term(out, (), Fraction(other))
-            return self._new(out)
-        if type(other) is not type(self):
-            return NotImplemented
         out = dict(self.terms)
-        for idx, c in other.terms.items():
-            add_term(out, idx, c)
+        if type(other) is type(self):
+            for idx, c in other.terms.items():
+                add_term(out, idx, c)
+        elif isinstance(other, (int, Fraction)):
+            add_term(out, (), rational(other))
+        else:
+            return NotImplemented
         return self._new(out)
 
     __radd__ = __add__
@@ -150,15 +157,12 @@ class LinearElement:
         return (-self) + other
 
     def scale(self, q):
-        q = Fraction(q)
-        if not q:
-            return self._new({})
-        return self._new({i: c * q for i, c in self.terms.items()})
+        return self._new(_scaled(self.terms, q))
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self.scale(other)
         if type(other) is not type(self):
+            if isinstance(other, (int, Fraction)):
+                return self.scale(other)
             raise AlgebraMismatchError(
                 "cannot multiply %s by %s" % (type(self).__name__, type(other).__name__))
         out = {}
@@ -166,7 +170,7 @@ class LinearElement:
             for j, cj in other.terms.items():
                 cij = ci * cj
                 for idx, bc in self.basis_mul(i, j):
-                    add_term(out, idx, cij if bc is ONE else cij * bc)
+                    add_term(out, idx, cij if bc == 1 else cij * bc)
         return self._new(out)
 
     def __rmul__(self, other):
@@ -238,9 +242,7 @@ class CommutativeElement(LinearElement):
         if terms:
             data = {}
             for idx, coeff in terms.items():
-                if not isinstance(coeff, Fraction):
-                    coeff = Fraction(coeff)
-                add_term(data, tuple(sorted(idx, reverse=True)), coeff)
+                add_term(data, tuple(sorted(idx, reverse=True)), rational(coeff))
             terms = data
         super().__init__(terms)
 
@@ -265,21 +267,22 @@ class Tensor:
         data = {}
         if terms:
             for key, coeff in terms.items():
-                if not isinstance(coeff, Fraction):
-                    coeff = Fraction(coeff)
+                coeff = rational(coeff)
                 if coeff:
                     data[tuple(tuple(i) for i in key)] = coeff
         self.terms = data
 
-    def _new(self, terms):
-        """Adopt ``terms`` as a tensor over the same factors, with no second pass.
+    def _new(self, terms, factors=None):
+        """Adopt ``terms`` as a tensor over ``factors`` (by default the same
+        factors), with no second pass.
 
         The invariant of ``LinearElement._new`` holds here too: a fresh dict,
-        keys tuples of canonical basis indices (one per slot), values nonzero
-        ``Fraction``s.
+        keys tuples of canonical basis indices (one per slot, each canonical
+        for its factor), values nonzero ``int``s or ``Fraction``s with
+        denominator > 1; ``factors`` is a tuple of element classes.
         """
         obj = object.__new__(Tensor)
-        obj.factors = self.factors
+        obj.factors = self.factors if factors is None else factors
         obj.terms = terms
         return obj
 
@@ -309,7 +312,7 @@ class Tensor:
         return bool(self.terms)
 
     def __eq__(self, other):
-        if not isinstance(other, Tensor):
+        if type(other) is not Tensor:
             return NotImplemented
         return self.factors == other.factors and self.terms == other.terms
 
@@ -327,8 +330,7 @@ class Tensor:
         return self + (-other)
 
     def scale(self, q):
-        q = Fraction(q)
-        return self._new({k: c * q for k, c in self.terms.items()} if q else {})
+        return self._new(_scaled(self.terms, q))
 
     def __rmul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -336,7 +338,7 @@ class Tensor:
         return NotImplemented
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if type(other) is not Tensor and isinstance(other, (int, Fraction)):
             return self.scale(other)
         self._require_same_shape(other)
         out = {}
@@ -347,7 +349,7 @@ class Tensor:
                     nxt = []
                     for prefix, c in partial:
                         for idx, bc in f.basis_mul(i1, i2):
-                            nxt.append((prefix + (idx,), c if bc is ONE else c * bc))
+                            nxt.append((prefix + (idx,), c if bc == 1 else c * bc))
                     partial = nxt
                 for key, c in partial:
                     add_term(out, key, c)
@@ -357,8 +359,7 @@ class Tensor:
 
     def apply(self, pos, fn, new_factors):
         """Apply ``fn`` (index -> element or tensor) to slot ``pos``, splicing."""
-        new_factors = tuple(new_factors)
-        factors = self.factors[:pos] + new_factors + self.factors[pos + 1:]
+        factors = self.factors[:pos] + tuple(new_factors) + self.factors[pos + 1:]
         out = {}
         for key, c in self.terms.items():
             res = fn(key[pos])
@@ -367,15 +368,15 @@ class Tensor:
             else:
                 items = (((i,), cc) for i, cc in res.terms.items())
             for sub, cc in items:
-                add_term(out, key[:pos] + tuple(sub) + key[pos + 1:], c * cc)
-        return Tensor(factors, out)
+                add_term(out, key[:pos] + sub + key[pos + 1:], c * cc)
+        return self._new(out, factors)
 
     def insert_slot(self, pos, factor, index=()):
         """Insert a fresh slot holding a single basis index (default: the unit)."""
         factors = self.factors[:pos] + (factor,) + self.factors[pos:]
         index = tuple(index)
-        return Tensor(factors,
-                      {key[:pos] + (index,) + key[pos:]: c for key, c in self.terms.items()})
+        return self._new({key[:pos] + (index,) + key[pos:]: c
+                          for key, c in self.terms.items()}, factors)
 
     def swap_slots(self, i, j):
         factors = list(self.factors)
@@ -385,7 +386,7 @@ class Tensor:
             k = list(key)
             k[i], k[j] = k[j], k[i]
             add_term(out, tuple(k), c)
-        return Tensor(factors, out)
+        return self._new(out, tuple(factors))
 
     def project_counit(self, pos):
         """Apply the counit to slot ``pos``: keep unit-indexed terms, drop the slot."""
@@ -394,7 +395,7 @@ class Tensor:
         for key, c in self.terms.items():
             if key[pos] == ():
                 add_term(out, key[:pos] + key[pos + 1:], c)
-        return Tensor(factors, out)
+        return self._new(out, factors)
 
     def slot_element(self):
         """Convert an arity-1 tensor back into a plain algebra element."""
@@ -450,6 +451,12 @@ class TensorSpace:
 
     def __repr__(self):
         return "TensorSpace(%s)" % ", ".join(f.__name__ for f in self.factors)
+
+
+def _scaled(terms, q):
+    """A fresh dict of ``terms`` times the scalar ``q``, in canonical form."""
+    q = rational(q)
+    return {k: rational(c * q) for k, c in terms.items()} if q else {}
 
 
 # -- the shared Hopf engine ----------------------------------------------------

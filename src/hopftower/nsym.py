@@ -10,7 +10,6 @@ Abelianizing Z_k down to the elementary symmetric function e_k carries all
 of this onto the symmetric function Hopf algebra.
 """
 
-from fractions import Fraction
 from functools import lru_cache, partial
 
 from .indices import compositions_of, sort_to_partition
@@ -49,7 +48,7 @@ def _antipode_gen(n):
     """Antipode of Z_n: alternating sum of Z_I over compositions I of n."""
     terms = {}
     for comp in compositions_of(n):
-        add_term(terms, comp, Fraction(-1) ** len(comp))
+        add_term(terms, comp, (-1) ** len(comp))
     return NSymElement(terms)
 
 

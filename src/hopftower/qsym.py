@@ -111,7 +111,7 @@ def include_symmetric(f):
 def expand_ordered(f, nvars):
     """Evaluate f in ordered variables x_1 < ... < x_nvars.
 
-    Returns a dict from exponent vectors to Fractions; the independent
+    Returns a dict from exponent vectors to rationals; the independent
     oracle for the quasi-shuffle product.
     """
     out = {}

@@ -1,11 +1,12 @@
 """Truncated power series with exact coefficients in a configurable algebra.
 
-Coefficients may be plain ``Fraction`` scalars, elements of any of the graded
-algebras in this package, or tensors.  A series is stored sparsely as a dict
-from exponent to coefficient; for bivariate series the exponent is a pair
-``(i, j)``.  Every operation truncates at a fixed ``cap``: exponents with
-total degree > cap are discarded, and operations never invent coefficients
-beyond it.
+Coefficients may be plain rational scalars (the ``algebra`` tag is
+``Fraction``; each coefficient is an ``int`` or a ``Fraction`` with
+denominator > 1), elements of any of the graded algebras in this package, or
+tensors.  A series is stored sparsely as a dict from exponent to coefficient;
+for bivariate series the exponent is a pair ``(i, j)``.  Every operation
+truncates at a fixed ``cap``: exponents with total degree > cap are
+discarded, and operations never invent coefficients beyond it.
 
 Composition and reversion follow the classical recursions.  Reversion is only
 defined over commutative coefficients; composition multiplies outer
@@ -17,7 +18,7 @@ from fractions import Fraction
 
 from .errors import AlgebraMismatchError, DomainError
 from .linear import add_term
-from .scalars import ONE, ZERO
+from .scalars import ONE, ZERO, quotient, rational
 
 
 def _is_scalar_algebra(algebra):
@@ -56,9 +57,9 @@ class TruncatedSeries:
 
     def _norm_coeff(self, v):
         if _is_scalar_algebra(self.algebra):
-            return v if isinstance(v, Fraction) else Fraction(v)
-        if isinstance(v, (int, Fraction)):
-            return self._unit_coeff().scale(v) if v else self._zero_coeff()
+            return rational(v)
+        if isinstance(v, (int, float)) or type(v) is Fraction:
+            return self._unit_coeff().scale(v)
         return v
 
     def _unit_coeff(self):
@@ -119,7 +120,7 @@ class TruncatedSeries:
                 and self.cap == other.cap and self.coeffs == other.coeffs)
 
     def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if type(other) is not TruncatedSeries and isinstance(other, (int, Fraction)):
             zk = self._norm_key(0 if self.nvars == 1 else (0,) * self.nvars)
             other = self._spawn({zk: other})
         self._same_shape(other)
@@ -136,15 +137,13 @@ class TruncatedSeries:
         return self._spawn({k: -v for k, v in self.coeffs.items()})
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self + (-Fraction(other))
         return self + (-other)
 
     def __rsub__(self, other):
         return (-self) + other
 
     def scale(self, q):
-        q = Fraction(q)
+        q = rational(q)
         if not q:
             return self._spawn({})
         if _is_scalar_algebra(self.algebra):
@@ -157,7 +156,7 @@ class TruncatedSeries:
         return NotImplemented
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if type(other) is not TruncatedSeries and isinstance(other, (int, Fraction)):
             return self.scale(other)
         self._same_shape(other)
         cap = min(self.cap, other.cap)
@@ -190,12 +189,12 @@ class TruncatedSeries:
         if c0 is None:
             raise DomainError("cannot invert a series with zero constant term")
         if _is_scalar_algebra(self.algebra):
-            c0_inv = ONE / c0
+            c0_inv = quotient(1, c0)
         else:
             scal = c0.terms.get(())
             if scal is None or len(c0.terms) != 1:
                 raise DomainError("constant term must be a scalar multiple of the unit")
-            c0_inv = ONE / scal
+            c0_inv = quotient(1, scal)
         # g = c0^-1 * (unit - (f - c0) * g), solved degree by degree
         rest = self._spawn({k: v for k, v in self.coeffs.items() if k != zero_key})
         out = self._spawn({zero_key: self._norm_coeff(c0_inv)})

@@ -13,14 +13,15 @@ public evaluation and as the independent oracle that ``verify`` checks the
 counts against.
 
 The Hopf structure lives on the e basis (each generator series is grouplike),
-with everything else reached by conversion.  All coefficients are Fractions;
-conversions involving the p basis are the only place denominators appear.
+with everything else reached by conversion.  Coefficients are ``int``s
+except where a conversion involving the p basis brings in a denominator.
 """
 
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache, partial
 from itertools import combinations, combinations_with_replacement
+from math import lcm
 from operator import add
 import warnings
 
@@ -28,7 +29,7 @@ from .errors import AlgebraMismatchError, DomainError
 from .exactlinalg import invert_matrix
 from .indices import compositions_of, partitions_of, sort_to_partition
 from .linear import LinearElement, add_term, binomial_gen, on_words
-from .scalars import ONE, ZERO
+from .scalars import ONE, ZERO, quotient, rational
 from .series import TruncatedSeries
 
 BASES = ("e", "h", "p", "m")
@@ -49,7 +50,7 @@ class SymElement(LinearElement):
                 idx = tuple(sorted(idx, reverse=True))
                 if any(not isinstance(p, int) or p <= 0 for p in idx):
                     raise DomainError("partition parts must be positive integers")
-                add_term(merged, idx, coeff if isinstance(coeff, Fraction) else Fraction(coeff))
+                add_term(merged, idx, rational(coeff))
         super().__init__(merged)
         self.basis = basis
 
@@ -98,9 +99,9 @@ class SymElement(LinearElement):
     __radd__ = __add__
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self.scale(other)
-        if not isinstance(other, SymElement):
+        if type(other) is not SymElement:
+            if isinstance(other, (int, Fraction)):
+                return self.scale(other)
             raise AlgebraMismatchError(
                 "cannot multiply SymElement by %s" % type(other).__name__)
         if other.basis != self.basis:
@@ -127,8 +128,8 @@ def m(*parts):
 
 
 # -- polynomial expansion (public, and the oracle for the counts) ----------
-# Coefficients stay ints until expand() scales them by the Fraction
-# coefficients of its argument.
+# Coefficients stay ints until expand() scales them by the coefficients of
+# its argument.
 
 def _poly_mul(a, b):
     """Product of two polynomials given as {exponent vector: coefficient}."""
@@ -195,7 +196,7 @@ def _m_poly(lam, nvars):
 def expand(f, nvars):
     """Evaluate f as a literal polynomial in x_1..x_nvars.
 
-    Returns a dict mapping exponent vectors (length nvars) to Fractions.
+    Returns a dict mapping exponent vectors (length nvars) to rationals.
     Faithful when nvars >= the weight of f; smaller nvars still evaluates
     honestly but collapses information, hence the warning.
     """
@@ -345,16 +346,21 @@ def _transition(basis, w):
     """
     parts = partitions_of(w)
     if basis == "m":
-        return parts, tuple(tuple(ONE if i == j else ZERO for j in parts) for i in parts)
-    return parts, tuple(tuple(Fraction(_count_matrices(basis, lam, mu)) for mu in parts)
+        return parts, tuple(tuple(int(i == j) for j in parts) for i in parts)
+    return parts, tuple(tuple(_count_matrices(basis, lam, mu) for mu in parts)
                         for lam in parts)
 
 
 @lru_cache(maxsize=None)
 def _transition_inverse(basis, w):
-    """Inverse of the transition matrix, each row as its nonzero (j, entry) pairs."""
-    rows = _transition(basis, w)[1]
-    return tuple(tuple((j, x) for j, x in enumerate(r) if x) for r in invert_matrix(rows))
+    """Inverse of the transition matrix as ``(d, rows)``: ``d`` times the
+    inverse is an integer matrix, each of whose rows is held as its nonzero
+    (j, entry) pairs."""
+    inverse = invert_matrix(_transition(basis, w)[1])
+    d = lcm(*(x.denominator for r in inverse for x in r))
+    return d, tuple(tuple((j, x.numerator * (d // x.denominator))
+                          for j, x in enumerate(r) if x)
+                    for r in inverse)
 
 
 def convert(f, to, integral=False):
@@ -370,30 +376,33 @@ def convert(f, to, integral=False):
     else:
         out = {}
         for w in f.weights():
-            comp = f.component(w)
+            comp = f.component(w).terms
             parts, rows = _transition(f.basis, w)
             pos = {lam: i for i, lam in enumerate(parts)}
-            vec = [ZERO] * len(parts)
-            if f.basis == "m":
-                for lam, c in comp.terms.items():
-                    vec[pos[lam]] = c
-            else:
-                for lam, c in comp.terms.items():
-                    row = rows[pos[lam]]
-                    for j, entry in enumerate(row):
+            # integer numerators over one common denominator d keep every
+            # sum below in int arithmetic
+            d = lcm(*(c.denominator for c in comp.values()))
+            vec = [0] * len(parts)
+            for lam, c in comp.items():
+                n = c.numerator * (d // c.denominator)
+                if f.basis == "m":
+                    vec[pos[lam]] = n
+                else:
+                    for j, entry in enumerate(rows[pos[lam]]):
                         if entry:
-                            vec[j] += c * entry
-            if to == "m":
-                coords = vec
-            else:
-                coords = [ZERO] * len(parts)
-                for x, inv_row in zip(vec, _transition_inverse(to, w)):
+                            vec[j] += n * entry
+            coords = vec
+            if to != "m":
+                inv_d, inv_rows = _transition_inverse(to, w)
+                d *= inv_d
+                coords = [0] * len(parts)
+                for x, inv_row in zip(vec, inv_rows):
                     if x:
                         for j, entry in inv_row:
                             coords[j] += x * entry
             for lam, c in zip(parts, coords):
                 if c:
-                    add_term(out, lam, c)
+                    out[lam] = quotient(c, d)
         result = SymElement(out, to)
     if integral and any(c.denominator != 1 for c in result.terms.values()):
         raise DomainError("conversion to %s-basis is not integral here" % to)
@@ -415,7 +424,7 @@ def _antipode_e_gen(n):
     """Antipode of e_n: alternating sum of e_I over all compositions I of n."""
     terms = {}
     for comp in compositions_of(n):
-        add_term(terms, sort_to_partition(comp), Fraction(-1) ** len(comp))
+        add_term(terms, sort_to_partition(comp), (-1) ** len(comp))
     return SymElement(terms, "e")
 
 
@@ -442,7 +451,7 @@ def involution(f, which):
         if which == "omega":
             add_term(out, lam, c)
         else:
-            add_term(out, lam, c * Fraction(-1) ** sum(lam))
+            add_term(out, lam, c * (-1) ** sum(lam))
     return SymElement(out, out_basis)
 
 

@@ -20,7 +20,7 @@ from .errors import CapabilityError, DomainError
 from .indices import compositions_of, sort_to_partition
 from .linear import CommutativeElement, add_term
 from .nsym import NSymElement, z_series
-from .scalars import ONE, ZERO
+from .scalars import ONE, ZERO, rational
 from .series import TruncatedSeries, format_terms, generator_series
 from . import qsym
 from . import sym
@@ -89,7 +89,7 @@ def cp_char_number_oracle(n, lam):
     fp = sym.convert(sym.SymElement({lam: ONE}, "m"), "p")
     total = ZERO
     for mu, c in fp.terms.items():
-        total += c * Fraction(-(n + 1)) ** len(mu)
+        total += c * (-(n + 1)) ** len(mu)
     return total
 
 
@@ -113,7 +113,7 @@ class BetaPolynomial:
         data = {}
         if coeffs:
             for k, v in coeffs.items():
-                if isinstance(v, (int, Fraction)):
+                if isinstance(v, (int, float)) or type(v) is Fraction:
                     v = BElement({(): v})
                 if v:
                     data[int(k)] = v
@@ -148,13 +148,13 @@ class BetaPolynomial:
         return self + (-other)
 
     def scale(self, q):
-        q = Fraction(q)
+        q = rational(q)
         if not q:
             return BetaPolynomial()
         return BetaPolynomial({k: v.scale(q) for k, v in self.coeffs.items()})
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if type(other) is not BetaPolynomial and isinstance(other, (int, Fraction)):
             return self.scale(other)
         out = {}
         for k1, v1 in self.coeffs.items():
@@ -222,7 +222,7 @@ class ProjectiveProductSpace:
         return {"factors": list(self.factors),
                 "roots": [list(r) for r in self.roots]}
 
-    # ring elements: dict from exponent vectors to Fractions, truncated
+    # ring elements: dict from exponent vectors to rationals, truncated
 
     def ring_one(self):
         return {(0,) * len(self.factors): ONE}
@@ -244,7 +244,7 @@ class ProjectiveProductSpace:
             if c:
                 key = [0] * len(self.factors)
                 key[j] = 1
-                out[tuple(key)] = Fraction(c)
+                out[tuple(key)] = c
         return out
 
     def root_power(self, q, k):

@@ -38,7 +38,7 @@ from .jsonio import document_for, dumps, from_document
 from .linear import Tensor, on_words, recursive_antipode
 from .nsym import NSymElement, z
 from .qsym import M, QSymElement, expand_ordered, pair, pair_tensor
-from .scalars import ONE, ZERO
+from .scalars import ONE, ZERO, quotient
 from .series import TruncatedSeries
 from .sym import SymElement, convert, e, h
 from .topology import BElement, BetaPolynomial, b
@@ -296,7 +296,7 @@ def _dense_rank_oracle(rows):
         if pivot is None:
             continue
         m[row], m[pivot] = m[pivot], m[row]
-        inv = 1 / m[row][col]
+        inv = quotient(1, m[row][col])
         m[row] = [x * inv for x in m[row]]
         for r in range(len(m)):
             if r != row and m[r][col]:

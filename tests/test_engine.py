@@ -145,8 +145,13 @@ def _rebuilt(r):
     return type(r)(r.terms)
 
 
+def _is_canonical_scalar(c):
+    """A nonzero int, or a Fraction whose denominator is greater than 1."""
+    return (type(c) is int and c != 0) or (type(c) is Fraction and c.denominator > 1)
+
+
 def _assert_canonical(r):
-    assert all(type(c) is Fraction and c for c in r.terms.values())
+    assert all(_is_canonical_scalar(c) for c in r.terms.values())
     if isinstance(r, Tensor):
         # the tensor constructor takes slot keys as given; check each slot
         for key in r.terms:
@@ -165,6 +170,11 @@ def _results(name, x, y, q):
                 dx + dy, dx - dy, dx.scale(q), Tensor.of(x, y) * Tensor.of(y, x))
     for w in x.weights():
         yield x.component(w)
+
+
+def test_canonical_scalars_exclude_zero_floats_and_integral_fractions():
+    assert all(_is_canonical_scalar(c) for c in (1, -7, Fraction(1, 2)))
+    assert not any(_is_canonical_scalar(c) for c in (0, 0.5, 2.0, Fraction(2), True))
 
 
 @settings(max_examples=60, deadline=None)

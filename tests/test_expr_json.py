@@ -12,7 +12,7 @@ from hopftower.expr import parse_element, parse_series
 from hopftower.jsonio import document_for, dumps, from_document, loads
 from hopftower.linear import Tensor
 from hopftower.nsym import NSymElement, z
-from hopftower.qsym import M
+from hopftower.qsym import M, pair
 from hopftower.series import TruncatedSeries
 from hopftower.sym import SymElement, coproduct, e, h, m, p
 from hopftower.topology import BElement, BetaPolynomial, b, beta_series
@@ -228,6 +228,25 @@ def test_missing_keys_are_named():
     for doc, key in missing:
         with pytest.raises(DomainError, match="'%s'" % key):
             from_document(doc)
+
+
+def test_malformed_documents_raise_domain_error():
+    malformed = ["x", [],
+                 {"algebra": "sym", "terms": [1]},
+                 {"algebra": "scalar", "cap": "z", "vars": 1, "series": []}]
+    for doc in malformed:
+        with pytest.raises(DomainError):
+            from_document(doc)
+
+
+def test_int_scalars_are_documented_like_fractions():
+    # the QSym pairing of integral elements returns a plain int
+    value = pair(z(1, 2).scale(3), M(1, 2))
+    assert type(value) is int
+    assert document_for(value) == document_for(Fraction(3))
+    assert from_document(document_for(value)) == 3
+    series = TruncatedSeries(Fraction, {0: 2, 1: Fraction(1, 2)}, 3)
+    assert loads(dumps(document_for(series))) == series
 
 
 def test_byte_stability_under_reserialization():
