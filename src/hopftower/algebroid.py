@@ -152,8 +152,8 @@ def _normalized_image(alg, x):
     out = {}
     for key, c in x.terms.items():
         if all(idx != () for idx in key[1:]):
-            add_term(out, key, c)
-    return Tensor(x.factors, out)
+            out[key] = c
+    return x._new(out)
 
 
 def differential_matrix(alg, w, s):
@@ -164,10 +164,10 @@ def differential_matrix(alg, w, s):
     dom = _level_basis(alg, w, s)
     cod = _level_basis(alg, w, s + 1)
     col = {key: j for j, key in enumerate(cod)}
+    level = Tensor((alg.base_cls,) + (alg.hopf_cls,) * s)
     rows = []
     for key in dom:
-        x = Tensor((alg.base_cls,) + (alg.hopf_cls,) * s, {key: ONE})
-        img = _normalized_image(alg, differential(alg, x))
+        img = _normalized_image(alg, differential(alg, level._new({key: ONE})))
         row = [ZERO] * len(cod)
         for k, c in img.terms.items():
             row[col[k]] = c

@@ -25,7 +25,7 @@ from . import qsym as qsym_mod
 from . import structures
 from . import sym as sym_mod
 from . import topology
-from .algebroid import cohomology_rank
+from .algebroid import ALGEBROIDS, cohomology_rank
 from .diffeo import FdBElement
 from .errors import (AlgebraMismatchError, CapabilityError, DomainError,
                      ExpressionError)
@@ -364,7 +364,7 @@ def build_parser():
 
     p = sub.add_parser("cobar-rank", help="cohomology rank of the reduced "
                                           "cobar complex")
-    p.add_argument("--algebroid", choices=["S.B", "N.N"], required=True)
+    p.add_argument("--algebroid", choices=list(ALGEBROIDS), required=True)
     p.add_argument("--weight", type=int, required=True)
     p.add_argument("--degree", type=int, required=True)
     p.set_defaults(handler=_cmd_cobar_rank)

@@ -26,7 +26,7 @@ from fractions import Fraction
 from . import structures
 from .errors import DomainError
 from .indices import index_sort_key
-from .linear import Tensor, TensorSpace
+from .linear import Tensor, TensorSpace, add_term
 from .scalars import format_scalar, parse_scalar, rational
 from .series import TruncatedSeries
 from .sym import SymElement, convert
@@ -151,7 +151,7 @@ def dumps(doc):
 def _terms_from(entries):
     out = {}
     for entry in entries:
-        out[tuple(entry["index"])] = parse_scalar(entry["coeff"])
+        add_term(out, tuple(entry["index"]), parse_scalar(entry["coeff"]))
     return out
 
 
@@ -171,22 +171,22 @@ def _element_from(doc):
     return structures.algebra(tag).element(_terms_from(doc["terms"]), doc.get("basis"))
 
 
-def _tensor_terms_from(entries, arity):
+def _tensor_terms_from(entries):
+    """Slot keys as given, a repeated key summed; the ``Tensor`` constructor
+    checks and canonicalises them."""
     terms = {}
     for entry in entries:
         if "slots" in entry:
             key = tuple(tuple(i) for i in entry["slots"])
         else:
             key = (tuple(entry["left"]), tuple(entry["right"]))
-        if len(key) != arity:
-            raise DomainError("tensor term arity mismatch")
-        terms[key] = parse_scalar(entry["coeff"])
+        add_term(terms, key, parse_scalar(entry["coeff"]))
     return terms
 
 
 def _tensor_from(doc):
     factors = tuple(structures.algebra(tag).cls for tag in doc["factors"])
-    return Tensor(factors, _tensor_terms_from(doc["terms"], len(factors)))
+    return Tensor(factors, _tensor_terms_from(doc["terms"]))
 
 
 def _series_from(doc):
@@ -208,9 +208,7 @@ def _series_from(doc):
         elif "beta" in entry:
             coeffs[key] = _beta_from(entry["beta"])
         elif isinstance(algebra, TensorSpace):
-            coeffs[key] = Tensor(algebra.factors,
-                                 _tensor_terms_from(entry["terms"],
-                                                    len(algebra.factors)))
+            coeffs[key] = Tensor(algebra.factors, _tensor_terms_from(entry["terms"]))
         else:
             coeffs[key] = structures.algebra(tag).element(_terms_from(entry["terms"]),
                                                           doc.get("basis"))

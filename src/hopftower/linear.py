@@ -12,10 +12,13 @@ share.
 
 Each coproduct, coaction and antipode is given on the generators and then
 extended over words.  ``on_words`` does that extension, multiplicatively or
-as an antimorphism, one letter at a time; ``binomial_gen`` is the generator
-coproduct of a grouplike generator series.  Where no closed form on
-generators is known, ``recursive_antipode`` computes the antipode from the
-coproduct by the connected-graded recursion (Takeuchi 1971).
+as an antimorphism.  ``word_image`` builds the image of one word by a plain
+loop over its letters (so a word of any length needs no recursion) and
+memoises it per letter map and word; the memoised image never leaves
+``on_words``, which copies its terms into a fresh result.  ``binomial_gen``
+is the generator coproduct of a grouplike generator series.  Where no closed
+form on generators is known, ``recursive_antipode`` computes the antipode
+from the coproduct by the connected-graded recursion (Takeuchi 1971).
 """
 
 from fractions import Fraction
@@ -51,13 +54,17 @@ class LinearElement:
         data = {}
         if terms:
             for idx, coeff in terms.items():
-                idx = tuple(idx)
-                if any(not isinstance(p, int) or p < 1 for p in idx):
-                    raise DomainError("index parts must be positive integers")
-                coeff = rational(coeff)
-                if coeff:
-                    data[idx] = coeff
+                add_term(data, self.canonical_index(idx), rational(coeff))
         self.terms = data
+
+    @classmethod
+    def canonical_index(cls, idx):
+        """``idx`` as this algebra stores a basis index; ``DomainError`` if it
+        is not one."""
+        idx = tuple(idx)
+        if any(not isinstance(p, int) or p < 1 for p in idx):
+            raise DomainError("index parts must be positive integers")
+        return idx
 
     # -- construction -----------------------------------------------------
 
@@ -237,14 +244,10 @@ class CommutativeElement(LinearElement):
     COMMUTATIVE = True
     __slots__ = ()
 
-    def __init__(self, terms=None):
-        # canonicalise indices to partitions; unsorted inputs merge correctly
-        if terms:
-            data = {}
-            for idx, coeff in terms.items():
-                add_term(data, tuple(sorted(idx, reverse=True)), rational(coeff))
-            terms = data
-        super().__init__(terms)
+    @classmethod
+    def canonical_index(cls, idx):
+        # indices are partitions; unsorted inputs merge correctly
+        return tuple(sorted(super().canonical_index(idx), reverse=True))
 
     @classmethod
     def basis_mul(cls, i, j):
@@ -263,13 +266,19 @@ class Tensor:
     __hash__ = None
 
     def __init__(self, factors, terms=None):
+        """Validate ``terms``: each slot key becomes its factor's canonical
+        index (partitions sorted, keys that collide merged), and a key of the
+        wrong arity or with a part below 1 raises ``DomainError``."""
         self.factors = tuple(factors)
         data = {}
         if terms:
             for key, coeff in terms.items():
-                coeff = rational(coeff)
-                if coeff:
-                    data[tuple(tuple(i) for i in key)] = coeff
+                key = tuple(key)
+                if len(key) != len(self.factors):
+                    raise DomainError("tensor key %r has %d slots, not %d"
+                                      % (key, len(key), len(self.factors)))
+                key = tuple(f.canonical_index(i) for f, i in zip(self.factors, key))
+                add_term(data, key, rational(coeff))
         self.terms = data
 
     def _new(self, terms, factors=None):
@@ -468,17 +477,31 @@ def binomial_gen(cls, k):
                                for i in range(k + 1)})
 
 
+@lru_cache(maxsize=None)
+def word_image(gen, letters):
+    """The product gen(l_1) * ... * gen(l_r) over the word ``letters``, built
+    by a plain loop; memoised, and read only by ``on_words``."""
+    letters = iter(letters)
+    image = gen(next(letters, 0))
+    for k in letters:
+        image = image * gen(k)
+    return image
+
+
 def on_words(f, gen, reverse=False):
     """Extend the letter map ``gen`` (an element or tensor per letter, ``gen(0)``
     the unit) over the words indexing ``f``: multiplicatively, or as an
-    antimorphism with ``reverse=True``."""
+    antimorphism with ``reverse=True``.
+
+    Each word's image comes from the ``word_image`` memo, keyed by ``gen``, so
+    ``gen`` should be a module-level function or constant (a fresh closure or
+    ``partial`` per call would never hit).  The memoised images are shared:
+    their terms are copied into a fresh dict here, and no image is ever
+    returned or modified.
+    """
     out = {}
     for word, c in f.terms.items():
-        letters = iter(word[::-1] if reverse else word)
-        image = gen(next(letters, 0))
-        for k in letters:
-            image = image * gen(k)
-        for key, cc in image.terms.items():
+        for key, cc in word_image(gen, word[::-1] if reverse else word).terms.items():
             add_term(out, key, c * cc)
     return gen(0)._new(out)
 

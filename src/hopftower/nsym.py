@@ -38,9 +38,13 @@ def z_series(cap):
     return generator_series(NSymElement, cap)
 
 
+# one letter map for every call, so the word-image memo of on_words hits
+_coproduct_gen = partial(binomial_gen, NSymElement)
+
+
 def coproduct(f):
     """Binomial coproduct, extended to words multiplicatively."""
-    return on_words(f, partial(binomial_gen, NSymElement))
+    return on_words(f, _coproduct_gen)
 
 
 @lru_cache(maxsize=None)

@@ -59,14 +59,17 @@ def M(*parts):
     return QSymElement({tuple(parts): ONE})
 
 
+# the zero of QSym (x) QSym, whose _new adopts each coproduct's dict
+_PAIR = Tensor((QSymElement, QSymElement))
+
+
 def coproduct(f):
     """Deconcatenation: split the composition at every position."""
-    space = (QSymElement, QSymElement)
     out = {}
     for I, c in f.terms.items():
         for k in range(len(I) + 1):
-            add_term(out, (I[:k], I[k:]), c)
-    return Tensor(space, out)
+            out[(I[:k], I[k:])] = c
+    return _PAIR._new(out)
 
 
 @lru_cache(maxsize=None)

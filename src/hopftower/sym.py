@@ -29,7 +29,7 @@ from .errors import AlgebraMismatchError, DomainError
 from .exactlinalg import invert_matrix
 from .indices import compositions_of, partitions_of, sort_to_partition
 from .linear import LinearElement, add_term, binomial_gen, on_words
-from .scalars import ONE, ZERO, quotient, rational
+from .scalars import ONE, ZERO, quotient
 from .series import TruncatedSeries
 
 BASES = ("e", "h", "p", "m")
@@ -44,15 +44,16 @@ class SymElement(LinearElement):
     def __init__(self, terms=None, basis="e"):
         if basis not in BASES:
             raise DomainError("unknown symmetric function basis %r" % (basis,))
-        merged = {}
-        if terms:
-            for idx, coeff in terms.items():
-                idx = tuple(sorted(idx, reverse=True))
-                if any(not isinstance(p, int) or p <= 0 for p in idx):
-                    raise DomainError("partition parts must be positive integers")
-                add_term(merged, idx, rational(coeff))
-        super().__init__(merged)
+        super().__init__(terms)
         self.basis = basis
+
+    @classmethod
+    def canonical_index(cls, idx):
+        """A partition: the parts sorted decreasingly, each a positive int."""
+        idx = tuple(idx)
+        if any(not isinstance(p, int) or p <= 0 for p in idx):
+            raise DomainError("partition parts must be positive integers")
+        return tuple(sorted(idx, reverse=True))
 
     def _new(self, terms):
         """The trusted builder of ``LinearElement._new``, keeping the basis."""
@@ -411,12 +412,16 @@ def convert(f, to, integral=False):
 
 # -- Hopf structure --------------------------------------------------------
 
+# one letter map for every call, so the word-image memo of on_words hits
+_coproduct_e_gen = partial(binomial_gen, SymElement)
+
+
 def coproduct(f):
     """Coproduct with each generator series grouplike: De_n = sum e_i (x) e_j.
 
     Input in any basis; the output tensor is expressed in the e basis.
     """
-    return on_words(convert(f, "e"), partial(binomial_gen, SymElement))
+    return on_words(convert(f, "e"), _coproduct_e_gen)
 
 
 @lru_cache(maxsize=None)

@@ -22,8 +22,8 @@ from hopftower import diffeo, nsym, qsym, sym
 from hopftower.diffeo import FdBElement
 from hopftower.errors import DomainError
 from hopftower.indices import compositions_of, partitions_of
-from hopftower.linear import Tensor, binomial_gen, on_words, recursive_antipode
-from hopftower.nsym import NSymElement
+from hopftower.linear import Tensor, binomial_gen, on_words, recursive_antipode, word_image
+from hopftower.nsym import NSymElement, z
 from hopftower.qsym import M, QSymElement
 from hopftower.sym import SymElement, e
 from hopftower.verify import _ehrenborg_antipode
@@ -209,3 +209,93 @@ def test_public_constructors_still_validate():
         FdBElement({("2",): 1})
     with pytest.raises(DomainError):
         QSymElement({(Fraction(1, 2),): 1})
+
+
+# -- the word-image memo --------------------------------------------------------
+
+MEMO_WEIGHT = 6
+
+# public map -> (element class, basis words of a weight, letter map, reversed)
+WORD_MAPS = {
+    "nsym.coproduct": (nsym.coproduct, NSymElement, compositions_of,
+                       nsym._coproduct_gen, False),
+    "nsym.antipode": (nsym.antipode, NSymElement, compositions_of,
+                      nsym._antipode_gen, True),
+    "sym.coproduct": (sym.coproduct, SymElement, partitions_of,
+                      sym._coproduct_e_gen, False),
+    "sym.antipode": (sym.antipode, SymElement, partitions_of,
+                     sym._antipode_e_gen, False),
+    "diffeo.fdb_coproduct": (diffeo.fdb_coproduct, FdBElement, partitions_of,
+                             diffeo._fdb_coproduct_gen, False),
+    "diffeo.fdb_antipode": (diffeo.fdb_antipode, FdBElement, partitions_of,
+                            diffeo._fdb_antipode_gen, False),
+    "diffeo.coaction_sym": (diffeo.coaction_sym, SymElement, partitions_of,
+                            diffeo._coaction_gen, False),
+    "diffeo.bfk_coproduct": (diffeo.bfk_coproduct, NSymElement, compositions_of,
+                             diffeo._bfk_coproduct_gen, False),
+    "diffeo.bfk_antipode": (diffeo.bfk_antipode, NSymElement, compositions_of,
+                            diffeo._bfk_antipode_gen, True),
+}
+
+
+def _letter_by_letter(gen, word):
+    """gen(0) * gen(l_1) * ... * gen(l_r), with no memo."""
+    image = gen(0)
+    for k in word:
+        image = image * gen(k)
+    return image
+
+
+@pytest.mark.parametrize("name", list(WORD_MAPS))
+def test_memoised_word_images_equal_the_letter_by_letter_product(name):
+    apply, cls, words, gen, reverse = WORD_MAPS[name]
+    word_image.cache_clear()
+    for w in range(MEMO_WEIGHT + 1):
+        for word in words(w):
+            want = _letter_by_letter(gen, word[::-1] if reverse else word)
+            for _ in range(2):  # computed cold, then read from the memo
+                assert apply(cls({word: 1})) == want, word
+    assert word_image.cache_info().hits > 0
+
+
+def test_a_returned_image_can_be_mutated_without_touching_the_memo():
+    for apply, x in ((nsym.coproduct, z(2, 1)), (sym.coproduct, e(2, 1)),
+                     (nsym.antipode, z(2, 1)), (diffeo.bfk_antipode, z(3, 1))):
+        first = apply(x)
+        want = dict(first.terms)
+        first.terms.update({key: 5 for key in want})
+        first.terms[next(iter(want))[::-1]] = 7
+        assert apply(x).terms == want
+
+
+def test_repeated_binomial_coproducts_hit_the_memo():
+    for coproduct, x in ((nsym.coproduct, z(3, 1)), (sym.coproduct, e(3, 1))):
+        coproduct(x)
+        hits = word_image.cache_info().hits
+        coproduct(x)
+        assert word_image.cache_info().hits > hits
+
+
+def test_a_two_thousand_letter_word_needs_no_recursion():
+    word = z(1) ** 2000
+    assert nsym.antipode(word) == word
+
+
+# -- the tensor constructor canonicalises slot keys ----------------------------
+
+def test_tensor_constructor_gives_each_slot_its_canonical_index():
+    assert Tensor((SymElement, SymElement), {((1, 2), ()): 1}) \
+        == Tensor.of(e(2, 1), SymElement.one())
+    merged = Tensor((FdBElement, NSymElement), {((1, 2), (1, 2)): 1, ((2, 1), (1, 2)): 1})
+    assert merged.terms == {((2, 1), (1, 2)): 2}
+    # compositions keep their order, QSym being commutative notwithstanding
+    assert Tensor((QSymElement,), {((1, 2),): 1}).terms == {((1, 2),): 1}
+
+
+def test_tensor_constructor_rejects_what_no_factor_indexes():
+    with pytest.raises(DomainError):
+        Tensor((NSymElement,), {((0,),): 1})
+    with pytest.raises(DomainError):
+        Tensor((SymElement, SymElement), {((2, -1), ()): 1})
+    with pytest.raises(DomainError):
+        Tensor((NSymElement, NSymElement), {((1,),): 1})

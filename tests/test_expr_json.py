@@ -265,3 +265,19 @@ def test_every_unknown_tag_is_rejected():
             from_document(doc)
     with pytest.raises(DomainError, match=r"\['sym'\]"):
         from_document({"algebra": ["sym"], "terms": []})
+
+
+def test_tensor_document_slot_keys_naming_one_partition_merge():
+    doc = {"algebra": "tensor", "factors": ["sym", "sym"],
+           "terms": [{"left": [1, 2], "right": [], "coeff": "1"},
+                     {"left": [2, 1], "right": [], "coeff": "1"}]}
+    assert from_document(doc).terms == {((2, 1), ()): 2}
+
+
+def test_a_repeated_key_in_a_document_is_summed_not_overwritten():
+    left = {"left": [2, 1], "right": [], "coeff": "1"}
+    tensor = {"algebra": "tensor", "factors": ["sym", "sym"], "terms": [left, left]}
+    assert from_document(tensor).terms == {((2, 1), ()): 2}
+    term = {"index": [2, 1], "coeff": "1/2"}
+    element = {"algebra": "nsym", "terms": [term, term, {"index": [1], "coeff": "3"}]}
+    assert from_document(element) == z(2, 1) + 3 * z(1)
