@@ -50,8 +50,8 @@ def _term_list(terms):
 
 def _beta_list(poly):
     out = []
-    for power in sorted(poly.coeffs):
-        out.append({"power": power, "terms": _term_list(poly.coeffs[power].terms)})
+    for power in sorted(poly.terms):
+        out.append({"power": power, "terms": _term_list(poly.terms[power].terms)})
     return out
 
 
@@ -158,7 +158,7 @@ def _terms_from(entries):
 def _beta_from(entries):
     coeffs = {}
     for entry in entries:
-        coeffs[int(entry["power"])] = BElement(_terms_from(entry["terms"]))
+        add_term(coeffs, int(entry["power"]), BElement(_terms_from(entry["terms"])))
     return BetaPolynomial(coeffs)
 
 
@@ -204,14 +204,15 @@ def _series_from(doc):
     for entry in doc["series"]:
         key = tuple(entry["powers"]) if nvars == 2 else int(entry["power"])
         if "coeff" in entry:
-            coeffs[key] = parse_scalar(entry["coeff"])
+            value = parse_scalar(entry["coeff"])
         elif "beta" in entry:
-            coeffs[key] = _beta_from(entry["beta"])
+            value = _beta_from(entry["beta"])
         elif isinstance(algebra, TensorSpace):
-            coeffs[key] = Tensor(algebra.factors, _tensor_terms_from(entry["terms"]))
+            value = Tensor(algebra.factors, _tensor_terms_from(entry["terms"]))
         else:
-            coeffs[key] = structures.algebra(tag).element(_terms_from(entry["terms"]),
-                                                          doc.get("basis"))
+            value = structures.algebra(tag).element(_terms_from(entry["terms"]),
+                                                    doc.get("basis"))
+        add_term(coeffs, key, value)  # a repeated power is summed
     return TruncatedSeries(algebra, coeffs, int(doc["cap"]), nvars)
 
 

@@ -1,14 +1,18 @@
-"""Sparse linear combinations indexed by integer tuples, tensors of them, and
-the shared engine that builds every Hopf structure of the package.
+"""Finite sparse sums: linear combinations indexed by integer tuples, tensors
+of them, and the shared engine that builds every Hopf structure of the package.
 
-Every graded algebra in the package stores its elements the same way: a dict
-from basis index (a tuple of positive integers, ``()`` for the unit) to a
-coefficient that is a nonzero ``int`` or a ``Fraction`` whose denominator is
-greater than 1 (``scalars.rational`` is the normaliser).  Subclasses fix the
-product of two basis indices; the bilinear extension, scalar action, grading
-helpers and canonical printing all live here.  Elements are treated as
-immutable once built, which keeps the memoised structure constants safe to
-share.
+Every value here is a dict ``terms`` from a key to a nonzero coefficient, and
+``SparseSum`` is the one base class that holds it: the trusted builder
+``_new``, negation, subtraction, the scalar action and printing live there,
+so a subclass says only what its keys mean, how two sums are compared, added
+and multiplied, and how a key prints.  Every value prints through the one
+term printer ``format_terms``.  In an algebra element the key is a basis index
+(a tuple of positive integers, ``()`` for the unit) and the coefficient a
+nonzero ``int`` or a ``Fraction`` whose denominator is greater than 1
+(``scalars.rational`` is the normaliser); subclasses fix the product of two
+basis indices, and the bilinear extension and grading helpers live here.
+Elements are treated as immutable once built, which keeps the memoised
+structure constants safe to share.
 
 Each coproduct, coaction and antipode is given on the generators and then
 extended over words.  ``on_words`` does that extension, multiplicatively or
@@ -44,11 +48,105 @@ def add_term(data, idx, coeff):
         del data[idx]
 
 
-class LinearElement:
-    LETTER = "?"
-    COMMUTATIVE = False
+def format_terms(terms):
+    """Print ``(coefficient, monomial)`` pairs as a signed sum, or ``0``.
+
+    A coefficient containing spaces is parenthesised, a coefficient of 1 or
+    -1 is absorbed into the sign, and an empty monomial prints the bare
+    coefficient.
+    """
+    pieces = []
+    for coeff, mono in terms:
+        body = str(coeff)
+        if " " in body:
+            body = "(%s)" % body
+        if not mono:
+            pieces.append(body)
+        elif body == "1":
+            pieces.append(mono)
+        elif body == "-1":
+            pieces.append("-" + mono)
+        else:
+            pieces.append("%s*%s" % (body, mono))
+    if not pieces:
+        return "0"
+    out = pieces[0]
+    for piece in pieces[1:]:
+        if piece.startswith("-"):
+            out += " - " + piece[1:]
+        else:
+            out += " + " + piece
+    return out
+
+
+class SparseSum:
+    """A finite sum held as a dict ``terms`` from keys to nonzero coefficients.
+
+    Subclasses give the meaning of a key, ``__eq__``, ``__add__``,
+    ``__mul__``, how a key prints (``_monomial``) and the display order of
+    the keys (``_sort_key``, natural order by default).
+    """
+
     __slots__ = ("terms",)
     __hash__ = None
+    _sort_key = None
+
+    def _new(self, terms):
+        """Adopt ``terms`` as a sum of the same kind, with no second pass.
+
+        This is the trusted path arithmetic takes; user input goes through the
+        validating constructor.  Every caller passes a freshly built dict that
+        nothing else holds.  In an algebra element its keys are canonical basis
+        indices (tuples of positive ints, partitions sorted decreasingly for
+        commutative classes) and its values nonzero ``int``s or ``Fraction``s
+        with denominator > 1; in a ``BetaPolynomial`` its keys are ``int``
+        powers of beta and its values nonzero ``BElement``s.  Subclasses
+        carrying extra state override this.
+        """
+        obj = object.__new__(type(self))
+        obj.terms = terms
+        return obj
+
+    def __bool__(self):
+        return bool(self.terms)
+
+    def __neg__(self):
+        return self._new({k: -c for k, c in self.terms.items()})
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __rsub__(self, other):
+        return (-self) + other
+
+    def scale(self, q):
+        q = rational(q)
+        out = {}
+        if q:
+            for k, c in self.terms.items():
+                c *= q
+                out[k] = c.numerator if type(c) is Fraction and c.denominator == 1 else c
+        return self._new(out)
+
+    def __rmul__(self, other):
+        if isinstance(other, (int, Fraction)):
+            return self.scale(other)
+        return NotImplemented
+
+    def __str__(self):
+        terms = self.terms
+        return format_terms((terms[k], self._monomial(k))
+                            for k in sorted(terms, key=self._sort_key))
+
+    def __repr__(self):
+        return str(self)
+
+
+class LinearElement(SparseSum):
+    LETTER = "?"
+    COMMUTATIVE = False
+    __slots__ = ()
+    _sort_key = staticmethod(index_sort_key)
 
     def __init__(self, terms=None):
         data = {}
@@ -65,22 +163,6 @@ class LinearElement:
         if any(not isinstance(p, int) or p < 1 for p in idx):
             raise DomainError("index parts must be positive integers")
         return idx
-
-    # -- construction -----------------------------------------------------
-
-    def _new(self, terms):
-        """Adopt ``terms`` as a same-algebra element, with no second pass.
-
-        This is the trusted path arithmetic takes; user input goes through the
-        validating constructor.  Every caller passes a freshly built dict that
-        nothing else holds, whose keys are canonical (tuples of positive ints,
-        partitions sorted decreasingly for commutative classes) and whose
-        values are nonzero ``int``s or ``Fraction``s with denominator > 1.
-        Subclasses carrying extra state override this.
-        """
-        obj = object.__new__(type(self))
-        obj.terms = terms
-        return obj
 
     def slot_form(self):
         """This element as a tensor slot holds it; sym overrides (slots are e-based)."""
@@ -128,9 +210,6 @@ class LinearElement:
 
     # -- arithmetic -------------------------------------------------------
 
-    def __bool__(self):
-        return bool(self.terms)
-
     # each binary operation tests for its own type before the scalar types,
     # whose isinstance check runs the slower ABC machinery of Fraction
 
@@ -154,18 +233,6 @@ class LinearElement:
 
     __radd__ = __add__
 
-    def __neg__(self):
-        return self._new({i: -c for i, c in self.terms.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def scale(self, q):
-        return self._new(_scaled(self.terms, q))
-
     def __mul__(self, other):
         if type(other) is not type(self):
             if isinstance(other, (int, Fraction)):
@@ -180,11 +247,6 @@ class LinearElement:
                     add_term(out, idx, cij if bc == 1 else cij * bc)
         return self._new(out)
 
-    def __rmul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self.scale(other)
-        return NotImplemented
-
     def __pow__(self, n):
         if not isinstance(n, int) or n < 0:
             raise AlgebraMismatchError("exponents must be nonnegative integers")
@@ -198,40 +260,8 @@ class LinearElement:
     def _letter(self):
         return self.LETTER
 
-    def _term_str(self, idx):
-        if idx == ():
-            return None
-        return "%s[%s]" % (self._letter(), ",".join(str(p) for p in idx))
-
-    def __str__(self):
-        if not self.terms:
-            return "0"
-        bits = []
-        for idx in sorted(self.terms, key=index_sort_key):
-            c = self.terms[idx]
-            body = self._term_str(idx)
-            if not bits:
-                if body is None:
-                    bits.append(str(c))
-                elif c == 1:
-                    bits.append(body)
-                elif c == -1:
-                    bits.append("-" + body)
-                else:
-                    bits.append("%s*%s" % (c, body))
-            else:
-                sign = " + " if c > 0 else " - "
-                a = abs(c)
-                if body is None:
-                    bits.append(sign + str(a))
-                elif a == 1:
-                    bits.append(sign + body)
-                else:
-                    bits.append("%s%s*%s" % (sign, a, body))
-        return "".join(bits)
-
-    def __repr__(self):
-        return str(self)
+    def _monomial(self, idx):
+        return "%s[%s]" % (self._letter(), ",".join(str(p) for p in idx)) if idx else ""
 
 
 class CommutativeElement(LinearElement):
@@ -254,7 +284,7 @@ class CommutativeElement(LinearElement):
         return ((tuple(sorted(i + j, reverse=True)), ONE),)
 
 
-class Tensor:
+class Tensor(SparseSum):
     """Sparse tensor over a fixed tuple of coefficient algebras.
 
     Keys are tuples of basis indices, one per slot.  All algebras here are
@@ -262,8 +292,7 @@ class Tensor:
     anywhere.
     """
 
-    __slots__ = ("factors", "terms")
-    __hash__ = None
+    __slots__ = ("factors",)
 
     def __init__(self, factors, terms=None):
         """Validate ``terms``: each slot key becomes its factor's canonical
@@ -285,7 +314,7 @@ class Tensor:
         """Adopt ``terms`` as a tensor over ``factors`` (by default the same
         factors), with no second pass.
 
-        The invariant of ``LinearElement._new`` holds here too: a fresh dict,
+        The invariant of ``SparseSum._new`` holds here too: a fresh dict,
         keys tuples of canonical basis indices (one per slot, each canonical
         for its factor), values nonzero ``int``s or ``Fraction``s with
         denominator > 1; ``factors`` is a tuple of element classes.
@@ -317,9 +346,6 @@ class Tensor:
         if not isinstance(other, Tensor) or other.factors != self.factors:
             raise AlgebraMismatchError("tensor factors do not match")
 
-    def __bool__(self):
-        return bool(self.terms)
-
     def __eq__(self, other):
         if type(other) is not Tensor:
             return NotImplemented
@@ -331,20 +357,6 @@ class Tensor:
         for key, c in other.terms.items():
             add_term(out, key, c)
         return self._new(out)
-
-    def __neg__(self):
-        return self._new({k: -c for k, c in self.terms.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def scale(self, q):
-        return self._new(_scaled(self.terms, q))
-
-    def __rmul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self.scale(other)
-        return NotImplemented
 
     def __mul__(self, other):
         if type(other) is not Tensor and isinstance(other, (int, Fraction)):
@@ -412,29 +424,13 @@ class Tensor:
             raise AlgebraMismatchError("slot_element needs an arity-1 tensor")
         return self.factors[0]({k[0]: c for k, c in self.terms.items()})
 
-    def __str__(self):
-        if not self.terms:
-            return "0"
-        bits = []
-        unit_like = [f.one() for f in self.factors]
-        for key in sorted(self.terms, key=lambda k: tuple(index_sort_key(i) for i in k)):
-            c = self.terms[key]
-            slots = []
-            for f, one, idx in zip(self.factors, unit_like, key):
-                s = one._new({idx: ONE})._term_str(idx)
-                slots.append(s if s is not None else "1")
-            body = " (x) ".join(slots)
-            if not bits:
-                prefix = "" if c == 1 else ("-" if c == -1 else "%s*" % c)
-                bits.append(prefix + body)
-            else:
-                sign = " + " if c > 0 else " - "
-                a = abs(c)
-                bits.append(sign + ("" if a == 1 else "%s*" % a) + body)
-        return "".join(bits)
+    @staticmethod
+    def _sort_key(key):
+        return tuple(index_sort_key(i) for i in key)
 
-    def __repr__(self):
-        return str(self)
+    def _monomial(self, key):
+        units = [f.one() for f in self.factors]
+        return " (x) ".join(one._monomial(idx) or "1" for one, idx in zip(units, key))
 
 
 class TensorSpace:
@@ -460,12 +456,6 @@ class TensorSpace:
 
     def __repr__(self):
         return "TensorSpace(%s)" % ", ".join(f.__name__ for f in self.factors)
-
-
-def _scaled(terms, q):
-    """A fresh dict of ``terms`` times the scalar ``q``, in canonical form."""
-    q = rational(q)
-    return {k: rational(c * q) for k, c in terms.items()} if q else {}
 
 
 # -- the shared Hopf engine ----------------------------------------------------

@@ -17,7 +17,7 @@ that makes the noncommutative functional calculus here come out right.
 from fractions import Fraction
 
 from .errors import AlgebraMismatchError, DomainError
-from .linear import add_term
+from .linear import add_term, format_terms
 from .scalars import ONE, ZERO, quotient, rational
 
 
@@ -372,37 +372,6 @@ class TruncatedSeries:
 
     def __repr__(self):
         return "TruncatedSeries(%s, cap=%d)" % (self, self.cap)
-
-
-def format_terms(terms):
-    """Print ``(coefficient, monomial)`` pairs as a signed sum, or ``0``.
-
-    A coefficient containing spaces is parenthesised, a coefficient of 1 or
-    -1 is absorbed into the sign, and an empty monomial prints the bare
-    coefficient.
-    """
-    pieces = []
-    for coeff, mono in terms:
-        body = str(coeff)
-        if " " in body:
-            body = "(%s)" % body
-        if not mono:
-            pieces.append(body)
-        elif body == "1":
-            pieces.append(mono)
-        elif body == "-1":
-            pieces.append("-" + mono)
-        else:
-            pieces.append("%s*%s" % (body, mono))
-    if not pieces:
-        return "0"
-    out = pieces[0]
-    for piece in pieces[1:]:
-        if piece.startswith("-"):
-            out += " - " + piece[1:]
-        else:
-            out += " + " + piece
-    return out
 
 
 def _factorial(n):

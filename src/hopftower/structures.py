@@ -43,6 +43,11 @@ class Structure:
     ``flag`` is the ``--structure`` value that picks it, None where the
     algebra carries one structure only; ``bound`` is the weight up to which
     the Hopf axioms are checked, None where they cannot be.
+
+    A coproduct or antipode built on ``linear.on_words`` must pass it a
+    module-level function or constant as the letter map: the word-image memo
+    is keyed by that map, so a fresh closure or ``partial`` per call never
+    hits and adds entries that live as long as the process.
     """
 
     __slots__ = ("algebra", "flag", "coproduct", "antipode", "bound")

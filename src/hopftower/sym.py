@@ -28,17 +28,21 @@ import warnings
 from .errors import AlgebraMismatchError, DomainError
 from .exactlinalg import invert_matrix
 from .indices import compositions_of, partitions_of, sort_to_partition
-from .linear import LinearElement, add_term, binomial_gen, on_words
+from .linear import CommutativeElement, add_term, binomial_gen, format_terms, on_words
 from .scalars import ONE, ZERO, quotient
 from .series import TruncatedSeries
 
 BASES = ("e", "h", "p", "m")
 
 
-class SymElement(LinearElement):
-    """A symmetric function tagged with the basis its coefficients refer to."""
+class SymElement(CommutativeElement):
+    """A symmetric function tagged with the basis its coefficients refer to.
 
-    COMMUTATIVE = True
+    A basis index is a partition.  The inherited partition-merge product is
+    only correct for the multiplicative bases, which is all that tensor
+    slots (always e-based) ever see; ``__mul__`` takes the m basis apart.
+    """
+
     __slots__ = ("basis",)
 
     def __init__(self, terms=None, basis="e"):
@@ -47,16 +51,8 @@ class SymElement(LinearElement):
         super().__init__(terms)
         self.basis = basis
 
-    @classmethod
-    def canonical_index(cls, idx):
-        """A partition: the parts sorted decreasingly, each a positive int."""
-        idx = tuple(idx)
-        if any(not isinstance(p, int) or p <= 0 for p in idx):
-            raise DomainError("partition parts must be positive integers")
-        return tuple(sorted(idx, reverse=True))
-
     def _new(self, terms):
-        """The trusted builder of ``LinearElement._new``, keeping the basis."""
+        """The trusted builder of ``SparseSum._new``, keeping the basis."""
         obj = super()._new(terms)
         obj.basis = self.basis
         return obj
@@ -79,18 +75,10 @@ class SymElement(LinearElement):
     def zero(cls, basis="e"):
         return cls({}, basis)
 
-    @classmethod
-    def basis_mul(cls, i, j):
-        # merge of partitions; only correct for the multiplicative bases,
-        # which is all that tensor slots (always e-based) ever see
-        return ((tuple(sorted(i + j, reverse=True)), ONE),)
-
     def __eq__(self, other):
         if isinstance(other, SymElement) and other.basis != self.basis:
             other = convert(other, self.basis)
         return super().__eq__(other)
-
-    __hash__ = None
 
     def __add__(self, other):
         if isinstance(other, SymElement) and other.basis != self.basis:
@@ -221,29 +209,11 @@ def expand(f, nvars):
 
 def format_polynomial(poly):
     """Readable form of an expand() result, e.g. 'x1^2*x2 + x1*x2^2'."""
-    if not poly:
-        return "0"
-    bits = []
-    for key in sorted(poly, key=lambda k: (-sum(k), tuple(-x for x in k))):
-        c = poly[key]
-        vars_part = "*".join(
-            "x%d" % (i + 1) if e_ == 1 else "x%d^%d" % (i + 1, e_)
-            for i, e_ in enumerate(key) if e_)
-        body = vars_part or "1"
-        if not bits:
-            prefix = "" if c == 1 and vars_part else ("-" if c == -1 and vars_part else "")
-            if prefix or (c in (1, -1) and vars_part):
-                bits.append(prefix + body)
-            else:
-                bits.append("%s*%s" % (c, body) if vars_part else str(c))
-        else:
-            sign = " + " if c > 0 else " - "
-            a = abs(c)
-            if a == 1 and vars_part:
-                bits.append(sign + body)
-            else:
-                bits.append(sign + ("%s*%s" % (a, body) if vars_part else str(a)))
-    return "".join(bits)
+    def monomial(key):
+        return "*".join("x%d" % (i + 1) if k == 1 else "x%d^%d" % (i + 1, k)
+                        for i, k in enumerate(key) if k)
+    return format_terms((poly[key], monomial(key))
+                        for key in sorted(poly, key=lambda k: (-sum(k), tuple(-x for x in k))))
 
 
 # -- counting (the route products and conversions take) ---------------------

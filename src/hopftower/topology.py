@@ -18,10 +18,10 @@ from itertools import combinations
 from .diffeo import bfk_antipode
 from .errors import CapabilityError, DomainError
 from .indices import compositions_of, sort_to_partition
-from .linear import CommutativeElement, add_term
+from .linear import CommutativeElement, SparseSum, add_term
 from .nsym import NSymElement, z_series
-from .scalars import ONE, ZERO, rational
-from .series import TruncatedSeries, format_terms, generator_series
+from .scalars import ONE, ZERO
+from .series import TruncatedSeries, generator_series
 from . import qsym
 from . import sym
 
@@ -102,12 +102,13 @@ def fgl(cap):
 
 # -- beta exponential ------------------------------------------------------
 
-class BetaPolynomial:
-    """Polynomial in a central variable beta with b-polynomial coefficients."""
+class BetaPolynomial(SparseSum):
+    """Polynomial in a central variable beta with b-polynomial coefficients,
+    keyed by the power of beta."""
 
     COMMUTATIVE = True
-    __slots__ = ("coeffs",)
-    __hash__ = None
+    __slots__ = ()
+    coeffs = property(lambda self: self.terms)  # read by bench/streams.py
 
     def __init__(self, coeffs=None):
         data = {}
@@ -117,7 +118,7 @@ class BetaPolynomial:
                     v = BElement({(): v})
                 if v:
                     data[int(k)] = v
-        self.coeffs = data
+        self.terms = data
 
     @classmethod
     def one(cls):
@@ -127,55 +128,28 @@ class BetaPolynomial:
     def zero(cls):
         return cls()
 
-    def __bool__(self):
-        return bool(self.coeffs)
-
     def __eq__(self, other):
         if not isinstance(other, BetaPolynomial):
             return NotImplemented
-        return self.coeffs == other.coeffs
+        return self.terms == other.terms
 
     def __add__(self, other):
-        out = dict(self.coeffs)
-        for k, v in other.coeffs.items():
+        out = dict(self.terms)
+        for k, v in other.terms.items():
             add_term(out, k, v)
-        return BetaPolynomial(out)
-
-    def __neg__(self):
-        return BetaPolynomial({k: -v for k, v in self.coeffs.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def scale(self, q):
-        q = rational(q)
-        if not q:
-            return BetaPolynomial()
-        return BetaPolynomial({k: v.scale(q) for k, v in self.coeffs.items()})
+        return self._new(out)
 
     def __mul__(self, other):
         if type(other) is not BetaPolynomial and isinstance(other, (int, Fraction)):
             return self.scale(other)
         out = {}
-        for k1, v1 in self.coeffs.items():
-            for k2, v2 in other.coeffs.items():
+        for k1, v1 in self.terms.items():
+            for k2, v2 in other.terms.items():
                 add_term(out, k1 + k2, v1 * v2)
-        return BetaPolynomial(out)
+        return self._new(out)
 
-    def __rmul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self.scale(other)
-        return NotImplemented
-
-    def __str__(self):
-        def power(k):
-            if k == 0:
-                return ""
-            return "beta" if k == 1 else "beta^%d" % k
-        return format_terms((self.coeffs[k], power(k)) for k in sorted(self.coeffs))
-
-    def __repr__(self):
-        return str(self)
+    def _monomial(self, k):
+        return "" if k == 0 else "beta" if k == 1 else "beta^%d" % k
 
 
 def beta_series(cap):

@@ -153,7 +153,8 @@ def _is_canonical_scalar(c):
 def _assert_canonical(r):
     assert all(_is_canonical_scalar(c) for c in r.terms.values())
     if isinstance(r, Tensor):
-        # the tensor constructor takes slot keys as given; check each slot
+        # the tensor constructor canonicalises slot keys; check each slot anyway,
+        # since arithmetic builds its keys without it
         for key in r.terms:
             assert len(key) == r.arity
             for f, idx in zip(r.factors, key):

@@ -11,7 +11,7 @@ from hopftower.errors import (AlgebraMismatchError, DomainError,
 from hopftower.expr import parse_element, parse_series
 from hopftower.jsonio import document_for, dumps, from_document, loads
 from hopftower.linear import Tensor
-from hopftower.nsym import NSymElement, z
+from hopftower.nsym import NSymElement, z, z_series
 from hopftower.qsym import M, pair
 from hopftower.series import TruncatedSeries
 from hopftower.sym import SymElement, coproduct, e, h, m, p
@@ -281,3 +281,12 @@ def test_a_repeated_key_in_a_document_is_summed_not_overwritten():
     term = {"index": [2, 1], "coeff": "1/2"}
     element = {"algebra": "nsym", "terms": [term, term, {"index": [1], "coeff": "3"}]}
     assert from_document(element) == z(2, 1) + 3 * z(1)
+
+
+def test_a_repeated_power_in_a_series_document_is_summed():
+    doc = document_for(z_series(2))
+    doc["series"].append(doc["series"][-1])
+    assert str(from_document(doc)) == "T + 2*Z[1]*T^2"
+    poly = document_for(BetaPolynomial({1: b(1)}))
+    poly["beta"].append(poly["beta"][0])
+    assert from_document(poly) == BetaPolynomial({1: b(1).scale(2)})

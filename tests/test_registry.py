@@ -30,13 +30,21 @@ class YElement(linear.CommutativeElement):
     __slots__ = ()
 
 
+# letter maps are module-level, so the word-image memo of on_words hits
+_y_coproduct_gen = partial(linear.binomial_gen, YElement)
+
+
+def _y_antipode_gen(n):
+    return linear.recursive_antipode(linear.binomial_gen(YElement, n),
+                                     lambda i: y_antipode(YElement({i: 1})))
+
+
 def y_coproduct(f):
-    return linear.on_words(f, partial(linear.binomial_gen, YElement))
+    return linear.on_words(f, _y_coproduct_gen)
 
 
 def y_antipode(f):
-    return linear.on_words(f, lambda n: linear.recursive_antipode(
-        linear.binomial_gen(YElement, n), lambda i: y_antipode(YElement({i: 1}))))
+    return linear.on_words(f, _y_antipode_gen)
 
 
 def run(*argv):
@@ -71,3 +79,22 @@ def test_one_row_adds_a_structure(monkeypatch):
         assert all(ok for _, ok in toy)
     finally:
         cli._parser.cache_clear()
+
+
+def test_repeated_structure_calls_add_no_word_images():
+    """Every registered coproduct and antipode passes ``on_words`` a stable
+    letter map, so a second call on the same element adds no memo entry."""
+    parts = 0
+    for label, st in structures.STRUCTURES.items():
+        row = structures.algebra(st.algebra)
+        x = row.element({idx: k + 1 for k, idx in enumerate(row.indices(3))})
+        assert len(x.terms) > 1
+        for part in (st.coproduct, st.antipode):
+            if part is None:
+                continue
+            parts += 1
+            part(x)
+            size = linear.word_image.cache_info().currsize
+            part(x)
+            assert linear.word_image.cache_info().currsize == size, label
+    assert parts == 12

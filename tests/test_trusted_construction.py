@@ -34,7 +34,7 @@ def test_object_new_only_in_the_new_builders():
     found = {(path.name, func, line)
              for path in sorted(PACKAGE.rglob("*.py"))
              for func, line in _object_new_sites(path)}
-    assert len(found) >= 2  # LinearElement._new and Tensor._new
+    assert len(found) >= 2  # SparseSum._new and Tensor._new
     stray = {site for site in found
              if site[0] not in ALLOWED_FILES or site[1] != "_new"}
     assert not stray
