@@ -14,6 +14,17 @@ basis indices, and the bilinear extension and grading helpers live here.
 Elements are treated as immutable once built, which keeps the memoised
 structure constants safe to share.
 
+Every product of elements, and every coefficient product of a truncated
+series, goes through one kernel.  ``mul_into`` adds the raw products of two
+term dicts into a plain dict, and ``settle`` then drops the zeros and stores
+integral ``Fraction``s as ``int``, once per result.  Each value's
+``_mul_into(out, a, b)`` hook adds a * b into ``out`` in that value's own
+basis: an algebra element calls ``mul_into`` with its basis product (the sym
+m basis with its counted structure constants), and any other sum adds the
+terms of the built product.  So ``LinearElement.__mul__`` is one hook call
+and one ``settle``, and a series keeps one such dict per output power
+instead of building and re-adding an element for each product.
+
 Each coproduct, coaction and antipode is given on the generators and then
 extended over words.  ``on_words`` does that extension, multiplicatively or
 as an antimorphism.  ``word_image`` builds the image of one word by a plain
@@ -46,6 +57,34 @@ def add_term(data, idx, coeff):
         data[idx] = c
     elif idx in data:
         del data[idx]
+
+
+def mul_into(out, a_terms, b_terms, basis_mul):
+    """Add the product of the sums ``a_terms`` and ``b_terms`` into ``out``.
+
+    ``basis_mul(i, j)`` gives the product of two keys as ``(key, coeff)``
+    pairs.  The sums are raw: a key may end at zero and an integral
+    ``Fraction`` stays one until ``settle`` runs once on the finished dict.
+    """
+    get = out.get
+    b_items = b_terms.items()
+    for i, ci in a_terms.items():
+        for j, cj in b_items:
+            cij = ci * cj
+            for idx, bc in basis_mul(i, j):
+                out[idx] = get(idx, 0) + (cij if bc == 1 else cij * bc)
+    return out
+
+
+def settle(out):
+    """The raw sums of ``out`` as stored terms: zeros dropped and an integral
+    ``Fraction`` stored as its ``int``; a value that is an element is kept
+    when nonzero.  ``out`` itself comes back when it needs neither."""
+    for c in out.values():
+        if not c or type(c) is Fraction and c.denominator == 1:
+            return {k: c.numerator if type(c) is Fraction and c.denominator == 1 else c
+                    for k, c in out.items() if c}
+    return out
 
 
 def format_terms(terms):
@@ -132,6 +171,16 @@ class SparseSum:
         if isinstance(other, (int, Fraction)):
             return self.scale(other)
         return NotImplemented
+
+    def _mul_into(self, out, a, b):
+        """Add the raw terms of ``a * b`` into ``out``, in this value's kind
+        (``a`` and ``b`` are sums of the same kind); ``settle`` finishes
+        ``out``.  By default the product is built and its terms added."""
+        get = out.get
+        for k, c in (a * b).terms.items():
+            v = get(k)
+            out[k] = c if v is None else v + c
+        return out
 
     def __str__(self):
         terms = self.terms
@@ -239,13 +288,10 @@ class LinearElement(SparseSum):
                 return self.scale(other)
             raise AlgebraMismatchError(
                 "cannot multiply %s by %s" % (type(self).__name__, type(other).__name__))
-        out = {}
-        for i, ci in self.terms.items():
-            for j, cj in other.terms.items():
-                cij = ci * cj
-                for idx, bc in self.basis_mul(i, j):
-                    add_term(out, idx, cij if bc == 1 else cij * bc)
-        return self._new(out)
+        return self._new(settle(self._mul_into({}, self, other)))
+
+    def _mul_into(self, out, a, b):
+        return mul_into(out, a.terms, b.terms, self.basis_mul)
 
     def __pow__(self, n):
         if not isinstance(n, int) or n < 0:

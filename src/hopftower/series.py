@@ -15,9 +15,10 @@ that makes the noncommutative functional calculus here come out right.
 """
 
 from fractions import Fraction
+from operator import add
 
 from .errors import AlgebraMismatchError, DomainError
-from .linear import add_term, format_terms
+from .linear import add_term, format_terms, settle
 from .scalars import ONE, ZERO, quotient, rational
 
 
@@ -84,6 +85,15 @@ class TruncatedSeries:
                                self.cap if cap is None else cap,
                                self.nvars if nvars is None else nvars)
 
+    def _adopt(self, coeffs, cap=None, nvars=None):
+        """A series over this algebra holding ``coeffs`` as given, with no
+        second pass: a fresh dict whose keys are canonical exponents of total
+        degree <= cap and whose values are nonzero stored coefficients, as
+        arithmetic builds it."""
+        res = self._spawn(None, cap, nvars)
+        res.coeffs = coeffs
+        return res
+
     def coefficient(self, k):
         """Coefficient of T^k (or X^i Y^j for a pair key); zero when absent."""
         key = self._norm_key(k)
@@ -97,9 +107,11 @@ class TruncatedSeries:
         return min(self._degree(k) for k in self.coeffs)
 
     def truncate(self, cap):
+        """This series known only up to total degree ``cap``; a cap at or
+        above ``self.cap`` keeps ``self.cap``, since no precision is gained."""
         if cap >= self.cap:
-            return self._spawn(self.coeffs, cap=cap)
-        return self._spawn({k: v for k, v in self.coeffs.items() if self._degree(k) <= cap},
+            return self._adopt(dict(self.coeffs))
+        return self._adopt({k: v for k, v in self.coeffs.items() if self._degree(k) <= cap},
                            cap=cap)
 
     def map_coefficients(self, fn, algebra=None):
@@ -160,17 +172,21 @@ class TruncatedSeries:
             return self.scale(other)
         self._same_shape(other)
         cap = min(self.cap, other.cap)
+        univariate = self.nvars == 1
+        scalar = _is_scalar_algebra(self.algebra)
+        right = sorted((k if univariate else sum(k), k, v) for k, v in other.coeffs.items())
         out = {}
         for k1, v1 in self.coeffs.items():
-            d1 = self._degree(k1)
-            if d1 > cap:
-                continue
-            for k2, v2 in other.coeffs.items():
-                if d1 + self._degree(k2) > cap:
-                    continue
-                key = k1 + k2 if self.nvars == 1 else tuple(a + b for a, b in zip(k1, k2))
-                add_term(out, key, v1 * v2)
-        return self._spawn(out, cap=cap)
+            room = cap - (k1 if univariate else sum(k1))
+            for d2, k2, v2 in right:
+                if d2 > room:
+                    break
+                key = k1 + k2 if univariate else tuple(map(add, k1, k2))
+                if scalar:
+                    out[key] = out.get(key, 0) + v1 * v2
+                else:
+                    _add_product(out, key, v1, v2)
+        return self._adopt(_settle_sums(out, scalar), cap=cap)
 
     def __pow__(self, n):
         if not isinstance(n, int) or n < 0:
@@ -220,9 +236,9 @@ class TruncatedSeries:
             raise DomainError("inner series must have zero constant term")
         cap = min(self.cap, inner.cap)
         val = max(inner.valuation(), 1)
-        one_key = zk
+        scalar = _is_scalar_algebra(self.algebra)
         result = {}
-        power = TruncatedSeries(self.algebra, {one_key: ONE}, cap, inner.nvars)
+        power = TruncatedSeries(self.algebra, {zk: ONE}, cap, inner.nvars)
         for n in range(0, cap + 1):
             if n > 0:
                 power = power * inner
@@ -232,8 +248,12 @@ class TruncatedSeries:
             if cn is None:
                 continue
             for k, v in power.coeffs.items():
-                add_term(result, k, cn * v)  # outer coefficients act on the left
-        return TruncatedSeries(self.algebra, result, cap, inner.nvars)
+                # outer coefficients act on the left
+                if scalar:
+                    result[k] = result.get(k, 0) + cn * v
+                else:
+                    _add_product(result, k, cn, v)
+        return self._adopt(_settle_sums(result, scalar), cap, inner.nvars)
 
     def revert(self):
         """Compositional inverse of a series T + higher order terms.
@@ -272,14 +292,7 @@ class TruncatedSeries:
         """Multiply by T^k, allowing negative exponents (Laurent view)."""
         if self.nvars != 1:
             raise DomainError("shift is univariate only")
-        out = {}
-        for e, v in self.coeffs.items():
-            ne = e + k
-            if ne <= self.cap:
-                out[ne] = v
-        res = TruncatedSeries(self.algebra, {}, self.cap, 1)
-        res.coeffs = out
-        return res
+        return self._adopt({e + k: v for e, v in self.coeffs.items() if e + k <= self.cap})
 
     # -- transcendental helpers over the rationals ------------------------
 
@@ -372,6 +385,35 @@ class TruncatedSeries:
 
     def __repr__(self):
         return "TruncatedSeries(%s, cap=%d)" % (self, self.cap)
+
+
+def _add_product(sums, key, a, b):
+    """Add the element product ``a * b`` to the sum kept on ``key``.
+
+    Each sum is a ``(prototype, raw terms)`` bucket that ``a._mul_into``
+    fills; the prototype is the left factor of the first product on that
+    key, so the finished coefficient takes its kind and its sym basis.
+    """
+    bucket = sums.get(key)
+    if bucket is None:
+        bucket = sums[key] = (a, {})
+    if not type(a) is type(b) is type(bucket[0]):
+        raise AlgebraMismatchError("series coefficients mix %s, %s and %s" % tuple(
+            type(x).__name__ for x in (bucket[0], a, b)))
+    bucket[0]._mul_into(bucket[1], a, b)
+
+
+def _settle_sums(sums, scalar):
+    """The finished coefficients of ``sums``, zeros dropped: plain number sums
+    when ``scalar``, otherwise the buckets of ``_add_product``."""
+    if scalar:
+        return settle(sums)
+    out = {}
+    for key, (proto, terms) in sums.items():
+        terms = settle(terms)
+        if terms:
+            out[key] = proto._new(terms)
+    return out
 
 
 def _factorial(n):

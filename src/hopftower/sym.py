@@ -18,17 +18,17 @@ except where a conversion involving the p basis brings in a denominator.
 """
 
 from collections import Counter
-from fractions import Fraction
 from functools import lru_cache, partial
 from itertools import combinations, combinations_with_replacement
 from math import lcm
 from operator import add
 import warnings
 
-from .errors import AlgebraMismatchError, DomainError
+from .errors import DomainError
 from .exactlinalg import invert_matrix
 from .indices import compositions_of, partitions_of, sort_to_partition
-from .linear import CommutativeElement, add_term, binomial_gen, format_terms, on_words
+from .linear import (CommutativeElement, add_term, binomial_gen, format_terms, mul_into,
+                     on_words)
 from .scalars import ONE, ZERO, quotient
 from .series import TruncatedSeries
 
@@ -40,7 +40,7 @@ class SymElement(CommutativeElement):
 
     A basis index is a partition.  The inherited partition-merge product is
     only correct for the multiplicative bases, which is all that tensor
-    slots (always e-based) ever see; ``__mul__`` takes the m basis apart.
+    slots (always e-based) ever see; ``_mul_into`` takes the m basis apart.
     """
 
     __slots__ = ("basis",)
@@ -88,16 +88,21 @@ class SymElement(CommutativeElement):
     __radd__ = __add__
 
     def __mul__(self, other):
-        if type(other) is not SymElement:
-            if isinstance(other, (int, Fraction)):
-                return self.scale(other)
-            raise AlgebraMismatchError(
-                "cannot multiply SymElement by %s" % type(other).__name__)
-        if other.basis != self.basis:
-            other = convert(other, self.basis)
-        if self.basis == "m":
-            return _monomial_mul(self, other)
+        # the inherited product; defined here so sym products can be timed
+        # on their own (bench/layers.py wraps this entry)
         return super().__mul__(other)
+
+    def _mul_into(self, out, a, b):
+        """Add a * b into ``out`` in this element's basis, converting an
+        operand only when its basis differs; the m basis multiplies by the
+        counted structure constants."""
+        basis = self.basis
+        if a.basis != basis:
+            a = convert(a, basis)
+        if b.basis != basis:
+            b = convert(b, basis)
+        return mul_into(out, a.terms, b.terms,
+                        _m_product if basis == "m" else self.basis_mul)
 
 
 def e(*parts):
@@ -255,16 +260,6 @@ def _m_product(lam, mu):
             if count:
                 out.append((nu, count))
     return tuple(out)
-
-
-def _monomial_mul(a, b):
-    """Product of two m-basis elements from the counted structure constants."""
-    out = {}
-    for lam, ca in a.terms.items():
-        for mu, cb in b.terms.items():
-            for nu, count in _m_product(lam, mu):
-                add_term(out, nu, ca * cb * count)
-    return a._new(out)
 
 
 # what one row of the matrix may put in a column when it has r left to place

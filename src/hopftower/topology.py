@@ -16,7 +16,7 @@ from functools import lru_cache
 from itertools import combinations
 
 from .diffeo import bfk_antipode
-from .errors import CapabilityError, DomainError
+from .errors import AlgebraMismatchError, CapabilityError, DomainError
 from .indices import compositions_of, sort_to_partition
 from .linear import CommutativeElement, SparseSum, add_term
 from .nsym import NSymElement, z_series
@@ -133,15 +133,29 @@ class BetaPolynomial(SparseSum):
             return NotImplemented
         return self.terms == other.terms
 
+    def _operand(self, other):
+        """``other`` as a beta polynomial: a scalar sits on beta^0, and any
+        other value that is not a ``BetaPolynomial`` is refused."""
+        if type(other) is BetaPolynomial:
+            return other
+        if isinstance(other, (int, Fraction)):
+            return BetaPolynomial({0: other})
+        raise AlgebraMismatchError(
+            "cannot combine BetaPolynomial with %s" % type(other).__name__)
+
     def __add__(self, other):
         out = dict(self.terms)
-        for k, v in other.terms.items():
+        for k, v in self._operand(other).terms.items():
             add_term(out, k, v)
         return self._new(out)
 
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        return self + (-self._operand(other))
+
     def __mul__(self, other):
-        if type(other) is not BetaPolynomial and isinstance(other, (int, Fraction)):
-            return self.scale(other)
+        other = self._operand(other)
         out = {}
         for k1, v1 in self.terms.items():
             for k2, v2 in other.terms.items():

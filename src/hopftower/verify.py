@@ -20,6 +20,7 @@ import random
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate, chain
+from operator import add
 
 from . import diffeo
 from . import nsym as nsym_mod
@@ -253,6 +254,36 @@ def suite_duality(weight=None, cap=None):
 
 # -- renormalization coproduct ---------------------------------------------
 
+def _product_by_coefficients(f, g, cap):
+    """The coefficient dict of f * g up to total degree ``cap``, taking one
+    coefficient product ``v1 * v2`` at a time and summing with ``+``: the
+    slow route of series products."""
+    out = {}
+    for k1, v1 in f.items():
+        for k2, v2 in g.items():
+            key = k1 + k2 if isinstance(k1, int) else tuple(map(add, k1, k2))
+            if (key if isinstance(key, int) else sum(key)) <= cap:
+                out[key] = out[key] + v1 * v2 if key in out else v1 * v2
+    return out
+
+
+def _compose_by_coefficients(outer, inner):
+    """``outer.compose(inner)`` by the slow route: every power of ``inner``
+    and every outer coefficient (on the left) through
+    ``_product_by_coefficients``."""
+    cap = min(outer.cap, inner.cap)
+    power = {0 if inner.nvars == 1 else (0,) * inner.nvars: inner.algebra.one()}
+    result = {}
+    for n in range(cap + 1):
+        if n:
+            power = _product_by_coefficients(power, inner.coeffs, cap)
+        cn = outer.coeffs.get(n)
+        if cn is not None:
+            for k, v in power.items():
+                result[k] = result[k] + cn * v if k in result else cn * v
+    return TruncatedSeries(inner.algebra, result, cap, inner.nvars)
+
+
 def suite_bfk(weight=None, cap=None):
     nn = (NSymElement, NSymElement)
 
@@ -274,6 +305,23 @@ def suite_bfk(weight=None, cap=None):
         "renormalization coproduct coassociative (weight <= %d, {count} words)" % bound,
         ((idx, _coassociative(structures.STRUCTURES["bfk"], NSymElement({idx: 1})))
          for w in range(bound + 1) for idx in compositions_of(w))))
+
+    scap = cap if cap is not None else 6
+
+    def slow_routes():
+        zs = nsym_mod.z_series(scap)
+        chi = zs.map_coefficients(diffeo.bfk_antipode)
+        inner = chi.embed_bivariate(0) + chi.embed_bivariate(1)
+        yield "addition series", (topology.cp_infinity_coproduct(scap)
+                                  == _compose_by_coefficients(zs, inner))
+        bs, log = topology.b_series(scap), topology.miscenko_log(scap)
+        yield "logarithm", (_compose_by_coefficients(bs, log)
+                            == TruncatedSeries(BElement, {1: 1}, scap))
+        inner = log.embed_bivariate(0) + log.embed_bivariate(1)
+        yield "group law", topology.fgl(scap) == _compose_by_coefficients(bs, inner)
+
+    results.append(_check("addition series and group law match coefficient-by-coefficient "
+                          "products (cap %d)" % scap, slow_routes(), "fails on the %s"))
     return results
 
 

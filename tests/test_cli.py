@@ -153,6 +153,18 @@ def test_verify_failure_exits_3(monkeypatch):
     assert "FAIL" in out
 
 
+def test_cli_import_leaves_verify_unloaded():
+    script = ("import sys, hopftower.cli\n"
+              "assert 'hopftower.verify' not in sys.modules\n")
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_suite_names_are_the_verify_suites():
+    from hopftower import verify
+    assert list(cli.SUITE_NAMES) == list(verify.SUITES)
+
+
 def test_cobar_rank_json():
     code, out, _ = run("cobar-rank", "--algebroid", "S.B",
                        "--weight", "2", "--degree", "0")

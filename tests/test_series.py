@@ -32,6 +32,15 @@ def test_truncation_drops_high_degrees():
     assert (f * g).coeffs == {5: 1}
 
 
+def test_truncate_never_raises_the_cap():
+    f = S({0: 1, 1: 1}, cap=2)
+    assert f.truncate(5) == f
+    assert f.truncate(5).invert() == S({0: 1, 1: -1, 2: 1}, cap=2)
+    assert str(f.truncate(5).invert()) == "1 - T + T^2"
+    assert f.truncate(1) == S({0: 1, 1: 1}, cap=1)
+    assert f.truncate(0).coeffs == {0: 1}
+
+
 def test_invert_is_multiplicative_inverse():
     f = S({0: Fraction(1), 1: Fraction(2), 3: Fraction(-1, 3)})
     assert (f * f.invert()).coeffs == {0: 1}

@@ -11,7 +11,7 @@ from fractions import Fraction
 import pytest
 
 from hopftower.diffeo import FdBElement, fdb_antipode
-from hopftower.errors import CapabilityError, DomainError
+from hopftower.errors import AlgebraMismatchError, CapabilityError, DomainError
 from hopftower.nsym import z
 from hopftower.series import TruncatedSeries
 from hopftower.topology import (BElement, BetaPolynomial,
@@ -113,6 +113,22 @@ def test_beta_polynomial_arithmetic_and_str():
     assert str(mixed) == "-b[1]*beta + 1/2*beta^2"
     assert str(BetaPolynomial.zero()) == "0"
     assert beta * BetaPolynomial({0: b(1)}) == BetaPolynomial({1: b(1)})
+
+
+def test_beta_polynomial_takes_scalars_on_beta0_and_refuses_foreign_values():
+    one, beta = BetaPolynomial.one(), BetaPolynomial({1: BElement.one()})
+    assert one + 1 == 1 + one == BetaPolynomial({0: 2})
+    assert one - 1 == BetaPolynomial.zero()
+    assert 1 - beta == BetaPolynomial({0: 1, 1: -1}) == -(beta - 1)
+    assert beta + Fraction(1, 2) == BetaPolynomial({0: Fraction(1, 2), 1: 1})
+    assert beta * 3 == 3 * beta == BetaPolynomial({1: 3})
+    for foreign in (b(1), BElement.one(), z(1), 1.5, "1"):
+        for op in (lambda x: one + x, lambda x: x + one, lambda x: one - x,
+                   lambda x: one * x):
+            with pytest.raises(AlgebraMismatchError):
+                op(foreign)
+    with pytest.raises(AlgebraMismatchError):
+        b(1) * one
 
 
 def test_noncommutative_addition_series():
