@@ -7,17 +7,30 @@ A (x) H^(x n); the cofaces apply the coaction to the base slot, the
 coproduct of H to an inner slot, or append a unit slot at the end, and the
 differential is their alternating sum.
 
+``coface`` builds one coface as a tensor.  The differential does not: one
+signed accumulator, ``_cofaces_into``, adds sum_i (-1)^i d_i of a term dict
+straight into one raw dict, splicing the coaction of the base index, the
+coproduct of each inner slot and the trailing unit slot key by key, and the
+result is settled once.
+
 Cohomology ranks are computed over the rationals on the normalized
-subcomplex (all H slots of positive weight), one weight at a time, by exact
-Gaussian elimination.  Degrees 0 and 1 and modest weights are supported;
-everything else raises a capability error rather than grinding.
+subcomplex (all H slots of positive weight), one weight at a time; it has
+the cohomology of the whole complex (Ravenel, Complex Cobordism, App. A1.2).
+Its differential is built directly: the accumulator, in normalized mode,
+skips every term with a unit H slot and the last coface, which only appends
+one.  ``differential_rows`` maps each image to codomain columns as a
+primitive ``{column: int}`` row, and ``exactlinalg.sparse_rank`` eliminates
+the rows sparsest column first.  ``differential_matrix`` keeps the slow
+route: dense rows from the ``coface`` tensors, summed and then projected.
+Degrees 0 and 1 and modest weights are supported; everything else raises a
+capability error rather than grinding.
 """
 
 from . import structures
 from .diffeo import bfk_coproduct, coaction_sym, fdb_coproduct
 from .errors import CapabilityError, DomainError
-from .exactlinalg import matrix_rank
-from .linear import Tensor, add_term
+from .exactlinalg import _primitive, matrix_rank, sparse_rank
+from .linear import Tensor, add_term, settle
 from .nsym import NSymElement
 from .scalars import ONE, ZERO
 
@@ -81,6 +94,35 @@ def coface(alg, x, i):
     return x.insert_slot(n + 1, alg.hopf_cls)
 
 
+def _cofaces_into(out, alg, terms, n, normalized):
+    """Add sum_i (-1)^i d_i(terms), i = 0..n+1, of level-n ``terms`` into the
+    raw dict ``out`` (zeros kept until ``settle``).
+
+    With ``normalized`` every term with a unit H slot is skipped, and so is
+    the last coface, all of whose terms end in a unit slot.
+    """
+    get = out.get
+    for key, c in terms.items():
+        if normalized and () in key[1:]:
+            continue
+        tail = key[1:]
+        for (a, g), cc in alg.coaction(alg.base_element(key[0])).terms.items():
+            if g or not normalized:
+                k = (a, g) + tail
+                out[k] = get(k, 0) + c * cc
+        for i in range(1, n + 1):
+            signed = -c if i % 2 else c
+            head, rest = key[:i], key[i + 1:]
+            for (l, r), cc in alg.h_coproduct(alg.hopf_element(key[i])).terms.items():
+                if l and r or not normalized:
+                    k = head + (l, r) + rest
+                    out[k] = get(k, 0) + signed * cc
+        if not normalized:
+            k = key + ((),)
+            out[k] = get(k, 0) + (c if n % 2 else -c)
+    return out
+
+
 def differential(alg, x, max_level=LEVEL_BOUND):
     """Alternating sum of cofaces, level n -> n+1; bounded to keep sizes sane."""
     x = alg.as_level(x)
@@ -88,13 +130,8 @@ def differential(alg, x, max_level=LEVEL_BOUND):
     if n > max_level:
         raise CapabilityError("cobar differential bounded at level %d (got %d)"
                               % (max_level, n))
-    total = None
-    for i in range(n + 2):
-        piece = coface(alg, x, i)
-        if i % 2:
-            piece = -piece
-        total = piece if total is None else total + piece
-    return total
+    return x._new(settle(_cofaces_into({}, alg, x.terms, n, False)),
+                  (alg.base_cls,) + (alg.hopf_cls,) * (n + 1))
 
 
 def zcobar_coface(hopf_coproduct, hopf_cls, hopf_make, x, i):
@@ -160,6 +197,9 @@ def differential_matrix(alg, w, s):
     """Matrix of the normalized differential level s -> s+1 in weight w.
 
     Rows are indexed by the level-s basis, columns by the level-(s+1) basis.
+    Each dense rational row is the alternating sum of the ``coface`` tensors,
+    projected to normalized cochains: the slow route ``verify`` checks
+    ``differential_rows`` against.
     """
     dom = _level_basis(alg, w, s)
     cod = _level_basis(alg, w, s + 1)
@@ -167,18 +207,46 @@ def differential_matrix(alg, w, s):
     level = Tensor((alg.base_cls,) + (alg.hopf_cls,) * s)
     rows = []
     for key in dom:
-        img = _normalized_image(alg, differential(alg, level._new({key: ONE})))
+        x = level._new({key: ONE})
+        img = coface(alg, x, 0)
+        for i in range(1, s + 2):
+            img = img - coface(alg, x, i) if i % 2 else img + coface(alg, x, i)
         row = [ZERO] * len(cod)
-        for k, c in img.terms.items():
+        for k, c in _normalized_image(alg, img).terms.items():
             row[col[k]] = c
         rows.append(row)
     return dom, cod, rows
 
 
+def differential_rows(alg, w, s):
+    """The normalized differential level s -> s+1 in weight w as sparse rows.
+
+    Returns ``(dom, cod, rows)`` like ``differential_matrix``, but each row is
+    the primitive ``{column: int}`` dict of its nonzeros (the structure
+    constants of both algebroids are integers), built by the accumulator.
+    """
+    dom = _level_basis(alg, w, s)
+    cod = _level_basis(alg, w, s + 1)
+    col = {key: j for j, key in enumerate(cod)}
+    rows = []
+    for key in dom:
+        row = {col[k]: c for k, c in _cofaces_into({}, alg, {key: 1}, s, True).items() if c}
+        rows.append(_primitive(row) if row else row)
+    return dom, cod, rows
+
+
+def _algebroid(alg):
+    """The algebroid ``alg`` names, or ``alg`` itself."""
+    if not isinstance(alg, str):
+        return alg
+    if alg not in ALGEBROIDS:
+        raise DomainError("unknown algebroid %r (known: %s)" % (alg, list(ALGEBROIDS)))
+    return ALGEBROIDS[alg]
+
+
 def cohomology_rank(alg, w, s, weight_bound=WEIGHT_BOUND):
     """Rank over Q of the degree-s cohomology of the weight-w normalized complex."""
-    if isinstance(alg, str):
-        alg = ALGEBROIDS[alg]
+    alg = _algebroid(alg)
     if s not in (0, 1):
         raise CapabilityError("cohomology degree %d not supported (only 0 and 1)" % s)
     if w < 0:
@@ -186,19 +254,17 @@ def cohomology_rank(alg, w, s, weight_bound=WEIGHT_BOUND):
     if w > weight_bound:
         raise CapabilityError("cohomology weight bounded at %d (got %d)"
                               % (weight_bound, w))
-    dom0, _, d0 = differential_matrix(alg, w, 0)
-    rank_d0 = matrix_rank(d0)
+    dom0, _, d0 = differential_rows(alg, w, 0)
+    rank_d0 = sparse_rank(d0)
     if s == 0:
         return len(dom0) - rank_d0
-    dom1, _, d1 = differential_matrix(alg, w, 1)
-    rank_d1 = matrix_rank(d1)
-    return len(dom1) - rank_d1 - rank_d0
+    dom1, _, d1 = differential_rows(alg, w, 1)
+    return len(dom1) - sparse_rank(d1) - rank_d0
 
 
 def invariants_rank_oracle(alg, w):
     """Independent H^0 computation: solve coaction(x) = x (x) 1 directly."""
-    if isinstance(alg, str):
-        alg = ALGEBROIDS[alg]
+    alg = _algebroid(alg)
     basis = alg.base_indices(w)
     residuals = []
     for lam in basis:

@@ -276,6 +276,9 @@ class LinearElement(SparseSum):
                 add_term(out, idx, c)
         elif isinstance(other, (int, Fraction)):
             add_term(out, (), rational(other))
+        elif isinstance(other, SparseSum):
+            raise AlgebraMismatchError(
+                "cannot add %s and %s" % (type(self).__name__, type(other).__name__))
         else:
             return NotImplemented
         return self._new(out)

@@ -18,7 +18,7 @@ from fractions import Fraction
 from operator import add
 
 from .errors import AlgebraMismatchError, DomainError
-from .linear import add_term, format_terms, settle
+from .linear import Tensor, TensorSpace, add_term, format_terms, settle
 from .scalars import ONE, ZERO, quotient, rational
 
 
@@ -57,11 +57,20 @@ class TruncatedSeries:
         return key if self.nvars == 1 else sum(key)
 
     def _norm_coeff(self, v):
-        if _is_scalar_algebra(self.algebra):
+        """``v`` as a stored coefficient; ``AlgebraMismatchError`` if it is
+        neither a scalar nor of this series' algebra (a tensor over the same
+        factors, for a ``TensorSpace``)."""
+        algebra = self.algebra
+        if algebra is Fraction:
             return rational(v)
+        if type(v) is algebra:
+            return v
         if isinstance(v, (int, float)) or type(v) is Fraction:
             return self._unit_coeff().scale(v)
-        return v
+        if type(v) is Tensor and type(algebra) is TensorSpace and v.factors == algebra.factors:
+            return v
+        raise AlgebraMismatchError("a %s coefficient is not in the series algebra %s"
+                                   % (type(v).__name__, getattr(algebra, "__name__", algebra)))
 
     def _unit_coeff(self):
         return ONE if _is_scalar_algebra(self.algebra) else self.algebra.one()

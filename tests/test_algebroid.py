@@ -2,13 +2,16 @@
 
 import pytest
 
+from hopftower import algebroid
 from hopftower.algebroid import (ALGEBROIDS, coface, cohomology_rank,
                                  differential, differential_matrix,
-                                 invariants_rank_oracle,
+                                 differential_rows, invariants_rank_oracle,
                                  right_unit_functional, zcobar_coface)
 from hopftower.diffeo import bfk_coproduct
-from hopftower.errors import CapabilityError
-from hopftower.exactlinalg import matrix_rank
+from hopftower.errors import CapabilityError, DomainError
+from hopftower.exactlinalg import _integer_row, matrix_rank
+from hopftower.indices import weak_compositions
+from hopftower.linear import Tensor
 from hopftower.nsym import NSymElement, z
 from hopftower.scalars import ZERO
 
@@ -96,8 +99,6 @@ def test_ground_cobar_cofaces_match_up_to_the_twist():
     # over N.N the coaction is the coproduct itself, so every algebroid
     # coface agrees with the ground-ring coface one index up; the leftover
     # 0-th ground coface (prepend a unit) is where a genuine twist would sit
-    from hopftower.linear import Tensor
-
     alg = ALGEBROIDS["N.N"]
     make = lambda idx: NSymElement({idx: 1})
     x = Tensor((NSymElement, NSymElement), {((2,), (1,)): 1})
@@ -114,3 +115,64 @@ def test_right_unit_functional_pins():
     assert right_unit_functional(3, (2,)) == z(1).scale(2)
     assert right_unit_functional(3, (1,)) == z(2).scale(3)
     assert right_unit_functional(2, (2,)) == NSymElement.one()
+
+
+def test_unknown_algebroid_names_are_domain_errors():
+    for call in (lambda: cohomology_rank("X.Y", 1, 0),
+                 lambda: invariants_rank_oracle("X.Y", 1)):
+        with pytest.raises(DomainError, match=r"'S\.B', 'N\.N'"):
+            call()
+
+
+def test_sparse_rows_are_the_primitive_dense_rows():
+    for alg in ALGEBROIDS.values():
+        for w in range(7):
+            for s in (0, 1):
+                dom, cod, rows = differential_rows(alg, w, s)
+                dense = differential_matrix(alg, w, s)
+                assert (dom, cod) == dense[:2]
+                assert rows == [_integer_row(r) for r in dense[2]]
+
+
+def _level_keys(alg, w, n):
+    """Every basis key of weight w at level n, unit H slots included."""
+    for split in weak_compositions(w, n + 1):
+        choices = [()]
+        for slot, part in enumerate(split):
+            indices = (alg.base_indices if slot == 0 else alg.h_indices)(part)
+            choices = [prev + (idx,) for prev in choices for idx in indices]
+        yield from choices
+
+
+def test_differential_is_the_alternating_sum_of_cofaces():
+    for alg in ALGEBROIDS.values():
+        for n in range(3):
+            level = Tensor((alg.base_cls,) + (alg.hopf_cls,) * n)
+            for w in range(5):
+                for key in _level_keys(alg, w, n):
+                    x = level._new({key: 3})
+                    want = coface(alg, x, 0)
+                    for i in range(1, n + 2):
+                        want = want + coface(alg, x, i).scale((-1) ** i)
+                    assert differential(alg, x) == want
+
+
+def test_cohomology_rank_builds_no_tensors_and_no_dense_matrix(monkeypatch):
+    for name in ALGEBROIDS:
+        cohomology_rank(name, 4, 1)  # fill the structure-constant memos first
+    calls = []
+
+    def counted(name, real):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return real(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(algebroid, "differential_matrix",
+                        counted("differential_matrix", differential_matrix))
+    monkeypatch.setattr(Tensor, "apply", counted("apply", Tensor.apply))
+    monkeypatch.setattr(Tensor, "__add__", counted("__add__", Tensor.__add__))
+    for name in ALGEBROIDS:
+        for s in (0, 1):
+            cohomology_rank(name, 4, s)
+    assert calls == []

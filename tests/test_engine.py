@@ -13,6 +13,7 @@ the validating constructor, and shares no dict with its operands.
 
 from fractions import Fraction
 from functools import partial
+from operator import add, sub
 
 import pytest
 from hypothesis import given, settings
@@ -20,7 +21,7 @@ from hypothesis import strategies as st
 
 from hopftower import diffeo, nsym, qsym, sym
 from hopftower.diffeo import FdBElement
-from hopftower.errors import DomainError
+from hopftower.errors import AlgebraMismatchError, DomainError
 from hopftower.indices import compositions_of, partitions_of
 from hopftower.linear import Tensor, binomial_gen, on_words, recursive_antipode, word_image
 from hopftower.nsym import NSymElement, z
@@ -300,3 +301,10 @@ def test_tensor_constructor_rejects_what_no_factor_indexes():
         Tensor((SymElement, SymElement), {((2, -1), ()): 1})
     with pytest.raises(DomainError):
         Tensor((NSymElement, NSymElement), {((1,),): 1})
+
+
+def test_adding_elements_of_two_algebras_is_refused():
+    for x, y in ((e(1), z(1)), (z(1), e(1)), (e(1), Tensor.of(e(1))), (M(1), FdBElement.one())):
+        for op in (add, sub):
+            with pytest.raises(AlgebraMismatchError):
+                op(x, y)

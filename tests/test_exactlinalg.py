@@ -7,7 +7,7 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hopftower.exactlinalg import matrix_rank
+from hopftower.exactlinalg import matrix_rank, sparse_rank
 from hopftower.verify import _dense_rank_oracle
 
 entries = st.one_of(
@@ -77,3 +77,32 @@ def test_input_is_not_mutated_and_rank_is_an_int():
     assert rows == before
     assert all(type(x) is type(y) for r, s in zip(rows, before) for x, y in zip(r, s))
     assert type(rank) is int and rank == 2
+
+
+@st.composite
+def sparse_matrices(draw):
+    """Sparse integer matrices as {column: int} rows (some empty, some
+    repeated or combined), with a row order and a column relabelling."""
+    ncols = draw(st.integers(1, 12))
+    row = st.dictionaries(st.integers(0, ncols - 1),
+                          st.integers(-9, 9).filter(bool), max_size=4)
+    rows = draw(st.lists(row, min_size=1, max_size=12))
+    for _ in range(draw(st.integers(0, 3))):
+        i, j = draw(st.integers(0, len(rows) - 1)), draw(st.integers(0, len(rows) - 1))
+        a, b = draw(st.integers(-3, 3)), draw(st.integers(-3, 3))
+        mix = {k: a * rows[i].get(k, 0) + b * rows[j].get(k, 0)
+               for k in set(rows[i]) | set(rows[j])}
+        rows.append({k: v for k, v in mix.items() if v})
+    return ncols, rows, draw(st.permutations(rows)), draw(st.permutations(range(ncols)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(sparse_matrices())
+def test_sparse_rank_ignores_row_and_column_order(case):
+    ncols, rows, shuffled, relabel = case
+    before = copy.deepcopy(rows)
+    rank = sparse_rank(rows)
+    assert rows == before
+    assert rank == sparse_rank([{relabel[j]: c for j, c in r.items()} for r in shuffled])
+    dense = [[r.get(j, 0) for j in range(ncols)] for r in rows]
+    assert rank == sympy.Matrix(dense).rank() == matrix_rank(dense)

@@ -181,13 +181,27 @@ def test_mixed_basis_product_takes_the_first_products_basis():
 
 
 def test_coefficients_of_two_classes_are_refused():
-    mixed = TruncatedSeries(NSymElement, {0: NSymElement.one(), 1: BElement.one()}, 2)
+    with pytest.raises(AlgebraMismatchError):
+        TruncatedSeries(NSymElement, {0: NSymElement.one(), 1: BElement.one()}, 2)
     clean = TruncatedSeries(NSymElement, {0: NSymElement.one(), 1: NSymElement.one()}, 2)
+    # the trusted path skips the constructor's check; products still refuse
+    mixed = clean._adopt({0: NSymElement.one(), 1: BElement.one()})
     for f, g in ((mixed, clean), (clean, mixed), (mixed, mixed)):
         with pytest.raises(AlgebraMismatchError):
             f * g
     with pytest.raises(AlgebraMismatchError):
         mixed.compose(TruncatedSeries(NSymElement, {1: NSymElement.one()}, 2))
+
+
+def test_the_constructor_refuses_a_coefficient_of_another_algebra():
+    space = TensorSpace(NSymElement, NSymElement)
+    for algebra, foreign in ((NSymElement, topology.b(1)), (SymElement, NSymElement.one()),
+                             (space, Tensor.of(NSymElement.one(), BElement.one())),
+                             (space, NSymElement.one())):
+        with pytest.raises(AlgebraMismatchError):
+            TruncatedSeries(algebra, {1: foreign}, 2)
+    ok = TruncatedSeries(space, {0: 2, 1: Tensor.of(NSymElement.one(), NSymElement.one())}, 2)
+    assert ok.coefficient(0) == space.one().scale(2)
 
 
 def test_series_products_make_no_element_product_calls(monkeypatch):
