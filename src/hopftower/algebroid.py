@@ -28,7 +28,7 @@ capability error rather than grinding.
 
 from . import structures
 from .diffeo import bfk_coproduct, coaction_sym, fdb_coproduct
-from .errors import CapabilityError, DomainError
+from .errors import AlgebraMismatchError, CapabilityError, DomainError
 from .exactlinalg import _primitive, matrix_rank, sparse_rank
 from .linear import Tensor, add_term, settle
 from .nsym import NSymElement
@@ -64,10 +64,16 @@ class SplitAlgebroid:
         return structures.ALGEBRAS[self.hopf].element({idx: coeff})
 
     def as_level(self, x):
-        """Wrap a plain base element as a level-0 (arity-1) tensor."""
-        if isinstance(x, Tensor):
-            return x
-        return Tensor((self.base_cls,), {(idx,): c for idx, c in x.terms.items()})
+        """``x`` as a cochain: a base element becomes a level-0 (arity-1)
+        tensor in the slot basis, and a tensor must be over (base, hopf, ...,
+        hopf); anything else raises ``AlgebraMismatchError``."""
+        if type(x) is self.base_cls:
+            return Tensor.of(x)
+        if (type(x) is not Tensor or x.factors[:1] != (self.base_cls,)
+                or any(f is not self.hopf_cls for f in x.factors[1:])):
+            raise AlgebraMismatchError("a %s is not a cochain of %s"
+                                       % (type(x).__name__, self.name))
+        return x
 
     def __repr__(self):
         return "SplitAlgebroid(%s)" % self.name

@@ -15,7 +15,9 @@ Shapes:
   keyed ``left``/``right`` for two slots and ``slots`` for more
 * series: ``{"algebra":...,"cap":6,"vars":1,"series":[{"power":1,...}]}``
   where each entry carries the coefficient body of its algebra
-* beta polynomials: coefficient bodies ``{"beta":[{"power":1,"terms":[...]}]}``
+* beta polynomials: coefficient bodies ``{"beta":[{"power":1,"terms":[...]}]}``;
+  a series of them is marked ``"coefficients":"beta"`` after its algebra tag
+  (a document without the mark is read as one when an entry nests ``beta``)
 
 ``from_document`` inverts all of the above exactly.
 """
@@ -107,12 +109,11 @@ def series_document(s, structure=None):
     else:
         tag = _class_tag(algebra)
         doc = {"algebra": tag}
-        if tag == "sym":
-            # one basis for the whole series: the lowest-degree coefficient's
-            basis = "e"
-            for k in sorted(s.coeffs, key=s._degree):
-                basis = s.coeffs[k].basis
-                break
+        if algebra is BetaPolynomial:
+            doc["coefficients"] = "beta"  # BElement series share the bpoly tag
+        elif tag == "sym":
+            # one basis for the whole series: that of the first term printed
+            basis = s.terms[min(s.terms, key=s._sort_key)].basis if s.terms else "e"
             doc["basis"] = basis
             s = s.map_coefficients(lambda v: convert(v, basis))
         elif tag == "nsym":
@@ -195,7 +196,8 @@ def _series_from(doc):
         algebra = TensorSpace(*[structures.algebra(t).cls for t in doc["factors"]])
     elif tag == "scalar":
         algebra = Fraction
-    elif tag == "bpoly" and any("beta" in e for e in doc["series"]):
+    elif tag == "bpoly" and (doc.get("coefficients") == "beta"
+                             or any("beta" in e for e in doc["series"])):
         algebra = BetaPolynomial
     else:
         algebra = structures.algebra(tag).cls

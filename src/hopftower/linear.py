@@ -1,12 +1,18 @@
 """Finite sparse sums: linear combinations indexed by integer tuples, tensors
 of them, and the shared engine that builds every Hopf structure of the package.
 
-Every value here is a dict ``terms`` from a key to a nonzero coefficient, and
-``SparseSum`` is the one base class that holds it: the trusted builder
-``_new``, negation, subtraction, the scalar action and printing live there,
-so a subclass says only what its keys mean, how two sums are compared, added
-and multiplied, and how a key prints.  Every value prints through the one
-term printer ``format_terms``.  In an algebra element the key is a basis index
+Every value of the package is a dict ``terms`` from a key to a nonzero
+coefficient, and ``SparseSum`` is the one base class that holds it.  Its kinds
+are the algebra elements and tensors here, ``topology.BetaPolynomial`` and
+``series.TruncatedSeries``.  The trusted builder ``_new``, the operand rule,
+addition, negation, subtraction, the scalar action and printing live in the
+base, so a subclass says only what its keys mean, which values are of its
+kind, where its unit sits, how two sums are compared and multiplied, and how
+a key prints.  The operand rule is the same for every kind and every binary
+operation: a value of the same kind is combined, an ``int`` or ``Fraction``
+stands for that multiple of the unit, and anything else raises
+``AlgebraMismatchError``.  Every value prints through the one term printer
+``format_terms``.  In an algebra element the key is a basis index
 (a tuple of positive integers, ``()`` for the unit) and the coefficient a
 nonzero ``int`` or a ``Fraction`` whose denominator is greater than 1
 (``scalars.rational`` is the normaliser); subclasses fix the product of two
@@ -121,14 +127,16 @@ def format_terms(terms):
 class SparseSum:
     """A finite sum held as a dict ``terms`` from keys to nonzero coefficients.
 
-    Subclasses give the meaning of a key, ``__eq__``, ``__add__``,
-    ``__mul__``, how a key prints (``_monomial``) and the display order of
-    the keys (``_sort_key``, natural order by default).
+    Subclasses give the meaning of a key, ``__mul__``, the unit
+    (``_unit_term``), how a key prints (``_monomial``) and the display order
+    of the keys (``_sort_key``, natural order by default); one carrying extra
+    state also says which sums of its type are of its kind (``_same_kind``).
     """
 
     __slots__ = ("terms",)
     __hash__ = None
     _sort_key = None
+    coeffs = property(lambda self: self.terms)  # read by bench/streams.py
 
     def _new(self, terms):
         """Adopt ``terms`` as a sum of the same kind, with no second pass.
@@ -146,14 +154,51 @@ class SparseSum:
         obj.terms = terms
         return obj
 
+    def _same_kind(self, other):
+        """Whether ``other``, a sum of this type, combines with this one."""
+        return True
+
+    def _unit_term(self, q):
+        """The ``(key, coefficient)`` of ``q`` times the unit, ``q`` a nonzero
+        ``int`` or ``Fraction``."""
+        return (), q
+
+    def _operand(self, other):
+        """``other`` as a sum of this kind, by the operand rule: a sum of the
+        same kind passes, an ``int`` or ``Fraction`` goes on the unit, and
+        anything else raises ``AlgebraMismatchError``."""
+        # the own type first: Fraction's isinstance check runs the slower ABC
+        # machinery
+        if type(other) is type(self) and self._same_kind(other):
+            return other
+        if isinstance(other, (int, Fraction)):
+            q = rational(other)
+            return self._new(dict((self._unit_term(q),)) if q else {})
+        raise AlgebraMismatchError(
+            "cannot combine %s with %s of another kind"
+            % (type(self).__name__, type(other).__name__))
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._same_kind(other) and self.terms == other.terms
+
     def __bool__(self):
         return bool(self.terms)
+
+    def __add__(self, other):
+        out = dict(self.terms)
+        for k, c in self._operand(other).terms.items():
+            add_term(out, k, c)
+        return self._new(out)
+
+    __radd__ = __add__
 
     def __neg__(self):
         return self._new({k: -c for k, c in self.terms.items()})
 
     def __sub__(self, other):
-        return self + (-other)
+        return self + (-self._operand(other))
 
     def __rsub__(self, other):
         return (-self) + other
@@ -269,28 +314,10 @@ class LinearElement(SparseSum):
             return self.terms == ({(): other} if other else {})
         return NotImplemented
 
-    def __add__(self, other):
-        out = dict(self.terms)
-        if type(other) is type(self):
-            for idx, c in other.terms.items():
-                add_term(out, idx, c)
-        elif isinstance(other, (int, Fraction)):
-            add_term(out, (), rational(other))
-        elif isinstance(other, SparseSum):
-            raise AlgebraMismatchError(
-                "cannot add %s and %s" % (type(self).__name__, type(other).__name__))
-        else:
-            return NotImplemented
-        return self._new(out)
-
-    __radd__ = __add__
-
     def __mul__(self, other):
-        if type(other) is not type(self):
-            if isinstance(other, (int, Fraction)):
-                return self.scale(other)
-            raise AlgebraMismatchError(
-                "cannot multiply %s by %s" % (type(self).__name__, type(other).__name__))
+        if type(other) is not type(self) and isinstance(other, (int, Fraction)):
+            return self.scale(other)
+        other = self._operand(other)
         return self._new(settle(self._mul_into({}, self, other)))
 
     def _mul_into(self, out, a, b):
@@ -391,26 +418,16 @@ class Tensor(SparseSum):
     def arity(self):
         return len(self.factors)
 
-    def _require_same_shape(self, other):
-        if not isinstance(other, Tensor) or other.factors != self.factors:
-            raise AlgebraMismatchError("tensor factors do not match")
+    def _same_kind(self, other):
+        return other.factors == self.factors
 
-    def __eq__(self, other):
-        if type(other) is not Tensor:
-            return NotImplemented
-        return self.factors == other.factors and self.terms == other.terms
-
-    def __add__(self, other):
-        self._require_same_shape(other)
-        out = dict(self.terms)
-        for key, c in other.terms.items():
-            add_term(out, key, c)
-        return self._new(out)
+    def _unit_term(self, q):
+        return ((),) * len(self.factors), q
 
     def __mul__(self, other):
         if type(other) is not Tensor and isinstance(other, (int, Fraction)):
             return self.scale(other)
-        self._require_same_shape(other)
+        other = self._operand(other)
         out = {}
         for k1, c1 in self.terms.items():
             for k2, c2 in other.terms.items():

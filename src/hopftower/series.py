@@ -1,12 +1,11 @@
 """Truncated power series with exact coefficients in a configurable algebra.
 
-Coefficients may be plain rational scalars (the ``algebra`` tag is
-``Fraction``; each coefficient is an ``int`` or a ``Fraction`` with
-denominator > 1), elements of any of the graded algebras in this package, or
-tensors.  A series is stored sparsely as a dict from exponent to coefficient;
-for bivariate series the exponent is a pair ``(i, j)``.  Every operation
-truncates at a fixed ``cap``: exponents with total degree > cap are
-discarded, and operations never invent coefficients beyond it.
+A series is a ``linear.SparseSum`` keyed by the exponent: an ``int``, or a
+pair ``(i, j)`` for two variables.  Coefficients are plain rational scalars
+(the ``algebra`` tag is ``Fraction``), elements of one of the package's
+algebras, or tensors over a ``TensorSpace``.  Every operation truncates at a
+fixed ``cap``: exponents of total degree > cap are discarded, and operations
+never invent coefficients beyond it.
 
 Composition and reversion follow the classical recursions.  Reversion is only
 defined over commutative coefficients; composition multiplies outer
@@ -15,19 +14,24 @@ that makes the noncommutative functional calculus here come out right.
 """
 
 from fractions import Fraction
+from math import factorial
 from operator import add
 
 from .errors import AlgebraMismatchError, DomainError
-from .linear import Tensor, TensorSpace, add_term, format_terms, settle
-from .scalars import ONE, ZERO, quotient, rational
+from .linear import SparseSum, Tensor, TensorSpace, add_term, settle
+from .scalars import ZERO, quotient, rational
 
 
-def _is_scalar_algebra(algebra):
-    return algebra is Fraction
+def _zero_key(nvars):
+    return 0 if nvars == 1 else (0,) * nvars
 
 
-class TruncatedSeries:
-    __slots__ = ("algebra", "coeffs", "cap", "nvars")
+def _degree(key):
+    return key if type(key) is int else sum(key)
+
+
+class TruncatedSeries(SparseSum):
+    __slots__ = ("algebra", "cap", "nvars")
 
     def __init__(self, algebra, coeffs=None, cap=6, nvars=1):
         if cap < 0:
@@ -39,12 +43,12 @@ class TruncatedSeries:
         if coeffs:
             for k, v in coeffs.items():
                 key = self._norm_key(k)
-                if self._degree(key) > cap:
+                if _degree(key) > cap:
                     continue
                 v = self._norm_coeff(v)
                 if v:
                     data[key] = v
-        self.coeffs = data
+        self.terms = data
 
     # -- representation helpers -------------------------------------------
 
@@ -52,9 +56,6 @@ class TruncatedSeries:
         if self.nvars == 1:
             return int(k)
         return tuple(int(x) for x in k)
-
-    def _degree(self, key):
-        return key if self.nvars == 1 else sum(key)
 
     def _norm_coeff(self, v):
         """``v`` as a stored coefficient; ``AlgebraMismatchError`` if it is
@@ -66,71 +67,51 @@ class TruncatedSeries:
         if type(v) is algebra:
             return v
         if isinstance(v, (int, float)) or type(v) is Fraction:
-            return self._unit_coeff().scale(v)
+            return algebra.one().scale(v)
         if type(v) is Tensor and type(algebra) is TensorSpace and v.factors == algebra.factors:
             return v
         raise AlgebraMismatchError("a %s coefficient is not in the series algebra %s"
                                    % (type(v).__name__, getattr(algebra, "__name__", algebra)))
 
-    def _unit_coeff(self):
-        return ONE if _is_scalar_algebra(self.algebra) else self.algebra.one()
-
-    def _zero_coeff(self):
-        return ZERO if _is_scalar_algebra(self.algebra) else self.algebra.zero()
-
-    def _coeff_commutative(self):
-        if _is_scalar_algebra(self.algebra):
-            return True
-        return bool(self.algebra.COMMUTATIVE)
-
-    def _same_shape(self, other):
-        if (not isinstance(other, TruncatedSeries) or other.algebra != self.algebra
-                or other.nvars != self.nvars):
-            raise AlgebraMismatchError("series do not live in the same ring")
-
-    def _spawn(self, coeffs, cap=None, nvars=None):
-        return TruncatedSeries(self.algebra,
-                               coeffs,
-                               self.cap if cap is None else cap,
-                               self.nvars if nvars is None else nvars)
-
-    def _adopt(self, coeffs, cap=None, nvars=None):
-        """A series over this algebra holding ``coeffs`` as given, with no
+    def _new(self, terms, cap=None, nvars=None):
+        """A series over this algebra holding ``terms`` as given, with no
         second pass: a fresh dict whose keys are canonical exponents of total
         degree <= cap and whose values are nonzero stored coefficients, as
         arithmetic builds it."""
-        res = self._spawn(None, cap, nvars)
-        res.coeffs = coeffs
-        return res
+        obj = super()._new(terms)
+        obj.algebra = self.algebra
+        obj.cap = self.cap if cap is None else cap
+        obj.nvars = self.nvars if nvars is None else nvars
+        return obj
+
+    def _same_kind(self, other):
+        return other.algebra == self.algebra and other.nvars == self.nvars
+
+    def _unit_term(self, q):
+        algebra = self.algebra
+        return _zero_key(self.nvars), q if algebra is Fraction else algebra.one().scale(q)
 
     def coefficient(self, k):
         """Coefficient of T^k (or X^i Y^j for a pair key); zero when absent."""
-        key = self._norm_key(k)
-        v = self.coeffs.get(key)
-        return self._zero_coeff() if v is None else v
+        v = self.terms.get(self._norm_key(k))
+        if v is None:
+            return ZERO if self.algebra is Fraction else self.algebra.zero()
+        return v
 
     def valuation(self):
         """Smallest total degree with a nonzero coefficient; cap+1 when zero."""
-        if not self.coeffs:
-            return self.cap + 1
-        return min(self._degree(k) for k in self.coeffs)
+        return min(map(_degree, self.terms), default=self.cap + 1)
 
     def truncate(self, cap):
         """This series known only up to total degree ``cap``; a cap at or
         above ``self.cap`` keeps ``self.cap``, since no precision is gained."""
         if cap >= self.cap:
-            return self._adopt(dict(self.coeffs))
-        return self._adopt({k: v for k, v in self.coeffs.items() if self._degree(k) <= cap},
-                           cap=cap)
+            return self._new(dict(self.terms))
+        return self._new({k: v for k, v in self.terms.items() if _degree(k) <= cap}, cap)
 
     def map_coefficients(self, fn, algebra=None):
-        out = {}
-        target = self.algebra if algebra is None else algebra
-        for k, v in self.coeffs.items():
-            w = fn(v)
-            if w:
-                out[k] = w
-        return TruncatedSeries(target, out, self.cap, self.nvars)
+        return TruncatedSeries(self.algebra if algebra is None else algebra,
+                               {k: fn(v) for k, v in self.terms.items()}, self.cap, self.nvars)
 
     # -- ring operations --------------------------------------------------
 
@@ -138,54 +119,29 @@ class TruncatedSeries:
         if not isinstance(other, TruncatedSeries):
             return NotImplemented
         return (self.algebra == other.algebra and self.nvars == other.nvars
-                and self.cap == other.cap and self.coeffs == other.coeffs)
+                and self.cap == other.cap and self.terms == other.terms)
 
     def __add__(self, other):
-        if type(other) is not TruncatedSeries and isinstance(other, (int, Fraction)):
-            zk = self._norm_key(0 if self.nvars == 1 else (0,) * self.nvars)
-            other = self._spawn({zk: other})
-        self._same_shape(other)
+        other = self._operand(other)
         cap = min(self.cap, other.cap)
-        out = {k: v for k, v in self.coeffs.items() if self._degree(k) <= cap}
-        for k, v in other.coeffs.items():
-            if self._degree(k) <= cap:
+        out = {k: v for k, v in self.terms.items() if _degree(k) <= cap}
+        for k, v in other.terms.items():
+            if _degree(k) <= cap:
                 add_term(out, k, v)
-        return self._spawn(out, cap=cap)
+        return self._new(out, cap)
 
     __radd__ = __add__
-
-    def __neg__(self):
-        return self._spawn({k: -v for k, v in self.coeffs.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def scale(self, q):
-        q = rational(q)
-        if not q:
-            return self._spawn({})
-        if _is_scalar_algebra(self.algebra):
-            return self._spawn({k: v * q for k, v in self.coeffs.items()})
-        return self._spawn({k: v.scale(q) for k, v in self.coeffs.items()})
-
-    def __rmul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self.scale(other)
-        return NotImplemented
 
     def __mul__(self, other):
         if type(other) is not TruncatedSeries and isinstance(other, (int, Fraction)):
             return self.scale(other)
-        self._same_shape(other)
+        other = self._operand(other)
         cap = min(self.cap, other.cap)
         univariate = self.nvars == 1
-        scalar = _is_scalar_algebra(self.algebra)
-        right = sorted((k if univariate else sum(k), k, v) for k, v in other.coeffs.items())
+        scalar = self.algebra is Fraction
+        right = sorted((k if univariate else sum(k), k, v) for k, v in other.terms.items())
         out = {}
-        for k1, v1 in self.coeffs.items():
+        for k1, v1 in self.terms.items():
             room = cap - (k1 if univariate else sum(k1))
             for d2, k2, v2 in right:
                 if d2 > room:
@@ -195,12 +151,12 @@ class TruncatedSeries:
                     out[key] = out.get(key, 0) + v1 * v2
                 else:
                     _add_product(out, key, v1, v2)
-        return self._adopt(_settle_sums(out, scalar), cap=cap)
+        return self._new(_settle_sums(out, scalar), cap)
 
     def __pow__(self, n):
         if not isinstance(n, int) or n < 0:
             raise DomainError("series exponents must be nonnegative integers")
-        out = self._spawn({self._norm_key(0 if self.nvars == 1 else (0,) * self.nvars): ONE})
+        out = self._operand(1)
         for _ in range(n):
             out = out * self
         return out
@@ -209,28 +165,27 @@ class TruncatedSeries:
 
     def invert(self):
         """Multiplicative inverse; needs an invertible (scalar-unit) constant term."""
-        zero_key = 0 if self.nvars == 1 else (0,) * self.nvars
-        c0 = self.coeffs.get(zero_key)
+        zero_key = _zero_key(self.nvars)
+        c0 = self.terms.get(zero_key)
         if c0 is None:
             raise DomainError("cannot invert a series with zero constant term")
-        if _is_scalar_algebra(self.algebra):
+        if self.algebra is Fraction:
             c0_inv = quotient(1, c0)
         else:
             scal = c0.terms.get(())
             if scal is None or len(c0.terms) != 1:
                 raise DomainError("constant term must be a scalar multiple of the unit")
             c0_inv = quotient(1, scal)
-        # g = c0^-1 * (unit - (f - c0) * g), solved degree by degree
-        rest = self._spawn({k: v for k, v in self.coeffs.items() if k != zero_key})
-        out = self._spawn({zero_key: self._norm_coeff(c0_inv)})
-        if not rest.coeffs:
+        out = self._operand(c0_inv)
+        rest = self._new({k: v for k, v in self.terms.items() if k != zero_key})
+        if not rest:
             return out
         # g = c0^-1 * (1 - rest * g); each pass extends the correct order by one
         acc = out
         for _ in range(self.cap):
             acc = out - (rest * acc).scale(c0_inv)
         probe = self * acc
-        if probe != probe._spawn({zero_key: ONE}):
+        if probe != probe._operand(1):
             raise DomainError("inversion failed to converge within the cap")
         return acc
 
@@ -240,29 +195,28 @@ class TruncatedSeries:
             raise DomainError("composition needs a univariate outer series")
         if inner.algebra != self.algebra:
             raise AlgebraMismatchError("inner series over a different coefficient ring")
-        zk = 0 if inner.nvars == 1 else (0,) * inner.nvars
-        if inner.coeffs.get(zk):
+        if inner.terms.get(_zero_key(inner.nvars)):
             raise DomainError("inner series must have zero constant term")
         cap = min(self.cap, inner.cap)
         val = max(inner.valuation(), 1)
-        scalar = _is_scalar_algebra(self.algebra)
+        scalar = self.algebra is Fraction
         result = {}
-        power = TruncatedSeries(self.algebra, {zk: ONE}, cap, inner.nvars)
+        power = inner._operand(1).truncate(cap)
         for n in range(0, cap + 1):
             if n > 0:
                 power = power * inner
                 if n * val > cap:
                     break
-            cn = self.coeffs.get(n)
+            cn = self.terms.get(n)
             if cn is None:
                 continue
-            for k, v in power.coeffs.items():
+            for k, v in power.terms.items():
                 # outer coefficients act on the left
                 if scalar:
                     result[k] = result.get(k, 0) + cn * v
                 else:
                     _add_product(result, k, cn, v)
-        return self._adopt(_settle_sums(result, scalar), cap, inner.nvars)
+        return self._new(_settle_sums(result, scalar), cap, inner.nvars)
 
     def revert(self):
         """Compositional inverse of a series T + higher order terms.
@@ -272,21 +226,18 @@ class TruncatedSeries:
         """
         if self.nvars != 1:
             raise DomainError("reversion needs a univariate series")
-        if not self._coeff_commutative():
+        if not (self.algebra is Fraction or self.algebra.COMMUTATIVE):
             raise DomainError("reversion requires commutative coefficients")
-        c1 = self.coeffs.get(1)
-        if self.coeffs.get(0) or c1 != self._norm_coeff(1):
+        one = self._unit_term(1)[1]
+        if self.terms.get(0) or self.terms.get(1) != one:
             raise DomainError("reversion needs the form T + higher order terms")
-        cap = self.cap
-        g = {1: self._norm_coeff(1)}
-        for n in range(2, cap + 1):
-            partial = TruncatedSeries(self.algebra, g, n, 1)
-            comp = self.truncate(n).compose(partial)
-            err = comp.coeffs.get(n)
+        g = {1: one}
+        for n in range(2, self.cap + 1):
+            comp = self.truncate(n).compose(self._new(dict(g), n))
+            err = comp.terms.get(n)
             if err:
                 g[n] = -err
-        out = TruncatedSeries(self.algebra, g, cap, 1)
-        return out
+        return self._new(g)
 
     def residue(self):
         """Coefficient of T^-1 of this series times dT, i.e. a formal residue hook.
@@ -295,42 +246,41 @@ class TruncatedSeries:
         zero; ``shift`` produces the negative-exponent views where this is
         useful.
         """
-        return self.coeffs.get(-1, self._zero_coeff())
+        if self.nvars != 1:
+            raise DomainError("residue is univariate only")
+        return self.coefficient(-1)
 
     def shift(self, k):
         """Multiply by T^k, allowing negative exponents (Laurent view)."""
         if self.nvars != 1:
             raise DomainError("shift is univariate only")
-        return self._adopt({e + k: v for e, v in self.coeffs.items() if e + k <= self.cap})
+        return self._new({e + k: v for e, v in self.terms.items() if e + k <= self.cap})
 
     # -- transcendental helpers over the rationals ------------------------
 
     def exp(self):
         """exp of a series with zero constant term."""
-        if self.coeffs.get(0 if self.nvars == 1 else (0,) * self.nvars):
+        if self.terms.get(_zero_key(self.nvars)):
             raise DomainError("exp needs zero constant term")
-        zero_key = 0 if self.nvars == 1 else (0,) * self.nvars
-        out = self._spawn({zero_key: ONE})
-        term = self._spawn({zero_key: ONE})
+        out = term = self._operand(1)
         for n in range(1, self.cap + 1):
             term = term * self
-            out = out + term.scale(Fraction(1, _factorial(n)))
-            if not term.coeffs:
+            out = out + term.scale(Fraction(1, factorial(n)))
+            if not term:
                 break
         return out
 
     def log(self):
         """log of a series with constant term 1."""
-        zero_key = 0 if self.nvars == 1 else (0,) * self.nvars
-        if self.coeffs.get(zero_key) != self._norm_coeff(1):
+        u = self - 1
+        if _zero_key(self.nvars) in u.terms:
             raise DomainError("log needs constant term 1")
-        u = self._spawn({k: v for k, v in self.coeffs.items() if k != zero_key})
-        out = self._spawn({})
-        term = self._spawn({zero_key: ONE})
+        out = self._new({})
+        term = self._operand(1)
         sign = 1
         for n in range(1, self.cap + 1):
             term = term * u
-            if not term.coeffs:
+            if not term:
                 break
             out = out + term.scale(Fraction(sign, n))
             sign = -sign
@@ -340,7 +290,7 @@ class TruncatedSeries:
         """Substitute T -> -T in a univariate series."""
         if self.nvars != 1:
             raise DomainError("alternate is univariate only")
-        return self._spawn({k: (v if k % 2 == 0 else -v) for k, v in self.coeffs.items()})
+        return self._new({k: (v if k % 2 == 0 else -v) for k, v in self.terms.items()})
 
     # -- bivariate plumbing -----------------------------------------------
 
@@ -348,52 +298,45 @@ class TruncatedSeries:
         """View a univariate series as bivariate in variable ``slot`` (0 or 1)."""
         if self.nvars != 1:
             raise DomainError("embed_bivariate needs a univariate series")
-        out = {}
-        for e, v in self.coeffs.items():
-            key = (e, 0) if slot == 0 else (0, e)
-            out[key] = v
-        return TruncatedSeries(self.algebra, out, self.cap, 2)
+        _check_slot(slot)
+        return self._new({((e, 0) if slot == 0 else (0, e)): v
+                          for e, v in self.terms.items()}, nvars=2)
 
     def swap_variables(self):
         """Exchange the two variables of a bivariate series."""
         if self.nvars != 2:
             raise DomainError("swap_variables needs a bivariate series")
-        return self._spawn({(j, i): v for (i, j), v in self.coeffs.items()})
+        return self._new({(j, i): v for (i, j), v in self.terms.items()})
 
     def set_variable_zero(self, slot):
         """Kill one variable of a bivariate series, returning a univariate one."""
         if self.nvars != 2:
             raise DomainError("set_variable_zero needs a bivariate series")
-        out = {}
-        for (i, j), v in self.coeffs.items():
-            if slot == 0 and i == 0:
-                out[j] = v
-            elif slot == 1 and j == 0:
-                out[i] = v
-        return TruncatedSeries(self.algebra, out, self.cap, 1)
+        _check_slot(slot)
+        return self._new({key[1 - slot]: v for key, v in self.terms.items() if not key[slot]},
+                         nvars=1)
 
-    def __str__(self):
-        def key_str(k):
-            if self.nvars == 1:
-                if k == 0:
-                    return ""
-                return "T" if k == 1 else "T^%d" % k
-            bits = []
-            for name, exp in zip(("X", "Y"), k):
-                if exp == 1:
-                    bits.append(name)
-                elif exp != 0:
-                    bits.append("%s^%d" % (name, exp))
-            return "*".join(bits)
-        if self.nvars == 1:
-            order = sorted(self.coeffs)
-        else:
-            # display X before Y within each total degree
-            order = sorted(self.coeffs, key=lambda kk: (sum(kk), tuple(-x for x in kk)))
-        return format_terms((self.coeffs[k], key_str(k)) for k in order)
+    # -- printing ---------------------------------------------------------
+
+    @staticmethod
+    def _sort_key(k):
+        # X before Y within each total degree
+        return k if type(k) is int else (sum(k), tuple(-x for x in k))
+
+    @staticmethod
+    def _monomial(k):
+        if type(k) is int:
+            return "" if k == 0 else "T" if k == 1 else "T^%d" % k
+        return "*".join(name if x == 1 else "%s^%d" % (name, x)
+                        for name, x in zip("XY", k) if x)
 
     def __repr__(self):
         return "TruncatedSeries(%s, cap=%d)" % (self, self.cap)
+
+
+def _check_slot(slot):
+    if slot not in (0, 1):
+        raise DomainError("variable slot must be 0 or 1, not %r" % (slot,))
 
 
 def _add_product(sums, key, a, b):
@@ -422,13 +365,6 @@ def _settle_sums(sums, scalar):
         terms = settle(terms)
         if terms:
             out[key] = proto._new(terms)
-    return out
-
-
-def _factorial(n):
-    out = 1
-    for i in range(2, n + 1):
-        out *= i
     return out
 
 

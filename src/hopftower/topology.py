@@ -16,7 +16,7 @@ from functools import lru_cache
 from itertools import combinations
 
 from .diffeo import bfk_antipode
-from .errors import AlgebraMismatchError, CapabilityError, DomainError
+from .errors import CapabilityError, DomainError
 from .indices import compositions_of, sort_to_partition
 from .linear import CommutativeElement, SparseSum, add_term
 from .nsym import NSymElement, z_series
@@ -108,7 +108,6 @@ class BetaPolynomial(SparseSum):
 
     COMMUTATIVE = True
     __slots__ = ()
-    coeffs = property(lambda self: self.terms)  # read by bench/streams.py
 
     def __init__(self, coeffs=None):
         data = {}
@@ -128,33 +127,12 @@ class BetaPolynomial(SparseSum):
     def zero(cls):
         return cls()
 
-    def __eq__(self, other):
-        if not isinstance(other, BetaPolynomial):
-            return NotImplemented
-        return self.terms == other.terms
-
-    def _operand(self, other):
-        """``other`` as a beta polynomial: a scalar sits on beta^0, and any
-        other value that is not a ``BetaPolynomial`` is refused."""
-        if type(other) is BetaPolynomial:
-            return other
-        if isinstance(other, (int, Fraction)):
-            return BetaPolynomial({0: other})
-        raise AlgebraMismatchError(
-            "cannot combine BetaPolynomial with %s" % type(other).__name__)
-
-    def __add__(self, other):
-        out = dict(self.terms)
-        for k, v in self._operand(other).terms.items():
-            add_term(out, k, v)
-        return self._new(out)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return self + (-self._operand(other))
+    def _unit_term(self, q):
+        return 0, BElement({(): q})
 
     def __mul__(self, other):
+        if type(other) is not BetaPolynomial and isinstance(other, (int, Fraction)):
+            return self.scale(other)
         other = self._operand(other)
         out = {}
         for k1, v1 in self.terms.items():
@@ -360,7 +338,7 @@ def evaluate_bivariate(F, P, Q, cap):
     associativity with three variables without a trivariate series type.
     """
     nvars = len(next(iter(P))) if P else len(next(iter(Q)))
-    unit = {(0,) * nvars: F._unit_coeff()}
+    unit = {(0,) * nvars: F._unit_term(1)[1]}
     out = {}
     max_j = max((j for (_, j) in F.coeffs), default=0)
     q_powers = [unit]

@@ -8,12 +8,13 @@ from hopftower.algebroid import (ALGEBROIDS, coface, cohomology_rank,
                                  differential_rows, invariants_rank_oracle,
                                  right_unit_functional, zcobar_coface)
 from hopftower.diffeo import bfk_coproduct
-from hopftower.errors import CapabilityError, DomainError
+from hopftower.errors import AlgebraMismatchError, CapabilityError, DomainError
 from hopftower.exactlinalg import _integer_row, matrix_rank
 from hopftower.indices import weak_compositions
 from hopftower.linear import Tensor
 from hopftower.nsym import NSymElement, z
 from hopftower.scalars import ZERO
+from hopftower.sym import convert, e, h, m, p
 
 
 def test_both_algebroids_are_registered():
@@ -176,3 +177,22 @@ def test_cohomology_rank_builds_no_tensors_and_no_dense_matrix(monkeypatch):
         for s in (0, 1):
             cohomology_rank(name, 4, s)
     assert calls == []
+
+
+def test_base_elements_in_any_basis_are_read_as_slots_hold_them():
+    SB = ALGEBROIDS["S.B"]
+    for x in (h(2), m(2, 1) - p(1), h(1, 1).scale(3) + e(2)):
+        want = convert(x, "e")
+        assert SB.as_level(x) == Tensor.of(want)
+        assert differential(SB, x) == differential(SB, want)
+        for i in (0, 1):
+            assert coface(SB, x, i) == coface(SB, want, i)
+
+
+def test_foreign_cochains_are_refused():
+    SB, NN = ALGEBROIDS["S.B"], ALGEBROIDS["N.N"]
+    for alg, x in ((SB, z(1)), (NN, e(1)), (SB, Tensor.of(z(1))), (NN, Tensor.of(e(1))),
+                   (SB, Tensor.of(e(1), e(1))), (SB, NN.as_level(z(1))), (SB, 1)):
+        for apply in (lambda: differential(alg, x), lambda: coface(alg, x, 0)):
+            with pytest.raises(AlgebraMismatchError):
+                apply()

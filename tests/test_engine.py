@@ -26,6 +26,7 @@ from hopftower.indices import compositions_of, partitions_of
 from hopftower.linear import Tensor, binomial_gen, on_words, recursive_antipode, word_image
 from hopftower.nsym import NSymElement, z
 from hopftower.qsym import M, QSymElement
+from hopftower.series import TruncatedSeries
 from hopftower.sym import SymElement, e
 from hopftower.verify import _ehrenborg_antipode
 
@@ -139,6 +140,8 @@ def test_long_words_are_extended_letter_by_letter():
 
 def _rebuilt(r):
     """``r`` rebuilt through the validating public constructor."""
+    if isinstance(r, TruncatedSeries):
+        return TruncatedSeries(r.algebra, r.terms, r.cap, r.nvars)
     if isinstance(r, Tensor):
         return Tensor(r.factors, r.terms)
     if isinstance(r, SymElement):
@@ -152,6 +155,14 @@ def _is_canonical_scalar(c):
 
 
 def _assert_canonical(r):
+    if isinstance(r, TruncatedSeries):
+        # a series holds canonical elements on exponents up to its cap
+        assert all((k if r.nvars == 1 else sum(k)) <= r.cap for k in r.terms)
+        for c in r.terms.values():
+            assert type(c) is r.algebra and c
+            _assert_canonical(c)
+        assert _rebuilt(r).terms == r.terms
+        return
     assert all(_is_canonical_scalar(c) for c in r.terms.values())
     if isinstance(r, Tensor):
         # the tensor constructor canonicalises slot keys; check each slot anyway,
@@ -163,13 +174,21 @@ def _assert_canonical(r):
     assert _rebuilt(r).terms == r.terms
 
 
+def _series_of(x, y):
+    """Two series over the algebra of x and y with both as coefficients."""
+    return (TruncatedSeries(type(x), {0: x, 1: y, 3: x}, 3),
+            TruncatedSeries(type(x), {1: x - y, 2: y}, 2))
+
+
 def _results(name, x, y, q):
     """Every arithmetic route of the engine, applied to x and y."""
     _, _, delta, antipode = STRUCTURES[name]
     dx, dy = delta(x), delta(y)
+    s, u = _series_of(x, y)
     yield from (x * y, y * x, x + y, x - y, -x, x + 1, x * 1, x.scale(q), x.scale(0),
                 x ** 2, delta(x * y), antipode(x), antipode(x * y), dx, dx * dy,
-                dx + dy, dx - dy, dx.scale(q), Tensor.of(x, y) * Tensor.of(y, x))
+                dx + dy, dx - dy, dx.scale(q), Tensor.of(x, y) * Tensor.of(y, x),
+                s + u, s - u, -s, s.scale(q), s - 1, s.truncate(1), s.alternate())
     for w in x.weights():
         yield x.component(w)
 
@@ -195,11 +214,15 @@ def test_results_share_no_dict_with_their_operands(case):
     t = delta(x)
     gen = partial(binomial_gen, NSymElement)
     word = NSymElement({(2, 1): 1, (1,): 3})
-    before = [dict(v.terms) for v in (x, y, t, word, gen(1), gen(2))]
-    for r in (x + y, x * 1, -x, x.scale(2), on_words(word, gen), t * t):
+    s, u = _series_of(x, y)
+    operands = (x, y, t, word, gen(1), gen(2), s, u)
+    before = [dict(v.terms) for v in operands]
+    for r in (x + y, x * 1, -x, x.scale(2), on_words(word, gen), t * t,
+              s + u, s - u, -s, s.scale(2), s - 1, s.truncate(1), s.truncate(5),
+              s.alternate()):
         r.terms.clear()
         r.terms[(7,)] = Fraction(5)
-    assert [v.terms for v in (x, y, t, word, gen(1), gen(2))] == before
+    assert [v.terms for v in operands] == before
 
 
 def test_public_constructors_still_validate():

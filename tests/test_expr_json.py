@@ -4,18 +4,20 @@ import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from hopftower.diffeo import t
 from hopftower.errors import (AlgebraMismatchError, DomainError,
                               ExpressionError)
 from hopftower.expr import parse_element, parse_series
 from hopftower.jsonio import document_for, dumps, from_document, loads
-from hopftower.linear import Tensor
+from hopftower.linear import Tensor, TensorSpace
 from hopftower.nsym import NSymElement, z, z_series
 from hopftower.qsym import M, pair
 from hopftower.series import TruncatedSeries
 from hopftower.sym import SymElement, coproduct, e, h, m, p
-from hopftower.topology import BElement, BetaPolynomial, b, beta_series
+from hopftower.topology import BElement, BetaPolynomial, b, beta_series, fgl
 
 
 # -- element expressions ----------------------------------------------------
@@ -195,6 +197,62 @@ def test_series_documents_round_trip():
         back = loads(dumps(document_for(s)))
         assert back == s
         assert back.cap == s.cap and back.nvars == s.nvars
+
+
+SYM_BASES = ("e", "h", "p", "m")
+PARTITIONS = [(), (1,), (2,), (1, 1), (3,), (2, 1), (1, 1, 1)]
+COMPOSITIONS = [(), (1,), (2,), (1, 1), (3,), (1, 2), (2, 1)]
+fractions = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+
+
+@st.composite
+def _terms(draw, indices):
+    return {idx: draw(fractions) for idx in draw(st.lists(st.sampled_from(indices),
+                                                         max_size=3, unique=True))}
+
+
+@st.composite
+def _series(draw):
+    """A series of one of the kinds the JSON layer writes, zero ones included."""
+    cap = draw(st.integers(1, 3))
+    kind = draw(st.sampled_from(["scalar", "bivariate", "sym", "nsym", "tensor",
+                                 "beta", "fgl"]))
+    if kind == "beta":
+        return beta_series(cap).scale(draw(fractions))
+    if kind == "fgl":
+        return fgl(cap).scale(draw(fractions))
+    nvars = 2 if kind == "bivariate" else 1
+    keys = [(i, j) for i in range(cap + 1) for j in range(cap + 1 - i)] \
+        if nvars == 2 else list(range(cap + 1))
+    coefficient = {
+        "scalar": lambda: draw(fractions),
+        "bivariate": lambda: draw(fractions),
+        "sym": lambda: SymElement(draw(_terms(PARTITIONS)), draw(st.sampled_from(SYM_BASES))),
+        "nsym": lambda: NSymElement(draw(_terms(COMPOSITIONS))),
+        "tensor": lambda: Tensor((NSymElement, SymElement), {
+            (draw(st.sampled_from(COMPOSITIONS)), draw(st.sampled_from(PARTITIONS))):
+            draw(fractions) for _ in range(draw(st.integers(0, 2)))}),
+    }[kind]
+    algebra = {"scalar": Fraction, "bivariate": Fraction, "sym": SymElement,
+               "nsym": NSymElement, "tensor": TensorSpace(NSymElement, SymElement)}[kind]
+    picked = draw(st.lists(st.sampled_from(keys), max_size=3, unique=True))
+    return TruncatedSeries(algebra, {k: coefficient() for k in picked}, cap, nvars)
+
+
+ZERO_SERIES = [TruncatedSeries(algebra, {}, 2, nvars) for algebra, nvars in (
+    (Fraction, 1), (Fraction, 2), (SymElement, 1), (NSymElement, 1), (type(M(1)), 1),
+    (type(t(1)), 1), (BElement, 1), (BElement, 2), (BetaPolynomial, 1),
+    (TensorSpace(NSymElement, NSymElement), 1))]
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.one_of(_series(), st.sampled_from(ZERO_SERIES)))
+@example(parse_series("h[1]*T + (m[2]+p[1,1])*T^2 + e[3]*T^3", 3))
+@example(parse_series("exp(beta*T)-exp(beta*T)", 2))
+def test_series_documents_round_trip_every_kind(s):
+    back = loads(dumps(document_for(s)))
+    assert back == s
+    assert type(back.algebra) is type(s.algebra) and back.algebra == s.algebra
 
 
 def test_sym_series_documents_keep_every_coefficient():

@@ -118,6 +118,17 @@ def test_bivariate_embedding_and_swap():
     assert prod.set_variable_zero(1).coeffs == {}
 
 
+def test_bivariate_slots_outside_0_and_1_are_refused():
+    f = TruncatedSeries(Fraction, {1: 1, 2: 3}, 4)
+    xy = f.embed_bivariate(0) * f.embed_bivariate(1)
+    for slot in (2, -1, 7):
+        with pytest.raises(DomainError):
+            f.embed_bivariate(slot)
+        with pytest.raises(DomainError):
+            xy.set_variable_zero(slot)
+    assert xy.set_variable_zero(0) == xy.set_variable_zero(1) == f.scale(0)
+
+
 def test_series_str_pins():
     assert str(S({1: Fraction(1), 2: Fraction(-1, 2)})) == "T - 1/2*T^2"
     assert str(S({0: Fraction(1)})) == "1"

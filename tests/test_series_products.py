@@ -185,7 +185,7 @@ def test_coefficients_of_two_classes_are_refused():
         TruncatedSeries(NSymElement, {0: NSymElement.one(), 1: BElement.one()}, 2)
     clean = TruncatedSeries(NSymElement, {0: NSymElement.one(), 1: NSymElement.one()}, 2)
     # the trusted path skips the constructor's check; products still refuse
-    mixed = clean._adopt({0: NSymElement.one(), 1: BElement.one()})
+    mixed = clean._new({0: NSymElement.one(), 1: BElement.one()})
     for f, g in ((mixed, clean), (clean, mixed), (mixed, mixed)):
         with pytest.raises(AlgebraMismatchError):
             f * g
