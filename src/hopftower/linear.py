@@ -20,16 +20,18 @@ basis indices, and the bilinear extension and grading helpers live here.
 Elements are treated as immutable once built, which keeps the memoised
 structure constants safe to share.
 
-Every product of elements, and every coefficient product of a truncated
-series, goes through one kernel.  ``mul_into`` adds the raw products of two
-term dicts into a plain dict, and ``settle`` then drops the zeros and stores
-integral ``Fraction``s as ``int``, once per result.  Each value's
-``_mul_into(out, a, b)`` hook adds a * b into ``out`` in that value's own
-basis: an algebra element calls ``mul_into`` with its basis product (the sym
-m basis with its counted structure constants), and any other sum adds the
-terms of the built product.  So ``LinearElement.__mul__`` is one hook call
-and one ``settle``, and a series keeps one such dict per output power
-instead of building and re-adding an element for each product.
+Every product of elements or tensors, and every coefficient product of a
+truncated series, adds raw products into a plain dict through the value's
+``_mul_into(out, a, b)`` hook; ``settle`` then drops the zeros and stores
+integral ``Fraction``s as ``int``, once per result.  In a monomial algebra
+(words in NSym, partitions in the commutative algebras) the product of two
+keys is one key with coefficient 1, which the class's ``key_mul`` gives, so
+the hook makes one key per term pair and ``basis_mul`` follows from it.
+QSym and the sym m basis give ``basis_mul`` as ``(key, coeff)`` pairs to
+``mul_into`` instead.  A tensor whose factors share one ``key_mul`` makes one
+key per term pair too, and otherwise multiplies slot by slot.  So a series
+keeps one such dict per output power instead of building an element for
+each product.
 
 Each coproduct, coaction and antipode is given on the generators and then
 extended over words.  ``on_words`` does that extension, multiplicatively or
@@ -240,6 +242,7 @@ class LinearElement(SparseSum):
     LETTER = "?"
     COMMUTATIVE = False
     __slots__ = ()
+    key_mul = None  # in a monomial algebra, the one key of a product of two keys
     _sort_key = staticmethod(index_sort_key)
 
     def __init__(self, terms=None):
@@ -276,8 +279,9 @@ class LinearElement(SparseSum):
 
     @classmethod
     def basis_mul(cls, i, j):
-        """Product of two basis indices as ((index, coeff), ...) pairs."""
-        raise NotImplementedError
+        """Product of two basis indices as ((index, coeff), ...) pairs; in a
+        monomial algebra the one pair ``(key_mul(i, j), 1)``."""
+        return ((cls.key_mul(i, j), ONE),)
 
     # -- structure helpers ------------------------------------------------
 
@@ -321,7 +325,16 @@ class LinearElement(SparseSum):
         return self._new(settle(self._mul_into({}, self, other)))
 
     def _mul_into(self, out, a, b):
-        return mul_into(out, a.terms, b.terms, self.basis_mul)
+        key_mul = self.key_mul
+        if key_mul is None:
+            return mul_into(out, a.terms, b.terms, self.basis_mul)
+        get = out.get
+        b_items = b.terms.items()
+        for i, ci in a.terms.items():
+            for j, cj in b_items:
+                k = key_mul(i, j)
+                out[k] = get(k, 0) + ci * cj
+        return out
 
     def __pow__(self, n):
         if not isinstance(n, int) or n < 0:
@@ -355,9 +368,10 @@ class CommutativeElement(LinearElement):
         # indices are partitions; unsorted inputs merge correctly
         return tuple(sorted(super().canonical_index(idx), reverse=True))
 
-    @classmethod
-    def basis_mul(cls, i, j):
-        return ((tuple(sorted(i + j, reverse=True)), ONE),)
+    @staticmethod
+    def key_mul(i, j):
+        """The merge of two partitions."""
+        return tuple(sorted(i + j, reverse=True))
 
 
 class Tensor(SparseSum):
@@ -427,20 +441,30 @@ class Tensor(SparseSum):
     def __mul__(self, other):
         if type(other) is not Tensor and isinstance(other, (int, Fraction)):
             return self.scale(other)
-        other = self._operand(other)
-        out = {}
-        for k1, c1 in self.terms.items():
-            for k2, c2 in other.terms.items():
+        return self._new(settle(self._mul_into({}, self, self._operand(other))))
+
+    def _mul_into(self, out, a, b):
+        """Add the raw terms of ``a * b`` into ``out``: one key per term pair
+        when every factor shares one ``key_mul``, else slot by slot."""
+        get = out.get
+        b_items = b.terms.items()
+        key_muls = {f.key_mul for f in self.factors}
+        if None not in key_muls and len(key_muls) == 1:
+            key_mul = key_muls.pop()
+            for k1, c1 in a.terms.items():
+                for k2, c2 in b_items:
+                    k = tuple(map(key_mul, k1, k2))
+                    out[k] = get(k, 0) + c1 * c2
+            return out
+        for k1, c1 in a.terms.items():
+            for k2, c2 in b_items:
                 partial = [((), c1 * c2)]
                 for f, i1, i2 in zip(self.factors, k1, k2):
-                    nxt = []
-                    for prefix, c in partial:
-                        for idx, bc in f.basis_mul(i1, i2):
-                            nxt.append((prefix + (idx,), c if bc == 1 else c * bc))
-                    partial = nxt
-                for key, c in partial:
-                    add_term(out, key, c)
-        return self._new(out)
+                    partial = [(prefix + (idx,), c if bc == 1 else c * bc)
+                               for prefix, c in partial for idx, bc in f.basis_mul(i1, i2)]
+                for k, c in partial:
+                    out[k] = get(k, 0) + c
+        return out
 
     # -- slot surgery -----------------------------------------------------
 

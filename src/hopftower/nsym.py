@@ -11,6 +11,7 @@ of this onto the symmetric function Hopf algebra.
 """
 
 from functools import lru_cache, partial
+from operator import add
 
 from .indices import compositions_of, sort_to_partition
 from .linear import LinearElement, add_term, binomial_gen, on_words
@@ -23,10 +24,7 @@ class NSymElement(LinearElement):
     LETTER = "Z"
     COMMUTATIVE = False
     __slots__ = ()
-
-    @classmethod
-    def basis_mul(cls, i, j):
-        return ((i + j, ONE),)
+    key_mul = add  # concatenation of words
 
 
 def z(*parts):

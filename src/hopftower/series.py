@@ -7,10 +7,11 @@ algebras, or tensors over a ``TensorSpace``.  Every operation truncates at a
 fixed ``cap``: exponents of total degree > cap are discarded, and operations
 never invent coefficients beyond it.
 
-Composition and reversion follow the classical recursions.  Reversion is only
-defined over commutative coefficients; composition multiplies outer
-coefficients on the left of inner-series products, which is the convention
-that makes the noncommutative functional calculus here come out right.
+Composition multiplies outer coefficients on the left of the powers of the
+inner series, the convention that makes the noncommutative functional
+calculus here come out right.  Reversion, defined over commutative
+coefficients only, takes one pass and no composition: at degree n it fills
+[T^n] g^k for k >= 2 from g_1 .. g_(n-1), then reads off g_n.
 """
 
 from fractions import Fraction
@@ -36,6 +37,8 @@ class TruncatedSeries(SparseSum):
     def __init__(self, algebra, coeffs=None, cap=6, nvars=1):
         if cap < 0:
             raise DomainError("cap must be nonnegative")
+        if nvars not in (1, 2):
+            raise DomainError("a series has one or two variables, not %r" % (nvars,))
         self.algebra = algebra
         self.cap = cap
         self.nvars = nvars
@@ -146,11 +149,8 @@ class TruncatedSeries(SparseSum):
             for d2, k2, v2 in right:
                 if d2 > room:
                     break
-                key = k1 + k2 if univariate else tuple(map(add, k1, k2))
-                if scalar:
-                    out[key] = out.get(key, 0) + v1 * v2
-                else:
-                    _add_product(out, key, v1, v2)
+                _add_product(out, k1 + k2 if univariate else tuple(map(add, k1, k2)),
+                             v1, v2, scalar)
         return self._new(_settle_sums(out, scalar), cap)
 
     def __pow__(self, n):
@@ -198,31 +198,29 @@ class TruncatedSeries(SparseSum):
         if inner.terms.get(_zero_key(inner.nvars)):
             raise DomainError("inner series must have zero constant term")
         cap = min(self.cap, inner.cap)
-        val = max(inner.valuation(), 1)
         scalar = self.algebra is Fraction
         result = {}
-        power = inner._operand(1).truncate(cap)
-        for n in range(0, cap + 1):
-            if n > 0:
-                power = power * inner
-                if n * val > cap:
-                    break
+        # no power beyond the last outer term or the cap is needed
+        last = min(cap // max(inner.valuation(), 1), max(self.terms, default=0))
+        for n in range(1, last + 1):
+            power = inner.truncate(cap) if n == 1 else power * inner
             cn = self.terms.get(n)
             if cn is None:
                 continue
             for k, v in power.terms.items():
                 # outer coefficients act on the left
-                if scalar:
-                    result[k] = result.get(k, 0) + cn * v
-                else:
-                    _add_product(result, k, cn, v)
-        return self._new(_settle_sums(result, scalar), cap, inner.nvars)
+                _add_product(result, k, cn, v, scalar)
+        result = _settle_sums(result, scalar)
+        if 0 in self.terms:
+            result[_zero_key(inner.nvars)] = self.terms[0]
+        return self._new(result, cap, inner.nvars)
 
     def revert(self):
         """Compositional inverse of a series T + higher order terms.
 
-        Solves f(g(T)) = T degree by degree; only valid over commutative
-        coefficients, which is all this package ever needs.
+        Solves f(g(T)) = T in one pass, degree by degree (Knuth, TAOCP vol. 2,
+        4.7); only valid over commutative coefficients, which is all this
+        package ever needs.
         """
         if self.nvars != 1:
             raise DomainError("reversion needs a univariate series")
@@ -231,12 +229,25 @@ class TruncatedSeries(SparseSum):
         one = self._unit_term(1)[1]
         if self.terms.get(0) or self.terms.get(1) != one:
             raise DomainError("reversion needs the form T + higher order terms")
-        g = {1: one}
+        f, g = self.terms, {1: one}
+        scalar = self.algebra is Fraction
+        powers = {1: g}  # powers[k][m] = [T^m] g^k, known for m < n
         for n in range(2, self.cap + 1):
-            comp = self.truncate(n).compose(self._new(dict(g), n))
-            err = comp.terms.get(n)
-            if err:
-                g[n] = -err
+            # [T^n] g^k = sum_j g_j [T^(n-j)] g^(k-1) needs only g_1 .. g_(n-1)
+            sums = {}
+            for k in range(2, n + 1):
+                row = powers[k - 1]  # no entry below degree k - 1
+                for j, gj in g.items():
+                    if n - j in row:
+                        _add_product(sums, k, gj, row[n - j], scalar)
+            total = {}
+            for k, v in _settle_sums(sums, scalar).items():
+                powers.setdefault(k, {})[n] = v
+                if k in f:
+                    _add_product(total, n, f[k], v, scalar)
+            # [T^n] f(g) = g_n + sum_{k >= 2} f_k [T^n] g^k vanishes
+            for v in _settle_sums(total, scalar).values():
+                g[n] = -v
         return self._new(g)
 
     def residue(self):
@@ -339,13 +350,17 @@ def _check_slot(slot):
         raise DomainError("variable slot must be 0 or 1, not %r" % (slot,))
 
 
-def _add_product(sums, key, a, b):
-    """Add the element product ``a * b`` to the sum kept on ``key``.
+def _add_product(sums, key, a, b, scalar):
+    """Add the coefficient product ``a * b`` to the sum kept on ``key``.
 
-    Each sum is a ``(prototype, raw terms)`` bucket that ``a._mul_into``
-    fills; the prototype is the left factor of the first product on that
-    key, so the finished coefficient takes its kind and its sym basis.
+    With ``scalar`` each sum is a plain number.  Otherwise it is a
+    ``(prototype, raw terms)`` bucket that ``a._mul_into`` fills; the
+    prototype is the left factor of the first product on that key, so the
+    finished coefficient takes its kind and its sym basis.
     """
+    if scalar:
+        sums[key] = sums.get(key, 0) + a * b
+        return
     bucket = sums.get(key)
     if bucket is None:
         bucket = sums[key] = (a, {})

@@ -101,8 +101,8 @@ class SymElement(CommutativeElement):
             a = convert(a, basis)
         if b.basis != basis:
             b = convert(b, basis)
-        return mul_into(out, a.terms, b.terms,
-                        _m_product if basis == "m" else self.basis_mul)
+        return (mul_into(out, a.terms, b.terms, _m_product) if basis == "m"
+                else super()._mul_into(out, a, b))
 
 
 def e(*parts):

@@ -319,6 +319,9 @@ def suite_bfk(weight=None, cap=None):
                             == TruncatedSeries(BElement, {1: 1}, scap))
         inner = log.embed_bivariate(0) + log.embed_bivariate(1)
         yield "group law", topology.fgl(scap) == _compose_by_coefficients(bs, inner)
+        ts = diffeo.t_series(scap)
+        yield "reversion", (_compose_by_coefficients(ts, ts.revert())
+                            == TruncatedSeries(FdBElement, {1: 1}, scap))
 
     results.append(_check("addition series and group law match coefficient-by-coefficient "
                           "products (cap %d)" % scap, slow_routes(), "fails on the %s"))

@@ -98,3 +98,18 @@ def test_repeated_structure_calls_add_no_word_images():
             part(x)
             assert linear.word_image.cache_info().currsize == size, label
     assert parts == 12
+
+
+def test_every_algebra_multiplies_by_a_key_product_or_its_own_basis_product():
+    """An element class either names the one key of a product of two keys
+    (``key_mul``), from which its ``basis_mul`` follows, or defines
+    ``basis_mul`` itself; the two agree on sample keys."""
+    for tag, row in structures.ALGEBRAS.items():
+        cls = row.cls
+        assert cls.key_mul is not None or "basis_mul" in vars(cls), tag
+        if cls.key_mul is None:
+            continue
+        keys = [idx for w in range(4) for idx in row.indices(w)]
+        for i in keys:
+            for j in keys:
+                assert cls.basis_mul(i, j) == ((cls.key_mul(i, j), 1),), (tag, i, j)

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from hopftower.errors import DomainError
+from hopftower.jsonio import from_document
 from hopftower.nsym import z, z_series
 from hopftower.series import TruncatedSeries
 from hopftower.sym import SymElement, e
@@ -127,6 +128,18 @@ def test_bivariate_slots_outside_0_and_1_are_refused():
         with pytest.raises(DomainError):
             xy.set_variable_zero(slot)
     assert xy.set_variable_zero(0) == xy.set_variable_zero(1) == f.scale(0)
+
+
+def test_a_series_has_one_or_two_variables():
+    for nvars in (0, 3, -1):
+        with pytest.raises(DomainError):
+            TruncatedSeries(Fraction, {}, 3, nvars)
+    # the printer names only X and Y, so a third variable printed as "X + 3"
+    with pytest.raises(DomainError):
+        TruncatedSeries(Fraction, {(1, 0, 1): 1, (0, 0, 2): 3}, 3, 3)
+    with pytest.raises(DomainError):
+        from_document({"algebra": "scalar", "cap": 3, "vars": 3, "series": []})
+    assert str(TruncatedSeries(Fraction, {(1, 1): 2}, 3, 2)) == "2*X*Y"
 
 
 def test_series_str_pins():
