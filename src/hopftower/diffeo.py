@@ -4,15 +4,17 @@ The commutative one (Faa di Bruno) is the free polynomial algebra on t_1,
 t_2, ... with t_0 = 1; its coproduct represents composition of series
 t(T) = T + t_1 T^2 + ... and its antipode is Lagrange reversion.
 
-The noncommutative counterpart (Brouder-Frabetti-Krattenthaler, BFK) reuses
-the free associative algebra on Z_k but installs the renormalization
-coproduct: Delta Z_n is the T^{n+1} coefficient of sum_k Z_{k-1} (x) Z(T)^k.
-Its antipode on generators comes from ``linear.recursive_antipode``, the
-connected-graded recursion, and abelianizes to Lagrange reversion, which is
-the main cross-check.
+The noncommutative counterpart (Brouder-Frabetti-Krattenthaler, BFK) is the
+free associative algebra on Z_k with the renormalization coproduct.  Its
+antipode on generators, by the connected-graded recursion of ``linear``,
+abelianizes to Lagrange reversion, which is the main cross-check.
 
-The same substitution combinatorics, read on the commutative side, yields
-the coaction of the diffeomorphism algebra on symmetric functions.
+Three generator maps substitute the generic diffeomorphism g(T) = T + g_1 T^2
++ ... (BFK, Adv. Math. 200, 2006): the image of the weight-n generator is
+[T^(n+s)] sum_j a_(j-s) (x) g(T)^j, a_k the weight-k generator on the left
+(a_0 = 1).  The Faa di Bruno coproduct (g = t) and the BFK coproduct (g = Z,
+word order kept) take s = 1; the coaction on symmetric functions (a = e,
+g = t) takes s = 0.
 
 Only the generator images live here: every coproduct, coaction and antipode
 reaches words through ``linear.on_words``, multiplicatively or, for the
@@ -21,12 +23,11 @@ BFK antipode, as an antimorphism.
 
 from functools import lru_cache
 
-from .indices import sort_to_partition, weak_compositions
-from .linear import (CommutativeElement, Tensor, TensorSpace, add_term, on_words,
-                     recursive_antipode)
-from .nsym import NSymElement, z, z_series
+from .indices import sort_to_partition
+from .linear import CommutativeElement, Tensor, on_words, recursive_antipode
+from .nsym import NSymElement, z
 from .scalars import ONE
-from .series import TruncatedSeries, generator_series
+from .series import generator_series
 from . import sym
 
 
@@ -46,22 +47,27 @@ def t_series(cap):
     return generator_series(FdBElement, cap)
 
 
+def _substitution(left_cls, right_cls, n, shift):
+    """[T^(n+shift)] sum_j a_(j-shift) (x) g(T)^j, a_k the generators of
+    ``left_cls`` and g the generic diffeomorphism over ``right_cls``; g^j
+    starts at T^j, so j runs from ``shift`` to n + shift."""
+    g = generator_series(right_cls, n + shift)
+    power = g ** shift
+    terms = {}
+    for k in range(n + 1):
+        left = (k,) if k else ()
+        for idx, c in power.coefficient(n + shift).terms.items():
+            terms[(left, idx)] = c
+        power = power * g
+    return Tensor((left_cls, right_cls), terms)
+
+
 # -- composition coproduct -------------------------------------------------
 
 @lru_cache(maxsize=None)
 def _fdb_coproduct_gen(n):
-    """Coproduct of t_n: the T^{n+1} coefficient of (t (x) 1)((1 (x) t)(T))."""
-    space = TensorSpace(FdBElement, FdBElement)
-    if n == 0:
-        return space.one()
-    cap = n + 1
-    outer = TruncatedSeries(space, {
-        m + 1: Tensor.of(FdBElement({((m,) if m else ()): ONE}), FdBElement.one())
-        for m in range(n + 1)}, cap)
-    inner = TruncatedSeries(space, {
-        k + 1: Tensor.of(FdBElement.one(), FdBElement({((k,) if k else ()): ONE}))
-        for k in range(n + 1)}, cap)
-    return outer.compose(inner).coefficient(cap)
+    """Coproduct of t_n: the T^{n+1} coefficient of sum_k t_k (x) t(T)^(k+1)."""
+    return _substitution(FdBElement, FdBElement, n, 1)
 
 
 def fdb_coproduct(f):
@@ -86,16 +92,8 @@ def fdb_antipode(f):
 
 @lru_cache(maxsize=None)
 def _coaction_gen(n):
-    """psi(e_n): the T^n coefficient of e(t(T)), as an S (x) FdB tensor."""
-    space = (sym.SymElement, FdBElement)
-    if n == 0:
-        return Tensor(space, {((), ()): ONE})
-    terms = {}
-    for j in range(1, n + 1):
-        for wc in weak_compositions(n - j, j):
-            lam = tuple(sorted((k for k in wc if k), reverse=True))
-            add_term(terms, ((j,), lam), ONE)
-    return Tensor(space, terms)
+    """psi(e_n): the T^n coefficient of sum_j e_j (x) t(T)^j, an S (x) FdB tensor."""
+    return _substitution(sym.SymElement, FdBElement, n, 0)
 
 
 def coaction_sym(f):
@@ -113,20 +111,7 @@ def coaction_sym(f):
 @lru_cache(maxsize=None)
 def _bfk_coproduct_gen(n):
     """Delta Z_n: the T^{n+1} coefficient of sum_{k>=1} Z_{k-1} (x) Z(T)^k."""
-    space = (NSymElement, NSymElement)
-    if n == 0:
-        return Tensor(space, {((), ()): ONE})
-    zs = z_series(n + 1)
-    power = TruncatedSeries(NSymElement, {0: NSymElement.one()}, n + 1)
-    total = Tensor(space, {})
-    for k in range(1, n + 2):
-        power = power * zs
-        right = power.coefficient(n + 1)
-        if not right:
-            continue
-        left = NSymElement({((k - 1,) if k > 1 else ()): ONE})
-        total = total + Tensor.of(left, right)
-    return total
+    return _substitution(NSymElement, NSymElement, n, 1)
 
 
 def bfk_coproduct(f):

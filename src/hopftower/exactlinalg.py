@@ -19,11 +19,12 @@ Bareiss, Math. Comp. 22, 1968) and divides every new row by its content,
 which keeps the integers small.  Rank needs neither back-substitution nor
 normalised pivots.  ``matrix_rank`` is the dense front door: it scales each
 rational row to a primitive integer row and hands them to ``sparse_rank``.
-All arithmetic is exact ``int``; ``verify`` keeps dense Fraction Gauss-Jordan
-as the independent route.
-``invert_matrix`` is plain Gauss-Jordan on lists of rational rows, each entry
+All arithmetic is exact ``int``.
+``row_reduce`` is plain Gauss-Jordan on lists of rational rows, each entry
 kept in the canonical form of ``scalars.rational`` so that integer matrices
-with unit pivots are inverted in ``int`` arithmetic throughout.
+with unit pivots are reduced in ``int`` arithmetic throughout.
+``invert_matrix`` row-reduces [A | I], and ``verify`` counts its pivots as
+the independent route for ranks.
 """
 
 from math import gcd, lcm
@@ -96,27 +97,35 @@ def matrix_rank(rows):
     return sparse_rank([_integer_row(r) for r in rows])
 
 
+def row_reduce(rows):
+    """Gauss-Jordan on a list of equal-length rational rows: the reduced row
+    echelon form, entries in the canonical form of ``scalars.rational``, and
+    its pivot columns in order.  The input rows are not modified."""
+    m = [list(map(rational, r)) for r in rows]
+    pivots = []
+    for col in range(len(m[0]) if m else 0):
+        top = len(pivots)
+        pivot = next((r for r in range(top, len(m)) if m[r][col]), None)
+        if pivot is None:
+            continue
+        m[top], m[pivot] = m[pivot], m[top]
+        inv = quotient(1, m[top][col])
+        m[top] = [rational(x * inv) for x in m[top]]
+        for r in range(len(m)):
+            if r != top and m[r][col]:
+                f = m[r][col]
+                m[r] = [rational(a - f * b) for a, b in zip(m[r], m[top])]
+        pivots.append(col)
+    return m, pivots
+
+
 def invert_matrix(rows):
     """Inverse of a square rational matrix via Gauss-Jordan on [A | I]."""
     n = len(rows)
-    aug = []
-    for i, r in enumerate(rows):
-        if len(r) != n:
-            raise DomainError("matrix is not square")
-        aug.append(list(map(rational, r)) + [int(i == j) for j in range(n)])
-    for col in range(n):
-        pivot = None
-        for r in range(col, n):
-            if aug[r][col]:
-                pivot = r
-                break
-        if pivot is None:
-            raise DomainError("matrix is singular")
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        inv = quotient(1, aug[col][col])
-        aug[col] = [rational(x * inv) for x in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col]:
-                f = aug[r][col]
-                aug[r] = [rational(a - f * b) for a, b in zip(aug[r], aug[col])]
-    return [row[n:] for row in aug]
+    if any(len(r) != n for r in rows):
+        raise DomainError("matrix is not square")
+    reduced, pivots = row_reduce([list(r) + [int(i == j) for j in range(n)]
+                                  for i, r in enumerate(rows)])
+    if pivots != list(range(n)):
+        raise DomainError("matrix is singular")
+    return [row[n:] for row in reduced]

@@ -201,10 +201,10 @@ def _series_from(doc):
         algebra = BetaPolynomial
     else:
         algebra = structures.algebra(tag).cls
-    nvars = int(doc.get("vars", 1))
+    nvars = doc.get("vars", 1)
     coeffs = {}
     for entry in doc["series"]:
-        key = tuple(entry["powers"]) if nvars == 2 else int(entry["power"])
+        key = tuple(entry["powers"]) if nvars == 2 else entry["power"]
         if "coeff" in entry:
             value = parse_scalar(entry["coeff"])
         elif "beta" in entry:
@@ -215,7 +215,7 @@ def _series_from(doc):
             value = structures.algebra(tag).element(_terms_from(entry["terms"]),
                                                     doc.get("basis"))
         add_term(coeffs, key, value)  # a repeated power is summed
-    return TruncatedSeries(algebra, coeffs, int(doc["cap"]), nvars)
+    return TruncatedSeries(algebra, coeffs, doc["cap"], nvars)
 
 
 def from_document(doc):

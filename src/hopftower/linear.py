@@ -257,7 +257,7 @@ class LinearElement(SparseSum):
         """``idx`` as this algebra stores a basis index; ``DomainError`` if it
         is not one."""
         idx = tuple(idx)
-        if any(not isinstance(p, int) or p < 1 for p in idx):
+        if any(type(p) is not int or p < 1 for p in idx):
             raise DomainError("index parts must be positive integers")
         return idx
 

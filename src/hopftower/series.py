@@ -35,9 +35,10 @@ class TruncatedSeries(SparseSum):
     __slots__ = ("algebra", "cap", "nvars")
 
     def __init__(self, algebra, coeffs=None, cap=6, nvars=1):
-        if cap < 0:
-            raise DomainError("cap must be nonnegative")
-        if nvars not in (1, 2):
+        # a bool or a float passes ``in (1, 2)``, so the type is tested
+        if type(cap) is not int or cap < 0:
+            raise DomainError("cap must be a nonnegative integer, not %r" % (cap,))
+        if type(nvars) is not int or nvars not in (1, 2):
             raise DomainError("a series has one or two variables, not %r" % (nvars,))
         self.algebra = algebra
         self.cap = cap
@@ -56,9 +57,12 @@ class TruncatedSeries(SparseSum):
     # -- representation helpers -------------------------------------------
 
     def _norm_key(self, k):
-        if self.nvars == 1:
-            return int(k)
-        return tuple(int(x) for x in k)
+        """``k`` if it is an exponent here: an ``int``, or a pair of ``int``s
+        for two variables; ``DomainError`` otherwise."""
+        if (type(k) is int if self.nvars == 1 else
+                type(k) is tuple and len(k) == 2 and type(k[0]) is type(k[1]) is int):
+            return k
+        raise DomainError("%r is not an exponent of a %d-variable series" % (k, self.nvars))
 
     def _norm_coeff(self, v):
         """``v`` as a stored coefficient; ``AlgebraMismatchError`` if it is

@@ -168,10 +168,12 @@ class ProjectiveProductSpace:
     __slots__ = ("factors", "roots")
 
     def __init__(self, factors, roots):
-        factors = tuple(int(n) for n in factors)
-        if not factors or any(n < 1 for n in factors):
+        factors = tuple(factors)
+        if not factors or any(type(n) is not int or n < 1 for n in factors):
             raise DomainError("factor dimensions must be positive integers")
-        roots = tuple(tuple(int(c) for c in r) for r in roots)
+        roots = tuple(tuple(r) for r in roots)
+        if any(type(c) is not int for r in roots for c in r):
+            raise DomainError("root coefficients must be integers")
         if any(len(r) != len(factors) for r in roots):
             raise DomainError("each root needs one coefficient per factor")
         self.factors = factors

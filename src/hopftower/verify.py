@@ -32,14 +32,14 @@ from .algebroid import (ALGEBROIDS, WEIGHT_BOUND, coface, cohomology_rank, diffe
                         differential_matrix, differential_rows, invariants_rank_oracle)
 from .diffeo import FdBElement, t
 from .errors import ExpressionError
-from .exactlinalg import sparse_rank
+from .exactlinalg import row_reduce, sparse_rank
 from .expr import parse_element
 from .indices import compositions_of, partitions_of
 from .jsonio import document_for, dumps, from_document
 from .linear import Tensor, on_words, recursive_antipode
 from .nsym import NSymElement, z
 from .qsym import M, QSymElement, expand_ordered, pair, pair_tensor
-from .scalars import ONE, ZERO, quotient
+from .scalars import ONE, ZERO
 from .series import TruncatedSeries
 from .sym import SymElement, convert, e, h
 from .topology import BElement, BetaPolynomial, b
@@ -331,33 +331,9 @@ def suite_bfk(weight=None, cap=None):
 # -- comodules and the cobar complex ---------------------------------------
 
 def _dense_rank_oracle(rows):
-    """Rank by dense Gauss-Jordan over Fractions, the slow route for sparse_rank."""
-    if not rows:
-        return 0
-    m = [list(map(Fraction, r)) for r in rows]
-    ncols = len(m[0])
-    rank = 0
-    row = 0
-    for col in range(ncols):
-        pivot = None
-        for r in range(row, len(m)):
-            if m[r][col]:
-                pivot = r
-                break
-        if pivot is None:
-            continue
-        m[row], m[pivot] = m[pivot], m[row]
-        inv = quotient(1, m[row][col])
-        m[row] = [x * inv for x in m[row]]
-        for r in range(len(m)):
-            if r != row and m[r][col]:
-                f = m[r][col]
-                m[r] = [a - f * b for a, b in zip(m[r], m[row])]
-        row += 1
-        rank += 1
-        if row == len(m):
-            break
-    return rank
+    """Rank by dense Gauss-Jordan, the slow route for sparse_rank: no column
+    order and no fraction-free elimination."""
+    return len(row_reduce(rows)[1])
 
 
 def suite_comodule_algebroid(weight=None, cap=None):

@@ -205,3 +205,14 @@ def test_one_parser_serves_every_call(monkeypatch):
     assert all(err for _, _, err in fresh[:4])
     assert fresh[-2][1].endswith("3/3 checks passed")
     assert fresh[-1][1].endswith("7/7 checks passed")
+
+
+def test_quasitoric_space_entries_must_be_ints():
+    for space in ('{"factors":[1.9],"roots":[[1],[1]]}',
+                  '{"factors":[1],"roots":[[1.7],[1]]}',
+                  '{"factors":["1"],"roots":[[1],[1]]}',
+                  '{"factors":[true],"roots":[[1],[1]]}',
+                  '{"factors":[1],"roots":[[false],[1]]}'):
+        code, out, err = run("charnum", "quasitoric", "--space", space,
+                             "--composition", "1")
+        assert (code, out) == (1, "") and err.startswith("error:"), space

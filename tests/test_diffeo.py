@@ -6,11 +6,13 @@ computation of series composition and Lagrange inversion.
 
 from fractions import Fraction
 
+from hopftower import diffeo
 from hopftower.diffeo import (FdBElement, bfk_abelianize, bfk_antipode,
                               bfk_coproduct, coaction_sym, fdb_antipode,
                               fdb_coproduct, t, t_series)
-from hopftower.linear import Tensor
-from hopftower.nsym import NSymElement, z
+from hopftower.indices import weak_compositions
+from hopftower.linear import Tensor, TensorSpace, add_term
+from hopftower.nsym import NSymElement, z, z_series
 from hopftower.series import TruncatedSeries
 from hopftower.sym import SymElement, e
 
@@ -115,3 +117,58 @@ def test_antipode_is_antimultiplicative():
     rhs = bfk_antipode(z(2)) * bfk_antipode(z(1))
     assert lhs == rhs
     assert fdb_antipode(t(1) * t(2)) == fdb_antipode(t(2)) * fdb_antipode(t(1))
+
+
+# -- the substitution formula against the constructions it replaced ---------
+
+def _fdb_coproduct_by_composition(n):
+    """The T^{n+1} coefficient of (t (x) 1)((1 (x) t)(T)), composing two
+    tensor-coefficient series."""
+    space = TensorSpace(FdBElement, FdBElement)
+    if n == 0:
+        return space.one()
+    cap = n + 1
+    outer = TruncatedSeries(space, {
+        m + 1: Tensor.of(FdBElement({((m,) if m else ()): 1}), FdBElement.one())
+        for m in range(n + 1)}, cap)
+    inner = TruncatedSeries(space, {
+        k + 1: Tensor.of(FdBElement.one(), FdBElement({((k,) if k else ()): 1}))
+        for k in range(n + 1)}, cap)
+    return outer.compose(inner).coefficient(cap)
+
+
+def _bfk_coproduct_by_powers(n):
+    """sum_{k>=1} Z_{k-1} (x) [T^{n+1}] Z(T)^k, one power of z_series at a time."""
+    if n == 0:
+        return Tensor(NN, {((), ()): 1})
+    zs = z_series(n + 1)
+    power = TruncatedSeries(NSymElement, {0: NSymElement.one()}, n + 1)
+    total = Tensor(NN, {})
+    for k in range(1, n + 2):
+        power = power * zs
+        right = power.coefficient(n + 1)
+        if right:
+            left = NSymElement({((k - 1,) if k > 1 else ()): 1})
+            total = total + Tensor.of(left, right)
+    return total
+
+
+def _coaction_by_weak_compositions(n):
+    """sum_j e_j (x) t_lambda over the weak compositions of n - j into j
+    parts, lambda their nonzero parts sorted."""
+    SF = (SymElement, FdBElement)
+    if n == 0:
+        return Tensor(SF, {((), ()): 1})
+    terms = {}
+    for j in range(1, n + 1):
+        for wc in weak_compositions(n - j, j):
+            lam = tuple(sorted((k for k in wc if k), reverse=True))
+            add_term(terms, ((j,), lam), 1)
+    return Tensor(SF, terms)
+
+
+def test_generator_maps_equal_the_reference_constructions():
+    for n in range(10):
+        assert diffeo._fdb_coproduct_gen(n) == _fdb_coproduct_by_composition(n)
+        assert diffeo._bfk_coproduct_gen(n) == _bfk_coproduct_by_powers(n)
+        assert diffeo._coaction_gen(n) == _coaction_by_weak_compositions(n)

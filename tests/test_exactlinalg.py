@@ -1,13 +1,16 @@
-"""Sparse fraction-free rank against dense Gauss-Jordan and sympy."""
+"""Sparse fraction-free rank and the exact inverse against dense Gauss-Jordan
+and sympy."""
 
 import copy
 from fractions import Fraction
 
+import pytest
 import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hopftower.exactlinalg import matrix_rank, sparse_rank
+from hopftower.errors import DomainError
+from hopftower.exactlinalg import invert_matrix, matrix_rank, sparse_rank
 from hopftower.verify import _dense_rank_oracle
 
 entries = st.one_of(
@@ -106,3 +109,41 @@ def test_sparse_rank_ignores_row_and_column_order(case):
     assert rank == sparse_rank([{relabel[j]: c for j, c in r.items()} for r in shuffled])
     dense = [[r.get(j, 0) for j in range(ncols)] for r in rows]
     assert rank == sympy.Matrix(dense).rank() == matrix_rank(dense)
+
+
+@st.composite
+def invertible_matrices(draw):
+    """Random square rational matrices that sympy finds invertible."""
+    n = draw(st.integers(1, 6))
+    rows = draw(st.lists(st.lists(entries, min_size=n, max_size=n),
+                         min_size=n, max_size=n))
+    if _sympy_rank(rows) < n:
+        # keep the strict upper triangle over a unit diagonal: invertible
+        rows = [[Fraction(int(i == j)) + (x if j > i else 0) for j, x in enumerate(r)]
+                for i, r in enumerate(rows)]
+    return draw(st.permutations(rows))
+
+
+@settings(max_examples=200, deadline=None)
+@given(invertible_matrices())
+def test_invert_matrix_matches_sympy(rows):
+    before = copy.deepcopy(rows)
+    inverse = invert_matrix(rows)
+    assert rows == before
+    want = sympy.Matrix([[sympy.Rational(x.numerator, x.denominator) for x in r]
+                         for r in rows]).inv()
+    assert [[sympy.Rational(x.numerator, x.denominator) for x in r]
+            for r in inverse] == want.tolist()
+    # entries are canonical: an int, or a Fraction with denominator > 1
+    assert all(type(x) is int or x.denominator > 1 for r in inverse for x in r)
+
+
+def test_invert_matrix_refuses_singular_and_non_square():
+    for rows in ([[1, 2], [2, 4]], [[0, 0], [0, 1]], [[0]],
+                 [[1, 0, 1], [0, 1, 1], [1, 1, 2]]):
+        with pytest.raises(DomainError, match="singular"):
+            invert_matrix(rows)
+    for rows in ([[1, 2]], [[1], [2]], [[1, 0], [0]]):
+        with pytest.raises(DomainError, match="not square"):
+            invert_matrix(rows)
+    assert invert_matrix([]) == []

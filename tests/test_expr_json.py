@@ -348,3 +348,11 @@ def test_a_repeated_power_in_a_series_document_is_summed():
     poly = document_for(BetaPolynomial({1: b(1)}))
     poly["beta"].append(poly["beta"][0])
     assert from_document(poly) == BetaPolynomial({1: b(1).scale(2)})
+
+
+def test_bool_index_parts_are_refused():
+    with pytest.raises(DomainError):
+        loads('{"algebra":"nsym","structure":"binomial",'
+              '"terms":[{"index":[true,2],"coeff":"1"}]}')
+    with pytest.raises(DomainError):
+        NSymElement({(True, 2): 1})

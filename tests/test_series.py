@@ -158,3 +158,45 @@ def test_map_coefficients_changes_algebra():
     g = f.map_coefficients(lambda c: c.counit(), algebra=Fraction)
     assert g.algebra is Fraction
     assert g.coeffs == {}
+
+
+@pytest.mark.parametrize("coeffs, cap, nvars", [
+    # a bivariate exponent of the wrong length, or one variable's key
+    ({(1, 0, 1): 1, (0, 0, 2): 3}, 3, 2),
+    ({(1,): 1}, 3, 2),
+    ({1: 1}, 3, 2),
+    ({(1, 0): 1}, 3, 1),
+    # exponents, caps and variable counts that int() would truncate
+    ({1.5: 1}, 3, 1),
+    ({True: 1}, 3, 1),
+    ({(1, 0.5): 1}, 3, 2),
+    ({1: 1}, 2.7, 1),
+    ({1: 1}, True, 1),
+    ({1: 1}, 3, 1.0),
+    ({1: 1}, 3, True),
+])
+def test_series_exponents_caps_and_variable_counts_must_be_ints(coeffs, cap, nvars):
+    with pytest.raises(DomainError):
+        TruncatedSeries(Fraction, coeffs, cap, nvars)
+
+
+@pytest.mark.parametrize("fields, entry", [
+    ({}, {"power": 1.5}),
+    ({"vars": 2}, {"powers": [1.5, 0]}),
+    ({}, {"power": "2"}),
+    ({}, {"power": True}),
+    ({"cap": 2.7}, {"power": 1}),
+    ({"vars": 1.9}, {"power": 1}),
+])
+def test_series_documents_are_refused_not_truncated(fields, entry):
+    doc = dict({"algebra": "scalar", "cap": 3}, **fields)
+    doc["series"] = [dict(entry, coeff="1")]
+    with pytest.raises(DomainError):
+        from_document(doc)
+
+
+def test_negative_exponents_and_list_powers_are_kept():
+    assert str(TruncatedSeries(Fraction, {-1: 1, 2: 3}, 3)) == "T^-1 + 3*T^2"
+    doc = {"algebra": "scalar", "cap": 3, "vars": 2,
+           "series": [{"powers": [0, 1], "coeff": "2"}]}
+    assert from_document(doc) == TruncatedSeries(Fraction, {(0, 1): 2}, 3, 2)
