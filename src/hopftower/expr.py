@@ -305,9 +305,8 @@ def _promote(s, algebra):
     """Lift a series into a larger coefficient algebra, or fail."""
     if s.algebra is algebra:
         return s
-    if s.algebra is Fraction:
-        return s.map_coefficients(lambda c: algebra.one().scale(c),
-                                  algebra=algebra)
+    if s.algebra is Fraction:  # the constructor puts each scalar on the unit
+        return TruncatedSeries(algebra, s.terms, s.cap, s.nvars)
     if s.algebra is BElement and algebra is BetaPolynomial:
         return s.map_coefficients(lambda el: BetaPolynomial({0: el}),
                                   algebra=BetaPolynomial)
@@ -327,8 +326,9 @@ def _unify(a, b):
 
 
 def compose_series(outer, inner):
-    """Compose two evaluated series, promoting the inner coefficients."""
-    return outer.compose(_promote(inner, outer.algebra))
+    """Compose two evaluated series, promoting the coefficients of either."""
+    outer, inner = _unify(outer, inner)
+    return outer.compose(inner)
 
 
 def _eval_series(node, cap):

@@ -157,10 +157,9 @@ def _terms_from(entries):
 
 
 def _beta_from(entries):
-    coeffs = {}
-    for entry in entries:
-        add_term(coeffs, int(entry["power"]), BElement(_terms_from(entry["terms"])))
-    return BetaPolynomial(coeffs)
+    """A repeated power is summed; the constructor checks every power."""
+    return sum((BetaPolynomial({entry["power"]: BElement(_terms_from(entry["terms"]))})
+                for entry in entries), BetaPolynomial())
 
 
 def _element_from(doc):

@@ -4,15 +4,18 @@ of them, and the shared engine that builds every Hopf structure of the package.
 Every value of the package is a dict ``terms`` from a key to a nonzero
 coefficient, and ``SparseSum`` is the one base class that holds it.  Its kinds
 are the algebra elements and tensors here, ``topology.BetaPolynomial`` and
-``series.TruncatedSeries``.  The trusted builder ``_new``, the operand rule,
-addition, negation, subtraction, the scalar action and printing live in the
-base, so a subclass says only what its keys mean, which values are of its
-kind, where its unit sits, how two sums are compared and multiplied, and how
-a key prints.  The operand rule is the same for every kind and every binary
-operation: a value of the same kind is combined, an ``int`` or ``Fraction``
-stands for that multiple of the unit, and anything else raises
-``AlgebraMismatchError``.  Every value prints through the one term printer
-``format_terms``.  In an algebra element the key is a basis index
+``series.TruncatedSeries``.  The base owns every rule the kinds share: the
+trusted builder ``_new``, the operand rule, equality, addition, negation,
+subtraction, the scalar action, the product, powers, the classmethods
+``one`` and ``zero``, the lifting of a constructor's coefficients, and
+printing.  A subclass says only what its keys mean, which values are of its
+kind, where its unit sits, how two keys multiply and how a key prints.  The
+operand rule is the same for every kind and every binary operation,
+equality included: a value of the same kind is combined, an ``int`` or
+``Fraction`` stands for that multiple of the unit, and anything else raises
+``AlgebraMismatchError``.  An exponent is a nonnegative ``int``; anything
+else raises ``DomainError``.  Every value prints through the one term
+printer ``format_terms``.  In an algebra element the key is a basis index
 (a tuple of positive integers, ``()`` for the unit) and the coefficient a
 nonzero ``int`` or a ``Fraction`` whose denominator is greater than 1
 (``scalars.rational`` is the normaliser); subclasses fix the product of two
@@ -20,18 +23,18 @@ basis indices, and the bilinear extension and grading helpers live here.
 Elements are treated as immutable once built, which keeps the memoised
 structure constants safe to share.
 
-Every product of elements or tensors, and every coefficient product of a
-truncated series, adds raw products into a plain dict through the value's
-``_mul_into(out, a, b)`` hook; ``settle`` then drops the zeros and stores
-integral ``Fraction``s as ``int``, once per result.  In a monomial algebra
-(words in NSym, partitions in the commutative algebras) the product of two
-keys is one key with coefficient 1, which the class's ``key_mul`` gives, so
-the hook makes one key per term pair and ``basis_mul`` follows from it.
-QSym and the sym m basis give ``basis_mul`` as ``(key, coeff)`` pairs to
-``mul_into`` instead.  A tensor whose factors share one ``key_mul`` makes one
-key per term pair too, and otherwise multiplies slot by slot.  So a series
-keeps one such dict per output power instead of building an element for
-each product.
+Every product of elements, tensors or beta polynomials, and every
+coefficient product of a truncated series, adds raw products into a plain
+dict through the value's ``_mul_into(out, a, b)`` hook; ``settle`` then
+drops the zeros and stores integral ``Fraction``s as ``int``, once per
+result.  In a monomial algebra (words in NSym, partitions in the commutative
+algebras, powers of beta) the product of two keys is one key with
+coefficient 1, which the class's ``key_mul`` gives, so the base hook makes
+one key per term pair and ``basis_mul`` follows from it.  QSym and the sym m
+basis give ``basis_mul`` as ``(key, coeff)`` pairs to ``mul_into`` instead.
+A tensor whose factors share one ``key_mul`` makes one key per term pair
+too, and otherwise multiplies slot by slot.  So a series keeps one such dict
+per output power instead of building an element for each product.
 
 Each coproduct, coaction and antipode is given on the generators and then
 extended over words.  ``on_words`` does that extension, multiplicatively or
@@ -129,15 +132,17 @@ def format_terms(terms):
 class SparseSum:
     """A finite sum held as a dict ``terms`` from keys to nonzero coefficients.
 
-    Subclasses give the meaning of a key, ``__mul__``, the unit
-    (``_unit_term``), how a key prints (``_monomial``) and the display order
-    of the keys (``_sort_key``, natural order by default); one carrying extra
-    state also says which sums of its type are of its kind (``_same_kind``).
+    Subclasses give the meaning of a key, the unit (``_unit_term``), the
+    product of two keys (``key_mul``, or their own ``_mul_into``), how a key
+    prints (``_monomial``) and the display order of the keys (``_sort_key``,
+    natural order by default); one carrying extra state also says which sums
+    of its type are of its kind (``_same_kind``).
     """
 
     __slots__ = ("terms",)
     __hash__ = None
     _sort_key = None
+    key_mul = None  # in a monomial algebra, the one key of a product of two keys
     coeffs = property(lambda self: self.terms)  # read by bench/streams.py
 
     def _new(self, terms):
@@ -155,6 +160,15 @@ class SparseSum:
         obj = object.__new__(type(self))
         obj.terms = terms
         return obj
+
+    @classmethod
+    def one(cls):
+        """The unit, of a kind whose constructor needs nothing but terms."""
+        return cls()._operand(1)
+
+    @classmethod
+    def zero(cls):
+        return cls()
 
     def _same_kind(self, other):
         """Whether ``other``, a sum of this type, combines with this one."""
@@ -180,10 +194,17 @@ class SparseSum:
             "cannot combine %s with %s of another kind"
             % (type(self).__name__, type(other).__name__))
 
+    def _lift(self, v):
+        """A constructor's coefficient ``v`` as a sum of this kind: the operand
+        rule, except that a float raises ``DomainError`` as ``rational`` does."""
+        return self._operand(rational(v) if isinstance(v, float) else v)
+
     def __eq__(self, other):
-        if type(other) is not type(self):
-            return NotImplemented
-        return self._same_kind(other) and self.terms == other.terms
+        if type(other) is type(self):
+            return self._same_kind(other) and self.terms == other.terms
+        if isinstance(other, (int, Fraction)):
+            return self.terms == self._operand(other).terms
+        return NotImplemented
 
     def __bool__(self):
         return bool(self.terms)
@@ -219,14 +240,35 @@ class SparseSum:
             return self.scale(other)
         return NotImplemented
 
+    # each product tests for its own type before the scalar types, whose
+    # isinstance check runs the slower ABC machinery of Fraction
+    def __mul__(self, other):
+        if type(other) is not type(self) and isinstance(other, (int, Fraction)):
+            return self.scale(other)
+        return self._new(settle(self._mul_into({}, self, self._operand(other))))
+
     def _mul_into(self, out, a, b):
         """Add the raw terms of ``a * b`` into ``out``, in this value's kind
         (``a`` and ``b`` are sums of the same kind); ``settle`` finishes
-        ``out``.  By default the product is built and its terms added."""
+        ``out``.  One key per term pair by ``key_mul``; a class without one
+        gives ``basis_mul`` instead."""
+        key_mul = self.key_mul
+        if key_mul is None:
+            return mul_into(out, a.terms, b.terms, self.basis_mul)
         get = out.get
-        for k, c in (a * b).terms.items():
-            v = get(k)
-            out[k] = c if v is None else v + c
+        b_items = b.terms.items()
+        for i, ci in a.terms.items():
+            for j, cj in b_items:
+                k = key_mul(i, j)
+                out[k] = get(k, 0) + ci * cj
+        return out
+
+    def __pow__(self, n):
+        if type(n) is not int or n < 0:
+            raise DomainError("exponents must be nonnegative integers, not %r" % (n,))
+        out = self._operand(1)
+        for _ in range(n):
+            out = out * self
         return out
 
     def __str__(self):
@@ -242,7 +284,6 @@ class LinearElement(SparseSum):
     LETTER = "?"
     COMMUTATIVE = False
     __slots__ = ()
-    key_mul = None  # in a monomial algebra, the one key of a product of two keys
     _sort_key = staticmethod(index_sort_key)
 
     def __init__(self, terms=None):
@@ -268,14 +309,6 @@ class LinearElement(SparseSum):
     @classmethod
     def from_index(cls, idx, coeff=1):
         return cls({tuple(idx): coeff})
-
-    @classmethod
-    def one(cls):
-        return cls({(): 1})
-
-    @classmethod
-    def zero(cls):
-        return cls()
 
     @classmethod
     def basis_mul(cls, i, j):
@@ -306,43 +339,9 @@ class LinearElement(SparseSum):
             add_term(out, tuple(fn(idx)), c)
         return out
 
-    # -- arithmetic -------------------------------------------------------
-
-    # each binary operation tests for its own type before the scalar types,
-    # whose isinstance check runs the slower ABC machinery of Fraction
-
-    def __eq__(self, other):
-        if type(other) is type(self):
-            return self.terms == other.terms
-        if isinstance(other, (int, Fraction)):
-            return self.terms == ({(): other} if other else {})
-        return NotImplemented
-
-    def __mul__(self, other):
-        if type(other) is not type(self) and isinstance(other, (int, Fraction)):
-            return self.scale(other)
-        other = self._operand(other)
-        return self._new(settle(self._mul_into({}, self, other)))
-
-    def _mul_into(self, out, a, b):
-        key_mul = self.key_mul
-        if key_mul is None:
-            return mul_into(out, a.terms, b.terms, self.basis_mul)
-        get = out.get
-        b_items = b.terms.items()
-        for i, ci in a.terms.items():
-            for j, cj in b_items:
-                k = key_mul(i, j)
-                out[k] = get(k, 0) + ci * cj
-        return out
-
-    def __pow__(self, n):
-        if not isinstance(n, int) or n < 0:
-            raise AlgebraMismatchError("exponents must be nonnegative integers")
-        out = self._new({(): ONE})
-        for _ in range(n):
-            out = out * self
-        return out
+    # the base product, bound here so element products can be timed on their
+    # own (bench/layers.py wraps this entry)
+    __mul__ = SparseSum.__mul__
 
     # -- printing ---------------------------------------------------------
 
@@ -438,10 +437,9 @@ class Tensor(SparseSum):
     def _unit_term(self, q):
         return ((),) * len(self.factors), q
 
-    def __mul__(self, other):
-        if type(other) is not Tensor and isinstance(other, (int, Fraction)):
-            return self.scale(other)
-        return self._new(settle(self._mul_into({}, self, self._operand(other))))
+    # the base product, bound here so tensor products can be timed on their
+    # own (bench/layers.py wraps this entry)
+    __mul__ = SparseSum.__mul__
 
     def _mul_into(self, out, a, b):
         """Add the raw terms of ``a * b`` into ``out``: one key per term pair

@@ -19,7 +19,7 @@ from math import factorial
 from operator import add
 
 from .errors import AlgebraMismatchError, DomainError
-from .linear import SparseSum, Tensor, TensorSpace, add_term, settle
+from .linear import SparseSum, add_term, settle
 from .scalars import ZERO, quotient, rational
 
 
@@ -43,13 +43,15 @@ class TruncatedSeries(SparseSum):
         self.algebra = algebra
         self.cap = cap
         self.nvars = nvars
+        # a scalar goes on the unit; anything else must be of the algebra
+        lift = rational if algebra is Fraction else algebra.one()._lift
         data = {}
         if coeffs:
             for k, v in coeffs.items():
                 key = self._norm_key(k)
                 if _degree(key) > cap:
                     continue
-                v = self._norm_coeff(v)
+                v = lift(v)
                 if v:
                     data[key] = v
         self.terms = data
@@ -63,22 +65,6 @@ class TruncatedSeries(SparseSum):
                 type(k) is tuple and len(k) == 2 and type(k[0]) is type(k[1]) is int):
             return k
         raise DomainError("%r is not an exponent of a %d-variable series" % (k, self.nvars))
-
-    def _norm_coeff(self, v):
-        """``v`` as a stored coefficient; ``AlgebraMismatchError`` if it is
-        neither a scalar nor of this series' algebra (a tensor over the same
-        factors, for a ``TensorSpace``)."""
-        algebra = self.algebra
-        if algebra is Fraction:
-            return rational(v)
-        if type(v) is algebra:
-            return v
-        if isinstance(v, (int, float)) or type(v) is Fraction:
-            return algebra.one().scale(v)
-        if type(v) is Tensor and type(algebra) is TensorSpace and v.factors == algebra.factors:
-            return v
-        raise AlgebraMismatchError("a %s coefficient is not in the series algebra %s"
-                                   % (type(v).__name__, getattr(algebra, "__name__", algebra)))
 
     def _new(self, terms, cap=None, nvars=None):
         """A series over this algebra holding ``terms`` as given, with no
@@ -123,10 +109,10 @@ class TruncatedSeries(SparseSum):
     # -- ring operations --------------------------------------------------
 
     def __eq__(self, other):
-        if not isinstance(other, TruncatedSeries):
-            return NotImplemented
-        return (self.algebra == other.algebra and self.nvars == other.nvars
-                and self.cap == other.cap and self.terms == other.terms)
+        # series known to different caps differ
+        if type(other) is TruncatedSeries and other.cap != self.cap:
+            return False
+        return super().__eq__(other)
 
     def __add__(self, other):
         other = self._operand(other)
@@ -156,14 +142,6 @@ class TruncatedSeries(SparseSum):
                 _add_product(out, k1 + k2 if univariate else tuple(map(add, k1, k2)),
                              v1, v2, scalar)
         return self._new(_settle_sums(out, scalar), cap)
-
-    def __pow__(self, n):
-        if not isinstance(n, int) or n < 0:
-            raise DomainError("series exponents must be nonnegative integers")
-        out = self._operand(1)
-        for _ in range(n):
-            out = out * self
-        return out
 
     # -- inversion, composition, reversion --------------------------------
 

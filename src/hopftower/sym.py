@@ -63,18 +63,6 @@ class SymElement(CommutativeElement):
     def slot_form(self):
         return convert(self, "e")
 
-    @classmethod
-    def from_index(cls, idx, coeff=1, basis="e"):
-        return cls({tuple(idx): coeff}, basis)
-
-    @classmethod
-    def one(cls, basis="e"):
-        return cls({(): 1}, basis)
-
-    @classmethod
-    def zero(cls, basis="e"):
-        return cls({}, basis)
-
     def __eq__(self, other):
         if isinstance(other, SymElement) and other.basis != self.basis:
             other = convert(other, self.basis)

@@ -11,9 +11,9 @@ and the noncommutative two-variable addition series that abelianizes to the
 group law.
 """
 
-from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
+from operator import add
 
 from .diffeo import bfk_antipode
 from .errors import CapabilityError, DomainError
@@ -21,7 +21,7 @@ from .indices import compositions_of, sort_to_partition
 from .linear import CommutativeElement, SparseSum, add_term
 from .nsym import NSymElement, z_series
 from .scalars import ONE, ZERO
-from .series import TruncatedSeries, generator_series
+from .series import generator_series
 from . import qsym
 from . import sym
 
@@ -104,41 +104,35 @@ def fgl(cap):
 
 class BetaPolynomial(SparseSum):
     """Polynomial in a central variable beta with b-polynomial coefficients,
-    keyed by the power of beta."""
+    keyed by the power of beta.
+
+    Everything but the keys and the unit comes from ``linear.SparseSum``: the
+    product multiplies keys by ``key_mul``, since powers of beta add.  The
+    constructor refuses a power that is not a nonnegative ``int``
+    (``DomainError``) and lifts each coefficient by the operand rule of
+    ``BElement``, so an ``int`` or ``Fraction`` stands for that multiple of
+    the unit, a float raises ``DomainError`` and a value of another kind
+    ``AlgebraMismatchError``.
+    """
 
     COMMUTATIVE = True
     __slots__ = ()
+    key_mul = add
 
     def __init__(self, coeffs=None):
+        lift = BElement.one()._lift
         data = {}
         if coeffs:
             for k, v in coeffs.items():
-                if isinstance(v, (int, float)) or type(v) is Fraction:
-                    v = BElement({(): v})
+                if type(k) is not int or k < 0:
+                    raise DomainError("a power of beta is a nonnegative int, not %r" % (k,))
+                v = lift(v)
                 if v:
-                    data[int(k)] = v
+                    data[k] = v
         self.terms = data
-
-    @classmethod
-    def one(cls):
-        return cls({0: BElement.one()})
-
-    @classmethod
-    def zero(cls):
-        return cls()
 
     def _unit_term(self, q):
         return 0, BElement({(): q})
-
-    def __mul__(self, other):
-        if type(other) is not BetaPolynomial and isinstance(other, (int, Fraction)):
-            return self.scale(other)
-        other = self._operand(other)
-        out = {}
-        for k1, v1 in self.terms.items():
-            for k2, v2 in other.terms.items():
-                add_term(out, k1 + k2, v1 * v2)
-        return self._new(out)
 
     def _monomial(self, k):
         return "" if k == 0 else "beta" if k == 1 else "beta^%d" % k
