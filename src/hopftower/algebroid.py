@@ -11,7 +11,12 @@ differential is their alternating sum.
 signed accumulator, ``_cofaces_into``, adds sum_i (-1)^i d_i of a term dict
 straight into one raw dict, splicing the coaction of the base index, the
 coproduct of each inner slot and the trailing unit slot key by key, and the
-result is settled once.
+result is settled once.  The accumulator builds no element: it reads each
+slot index's image from the word-image memo of ``linear`` (``image_items``
+of the algebroid's letter maps ``base_gen`` and ``hopf_gen``).  ``coface``,
+``differential_matrix``, ``invariants_rank_oracle`` and ``verify`` keep
+calling the public ``coaction`` and ``h_coproduct`` on built elements, so
+the slow route that checks the fast one shares none of its reads.
 
 Cohomology ranks are computed over the rationals on the normalized
 subcomplex (all H slots of positive weight), one weight at a time; it has
@@ -27,10 +32,11 @@ capability error rather than grinding.
 """
 
 from . import structures
-from .diffeo import bfk_coproduct, coaction_sym, fdb_coproduct
+from .diffeo import (_bfk_coproduct_gen, _coaction_gen, _fdb_coproduct_gen,
+                     bfk_coproduct, coaction_sym, fdb_coproduct)
 from .errors import AlgebraMismatchError, CapabilityError, DomainError
 from .exactlinalg import _primitive, matrix_rank, sparse_rank
-from .linear import Tensor, add_term, settle
+from .linear import Tensor, add_term, image_items, settle
 from .nsym import NSymElement
 from .scalars import ONE, ZERO
 
@@ -41,16 +47,21 @@ WEIGHT_BOUND = 5
 class SplitAlgebroid:
     """Bundle of the data the cobar machinery needs for one algebroid: the
     tags of the base algebra and the Hopf algebra, the coaction and the
-    coproduct of the Hopf algebra."""
+    coproduct of the Hopf algebra, and the letter maps ``linear.on_words``
+    extends to them (``base_gen`` on e-basis or word indices of the base,
+    ``hopf_gen`` on indices of H)."""
 
-    __slots__ = ("name", "base", "hopf", "coaction", "h_coproduct")
+    __slots__ = ("name", "base", "hopf", "coaction", "h_coproduct",
+                 "base_gen", "hopf_gen")
 
-    def __init__(self, name, base, hopf, coaction, h_coproduct):
+    def __init__(self, name, base, hopf, coaction, h_coproduct, base_gen, hopf_gen):
         self.name = name
         self.base = base
         self.hopf = hopf
         self.coaction = coaction
         self.h_coproduct = h_coproduct
+        self.base_gen = base_gen
+        self.hopf_gen = hopf_gen
 
     base_cls = property(lambda self: structures.ALGEBRAS[self.base].cls)
     hopf_cls = property(lambda self: structures.ALGEBRAS[self.hopf].cls)
@@ -79,8 +90,10 @@ class SplitAlgebroid:
         return "SplitAlgebroid(%s)" % self.name
 
 
-SB = SplitAlgebroid("S.B", "sym", "fdb", coaction_sym, fdb_coproduct)
-NN = SplitAlgebroid("N.N", "nsym", "nsym", bfk_coproduct, bfk_coproduct)
+SB = SplitAlgebroid("S.B", "sym", "fdb", coaction_sym, fdb_coproduct,
+                    _coaction_gen, _fdb_coproduct_gen)
+NN = SplitAlgebroid("N.N", "nsym", "nsym", bfk_coproduct, bfk_coproduct,
+                    _bfk_coproduct_gen, _bfk_coproduct_gen)
 
 ALGEBROIDS = {"S.B": SB, "N.N": NN}
 
@@ -105,21 +118,25 @@ def _cofaces_into(out, alg, terms, n, normalized):
     raw dict ``out`` (zeros kept until ``settle``).
 
     With ``normalized`` every term with a unit H slot is skipped, and so is
-    the last coface, all of whose terms end in a unit slot.
+    the last coface, all of whose terms end in a unit slot.  Each slot's
+    image is read from the word-image memo through ``image_items``: slot
+    indices are e-basis (or word) indices, on which the public coaction and
+    coproduct are exactly ``on_words`` of these letter maps.
     """
     get = out.get
+    base_gen, hopf_gen = alg.base_gen, alg.hopf_gen
     for key, c in terms.items():
         if normalized and () in key[1:]:
             continue
         tail = key[1:]
-        for (a, g), cc in alg.coaction(alg.base_element(key[0])).terms.items():
+        for (a, g), cc in image_items(base_gen, key[0]):
             if g or not normalized:
                 k = (a, g) + tail
                 out[k] = get(k, 0) + c * cc
         for i in range(1, n + 1):
             signed = -c if i % 2 else c
             head, rest = key[:i], key[i + 1:]
-            for (l, r), cc in alg.h_coproduct(alg.hopf_element(key[i])).terms.items():
+            for (l, r), cc in image_items(hopf_gen, key[i]):
                 if l and r or not normalized:
                     k = head + (l, r) + rest
                     out[k] = get(k, 0) + signed * cc

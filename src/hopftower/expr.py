@@ -344,9 +344,8 @@ def _eval_series(node, cap):
         el = structures.generator(node[1], node[2])
         return TruncatedSeries(type(el), {0: el}, cap)
     if kind == "sercall":
-        named = structures.named_series(node[1])(cap)
-        inner = _eval_series(node[2], cap)
-        return named.compose(_promote(inner, named.algebra))
+        return compose_series(structures.named_series(node[1])(cap),
+                              _eval_series(node[2], cap))
     if kind == "call":
         return _eval_call(node, cap)
     if kind == "pow":

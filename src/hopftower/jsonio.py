@@ -149,10 +149,20 @@ def dumps(doc):
     return json.dumps(doc, separators=(",", ":"))
 
 
+def _index(parts):
+    """A document's index list as a key, checked before a repeated key is
+    summed: ``true`` or ``1.0`` equals the ``int`` 1 as a dict key, so a part
+    that is not an ``int`` would merge into one that is."""
+    key = tuple(parts)
+    if any(type(p) is not int for p in key):
+        raise DomainError("index parts must be positive integers")
+    return key
+
+
 def _terms_from(entries):
     out = {}
     for entry in entries:
-        add_term(out, tuple(entry["index"]), parse_scalar(entry["coeff"]))
+        add_term(out, _index(entry["index"]), parse_scalar(entry["coeff"]))
     return out
 
 
@@ -177,9 +187,9 @@ def _tensor_terms_from(entries):
     terms = {}
     for entry in entries:
         if "slots" in entry:
-            key = tuple(tuple(i) for i in entry["slots"])
+            key = tuple(_index(i) for i in entry["slots"])
         else:
-            key = (tuple(entry["left"]), tuple(entry["right"]))
+            key = (_index(entry["left"]), _index(entry["right"]))
         add_term(terms, key, parse_scalar(entry["coeff"]))
     return terms
 
@@ -200,8 +210,8 @@ def _series_from(doc):
         algebra = BetaPolynomial
     else:
         algebra = structures.algebra(tag).cls
-    nvars = doc.get("vars", 1)
-    coeffs = {}
+    cap, nvars = doc["cap"], doc.get("vars", 1)
+    total = TruncatedSeries(algebra, None, cap, nvars)
     for entry in doc["series"]:
         key = tuple(entry["powers"]) if nvars == 2 else entry["power"]
         if "coeff" in entry:
@@ -213,8 +223,10 @@ def _series_from(doc):
         else:
             value = structures.algebra(tag).element(_terms_from(entry["terms"]),
                                                     doc.get("basis"))
-        add_term(coeffs, key, value)  # a repeated power is summed
-    return TruncatedSeries(algebra, coeffs, doc["cap"], nvars)
+        # a repeated power is summed, each entry a series whose constructor
+        # has checked its power first
+        total = total + TruncatedSeries(algebra, {key: value}, cap, nvars)
+    return total
 
 
 def from_document(doc):

@@ -40,8 +40,12 @@ Each coproduct, coaction and antipode is given on the generators and then
 extended over words.  ``on_words`` does that extension, multiplicatively or
 as an antimorphism.  ``word_image`` builds the image of one word by a plain
 loop over its letters (so a word of any length needs no recursion) and
-memoises it per letter map and word; the memoised image never leaves
-``on_words``, which copies its terms into a fresh result.  ``binomial_gen``
+memoises it per letter map and word.  Two readers share the memo, and
+neither hands out its dicts: ``on_words`` copies the terms into a fresh
+result (a one-word input, the common case, is one ``dict`` copy, or one
+``scale`` when its coefficient is not 1), and ``image_items`` gives a
+read-only view of one word's terms, through which the cobar accumulator of
+``algebroid`` reads each basis index's coaction or coproduct.  ``binomial_gen``
 is the generator coproduct of a grouplike generator series.  Where no closed
 form on generators is known, ``recursive_antipode`` computes the antipode
 from the coproduct by the connected-graded recursion (Takeuchi 1971).
@@ -558,7 +562,8 @@ def binomial_gen(cls, k):
 @lru_cache(maxsize=None)
 def word_image(gen, letters):
     """The product gen(l_1) * ... * gen(l_r) over the word ``letters``, built
-    by a plain loop; memoised, and read only by ``on_words``."""
+    by a plain loop; memoised, and read only by ``on_words`` and
+    ``image_items``."""
     letters = iter(letters)
     image = gen(next(letters, 0))
     for k in letters:
@@ -574,14 +579,26 @@ def on_words(f, gen, reverse=False):
     Each word's image comes from the ``word_image`` memo, keyed by ``gen``, so
     ``gen`` should be a module-level function or constant (a fresh closure or
     ``partial`` per call would never hit).  The memoised images are shared:
-    their terms are copied into a fresh dict here, and no image is ever
-    returned or modified.
+    their terms are copied into a fresh dict here (one ``dict`` copy, or one
+    ``scale``, for a one-word ``f``), and no image is ever returned or
+    modified.
     """
+    if len(f.terms) == 1:
+        (word, c), = f.terms.items()
+        image = word_image(gen, word[::-1] if reverse else word)
+        return image._new(dict(image.terms)) if c == 1 else image.scale(c)
     out = {}
     for word, c in f.terms.items():
         for key, cc in word_image(gen, word[::-1] if reverse else word).terms.items():
             add_term(out, key, c * cc)
     return gen(0)._new(out)
+
+
+def image_items(gen, word):
+    """The ``(key, coefficient)`` pairs of the memoised image of ``word`` under
+    the letter map ``gen``, as a read-only view of the memo's terms: the way
+    a hot loop reads one basis index's image without building an element."""
+    return word_image(gen, word).terms.items()
 
 
 def recursive_antipode(delta_x, antipode):

@@ -1,8 +1,10 @@
 """Split algebroids and their reduced cobar complexes."""
 
+import sys
+
 import pytest
 
-from hopftower import algebroid
+from hopftower import algebroid, diffeo, structures
 from hopftower.algebroid import (ALGEBROIDS, coface, cohomology_rank,
                                  differential, differential_matrix,
                                  differential_rows, invariants_rank_oracle,
@@ -11,7 +13,7 @@ from hopftower.diffeo import bfk_coproduct
 from hopftower.errors import AlgebraMismatchError, CapabilityError, DomainError
 from hopftower.exactlinalg import _integer_row, matrix_rank
 from hopftower.indices import weak_compositions
-from hopftower.linear import Tensor
+from hopftower.linear import Tensor, word_image
 from hopftower.nsym import NSymElement, z
 from hopftower.scalars import ZERO
 from hopftower.sym import convert, e, h, m, p
@@ -177,6 +179,51 @@ def test_cohomology_rank_builds_no_tensors_and_no_dense_matrix(monkeypatch):
         for s in (0, 1):
             cohomology_rank(name, 4, s)
     assert calls == []
+
+
+def test_warm_ranks_and_differentials_only_read_the_word_image_memo():
+    """With the memos warm, ranks and differentials to weight 6 build no
+    element and call no public coaction or coproduct (watched by code object,
+    so no alias escapes), and every memoised image they read is unchanged."""
+    watched = {f.__code__: name for name, f in (
+        ("Algebra.element", structures.Algebra.element),
+        ("coaction_sym", diffeo.coaction_sym),
+        ("fdb_coproduct", diffeo.fdb_coproduct),
+        ("bfk_coproduct", diffeo.bfk_coproduct))}
+    inputs = [(alg, Tensor((alg.base_cls,) + (alg.hopf_cls,) * n)._new({key: 3}))
+              for alg in ALGEBROIDS.values() for n in (0, 1)
+              for w in range(7) for key in _level_keys(alg, w, n)]
+
+    def run():
+        for alg in ALGEBROIDS.values():
+            for w in range(7):
+                for s in (0, 1):
+                    cohomology_rank(alg, w, s, weight_bound=6)
+        return [differential(alg, x) for alg, x in inputs]
+
+    want = run()  # warms the memos
+    memo = {}
+    for alg in ALGEBROIDS.values():
+        for gen, indices in ((alg.base_gen, alg.base_indices), (alg.hopf_gen, alg.h_indices)):
+            for w in range(7):
+                for idx in indices(w):
+                    image = word_image(gen, idx)
+                    memo[gen, idx] = image, dict(image.terms)
+    calls = []
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code in watched:
+            calls.append(watched[frame.f_code])
+
+    sys.setprofile(profile)
+    try:
+        got = run()
+    finally:
+        sys.setprofile(None)
+    assert calls == []
+    assert got == want
+    for (gen, idx), (image, terms) in memo.items():
+        assert word_image(gen, idx) is image and image.terms == terms
 
 
 def test_base_elements_in_any_basis_are_read_as_slots_hold_them():

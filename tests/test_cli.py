@@ -72,6 +72,17 @@ def test_series_commands_text_suffix():
     assert out == "T - b[1]*T^2 + (2*b[1,1] - b[2])*T^3 (cap 3)"
 
 
+def test_a_named_series_call_promotes_its_coefficients_both_ways():
+    """b(beta*T) lifts b's BElement coefficients to beta polynomials, as the
+    compose command does, so composing either way round prints the same."""
+    for flags in ((), ("--text",), ("--cap", "4")):
+        applied = run("compose", "T", "b(beta*T)", *flags)
+        composed = run("compose", "b(T)", "beta*T", *flags)
+        assert applied == composed and applied[0] == 0
+    assert run("compose", "T", "b(beta*T)", "--cap", "3", "--text")[1] == (
+        "beta*T + b[1]*beta^2*T^2 + b[2]*beta^3*T^3 (cap 3)")
+
+
 def test_series_commands_json_default():
     code, out, _ = run("fgl", "--cap", "2")
     assert code == 0

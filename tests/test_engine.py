@@ -23,7 +23,8 @@ from hopftower import diffeo, nsym, qsym, sym
 from hopftower.diffeo import FdBElement
 from hopftower.errors import AlgebraMismatchError, DomainError
 from hopftower.indices import compositions_of, partitions_of
-from hopftower.linear import Tensor, binomial_gen, on_words, recursive_antipode, word_image
+from hopftower.linear import (Tensor, binomial_gen, image_items, on_words, recursive_antipode,
+                              word_image)
 from hopftower.nsym import NSymElement, z
 from hopftower.qsym import M, QSymElement
 from hopftower.series import TruncatedSeries
@@ -291,6 +292,33 @@ def test_a_returned_image_can_be_mutated_without_touching_the_memo():
         first.terms.update({key: 5 for key in want})
         first.terms[next(iter(want))[::-1]] = 7
         assert apply(x).terms == want
+
+
+def test_a_one_word_image_is_a_fresh_canonical_dict():
+    """A one-term input takes the one-word path: a copy of the memoised image
+    for coefficient 1, ``scale`` otherwise; either way the result is canonical
+    (1/2 * 2 stored as the int 1) and shares no dict with the memo."""
+    gen = diffeo._bfk_coproduct_gen
+    image = word_image(gen, (2,))
+    memo = dict(image.terms)
+    assert 2 in memo.values()
+    for c in (1, Fraction(1, 2), -3):
+        r = on_words(NSymElement({(2,): c}), gen)
+        assert r.terms is not image.terms
+        assert r.terms == {k: v * c for k, v in memo.items()}
+        _assert_canonical(r)
+        r.terms.clear()
+        assert image.terms == memo
+    half = on_words(NSymElement({(2,): Fraction(1, 2)}), gen)
+    assert {type(c) for c in half.terms.values()} == {int, Fraction}
+    assert all(type(c) is int for c in half.terms.values() if c == 1)
+
+
+def test_image_items_is_a_read_only_view_of_the_memo():
+    gen = diffeo._fdb_coproduct_gen
+    items = image_items(gen, (2, 1))
+    assert dict(items) == word_image(gen, (2, 1)).terms
+    assert not hasattr(items, "__setitem__") and not hasattr(items, "clear")
 
 
 def test_repeated_binomial_coproducts_hit_the_memo():

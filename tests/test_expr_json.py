@@ -356,3 +356,32 @@ def test_bool_index_parts_are_refused():
               '"terms":[{"index":[true,2],"coeff":"1"}]}')
     with pytest.raises(DomainError):
         NSymElement({(True, 2): 1})
+
+
+def test_a_power_equal_to_an_int_is_refused_before_it_is_summed():
+    """``true`` and ``1.0`` hash like the power 1, so each entry's power is
+    checked before a repeated power is summed; a lone one was refused already."""
+    for other in (True, 1.0):
+        doc = {"algebra": "scalar", "cap": 3, "vars": 1,
+               "series": [{"power": 1, "coeff": "1"}, {"power": other, "coeff": "1"}]}
+        with pytest.raises(DomainError):
+            from_document(doc)
+    doc = {"algebra": "scalar", "cap": 3, "vars": 2,
+           "series": [{"powers": [1, 0], "coeff": "1"}, {"powers": [True, 0], "coeff": "1"}]}
+    with pytest.raises(DomainError):
+        from_document(doc)
+
+
+def test_an_index_part_equal_to_an_int_is_refused_before_it_is_summed():
+    element = {"algebra": "nsym", "terms": [{"index": [1], "coeff": "1"},
+                                            {"index": [True], "coeff": "1"}]}
+    tensor = {"algebra": "tensor", "factors": ["nsym", "nsym"],
+              "terms": [{"left": [1], "right": [], "coeff": "1"},
+                        {"left": [1.0], "right": [], "coeff": "1"}]}
+    slots = {"algebra": "tensor", "factors": ["nsym", "nsym", "nsym"],
+             "terms": [{"slots": [[2], [], []], "coeff": "1"},
+                       {"slots": [[2], [True], []], "coeff": "1"},
+                       {"slots": [[2], [1], []], "coeff": "1"}]}
+    for doc in (element, tensor, slots):
+        with pytest.raises(DomainError):
+            from_document(doc)
