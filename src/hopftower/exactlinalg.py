@@ -1,8 +1,8 @@
 """Exact linear algebra over the rationals.
 
 Just what the rest of the package needs: the rank of a matrix, sparse or
-dense (for cohomology dimensions of the cobar complexes), and the inverse of
-a square change-of-basis matrix.
+dense (for cohomology dimensions of the cobar complexes), and, as an oracle
+only, the inverse of a square matrix.
 
 The cobar differentials are sparse with integer entries, so rank is computed
 fraction-free on sparse rows.  ``sparse_rank`` takes each row as a
@@ -20,11 +20,11 @@ which keeps the integers small.  Rank needs neither back-substitution nor
 normalised pivots.  ``matrix_rank`` is the dense front door: it scales each
 rational row to a primitive integer row and hands them to ``sparse_rank``.
 All arithmetic is exact ``int``.
-``row_reduce`` is plain Gauss-Jordan on lists of rational rows, each entry
-kept in the canonical form of ``scalars.rational`` so that integer matrices
-with unit pivots are reduced in ``int`` arithmetic throughout.
-``invert_matrix`` row-reduces [A | I], and ``verify`` counts its pivots as
-the independent route for ranks.
+``row_reduce`` is plain Gauss-Jordan on rational rows, entries in the
+canonical form of ``scalars.rational``; ``verify`` counts its pivots as the
+independent route for ranks.  ``invert_matrix`` row-reduces [A | I].  No
+conversion calls it: ``sym`` solves its triangular transition tables by
+substitution, and ``verify`` checks those solves against this inverse.
 """
 
 from math import gcd, lcm

@@ -471,15 +471,21 @@ class Tensor(SparseSum):
     # -- slot surgery -----------------------------------------------------
 
     def apply(self, pos, fn, new_factors):
-        """Apply ``fn`` (index -> element or tensor) to slot ``pos``, splicing."""
+        """Apply ``fn`` (index -> element or tensor) to slot ``pos``, splicing.
+
+        ``fn`` must be a pure map from a basis index to its image, as every
+        caller's is: it is called once per distinct index in that slot.
+        """
         factors = self.factors[:pos] + tuple(new_factors) + self.factors[pos + 1:]
+        images = {}
         out = {}
         for key, c in self.terms.items():
-            res = fn(key[pos])
-            if isinstance(res, Tensor):
-                items = res.terms.items()
-            else:
-                items = (((i,), cc) for i, cc in res.terms.items())
+            items = images.get(key[pos])
+            if items is None:
+                res = fn(key[pos])
+                items = images[key[pos]] = (
+                    res.terms.items() if isinstance(res, Tensor)
+                    else [((i,), cc) for i, cc in res.terms.items()])
             for sub, cc in items:
                 add_term(out, key[:pos] + sub + key[pos + 1:], c * cc)
         return self._new(out, factors)

@@ -59,12 +59,14 @@ class TruncatedSeries(SparseSum):
     # -- representation helpers -------------------------------------------
 
     def _norm_key(self, k):
-        """``k`` if it is an exponent here: an ``int``, or a pair of ``int``s
-        for two variables; ``DomainError`` otherwise."""
-        if (type(k) is int if self.nvars == 1 else
-                type(k) is tuple and len(k) == 2 and type(k[0]) is type(k[1]) is int):
+        """``k`` if it is an exponent here: a nonnegative ``int``, or a pair of
+        them for two variables; ``DomainError`` otherwise."""
+        if (type(k) is int and k >= 0 if self.nvars == 1 else
+                type(k) is tuple and len(k) == 2 and type(k[0]) is type(k[1]) is int
+                and min(k) >= 0):
             return k
-        raise DomainError("%r is not an exponent of a %d-variable series" % (k, self.nvars))
+        raise DomainError("%r is not an exponent of a %d-variable power series"
+                          % (k, self.nvars))
 
     def _new(self, terms, cap=None, nvars=None):
         """A series over this algebra holding ``terms`` as given, with no
@@ -133,6 +135,12 @@ class TruncatedSeries(SparseSum):
         univariate = self.nvars == 1
         scalar = self.algebra is Fraction
         right = sorted((k if univariate else sum(k), k, v) for k, v in other.terms.items())
+        if univariate and right and self.terms:
+            low = min(self.terms)
+            if low < 0 or right[0][0] < 0:
+                # a negative power of a shift view brings the other factor's
+                # unknown powers down to lower degrees
+                cap = min(cap, self.cap + right[0][0], other.cap + low)
         out = {}
         for k1, v1 in self.terms.items():
             room = cap - (k1 if univariate else sum(k1))
@@ -179,6 +187,8 @@ class TruncatedSeries(SparseSum):
             raise AlgebraMismatchError("inner series over a different coefficient ring")
         if inner.terms.get(_zero_key(inner.nvars)):
             raise DomainError("inner series must have zero constant term")
+        if min(self.terms, default=0) < 0 or inner.valuation() < 0:
+            raise DomainError("composition needs power series, not negative powers of T")
         cap = min(self.cap, inner.cap)
         scalar = self.algebra is Fraction
         result = {}
@@ -209,7 +219,7 @@ class TruncatedSeries(SparseSum):
         if not (self.algebra is Fraction or self.algebra.COMMUTATIVE):
             raise DomainError("reversion requires commutative coefficients")
         one = self._unit_term(1)[1]
-        if self.terms.get(0) or self.terms.get(1) != one:
+        if self.terms.get(0) or self.terms.get(1) != one or self.valuation() < 0:
             raise DomainError("reversion needs the form T + higher order terms")
         f, g = self.terms, {1: one}
         scalar = self.algebra is Fraction
@@ -237,24 +247,33 @@ class TruncatedSeries(SparseSum):
 
         Stored exponents are nonnegative, so the residue of a plain series is
         zero; ``shift`` produces the negative-exponent views where this is
-        useful.
+        useful, which sums and products keep and the other operations refuse.
         """
         if self.nvars != 1:
             raise DomainError("residue is univariate only")
-        return self.coefficient(-1)
+        if self.cap < -1:
+            raise DomainError("the residue needs T^-1, but this series is known only "
+                              "to T^%d" % self.cap)
+        v = self.terms.get(-1)
+        if v is None:
+            return ZERO if self.algebra is Fraction else self.algebra.zero()
+        return v
 
     def shift(self, k):
-        """Multiply by T^k, allowing negative exponents (Laurent view)."""
+        """Multiply by T^k, allowing negative exponents (Laurent view).  A
+        negative ``k`` lowers the cap by |k|, since T^(cap + 1) of this series,
+        which is unknown, lands on T^(cap + 1 + k)."""
         if self.nvars != 1:
             raise DomainError("shift is univariate only")
-        return self._new({e + k: v for e, v in self.terms.items() if e + k <= self.cap})
+        return self._new({e + k: v for e, v in self.terms.items() if e + k <= self.cap},
+                         min(self.cap, self.cap + k))
 
     # -- transcendental helpers over the rationals ------------------------
 
     def exp(self):
         """exp of a series with zero constant term."""
-        if self.terms.get(_zero_key(self.nvars)):
-            raise DomainError("exp needs zero constant term")
+        if self.terms.get(_zero_key(self.nvars)) or self.valuation() < 0:
+            raise DomainError("exp needs a power series with zero constant term")
         out = term = self._operand(1)
         for n in range(1, self.cap + 1):
             term = term * self
@@ -266,8 +285,8 @@ class TruncatedSeries(SparseSum):
     def log(self):
         """log of a series with constant term 1."""
         u = self - 1
-        if _zero_key(self.nvars) in u.terms:
-            raise DomainError("log needs constant term 1")
+        if _zero_key(self.nvars) in u.terms or u.valuation() < 0:
+            raise DomainError("log needs a power series with constant term 1")
         out = self._new({})
         term = self._operand(1)
         sign = 1

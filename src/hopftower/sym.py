@@ -12,6 +12,15 @@ symmetric polynomial in finitely many variables (``expand``) stays as the
 public evaluation and as the independent oracle that ``verify`` checks the
 counts against.
 
+A conversion goes through m and inverts no table by elimination.  In the
+order of ``partitions_of`` (decreasing lex, which refines dominance) the p
+table is lower triangular with diagonal prod_i m_i(lam)!, and w! times its
+inverse is integral; the e table, its row for e_lam moved to the place of
+lam', is unitriangular (I.2, I.6).  Both are solved by substitution in ints.
+For h, h_lam = (-1)^|lam| S(e_lam) and omega swaps e and h, so m in h is
+(-1)^w (m in e) times the matrix of S on e, read from the antipode's memo.
+``exactlinalg.invert_matrix`` is only the oracle that ``verify`` checks.
+
 The Hopf structure lives on the e basis (each generator series is grouplike),
 with everything else reached by conversion.  Coefficients are ``int``s
 except where a conversion involving the p basis brings in a denominator.
@@ -20,15 +29,14 @@ except where a conversion involving the p basis brings in a denominator.
 from collections import Counter
 from functools import lru_cache, partial
 from itertools import combinations, combinations_with_replacement
-from math import lcm
+from math import factorial, gcd, lcm
 from operator import add
 import warnings
 
 from .errors import DomainError
-from .exactlinalg import invert_matrix
 from .indices import compositions_of, partitions_of, sort_to_partition
-from .linear import (CommutativeElement, add_term, binomial_gen, format_terms, mul_into,
-                     on_words)
+from .linear import (CommutativeElement, add_term, binomial_gen, format_terms, image_items,
+                     mul_into, on_words)
 from .scalars import ONE, ZERO, quotient
 from .series import TruncatedSeries
 
@@ -51,10 +59,10 @@ class SymElement(CommutativeElement):
         super().__init__(terms)
         self.basis = basis
 
-    def _new(self, terms):
-        """The trusted builder of ``SparseSum._new``, keeping the basis."""
+    def _new(self, terms, basis=None):
+        """The trusted builder of ``SparseSum._new``, by default in this basis."""
         obj = super()._new(terms)
-        obj.basis = self.basis
+        obj.basis = self.basis if basis is None else basis
         return obj
 
     def _letter(self):
@@ -306,15 +314,49 @@ def _transition(basis, w):
 
 
 @lru_cache(maxsize=None)
+def _sparse_transition(basis, w):
+    """``_transition`` as partitions, their positions and nonzero (j, entry) rows."""
+    parts, rows = _transition(basis, w)
+    return parts, {lam: i for i, lam in enumerate(parts)}, tuple(
+        tuple((j, x) for j, x in enumerate(r) if x) for r in rows)
+
+
+def _combination(acc, terms, rows, diagonal=1):
+    """(the dense row ``acc`` plus x * rows[k] for each (k, x) in ``terms``)
+    // diagonal, as nonzero (j, entry) pairs, j increasing."""
+    for k, x in terms:
+        for j, y in rows[k]:
+            acc[j] += x * y
+    return tuple((j, y // diagonal) for j, y in enumerate(acc) if y)
+
+
+@lru_cache(maxsize=None)
 def _transition_inverse(basis, w):
     """Inverse of the transition matrix as ``(d, rows)``: ``d`` times the
     inverse is an integer matrix, each of whose rows is held as its nonzero
-    (j, entry) pairs."""
-    inverse = invert_matrix(_transition(basis, w)[1])
-    d = lcm(*(x.denominator for r in inverse for x in r))
-    return d, tuple(tuple((j, x.numerator * (d // x.denominator))
-                          for j, x in enumerate(r) if x)
-                    for r in inverse)
+    (j, entry) pairs, j increasing; solved as the module docstring says."""
+    parts, pos, rows = _sparse_transition("p" if basis == "p" else "e", w)
+    # w! times m in p is integral, so every division below is exact
+    scale = factorial(w) if basis == "p" else 1
+    if basis == "h":
+        images = [[(pos[nu], (-1) ** w * c) for nu, c in image_items(_antipode_e_gen, lam)]
+                  for lam in parts]
+        inverse = [_combination([0] * len(parts), row, images)
+                   for row in _transition_inverse("e", w)[1]]
+    else:
+        # the diagonal entry is the first pair of an e row, the last of a p row;
+        # every other column of a row is solved before it
+        lead = -1 if basis == "p" else 0
+        inverse = [None] * len(parts)
+        for r in sorted(range(len(parts)), key=lambda r: rows[r][lead][0], reverse=lead == 0):
+            i, diagonal = rows[r][lead]
+            acc = [0] * len(parts)
+            acc[r] = scale
+            inverse[i] = _combination(acc, ((j, -x) for j, x in rows[r] if j != i),
+                                      inverse, diagonal)
+    g = gcd(scale, *(y for r in inverse for _, y in r))
+    return scale // g, (tuple(inverse) if g == 1 else tuple(
+        tuple((j, y // g) for j, y in r) for r in inverse))
 
 
 def convert(f, to, integral=False):
@@ -328,36 +370,24 @@ def convert(f, to, integral=False):
     if f.basis == to:
         result = f
     else:
+        by_weight = {}
+        for lam, c in f.terms.items():
+            by_weight.setdefault(sum(lam), []).append((lam, c))
         out = {}
-        for w in f.weights():
-            comp = f.component(w).terms
-            parts, rows = _transition(f.basis, w)
-            pos = {lam: i for i, lam in enumerate(parts)}
+        for w, comp in sorted(by_weight.items()):
+            parts, pos, rows = _sparse_transition(f.basis, w)
             # integer numerators over one common denominator d keep every
             # sum below in int arithmetic
-            d = lcm(*(c.denominator for c in comp.values()))
-            vec = [0] * len(parts)
-            for lam, c in comp.items():
-                n = c.numerator * (d // c.denominator)
-                if f.basis == "m":
-                    vec[pos[lam]] = n
-                else:
-                    for j, entry in enumerate(rows[pos[lam]]):
-                        if entry:
-                            vec[j] += n * entry
-            coords = vec
+            d = lcm(*(c.denominator for _, c in comp))
+            numerators = ((pos[lam], c.numerator * (d // c.denominator)) for lam, c in comp)
+            coords = _combination([0] * len(parts), numerators, rows)
             if to != "m":
                 inv_d, inv_rows = _transition_inverse(to, w)
                 d *= inv_d
-                coords = [0] * len(parts)
-                for x, inv_row in zip(vec, inv_rows):
-                    if x:
-                        for j, entry in inv_row:
-                            coords[j] += x * entry
-            for lam, c in zip(parts, coords):
-                if c:
-                    out[lam] = quotient(c, d)
-        result = SymElement(out, to)
+                coords = _combination([0] * len(parts), coords, inv_rows)
+            for j, c in coords:
+                out[parts[j]] = c if d == 1 else quotient(c, d)
+        result = f._new(out, to)
     if integral and any(c.denominator != 1 for c in result.terms.values()):
         raise DomainError("conversion to %s-basis is not integral here" % to)
     return result

@@ -20,6 +20,7 @@ import random
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate, chain
+from math import lcm
 from operator import add
 
 from . import diffeo
@@ -32,7 +33,7 @@ from .algebroid import (ALGEBROIDS, WEIGHT_BOUND, coface, cohomology_rank, diffe
                         differential_matrix, differential_rows, invariants_rank_oracle)
 from .diffeo import FdBElement, t
 from .errors import ExpressionError
-from .exactlinalg import row_reduce, sparse_rank
+from .exactlinalg import invert_matrix, row_reduce, sparse_rank
 from .expr import parse_element
 from .indices import compositions_of, partitions_of
 from .jsonio import document_for, dumps, from_document
@@ -146,6 +147,14 @@ def _expanded_transition(basis, w):
     return tuple(rows)
 
 
+def _gauss_jordan_inverse(basis, w):
+    """``sym._transition_inverse`` packed from the dense Gauss-Jordan inverse."""
+    inverse = invert_matrix(sym_mod._transition(basis, w)[1])
+    d = lcm(*(x.denominator for r in inverse for x in r))
+    return d, tuple(tuple((j, x.numerator * (d // x.denominator)) for j, x in enumerate(r) if x)
+                    for r in inverse)
+
+
 def _expanded_m_product(lam, mu):
     """m_lam * m_mu read off the product of the two literal expansions."""
     nvars = max(1, sum(lam) + sum(mu))
@@ -173,6 +182,11 @@ def suite_antipode(weight=None, cap=None):
                % tbound,
                (((basis, w), sym_mod._transition(basis, w)[1]
                  == _expanded_transition(basis, w))
+                for basis in ("e", "h", "p") for w in range(tbound + 1))),
+        _check("triangular transition inverses equal Gauss-Jordan (e, h, p; weight <= %d)"
+               % tbound,
+               (((basis, w), sym_mod._transition_inverse(basis, w)
+                 == _gauss_jordan_inverse(basis, w))
                 for basis in ("e", "h", "p") for w in range(tbound + 1))),
         _check("counted m-products equal the product of expansions "
                "(total weight <= %d, {count} pairs)" % mbound,

@@ -140,6 +140,16 @@ def test_usage_errors_exit_1():
     assert run()[0] == 1
 
 
+def test_negative_powers_and_unknown_residues_exit_1():
+    for argv in (("shift(T,-2)", "2*T"), ("shift(Z(T),-3)", "T")):
+        code, out, err = run("compose", *argv, "--cap", "4", "--text")
+        assert (code, out) == (1, "") and "negative powers" in err
+    code, out, err = run("compose", "residue(shift(Z(T),-6))", "T", "--cap", "4", "--text")
+    assert (code, out) == (1, "") and "known only to T^-2" in err
+    assert run("compose", "residue(shift(Z(T),-3))", "T", "--cap", "3", "--text") == (
+        0, "Z[1] (cap 3)", "")
+
+
 def test_help_exits_zero():
     code, out, _ = run("--help")
     assert code == 0 and "COMMAND" in out

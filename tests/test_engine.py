@@ -359,3 +359,22 @@ def test_adding_elements_of_two_algebras_is_refused():
         for op in (add, sub):
             with pytest.raises(AlgebraMismatchError):
                 op(x, y)
+
+
+def test_tensor_apply_calls_its_map_once_per_distinct_index():
+    x = nsym.coproduct(z(2, 1) + z(1, 2) + z(3))
+    for pos in (0, 1):
+        seen = []
+
+        def fn(idx):
+            seen.append(idx)
+            return nsym.coproduct(NSymElement({idx: 1}))
+
+        got = x.apply(pos, fn, (NSymElement, NSymElement))
+        assert sorted(seen) == sorted({key[pos] for key in x.terms}) and len(seen) < len(x.terms)
+        want = {}
+        for key, c in x.terms.items():
+            for sub_key, cc in nsym.coproduct(NSymElement({key[pos]: 1})).terms.items():
+                k = key[:pos] + sub_key + key[pos + 1:]
+                want[k] = want.get(k, 0) + c * cc
+        assert got == Tensor((NSymElement,) * 3, want)

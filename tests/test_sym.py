@@ -7,17 +7,18 @@ The counted transition matrices and m-products are also compared with the
 literal polynomial expansion up to weight 6; ``verify`` goes on to weight 7.
 """
 
+import sys
 from fractions import Fraction
 
 import pytest
 
-from hopftower import sym
+from hopftower import exactlinalg, linear, sym
 from hopftower.errors import DomainError
 from hopftower.indices import partitions_of
 from hopftower.linear import Tensor
 from hopftower.sym import (SymElement, antipode, convert, coproduct, e,
                            e_series, h, h_series, hall_pair, involution, m, p)
-from hopftower.verify import _expanded_m_product, _expanded_transition
+from hopftower.verify import _expanded_m_product, _expanded_transition, _gauss_jordan_inverse
 
 # hand-frozen expansions in the e basis
 H_IN_E = {
@@ -103,11 +104,65 @@ def test_counted_m_products_equal_the_expansion():
     assert m(4, 3) * m(3, 2) == _expanded_m_product((4, 3), (3, 2))
 
 
+def _clear_sym_caches():
+    for value in vars(sym).values():
+        if hasattr(value, "cache_clear"):
+            value.cache_clear()
+    linear.word_image.cache_clear()
+
+
 def test_cold_round_trip_at_weight_ten():
-    for cache in (sym._transition, sym._transition_inverse, sym._count_matrices,
-                  sym._column_fills):
-        cache.cache_clear()
+    _clear_sym_caches()
     assert convert(convert(h(10), "e"), "h") == h(10)
+
+
+def test_triangular_transition_inverses_equal_gauss_jordan():
+    for basis in ("e", "h", "p"):
+        for w in range(10):
+            assert sym._transition_inverse(basis, w) == _gauss_jordan_inverse(basis, w), \
+                (basis, w)
+
+
+def test_cold_conversions_never_call_gauss_jordan():
+    """Watched by code object, so no alias of ``invert_matrix`` escapes."""
+    _clear_sym_caches()
+    calls = []
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code is exactlinalg.invert_matrix.__code__:
+            calls.append(frame.f_code)
+
+    sys.setprofile(profile)
+    try:
+        for w in range(8):
+            for src in sym.BASES:
+                for to in sym.BASES:
+                    if src != to:
+                        f = SymElement({lam: 1 for lam in partitions_of(w)}, src)
+                        assert convert(convert(f, to), src) == f, (src, to, w)
+    finally:
+        sys.setprofile(None)
+    assert calls == []
+
+
+def test_conversions_are_canonical_and_share_no_dict_with_a_cache():
+    cached = [id(x) for w in range(8) for basis in sym.BASES
+              for table in (sym._transition, sym._sparse_transition) for x in table(basis, w)]
+    cached += [id(x) for w in range(8) for basis in ("e", "h", "p")
+               for x in sym._transition_inverse(basis, w)]
+    cached += [id(linear.word_image(sym._antipode_e_gen, lam).terms)
+               for w in range(8) for lam in partitions_of(w)]
+    for w in range(8):
+        for src in sym.BASES:
+            f = SymElement({lam: Fraction(k + 1, 2) for k, lam in enumerate(partitions_of(w))},
+                           src)
+            for to in sym.BASES:
+                got = convert(f, to)
+                assert got.basis == to and id(got.terms) not in cached
+                for lam, c in got.terms.items():
+                    assert lam in partitions_of(w)
+                    assert type(c) is int and c or type(c) is Fraction and c.denominator > 1
+                assert got == SymElement(got.terms, to)
 
 
 def test_multiplicative_bases_concatenate():
