@@ -19,7 +19,7 @@ inverse is integral; the e table, its row for e_lam moved to the place of
 lam', is unitriangular (I.2, I.6).  Both are solved by substitution in ints.
 For h, h_lam = (-1)^|lam| S(e_lam) and omega swaps e and h, so m in h is
 (-1)^w (m in e) times the matrix of S on e, read from the antipode's memo.
-``exactlinalg.invert_matrix`` is only the oracle that ``verify`` checks.
+``exactlinalg.invert_matrix`` is only their oracle, in ``verify``.
 
 The Hopf structure lives on the e basis (each generator series is grouplike),
 with everything else reached by conversion.  Coefficients are ``int``s
