@@ -31,6 +31,7 @@ from .errors import (AlgebraMismatchError, CapabilityError, DomainError,
                      ExpressionError)
 from .expr import compose_series, parse_element, parse_series
 from .jsonio import document_for, dumps
+from .series import TruncatedSeries
 from .sym import SymElement
 from .topology import ProjectiveProductSpace
 
@@ -72,18 +73,16 @@ def _promote(value, family):
     return value
 
 
-def _print_element(x, args, out):
-    if getattr(args, "json", False):
-        print(dumps(document_for(x)), file=out)
+def _print(value, args, out, structure=None):
+    """Print ``value`` as the command's own flag asks: a command with
+    ``--json`` prints text unless it is given, and one with ``--text`` prints
+    JSON unless it is given.  Series text ends with its cap."""
+    if getattr(args, "json", not getattr(args, "text", False)):
+        print(dumps(document_for(value, structure)), file=out)
+    elif isinstance(value, TruncatedSeries):
+        print("%s (cap %d)" % (value, value.cap), file=out)
     else:
-        print(str(x), file=out)
-
-
-def _print_series(s, args, out, structure=None):
-    if getattr(args, "text", False):
-        print("%s (cap %d)" % (s, s.cap), file=out)
-    else:
-        print(dumps(document_for(s, structure)), file=out)
+        print(str(value), file=out)
 
 
 def _parse_parts(text, what):
@@ -113,7 +112,7 @@ def _load_json_arg(text):
 
 def _cmd_eval(args, out):
     value, _ = parse_element(args.expr)
-    _print_element(value, args, out)
+    _print(value, args, out)
     return 0
 
 
@@ -122,19 +121,17 @@ def _cmd_coproduct(args, out):
     if family == "scalar":
         raise DomainError("a bare number needs --algebra to pick a coproduct")
     st = structures.find(family, args.structure, "coproduct")
-    result = st.coproduct(_promote(value, family))
-    if getattr(args, "text", False):
-        print(str(result), file=out)
-    else:
-        print(dumps(document_for(result, st.flag)), file=out)
+    _print(st.coproduct(_promote(value, family)), args, out, st.flag)
     return 0
 
 
 def _cmd_antipode(args, out):
     value, family = parse_element(args.expr)
+    flag = None
     if family != "scalar":
-        value = structures.find(family, args.structure, "antipode").antipode(value)
-    _print_element(value, args, out)
+        st = structures.find(family, args.structure, "antipode")
+        value, flag = st.antipode(value), st.flag
+    _print(value, args, out, flag)
     return 0
 
 
@@ -152,7 +149,7 @@ def _cmd_convert(args, out):
             value = step(value)
         if isinstance(value, SymElement):
             value = sym_mod.convert(value, args.to, integral=args.integral)
-    _print_element(value, args, out)
+    _print(value, args, out)
     return 0
 
 
@@ -175,12 +172,12 @@ def _cmd_pair(args, out):
 def _cmd_compose(args, out):
     outer = parse_series(args.outer, args.cap)
     inner = parse_series(args.inner, args.cap)
-    _print_series(compose_series(outer, inner), args, out)
+    _print(compose_series(outer, inner), args, out)
     return 0
 
 
 def _cmd_revert(args, out):
-    _print_series(parse_series(args.series, args.cap).revert(), args, out)
+    _print(parse_series(args.series, args.cap).revert(), args, out)
     return 0
 
 
@@ -189,32 +186,29 @@ def _cmd_log(args, out):
         result = topology.miscenko_log(args.cap)
     else:
         result = parse_series(args.series, args.cap).log()
-    _print_series(result, args, out)
+    _print(result, args, out)
     return 0
 
 
 def _cmd_fgl(args, out):
-    structure = args.structure or "binomial"
-    if structure == "bfk":
+    if args.structure == "bfk":
         result = topology.cp_infinity_coproduct(args.cap)
-        _print_series(result, args, out, structure="bfk")
-        return 0
-    result = topology.fgl(args.cap)
-    if structure == "fdb":
-        result = result.map_coefficients(
-            lambda el: FdBElement(dict(el.terms)), algebra=FdBElement)
-    _print_series(result, args, out)
+    else:
+        result = topology.fgl(args.cap)
+        if args.structure == "fdb":
+            result = result.map_coefficients(
+                lambda el: FdBElement(dict(el.terms)), algebra=FdBElement)
+    _print(result, args, out, args.structure)
     return 0
 
 
 def _cmd_beta(args, out):
-    _print_series(topology.beta_series(args.cap), args, out)
+    _print(topology.beta_series(args.cap), args, out)
     return 0
 
 
 def _cmd_cumulant(args, out):
-    _print_series(topology.cumulant_series(args.cap), args, out,
-                  structure="bfk")
+    _print(topology.cumulant_series(args.cap), args, out, structure="bfk")
     return 0
 
 
@@ -223,7 +217,7 @@ def _cmd_charnum(args, out):
         if args.dim is None:
             raise DomainError("charnum cp needs --dim")
         if args.partition is None:
-            _print_element(topology.cp_hurewicz(args.dim), args, out)
+            _print(topology.cp_hurewicz(args.dim), args, out)
         else:
             lam = _parse_parts(args.partition, "--partition")
             print(str(topology.cp_char_number(args.dim, lam)), file=out)
@@ -241,7 +235,7 @@ def _cmd_charnum(args, out):
 def _cmd_crn(args, out):
     if args.weight < 1:
         raise DomainError("--weight must be at least 1")
-    _print_element(topology.crn_invariant(args.weight), args, out)
+    _print(topology.crn_invariant(args.weight), args, out)
     return 0
 
 
@@ -415,10 +409,7 @@ def run_command(argv, stdout=None, stderr=None):
                     print(exc.message, file=err)
                 return exc.status
             return args.handler(args, out)
-    except ExpressionError as exc:
-        print("error: %s" % exc, file=err)
-        return 1
-    except (DomainError, AlgebraMismatchError) as exc:
+    except (ExpressionError, DomainError, AlgebraMismatchError) as exc:
         print("error: %s" % exc, file=err)
         return 1
     except CapabilityError as exc:

@@ -29,6 +29,12 @@ Generator atoms like ``e[1]`` act as constant coefficients, so
 constants promote into any coefficient algebra, and b-polynomials promote
 into beta-polynomials; no other mixing is allowed.
 
+Both languages share one parse tree and one evaluator, ``_evaluate``: a
+syntax, arity or family error is raised before any product is formed, so
+``e[1]^100000 + Z[1]`` fails at once.  The parser records the letter and
+column of each generator as it reads it, and ``parse_element`` checks the
+families from that record.
+
 Errors carry a 1-based column; positions past the end of the input are
 reported at the last character.
 """
@@ -107,6 +113,7 @@ class _Parser:
         self.toks = _tokenize(text)
         self.i = 0
         self.series_mode = series_mode
+        self.letters = []  # (letter, column) of each generator atom, as read
 
     def _fail(self, message, pos):
         # errors at EOF point at the last character, not one past it
@@ -225,6 +232,7 @@ class _Parser:
                 parts.append(self.part())
             elif tok[0] == "rbrack":
                 self.take()
+                self.letters.append((head[1], head[2]))
                 return ("gen", head[1], tuple(parts), head[2])
             else:
                 self._fail("expected ',' or ']'", tok[2])
@@ -239,67 +247,7 @@ class _Parser:
         return int(tok[1])
 
 
-def _collect_letters(node, acc):
-    kind = node[0]
-    if kind == "gen":
-        acc.append((node[1], node[3]))
-    elif kind == "add":
-        for _, sub in node[1]:
-            _collect_letters(sub, acc)
-    elif kind == "mul":
-        for sub in node[1]:
-            _collect_letters(sub, acc)
-    elif kind == "pow":
-        _collect_letters(node[1], acc)
-
-
-def _eval_element(node):
-    kind = node[0]
-    if kind == "num":
-        return node[1]
-    if kind == "gen":
-        return structures.generator(node[1], node[2])
-    if kind == "pow":
-        return _eval_element(node[1]) ** node[2]
-    if kind == "mul":
-        out = _eval_element(node[1][0])
-        for sub in node[1][1:]:
-            out = out * _eval_element(sub)
-        return out
-    out = None
-    for sign, sub in node[1]:
-        v = _eval_element(sub)
-        if sign < 0:
-            v = -v
-        out = v if out is None else out + v
-    return out
-
-
-def parse_element(text, algebra=None):
-    """Parse and evaluate an element expression.
-
-    Returns ``(value, family)`` with family one of ``sym``, ``nsym``,
-    ``qsym``, ``fdb``, ``bpoly``, or ``scalar`` for a pure number.  Passing
-    ``algebra`` pins the family up front; an expression may never mix
-    generator letters from two families.
-    """
-    parser = _Parser(text, series_mode=False)
-    node = parser.parse()
-    seen = []
-    _collect_letters(node, seen)
-    family = algebra
-    for letter, pos in seen:
-        fam = structures.tag_of_letter(letter)
-        if family is None:
-            family = fam
-        elif fam != family:
-            raise ExpressionError(
-                "generator %r belongs to %s but the expression is over %s"
-                % (letter, fam, family), pos)
-    return _eval_element(node), (family or "scalar")
-
-
-# -- series evaluation ------------------------------------------------------
+# -- evaluation -------------------------------------------------------------
 
 def _promote(s, algebra):
     """Lift a series into a larger coefficient algebra, or fail."""
@@ -331,71 +279,87 @@ def compose_series(outer, inner):
     return outer.compose(inner)
 
 
-def _eval_series(node, cap):
+def _evaluate(node, cap):
+    """The value of a parse tree.  With ``cap`` None it is an element or a
+    number; otherwise it is a series truncated at ``cap``, and the operands
+    of each sum and product are first lifted into one coefficient algebra."""
     kind = node[0]
     if kind == "num":
-        return TruncatedSeries(Fraction, {0: node[1]}, cap)
+        return node[1] if cap is None else TruncatedSeries(Fraction, {0: node[1]}, cap)
+    if kind == "gen":
+        el = structures.generator(node[1], node[2])
+        return el if cap is None else TruncatedSeries(type(el), {0: el}, cap)
     if kind == "var":
         return TruncatedSeries(Fraction, {1: 1}, cap)
     if kind == "beta":
         return TruncatedSeries(
             BetaPolynomial, {0: BetaPolynomial({1: BElement.one()})}, cap)
-    if kind == "gen":
-        el = structures.generator(node[1], node[2])
-        return TruncatedSeries(type(el), {0: el}, cap)
     if kind == "sercall":
         return compose_series(structures.named_series(node[1])(cap),
-                              _eval_series(node[2], cap))
+                              _evaluate(node[2], cap))
     if kind == "call":
         return _eval_call(node, cap)
     if kind == "pow":
-        return _eval_series(node[1], cap) ** node[2]
+        return _evaluate(node[1], cap) ** node[2]
     if kind == "mul":
-        out = _eval_series(node[1][0], cap)
+        out = _evaluate(node[1][0], cap)
         for sub in node[1][1:]:
-            out, rhs = _unify(out, _eval_series(sub, cap))
+            rhs = _evaluate(sub, cap)
+            if cap is not None:
+                out, rhs = _unify(out, rhs)
             out = out * rhs
         return out
     out = None
     for sign, sub in node[1]:
-        v = _eval_series(sub, cap)
+        v = _evaluate(sub, cap)
         if sign < 0:
             v = -v
-        if out is None:
-            out = v
-        else:
+        if out is not None and cap is not None:
             out, v = _unify(out, v)
-            out = out + v
+        out = v if out is None else out + v
     return out
 
 
 def _eval_call(node, cap):
     name, args, pos = node[1], node[2], node[3]
-    first = _eval_series(args[0], cap)
-    if name == "invert":
-        return first.invert()
-    if name == "revert":
-        return first.revert()
-    if name == "exp":
-        return first.exp()
-    if name == "log":
-        return first.log()
-    if name == "alternate":
-        return first.alternate()
+    first = _evaluate(args[0], cap)
+    if name in ("invert", "revert", "exp", "log", "alternate"):
+        return getattr(first, name)()
     if name == "residue":
         return TruncatedSeries(first.algebra, {0: first.residue()}, cap)
     if name == "shift":
-        offset = _eval_series(args[1], cap)
+        offset = _evaluate(args[1], cap)
         k = offset.coeffs.get(0, 0)
         if (offset.algebra is not Fraction or set(offset.coeffs) - {0}
                 or k.denominator != 1):
             raise ExpressionError("shift offset must be an integer", pos)
         return first.shift(int(k))
-    inner = _eval_series(args[1], cap)
-    return compose_series(first, inner)
+    return compose_series(first, _evaluate(args[1], cap))
+
+
+def parse_element(text, algebra=None):
+    """Parse and evaluate an element expression.
+
+    Returns ``(value, family)`` with family one of ``sym``, ``nsym``,
+    ``qsym``, ``fdb``, ``bpoly``, or ``scalar`` for a pure number.  Passing
+    ``algebra`` pins the family up front; an expression may never mix
+    generator letters from two families.
+    """
+    parser = _Parser(text, series_mode=False)
+    node = parser.parse()
+    family = algebra
+    for letter, pos in parser.letters:
+        fam = structures.tag_of_letter(letter)
+        if family is None:
+            family = fam
+        elif fam != family:
+            raise ExpressionError(
+                "generator %r belongs to %s but the expression is over %s"
+                % (letter, fam, family), pos)
+    return _evaluate(node, None), (family or "scalar")
 
 
 def parse_series(text, cap):
     """Parse and evaluate a series expression, truncated at degree ``cap``."""
     node = _Parser(text, series_mode=True).parse()
-    return _eval_series(node, cap)
+    return _evaluate(node, cap)

@@ -19,7 +19,13 @@ Shapes:
   a series of them is marked ``"coefficients":"beta"`` after its algebra tag
   (a document without the mark is read as one when an entry nests ``beta``)
 
-``from_document`` inverts all of the above exactly.
+One writer, ``_body``, gives the terms of every value after its head: an
+element or tensor document and each series entry share it.  The readers stay
+separate: a series entry may hold a bare scalar (``"coeff"``) whatever the
+algebra, and a whole document may not, so one reader would branch on its
+caller.  ``from_document`` inverts all of the above exactly; a ``shift`` view
+with a negative power or cap is refused when written, since no document
+holds it.
 """
 
 import json
@@ -43,94 +49,56 @@ def _class_tag(cls):
     return structures.tag_of_class(cls)
 
 
-def _term_list(terms):
-    out = []
-    for idx in sorted(terms, key=index_sort_key):
-        out.append({"index": list(idx), "coeff": format_scalar(terms[idx])})
-    return out
-
-
-def _beta_list(poly):
-    out = []
-    for power in sorted(poly.terms):
-        out.append({"power": power, "terms": _term_list(poly.terms[power].terms)})
-    return out
-
-
-def element_document(x, structure=None):
-    """Canonical document for a single element (or plain rational)."""
-    if isinstance(x, (int, Fraction)):
-        terms = [] if not x else [{"index": [], "coeff": format_scalar(x)}]
-        return {"algebra": "scalar", "terms": terms}
-    if isinstance(x, BetaPolynomial):
-        return {"algebra": "bpoly", "beta": _beta_list(x)}
-    doc = {"algebra": _class_tag(type(x))}
-    if isinstance(x, SymElement):
-        doc["basis"] = x.basis
-    elif doc["algebra"] == "nsym":
+def _head(cls, structure):
+    """The algebra tag, and the structure of the algebra where two coexist."""
+    doc = {"algebra": _class_tag(cls)}
+    if doc["algebra"] == "nsym":
         doc["structure"] = structure or "binomial"
-    doc["terms"] = _term_list(x.terms)
     return doc
 
 
-def tensor_document(t, structure=None):
-    factors = [_class_tag(cls) for cls in t.factors]
-    doc = {"algebra": "tensor", "factors": factors}
-    if structure is not None and "nsym" in factors:
-        doc["structure"] = structure
+def _body(x):
+    """The terms of one value: what follows the head of its document, and
+    what follows the power of a series entry."""
+    if isinstance(x, (int, Fraction)):
+        return {"coeff": format_scalar(x)}
+    if isinstance(x, BetaPolynomial):
+        return {"beta": [{"power": k, **_body(x.terms[k])} for k in sorted(x.terms)]}
     terms = []
-    for key in sorted(t.terms, key=lambda k: tuple(index_sort_key(i) for i in k)):
-        coeff = format_scalar(t.terms[key])
-        if len(key) == 2:
-            terms.append({"left": list(key[0]), "right": list(key[1]),
-                          "coeff": coeff})
-        else:
-            terms.append({"slots": [list(i) for i in key], "coeff": coeff})
-    doc["terms"] = terms
-    return doc
-
-
-def _coeff_body(v):
-    if isinstance(v, (int, Fraction)):
-        return {"coeff": format_scalar(v)}
-    if isinstance(v, BetaPolynomial):
-        return {"beta": _beta_list(v)}
-    if isinstance(v, Tensor):
-        doc = tensor_document(v)
-        return {"terms": doc["terms"]}
-    return {"terms": _term_list(v.terms)}
+    if isinstance(x, Tensor):
+        for key in sorted(x.terms, key=lambda k: tuple(map(index_sort_key, k))):
+            slots = ({"left": list(key[0]), "right": list(key[1])} if len(key) == 2
+                     else {"slots": [list(i) for i in key]})
+            terms.append({**slots, "coeff": format_scalar(x.terms[key])})
+    else:
+        for idx in sorted(x.terms, key=index_sort_key):
+            terms.append({"index": list(idx), "coeff": format_scalar(x.terms[idx])})
+    return {"terms": terms}
 
 
 def series_document(s, structure=None):
-    algebra = s.algebra
-    if isinstance(algebra, TensorSpace):
-        doc = {"algebra": "tensor",
-               "factors": [_class_tag(c) for c in algebra.factors]}
+    """A series with every coefficient in one basis.  A ``shift`` view with a
+    negative power or a negative cap raises ``DomainError``: a series
+    document holds a power series, as ``from_document`` builds it."""
+    if s.cap < 0 or s.valuation() < 0:
+        raise DomainError("the shift view %s (cap %d) has no document" % (s, s.cap))
+    if isinstance(s.algebra, TensorSpace):
+        doc = {"algebra": "tensor", "factors": [_class_tag(c) for c in s.algebra.factors]}
     else:
-        tag = _class_tag(algebra)
-        doc = {"algebra": tag}
-        if algebra is BetaPolynomial:
+        doc = _head(s.algebra, structure)
+        if s.algebra is BetaPolynomial:
             doc["coefficients"] = "beta"  # BElement series share the bpoly tag
-        elif tag == "sym":
+        elif s.algebra is SymElement:
             # one basis for the whole series: that of the first term printed
             basis = s.terms[min(s.terms, key=s._sort_key)].basis if s.terms else "e"
             doc["basis"] = basis
             s = s.map_coefficients(lambda v: convert(v, basis))
-        elif tag == "nsym":
-            doc["structure"] = structure or "binomial"
     doc["cap"] = s.cap
     doc["vars"] = s.nvars
     entries = []
-    if s.nvars == 1:
-        for k in sorted(s.coeffs):
-            entry = {"power": k}
-            entry.update(_coeff_body(s.coeffs[k]))
-            entries.append(entry)
-    else:
-        for k in sorted(s.coeffs, key=lambda kk: (sum(kk), kk)):
-            entry = {"powers": list(k)}
-            entry.update(_coeff_body(s.coeffs[k]))
-            entries.append(entry)
+    for k in sorted(s.terms, key=lambda k: (k if s.nvars == 1 else sum(k), k)):
+        power = {"power": k} if s.nvars == 1 else {"powers": list(k)}
+        entries.append({**power, **_body(s.terms[k])})
     doc["series"] = entries
     return doc
 
@@ -139,9 +107,18 @@ def document_for(x, structure=None):
     """Serialize any supported value to its canonical document."""
     if isinstance(x, TruncatedSeries):
         return series_document(x, structure)
+    if isinstance(x, (int, Fraction)):  # a number is one term on the empty index
+        return {"algebra": "scalar", "terms": [{"index": [], **_body(x)}] if x else []}
     if isinstance(x, Tensor):
-        return tensor_document(x, structure)
-    return element_document(x, structure)
+        doc = {"algebra": "tensor", "factors": [_class_tag(c) for c in x.factors]}
+        if structure is not None and "nsym" in doc["factors"]:
+            doc["structure"] = structure
+    else:
+        doc = _head(type(x), structure)
+        if isinstance(x, SymElement):
+            doc["basis"] = x.basis
+    doc.update(_body(x))
+    return doc
 
 
 def dumps(doc):
