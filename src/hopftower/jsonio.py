@@ -67,9 +67,10 @@ def _body(x):
     terms = []
     if isinstance(x, Tensor):
         for key in sorted(x.terms, key=lambda k: tuple(map(index_sort_key, k))):
-            slots = ({"left": list(key[0]), "right": list(key[1])} if len(key) == 2
+            entry = ({"left": list(key[0]), "right": list(key[1])} if len(key) == 2
                      else {"slots": [list(i) for i in key]})
-            terms.append({**slots, "coeff": format_scalar(x.terms[key])})
+            entry["coeff"] = format_scalar(x.terms[key])
+            terms.append(entry)
     else:
         for idx in sorted(x.terms, key=index_sort_key):
             terms.append({"index": list(idx), "coeff": format_scalar(x.terms[idx])})
@@ -96,9 +97,10 @@ def series_document(s, structure=None):
     doc["cap"] = s.cap
     doc["vars"] = s.nvars
     entries = []
-    for k in sorted(s.terms, key=lambda k: (k if s.nvars == 1 else sum(k), k)):
-        power = {"power": k} if s.nvars == 1 else {"powers": list(k)}
-        entries.append({**power, **_body(s.terms[k])})
+    for k in sorted(s.terms, key=None if s.nvars == 1 else lambda k: (sum(k), k)):
+        entry = {"power": k} if s.nvars == 1 else {"powers": list(k)}
+        entry.update(_body(s.terms[k]))
+        entries.append(entry)
     doc["series"] = entries
     return doc
 
