@@ -26,8 +26,10 @@ denominator is greater than 1, as :mod:`hopftower.scalars` normalises it):
 The registry of algebras and Hopf structures that the other modules read
 lives in :mod:`hopftower.structures`, expression parsing in
 :mod:`hopftower.expr`, canonical JSON in :mod:`hopftower.jsonio`, the
-self-check suites in :mod:`hopftower.verify` (loaded on first use of
-``run_suites``) and the command line in :mod:`hopftower.cli`.
+self-check entry points and the pinned invocation table in
+:mod:`hopftower.verify` (loaded on first use of ``run_suites``), the suites
+it runs in :mod:`hopftower.suites` (loaded when a suite first runs) and the
+command line in :mod:`hopftower.cli`.
 """
 
 from .algebroid import (ALGEBROIDS, coface, cohomology_rank, differential,

@@ -35,8 +35,8 @@ from .series import TruncatedSeries
 from .sym import SymElement
 from .topology import ProjectiveProductSpace
 
-# the names of verify.SUITES, kept here so the parser can offer them without
-# loading the self-check suites, the largest module
+# the names of verify.SUITES, kept here so that building the parser loads no
+# part of verify
 SUITE_NAMES = ("hopf-axioms", "antipode", "duality", "bfk", "comodule-algebroid",
                "topology", "counts", "cli-roundtrip")
 
@@ -217,18 +217,16 @@ def _cmd_charnum(args, out):
         if args.dim is None:
             raise DomainError("charnum cp needs --dim")
         if args.partition is None:
-            _print(topology.cp_hurewicz(args.dim), args, out)
+            value = topology.cp_hurewicz(args.dim)
         else:
-            lam = _parse_parts(args.partition, "--partition")
-            print(str(topology.cp_char_number(args.dim, lam)), file=out)
-        return 0
-    if args.space is None or args.composition is None:
-        raise DomainError("charnum quasitoric needs --space and --composition")
-    space = ProjectiveProductSpace.from_document(_load_json_arg(args.space))
-    I = _parse_parts(args.composition, "--composition")
-    value = topology.quasitoric_char_number(space, I,
-                                            convention=args.convention)
-    print(str(value), file=out)
+            value = topology.cp_char_number(args.dim, _parse_parts(args.partition, "--partition"))
+    else:
+        if args.space is None or args.composition is None:
+            raise DomainError("charnum quasitoric needs --space and --composition")
+        space = ProjectiveProductSpace.from_document(_load_json_arg(args.space))
+        I = _parse_parts(args.composition, "--composition")
+        value = topology.quasitoric_char_number(space, I, convention=args.convention)
+    _print(value, args, out)
     return 0
 
 

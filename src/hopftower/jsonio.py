@@ -12,7 +12,8 @@ Shapes:
   (``basis`` only for symmetric functions, ``structure`` only for the
   noncommutative algebra where two coalgebras coexist)
 * tensor: ``{"algebra":"tensor","factors":["nsym","nsym"],`` ... with terms
-  keyed ``left``/``right`` for two slots and ``slots`` for more
+  keyed ``left``/``right`` for two slots and ``slots`` for more (a tensor
+  or a series of tensors with an nsym factor names a ``structure`` given)
 * series: ``{"algebra":...,"cap":6,"vars":1,"series":[{"power":1,...}]}``
   where each entry carries the coefficient body of its algebra
 * beta polynomials: coefficient bodies ``{"beta":[{"power":1,"terms":[...]}]}``;
@@ -49,11 +50,18 @@ def _class_tag(cls):
     return structures.tag_of_class(cls)
 
 
-def _head(cls, structure):
-    """The algebra tag, and the structure of the algebra where two coexist."""
-    doc = {"algebra": _class_tag(cls)}
-    if doc["algebra"] == "nsym":
-        doc["structure"] = structure or "binomial"
+def _head(space, structure):
+    """The algebra tag (with the factor tags of a tensor space), and the
+    structure where the noncommutative algebra carries two: an nsym element
+    always names it, a tensor only when it is given and a factor is nsym."""
+    if isinstance(space, TensorSpace):
+        doc = {"algebra": "tensor", "factors": [_class_tag(c) for c in space.factors]}
+        if structure is not None and "nsym" in doc["factors"]:
+            doc["structure"] = structure
+    else:
+        doc = {"algebra": _class_tag(space)}
+        if doc["algebra"] == "nsym":
+            doc["structure"] = structure or "binomial"
     return doc
 
 
@@ -83,17 +91,14 @@ def series_document(s, structure=None):
     document holds a power series, as ``from_document`` builds it."""
     if s.cap < 0 or s.valuation() < 0:
         raise DomainError("the shift view %s (cap %d) has no document" % (s, s.cap))
-    if isinstance(s.algebra, TensorSpace):
-        doc = {"algebra": "tensor", "factors": [_class_tag(c) for c in s.algebra.factors]}
-    else:
-        doc = _head(s.algebra, structure)
-        if s.algebra is BetaPolynomial:
-            doc["coefficients"] = "beta"  # BElement series share the bpoly tag
-        elif s.algebra is SymElement:
-            # one basis for the whole series: that of the first term printed
-            basis = s.terms[min(s.terms, key=s._sort_key)].basis if s.terms else "e"
-            doc["basis"] = basis
-            s = s.map_coefficients(lambda v: convert(v, basis))
+    doc = _head(s.algebra, structure)
+    if s.algebra is BetaPolynomial:
+        doc["coefficients"] = "beta"  # BElement series share the bpoly tag
+    elif s.algebra is SymElement:
+        # one basis for the whole series: that of the first term printed
+        basis = s.terms[min(s.terms, key=s._sort_key)].basis if s.terms else "e"
+        doc["basis"] = basis
+        s = s.map_coefficients(lambda v: convert(v, basis))
     doc["cap"] = s.cap
     doc["vars"] = s.nvars
     entries = []
@@ -111,14 +116,9 @@ def document_for(x, structure=None):
         return series_document(x, structure)
     if isinstance(x, (int, Fraction)):  # a number is one term on the empty index
         return {"algebra": "scalar", "terms": [{"index": [], **_body(x)}] if x else []}
-    if isinstance(x, Tensor):
-        doc = {"algebra": "tensor", "factors": [_class_tag(c) for c in x.factors]}
-        if structure is not None and "nsym" in doc["factors"]:
-            doc["structure"] = structure
-    else:
-        doc = _head(type(x), structure)
-        if isinstance(x, SymElement):
-            doc["basis"] = x.basis
+    doc = _head(TensorSpace(*x.factors) if isinstance(x, Tensor) else type(x), structure)
+    if isinstance(x, SymElement):
+        doc["basis"] = x.basis
     doc.update(_body(x))
     return doc
 
