@@ -12,8 +12,9 @@ Shapes:
   (``basis`` only for symmetric functions, ``structure`` only for the
   noncommutative algebra where two coalgebras coexist)
 * tensor: ``{"algebra":"tensor","factors":["nsym","nsym"],`` ... with terms
-  keyed ``left``/``right`` for two slots and ``slots`` for more (a tensor
-  or a series of tensors with an nsym factor names a ``structure`` given)
+  keyed ``left``/``right`` for two slots and ``slots`` for more (a tensor,
+  or a series of tensors, with an nsym factor names the structure it is
+  written under, if one is given)
 * series: ``{"algebra":...,"cap":6,"vars":1,"series":[{"power":1,...}]}``
   where each entry carries the coefficient body of its algebra
 * beta polynomials: coefficient bodies ``{"beta":[{"power":1,"terms":[...]}]}``;
