@@ -3,7 +3,8 @@ of them, and the shared engine that builds every Hopf structure of the package.
 
 Every value of the package is a dict ``terms`` from a key to a nonzero
 coefficient, and ``SparseSum`` is the one base class that holds it.  Its kinds
-are the algebra elements and tensors here, ``topology.BetaPolynomial`` and
+are the algebra elements, tensors and exponent-vector polynomials here
+(``Polynomial``, with ``substitute``), ``topology.BetaPolynomial`` and
 ``series.TruncatedSeries``.  The base owns every rule the kinds share: the
 trusted builder ``_new``, the operand rule, equality, addition, negation,
 subtraction, the scalar action, the product, powers, the classmethods
@@ -23,7 +24,7 @@ basis indices, and the bilinear extension and grading helpers live here.
 Elements are treated as immutable once built, which keeps the memoised
 structure constants safe to share.
 
-Every product of elements, tensors or beta polynomials, and every
+Every product of elements, tensors or polynomials, and every
 coefficient product of a truncated series, adds raw products into a plain
 dict through the value's ``_mul_into(out, a, b)`` hook; ``settle`` then
 drops the zeros and stores integral ``Fraction``s as ``int``, once per
@@ -53,6 +54,7 @@ from the coproduct by the connected-graded recursion (Takeuchi 1971).
 
 from fractions import Fraction
 from functools import lru_cache
+from operator import add, le
 
 from .errors import AlgebraMismatchError, DomainError
 from .indices import index_sort_key
@@ -282,6 +284,84 @@ class SparseSum:
 
     def __repr__(self):
         return str(self)
+
+
+class Polynomial(SparseSum):
+    """A polynomial in x_1 .. x_nvars keyed by exponent vectors, truncated by
+    ``bound``: ``None`` keeps every term, an ``int`` drops total degree above
+    it, and a tuple drops x_i above ``bound[i]`` (the ring Z[x]/(x_i^(n_i+1))).
+    A coefficient is an ``int``, a ``Fraction`` or an element of an algebra of
+    the package; the variables are central.  The product skips a pair whose
+    key leaves the bound before it multiplies the coefficients, left first.
+    """
+
+    __slots__ = ("nvars", "bound")
+
+    def __init__(self, nvars, terms=None, bound=None):
+        self.nvars = nvars
+        self.bound = bound
+        data = {}
+        if terms:
+            for key, c in terms.items():
+                if len(key) != nvars or any(type(k) is not int or k < 0 for k in key):
+                    raise DomainError("%r is not %d nonnegative int exponents" % (key, nvars))
+                if self._inside(key):
+                    add_term(data, key, c if isinstance(c, SparseSum) else rational(c))
+        self.terms = data
+
+    def _new(self, terms):
+        obj = super()._new(terms)
+        obj.nvars = self.nvars
+        obj.bound = self.bound
+        return obj
+
+    def _same_kind(self, other):
+        return other.nvars == self.nvars and other.bound == self.bound
+
+    def _unit_term(self, q):
+        return (0,) * self.nvars, q
+
+    def _inside(self, key):
+        bound = self.bound
+        return bound is None or (sum(key) <= bound if type(bound) is int
+                                 else all(map(le, key, bound)))
+
+    def _mul_into(self, out, a, b):
+        inside = self._inside
+        b_items = b.terms.items()
+        for i, ci in a.terms.items():
+            for j, cj in b_items:
+                k = tuple(map(add, i, j))
+                if inside(k):
+                    add_term(out, k, ci * cj)
+        return out
+
+    @staticmethod
+    def _sort_key(key):
+        return -sum(key), tuple(-k for k in key)
+
+    def _monomial(self, key):
+        return "*".join("x%d" % (i + 1) if k == 1 else "x%d^%d" % (i + 1, k)
+                        for i, k in enumerate(key) if k)
+
+
+def substitute(coeffs, values, one):
+    """sum_k c_k prod_q values[q]^(k_q) over the dict ``coeffs`` from exponent
+    vectors k to coefficients c_k, each c_k on the left and each power built
+    once.  ``one`` is the unit of the values' kind: the empty vector's value."""
+    powers = [[one, v] for v in values]
+    out = {}
+    for key, c in coeffs.items():
+        term = None
+        for q, k in enumerate(key):
+            if k:
+                row = powers[q]
+                while len(row) <= k:
+                    row.append(row[-1] * values[q])
+                term = row[k] if term is None else term * row[k]
+        for k, v in (one if term is None else term).terms.items():
+            add_term(out, k, c * v)
+    return one._new(out)
 
 
 class LinearElement(SparseSum):

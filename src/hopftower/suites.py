@@ -21,9 +21,8 @@ import io
 import json
 import random
 from fractions import Fraction
-from itertools import accumulate, chain
+from itertools import accumulate, chain, permutations
 from math import lcm
-from operator import add
 
 from . import diffeo, structures, topology, verify
 from . import nsym as nsym_mod
@@ -38,7 +37,7 @@ from .exactlinalg import invert_matrix, row_reduce, sparse_rank
 from .expr import parse_element
 from .indices import compositions_of, partitions_of
 from .jsonio import document_for, dumps, from_document
-from .linear import Tensor
+from .linear import Polynomial, Tensor, substitute
 from .nsym import NSymElement, z
 from .qsym import M, QSymElement, expand_ordered, pair_tensor
 from .scalars import ONE, ZERO
@@ -132,8 +131,8 @@ def _gauss_jordan_inverse(basis, w):
 def _expanded_m_product(lam, mu):
     """m_lam * m_mu read off the product of the two literal expansions."""
     nvars = max(1, sum(lam) + sum(mu))
-    prod = sym_mod._poly_mul(sym_mod.expand(SymElement({lam: 1}, "m"), nvars),
-                             sym_mod.expand(SymElement({mu: 1}, "m"), nvars))
+    prod = (Polynomial(nvars, sym_mod.expand(SymElement({lam: 1}, "m"), nvars))
+            * Polynomial(nvars, sym_mod.expand(SymElement({mu: 1}, "m"), nvars))).terms
     # a weakly decreasing exponent vector is the dominant monomial of its orbit
     return SymElement({tuple(x for x in key if x): c for key, c in prod.items()
                        if list(key) == sorted(key, reverse=True)}, "m")
@@ -232,9 +231,10 @@ def suite_duality(weight=None, cap=None):
                       coproduct_adjoint()),
         # the number of variables is the weight w of the product
         verify._check("quasi-shuffle equals ordered-variable expansion (weight <= %d)" % qbound,
-                      (((I, J), expand_ordered(QSymElement({I: 1}) * QSymElement({J: 1}), w)
-                        == sym_mod._poly_mul(expand_ordered(QSymElement({I: 1}), w),
-                                             expand_ordered(QSymElement({J: 1}), w)))
+                      (((I, J), Polynomial(w, expand_ordered(QSymElement({I: 1})
+                                                             * QSymElement({J: 1}), w))
+                        == Polynomial(w, expand_ordered(QSymElement({I: 1}), w))
+                        * Polynomial(w, expand_ordered(QSymElement({J: 1}), w)))
                        for w in range(2, qbound + 1) for wa in range(1, w)
                        for I in compositions_of(wa) for J in compositions_of(w - wa))),
     ]
@@ -242,34 +242,17 @@ def suite_duality(weight=None, cap=None):
 
 # -- renormalization coproduct ---------------------------------------------
 
-def _product_by_coefficients(f, g, cap):
-    """The coefficient dict of f * g up to total degree ``cap``, taking one
-    coefficient product ``v1 * v2`` at a time and summing with ``+``: the
-    slow route of series products."""
-    out = {}
-    for k1, v1 in f.items():
-        for k2, v2 in g.items():
-            key = k1 + k2 if isinstance(k1, int) else tuple(map(add, k1, k2))
-            if (key if isinstance(key, int) else sum(key)) <= cap:
-                out[key] = out[key] + v1 * v2 if key in out else v1 * v2
-    return out
-
-
 def _compose_by_coefficients(outer, inner):
-    """``outer.compose(inner)`` by the slow route: every power of ``inner``
-    and every outer coefficient (on the left) through
-    ``_product_by_coefficients``."""
+    """``outer.compose(inner)`` by the slow route, with no series product: the
+    inner series as a ``linear.Polynomial`` cut at the cap, substituted into
+    the outer one with each outer coefficient on the left."""
     cap = min(outer.cap, inner.cap)
-    power = {0 if inner.nvars == 1 else (0,) * inner.nvars: inner.algebra.one()}
-    result = {}
-    for n in range(cap + 1):
-        if n:
-            power = _product_by_coefficients(power, inner.coeffs, cap)
-        cn = outer.coeffs.get(n)
-        if cn is not None:
-            for k, v in power.items():
-                result[k] = result[k] + cn * v if k in result else cn * v
-    return TruncatedSeries(inner.algebra, result, cap, inner.nvars)
+    univariate = inner.nvars == 1
+    terms = {(k,) if univariate else k: v for k, v in inner.coeffs.items()}
+    g = Polynomial(inner.nvars, terms, cap)
+    f = substitute({(n,): c for n, c in outer.coeffs.items()}, [g], g ** 0)
+    return TruncatedSeries(inner.algebra, {k[0] if univariate else k: v
+                                           for k, v in f.terms.items()}, cap, inner.nvars)
 
 
 def suite_bfk(weight=None, cap=None):
@@ -422,6 +405,14 @@ def suite_topology(weight=None, cap=None):
             for lam in partitions_of(n):
                 yield (n, lam), (topology.cp_char_number(n, lam)
                                  == topology.cp_char_number_oracle(n, lam))
+        # a second route through the quasitoric numbers: m_lam is the sum of
+        # the M_I with sort(I) = lam, evaluated on the n + 1 roots x of CP^n
+        for n in range(1, 6):
+            cpn = topology.ProjectiveProductSpace((n,), [(1,)] * (n + 1))
+            for lam in partitions_of(n):
+                total = sum(topology.quasitoric_char_number(cpn, I, "normal")
+                            for I in set(permutations(lam)))
+                yield (n, lam, "quasitoric"), total == topology.cp_char_number(n, lam)
         hits = [(topology.cp_char_number(1, (1,)), Fraction(-2)),
                 (topology.cp_char_number(2, (1, 1)), Fraction(6)),
                 (topology.cp_char_number(2, (2,)), Fraction(-3))]

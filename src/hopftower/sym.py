@@ -29,13 +29,12 @@ except where a conversion involving the p basis brings in a denominator.
 from collections import Counter
 from functools import lru_cache, partial
 from itertools import combinations, combinations_with_replacement
-from math import factorial, gcd, lcm
-from operator import add
+from math import factorial, gcd, lcm, prod
 import warnings
 
 from .errors import DomainError
 from .indices import compositions_of, partitions_of, sort_to_partition
-from .linear import (CommutativeElement, add_term, binomial_gen, format_terms, image_items,
+from .linear import (CommutativeElement, Polynomial, add_term, binomial_gen, image_items,
                      mul_into, on_words)
 from .scalars import ONE, ZERO, quotient
 from .series import TruncatedSeries
@@ -118,18 +117,8 @@ def m(*parts):
 
 
 # -- polynomial expansion (public, and the oracle for the counts) ----------
-# Coefficients stay ints until expand() scales them by the coefficients of
-# its argument.
-
-def _poly_mul(a, b):
-    """Product of two polynomials given as {exponent vector: coefficient}."""
-    out = {}
-    for ka, va in a.items():
-        for kb, vb in b.items():
-            key = tuple(map(add, ka, kb))
-            out[key] = out.get(key, 0) + va * vb
-    return {key: c for key, c in out.items() if c}
-
+# Generators and monomials expand with coefficient 1 and multiply as
+# ``linear.Polynomial``s; expand() scales each by its coefficient in f.
 
 def _gen_poly(basis, n, nvars):
     """Expansion of a single generator e_n / h_n / p_n in nvars variables."""
@@ -195,26 +184,18 @@ def expand(f, nvars):
     if nvars < f.max_weight():
         warnings.warn("expanding in %d variables < weight %d loses information"
                       % (nvars, f.max_weight()), stacklevel=2)
-    out = {}
+    one = Polynomial(nvars, {(0,) * nvars: 1})
+    out = Polynomial(nvars)
     for lam, c in f.terms.items():
-        if f.basis == "m":
-            poly = _m_poly(lam, nvars)
-        else:
-            poly = {(0,) * nvars: 1}
-            for k in lam:
-                poly = _poly_mul(poly, _gen_poly(f.basis, k, nvars))
-        for key, v in poly.items():
-            add_term(out, key, c * v)
-    return out
+        poly = (Polynomial(nvars, _m_poly(lam, nvars)) if f.basis == "m" else
+                prod((Polynomial(nvars, _gen_poly(f.basis, k, nvars)) for k in lam), start=one))
+        out = out + poly.scale(c)
+    return out.terms
 
 
 def format_polynomial(poly):
     """Readable form of an expand() result, e.g. 'x1^2*x2 + x1*x2^2'."""
-    def monomial(key):
-        return "*".join("x%d" % (i + 1) if k == 1 else "x%d^%d" % (i + 1, k)
-                        for i, k in enumerate(key) if k)
-    return format_terms((poly[key], monomial(key))
-                        for key in sorted(poly, key=lambda k: (-sum(k), tuple(-x for x in k))))
+    return str(Polynomial(len(next(iter(poly), ())), poly))
 
 
 # -- counting (the route products and conversions take) ---------------------

@@ -5,20 +5,20 @@ b(T) = T + b_1 T^2 + ...; its compositional inverse is the logarithm, whose
 coefficients produce the projective-space Hurewicz images and their
 characteristic numbers.  The two-variable group law b(b^{-1}(X) + b^{-1}(Y))
 and the beta exponential live here too, as do the quasisymmetric
-characteristic numbers of products of projective spaces, the invariant
-attached to each weight as a sum over compositions, the cumulant series,
-and the noncommutative two-variable addition series that abelianizes to the
-group law.
+characteristic numbers of products of projective spaces (the roots
+substituted into the ordered-variable expansion of M_I, in the truncated
+cohomology ring), the invariant attached to each weight as a sum over
+compositions, the cumulant series, and the noncommutative two-variable
+addition series that abelianizes to the group law.
 """
 
 from functools import lru_cache
-from itertools import combinations
 from operator import add
 
 from .diffeo import bfk_antipode
 from .errors import CapabilityError, DomainError
 from .indices import compositions_of, sort_to_partition
-from .linear import CommutativeElement, SparseSum, add_term
+from .linear import CommutativeElement, Polynomial, SparseSum, substitute
 from .nsym import NSymElement, z_series
 from .scalars import ONE, ZERO
 from .series import generator_series
@@ -184,61 +184,15 @@ class ProjectiveProductSpace:
         return {"factors": list(self.factors),
                 "roots": [list(r) for r in self.roots]}
 
-    # ring elements: dict from exponent vectors to rationals, truncated
-
-    def ring_one(self):
-        return {(0,) * len(self.factors): ONE}
-
-    def ring_mul(self, a, bdict):
-        out = {}
-        for ka, va in a.items():
-            for kb, vb in bdict.items():
-                key = tuple(x + y for x, y in zip(ka, kb))
-                if any(e > n for e, n in zip(key, self.factors)):
-                    continue
-                add_term(out, key, va * vb)
-        return out
-
-    def root_linear(self, q):
-        """The q-th root as a ring element."""
-        out = {}
-        for j, c in enumerate(self.roots[q]):
-            if c:
-                key = [0] * len(self.factors)
-                key[j] = 1
-                out[tuple(key)] = c
-        return out
-
-    def root_power(self, q, k):
-        out = self.ring_one()
-        lin = self.root_linear(q)
-        for _ in range(k):
-            out = self.ring_mul(out, lin)
-        return out
-
-    def evaluate_composition(self, I):
-        """M_I on the ordered root list, inside the truncated ring."""
-        I = tuple(I)
-        total = {}
-        for positions in combinations(range(len(self.roots)), len(I)):
-            term = self.ring_one()
-            for q, part in zip(positions, I):
-                term = self.ring_mul(term, self.root_power(q, part))
-                if not term:
-                    break
-            for key, c in term.items():
-                add_term(total, key, c)
-        return total
-
     def evaluate_qsym(self, f):
-        total = {}
-        for I, c in f.terms.items():
-            for key, v in self.evaluate_composition(I).items():
-                add_term(total, key, c * v)
-        return total
-
-    def top_coefficient(self, poly):
-        return poly.get(self.factors, ZERO)
+        """f on the ordered roots, as linear polynomials in the cohomology ring:
+        a dict from exponent vectors to rationals."""
+        m = len(self.factors)
+        one = Polynomial(m, {(0,) * m: ONE}, self.factors)
+        axes = [tuple(int(i == j) for i in range(m)) for j in range(m)]
+        # the roots' coefficients are checked ints, and every x_j is inside the box
+        roots = [one._new({x: c for x, c in zip(axes, r) if c}) for r in self.roots]
+        return substitute(qsym.expand_ordered(f, len(roots)), roots, one).terms
 
 
 def quasitoric_char_number(space, I, convention="tangent"):
@@ -249,15 +203,14 @@ def quasitoric_char_number(space, I, convention="tangent"):
     which is the antipode of M_I on the same roots.
     """
     I = tuple(I)
-    if any(not isinstance(k, int) or k < 1 for k in I):
+    if any(type(k) is not int or k < 1 for k in I):
         raise DomainError("composition parts must be positive integers")
-    if convention == "tangent":
-        poly = space.evaluate_composition(I)
-    elif convention == "normal":
-        poly = space.evaluate_qsym(qsym.antipode(qsym.QSymElement({I: ONE})))
-    else:
+    f = qsym.QSymElement({I: ONE})
+    if convention == "normal":
+        f = qsym.antipode(f)
+    elif convention != "tangent":
         raise DomainError("convention must be 'tangent' or 'normal'")
-    return space.top_coefficient(poly)
+    return space.evaluate_qsym(f).get(space.factors, ZERO)
 
 
 # -- composition-sum invariant, cumulants, noncommutative addition ---------
@@ -312,20 +265,6 @@ def abelianize_series_to_b(s):
 
 # -- small multivariate substitution helper (associativity checks) ---------
 
-def mpoly_mul(a, bdict, cap):
-    """Multiply dicts {exponent tuple: element}, truncating at total degree cap."""
-    out = {}
-    for ka, va in a.items():
-        da = sum(ka)
-        if da > cap:
-            continue
-        for kb, vb in bdict.items():
-            if da + sum(kb) > cap:
-                continue
-            add_term(out, tuple(x + y for x, y in zip(ka, kb)), va * vb)
-    return out
-
-
 def evaluate_bivariate(F, P, Q, cap):
     """Substitute multivariate polynomial dicts P, Q into a bivariate series F.
 
@@ -333,19 +272,6 @@ def evaluate_bivariate(F, P, Q, cap):
     algebra; the result is a dict like P and Q.  Used to check group-law
     associativity with three variables without a trivariate series type.
     """
-    nvars = len(next(iter(P))) if P else len(next(iter(Q)))
-    unit = {(0,) * nvars: F._unit_term(1)[1]}
-    out = {}
-    max_j = max((j for (_, j) in F.coeffs), default=0)
-    q_powers = [unit]
-    for _ in range(max_j):
-        q_powers.append(mpoly_mul(q_powers[-1], Q, cap))
-    max_i = max((i for (i, _) in F.coeffs), default=0)
-    p_powers = [unit]
-    for _ in range(max_i):
-        p_powers.append(mpoly_mul(p_powers[-1], P, cap))
-    for (i, j), c in F.coeffs.items():
-        term = mpoly_mul(p_powers[i], q_powers[j], cap)
-        for key, v in term.items():
-            add_term(out, key, c * v)
-    return out
+    nvars = len(next(iter(P or Q)))
+    P, Q = (Polynomial(nvars, v, cap) for v in (P, Q))
+    return substitute(F.terms, (P, Q), P ** 0).terms

@@ -1,9 +1,10 @@
 """The rules every kind of sparse sum takes from ``linear.SparseSum``.
 
-Elements, tensors, beta polynomials and truncated series share one product,
-one power, one scalar equality and one coefficient rule.  The tables below
-run each rule on every kind; the guard keeps the rules in the base, with the
-few overrides that a kind needs named and explained.
+Elements, tensors, beta polynomials, exponent-vector polynomials and
+truncated series share one product, one power, one scalar equality and one
+coefficient rule.  The tables below run each rule on every kind; the guard
+keeps the rules in the base, with the few overrides that a kind needs named
+and explained.
 """
 
 import ast
@@ -18,7 +19,7 @@ from hopftower.cli import run_command
 from hopftower.diffeo import FdBElement, t
 from hopftower.errors import AlgebraMismatchError, DomainError
 from hopftower.jsonio import from_document
-from hopftower.linear import LinearElement, SparseSum, Tensor, TensorSpace
+from hopftower.linear import LinearElement, Polynomial, SparseSum, Tensor, TensorSpace
 from hopftower.nsym import NSymElement, z
 from hopftower.qsym import M, QSymElement
 from hopftower.series import TruncatedSeries
@@ -43,6 +44,9 @@ VALUES = {
     "tensor series": TruncatedSeries(TensorSpace(NSymElement, NSymElement),
                                      {0: 1, 1: Tensor.of(z(1), z(2))}, 3),
     "beta series": TruncatedSeries(BetaPolynomial, {0: 1, 1: BetaPolynomial({1: b(1)})}, 3),
+    "polynomial": Polynomial(2, {(1, 0): 1, (0, 1): Fraction(-1, 2)}),
+    "box polynomial": Polynomial(2, {(0, 0): 2, (1, 0): 1, (1, 1): 3}, (2, 3)),
+    "degree polynomial": Polynomial(3, {(1, 0, 0): b(1), (0, 1, 1): 2}, 4),
 }
 
 
@@ -112,6 +116,7 @@ FLOAT_COEFFICIENTS = {
     "tensor series": lambda: TruncatedSeries(TensorSpace(NSymElement, NSymElement),
                                              {0: 0.5}, 2),
     "beta series": lambda: TruncatedSeries(BetaPolynomial, {1: 1.5}, 2),
+    "polynomial": lambda: Polynomial(2, {(1, 0): 0.5}),
 }
 
 
@@ -188,6 +193,7 @@ DEFINED = {("SparseSum", name) for name in RULES - {"from_index"}} | {
     ("LinearElement", "__mul__"), ("Tensor", "__mul__"), ("SymElement", "__mul__"),
     ("LinearElement", "from_index"),  # a basis element from its index
     ("Tensor", "_mul_into"),  # one key per pair only where the factors agree
+    ("Polynomial", "_mul_into"),  # skips a pair outside the bound before multiplying
     ("SymElement", "_mul_into"),  # the m basis and mixed bases
     ("SymElement", "__eq__"),  # compares across bases
     ("TruncatedSeries", "__mul__"),  # truncates at the smaller cap
@@ -218,3 +224,4 @@ def test_products_powers_units_and_equality_live_in_the_base():
     assert LinearElement.__mul__ is SparseSum.__mul__
     assert Tensor.__mul__ is SparseSum.__mul__
     assert BetaPolynomial.__mul__ is SparseSum.__mul__
+    assert Polynomial.__mul__ is SparseSum.__mul__

@@ -1,4 +1,8 @@
-"""Every demo script runs standalone and exits cleanly."""
+"""Every demo script runs standalone, exits cleanly and prints its pinned output.
+
+The pinned stdout of each demo is ``demo_output/<name>.txt``; it does not
+depend on the hash seed.
+"""
 
 import os
 import subprocess
@@ -9,10 +13,12 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
+PINNED = Path(__file__).resolve().parent / "demo_output"
 
 
 def test_all_seven_demos_are_found():
     assert len(DEMOS) == 7
+    assert sorted(p.stem for p in PINNED.glob("*.txt")) == [p.stem for p in DEMOS]
 
 
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda path: path.stem)
@@ -22,3 +28,4 @@ def test_demo_runs(demo):
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout
+    assert proc.stdout == (PINNED / (demo.stem + ".txt")).read_text()

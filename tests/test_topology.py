@@ -5,11 +5,13 @@ Degree pins come from Lagrange inversion by hand; the projective-space
 numbers are double-checked through the independent normal-bundle route.
 """
 
+import io
 import json
 from fractions import Fraction
 
 import pytest
 
+from hopftower.cli import run_command
 from hopftower.diffeo import FdBElement, fdb_antipode
 from hopftower.errors import AlgebraMismatchError, CapabilityError, DomainError
 from hopftower.nsym import z
@@ -196,6 +198,24 @@ def test_quasitoric_normal_numbers():
     assert quasitoric_char_number(cp1, (1,), convention="normal") == -2
     assert quasitoric_char_number(sq, (1, 1), convention="normal") == 4
     assert quasitoric_char_number(sq, (2,), convention="normal") == 0
+
+
+def test_quasitoric_parts_must_be_ints_not_bools():
+    cp1 = ProjectiveProductSpace.from_document(QT_CP1)
+    for I in ((True,), (1, False), (1.0,)):
+        with pytest.raises(DomainError):
+            quasitoric_char_number(cp1, I)
+
+
+def test_quasitoric_number_of_a_space_with_no_roots():
+    # nothing to substitute: M_() is the unit, whose top coefficient is 0
+    out, err = io.StringIO(), io.StringIO()
+    code = run_command(["charnum", "quasitoric", "--space", '{"factors":[1],"roots":[]}',
+                        "--composition", ""], out, err)
+    assert (code, out.getvalue(), err.getvalue()) == (0, "0\n", "")
+    space = ProjectiveProductSpace([2], [])
+    assert quasitoric_char_number(space, ()) == 0
+    assert quasitoric_char_number(space, (2,), convention="normal") == 0
 
 
 def test_space_documents_round_trip():
