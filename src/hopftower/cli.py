@@ -91,7 +91,7 @@ def _parse_parts(text, what):
     parts = []
     for piece in text.split(","):
         piece = piece.strip()
-        if not piece.isdigit() or int(piece) < 1:
+        if not (piece.isascii() and piece.isdigit()) or int(piece) < 1:
             raise DomainError("%s must be a comma-separated list of positive "
                               "integers, got %r" % (what, text))
         parts.append(int(piece))

@@ -54,6 +54,9 @@ _SYMBOLS = {"+": "plus", "-": "minus", "*": "star", "^": "caret",
             "[": "lbrack", "]": "rbrack", "(": "lparen", ")": "rparen",
             ",": "comma"}
 
+# ASCII only: str.isdigit() accepts superscripts, which int() cannot read
+_DIGITS = frozenset("0123456789")
+
 
 def _tokenize(text):
     toks = []
@@ -64,14 +67,14 @@ def _tokenize(text):
             i += 1
             continue
         pos = i + 1
-        if ch.isdigit():
+        if ch in _DIGITS:
             j = i
-            while j < n and text[j].isdigit():
+            while j < n and text[j] in _DIGITS:
                 j += 1
             num = int(text[i:j])
-            if j < n and text[j] == "/" and j + 1 < n and text[j + 1].isdigit():
+            if j < n and text[j] == "/" and j + 1 < n and text[j + 1] in _DIGITS:
                 k = j + 1
-                while k < n and text[k].isdigit():
+                while k < n and text[k] in _DIGITS:
                     k += 1
                 den = int(text[j + 1:k])
                 if den == 0:

@@ -17,7 +17,7 @@ against Ehrenborg's closed coarsening formula.
 from functools import lru_cache
 from itertools import combinations, permutations
 
-from .errors import AlgebraMismatchError
+from .errors import AlgebraMismatchError, DomainError
 from .linear import LinearElement, Tensor, add_term, recursive_antipode
 from .nsym import NSymElement
 from .scalars import ONE, ZERO
@@ -102,21 +102,22 @@ def pair_tensor(t_left, t_right):
 
 
 def include_symmetric(f):
-    """Embed a symmetric function: m_lam fans out over all rearrangements."""
-    fm = sym.convert(f, "m")
-    out = {}
-    for lam, c in fm.terms.items():
-        for I in set(permutations(lam)):
-            add_term(out, I, c)
-    return QSymElement(out)
+    """Embed a symmetric function: m_lam fans out over its distinct
+    rearrangements, which no two partitions share."""
+    return QSymElement({I: c for lam, c in sym.convert(f, "m").terms.items()
+                        for I in set(permutations(lam))})
 
 
 def expand_ordered(f, nvars):
     """Evaluate f in ordered variables x_1 < ... < x_nvars.
 
-    Returns a dict from exponent vectors to rationals; the independent
-    oracle for the quasi-shuffle product.
+    Returns a dict from exponent vectors to rationals.  The one enumeration of
+    monomials in the package: ``sym.expand`` reads symmetric functions through
+    it, and it is the independent oracle for the quasi-shuffle product.
     """
+    if type(nvars) is not int or nvars < 0:
+        raise DomainError("expansion needs a nonnegative int number of variables, got %r"
+                          % (nvars,))
     out = {}
     for I, c in f.terms.items():
         for positions in combinations(range(nvars), len(I)):

@@ -8,8 +8,9 @@ counts (Macdonald, *Symmetric Functions and Hall Polynomials*, I.6): the
 coefficient of m_mu in e_lam, h_lam or p_lam counts matrices with row sums
 lam and column sums mu, and the coefficient of m_nu in m_lam * m_mu counts
 arrangements of lam and mu that add up to nu.  The literal expansion as a
-symmetric polynomial in finitely many variables (``expand``) stays as the
-public evaluation and as the independent oracle that ``verify`` checks the
+symmetric polynomial in finitely many variables (``expand``) is read through
+QSym, where m_lam is the sum of M_I over the rearrangements I of lam; it stays
+the public evaluation and the independent oracle that ``verify`` checks the
 counts against.
 
 A conversion goes through m and inverts no table by elimination.  In the
@@ -28,7 +29,6 @@ except where a conversion involving the p basis brings in a denominator.
 
 from collections import Counter
 from functools import lru_cache, partial
-from itertools import combinations, combinations_with_replacement
 from math import factorial, gcd, lcm, prod
 import warnings
 
@@ -116,60 +116,13 @@ def m(*parts):
     return SymElement({tuple(parts): ONE}, "m")
 
 
-# -- polynomial expansion (public, and the oracle for the counts) ----------
-# Generators and monomials expand with coefficient 1 and multiply as
-# ``linear.Polynomial``s; expand() scales each by its coefficient in f.
+# -- polynomial expansion, read through QSym (public; the counts' oracle) ---
+# m_lam goes to QSym by qsym.include_symmetric and onto ordered variables by
+# qsym.expand_ordered.  A generator expands from its definition in the m basis,
+# and the generators of a term multiply as ``linear.Polynomial``s.
 
-def _gen_poly(basis, n, nvars):
-    """Expansion of a single generator e_n / h_n / p_n in nvars variables."""
-    if n == 0:
-        return {(0,) * nvars: 1}
-    out = {}
-    if basis == "e":
-        for pos in combinations(range(nvars), n):
-            key = [0] * nvars
-            for q in pos:
-                key[q] = 1
-            out[tuple(key)] = 1
-    elif basis == "h":
-        for multi in combinations_with_replacement(range(nvars), n):
-            key = [0] * nvars
-            for q in multi:
-                key[q] += 1
-            out[tuple(key)] = 1
-    elif basis == "p":
-        for i in range(nvars):
-            key = [0] * nvars
-            key[i] = n
-            out[tuple(key)] = 1
-    else:
-        raise DomainError("no generator expansion for basis %r" % (basis,))
-    return out
-
-
-def _m_poly(lam, nvars):
-    """m_lam in nvars variables: one monomial per distinct arrangement."""
-    if not lam:
-        return {(0,) * nvars: 1}
-    if len(lam) > nvars:
-        return {}
-    counts = sorted(Counter(lam).items())
-    out = {}
-
-    def place(avail, i, current):
-        if i == len(counts):
-            out[tuple(current)] = 1
-            return
-        v, k = counts[i]
-        for pos in combinations(avail, k):
-            for q in pos:
-                current[q] = v
-            place(tuple(x for x in avail if x not in pos), i + 1, current)
-            for q in pos:
-                current[q] = 0
-
-    place(tuple(range(nvars)), 0, [0] * nvars)
-    return out
+# each generator as the sum of monomial symmetric functions that defines it
+_M_FORMS = {"e": lambda n: ((1,) * n,), "h": partitions_of, "p": lambda n: ((n,),)}
 
 
 def expand(f, nvars):
@@ -179,18 +132,24 @@ def expand(f, nvars):
     Faithful when nvars >= the weight of f; smaller nvars still evaluates
     honestly but collapses information, hence the warning.
     """
-    if nvars < 1:
-        raise DomainError("expansion needs at least one variable")
+    if type(nvars) is not int or nvars < 1:
+        raise DomainError("expansion needs a positive int number of variables, got %r"
+                          % (nvars,))
     if nvars < f.max_weight():
         warnings.warn("expanding in %d variables < weight %d loses information"
                       % (nvars, f.max_weight()), stacklevel=2)
+    from . import qsym  # at call time: qsym imports nsym, which imports this module
+
+    def through_qsym(g):
+        return Polynomial(nvars, qsym.expand_ordered(qsym.include_symmetric(g), nvars))
+
+    if f.basis == "m":
+        return through_qsym(f).terms
+    gens = {k: through_qsym(SymElement(dict.fromkeys(_M_FORMS[f.basis](k), ONE), "m"))
+            for k in {k for lam in f.terms for k in lam}}
     one = Polynomial(nvars, {(0,) * nvars: 1})
-    out = Polynomial(nvars)
-    for lam, c in f.terms.items():
-        poly = (Polynomial(nvars, _m_poly(lam, nvars)) if f.basis == "m" else
-                prod((Polynomial(nvars, _gen_poly(f.basis, k, nvars)) for k in lam), start=one))
-        out = out + poly.scale(c)
-    return out.terms
+    return sum((prod((gens[k] for k in lam), start=one).scale(c)
+                for lam, c in f.terms.items()), Polynomial(nvars)).terms
 
 
 def format_polynomial(poly):

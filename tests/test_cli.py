@@ -237,3 +237,13 @@ def test_quasitoric_space_entries_must_be_ints():
         code, out, err = run("charnum", "quasitoric", "--space", space,
                              "--composition", "1")
         assert (code, out) == (1, "") and err.startswith("error:"), space
+
+
+def test_digits_outside_ascii_are_refused_without_a_traceback():
+    """str.isdigit accepts a superscript two, which int() cannot read."""
+    code, out, err = run("charnum", "cp", "--dim", "2", "--partition", "²")
+    assert (code, out) == (1, "") and err.startswith("error: --partition")
+    assert run("eval", "e[²]") == (1, "", "error: unexpected character '²' at column 3\n")
+    assert run("eval", "e[1]^²") == (1, "", "error: unexpected character '²' at column 6\n")
+    # an Arabic-Indic three, which int() reads as 3, is refused alike
+    assert run("eval", "e[٣]")[0] == 1
