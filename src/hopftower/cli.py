@@ -98,6 +98,13 @@ def _parse_parts(text, what):
     return tuple(parts)
 
 
+def _ascii_int(text):
+    """ASCII digits after an optional ``-``: ``int`` alone reads ``٣`` as 3."""
+    if not (text.isascii() and text.removeprefix("-").isdigit()):
+        raise argparse.ArgumentTypeError("invalid int value: %r" % text)
+    return int(text)
+
+
 def _load_json_arg(text):
     if text.startswith("@"):
         with open(text[1:], "r", encoding="utf-8") as fh:
@@ -270,7 +277,7 @@ def build_parser():
     sub.required = True
 
     def series_flags(p):
-        p.add_argument("--cap", type=int, default=6,
+        p.add_argument("--cap", type=_ascii_int, default=6,
                        help="truncation degree (default 6)")
         p.add_argument("--text", action="store_true",
                        help="print readable text instead of JSON")
@@ -351,7 +358,7 @@ def build_parser():
 
     p = sub.add_parser("charnum", help="characteristic numbers")
     p.add_argument("kind", choices=["cp", "quasitoric"])
-    p.add_argument("--dim", type=int)
+    p.add_argument("--dim", type=_ascii_int)
     p.add_argument("--partition")
     p.add_argument("--space", help="inline JSON or @file")
     p.add_argument("--composition")
@@ -361,22 +368,22 @@ def build_parser():
     p.set_defaults(handler=_cmd_charnum)
 
     p = sub.add_parser("crn", help="composition-sum invariant of a weight")
-    p.add_argument("--weight", type=int, required=True)
+    p.add_argument("--weight", type=_ascii_int, required=True)
     p.add_argument("--json", action="store_true")
     p.set_defaults(handler=_cmd_crn)
 
     p = sub.add_parser("cobar-rank", help="cohomology rank of the reduced "
                                           "cobar complex")
     p.add_argument("--algebroid", choices=list(ALGEBROIDS), required=True)
-    p.add_argument("--weight", type=int, required=True)
-    p.add_argument("--degree", type=int, required=True)
+    p.add_argument("--weight", type=_ascii_int, required=True)
+    p.add_argument("--degree", type=_ascii_int, required=True)
     p.set_defaults(handler=_cmd_cobar_rank)
 
     p = sub.add_parser("verify", help="run property-check suites")
     p.add_argument("--suite", action="append",
                    choices=sorted(SUITE_NAMES) + ["all"])
-    p.add_argument("--weight", type=int)
-    p.add_argument("--cap", type=int)
+    p.add_argument("--weight", type=_ascii_int)
+    p.add_argument("--cap", type=_ascii_int)
     p.set_defaults(handler=_cmd_verify)
 
     return parser

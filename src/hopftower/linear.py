@@ -33,9 +33,11 @@ algebras, powers of beta) the product of two keys is one key with
 coefficient 1, which the class's ``key_mul`` gives, so the base hook makes
 one key per term pair and ``basis_mul`` follows from it.  QSym and the sym m
 basis give ``basis_mul`` as ``(key, coeff)`` pairs to ``mul_into`` instead.
-A tensor whose factors share one ``key_mul`` makes one key per term pair
-too, and otherwise multiplies slot by slot.  So a series keeps one such dict
-per output power instead of building an element for each product.
+A tensor whose factors share one ``key_mul`` makes one key per term pair too,
+and otherwise multiplies slot by slot.  The accumulator here, ``add_product``
+with ``settle_sums``, keeps one such dict per output key for ``substitute``
+(so every series composition, ``exp``, ``log`` and ``invert``), the series
+product and reversion.
 
 Each coproduct, coaction and antipode is given on the generators and then
 extended over words.  ``on_words`` does that extension, multiplicatively or
@@ -345,11 +347,44 @@ class Polynomial(SparseSum):
                         for i, k in enumerate(key) if k)
 
 
+def add_product(sums, key, a, b, scalar):
+    """Add the coefficient product ``a * b`` to the sum kept on ``key``: by a
+    plain ``+`` when ``scalar`` (one side is a number), else into a
+    ``(prototype, raw terms)`` bucket that ``a._mul_into`` fills, the prototype
+    being the key's first left factor, whose kind and sym basis the sum takes."""
+    if scalar:
+        sums[key] = sums.get(key, 0) + a * b
+        return
+    bucket = sums.get(key)
+    if bucket is None:
+        bucket = sums[key] = (a, {})
+    if not type(a) is type(b) is type(bucket[0]):
+        raise AlgebraMismatchError("coefficients mix %s, %s and %s" % tuple(
+            type(x).__name__ for x in (bucket[0], a, b)))
+    bucket[0]._mul_into(bucket[1], a, b)
+
+
+def settle_sums(sums, scalar):
+    """The finished coefficients of ``sums``, zeros dropped: plain sums when
+    ``scalar``, otherwise the buckets of ``add_product``."""
+    if scalar:
+        return settle(sums)
+    out = {}
+    for key, (proto, terms) in sums.items():
+        terms = settle(terms)
+        if terms:
+            out[key] = proto._new(terms)
+    return out
+
+
 def substitute(coeffs, values, one):
     """sum_k c_k prod_q values[q]^(k_q) over the dict ``coeffs`` from exponent
     vectors k to coefficients c_k, each c_k on the left and each power built
     once.  ``one`` is the unit of the values' kind: the empty vector's value."""
     powers = [[one, v] for v in values]
+    # buckets need elements on both sides: the first c_k and the unit's value
+    scalar = not all(isinstance(x, SparseSum) for x in
+                     (next(iter(coeffs.values()), 0), next(iter(one.terms.values()))))
     out = {}
     for key, c in coeffs.items():
         term = None
@@ -360,8 +395,8 @@ def substitute(coeffs, values, one):
                     row.append(row[-1] * values[q])
                 term = row[k] if term is None else term * row[k]
         for k, v in (one if term is None else term).terms.items():
-            add_term(out, k, c * v)
-    return one._new(out)
+            add_product(out, k, c, v, scalar)
+    return one._new(settle_sums(out, scalar))
 
 
 class LinearElement(SparseSum):

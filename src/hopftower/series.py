@@ -7,9 +7,11 @@ algebras, or tensors over a ``TensorSpace``.  Every operation truncates at a
 fixed ``cap``: exponents of total degree > cap are discarded, and operations
 never invent coefficients beyond it.
 
-Composition multiplies outer coefficients on the left of the powers of the
-inner series, the convention that makes the noncommutative functional
-calculus here come out right.  Reversion, defined over commutative
+Composition is one ``linear.substitute``, outer coefficients on the left of
+the inner powers: the convention that makes the noncommutative functional
+calculus here come out right.  An outer series over ``Fraction`` takes an
+inner one over any algebra, so ``exp``, ``log`` and ``invert`` are each a
+composition of a fixed rational series.  Reversion, defined over commutative
 coefficients only, takes one pass and no composition: at degree n it fills
 [T^n] g^k for k >= 2 from g_1 .. g_(n-1), then reads off g_n.
 """
@@ -19,7 +21,7 @@ from math import factorial
 from operator import add
 
 from .errors import AlgebraMismatchError, DomainError
-from .linear import SparseSum, add_term, settle
+from .linear import SparseSum, add_product, add_term, settle_sums, substitute
 from .scalars import ZERO, quotient, rational
 
 
@@ -147,65 +149,40 @@ class TruncatedSeries(SparseSum):
             for d2, k2, v2 in right:
                 if d2 > room:
                     break
-                _add_product(out, k1 + k2 if univariate else tuple(map(add, k1, k2)),
+                add_product(out, k1 + k2 if univariate else tuple(map(add, k1, k2)),
                              v1, v2, scalar)
-        return self._new(_settle_sums(out, scalar), cap)
+        return self._new(settle_sums(out, scalar), cap)
 
     # -- inversion, composition, reversion --------------------------------
 
     def invert(self):
-        """Multiplicative inverse; needs an invertible (scalar-unit) constant term."""
-        zero_key = _zero_key(self.nvars)
-        c0 = self.terms.get(zero_key)
-        if c0 is None:
-            raise DomainError("cannot invert a series with zero constant term")
-        if self.algebra is Fraction:
-            c0_inv = quotient(1, c0)
-        else:
-            scal = c0.terms.get(())
-            if scal is None or len(c0.terms) != 1:
-                raise DomainError("constant term must be a scalar multiple of the unit")
-            c0_inv = quotient(1, scal)
-        out = self._operand(c0_inv)
-        rest = self._new({k: v for k, v in self.terms.items() if k != zero_key})
-        if not rest:
-            return out
-        # g = c0^-1 * (1 - rest * g); each pass extends the correct order by one
-        acc = out
-        for _ in range(self.cap):
-            acc = out - (rest * acc).scale(c0_inv)
-        probe = self * acc
-        if probe != probe._operand(1):
-            raise DomainError("inversion failed to converge within the cap")
-        return acc
+        """Multiplicative inverse: sum_n (-1)^n c0^-(n+1) T^n of self - c0."""
+        if self.valuation() < 0:
+            raise DomainError("inversion needs a power series, not negative powers of T")
+        c0 = self.coefficient(_zero_key(self.nvars))
+        # read the rational off c0 along the unit's chain of one-term sums
+        unit = self._unit_term(1)[1]
+        while isinstance(unit, SparseSum) and c0.terms.keys() == unit.terms.keys():
+            (key, unit), = unit.terms.items()
+            c0 = c0.terms[key]
+        if isinstance(c0, SparseSum) or not c0:
+            raise DomainError("inversion needs a nonzero rational times 1 as constant term")
+        coeffs = {n: (-1) ** n * quotient(1, c0 ** (n + 1)) for n in range(self.cap + 1)}
+        return TruncatedSeries(Fraction, coeffs, self.cap).compose(self - c0)
 
     def compose(self, inner):
         """Substitute ``inner`` (zero constant term) into this univariate series."""
         if self.nvars != 1:
             raise DomainError("composition needs a univariate outer series")
-        if inner.algebra != self.algebra:
+        if inner.algebra != self.algebra and self.algebra is not Fraction:
             raise AlgebraMismatchError("inner series over a different coefficient ring")
         if inner.terms.get(_zero_key(inner.nvars)):
             raise DomainError("inner series must have zero constant term")
         if min(self.terms, default=0) < 0 or inner.valuation() < 0:
             raise DomainError("composition needs power series, not negative powers of T")
-        cap = min(self.cap, inner.cap)
-        scalar = self.algebra is Fraction
-        result = {}
-        # no power beyond the last outer term or the cap is needed
-        last = min(cap // max(inner.valuation(), 1), max(self.terms, default=0))
-        for n in range(1, last + 1):
-            power = inner.truncate(cap) if n == 1 else power * inner
-            cn = self.terms.get(n)
-            if cn is None:
-                continue
-            for k, v in power.terms.items():
-                # outer coefficients act on the left
-                _add_product(result, k, cn, v, scalar)
-        result = _settle_sums(result, scalar)
-        if 0 in self.terms:
-            result[_zero_key(inner.nvars)] = self.terms[0]
-        return self._new(result, cap, inner.nvars)
+        inner = inner.truncate(min(self.cap, inner.cap))
+        # outer coefficients on the left, lowest power first, whose sym basis a sum takes
+        return substitute({(n,): self.terms[n] for n in sorted(self.terms)}, [inner], inner ** 0)
 
     def revert(self):
         """Compositional inverse of a series T + higher order terms.
@@ -231,14 +208,14 @@ class TruncatedSeries(SparseSum):
                 row = powers[k - 1]  # no entry below degree k - 1
                 for j, gj in g.items():
                     if n - j in row:
-                        _add_product(sums, k, gj, row[n - j], scalar)
+                        add_product(sums, k, gj, row[n - j], scalar)
             total = {}
-            for k, v in _settle_sums(sums, scalar).items():
+            for k, v in settle_sums(sums, scalar).items():
                 powers.setdefault(k, {})[n] = v
                 if k in f:
-                    _add_product(total, n, f[k], v, scalar)
+                    add_product(total, n, f[k], v, scalar)
             # [T^n] f(g) = g_n + sum_{k >= 2} f_k [T^n] g^k vanishes
-            for v in _settle_sums(total, scalar).values():
+            for v in settle_sums(total, scalar).values():
                 g[n] = -v
         return self._new(g)
 
@@ -271,32 +248,19 @@ class TruncatedSeries(SparseSum):
     # -- transcendental helpers over the rationals ------------------------
 
     def exp(self):
-        """exp of a series with zero constant term."""
+        """exp of a series with zero constant term: sum_n T^n/n! of it."""
         if self.terms.get(_zero_key(self.nvars)) or self.valuation() < 0:
             raise DomainError("exp needs a power series with zero constant term")
-        out = term = self._operand(1)
-        for n in range(1, self.cap + 1):
-            term = term * self
-            out = out + term.scale(Fraction(1, factorial(n)))
-            if not term:
-                break
-        return out
+        coeffs = {n: Fraction(1, factorial(n)) for n in range(self.cap + 1)}
+        return TruncatedSeries(Fraction, coeffs, self.cap).compose(self)
 
     def log(self):
-        """log of a series with constant term 1."""
+        """log of a series with constant term 1: sum_n (-1)^(n+1) T^n/n of it - 1."""
         u = self - 1
         if _zero_key(self.nvars) in u.terms or u.valuation() < 0:
             raise DomainError("log needs a power series with constant term 1")
-        out = self._new({})
-        term = self._operand(1)
-        sign = 1
-        for n in range(1, self.cap + 1):
-            term = term * u
-            if not term:
-                break
-            out = out + term.scale(Fraction(sign, n))
-            sign = -sign
-        return out
+        coeffs = {n: Fraction((-1) ** (n + 1), n) for n in range(1, self.cap + 1)}
+        return TruncatedSeries(Fraction, coeffs, self.cap).compose(u)
 
     def alternate(self):
         """Substitute T -> -T in a univariate series."""
@@ -349,39 +313,6 @@ class TruncatedSeries(SparseSum):
 def _check_slot(slot):
     if slot not in (0, 1):
         raise DomainError("variable slot must be 0 or 1, not %r" % (slot,))
-
-
-def _add_product(sums, key, a, b, scalar):
-    """Add the coefficient product ``a * b`` to the sum kept on ``key``.
-
-    With ``scalar`` each sum is a plain number.  Otherwise it is a
-    ``(prototype, raw terms)`` bucket that ``a._mul_into`` fills; the
-    prototype is the left factor of the first product on that key, so the
-    finished coefficient takes its kind and its sym basis.
-    """
-    if scalar:
-        sums[key] = sums.get(key, 0) + a * b
-        return
-    bucket = sums.get(key)
-    if bucket is None:
-        bucket = sums[key] = (a, {})
-    if not type(a) is type(b) is type(bucket[0]):
-        raise AlgebraMismatchError("series coefficients mix %s, %s and %s" % tuple(
-            type(x).__name__ for x in (bucket[0], a, b)))
-    bucket[0]._mul_into(bucket[1], a, b)
-
-
-def _settle_sums(sums, scalar):
-    """The finished coefficients of ``sums``, zeros dropped: plain number sums
-    when ``scalar``, otherwise the buckets of ``_add_product``."""
-    if scalar:
-        return settle(sums)
-    out = {}
-    for key, (proto, terms) in sums.items():
-        terms = settle(terms)
-        if terms:
-            out[key] = proto._new(terms)
-    return out
 
 
 def generator_series(element_cls, cap):

@@ -37,7 +37,7 @@ from .exactlinalg import invert_matrix, row_reduce, sparse_rank
 from .expr import parse_element
 from .indices import compositions_of, partitions_of
 from .jsonio import document_for, dumps, from_document
-from .linear import Polynomial, Tensor, substitute
+from .linear import Polynomial, Tensor
 from .nsym import NSymElement, z
 from .qsym import M, QSymElement, expand_ordered, pair_tensor
 from .scalars import ONE, ZERO
@@ -243,16 +243,18 @@ def suite_duality(weight=None, cap=None):
 # -- renormalization coproduct ---------------------------------------------
 
 def _compose_by_coefficients(outer, inner):
-    """``outer.compose(inner)`` by the slow route, with no series product: the
-    inner series as a ``linear.Polynomial`` cut at the cap, substituted into
-    the outer one with each outer coefficient on the left."""
+    """``outer.compose(inner)`` by the slow route, neither ``compose`` nor
+    ``substitute``: Horner's acc = acc * g + c_n down the outer coefficients,
+    g the inner series as a ``linear.Polynomial`` cut at the cap."""
     cap = min(outer.cap, inner.cap)
     univariate = inner.nvars == 1
     terms = {(k,) if univariate else k: v for k, v in inner.coeffs.items()}
     g = Polynomial(inner.nvars, terms, cap)
-    f = substitute({(n,): c for n, c in outer.coeffs.items()}, [g], g ** 0)
+    acc = g * 0
+    for n in range(max(outer.coeffs, default=0), -1, -1):
+        acc = acc * g + Polynomial(inner.nvars, {(0,) * inner.nvars: outer.coefficient(n)}, cap)
     return TruncatedSeries(inner.algebra, {k[0] if univariate else k: v
-                                           for k, v in f.terms.items()}, cap, inner.nvars)
+                                           for k, v in acc.terms.items()}, cap, inner.nvars)
 
 
 def suite_bfk(weight=None, cap=None):

@@ -5,6 +5,8 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 from hopftower import cli
 from hopftower.cli import run_command
 
@@ -247,3 +249,32 @@ def test_digits_outside_ascii_are_refused_without_a_traceback():
     assert run("eval", "e[1]^²") == (1, "", "error: unexpected character '²' at column 6\n")
     # an Arabic-Indic three, which int() reads as 3, is refused alike
     assert run("eval", "e[٣]")[0] == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ("charnum", "cp", "--dim", "٣"),
+    ("log", "--cap", "٣"),
+    ("revert", "T+T^2", "--cap", "３"),
+    ("crn", "--weight", "٣"),
+    ("cobar-rank", "--algebroid", "S.B", "--degree", "0", "--weight", "٣"),
+    ("cobar-rank", "--algebroid", "S.B", "--weight", "2", "--degree", "٠"),
+    ("verify", "--weight", "٣"),
+    ("verify", "--cap", "-٣"),
+    ("log", "--cap", "1_0"),
+])
+def test_integer_options_take_ascii_digits_only(argv):
+    """int() reads any Unicode decimal digit, so ``--dim ٣`` used to run as 3."""
+    code, out, err = run(*argv)
+    assert (code, out) == (1, "")
+    assert err.endswith("error: argument %s: invalid int value: %r\n" % (argv[-2], argv[-1]))
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("log", "--cap", "-1"), "error: cap must be at least 1\n"),
+    (("charnum", "cp", "--dim", "-1"), "error: projective space dimension must be >= 0\n"),
+    (("crn", "--weight", "-2"), "error: --weight must be at least 1\n"),
+    (("cobar-rank", "--algebroid", "S.B", "--weight", "-1", "--degree", "0"),
+     "error: negative weight\n"),
+])
+def test_negative_integer_options_reach_the_domain_messages(argv, message):
+    assert run(*argv) == (1, "", message)

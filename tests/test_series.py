@@ -127,9 +127,13 @@ def test_laurent_views_only_feed_residue():
                  lambda: S({1: 1, 2: 1}).compose(S({1: 1}).shift(-2)),
                  lambda: S({1: 1, 2: 1}).shift(-2).exp(),
                  lambda: (1 + S({1: 1}).shift(-2)).log(),
+                 lambda: (1 + S({1: 1}).shift(-2)).invert(),
                  lambda: (S({1: 1}) + S({1: 1}).shift(-2)).revert()):
         with pytest.raises(DomainError):
             call()
+    # refused up front, by a message that names what was asked for
+    with pytest.raises(DomainError, match="^inversion needs a power series"):
+        (1 + S({1: 1}).shift(-2)).invert()
 
 
 def test_products_of_shift_views_know_fewer_powers():

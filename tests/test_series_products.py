@@ -8,7 +8,9 @@ each coefficient product is ``v1 * v2`` and the products on one power are
 summed with ``+``, so the sum keeps the sym basis of its first product.  The
 properties run over scalar series, every element family, sym series whose
 coefficients mix bases, tensor series and beta-polynomial series, in one and
-two variables, and check that every result is canonical.
+two variables, and check that every result is canonical.  Over the same
+families, ``invert`` is a two-sided inverse, a rational outer series composes
+as its lift into the inner series' algebra, and ``exp`` undoes ``log``.
 """
 
 import sys
@@ -87,6 +89,11 @@ def compositions(draw):
     family = draw(st.sampled_from(sorted(FAMILIES)))
     nvars = draw(st.sampled_from((1, 2)))
     return _series(draw, family, 1), _series(draw, family, nvars, lowest=1, max_size=3)
+
+
+@st.composite
+def families(draw):
+    return draw(st.sampled_from(sorted(FAMILIES))), draw(st.sampled_from((1, 2)))
 
 
 def _degree(key):
@@ -170,6 +177,36 @@ def test_compositions_match_the_coefficient_reference(pair):
     outer, inner = pair
     _assert_matches(outer.compose(inner), _reference_compose(outer, inner),
                     outer.algebra, min(outer.cap, inner.cap), inner.nvars)
+
+
+@settings(max_examples=60, deadline=None)
+@given(families(), scalars, st.data())
+def test_invert_is_a_two_sided_inverse(family, q, data):
+    # a nonzero rational constant term, so noncommutative coefficients are
+    # inverted on both sides too
+    f = _series(data.draw, *family, lowest=1) + q
+    g = f.invert()
+    assert (g.algebra, g.cap, g.nvars) == (f.algebra, f.cap, f.nvars)
+    assert f * g == 1 and g * f == 1
+
+
+@settings(max_examples=60, deadline=None)
+@given(families(), st.data())
+def test_a_rational_outer_series_composes_as_its_lift(family, data):
+    outer = _series(data.draw, "scalar", 1)
+    inner = _series(data.draw, *family, lowest=1, max_size=3)
+    lifted = TruncatedSeries(inner.algebra, outer.coeffs, outer.cap)
+    got = outer.compose(inner)
+    assert (got.algebra, got.cap, got.nvars) == (inner.algebra, min(outer.cap, inner.cap),
+                                                 inner.nvars)
+    assert got == lifted.compose(inner)
+
+
+@settings(max_examples=60, deadline=None)
+@given(families(), st.data())
+def test_exp_undoes_log(family, data):
+    f = 1 + _series(data.draw, *family, lowest=1, max_size=3)
+    assert f.log().exp() == f
 
 
 def test_mixed_basis_product_takes_the_first_products_basis():
