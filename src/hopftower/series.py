@@ -150,7 +150,7 @@ class TruncatedSeries(SparseSum):
                 if d2 > room:
                     break
                 add_product(out, k1 + k2 if univariate else tuple(map(add, k1, k2)),
-                             v1, v2, scalar)
+                            v1, v2, scalar)
         return self._new(settle_sums(out, scalar), cap)
 
     # -- inversion, composition, reversion --------------------------------
