@@ -132,17 +132,20 @@ def _cofaces_into(out, alg, terms, n, normalized):
         for (a, g), cc in image_items(base_gen, key[0]):
             if g or not normalized:
                 k = (a, g) + tail
-                out[k] = get(k, 0) + c * cc
+                old = get(k)
+                out[k] = c * cc if old is None else old + c * cc
         for i in range(1, n + 1):
             signed = -c if i % 2 else c
             head, rest = key[:i], key[i + 1:]
             for (l, r), cc in image_items(hopf_gen, key[i]):
                 if l and r or not normalized:
                     k = head + (l, r) + rest
-                    out[k] = get(k, 0) + signed * cc
+                    old = get(k)
+                    out[k] = signed * cc if old is None else old + signed * cc
         if not normalized:
-            k = key + ((),)
-            out[k] = get(k, 0) + (c if n % 2 else -c)
+            k, v = key + ((),), c if n % 2 else -c
+            old = get(k)
+            out[k] = v if old is None else old + v
     return out
 
 

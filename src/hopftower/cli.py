@@ -260,6 +260,9 @@ def run_suites(names, weight=None, cap=None):
 
 def _cmd_verify(args, out):
     from .verify import render_report
+    for option, value, least in (("--weight", args.weight, 0), ("--cap", args.cap, 2)):
+        if value is not None and value < least:
+            raise DomainError("%s must be at least %d" % (option, least))
     names = args.suite or ["all"]
     records, ok = run_suites(names, weight=args.weight, cap=args.cap)
     print(render_report(records), file=out)

@@ -24,20 +24,24 @@ basis indices, and the bilinear extension and grading helpers live here.
 Elements are treated as immutable once built, which keeps the memoised
 structure constants safe to share.
 
-Every product of elements, tensors or polynomials, and every
-coefficient product of a truncated series, adds raw products into a plain
-dict through the value's ``_mul_into(out, a, b)`` hook; ``settle`` then
-drops the zeros and stores integral ``Fraction``s as ``int``, once per
-result.  In a monomial algebra (words in NSym, partitions in the commutative
-algebras, powers of beta) the product of two keys is one key with
-coefficient 1, which the class's ``key_mul`` gives, so the base hook makes
-one key per term pair and ``basis_mul`` follows from it.  QSym and the sym m
-basis give ``basis_mul`` as ``(key, coeff)`` pairs to ``mul_into`` instead.
-A tensor whose factors share one ``key_mul`` makes one key per term pair too,
-and otherwise multiplies slot by slot.  The accumulator here, ``add_product``
-with ``settle_sums``, keeps one such dict per output key for ``substitute``
-(so every series composition, ``exp``, ``log`` and ``invert``), the series
-product and reversion.
+Every hot sum (a product, ``Tensor.apply``, ``on_words``, the cobar cofaces of
+``algebroid``) adds raw terms into a plain dict and settles once: a key seen
+first stores its value as is, a structure constant 1 is not multiplied, and
+``settle`` drops the zeros and stores integral ``Fraction``s as ``int``, once
+per result.  ``add_term``, which settles each term as it lands, is left to the
+validating constructors and the cold paths, and ``+`` settles only the keys it
+touches.  Every product of elements, tensors or polynomials, and every
+coefficient product of a truncated series, adds through the value's
+``_mul_into(out, a, b)`` hook.  In a monomial algebra (words in NSym,
+partitions in the commutative algebras, powers of beta) the product of two
+keys is one key with coefficient 1, which the class's ``key_mul`` gives, so
+the base hook makes one key per term pair and ``basis_mul`` follows from it.
+QSym and the sym m basis give ``basis_mul`` as ``(key, coeff)`` pairs to
+``mul_into`` instead.  A tensor whose factors share one ``key_mul`` makes one
+key per term pair too, and otherwise multiplies slot by slot.  The accumulator
+here, ``add_product`` with ``settle_sums``, keeps one such dict per output key
+for ``substitute`` (so every series composition, ``exp``, ``log`` and
+``invert``), the series product and reversion.
 
 Each coproduct, coaction and antipode is given on the generators and then
 extended over words.  ``on_words`` does that extension, multiplicatively or
@@ -64,10 +68,9 @@ from .scalars import ONE, ZERO, rational
 
 
 def add_term(data, idx, coeff):
-    """Accumulate ``coeff`` on ``idx`` inside ``data``, dropping zeros.
-
-    A scalar that comes out integral is stored as its ``int``.
-    """
+    """Add ``coeff`` on ``idx`` in ``data`` and settle it there: a zero is
+    dropped and an integral scalar stored as its ``int``.  For constructors
+    and cold paths only; a hot loop adds raw and settles once."""
     c = data.get(idx)
     c = coeff if c is None else c + coeff
     if c:
@@ -91,7 +94,9 @@ def mul_into(out, a_terms, b_terms, basis_mul):
         for j, cj in b_items:
             cij = ci * cj
             for idx, bc in basis_mul(i, j):
-                out[idx] = get(idx, 0) + (cij if bc == 1 else cij * bc)
+                c = cij if bc == 1 else cij * bc
+                old = get(idx)
+                out[idx] = c if old is None else old + c
     return out
 
 
@@ -220,7 +225,10 @@ class SparseSum:
     def __add__(self, other):
         out = dict(self.terms)
         for k, c in self._operand(other).terms.items():
-            add_term(out, k, c)
+            if k in out:
+                add_term(out, k, c)
+            else:
+                out[k] = c
         return self._new(out)
 
     __radd__ = __add__
@@ -236,10 +244,13 @@ class SparseSum:
 
     def scale(self, q):
         q = rational(q)
+        if q == 1:
+            return self._new(dict(self.terms))
         out = {}
         if q:
+            # a Fraction on the left: int * Fraction runs the reflected operator
             for k, c in self.terms.items():
-                c *= q
+                c = q * c if type(c) is int else c * q
                 out[k] = c.numerator if type(c) is Fraction and c.denominator == 1 else c
         return self._new(out)
 
@@ -268,7 +279,8 @@ class SparseSum:
         for i, ci in a.terms.items():
             for j, cj in b_items:
                 k = key_mul(i, j)
-                out[k] = get(k, 0) + ci * cj
+                old = get(k)
+                out[k] = ci * cj if old is None else old + ci * cj
         return out
 
     def __pow__(self, n):
@@ -353,7 +365,8 @@ def add_product(sums, key, a, b, scalar):
     ``(prototype, raw terms)`` bucket that ``a._mul_into`` fills, the prototype
     being the key's first left factor, whose kind and sym basis the sum takes."""
     if scalar:
-        sums[key] = sums.get(key, 0) + a * b
+        old = sums.get(key)
+        sums[key] = a * b if old is None else old + a * b
         return
     bucket = sums.get(key)
     if bucket is None:
@@ -417,8 +430,9 @@ class LinearElement(SparseSum):
         """``idx`` as this algebra stores a basis index; ``DomainError`` if it
         is not one."""
         idx = tuple(idx)
-        if any(type(p) is not int or p < 1 for p in idx):
-            raise DomainError("index parts must be positive integers")
+        for p in idx:
+            if type(p) is not int or p < 1:
+                raise DomainError("index parts must be positive integers")
         return idx
 
     def slot_form(self):
@@ -571,7 +585,8 @@ class Tensor(SparseSum):
             for k1, c1 in a.terms.items():
                 for k2, c2 in b_items:
                     k = tuple(map(key_mul, k1, k2))
-                    out[k] = get(k, 0) + c1 * c2
+                    old = get(k)
+                    out[k] = c1 * c2 if old is None else old + c1 * c2
             return out
         for k1, c1 in a.terms.items():
             for k2, c2 in b_items:
@@ -580,7 +595,8 @@ class Tensor(SparseSum):
                     partial = [(prefix + (idx,), c if bc == 1 else c * bc)
                                for prefix, c in partial for idx, bc in f.basis_mul(i1, i2)]
                 for k, c in partial:
-                    out[k] = get(k, 0) + c
+                    old = get(k)
+                    out[k] = c if old is None else old + c
         return out
 
     # -- slot surgery -----------------------------------------------------
@@ -594,6 +610,7 @@ class Tensor(SparseSum):
         factors = self.factors[:pos] + tuple(new_factors) + self.factors[pos + 1:]
         images = {}
         out = {}
+        get = out.get
         for key, c in self.terms.items():
             items = images.get(key[pos])
             if items is None:
@@ -601,9 +618,13 @@ class Tensor(SparseSum):
                 items = images[key[pos]] = (
                     res.terms.items() if isinstance(res, Tensor)
                     else [((i,), cc) for i, cc in res.terms.items()])
+            head, tail = key[:pos], key[pos + 1:]
             for sub, cc in items:
-                add_term(out, key[:pos] + sub + key[pos + 1:], c * cc)
-        return self._new(out, factors)
+                k = head + sub + tail
+                v = c if cc == 1 else c * cc
+                old = get(k)
+                out[k] = v if old is None else old + v
+        return self._new(settle(out), factors)
 
     def insert_slot(self, pos, factor, index=()):
         """Insert a fresh slot holding a single basis index (default: the unit)."""
@@ -709,10 +730,13 @@ def on_words(f, gen, reverse=False):
         image = word_image(gen, word[::-1] if reverse else word)
         return image._new(dict(image.terms)) if c == 1 else image.scale(c)
     out = {}
+    get = out.get
     for word, c in f.terms.items():
         for key, cc in word_image(gen, word[::-1] if reverse else word).terms.items():
-            add_term(out, key, c * cc)
-    return gen(0)._new(out)
+            v = c if cc == 1 else c * cc
+            old = get(key)
+            out[key] = v if old is None else old + v
+    return gen(0)._new(settle(out))
 
 
 def image_items(gen, word):

@@ -278,3 +278,31 @@ def test_integer_options_take_ascii_digits_only(argv):
 ])
 def test_negative_integer_options_reach_the_domain_messages(argv, message):
     assert run(*argv) == (1, "", message)
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("verify", "--weight", "-1"), "error: --weight must be at least 0\n"),
+    (("verify", "--suite", "hopf-axioms", "--weight", "-1"),
+     "error: --weight must be at least 0\n"),
+    (("verify", "--cap", "1"), "error: --cap must be at least 2\n"),
+    (("verify", "--cap", "0"), "error: --cap must be at least 2\n"),
+    (("verify", "--suite", "counts", "--weight", "3", "--cap", "-4"),
+     "error: --cap must be at least 2\n"),
+])
+def test_verify_refuses_sizes_its_suites_cannot_check(monkeypatch, argv, message):
+    """A negative weight used to pass hopf-axioms on no elements, and cap 1
+    to fail the checks that read T^2 and X*Y; both stop before any suite."""
+    def no_suite(names, weight=None, cap=None):
+        raise AssertionError("a suite ran")
+
+    monkeypatch.setattr(cli, "run_suites", no_suite)
+    assert run(*argv) == (1, "", message)
+
+
+@pytest.mark.parametrize("argv", [
+    ("verify", "--suite", "hopf-axioms", "--weight", "0"),
+    ("verify", "--suite", "topology", "--cap", "2"),
+])
+def test_verify_runs_at_its_least_sizes(argv):
+    code, out, err = run(*argv)
+    assert (code, err) == (0, "") and "FAIL" not in out

@@ -181,6 +181,12 @@ def _series_of(x, y):
             TruncatedSeries(type(x), {1: x - y, 2: y}, 2))
 
 
+def _delta_of_index(name):
+    """The coproduct of one basis index of a tensor slot (e-based for sym)."""
+    make, _, delta, _ = STRUCTURES[name]
+    return lambda idx: delta(make({idx: 1}, "e"))
+
+
 def _results(name, x, y, q):
     """Every arithmetic route of the engine, applied to x and y."""
     _, _, delta, antipode = STRUCTURES[name]
@@ -189,7 +195,10 @@ def _results(name, x, y, q):
     yield from (x * y, y * x, x + y, x - y, -x, x + 1, x * 1, x.scale(q), x.scale(0),
                 x ** 2, delta(x * y), antipode(x), antipode(x * y), dx, dx * dy,
                 dx + dy, dx - dy, dx.scale(q), Tensor.of(x, y) * Tensor.of(y, x),
-                s + u, s - u, -s, s.scale(q), s - 1, s.truncate(1), s.alternate())
+                s + u, s - u, -s, s.scale(q), s - 1, s.truncate(1), s.alternate(),
+                x - x, x + (-x), x.scale(1), dx.apply(0, _delta_of_index(name), dx.factors),
+                # a multi-term input whose images cancel: S(Z_1^2) = Z_1^2 = S(Z_2) + Z_2
+                nsym.antipode(NSymElement({(1, 1): q, (2,): -q, (3,): q})))
     for w in x.weights():
         yield x.component(w)
 
@@ -216,11 +225,16 @@ def test_results_share_no_dict_with_their_operands(case):
     gen = partial(binomial_gen, NSymElement)
     word = NSymElement({(2, 1): 1, (1,): 3})
     s, u = _series_of(x, y)
-    operands = (x, y, t, word, gen(1), gen(2), s, u)
+    words = Tensor.of(word, NSymElement({(1,): 1}))
+    operands = (x, y, t, word, gen(1), gen(2), s, u, words,
+                word_image(nsym._coproduct_gen, (2, 1)), word_image(nsym._coproduct_gen, (1,)))
     before = [dict(v.terms) for v in operands]
     for r in (x + y, x * 1, -x, x.scale(2), on_words(word, gen), t * t,
               s + u, s - u, -s, s.scale(2), s - 1, s.truncate(1), s.truncate(5),
-              s.alternate()):
+              s.alternate(), x.scale(1), t.apply(0, _delta_of_index(name), t.factors),
+              # the map hands out the memoised images themselves
+              words.apply(0, partial(word_image, nsym._coproduct_gen),
+                          (NSymElement, NSymElement))):
         r.terms.clear()
         r.terms[(7,)] = Fraction(5)
     assert [v.terms for v in operands] == before
