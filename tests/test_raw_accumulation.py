@@ -15,7 +15,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from hopftower import nsym, qsym
-from hopftower.linear import Tensor, on_words
+from hopftower.linear import on_words
 from hopftower.nsym import NSymElement
 from hopftower.qsym import QSymElement
 
@@ -81,14 +81,6 @@ def test_the_sparse_sum_loops_make_no_wasted_fraction_operation(monkeypatch):
         got = call()
         assert got == want, name
         assert wasted == [], name
-
-
-def test_a_cancelling_multi_term_input_settles_to_canonical_terms():
-    r = nsym.antipode(NSymElement({(1, 1): HALF, (2,): -HALF, (3,): THIRD}))
-    assert r == NSymElement({(2,): HALF}) + nsym.antipode(NSymElement({(3,): THIRD}))
-    assert all(type(c) is int or c.denominator > 1 for c in r.terms.values())
-    assert on_words(NSymElement({(1,): 2, (2,): -2}) - NSymElement({(1,): 2, (2,): -2}),
-                    nsym._coproduct_gen).terms == {}
 
 
 def test_the_counter_sees_the_wasted_operations(monkeypatch):
