@@ -21,22 +21,28 @@ the slow route that checks the fast one shares none of its reads.
 Cohomology ranks are computed over the rationals on the normalized
 subcomplex (all H slots of positive weight), one weight at a time; it has
 the cohomology of the whole complex (Ravenel, Complex Cobordism, App. A1.2).
-Its differential is built directly: the accumulator, in normalized mode,
-skips every term with a unit H slot and the last coface, which only appends
-one.  ``differential_rows`` maps each image to codomain columns as a
-primitive ``{column: int}`` row, and ``exactlinalg.sparse_rank`` eliminates
-the rows sparsest column first.  ``differential_matrix`` keeps the slow
-route: dense rows from the ``coface`` tensors, summed and then projected.
-Degrees 0 and 1 and modest weights are supported; everything else raises a
-capability error rather than grinding.
+Its level-s basis splits the H weight over the s slots by
+``indices.compositions_of``.  Its differential is built directly: the
+accumulator, in normalized mode, skips every term with a unit H slot and the
+last coface, which only appends one.  ``differential_rows`` maps each image
+to codomain columns as a primitive ``{column: int}`` row, and
+``exactlinalg.sparse_rank`` eliminates the rows sparsest column first.
+``differential_matrix`` keeps the slow route: dense rows from the ``coface``
+tensors, summed and then projected.  One formula, dim C^s - rank d^s -
+rank d^(s-1), gives the rank in every degree; degrees 0 and 1 and modest
+weights are supported, and everything else raises a capability error rather
+than grinding.
 """
+
+from itertools import product
 
 from . import structures
 from .diffeo import (_bfk_coproduct_gen, _coaction_gen, _fdb_coproduct_gen,
                      bfk_coproduct, coaction_sym, fdb_coproduct)
 from .errors import AlgebraMismatchError, CapabilityError, DomainError
 from .exactlinalg import _primitive, matrix_rank, sparse_rank
-from .linear import Tensor, add_term, image_items, settle
+from .indices import compositions_of
+from .linear import Tensor, image_items, settle
 from .nsym import NSymElement
 from .scalars import ONE, ZERO
 
@@ -68,11 +74,11 @@ class SplitAlgebroid:
     base_indices = property(lambda self: structures.ALGEBRAS[self.base].indices)
     h_indices = property(lambda self: structures.ALGEBRAS[self.hopf].indices)
 
-    def base_element(self, idx, coeff=1):
-        return structures.ALGEBRAS[self.base].element({idx: coeff})
+    def base_element(self, idx):
+        return structures.ALGEBRAS[self.base].element({idx: 1})
 
-    def hopf_element(self, idx, coeff=1):
-        return structures.ALGEBRAS[self.hopf].element({idx: coeff})
+    def hopf_element(self, idx):
+        return structures.ALGEBRAS[self.hopf].element({idx: 1})
 
     def as_level(self, x):
         """``x`` as a cochain: a base element becomes a level-0 (arity-1)
@@ -149,13 +155,13 @@ def _cofaces_into(out, alg, terms, n, normalized):
     return out
 
 
-def differential(alg, x, max_level=LEVEL_BOUND):
+def differential(alg, x):
     """Alternating sum of cofaces, level n -> n+1; bounded to keep sizes sane."""
     x = alg.as_level(x)
     n = x.arity - 1
-    if n > max_level:
+    if n > LEVEL_BOUND:
         raise CapabilityError("cobar differential bounded at level %d (got %d)"
-                              % (max_level, n))
+                              % (LEVEL_BOUND, n))
     return x._new(settle(_cofaces_into({}, alg, x.terms, n, False)),
                   (alg.base_cls,) + (alg.hopf_cls,) * (n + 1))
 
@@ -180,43 +186,13 @@ def zcobar_coface(hopf_coproduct, hopf_cls, hopf_make, x, i):
 # -- normalized complex and ranks -----------------------------------------
 
 def _level_basis(alg, w, s):
-    """Basis keys of the weight-w normalized level-s piece, in a fixed order."""
-    if s == 0:
-        return [(lam,) for lam in alg.base_indices(w)]
-    keys = []
-    for base_w in range(w - s, -1, -1):
-        rest = w - base_w
-        for split in _positive_splits(rest, s):
-            for lam in alg.base_indices(base_w):
-                parts_choices = [[lam]]
-                for piece in split:
-                    parts_choices = [prev + [mu]
-                                     for prev in parts_choices
-                                     for mu in alg.h_indices(piece)]
-                keys.extend(tuple(choice) for choice in parts_choices)
-    return keys
-
-
-def _positive_splits(total, parts):
-    """Ordered lists of `parts` positive integers summing to `total`."""
-    if parts == 0:
-        return [()] if total == 0 else []
-    if total < parts:
-        return []
-    out = []
-    for first in range(1, total - parts + 2):
-        for rest in _positive_splits(total - first, parts - 1):
-            out.append((first,) + rest)
-    return out
-
-
-def _normalized_image(alg, x):
-    """Drop terms with a unit in any H slot (projection to normalized cochains)."""
-    out = {}
-    for key, c in x.terms.items():
-        if all(idx != () for idx in key[1:]):
-            out[key] = c
-    return x._new(out)
+    """Basis keys of the weight-w normalized level-s piece: base weight
+    falling, then the H weights of the s slots in increasing lex order, then
+    the enumeration order of the indices (``sparse_rank`` breaks ties by
+    column, so the order is part of the result)."""
+    return [key for base_w in range(w - s, -1, -1)
+            for split in reversed(compositions_of(w - base_w)) if len(split) == s
+            for key in product(alg.base_indices(base_w), *map(alg.h_indices, split))]
 
 
 def differential_matrix(alg, w, s):
@@ -238,8 +214,9 @@ def differential_matrix(alg, w, s):
         for i in range(1, s + 2):
             img = img - coface(alg, x, i) if i % 2 else img + coface(alg, x, i)
         row = [ZERO] * len(cod)
-        for k, c in _normalized_image(alg, img).terms.items():
-            row[col[k]] = c
+        for k, c in img.terms.items():
+            if () not in k[1:]:
+                row[col[k]] = c
         rows.append(row)
     return dom, cod, rows
 
@@ -280,12 +257,9 @@ def cohomology_rank(alg, w, s, weight_bound=WEIGHT_BOUND):
     if w > weight_bound:
         raise CapabilityError("cohomology weight bounded at %d (got %d)"
                               % (weight_bound, w))
-    dom0, _, d0 = differential_rows(alg, w, 0)
-    rank_d0 = sparse_rank(d0)
-    if s == 0:
-        return len(dom0) - rank_d0
-    dom1, _, d1 = differential_rows(alg, w, 1)
-    return len(dom1) - sparse_rank(d1) - rank_d0
+    dom, _, rows = differential_rows(alg, w, s)
+    below = sparse_rank(differential_rows(alg, w, s - 1)[2]) if s else 0
+    return len(dom) - sparse_rank(rows) - below
 
 
 def invariants_rank_oracle(alg, w):
@@ -317,8 +291,6 @@ def right_unit_functional(f, I):
     if isinstance(f, int):
         f = NSymElement({(f,): ONE})
     I = tuple(I)
-    out = {}
-    for (left, right), c in bfk_coproduct(f).terms.items():
-        if right == I:
-            add_term(out, left, c)
-    return NSymElement(out)
+    # the terms with right slot I have distinct left slots: nothing to merge
+    return NSymElement({left: c for (left, right), c in bfk_coproduct(f).terms.items()
+                        if right == I})

@@ -38,10 +38,11 @@ keys is one key with coefficient 1, which the class's ``key_mul`` gives, so
 the base hook makes one key per term pair and ``basis_mul`` follows from it.
 QSym and the sym m basis give ``basis_mul`` as ``(key, coeff)`` pairs to
 ``mul_into`` instead.  A tensor whose factors share one ``key_mul`` makes one
-key per term pair too, and otherwise multiplies slot by slot.  The accumulator
-here, ``add_product`` with ``settle_sums``, keeps one such dict per output key
-for ``substitute`` (so every series composition, ``exp``, ``log`` and
-``invert``), the series product and reversion.
+key per term pair too; any other tensor gives ``mul_into`` its own
+``basis_mul``, slot by slot.  The accumulator here, ``add_product`` with
+``settle_sums``, keeps one such dict per output key for ``substitute`` (so
+every series composition, ``exp``, ``log`` and ``invert``), the series
+product and reversion.
 
 Each coproduct, coaction and antipode is given on the generators and then
 extended over words.  ``on_words`` does that extension, multiplicatively or
@@ -286,8 +287,12 @@ class SparseSum:
     def __pow__(self, n):
         if type(n) is not int or n < 0:
             raise DomainError("exponents must be nonnegative integers, not %r" % (n,))
-        out = self._operand(1)
-        for _ in range(n):
+        if not n:
+            return self._operand(1)
+        # from x itself, not the unit: a product with the unit would cut a
+        # Laurent view at its lowered cap once more
+        out = self._new(dict(self.terms))
+        for _ in range(n - 1):
             out = out * self
         return out
 
@@ -440,8 +445,8 @@ class LinearElement(SparseSum):
         return self
 
     @classmethod
-    def from_index(cls, idx, coeff=1):
-        return cls({tuple(idx): coeff})
+    def from_index(cls, idx):
+        return cls({tuple(idx): 1})
 
     @classmethod
     def basis_mul(cls, i, j):
@@ -576,28 +581,27 @@ class Tensor(SparseSum):
 
     def _mul_into(self, out, a, b):
         """Add the raw terms of ``a * b`` into ``out``: one key per term pair
-        when every factor shares one ``key_mul``, else slot by slot."""
+        when every factor shares one ``key_mul``, else by ``basis_mul``."""
+        key_muls = {f.key_mul for f in self.factors}
+        if None in key_muls or len(key_muls) != 1:
+            return mul_into(out, a.terms, b.terms, self.basis_mul)
+        key_mul = key_muls.pop()
         get = out.get
         b_items = b.terms.items()
-        key_muls = {f.key_mul for f in self.factors}
-        if None not in key_muls and len(key_muls) == 1:
-            key_mul = key_muls.pop()
-            for k1, c1 in a.terms.items():
-                for k2, c2 in b_items:
-                    k = tuple(map(key_mul, k1, k2))
-                    old = get(k)
-                    out[k] = c1 * c2 if old is None else old + c1 * c2
-            return out
         for k1, c1 in a.terms.items():
             for k2, c2 in b_items:
-                partial = [((), c1 * c2)]
-                for f, i1, i2 in zip(self.factors, k1, k2):
-                    partial = [(prefix + (idx,), c if bc == 1 else c * bc)
-                               for prefix, c in partial for idx, bc in f.basis_mul(i1, i2)]
-                for k, c in partial:
-                    old = get(k)
-                    out[k] = c if old is None else old + c
+                k = tuple(map(key_mul, k1, k2))
+                old = get(k)
+                out[k] = c1 * c2 if old is None else old + c1 * c2
         return out
+
+    def basis_mul(self, k1, k2):
+        """Product of two keys as ``(key, coeff)`` pairs, slot by slot."""
+        pairs = [((), 1)]
+        for f, i1, i2 in zip(self.factors, k1, k2):
+            pairs = [(prefix + (idx,), c if bc == 1 else c * bc)
+                     for prefix, c in pairs for idx, bc in f.basis_mul(i1, i2)]
+        return pairs
 
     # -- slot surgery -----------------------------------------------------
 
@@ -626,31 +630,24 @@ class Tensor(SparseSum):
                 out[k] = v if old is None else old + v
         return self._new(settle(out), factors)
 
-    def insert_slot(self, pos, factor, index=()):
-        """Insert a fresh slot holding a single basis index (default: the unit)."""
+    def insert_slot(self, pos, factor):
+        """Insert a fresh slot holding the unit."""
         factors = self.factors[:pos] + (factor,) + self.factors[pos:]
-        index = tuple(index)
-        return self._new({key[:pos] + (index,) + key[pos:]: c
+        return self._new({key[:pos] + ((),) + key[pos:]: c
                           for key, c in self.terms.items()}, factors)
 
     def swap_slots(self, i, j):
-        factors = list(self.factors)
-        factors[i], factors[j] = factors[j], factors[i]
-        out = {}
-        for key, c in self.terms.items():
-            k = list(key)
-            k[i], k[j] = k[j], k[i]
-            add_term(out, tuple(k), c)
-        return self._new(out, tuple(factors))
+        """Swap slots ``i`` and ``j``: a bijection on keys, so nothing merges."""
+        order = list(range(len(self.factors)))
+        order[i], order[j] = j, i
+        return self._new({tuple(key[p] for p in order): c for key, c in self.terms.items()},
+                         tuple(self.factors[p] for p in order))
 
     def project_counit(self, pos):
-        """Apply the counit to slot ``pos``: keep unit-indexed terms, drop the slot."""
-        factors = self.factors[:pos] + self.factors[pos + 1:]
-        out = {}
-        for key, c in self.terms.items():
-            if key[pos] == ():
-                add_term(out, key[:pos] + key[pos + 1:], c)
-        return self._new(out, factors)
+        """Apply the counit to slot ``pos``: keep unit-indexed terms, drop the
+        slot; dropping a slot fixed at the unit is injective, so nothing merges."""
+        return self._new({key[:pos] + key[pos + 1:]: c for key, c in self.terms.items()
+                          if key[pos] == ()}, self.factors[:pos] + self.factors[pos + 1:])
 
     def slot_element(self):
         """Convert an arity-1 tensor back into a plain algebra element."""

@@ -14,7 +14,7 @@ from functools import lru_cache, partial
 from operator import add
 
 from .indices import compositions_of, sort_to_partition
-from .linear import LinearElement, add_term, binomial_gen, on_words
+from .linear import LinearElement, binomial_gen, on_words
 from .scalars import ONE
 from .series import generator_series
 from . import sym
@@ -48,10 +48,7 @@ def coproduct(f):
 @lru_cache(maxsize=None)
 def _antipode_gen(n):
     """Antipode of Z_n: alternating sum of Z_I over compositions I of n."""
-    terms = {}
-    for comp in compositions_of(n):
-        add_term(terms, comp, (-1) ** len(comp))
-    return NSymElement(terms)
+    return NSymElement({comp: (-1) ** len(comp) for comp in compositions_of(n)})
 
 
 def antipode(f):

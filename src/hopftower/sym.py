@@ -350,10 +350,8 @@ def coproduct(f):
 @lru_cache(maxsize=None)
 def _antipode_e_gen(n):
     """Antipode of e_n: alternating sum of e_I over all compositions I of n."""
-    terms = {}
-    for comp in compositions_of(n):
-        add_term(terms, sort_to_partition(comp), (-1) ** len(comp))
-    return SymElement(terms, "e")
+    # the constructor sorts each composition and merges the repeats
+    return SymElement({comp: (-1) ** len(comp) for comp in compositions_of(n)}, "e")
 
 
 def antipode(f):

@@ -96,6 +96,10 @@ def test_level_bound_is_enforced():
         differential(alg, x)
     with pytest.raises(CapabilityError):
         cohomology_rank("S.B", 99, 0)
+    for name in ALGEBROIDS:
+        with pytest.raises(CapabilityError,
+                           match=r"^cohomology degree 2 not supported \(only 0 and 1\)$"):
+            cohomology_rank(name, 3, 2)
 
 
 def test_ground_cobar_cofaces_match_up_to_the_twist():
@@ -145,6 +149,20 @@ def _level_keys(alg, w, n):
             indices = (alg.base_indices if slot == 0 else alg.h_indices)(part)
             choices = [prev + (idx,) for prev in choices for idx in indices]
         yield from choices
+
+
+def test_the_level_basis_is_the_normalized_keys_in_the_documented_order():
+    """Base weight falling, then the H-weight split in increasing lex order,
+    then the enumeration order of the indices; ``sparse_rank`` breaks ties by
+    column, so the order is pinned, not only the set."""
+    def order(key):
+        return -sum(key[0]), tuple(map(sum, key[1:]))
+
+    for alg in ALGEBROIDS.values():
+        for s in range(4):
+            for w in range(8):
+                want = sorted((k for k in _level_keys(alg, w, s) if () not in k[1:]), key=order)
+                assert algebroid._level_basis(alg, w, s) == want, (alg, w, s)
 
 
 def test_differential_is_the_alternating_sum_of_cofaces():

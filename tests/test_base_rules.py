@@ -39,6 +39,7 @@ VALUES = {
     "mixed tensor": Tensor.of(M(1), z(1)) + 1,
     "bpoly": BetaPolynomial({0: b(1), 1: 2, 2: b(1, 1)}),
     "scalar series": TruncatedSeries(Fraction, {0: 1, 1: Fraction(1, 3), 2: -2}, 4),
+    "shift view": TruncatedSeries(Fraction, dict.fromkeys(range(7), 1), 6).shift(-2),
     "nsym series": TruncatedSeries(NSymElement, {0: 1, 1: z(1), 2: z(1, 1) - z(2)}, 4),
     "bivariate series": TruncatedSeries(BElement, {(0, 0): 1, (1, 0): b(1), (0, 1): 2}, 3, 2),
     "tensor series": TruncatedSeries(TensorSpace(NSymElement, NSymElement),
@@ -187,11 +188,15 @@ def test_compose_promotes_a_scalar_outer_series():
 
 # the definitions of these rules in class bodies, and why each one that is not
 # in the base exists
-RULES = {"__eq__", "__mul__", "__pow__", "_mul_into", "_lift", "one", "zero", "from_index"}
-DEFINED = {("SparseSum", name) for name in RULES - {"from_index"}} | {
+RULES = {"__eq__", "__mul__", "__pow__", "_mul_into", "_lift", "one", "zero", "from_index",
+         "basis_mul"}
+DEFINED = {("SparseSum", name) for name in RULES - {"from_index", "basis_mul"}} | {
     # bound to the base product so bench/layers.py can time each on its own
     ("LinearElement", "__mul__"), ("Tensor", "__mul__"), ("SymElement", "__mul__"),
     ("LinearElement", "from_index"),  # a basis element from its index
+    ("LinearElement", "basis_mul"),  # the one pair of key_mul, in a monomial algebra
+    ("QSymElement", "basis_mul"),  # the quasi-shuffle product of compositions
+    ("Tensor", "basis_mul"),  # slot by slot, where the factors' key_mul differ
     ("Tensor", "_mul_into"),  # one key per pair only where the factors agree
     ("Polynomial", "_mul_into"),  # skips a pair outside the bound before multiplying
     ("SymElement", "_mul_into"),  # the m basis and mixed bases

@@ -120,9 +120,9 @@ def test_missing_space_file_is_io_error():
 
 
 def test_capability_errors_exit_2():
-    code, _, err = run("cobar-rank", "--algebroid", "S.B", "--weight", "3",
-                       "--degree", "5")
-    assert code == 2
+    for degree in ("2", "5"):
+        assert run("cobar-rank", "--algebroid", "S.B", "--weight", "3", "--degree", degree) == (
+            2, "", "error: cohomology degree %s not supported (only 0 and 1)\n" % degree)
     code, _, err = run("coproduct", "b[1]")
     assert code == 2
     code, _, err = run("crn", "--weight", "30")
@@ -150,6 +150,10 @@ def test_negative_powers_and_unknown_residues_exit_1():
     assert (code, out) == (1, "") and "known only to T^-2" in err
     assert run("compose", "residue(shift(Z(T),-3))", "T", "--cap", "3", "--text") == (
         0, "Z[1] (cap 3)", "")
+    # a power of a view knows what the repeated product knows
+    for square in ("shift(1+T+T^2+T^3,-2)^2", "shift(1+T+T^2+T^3,-2)*shift(1+T+T^2+T^3,-2)"):
+        assert run("compose", "residue(%s)" % square, "T", "--cap", "3", "--text") == (
+            0, "4 (cap 3)", "")
 
 
 def test_help_exits_zero():

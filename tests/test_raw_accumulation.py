@@ -68,6 +68,7 @@ def _routes():
         "SparseSum.__add__": lambda: (x + y, x + (-x), t + t, t - t),
         "scale": lambda: (x.scale(1), x.scale(HALF), t.scale(1), t.scale(THIRD)),
         "key product": lambda: (x * y, y * x, x * x),
+        "powers": lambda: (x ** 2, x ** 3, t ** 2),
         "structure-constant product": lambda: m * m,
         "tensor products": lambda: (t * t, u * u),
     }
