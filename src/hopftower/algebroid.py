@@ -166,23 +166,6 @@ def differential(alg, x):
                   (alg.base_cls,) + (alg.hopf_cls,) * (n + 1))
 
 
-def zcobar_coface(hopf_coproduct, hopf_cls, hopf_make, x, i):
-    """Coface of the ground-ring cobar complex of H alone (levels H^(x n)).
-
-    d_0 prepends a unit slot, d_i applies the coproduct inside, d_{n+1}
-    appends a unit slot.  Used to compare against the algebroid complex:
-    the two agree in every coface except the 0-th, where the coaction twist
-    lives.
-    """
-    n = x.arity
-    if i == 0:
-        return x.insert_slot(0, hopf_cls)
-    if i <= n:
-        return x.apply(i - 1, lambda idx: hopf_coproduct(hopf_make(idx)),
-                       (hopf_cls, hopf_cls))
-    return x.insert_slot(n, hopf_cls)
-
-
 # -- normalized complex and ranks -----------------------------------------
 
 def _level_basis(alg, w, s):
@@ -228,14 +211,19 @@ def differential_rows(alg, w, s):
     the primitive ``{column: int}`` dict of its nonzeros (the structure
     constants of both algebroids are integers), built by the accumulator.
     """
-    dom = _level_basis(alg, w, s)
-    cod = _level_basis(alg, w, s + 1)
+    dom, cod = _level_basis(alg, w, s), _level_basis(alg, w, s + 1)
+    return dom, cod, _sparse_rows(alg, dom, cod, s)
+
+
+def _sparse_rows(alg, dom, cod, s):
+    """The rows of ``differential_rows`` on the level-s basis ``dom`` and the
+    level-(s+1) basis ``cod``, built once by the caller."""
     col = {key: j for j, key in enumerate(cod)}
     rows = []
     for key in dom:
         row = {col[k]: c for k, c in _cofaces_into({}, alg, {key: 1}, s, True).items() if c}
         rows.append(_primitive(row) if row else row)
-    return dom, cod, rows
+    return rows
 
 
 def _algebroid(alg):
@@ -257,9 +245,13 @@ def cohomology_rank(alg, w, s, weight_bound=WEIGHT_BOUND):
     if w > weight_bound:
         raise CapabilityError("cohomology weight bounded at %d (got %d)"
                               % (weight_bound, w))
-    dom, _, rows = differential_rows(alg, w, s)
-    below = sparse_rank(differential_rows(alg, w, s - 1)[2]) if s else 0
-    return len(dom) - sparse_rank(rows) - below
+    # each level basis is built once: level s is the domain of d^s and the
+    # codomain of d^(s-1)
+    dom, cod = _level_basis(alg, w, s), _level_basis(alg, w, s + 1)
+    rank = len(dom) - sparse_rank(_sparse_rows(alg, dom, cod, s))
+    if s:
+        rank -= sparse_rank(_sparse_rows(alg, _level_basis(alg, w, s - 1), dom, s - 1))
+    return rank
 
 
 def invariants_rank_oracle(alg, w):

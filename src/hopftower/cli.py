@@ -1,11 +1,20 @@
 """Command-line interface.
 
-Every subcommand reads expressions in the grammar of :mod:`hopftower.expr`
-and writes either plain text or the canonical JSON of
-:mod:`hopftower.jsonio`.  Element commands print text by default and JSON
-under ``--json``; series and coproduct commands print JSON by default and
-text under ``--text``.  Series text output always ends with the truncation
-marker `` (cap N)`` so a truncated value is never mistaken for an exact one.
+Every subcommand reads expressions in the grammar of :mod:`hopftower.expr`.
+Its handler is a function of the parsed arguments alone that returns the
+command's value, and ``run_command`` prints that value through ``_print``,
+the one writer.  The output rule: a value prints as the canonical JSON of
+:mod:`hopftower.jsonio` when the command's ``--json`` is given or its
+``--text`` is not, and otherwise as text; series text ends with the
+truncation marker `` (cap N)`` so a truncated value is never mistaken for an
+exact one.  Element commands take ``--json``, series and coproduct commands
+``--text``, and a command with neither flag prints text.
+
+To add a subcommand, declare it in ``build_parser`` with one ``command``
+call (its name, summary, handler, output flag, and whether it takes ``--cap``)
+and add its own arguments to the subparser that call returns.  A handler
+that exits with a status other than 0, or whose JSON names a structure, sets
+``args.status`` or ``args.structure``.
 
 Exit codes: 0 success, 1 bad input (syntax, domain, algebra mix, usage),
 2 a configured capability bound was exceeded, 3 a verification suite
@@ -73,16 +82,14 @@ def _promote(value, family):
     return value
 
 
-def _print(value, args, out, structure=None):
-    """Print ``value`` as the command's own flag asks: a command with
-    ``--json`` prints text unless it is given, and one with ``--text`` prints
-    JSON unless it is given.  Series text ends with its cap."""
-    if getattr(args, "json", not getattr(args, "text", False)):
-        print(dumps(document_for(value, structure)), file=out)
+def _print(value, args, out):
+    """Write a command's value by the output rule of the module docstring."""
+    if args.json:
+        print(dumps(document_for(value, args.structure)), file=out)
     elif isinstance(value, TruncatedSeries):
         print("%s (cap %d)" % (value, value.cap), file=out)
     else:
-        print(str(value), file=out)
+        print(value, file=out)
 
 
 def _parse_parts(text, what):
@@ -117,32 +124,25 @@ def _load_json_arg(text):
 
 # -- subcommand handlers ----------------------------------------------------
 
-def _cmd_eval(args, out):
-    value, _ = parse_element(args.expr)
-    _print(value, args, out)
-    return 0
-
-
-def _cmd_coproduct(args, out):
+def _cmd_coproduct(args):
     value, family = parse_element(args.expr, args.algebra)
     if family == "scalar":
         raise DomainError("a bare number needs --algebra to pick a coproduct")
     st = structures.find(family, args.structure, "coproduct")
-    _print(st.coproduct(_promote(value, family)), args, out, st.flag)
-    return 0
+    args.structure = st.flag
+    return st.coproduct(_promote(value, family))
 
 
-def _cmd_antipode(args, out):
+def _cmd_antipode(args):
     value, family = parse_element(args.expr)
-    flag = None
-    if family != "scalar":
-        st = structures.find(family, args.structure, "antipode")
-        value, flag = st.antipode(value), st.flag
-    _print(value, args, out, flag)
-    return 0
+    if family == "scalar":
+        return value
+    st = structures.find(family, args.structure, "antipode")
+    args.structure = st.flag
+    return st.antipode(value)
 
 
-def _cmd_convert(args, out):
+def _cmd_convert(args):
     value, family = parse_element(args.expr)
     for which in args.involution or []:
         value = sym_mod.involution(value, which)
@@ -156,100 +156,62 @@ def _cmd_convert(args, out):
             value = step(value)
         if isinstance(value, SymElement):
             value = sym_mod.convert(value, args.to, integral=args.integral)
-    _print(value, args, out)
-    return 0
+    return value
 
 
-def _cmd_pair(args, out):
+def _cmd_pair(args):
     a, fa = parse_element(args.left)
     b, fb = parse_element(args.right)
     if fa == fb == "scalar":
-        result = a * b
-    else:
-        sides = next((k for k in _PAIRINGS
-                      if fa in (k[0], "scalar") and fb in (k[1], "scalar")), None)
-        if sides is None:
-            raise AlgebraMismatchError(
-                "no pairing between %s and %s expressions" % (fa, fb))
-        result = _PAIRINGS[sides](_promote(a, sides[0]), _promote(b, sides[1]))
-    print(str(result), file=out)
-    return 0
+        return a * b
+    sides = next((k for k in _PAIRINGS
+                  if fa in (k[0], "scalar") and fb in (k[1], "scalar")), None)
+    if sides is None:
+        raise AlgebraMismatchError(
+            "no pairing between %s and %s expressions" % (fa, fb))
+    return _PAIRINGS[sides](_promote(a, sides[0]), _promote(b, sides[1]))
 
 
-def _cmd_compose(args, out):
-    outer = parse_series(args.outer, args.cap)
-    inner = parse_series(args.inner, args.cap)
-    _print(compose_series(outer, inner), args, out)
-    return 0
-
-
-def _cmd_revert(args, out):
-    _print(parse_series(args.series, args.cap).revert(), args, out)
-    return 0
-
-
-def _cmd_log(args, out):
+def _cmd_log(args):
     if args.series is None:
-        result = topology.miscenko_log(args.cap)
-    else:
-        result = parse_series(args.series, args.cap).log()
-    _print(result, args, out)
-    return 0
+        return topology.miscenko_log(args.cap)
+    return parse_series(args.series, args.cap).log()
 
 
-def _cmd_fgl(args, out):
+def _cmd_fgl(args):
     if args.structure == "bfk":
-        result = topology.cp_infinity_coproduct(args.cap)
-    else:
-        result = topology.fgl(args.cap)
-        if args.structure == "fdb":
-            result = result.map_coefficients(
-                lambda el: FdBElement(dict(el.terms)), algebra=FdBElement)
-    _print(result, args, out, args.structure)
-    return 0
+        return topology.cp_infinity_coproduct(args.cap)
+    result = topology.fgl(args.cap)
+    if args.structure == "fdb":
+        result = result.map_coefficients(
+            lambda el: FdBElement(dict(el.terms)), algebra=FdBElement)
+    return result
 
 
-def _cmd_beta(args, out):
-    _print(topology.beta_series(args.cap), args, out)
-    return 0
-
-
-def _cmd_cumulant(args, out):
-    _print(topology.cumulant_series(args.cap), args, out, structure="bfk")
-    return 0
-
-
-def _cmd_charnum(args, out):
+def _cmd_charnum(args):
     if args.kind == "cp":
         if args.dim is None:
             raise DomainError("charnum cp needs --dim")
         if args.partition is None:
-            value = topology.cp_hurewicz(args.dim)
-        else:
-            value = topology.cp_char_number(args.dim, _parse_parts(args.partition, "--partition"))
-    else:
-        if args.space is None or args.composition is None:
-            raise DomainError("charnum quasitoric needs --space and --composition")
-        space = ProjectiveProductSpace.from_document(_load_json_arg(args.space))
-        I = _parse_parts(args.composition, "--composition")
-        value = topology.quasitoric_char_number(space, I, convention=args.convention)
-    _print(value, args, out)
-    return 0
+            return topology.cp_hurewicz(args.dim)
+        return topology.cp_char_number(args.dim, _parse_parts(args.partition, "--partition"))
+    if args.space is None or args.composition is None:
+        raise DomainError("charnum quasitoric needs --space and --composition")
+    space = ProjectiveProductSpace.from_document(_load_json_arg(args.space))
+    I = _parse_parts(args.composition, "--composition")
+    return topology.quasitoric_char_number(space, I, convention=args.convention)
 
 
-def _cmd_crn(args, out):
+def _cmd_crn(args):
     if args.weight < 1:
         raise DomainError("--weight must be at least 1")
-    _print(topology.crn_invariant(args.weight), args, out)
-    return 0
+    return topology.crn_invariant(args.weight)
 
 
-def _cmd_cobar_rank(args, out):
+def _cmd_cobar_rank(args):
     rank = cohomology_rank(args.algebroid, args.weight, args.degree)
-    doc = {"algebroid": args.algebroid, "weight": args.weight,
-           "degree": args.degree, "rank": rank}
-    print(dumps(doc), file=out)
-    return 0
+    return dumps({"algebroid": args.algebroid, "weight": args.weight,
+                  "degree": args.degree, "rank": rank})
 
 
 def run_suites(names, weight=None, cap=None):
@@ -258,15 +220,15 @@ def run_suites(names, weight=None, cap=None):
     return run_suites(names, weight=weight, cap=cap)
 
 
-def _cmd_verify(args, out):
+def _cmd_verify(args):
     from .verify import render_report
     for option, value, least in (("--weight", args.weight, 0), ("--cap", args.cap, 2)):
         if value is not None and value < least:
             raise DomainError("%s must be at least %d" % (option, least))
-    names = args.suite or ["all"]
-    records, ok = run_suites(names, weight=args.weight, cap=args.cap)
-    print(render_report(records), file=out)
-    return 0 if ok else 3
+    records, ok = run_suites(args.suite or ["all"], weight=args.weight, cap=args.cap)
+    if not ok:
+        args.status = 3
+    return render_report(records)
 
 
 # -- parser wiring ----------------------------------------------------------
@@ -279,16 +241,23 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", metavar="COMMAND")
     sub.required = True
 
-    def series_flags(p):
-        p.add_argument("--cap", type=_ascii_int, default=6,
-                       help="truncation degree (default 6)")
-        p.add_argument("--text", action="store_true",
-                       help="print readable text instead of JSON")
-
-    p = sub.add_parser("eval", help="evaluate an element expression")
-    p.add_argument("expr")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(handler=_cmd_eval)
+    def command(name, summary, handler, output=None, cap=False, structure=None):
+        """Add the subcommand ``name`` run by ``handler``, with ``output`` its
+        output flag (``--json``, ``--text`` or None), a ``--cap`` if ``cap``,
+        and ``structure`` the default tag its JSON is written with."""
+        p = sub.add_parser(name, help=summary)
+        p.set_defaults(handler=handler, json=output == "--text",
+                       structure=structure, status=0)
+        if cap:
+            p.add_argument("--cap", type=_ascii_int, default=6,
+                           help="truncation degree (default 6)")
+        if output == "--json":
+            p.add_argument("--json", action="store_true",
+                           help="print JSON instead of readable text")
+        elif output == "--text":
+            p.add_argument("--text", dest="json", action="store_false",
+                           help="print readable text instead of JSON")
+        return p
 
     def offered(part, column):
         # the registry's values of `column` among the structures defining
@@ -297,69 +266,61 @@ def build_parser():
             getattr(st, column) for st in structures.STRUCTURES.values()
             if getattr(st, part) and getattr(st, column)))
 
-    p = sub.add_parser("coproduct", help="coproduct (or coaction) of an "
-                                         "element")
+    p = command("eval", "evaluate an element expression",
+                lambda args: parse_element(args.expr)[0], "--json")
+    p.add_argument("expr")
+
+    p = command("coproduct", "coproduct (or coaction) of an element",
+                _cmd_coproduct, "--text")
     p.add_argument("expr")
     p.add_argument("--structure", choices=offered("coproduct", "flag"))
     p.add_argument("--algebra", choices=offered("coproduct", "algebra"),
                    help="algebra for expressions with no generator letters")
-    p.add_argument("--text", action="store_true")
-    p.set_defaults(handler=_cmd_coproduct)
 
-    p = sub.add_parser("antipode", help="antipode of an element")
+    p = command("antipode", "antipode of an element", _cmd_antipode, "--json")
     p.add_argument("expr")
     p.add_argument("--structure", choices=offered("antipode", "flag"))
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(handler=_cmd_antipode)
 
-    p = sub.add_parser("convert", help="change basis, apply involutions, or "
-                                       "move down the tower")
+    p = command("convert", "change basis, apply involutions, or move down the "
+                           "tower", _cmd_convert, "--json")
     p.add_argument("expr")
     p.add_argument("--to", choices=["e", "h", "p", "m", "M", "t"])
     p.add_argument("--involution", action="append",
                    choices=["dual", "whitney", "omega"])
     p.add_argument("--integral", action="store_true",
                    help="fail instead of introducing denominators")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(handler=_cmd_convert)
 
-    p = sub.add_parser("pair", help="dual pairing of two elements")
+    p = command("pair", "dual pairing of two elements", _cmd_pair)
     p.add_argument("left")
     p.add_argument("right")
-    p.set_defaults(handler=_cmd_pair)
 
-    p = sub.add_parser("compose", help="substitute one series into another")
+    p = command("compose", "substitute one series into another",
+                lambda args: compose_series(parse_series(args.outer, args.cap),
+                                            parse_series(args.inner, args.cap)),
+                "--text", cap=True)
     p.add_argument("outer")
     p.add_argument("inner")
-    series_flags(p)
-    p.set_defaults(handler=_cmd_compose)
 
-    p = sub.add_parser("revert", help="compositional inverse of a series")
+    p = command("revert", "compositional inverse of a series",
+                lambda args: parse_series(args.series, args.cap).revert(),
+                "--text", cap=True)
     p.add_argument("series")
-    series_flags(p)
-    p.set_defaults(handler=_cmd_revert)
 
-    p = sub.add_parser("log", help="series logarithm; with no argument, the "
-                                   "logarithm of the bordism series")
+    p = command("log", "series logarithm; with no argument, the logarithm of "
+                       "the bordism series", _cmd_log, "--text", cap=True)
     p.add_argument("series", nargs="?")
-    series_flags(p)
-    p.set_defaults(handler=_cmd_log)
 
-    p = sub.add_parser("fgl", help="two-variable addition law of the bordism "
-                                   "series")
+    p = command("fgl", "two-variable addition law of the bordism series",
+                _cmd_fgl, "--text", cap=True)
     p.add_argument("--structure", choices=["binomial", "bfk", "fdb"])
-    series_flags(p)
-    p.set_defaults(handler=_cmd_fgl)
 
-    p = sub.add_parser("beta", help="the beta deformation series")
-    series_flags(p)
-    p.set_defaults(handler=_cmd_beta)
+    command("beta", "the beta deformation series",
+            lambda args: topology.beta_series(args.cap), "--text", cap=True)
+    command("cumulant", "the cumulant series",
+            lambda args: topology.cumulant_series(args.cap), "--text", cap=True,
+            structure="bfk")
 
-    p = sub.add_parser("cumulant", help="the cumulant series")
-    series_flags(p)
-    p.set_defaults(handler=_cmd_cumulant)
-
-    p = sub.add_parser("charnum", help="characteristic numbers")
+    p = command("charnum", "characteristic numbers", _cmd_charnum, "--json")
     p.add_argument("kind", choices=["cp", "quasitoric"])
     p.add_argument("--dim", type=_ascii_int)
     p.add_argument("--partition")
@@ -367,27 +328,21 @@ def build_parser():
     p.add_argument("--composition")
     p.add_argument("--convention", choices=["tangent", "normal"],
                    default="tangent")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(handler=_cmd_charnum)
 
-    p = sub.add_parser("crn", help="composition-sum invariant of a weight")
+    p = command("crn", "composition-sum invariant of a weight", _cmd_crn, "--json")
     p.add_argument("--weight", type=_ascii_int, required=True)
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(handler=_cmd_crn)
 
-    p = sub.add_parser("cobar-rank", help="cohomology rank of the reduced "
-                                          "cobar complex")
+    p = command("cobar-rank", "cohomology rank of the reduced cobar complex",
+                _cmd_cobar_rank)
     p.add_argument("--algebroid", choices=list(ALGEBROIDS), required=True)
     p.add_argument("--weight", type=_ascii_int, required=True)
     p.add_argument("--degree", type=_ascii_int, required=True)
-    p.set_defaults(handler=_cmd_cobar_rank)
 
-    p = sub.add_parser("verify", help="run property-check suites")
+    p = command("verify", "run property-check suites", _cmd_verify)
     p.add_argument("--suite", action="append",
                    choices=sorted(SUITE_NAMES) + ["all"])
     p.add_argument("--weight", type=_ascii_int)
     p.add_argument("--cap", type=_ascii_int)
-    p.set_defaults(handler=_cmd_verify)
 
     return parser
 
@@ -416,7 +371,8 @@ def run_command(argv, stdout=None, stderr=None):
                 if exc.message:
                     print(exc.message, file=err)
                 return exc.status
-            return args.handler(args, out)
+            _print(args.handler(args), args, out)
+            return args.status
     except (ExpressionError, DomainError, AlgebraMismatchError) as exc:
         print("error: %s" % exc, file=err)
         return 1

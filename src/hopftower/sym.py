@@ -302,8 +302,10 @@ def _transition_inverse(basis, w):
 def convert(f, to, integral=False):
     """Re-express f in another basis; exact, and the round trip is identity.
 
-    With integral=True, refuse results with non-integral coefficients (the
-    p basis genuinely needs denominators, e.g. m in p-coordinates).
+    With integral=True, refuse a result whose common denominator does not
+    divide that of ``f``: one the conversion introduced (the p basis
+    genuinely needs denominators, e.g. m in p-coordinates).  A denominator
+    ``f`` already had is no reason to refuse, so ``1/2*e[1]`` converts to h.
     """
     if to not in BASES:
         raise DomainError("unknown symmetric function basis %r" % (to,))
@@ -328,8 +330,10 @@ def convert(f, to, integral=False):
             for j, c in coords:
                 out[parts[j]] = c if d == 1 else quotient(c, d)
         result = f._new(out, to)
-    if integral and any(c.denominator != 1 for c in result.terms.values()):
-        raise DomainError("conversion to %s-basis is not integral here" % to)
+    if integral:
+        den = lcm(*(c.denominator for c in f.terms.values()))
+        if any(den % c.denominator for c in result.terms.values()):
+            raise DomainError("conversion to %s-basis is not integral here" % to)
     return result
 
 

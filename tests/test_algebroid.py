@@ -8,7 +8,7 @@ from hopftower import algebroid, diffeo, structures
 from hopftower.algebroid import (ALGEBROIDS, coface, cohomology_rank,
                                  differential, differential_matrix,
                                  differential_rows, invariants_rank_oracle,
-                                 right_unit_functional, zcobar_coface)
+                                 right_unit_functional)
 from hopftower.diffeo import bfk_coproduct
 from hopftower.errors import AlgebraMismatchError, CapabilityError, DomainError
 from hopftower.exactlinalg import _integer_row, matrix_rank
@@ -100,6 +100,23 @@ def test_level_bound_is_enforced():
         with pytest.raises(CapabilityError,
                            match=r"^cohomology degree 2 not supported \(only 0 and 1\)$"):
             cohomology_rank(name, 3, 2)
+
+
+def zcobar_coface(hopf_coproduct, hopf_cls, hopf_make, x, i):
+    """Coface of the ground-ring cobar complex of H alone (levels H^(x n)).
+
+    d_0 prepends a unit slot, d_i applies the coproduct inside, d_{n+1}
+    appends a unit slot.  Used to compare against the algebroid complex:
+    the two agree in every coface except the 0-th, where the coaction twist
+    lives.
+    """
+    n = x.arity
+    if i == 0:
+        return x.insert_slot(0, hopf_cls)
+    if i <= n:
+        return x.apply(i - 1, lambda idx: hopf_coproduct(hopf_make(idx)),
+                       (hopf_cls, hopf_cls))
+    return x.insert_slot(n, hopf_cls)
 
 
 def test_ground_cobar_cofaces_match_up_to_the_twist():

@@ -2,13 +2,20 @@
 
 import io
 import json
+import os
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 from hopftower import cli
 from hopftower.cli import run_command
+
+ROOT = Path(__file__).resolve().parent.parent
+# the child interpreters import the package from this checkout
+ENV = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
 
 
 def run(*argv):
@@ -41,8 +48,13 @@ def test_convert_paths():
     assert run("convert", "h[2]", "--to", "e")[1] == "e[1,1] - e[2]"
     assert run("convert", "Z[1,2]", "--to", "t")[1] == "t[2,1]"
     assert run("convert", "m[2,1]", "--to", "M")[1] == "M[1,2] + M[2,1]"
-    code, _, err = run("convert", "e[2]", "--to", "p", "--integral")
-    assert code == 1 and "error" in err
+    # --integral refuses only a denominator the conversion introduces
+    for expr in ("e[2]", "1/2*e[2]"):
+        assert run("convert", expr, "--to", "p", "--integral") == (
+            1, "", "error: conversion to p-basis is not integral here\n")
+    for argv, want in ((("--to", "e"), "1/2*e[1]"), (("--to", "h"), "1/2*h[1]"),
+                       ((), "1/2*e[1]")):
+        assert run("convert", "1/2*e[1]", *argv, "--integral") == (0, want, "")
 
 
 def test_coproduct_json_default_and_text():
@@ -183,7 +195,8 @@ def test_verify_failure_exits_3(monkeypatch):
 def test_cli_import_leaves_verify_unloaded():
     script = ("import sys, hopftower.cli\n"
               "assert 'hopftower.verify' not in sys.modules\n")
-    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=ENV)
     assert proc.returncode == 0, proc.stderr
 
 
@@ -202,14 +215,59 @@ def test_cobar_rank_json():
 def test_console_entry_point_subprocess():
     proc = subprocess.run(
         [sys.executable, "-m", "hopftower", "pair", "h[2,1]", "m[2,1]"],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=ENV)
     assert proc.returncode == 0
     assert proc.stdout.strip() == "1"
     proc = subprocess.run(
         [sys.executable, "-m", "hopftower", "eval", "M[1,2"],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=ENV)
     assert proc.returncode == 1
     assert "column 5" in proc.stderr
+
+
+def test_every_result_goes_through_the_one_writer(monkeypatch):
+    """Each invocation that exits 0 calls ``_print`` once, and nothing else
+    writes to its stdout; a failing one writes nothing there."""
+    from hopftower.verify import DOCUMENTED_INVOCATIONS
+    written = []
+    real = cli._print
+
+    def recording(value, args, out):
+        text = io.StringIO()
+        real(value, args, text)
+        written.append((out, text.getvalue()))
+        out.write(text.getvalue())
+
+    monkeypatch.setattr(cli, "_print", recording)
+    calls = [argv for argv, _, _ in DOCUMENTED_INVOCATIONS] + [
+        ("pair", "e[1,1]", "m[2]"),
+        ("cobar-rank", "--algebroid", "N.N", "--weight", "2", "--degree", "1"),
+        ("verify", "--suite", "counts")]
+    for argv in calls:
+        written.clear()
+        out = io.StringIO()
+        code = run_command(list(argv), out, io.StringIO())
+        mine = [text for stream, text in written if stream is out]
+        assert len(mine) == (code == 0), argv
+        assert out.getvalue() == "".join(mine), argv
+
+
+def test_the_readme_table_names_every_option_and_choice():
+    """Each subcommand's README row (or rows) names every option and every
+    choice its subparser declares."""
+    rows = {}
+    for line in (ROOT / "README.md").read_text(encoding="utf-8").splitlines():
+        row = re.match(r"\| `([a-z-]+)", line)
+        if row:
+            rows.setdefault(row.group(1), set()).update(re.findall(r"[\w.-]+", line))
+    commands = next(a for a in cli.build_parser()._actions if a.dest == "command")
+    assert set(rows) == set(commands.choices)
+    for name, parser in commands.choices.items():
+        for action in parser._actions:
+            if action.dest == "help":
+                continue
+            for word in action.option_strings + [str(c) for c in action.choices or ()]:
+                assert word in rows[name], (name, word)
 
 
 def test_one_parser_serves_every_call(monkeypatch):

@@ -69,6 +69,13 @@ def test_integral_flag_rejects_denominators():
     with pytest.raises(DomainError):
         convert(e(2), "p", integral=True)
     assert convert(e(2), "h", integral=True) == h(1, 1) - h(2)
+    # a denominator the input already has is kept, not refused
+    half = Fraction(1, 2)
+    assert convert(e(1).scale(half), "e", integral=True) == e(1).scale(half)
+    assert convert(e(2).scale(half), "h", integral=True) == (h(1, 1) - h(2)).scale(half)
+    # e_2/2 = (p_1^2 - p_2)/4: the conversion doubles the denominator
+    with pytest.raises(DomainError, match="not integral"):
+        convert(e(2).scale(half), "p", integral=True)
 
 
 def test_monomial_products_are_orbit_sums():

@@ -1,10 +1,15 @@
 """The verify suites load on first use, make every record through one check
 runner, and report the first failing case, not the last."""
 
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 from hopftower import verify
+
+# the child interpreter imports the package from this checkout
+ENV = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
 
 
 def test_import_leaves_verify_unloaded():
@@ -13,7 +18,8 @@ def test_import_leaves_verify_unloaded():
               "assert callable(hopftower.run_suites)\n"
               "from hopftower import *\n"
               "assert run_suites is sys.modules['hopftower.verify'].run_suites\n")
-    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=ENV)
     assert proc.returncode == 0, proc.stderr
 
 
