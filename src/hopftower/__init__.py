@@ -26,10 +26,10 @@ denominator is greater than 1, as :mod:`hopftower.scalars` normalises it):
 The registry of algebras and Hopf structures that the other modules read
 lives in :mod:`hopftower.structures`, expression parsing in
 :mod:`hopftower.expr`, canonical JSON in :mod:`hopftower.jsonio`, the
-self-check entry points and the pinned invocation table in
-:mod:`hopftower.verify` (loaded on first use of ``run_suites``), the suites
-it runs in :mod:`hopftower.suites` (loaded when a suite first runs) and the
-command line in :mod:`hopftower.cli`.
+pinned invocation table and ``run_suites`` in :mod:`hopftower.verify`
+(loaded on first use of ``run_suites``), the check suites with their table
+and record runner in :mod:`hopftower.suites` (loaded when ``run_suites``
+is called) and the command line in :mod:`hopftower.cli`.
 """
 
 from .algebroid import (ALGEBROIDS, coface, cohomology_rank, differential,

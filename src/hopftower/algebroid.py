@@ -14,9 +14,10 @@ coproduct of each inner slot and the trailing unit slot key by key, and the
 result is settled once.  The accumulator builds no element: it reads each
 slot index's image from the word-image memo of ``linear`` (``image_items``
 of the algebroid's letter maps ``base_gen`` and ``hopf_gen``).  ``coface``,
-``differential_matrix``, ``invariants_rank_oracle`` and ``verify`` keep
-calling the public ``coaction`` and ``h_coproduct`` on built elements, so
-the slow route that checks the fast one shares none of its reads.
+``differential_matrix``, ``invariants_rank_oracle`` and the ``verify``
+suites keep calling the public ``coaction`` and ``h_coproduct`` on built
+elements, so the slow route that checks the fast one shares none of its
+reads.
 
 Cohomology ranks are computed over the rationals on the normalized
 subcomplex (all H slots of positive weight), one weight at a time; it has
@@ -30,8 +31,8 @@ to codomain columns as a primitive ``{column: int}`` row, and
 ``differential_matrix`` keeps the slow route: dense rows from the ``coface``
 tensors, summed and then projected.  One formula, dim C^s - rank d^s -
 rank d^(s-1), gives the rank in every degree; degrees 0 and 1 and modest
-weights are supported, and everything else raises a capability error rather
-than grinding.
+weights are supported.  A negative degree or weight is a domain error, and a
+larger one raises a capability error rather than grinding.
 """
 
 from itertools import product
@@ -40,7 +41,7 @@ from . import structures
 from .diffeo import (_bfk_coproduct_gen, _coaction_gen, _fdb_coproduct_gen,
                      bfk_coproduct, coaction_sym, fdb_coproduct)
 from .errors import AlgebraMismatchError, CapabilityError, DomainError
-from .exactlinalg import _primitive, matrix_rank, sparse_rank
+from .exactlinalg import _primitive, row_reduce, sparse_rank
 from .indices import compositions_of
 from .linear import Tensor, image_items, settle
 from .nsym import NSymElement
@@ -238,10 +239,12 @@ def _algebroid(alg):
 def cohomology_rank(alg, w, s, weight_bound=WEIGHT_BOUND):
     """Rank over Q of the degree-s cohomology of the weight-w normalized complex."""
     alg = _algebroid(alg)
-    if s not in (0, 1):
-        raise CapabilityError("cohomology degree %d not supported (only 0 and 1)" % s)
+    if s < 0:
+        raise DomainError("negative degree")
     if w < 0:
         raise DomainError("negative weight")
+    if s not in (0, 1):
+        raise CapabilityError("cohomology degree %d not supported (only 0 and 1)" % s)
     if w > weight_bound:
         raise CapabilityError("cohomology weight bounded at %d (got %d)"
                               % (weight_bound, w))
@@ -255,7 +258,11 @@ def cohomology_rank(alg, w, s, weight_bound=WEIGHT_BOUND):
 
 
 def invariants_rank_oracle(alg, w):
-    """Independent H^0 computation: solve coaction(x) = x (x) 1 directly."""
+    """Independent H^0 computation: solve coaction(x) = x (x) 1 directly.
+
+    The rank of the residual rows is the pivot count of dense Gauss-Jordan
+    (``exactlinalg.row_reduce``), not the sparse elimination that
+    ``cohomology_rank`` uses."""
     alg = _algebroid(alg)
     basis = alg.base_indices(w)
     residuals = []
@@ -271,7 +278,7 @@ def invariants_rank_oracle(alg, w):
         for k, c in r.terms.items():
             row[col[k]] = c
         rows.append(row)
-    return len(basis) - matrix_rank(rows)
+    return len(basis) - len(row_reduce(rows)[1])
 
 
 def right_unit_functional(f, I):

@@ -44,8 +44,8 @@ from .series import TruncatedSeries
 from .sym import SymElement
 from .topology import ProjectiveProductSpace
 
-# the names of verify.SUITES, kept here so that building the parser loads no
-# part of verify
+# the names of the verify suites, in report order; ``suites.SUITES`` is built
+# from them, and building the parser loads no part of verify
 SUITE_NAMES = ("hopf-axioms", "antipode", "duality", "bfk", "comodule-algebroid",
                "topology", "counts", "cli-roundtrip")
 
@@ -113,12 +113,12 @@ def _ascii_int(text):
 
 
 def _load_json_arg(text):
-    if text.startswith("@"):
-        with open(text[1:], "r", encoding="utf-8") as fh:
-            text = fh.read()
     try:
+        if text.startswith("@"):
+            with open(text[1:], "r", encoding="utf-8") as fh:
+                text = fh.read()
         return json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise DomainError("invalid JSON: %s" % exc)
 
 
@@ -214,18 +214,12 @@ def _cmd_cobar_rank(args):
                   "degree": args.degree, "rank": rank})
 
 
-def run_suites(names, weight=None, cap=None):
-    """``verify.run_suites``, loading the suites on first use."""
-    from .verify import run_suites
-    return run_suites(names, weight=weight, cap=cap)
-
-
 def _cmd_verify(args):
-    from .verify import render_report
+    from .verify import render_report, run_suites
     for option, value, least in (("--weight", args.weight, 0), ("--cap", args.cap, 2)):
         if value is not None and value < least:
             raise DomainError("%s must be at least %d" % (option, least))
-    records, ok = run_suites(args.suite or ["all"], weight=args.weight, cap=args.cap)
+    records, ok = run_suites(args.suite, weight=args.weight, cap=args.cap)
     if not ok:
         args.status = 3
     return render_report(records)

@@ -21,8 +21,9 @@ normalised pivots.  ``matrix_rank`` is the dense front door: it scales each
 rational row to a primitive integer row and hands them to ``sparse_rank``.
 All arithmetic is exact ``int``.
 ``row_reduce`` is plain Gauss-Jordan on rational rows, entries in the
-canonical form of ``scalars.rational``; ``verify`` counts its pivots as the
-independent route for ranks.  ``invert_matrix`` row-reduces [A | I].  No
+canonical form of ``scalars.rational``; ``verify`` and
+``algebroid.invariants_rank_oracle`` count its pivots as the independent
+route for ranks.  ``invert_matrix`` row-reduces [A | I].  No
 conversion calls it: ``sym`` solves its triangular transition tables by
 substitution, and ``verify`` checks those solves against this inverse.
 """

@@ -2,7 +2,7 @@
 
 ``ALGEBRAS`` has one row per algebra, keyed by its JSON tag, and
 ``STRUCTURES`` one row per coproduct, keyed by its label.  ``expr``,
-``jsonio``, ``cli``, ``verify`` and ``algebroid`` read the rows at each
+``jsonio``, ``cli``, ``suites`` and ``algebroid`` read the rows at each
 lookup, so adding a structure takes one row.  Every function is a direct
 attribute of its row, so code that rebinds a function wherever it is held
 (a tracer, a test double) also reaches the calls made through the registry.

@@ -8,13 +8,10 @@ against a direct kernel solve, quasi-shuffle against expansion in ordered
 variables, and so on), so a bug in either route breaks the comparison rather
 than hiding inside it.
 
-``verify.SUITES`` and ``verify.run_suites`` import this module when a suite
-first runs, and ``verify`` forwards the names of suites and private helpers
-here.  Three names are read from ``verify`` at call time, as
-``verify.<name>``, so that a substitute bound there reaches every suite:
-``_check``, the one record runner; ``pair``, the NSym/QSym pairing of the
-duality checks; and ``DOCUMENTED_INVOCATIONS``, the table the
-``cli-roundtrip`` suite replays.  No memo lives here.
+Every record comes from ``_check``, the one record runner.  ``SUITES`` maps
+each name of ``cli.SUITE_NAMES`` to its suite, and ``verify.run_suites``
+imports this module when it is called.  No memo lives here: the antipode
+oracle the suites share is ``verify._fdb_chi_gen_oracle``.
 """
 
 import io
@@ -24,13 +21,13 @@ from fractions import Fraction
 from itertools import accumulate, chain, permutations
 from math import lcm
 
-from . import diffeo, structures, topology, verify
+from . import diffeo, structures, topology
 from . import nsym as nsym_mod
 from . import qsym as qsym_mod
 from . import sym as sym_mod
 from .algebroid import (ALGEBROIDS, WEIGHT_BOUND, coface, cohomology_rank, differential,
                         differential_matrix, differential_rows, invariants_rank_oracle)
-from .cli import run_command
+from .cli import SUITE_NAMES, run_command
 from .diffeo import FdBElement, t
 from .errors import ExpressionError
 from .exactlinalg import invert_matrix, row_reduce, sparse_rank
@@ -39,12 +36,31 @@ from .indices import compositions_of, partitions_of
 from .jsonio import document_for, dumps, from_document
 from .linear import Polynomial, Tensor
 from .nsym import NSymElement, z
-from .qsym import M, QSymElement, expand_ordered, pair_tensor
+from .qsym import M, QSymElement, expand_ordered, pair, pair_tensor
 from .scalars import ONE, ZERO
 from .series import TruncatedSeries
 from .sym import SymElement, convert, e, h
 from .topology import BElement, BetaPolynomial, b
-from .verify import _fdb_chi_gen_oracle
+from .verify import DOCUMENTED_INVOCATIONS, _fdb_chi_gen_oracle
+
+_COUNT = "{count}"
+
+
+def _check(label, checks, detail="fails on %r"):
+    """Walk ``(case, passed)`` pairs up to the first failure and make the record.
+
+    ``checks`` is usually a generator, so nothing past the first failure is
+    computed.  The record is ``(label, ok, detail)``: a ``{count}`` in
+    ``label`` becomes the number of cases walked (filled in literally, so a
+    brace elsewhere in the label is harmless), and a failing record's detail
+    is ``detail % (case,)``.
+    """
+    checked = 0
+    for case, passed in checks:
+        checked += 1
+        if not passed:
+            return (label.replace(_COUNT, str(checked)), False, detail % (case,))
+    return (label.replace(_COUNT, str(checked)), True, "")
 
 
 # -- generic Hopf structure checks -----------------------------------------
@@ -87,7 +103,7 @@ def suite_hopf_axioms(weight=None, cap=None):
         for check_name, check in (("coassociativity", _coassociative),
                                   ("counit", _counit_ok),
                                   ("antipode convolution", _convolution_ok)):
-            results.append(verify._check(
+            results.append(_check(
                 "%s %s (weight <= %d, {count} elements)" % (name, check_name, bound),
                 ((idx, check(st, alg.element({idx: 1})))
                  for w in range(bound + 1) for idx in alg.indices(w)),
@@ -146,41 +162,41 @@ def suite_antipode(weight=None, cap=None):
     qbound = min(bound, 6)
     bfk_bound = min(bound, 6)
     return [
-        verify._check("antipode(e_n) = (-1)^n h_n and h-series agreement (n <= %d)" % bound,
-                      ((n, sym_mod.antipode(e(n)) == convert(h(n), "e").scale(Fraction(-1) ** n)
-                        and h_series.coefficient(n) == convert(h(n), "e"))
-                       for n in range(1, bound + 1)),
-                      "fails at n=%d"),
-        verify._check("counted transition matrices equal the expansion (e, h, p; weight <= %d)"
-                      % tbound,
-                      (((basis, w), sym_mod._transition(basis, w)[1]
-                        == _expanded_transition(basis, w))
-                       for basis in ("e", "h", "p") for w in range(tbound + 1))),
-        verify._check("triangular transition inverses equal Gauss-Jordan (e, h, p; weight <= %d)"
-                      % tbound,
-                      (((basis, w), sym_mod._transition_inverse(basis, w)
-                        == _gauss_jordan_inverse(basis, w))
-                       for basis in ("e", "h", "p") for w in range(tbound + 1))),
-        verify._check("counted m-products equal the product of expansions "
-                      "(total weight <= %d, {count} pairs)" % mbound,
-                      (((lam, mu), SymElement({lam: 1}, "m") * SymElement({mu: 1}, "m")
-                        == _expanded_m_product(lam, mu))
-                       for w1 in range(mbound + 1) for w2 in range(mbound + 1 - w1)
-                       for lam in partitions_of(w1) for mu in partitions_of(w2))),
-        verify._check("qsym antipode: graded recursion equals Ehrenborg's coarsening formula "
-                      "(weight <= %d, {count} compositions)" % qbound,
-                      ((I, qsym_mod.antipode(M(*I)) == _ehrenborg_antipode(I))
-                       for w in range(qbound + 1) for I in compositions_of(w))),
-        verify._check("diffeo antipode: reversion equals graded recursion (n <= %d)" % bound,
-                      ((n, diffeo.fdb_antipode(t(n)) == _fdb_chi_gen_oracle(n))
-                       for n in range(1, bound + 1)),
-                      "fails at n=%d"),
-        verify._check("renormalization antipode abelianizes to diffeo antipode (n <= %d)"
-                      % bfk_bound,
-                      ((n, diffeo.bfk_abelianize(diffeo.bfk_antipode(z(n)))
-                        == diffeo.fdb_antipode(t(n)))
-                       for n in range(1, bfk_bound + 1)),
-                      "fails at n=%d"),
+        _check("antipode(e_n) = (-1)^n h_n and h-series agreement (n <= %d)" % bound,
+               ((n, sym_mod.antipode(e(n)) == convert(h(n), "e").scale(Fraction(-1) ** n)
+                 and h_series.coefficient(n) == convert(h(n), "e"))
+                for n in range(1, bound + 1)),
+               "fails at n=%d"),
+        _check("counted transition matrices equal the expansion (e, h, p; weight <= %d)"
+               % tbound,
+               (((basis, w), sym_mod._transition(basis, w)[1]
+                 == _expanded_transition(basis, w))
+                for basis in ("e", "h", "p") for w in range(tbound + 1))),
+        _check("triangular transition inverses equal Gauss-Jordan (e, h, p; weight <= %d)"
+               % tbound,
+               (((basis, w), sym_mod._transition_inverse(basis, w)
+                 == _gauss_jordan_inverse(basis, w))
+                for basis in ("e", "h", "p") for w in range(tbound + 1))),
+        _check("counted m-products equal the product of expansions "
+               "(total weight <= %d, {count} pairs)" % mbound,
+               (((lam, mu), SymElement({lam: 1}, "m") * SymElement({mu: 1}, "m")
+                 == _expanded_m_product(lam, mu))
+                for w1 in range(mbound + 1) for w2 in range(mbound + 1 - w1)
+                for lam in partitions_of(w1) for mu in partitions_of(w2))),
+        _check("qsym antipode: graded recursion equals Ehrenborg's coarsening formula "
+               "(weight <= %d, {count} compositions)" % qbound,
+               ((I, qsym_mod.antipode(M(*I)) == _ehrenborg_antipode(I))
+                for w in range(qbound + 1) for I in compositions_of(w))),
+        _check("diffeo antipode: reversion equals graded recursion (n <= %d)" % bound,
+               ((n, diffeo.fdb_antipode(t(n)) == _fdb_chi_gen_oracle(n))
+                for n in range(1, bound + 1)),
+               "fails at n=%d"),
+        _check("renormalization antipode abelianizes to diffeo antipode (n <= %d)"
+               % bfk_bound,
+               ((n, diffeo.bfk_abelianize(diffeo.bfk_antipode(z(n)))
+                 == diffeo.fdb_antipode(t(n)))
+                for n in range(1, bfk_bound + 1)),
+               "fails at n=%d"),
     ]
 
 
@@ -204,7 +220,7 @@ def suite_duality(weight=None, cap=None):
                         tens = Tensor.of(NSymElement({I: 1}), NSymElement({J: 1}))
                         for K in compositions_of(w):
                             mk = QSymElement({K: 1})
-                            yield (I, J, K), (verify.pair(left, mk) == pair_tensor(
+                            yield (I, J, K), (pair(left, mk) == pair_tensor(
                                 tens, qsym_mod.coproduct(mk)))
 
     def coproduct_adjoint():
@@ -216,27 +232,27 @@ def suite_duality(weight=None, cap=None):
                         for J in compositions_of(w - wa):
                             lhs = pair_tensor(dz, Tensor.of(QSymElement({I: 1}),
                                                             QSymElement({J: 1})))
-                            rhs = verify.pair(NSymElement({K: 1}),
-                                              QSymElement({I: 1}) * QSymElement({J: 1}))
+                            rhs = pair(NSymElement({K: 1}),
+                                       QSymElement({I: 1}) * QSymElement({J: 1}))
                             yield (K, I, J), lhs == rhs
 
     return [
-        verify._check("basis pairing is delta (weight <= %d)" % bound,
-                      (((I, J), verify.pair(NSymElement({I: 1}), QSymElement({J: 1}))
-                        == (ONE if I == J else ZERO))
-                       for I, J in chain(same_weight, cross_weight))),
-        verify._check("product adjoint to deconcatenation (weight <= %d, {count} triples)" % bound,
-                      product_adjoint()),
-        verify._check("coproduct adjoint to quasi-shuffle (weight <= %d, {count} triples)" % bound,
-                      coproduct_adjoint()),
+        _check("basis pairing is delta (weight <= %d)" % bound,
+               (((I, J), pair(NSymElement({I: 1}), QSymElement({J: 1}))
+                 == (ONE if I == J else ZERO))
+                for I, J in chain(same_weight, cross_weight))),
+        _check("product adjoint to deconcatenation (weight <= %d, {count} triples)" % bound,
+               product_adjoint()),
+        _check("coproduct adjoint to quasi-shuffle (weight <= %d, {count} triples)" % bound,
+               coproduct_adjoint()),
         # the number of variables is the weight w of the product
-        verify._check("quasi-shuffle equals ordered-variable expansion (weight <= %d)" % qbound,
-                      (((I, J), Polynomial(w, expand_ordered(QSymElement({I: 1})
-                                                             * QSymElement({J: 1}), w))
-                        == Polynomial(w, expand_ordered(QSymElement({I: 1}), w))
-                        * Polynomial(w, expand_ordered(QSymElement({J: 1}), w)))
-                       for w in range(2, qbound + 1) for wa in range(1, w)
-                       for I in compositions_of(wa) for J in compositions_of(w - wa))),
+        _check("quasi-shuffle equals ordered-variable expansion (weight <= %d)" % qbound,
+               (((I, J), Polynomial(w, expand_ordered(QSymElement({I: 1})
+                                                      * QSymElement({J: 1}), w))
+                 == Polynomial(w, expand_ordered(QSymElement({I: 1}), w))
+                 * Polynomial(w, expand_ordered(QSymElement({J: 1}), w)))
+                for w in range(2, qbound + 1) for wa in range(1, w)
+                for I in compositions_of(wa) for J in compositions_of(w - wa))),
     ]
 
 
@@ -262,19 +278,19 @@ def suite_bfk(weight=None, cap=None):
 
     want2 = Tensor(nn, {((2,), ()): 1, ((1,), (1,)): 2, ((), (2,)): 1})
     got2 = diffeo.bfk_coproduct(z(2))
-    results = [verify._check("coproduct of Z_2 has the 2 Z_1 (x) Z_1 cross term",
-                             [(got2, got2 == want2)], "got %s")]
+    results = [_check("coproduct of Z_2 has the 2 Z_1 (x) Z_1 cross term",
+                      [(got2, got2 == want2)], "got %s")]
 
     want3 = Tensor(nn, {((3,), ()): 1, ((), (3,)): 1, ((1,), (1, 1)): 1,
                         ((1,), (2,)): 2, ((2,), (1,)): 3})
     got3 = diffeo.bfk_coproduct(z(3))
-    results.append(verify._check("coproduct of Z_3: mixed coefficients 2 and 3, "
-                                 "not cocommutative",
-                                 [(got3, got3 == want3 and got3.swap_slots(0, 1) != got3)],
-                                 "got %s"))
+    results.append(_check("coproduct of Z_3: mixed coefficients 2 and 3, "
+                          "not cocommutative",
+                          [(got3, got3 == want3 and got3.swap_slots(0, 1) != got3)],
+                          "got %s"))
 
     bound = weight if weight is not None else 7
-    results.append(verify._check(
+    results.append(_check(
         "renormalization coproduct coassociative (weight <= %d, {count} words)" % bound,
         ((idx, _coassociative(structures.STRUCTURES["bfk"], NSymElement({idx: 1})))
          for w in range(bound + 1) for idx in compositions_of(w))))
@@ -296,8 +312,8 @@ def suite_bfk(weight=None, cap=None):
         yield "reversion", (_compose_by_coefficients(ts, ts.revert())
                             == TruncatedSeries(FdBElement, {1: 1}, scap))
 
-    results.append(verify._check("addition series and group law match coefficient-by-coefficient "
-                                 "products (cap %d)" % scap, slow_routes(), "fails on the %s"))
+    results.append(_check("addition series and group law match coefficient-by-coefficient "
+                          "products (cap %d)" % scap, slow_routes(), "fails on the %s"))
     return results
 
 
@@ -324,7 +340,7 @@ def suite_comodule_algebroid(weight=None, cap=None):
         return left == right and psi.project_counit(1) == Tensor.of(x)
 
     for name, alg in ALGEBROIDS.items():
-        results.append(verify._check(
+        results.append(_check(
             "%s comodule axioms (weight <= %d)" % (name, bound),
             ((lam, comodule_ok(alg, lam))
              for w in range(bound + 1) for lam in alg.base_indices(w))))
@@ -340,7 +356,7 @@ def suite_comodule_algebroid(weight=None, cap=None):
                 yield (lam, "d2"), not differential(alg, differential(alg, x))
 
     for name, alg in ALGEBROIDS.items():
-        results.append(verify._check(
+        results.append(_check(
             "%s cosimplicial identities and d^2 = 0 (weight <= %d)" % (name, cosimp_bound),
             cosimplicial_checks(alg)))
 
@@ -357,7 +373,7 @@ def suite_comodule_algebroid(weight=None, cap=None):
                             acc[k] += c * d
                 yield (w, dom0[i]), not any(acc)
 
-    results.append(verify._check(
+    results.append(_check(
         "normalized differential squares to zero in matrix form (weight <= %d)"
         % cosimp_bound,
         matrix_squares()))
@@ -368,8 +384,8 @@ def suite_comodule_algebroid(weight=None, cap=None):
             oracle = invariants_rank_oracle(ALGEBROIDS["S.B"], w)
             yield "weight %r gave %r/%r" % (w, got, oracle), got == oracle == 1
 
-    results.append(verify._check("H^0 of the S.B complex is rank 1 in weights 0-3 (two routes)",
-                                 h0_ranks(), "%s"))
+    results.append(_check("H^0 of the S.B complex is rank 1 in weights 0-3 (two routes)",
+                          h0_ranks(), "%s"))
 
     rank_bound = min(bound, WEIGHT_BOUND)
 
@@ -381,9 +397,9 @@ def suite_comodule_algebroid(weight=None, cap=None):
                     want = _dense_rank_oracle(differential_matrix(alg, w, s)[2])
                     yield (name, w, s, got, want), got == want
 
-    results.append(verify._check("differential matrix ranks match dense Gauss-Jordan "
-                                 "(weight <= %d, levels 0 and 1)" % rank_bound,
-                                 differential_ranks()))
+    results.append(_check("differential matrix ranks match dense Gauss-Jordan "
+                          "(weight <= %d, levels 0 and 1)" % rank_bound,
+                          differential_ranks()))
     return results
 
 
@@ -399,8 +415,8 @@ def suite_topology(weight=None, cap=None):
             structural = BElement(dict(_fdb_chi_gen_oracle(n).terms))
             yield n, log.coefficient(n + 1) == structural == topology.chi_b(n)
 
-    results = [verify._check("log coefficients equal the structural antipode of b_n (n <= %d)"
-                             % bound, log_coefficients(), "fails at n=%d")]
+    results = [_check("log coefficients equal the structural antipode of b_n (n <= %d)"
+                      % bound, log_coefficients(), "fails at n=%d")]
 
     def projective_numbers():
         for n in range(6):
@@ -420,8 +436,8 @@ def suite_topology(weight=None, cap=None):
                 (topology.cp_char_number(2, (2,)), Fraction(-3))]
         yield ("pinned", hits), all(a == b for a, b in hits)
 
-    results.append(verify._check("projective-space numbers match the normal-bundle oracle "
-                                 "(n <= 5)", projective_numbers()))
+    results.append(_check("projective-space numbers match the normal-bundle oracle "
+                          "(n <= 5)", projective_numbers()))
 
     fcap = cap if cap is not None else 6
     F = topology.fgl(fcap)
@@ -439,37 +455,37 @@ def suite_topology(weight=None, cap=None):
     rhs = topology.evaluate_bivariate(F, xvar, g3, fcap)
     if lhs != rhs:
         problems.append("associativity")
-    results.append(verify._check("group law is unital, commutative, associative (degree <= %d)"
-                                 % fcap, [(", ".join(problems), not problems)], "failed: %s"))
+    results.append(_check("group law is unital, commutative, associative (degree <= %d)"
+                          % fcap, [(", ".join(problems), not problems)], "failed: %s"))
 
     B = topology.beta_series(fcap)
     lift = F.map_coefficients(lambda el: BetaPolynomial({0: el}),
                               algebra=BetaPolynomial)
     lhs = B.compose(lift)
     rhs = B.embed_bivariate(0) * B.embed_bivariate(1)
-    results.append(verify._check("beta series turns the group law into a product (degree <= %d)"
-                                 % fcap, [("mismatch", lhs == rhs)], "%s"))
+    results.append(_check("beta series turns the group law into a product (degree <= %d)"
+                          % fcap, [("mismatch", lhs == rhs)], "%s"))
     pinned = (B.coefficient(0) == BetaPolynomial.one()
               and B.coefficient(1) == BetaPolynomial({1: BElement.one()})
               and B.coefficient(2) == BetaPolynomial({1: b(1).scale(-1),
                                                       2: BElement({(): Fraction(1, 2)})}))
-    results.append(verify._check("beta series low coefficients: 1, beta, beta^2/2 - beta b_1",
-                                 [("mismatch", pinned)], "%s"))
+    results.append(_check("beta series low coefficients: 1, beta, beta^2/2 - beta b_1",
+                          [("mismatch", pinned)], "%s"))
 
     ncap = min(fcap, 5)
     CP = topology.cp_infinity_coproduct(ncap)
     okc = (topology.abelianize_series_to_b(CP) == topology.fgl(ncap)
            and CP.set_variable_zero(1) == TruncatedSeries(NSymElement, {1: 1}, ncap)
            and CP.coefficient((1, 1)) == z(1).scale(2))
-    results.append(verify._check("noncommutative addition series degenerates and abelianizes "
-                                 "correctly", [("mismatch", okc)], "%s"))
+    results.append(_check("noncommutative addition series degenerates and abelianizes "
+                          "correctly", [("mismatch", okc)], "%s"))
 
     C = topology.cumulant_series(3)
     okq = (C.coefficient(1) == NSymElement({(): -1})
            and C.coefficient(2) == -z(1)
            and C.coefficient(3) == -(z(1, 1).scale(2) - z(2)))
-    results.append(verify._check("cumulant series pinned coefficients through T^3",
-                                 [(C, okq)], "got %s"))
+    results.append(_check("cumulant series pinned coefficients through T^3",
+                          [(C, okq)], "got %s"))
     return results
 
 
@@ -510,12 +526,12 @@ def suite_counts(weight=None, cap=None):
                       and all(c == ONE for c in inv.terms.values()))
 
     return [
-        verify._check("compositions of n number 2^(n-1) (n <= %d), pinned order at 3" % bound,
-                      composition_counts(), "fails at %r"),
-        verify._check("partitions agree with brute-force enumeration (n <= 8)",
-                      partition_sets(), "fails at %r"),
-        verify._check("composition-sum invariant has 2^(k-1) unit terms (k <= %d)" % kbound,
-                      invariant_terms(), "fails at k=%d"),
+        _check("compositions of n number 2^(n-1) (n <= %d), pinned order at 3" % bound,
+               composition_counts(), "fails at %r"),
+        _check("partitions agree with brute-force enumeration (n <= 8)",
+               partition_sets(), "fails at %r"),
+        _check("composition-sum invariant has 2^(k-1) unit terms (k <= %d)" % kbound,
+               invariant_terms(), "fails at k=%d"),
     ]
 
 
@@ -560,7 +576,7 @@ def suite_cli_roundtrip(weight=None, cap=None):
                     not isinstance(x, SymElement) or back.basis == x.basis)
 
     def invocations():
-        for argv, expected_out, expected_exit in verify.DOCUMENTED_INVOCATIONS:
+        for argv, expected_out, expected_exit in DOCUMENTED_INVOCATIONS:
             out1, err1 = io.StringIO(), io.StringIO()
             code1 = run_command(list(argv), out1, err1)
             out2, err2 = io.StringIO(), io.StringIO()
@@ -574,8 +590,11 @@ def suite_cli_roundtrip(weight=None, cap=None):
             yield "%s -> got %r" % (argv, got), expected_out is None or got == expected_out
 
     return [
-        verify._check("parse/print and JSON round trips on %d random elements per algebra"
-                      % per_family, round_trips(), "%r"),
-        verify._check("documented invocations: %d commands, pinned output and exit codes"
-                      % len(verify.DOCUMENTED_INVOCATIONS), invocations(), "%s"),
+        _check("parse/print and JSON round trips on %d random elements per algebra"
+               % per_family, round_trips(), "%r"),
+        _check("documented invocations: %d commands, pinned output and exit codes"
+               % len(DOCUMENTED_INVOCATIONS), invocations(), "%s"),
     ]
+
+
+SUITES = {name: globals()["suite_" + name.replace("-", "_")] for name in SUITE_NAMES}

@@ -1,46 +1,20 @@
-"""The self-check entry points and the documented command-line invocation table.
+"""The pinned invocation table and the entry point of the self-checks.
 
 This module stays light, so that reading the table loads no checks.  It holds
-``_check``, the one runner that makes every record; the memoised antipode
-oracle ``_fdb_chi_gen_oracle`` (the benchmark names a cache by its module);
 ``DOCUMENTED_INVOCATIONS``, the exact argv, stdout and exit code of every
-command-line example this package documents; and ``SUITES``, ``run_suites``
-and ``render_report``.  The eight suites live in :mod:`hopftower.suites`,
-which each ``SUITES`` entry imports on its first call; reading a suite or a
-private helper from this module, such as ``verify.suite_duality``, loads it
-too.  The suites read ``_check``, ``pair`` and ``DOCUMENTED_INVOCATIONS``
-from this module at call time, so a substitute bound here reaches them.
+command-line example this package documents; ``_fdb_chi_gen_oracle``, the
+memoised antipode oracle (the benchmark names a cache by its module, so it
+lives here and not with the suites); ``run_suites``, which imports
+:mod:`hopftower.suites` when it is called; and ``render_report``.  The
+suites, their table ``SUITES`` and the runner that makes every record live
+in :mod:`hopftower.suites`.
 """
 
-import sys
 from functools import lru_cache
 
-from . import diffeo, qsym
+from . import diffeo
 from .diffeo import FdBElement
 from .linear import on_words, recursive_antipode
-
-# the pairing the duality suite reads as ``verify.pair``
-pair = qsym.pair
-
-
-_COUNT = "{count}"
-
-
-def _check(label, checks, detail="fails on %r"):
-    """Walk ``(case, passed)`` pairs up to the first failure and make the record.
-
-    ``checks`` is usually a generator, so nothing past the first failure is
-    computed.  The record is ``(label, ok, detail)``: a ``{count}`` in
-    ``label`` becomes the number of cases walked (filled in literally, so a
-    brace elsewhere in the label is harmless), and a failing record's detail
-    is ``detail % (case,)``.
-    """
-    checked = 0
-    for case, passed in checks:
-        checked += 1
-        if not passed:
-            return (label.replace(_COUNT, str(checked)), False, detail % (case,))
-    return (label.replace(_COUNT, str(checked)), True, "")
 
 
 @lru_cache(maxsize=None)
@@ -256,42 +230,17 @@ DOCUMENTED_INVOCATIONS = [
 ]
 
 
-def _on_first_call(name):
-    """``suites.<name>``, importing the suites module on the first call."""
-    def suite(weight=None, cap=None):
-        from . import suites
-        return getattr(suites, name)(weight=weight, cap=cap)
-    return suite
-
-
-SUITES = {name: _on_first_call("suite_" + name.replace("-", "_"))
-          for name in ("hopf-axioms", "antipode", "duality", "bfk", "comodule-algebroid",
-                       "topology", "counts", "cli-roundtrip")}
-
-
-def __getattr__(name):
-    # A suite or a private helper loads the suites; ``verify.topology`` and the
-    # like name the package's modules.  Any other name loads nothing, so a walk
-    # that probes every module attribute for ``cache_info`` imports no suites.
-    if name.startswith("suite_") or (name.startswith("_") and not name.startswith("__")):
-        from . import suites
-        return getattr(suites, name)
-    module = sys.modules.get("%s.%s" % (__package__, name))
-    if module is None:
-        raise AttributeError("module %r has no attribute %r" % (__name__, name))
-    return module
-
-
 def run_suites(names, weight=None, cap=None):
-    """Run the named suites (or all) and return (records, all_ok)."""
-    if not names or names == ["all"]:
-        names = list(SUITES)
+    """Run the named suites, each once, and return (records, all_ok).
+
+    No names, or ``all`` among them, runs every suite.
+    """
+    from .suites import SUITES
+    if not names or "all" in names:
+        names = SUITES
     records = []
-    for name in names:
-        fn = SUITES.get(name)
-        if fn is None:
-            raise KeyError(name)
-        records.extend(fn(weight=weight, cap=cap))
+    for name in dict.fromkeys(names):
+        records.extend(SUITES[name](weight=weight, cap=cap))
     return records, all(ok for _, ok, _ in records)
 
 

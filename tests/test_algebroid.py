@@ -4,7 +4,7 @@ import sys
 
 import pytest
 
-from hopftower import algebroid, diffeo, structures
+from hopftower import algebroid, diffeo, exactlinalg, structures
 from hopftower.algebroid import (ALGEBROIDS, coface, cohomology_rank,
                                  differential, differential_matrix,
                                  differential_rows, invariants_rank_oracle,
@@ -76,6 +76,21 @@ def test_invariant_ranks_match_oracle_everywhere():
             assert cohomology_rank(name, w, 0) == invariants_rank_oracle(name, w)
 
 
+def test_the_invariants_oracle_shares_no_eliminator_with_the_ranks(monkeypatch):
+    """The oracle counts dense Gauss-Jordan pivots; it used to call
+    ``matrix_rank``, which hands its rows to ``sparse_rank``, the eliminator
+    that ``cohomology_rank`` uses."""
+    cases = [(name, w) for name in ALGEBROIDS for w in range(5)]
+    want = [cohomology_rank(name, w, 0) for name, w in cases]
+
+    def refuse(rows):
+        raise AssertionError("sparse_rank was called")
+
+    monkeypatch.setattr(exactlinalg, "sparse_rank", refuse)
+    monkeypatch.setattr(algebroid, "sparse_rank", refuse)
+    assert [invariants_rank_oracle(name, w) for name, w in cases] == want
+
+
 def test_rank_arithmetic_is_consistent():
     # the degree 1 rank formula can never go negative if d^2 = 0 held
     for name in ALGEBROIDS:
@@ -100,6 +115,14 @@ def test_level_bound_is_enforced():
         with pytest.raises(CapabilityError,
                            match=r"^cohomology degree 2 not supported \(only 0 and 1\)$"):
             cohomology_rank(name, 3, 2)
+
+
+def test_a_negative_degree_is_a_domain_error():
+    """It used to be refused as a capability bound (exit 2), not as bad input."""
+    for name in ALGEBROIDS:
+        for w in (-1, 0, 2):
+            with pytest.raises(DomainError, match="^negative degree$"):
+                cohomology_rank(name, w, -1)
 
 
 def zcobar_coface(hopf_coproduct, hopf_cls, hopf_make, x, i):

@@ -38,6 +38,19 @@ def test_antipode_structures():
     assert code == 1 and "bfk" in err
 
 
+def test_a_bare_number_is_its_own_antipode_under_every_structure():
+    """A scalar lies in every algebra and S(c*1) = c*1, so every offered
+    ``--structure`` gives a bare number back unchanged."""
+    commands = next(a for a in cli.build_parser()._actions if a.dest == "command")
+    flags = next(a for a in commands.choices["antipode"]._actions
+                 if a.dest == "structure").choices
+    assert flags
+    for expr in ("2", "3/4", "0"):
+        assert run("antipode", expr) == (0, expr, "")
+        for flag in flags:
+            assert run("antipode", "--structure", flag, expr) == (0, expr, "")
+
+
 def test_antipode_of_a_long_power():
     long = "Z[%s]" % ",".join(["1"] * 1000)
     for structure in ("binomial", "bfk"):
@@ -131,6 +144,15 @@ def test_missing_space_file_is_io_error():
     assert code == 4 and "error" in err
 
 
+def test_undecodable_space_file_is_bad_input(tmp_path):
+    """A file that is not UTF-8 used to end in a UnicodeDecodeError traceback."""
+    path = tmp_path / "space.json"
+    path.write_bytes(b"\xff")
+    assert run("charnum", "quasitoric", "--space", "@" + str(path), "--composition", "1") == (
+        1, "", "error: invalid JSON: 'utf-8' codec can't decode byte 0xff in position 0: "
+               "invalid start byte\n")
+
+
 def test_capability_errors_exit_2():
     for degree in ("2", "5"):
         assert run("cobar-rank", "--algebroid", "S.B", "--weight", "3", "--degree", degree) == (
@@ -181,15 +203,39 @@ def test_verify_counts_suite():
 
 
 def test_verify_failure_exits_3(monkeypatch):
-    import hopftower.cli as cli_mod
+    from hopftower import verify
 
     def fake(names, weight=None, cap=None):
         return [("forced failure", False, "injected by the test")], False
 
-    monkeypatch.setattr(cli_mod, "run_suites", fake)
+    monkeypatch.setattr(verify, "run_suites", fake)
     code, out, _ = run("verify", "--suite", "counts")
     assert code == 3
     assert "FAIL" in out
+
+
+def test_verify_runs_each_named_suite_once_and_all_anywhere_runs_every_suite(monkeypatch):
+    """``--suite counts --suite all`` used to run counts and then fail with a
+    ``KeyError: 'all'`` traceback, and so did ``--suite all --suite all``."""
+    from hopftower import suites
+    ran = []
+
+    def fake(name):
+        def suite(weight=None, cap=None):
+            ran.append(name)
+            return [(name, True, "")]
+        return suite
+
+    monkeypatch.setattr(suites, "SUITES", {name: fake(name) for name in cli.SUITE_NAMES})
+    every = list(cli.SUITE_NAMES)
+    for names, want in [(("counts", "all"), every), (("all", "all"), every),
+                        (("all", "bfk"), every), ((), every),
+                        (("bfk", "counts", "bfk"), ["bfk", "counts"])]:
+        ran.clear()
+        code, out, err = run("verify", *[word for name in names for word in ("--suite", name)])
+        assert (code, err, ran) == (0, "", want)
+        assert out == "\n".join(["ok    %s" % name for name in want]
+                                 + ["%d/%d checks passed" % (len(want), len(want))])
 
 
 def test_cli_import_leaves_verify_unloaded():
@@ -201,8 +247,8 @@ def test_cli_import_leaves_verify_unloaded():
 
 
 def test_suite_names_are_the_verify_suites():
-    from hopftower import verify
-    assert list(cli.SUITE_NAMES) == list(verify.SUITES)
+    from hopftower import suites
+    assert list(cli.SUITE_NAMES) == list(suites.SUITES)
 
 
 def test_cobar_rank_json():
@@ -337,6 +383,10 @@ def test_integer_options_take_ascii_digits_only(argv):
     (("crn", "--weight", "-2"), "error: --weight must be at least 1\n"),
     (("cobar-rank", "--algebroid", "S.B", "--weight", "-1", "--degree", "0"),
      "error: negative weight\n"),
+    (("cobar-rank", "--algebroid", "S.B", "--weight", "2", "--degree", "-1"),
+     "error: negative degree\n"),
+    (("cobar-rank", "--algebroid", "S.B", "--weight", "-1", "--degree", "5"),
+     "error: negative weight\n"),
 ])
 def test_negative_integer_options_reach_the_domain_messages(argv, message):
     assert run(*argv) == (1, "", message)
@@ -354,10 +404,12 @@ def test_negative_integer_options_reach_the_domain_messages(argv, message):
 def test_verify_refuses_sizes_its_suites_cannot_check(monkeypatch, argv, message):
     """A negative weight used to pass hopf-axioms on no elements, and cap 1
     to fail the checks that read T^2 and X*Y; both stop before any suite."""
+    from hopftower import verify
+
     def no_suite(names, weight=None, cap=None):
         raise AssertionError("a suite ran")
 
-    monkeypatch.setattr(cli, "run_suites", no_suite)
+    monkeypatch.setattr(verify, "run_suites", no_suite)
     assert run(*argv) == (1, "", message)
 
 

@@ -29,7 +29,7 @@ from hopftower.nsym import NSymElement, z
 from hopftower.qsym import M, QSymElement
 from hopftower.series import TruncatedSeries
 from hopftower.sym import SymElement, e
-from hopftower.verify import _ehrenborg_antipode
+from hopftower.suites import _ehrenborg_antipode
 
 WEIGHT = 4
 

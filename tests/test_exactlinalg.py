@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from hopftower.errors import DomainError
 from hopftower.exactlinalg import invert_matrix, matrix_rank, sparse_rank
-from hopftower.verify import _dense_rank_oracle
+from hopftower.suites import _dense_rank_oracle
 
 entries = st.one_of(
     st.just(Fraction(0)),

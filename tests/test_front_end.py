@@ -30,7 +30,7 @@ def run(*argv):
 @st.composite
 def _elements(draw):
     """A nonzero element of a registry algebra, drawn as
-    ``verify._random_element`` draws one: 1-4 terms of weight 1-6 with
+    ``suites._random_element`` draws one: 1-4 terms of weight 1-6 with
     coefficients n/d, 0 < |n| <= 9 and 1 <= d <= 9, a sym letter naming the
     basis."""
     alg = structures.ALGEBRAS[draw(st.sampled_from(sorted(structures.ALGEBRAS)))]

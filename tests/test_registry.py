@@ -4,7 +4,7 @@ import io
 import json
 from functools import partial
 
-from hopftower import cli, linear, structures, verify
+from hopftower import cli, linear, structures, suites
 from hopftower.algebroid import ALGEBROIDS
 from hopftower.expr import parse_element
 from hopftower.indices import partitions_of
@@ -72,7 +72,7 @@ def test_one_row_adds_a_structure(monkeypatch):
         assert run("coproduct", "2", "--algebra", "toy")[0] == 0
         assert run("antipode", "y[2]") == (0, "y[1,1] - y[2]", "")
 
-        records = verify.suite_hopf_axioms(weight=2)
+        records = suites.suite_hopf_axioms(weight=2)
         toy = [(label, ok) for label, ok, _ in records if label.startswith("toy ")]
         assert [label.split(" (")[0] for label, _ in toy] == [
             "toy coassociativity", "toy counit", "toy antipode convolution"]

@@ -18,7 +18,7 @@ from hopftower.indices import partitions_of
 from hopftower.linear import Tensor
 from hopftower.sym import (SymElement, antipode, convert, coproduct, e,
                            e_series, h, h_series, hall_pair, involution, m, p)
-from hopftower.verify import _expanded_m_product, _expanded_transition, _gauss_jordan_inverse
+from hopftower.suites import _expanded_m_product, _expanded_transition, _gauss_jordan_inverse
 
 # hand-frozen expansions in the e basis
 H_IN_E = {

@@ -6,7 +6,7 @@ import subprocess
 import sys
 from pathlib import Path
 
-from hopftower import verify
+from hopftower import suites
 
 # the child interpreter imports the package from this checkout
 ENV = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
@@ -24,7 +24,7 @@ def test_import_leaves_verify_unloaded():
 
 
 def test_duality_reports_the_first_failing_pair(monkeypatch):
-    real_pair = verify.pair
+    real_pair = suites.pair
     broken = {((1,), (1,)), ((2,), (2,))}
 
     def pair(x, y):
@@ -33,8 +33,8 @@ def test_duality_reports_the_first_failing_pair(monkeypatch):
             return got + 1
         return got
 
-    monkeypatch.setattr(verify, "pair", pair)
-    records = verify.suite_duality(weight=2)
+    monkeypatch.setattr(suites, "pair", pair)
+    records = suites.suite_duality(weight=2)
     label, ok, detail = records[0]
     assert label.startswith("basis pairing is delta")
     assert not ok
@@ -42,15 +42,15 @@ def test_duality_reports_the_first_failing_pair(monkeypatch):
 
 
 def test_topology_reports_the_first_failing_projective_number(monkeypatch):
-    real = verify.topology.cp_char_number
+    real = suites.topology.cp_char_number
     broken = {(1, (1,)), (3, (3,))}
 
     def cp_char_number(n, lam):
         got = real(n, lam)
         return got + 1 if (n, tuple(lam)) in broken else got
 
-    monkeypatch.setattr(verify.topology, "cp_char_number", cp_char_number)
-    records = verify.suite_topology(weight=2, cap=2)
+    monkeypatch.setattr(suites.topology, "cp_char_number", cp_char_number)
+    records = suites.suite_topology(weight=2, cap=2)
     label, ok, detail = records[1]
     assert label.startswith("projective-space numbers")
     assert not ok
@@ -61,8 +61,8 @@ def test_cli_roundtrip_reports_the_first_broken_invocation(monkeypatch):
     rows = [(("eval", "e[1]*e[1]"), "e[1,1]", 0),
             (("eval", "Z[2]*Z[1]"), "Z[1,2]", 0),
             (("eval", "e[2,1]^2"), "e[2,1]", 0)]
-    monkeypatch.setattr(verify, "DOCUMENTED_INVOCATIONS", rows)
-    label, ok, detail = verify.suite_cli_roundtrip()[1]
+    monkeypatch.setattr(suites, "DOCUMENTED_INVOCATIONS", rows)
+    label, ok, detail = suites.suite_cli_roundtrip()[1]
     assert label == ("documented invocations: 3 commands, "
                      "pinned output and exit codes")
     assert not ok
@@ -71,14 +71,14 @@ def test_cli_roundtrip_reports_the_first_broken_invocation(monkeypatch):
 
 def test_every_record_comes_from_the_check_runner(monkeypatch):
     made = []
-    real = verify._check
+    real = suites._check
 
     def check(*args, **kwargs):
         made.append(real(*args, **kwargs))
         return made[-1]
 
-    monkeypatch.setattr(verify, "_check", check)
-    for name, suite in verify.SUITES.items():
+    monkeypatch.setattr(suites, "_check", check)
+    for name, suite in suites.SUITES.items():
         if name == "cli-roundtrip":
             continue
         records = suite(weight=2, cap=2)
@@ -88,6 +88,6 @@ def test_every_record_comes_from_the_check_runner(monkeypatch):
 
 
 def test_check_fills_the_count_literally():
-    record = verify._check("toy{1} 100% (weight <= 2, {count} elements)",
+    record = suites._check("toy{1} 100% (weight <= 2, {count} elements)",
                            ((n, n < 3) for n in range(5)))
     assert record == ("toy{1} 100% (weight <= 2, 4 elements)", False, "fails on 3")
