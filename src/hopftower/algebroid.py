@@ -16,8 +16,13 @@ slot index's image from the word-image memo of ``linear`` (``image_items``
 of the algebroid's letter maps ``base_gen`` and ``hopf_gen``).  ``coface``,
 ``differential_matrix``, ``invariants_rank_oracle`` and the ``verify``
 suites keep calling the public ``coaction`` and ``h_coproduct`` on built
-elements, so the slow route that checks the fast one shares none of its
-reads.
+elements.  That slow route shares the generator images and the word images
+with the fast one: ``coaction_sym``, ``fdb_coproduct`` and ``bfk_coproduct``
+extend over words through ``linear.on_words``, which reads the same
+``word_image`` entries that ``image_items`` gives the accumulator.  What the
+slow route checks independently is the rest: the splicing of those images
+into level keys, the projection onto normalized cochains, and the
+elimination.
 
 Cohomology ranks are computed over the rationals on the normalized
 subcomplex (all H slots of positive weight), one weight at a time; it has

@@ -184,7 +184,7 @@ def _cmd_fgl(args):
     result = topology.fgl(args.cap)
     if args.structure == "fdb":
         result = result.map_coefficients(
-            lambda el: FdBElement(dict(el.terms)), algebra=FdBElement)
+            lambda el: FdBElement(el.terms), algebra=FdBElement)
     return result
 
 

@@ -23,9 +23,8 @@ BFK antipode, as an antimorphism.
 
 from functools import lru_cache
 
-from .indices import sort_to_partition
 from .linear import CommutativeElement, Tensor, on_words, recursive_antipode
-from .nsym import NSymElement, z
+from .nsym import NSymElement, require_nsym, z
 from .scalars import ONE
 from .series import generator_series
 from . import sym
@@ -132,4 +131,5 @@ def bfk_antipode(f):
 
 def bfk_abelianize(f):
     """Quotient to the commutative diffeomorphism algebra: Z words to t monomials."""
-    return FdBElement(f.map_indices(sort_to_partition))
+    require_nsym(f, "bfk_abelianize")
+    return FdBElement(f.terms)

@@ -53,18 +53,6 @@ def _partitions_bounded(n, largest):
     return tuple(out)
 
 
-def weak_compositions(total, parts):
-    """Yield all tuples of ``parts`` nonnegative integers summing to ``total``."""
-    _check_weight(total)
-    if parts == 0:
-        if total == 0:
-            yield ()
-        return
-    for first in range(total, -1, -1):
-        for rest in weak_compositions(total - first, parts - 1):
-            yield (first,) + rest
-
-
 def sort_to_partition(comp):
     """Forget the order of a composition, yielding a partition."""
     return tuple(sorted(comp, reverse=True))

@@ -37,7 +37,7 @@ from . import structures
 from .errors import DomainError
 from .indices import index_sort_key
 from .linear import Tensor, TensorSpace, add_term
-from .scalars import format_scalar, parse_scalar, rational
+from .scalars import format_scalar, parse_scalar
 from .series import TruncatedSeries
 from .sym import SymElement, convert
 from .topology import BElement, BetaPolynomial
@@ -155,7 +155,11 @@ def _beta_from(entries):
 def _element_from(doc):
     tag = doc["algebra"]
     if tag == "scalar":
-        return rational(sum((parse_scalar(entry["coeff"]) for entry in doc["terms"]), 0))
+        # the scalars are spanned by the unit, whose index is []
+        wrong = next((e["index"] for e in doc["terms"] if _index(e["index"])), None)
+        if wrong is not None:
+            raise DomainError("a scalar term has the index [], not %r" % (wrong,))
+        return _terms_from(doc["terms"]).get((), 0)
     if tag == "bpoly" and "beta" in doc:
         return _beta_from(doc["beta"])
     return structures.algebra(tag).element(_terms_from(doc["terms"]), doc.get("basis"))

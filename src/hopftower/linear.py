@@ -20,9 +20,12 @@ printer ``format_terms``.  In an algebra element the key is a basis index
 (a tuple of positive integers, ``()`` for the unit) and the coefficient a
 nonzero ``int`` or a ``Fraction`` whose denominator is greater than 1
 (``scalars.rational`` is the normaliser); subclasses fix the product of two
-basis indices, and the bilinear extension and grading helpers live here.
-Elements are treated as immutable once built, which keeps the memoised
-structure constants safe to share.
+basis indices, and the bilinear extension and the grading helpers ``counit``
+and ``max_weight`` live here.  An element moves into another algebra only
+through the target's validating constructor: ``CommutativeElement`` sorts each
+word into a partition and merges the repeats, so each abelianization down the
+tower is one constructor call.  Elements are treated as immutable once
+built, which keeps the memoised structure constants safe to share.
 
 Every hot sum (a product, ``Tensor.apply``, ``on_words``, the cobar cofaces of
 ``algebroid``) adds raw terms into a plain dict and settles once: a key seen
@@ -460,22 +463,8 @@ class LinearElement(SparseSum):
         """Coefficient of the unit; kills everything of positive weight."""
         return self.terms.get((), ZERO)
 
-    def weights(self):
-        return sorted({sum(idx) for idx in self.terms})
-
-    def component(self, w):
-        """Homogeneous part of weight ``w``."""
-        return self._new({i: c for i, c in self.terms.items() if sum(i) == w})
-
     def max_weight(self):
         return max((sum(i) for i in self.terms), default=0)
-
-    def map_indices(self, fn):
-        """Relabel basis indices through ``fn``, merging collisions."""
-        out = {}
-        for idx, c in self.terms.items():
-            add_term(out, tuple(fn(idx)), c)
-        return out
 
     # the base product, bound here so element products can be timed on their
     # own (bench/layers.py wraps this entry)
@@ -648,12 +637,6 @@ class Tensor(SparseSum):
         slot; dropping a slot fixed at the unit is injective, so nothing merges."""
         return self._new({key[:pos] + key[pos + 1:]: c for key, c in self.terms.items()
                           if key[pos] == ()}, self.factors[:pos] + self.factors[pos + 1:])
-
-    def slot_element(self):
-        """Convert an arity-1 tensor back into a plain algebra element."""
-        if self.arity != 1:
-            raise AlgebraMismatchError("slot_element needs an arity-1 tensor")
-        return self.factors[0]({k[0]: c for k, c in self.terms.items()})
 
     @staticmethod
     def _sort_key(key):

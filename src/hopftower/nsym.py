@@ -13,7 +13,8 @@ of this onto the symmetric function Hopf algebra.
 from functools import lru_cache, partial
 from operator import add
 
-from .indices import compositions_of, sort_to_partition
+from .errors import AlgebraMismatchError
+from .indices import compositions_of
 from .linear import LinearElement, binomial_gen, on_words
 from .scalars import ONE
 from .series import generator_series
@@ -56,6 +57,16 @@ def antipode(f):
     return on_words(f, _antipode_gen, reverse=True)
 
 
+def require_nsym(f, name):
+    """Refuse anything but an NSym element as the input of ``name``, a map
+    out of NSym that reads the keys of ``f`` as words."""
+    if not isinstance(f, NSymElement):
+        raise AlgebraMismatchError("%s expects an NSymElement, not %s"
+                                   % (name, type(f).__name__))
+
+
 def abelianize(f):
-    """Quotient onto symmetric functions: Z_I goes to e_{sort(I)}."""
-    return sym.SymElement(f.map_indices(sort_to_partition), "e")
+    """Quotient onto symmetric functions: Z_I goes to e_{sort(I)}, the e
+    basis constructor sorting each word and merging the repeats."""
+    require_nsym(f, "abelianize")
+    return sym.SymElement(f.terms, "e")

@@ -90,7 +90,12 @@ def pair(a, b):
 
 
 def pair_tensor(t_left, t_right):
-    """Componentwise pairing of equal-arity tensors (N slots against Q slots)."""
+    """Componentwise pairing of equal-arity tensors, NSym slots on the left
+    against QSym slots on the right, as ``pair`` takes its elements."""
+    if not (isinstance(t_left, Tensor) and isinstance(t_right, Tensor)
+            and all(f is NSymElement for f in t_left.factors)
+            and all(f is QSymElement for f in t_right.factors)):
+        raise AlgebraMismatchError("pair_tensor expects (NSym tensor, QSym tensor)")
     if t_left.arity != t_right.arity:
         raise AlgebraMismatchError("tensor arities differ")
     total = ZERO

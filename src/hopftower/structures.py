@@ -62,7 +62,7 @@ class Structure:
 
 def _bpoly_antipode(f):
     """b_k read as t_k: the bordism coefficients carry the diffeomorphism antipode."""
-    return BElement(dict(diffeo.fdb_antipode(FdBElement(dict(f.terms))).terms))
+    return BElement(diffeo.fdb_antipode(FdBElement(f.terms)).terms)
 
 
 ALGEBRAS = {

@@ -412,7 +412,7 @@ def suite_topology(weight=None, cap=None):
 
     def log_coefficients():
         for n in range(1, bound + 1):
-            structural = BElement(dict(_fdb_chi_gen_oracle(n).terms))
+            structural = BElement(_fdb_chi_gen_oracle(n).terms)
             yield n, log.coefficient(n + 1) == structural == topology.chi_b(n)
 
     results = [_check("log coefficients equal the structural antipode of b_n (n <= %d)"

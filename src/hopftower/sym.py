@@ -32,7 +32,7 @@ from functools import lru_cache, partial
 from math import factorial, gcd, lcm, prod
 import warnings
 
-from .errors import DomainError
+from .errors import AlgebraMismatchError, DomainError
 from .indices import compositions_of, partitions_of, sort_to_partition
 from .linear import (CommutativeElement, Polynomial, add_term, binomial_gen, image_items,
                      mul_into, on_words)
@@ -306,7 +306,11 @@ def convert(f, to, integral=False):
     divide that of ``f``: one the conversion introduced (the p basis
     genuinely needs denominators, e.g. m in p-coordinates).  A denominator
     ``f`` already had is no reason to refuse, so ``1/2*e[1]`` converts to h.
+    Anything but a ``SymElement`` raises ``AlgebraMismatchError``, here and
+    in ``hall_pair`` and ``qsym.include_symmetric``, which convert first.
     """
+    if not isinstance(f, SymElement):
+        raise AlgebraMismatchError("expected a SymElement, not %s" % type(f).__name__)
     if to not in BASES:
         raise DomainError("unknown symmetric function basis %r" % (to,))
     if f.basis == to:

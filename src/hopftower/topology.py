@@ -17,9 +17,9 @@ from operator import add
 
 from .diffeo import bfk_antipode
 from .errors import CapabilityError, DomainError
-from .indices import compositions_of, sort_to_partition
+from .indices import compositions_of
 from .linear import CommutativeElement, Polynomial, SparseSum, substitute
-from .nsym import NSymElement, z_series
+from .nsym import NSymElement, require_nsym, z_series
 from .scalars import ONE, ZERO
 from .series import generator_series
 from . import qsym
@@ -180,10 +180,6 @@ class ProjectiveProductSpace:
         except (KeyError, TypeError) as exc:
             raise DomainError("space document needs 'factors' and 'roots' lists") from exc
 
-    def to_document(self):
-        return {"factors": list(self.factors),
-                "roots": [list(r) for r in self.roots]}
-
     def evaluate_qsym(self, f):
         """f on the ordered roots, as linear polynomials in the cohomology ring:
         a dict from exponent vectors to rationals."""
@@ -256,7 +252,8 @@ def cp_infinity_coproduct(cap):
 
 def abelianize_to_b(f):
     """Collapse a Z-algebra element to b-polynomials: Z_I to b_{sort(I)}."""
-    return BElement(f.map_indices(sort_to_partition))
+    require_nsym(f, "abelianize_to_b")
+    return BElement(f.terms)
 
 
 def abelianize_series_to_b(s):

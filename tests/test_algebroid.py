@@ -1,6 +1,7 @@
 """Split algebroids and their reduced cobar complexes."""
 
 import sys
+from itertools import product
 
 import pytest
 
@@ -12,7 +13,6 @@ from hopftower.algebroid import (ALGEBROIDS, coface, cohomology_rank,
 from hopftower.diffeo import bfk_coproduct
 from hopftower.errors import AlgebraMismatchError, CapabilityError, DomainError
 from hopftower.exactlinalg import _integer_row, matrix_rank
-from hopftower.indices import weak_compositions
 from hopftower.linear import Tensor, word_image
 from hopftower.nsym import NSymElement, z
 from hopftower.scalars import ZERO
@@ -181,9 +181,14 @@ def test_sparse_rows_are_the_primitive_dense_rows():
                 assert rows == [_integer_row(r) for r in dense[2]]
 
 
+def _weak_compositions(total, parts):
+    """Every tuple of ``parts`` nonnegative integers summing to ``total``."""
+    return [c for c in product(range(total + 1), repeat=parts) if sum(c) == total]
+
+
 def _level_keys(alg, w, n):
     """Every basis key of weight w at level n, unit H slots included."""
-    for split in weak_compositions(w, n + 1):
+    for split in _weak_compositions(w, n + 1):
         choices = [()]
         for slot, part in enumerate(split):
             indices = (alg.base_indices if slot == 0 else alg.h_indices)(part)

@@ -5,12 +5,12 @@ computation of series composition and Lagrange inversion.
 """
 
 from fractions import Fraction
+from itertools import product
 
 from hopftower import diffeo
 from hopftower.diffeo import (FdBElement, bfk_abelianize, bfk_antipode,
                               bfk_coproduct, coaction_sym, fdb_antipode,
                               fdb_coproduct, t, t_series)
-from hopftower.indices import weak_compositions
 from hopftower.linear import Tensor, TensorSpace, add_term
 from hopftower.nsym import NSymElement, z, z_series
 from hopftower.series import TruncatedSeries
@@ -153,6 +153,11 @@ def _bfk_coproduct_by_powers(n):
     return total
 
 
+def _weak_compositions(total, parts):
+    """Every tuple of ``parts`` nonnegative integers summing to ``total``."""
+    return [c for c in product(range(total + 1), repeat=parts) if sum(c) == total]
+
+
 def _coaction_by_weak_compositions(n):
     """sum_j e_j (x) t_lambda over the weak compositions of n - j into j
     parts, lambda their nonzero parts sorted."""
@@ -161,7 +166,7 @@ def _coaction_by_weak_compositions(n):
         return Tensor(SF, {((), ()): 1})
     terms = {}
     for j in range(1, n + 1):
-        for wc in weak_compositions(n - j, j):
+        for wc in _weak_compositions(n - j, j):
             lam = tuple(sorted((k for k in wc if k), reverse=True))
             add_term(terms, ((j,), lam), 1)
     return Tensor(SF, terms)

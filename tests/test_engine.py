@@ -199,8 +199,8 @@ def _results(name, x, y, q):
                 x - x, x + (-x), x.scale(1), dx.apply(0, _delta_of_index(name), dx.factors),
                 # a multi-term input whose images cancel: S(Z_1^2) = Z_1^2 = S(Z_2) + Z_2
                 nsym.antipode(NSymElement({(1, 1): q, (2,): -q, (3,): q})))
-    for w in x.weights():
-        yield x.component(w)
+    for w in sorted({sum(i) for i in x.terms}):  # the homogeneous parts of x
+        yield x._new({i: c for i, c in x.terms.items() if sum(i) == w})
 
 
 def test_canonical_scalars_exclude_zero_floats_and_integral_fractions():

@@ -273,6 +273,18 @@ def test_scalar_zero_document():
     assert from_document({"algebra": "scalar", "terms": []}) == 0
 
 
+def test_scalar_documents_hold_only_the_unit_index():
+    for terms in ([{"index": [2, 1], "coeff": "3"}], [{"coeff": "3"}],
+                  [{"index": [], "coeff": "1"}, {"index": [1], "coeff": "2"}],
+                  [{"index": [1], "coeff": "2"}, {"index": [1], "coeff": "-2"}]):
+        with pytest.raises(DomainError):
+            from_document({"algebra": "scalar", "terms": terms})
+    assert from_document({"algebra": "scalar", "terms": [
+        {"index": [], "coeff": "1/2"}, {"index": [], "coeff": "3/2"}]}) == 2
+    for x in (0, 7, -3, Fraction(-3, 4)):
+        assert from_document(document_for(x)) == x
+
+
 def test_unknown_algebra_tag_is_rejected():
     with pytest.raises(DomainError):
         from_document({"algebra": "octonion", "terms": []})

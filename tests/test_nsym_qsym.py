@@ -7,6 +7,10 @@ frozen independently of the recursive implementations.
 
 from fractions import Fraction
 
+import pytest
+
+from hopftower.diffeo import bfk_abelianize
+from hopftower.errors import AlgebraMismatchError
 from hopftower.indices import compositions_of
 from hopftower.linear import Tensor
 from hopftower.nsym import NSymElement, abelianize, antipode, coproduct, z
@@ -14,7 +18,8 @@ from hopftower.qsym import (M, QSymElement, expand_ordered, include_symmetric,
                             pair, pair_tensor, quasi_shuffle)
 from hopftower.qsym import antipode as q_antipode
 from hopftower.qsym import coproduct as q_coproduct
-from hopftower.sym import e, m
+from hopftower.sym import e, hall_pair, m, p
+from hopftower.topology import abelianize_to_b
 
 
 def coarsenings(I):
@@ -130,6 +135,29 @@ def test_abelianize_sorts_the_word():
     assert abelianize(z(1, 2)) == e(2, 1)
     assert abelianize(z(1, 1) - z(2)) == e(1, 1) - e(2)
     assert abelianize(z(1) * z(2)) == abelianize(z(1)) * abelianize(z(2))
+
+
+def test_the_tower_maps_refuse_input_outside_their_domain():
+    # read as a word, m_21 would go to e_21; but m_21 = e_21 - 3 e_3
+    for down in (abelianize, bfk_abelianize, abelianize_to_b):
+        for f in (m(2, 1), p(2), e(1), M(1, 2), 3):
+            with pytest.raises(AlgebraMismatchError):
+                down(f)
+    for f in (z(1), M(1), 3):
+        with pytest.raises(AlgebraMismatchError):
+            include_symmetric(f)
+
+
+def test_the_pairings_refuse_the_wrong_algebras():
+    dz, dm = coproduct(z(1)), q_coproduct(M(1))
+    for left, right in ((dz, dz), (dm, dm), (dm, dz), (Tensor.of(e(1)), Tensor.of(e(1))),
+                        (z(1), M(1))):
+        with pytest.raises(AlgebraMismatchError):
+            pair_tensor(left, right)
+    assert pair_tensor(dz, dm) == 2
+    for f, g in ((z(1), e(1)), (e(1), z(1)), (e(1), M(1))):
+        with pytest.raises(AlgebraMismatchError):
+            hall_pair(f, g)
 
 
 def test_include_symmetric_sums_rearrangements():

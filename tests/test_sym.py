@@ -192,8 +192,8 @@ def test_coproduct_of_elementary_generators():
 
 def test_tensors_keep_m_basis_elements():
     # tensor slots are e-based, so a slot filled from another basis is converted
-    assert Tensor.of(m(2)).slot_element() == e(1, 1) - e(2).scale(2)
-    assert Tensor.of(m(2)).slot_element().terms == {(1, 1): 1, (2,): -2}
+    assert Tensor.of(m(2)) == Tensor.of(e(1, 1) - e(2).scale(2))
+    assert Tensor.of(m(2)).terms == {((1, 1),): 1, ((2,),): -2}
     t = Tensor.of(m(1), m(1))
     assert t * t == Tensor.of(m(1) * m(1), m(1) * m(1))
     assert str(t * t) == "e[1,1] (x) e[1,1]"
