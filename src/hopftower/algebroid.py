@@ -244,6 +244,9 @@ def _algebroid(alg):
 def cohomology_rank(alg, w, s, weight_bound=WEIGHT_BOUND):
     """Rank over Q of the degree-s cohomology of the weight-w normalized complex."""
     alg = _algebroid(alg)
+    for name, value in (("weight", w), ("degree", s)):
+        if type(value) is not int:
+            raise DomainError("the %s must be an int, not %r" % (name, value))
     if s < 0:
         raise DomainError("negative degree")
     if w < 0:

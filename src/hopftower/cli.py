@@ -144,9 +144,11 @@ def _cmd_antipode(args):
 
 def _cmd_convert(args):
     value, family = parse_element(args.expr)
+    if family == "scalar":  # weight 0: every involution and basis fixes it
+        return value
     for which in args.involution or []:
         value = sym_mod.involution(value, which)
-    if args.to is not None and family != "scalar":
+    if args.to is not None:
         target = structures.tag_of_letter(args.to)
         if target != family:
             step = _TOWER_MAPS.get((family, target))

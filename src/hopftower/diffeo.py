@@ -24,7 +24,7 @@ BFK antipode, as an antimorphism.
 from functools import lru_cache
 
 from .linear import CommutativeElement, Tensor, on_words, recursive_antipode
-from .nsym import NSymElement, require_nsym, z
+from .nsym import NSymElement, z
 from .scalars import ONE
 from .series import generator_series
 from . import sym
@@ -71,7 +71,7 @@ def _fdb_coproduct_gen(n):
 
 def fdb_coproduct(f):
     """Composition coproduct, extended to t-monomials multiplicatively."""
-    return on_words(f, _fdb_coproduct_gen)
+    return on_words(FdBElement.require(f, "fdb_coproduct"), _fdb_coproduct_gen)
 
 
 @lru_cache(maxsize=None)
@@ -84,7 +84,7 @@ def _fdb_antipode_gen(n):
 
 def fdb_antipode(f):
     """Lagrange reversion coefficients, extended as an algebra morphism."""
-    return on_words(f, _fdb_antipode_gen)
+    return on_words(FdBElement.require(f, "fdb_antipode"), _fdb_antipode_gen)
 
 
 # -- coaction on symmetric functions --------------------------------------
@@ -115,7 +115,7 @@ def _bfk_coproduct_gen(n):
 
 def bfk_coproduct(f):
     """Renormalization coproduct on the Z-algebra, extended multiplicatively."""
-    return on_words(f, _bfk_coproduct_gen)
+    return on_words(NSymElement.require(f, "bfk_coproduct"), _bfk_coproduct_gen)
 
 
 @lru_cache(maxsize=None)
@@ -126,10 +126,9 @@ def _bfk_antipode_gen(n):
 
 def bfk_antipode(f):
     """Renormalization antipode; extended to words as an antimorphism."""
-    return on_words(f, _bfk_antipode_gen, reverse=True)
+    return on_words(NSymElement.require(f, "bfk_antipode"), _bfk_antipode_gen, reverse=True)
 
 
 def bfk_abelianize(f):
     """Quotient to the commutative diffeomorphism algebra: Z words to t monomials."""
-    require_nsym(f, "bfk_abelianize")
-    return FdBElement(f.terms)
+    return FdBElement(NSymElement.require(f, "bfk_abelianize").terms)

@@ -221,6 +221,9 @@ def from_document(doc):
     object, a cap that is not an integer, and so on).
     """
     try:
+        if "basis" in doc and doc.get("algebra") != "sym":
+            raise DomainError("only a sym document names a basis, not a %s one"
+                              % (doc.get("algebra"),))
         if "series" in doc:
             return _series_from(doc)
         if doc.get("algebra") == "tensor":

@@ -24,8 +24,12 @@ basis indices, and the bilinear extension and the grading helpers ``counit``
 and ``max_weight`` live here.  An element moves into another algebra only
 through the target's validating constructor: ``CommutativeElement`` sorts each
 word into a partition and merges the repeats, so each abelianization down the
-tower is one constructor call.  Elements are treated as immutable once
-built, which keeps the memoised structure constants safe to share.
+tower is one constructor call.  A map out of an algebra takes only that
+algebra's elements, since it reads its input's indices as its own: it passes
+the input through ``LinearElement.require``, which raises
+``AlgebraMismatchError`` on anything else, a bare number included.  Elements
+are treated as immutable once built, which keeps the memoised structure
+constants safe to share.
 
 Every hot sum (a product, ``Tensor.apply``, ``on_words``, the cobar cofaces of
 ``algebroid``) adds raw terms into a plain dict and settles once: a key seen
@@ -443,6 +447,16 @@ class LinearElement(SparseSum):
                 raise DomainError("index parts must be positive integers")
         return idx
 
+    @classmethod
+    def require(cls, f, name):
+        """``f`` when it is an element of this algebra; otherwise
+        ``AlgebraMismatchError`` naming the map ``name`` and both classes.
+        The one place a map out of an algebra refuses its input."""
+        if isinstance(f, cls):
+            return f
+        raise AlgebraMismatchError("%s expects %s, not %s"
+                                   % (name, cls.__name__, type(f).__name__))
+
     def slot_form(self):
         """This element as a tensor slot holds it; sym overrides (slots are e-based)."""
         return self
@@ -543,7 +557,7 @@ class Tensor(SparseSum):
     @classmethod
     def of(cls, *elements):
         """Tensor product of algebra elements, expanded bilinearly."""
-        elements = [x.slot_form() for x in elements]
+        elements = [LinearElement.require(x, "Tensor.of").slot_form() for x in elements]
         factors = tuple(type(x) for x in elements)
         keys = {(): ONE}
         for x in elements:

@@ -13,7 +13,6 @@ of this onto the symmetric function Hopf algebra.
 from functools import lru_cache, partial
 from operator import add
 
-from .errors import AlgebraMismatchError
 from .indices import compositions_of
 from .linear import LinearElement, binomial_gen, on_words
 from .scalars import ONE
@@ -43,7 +42,7 @@ _coproduct_gen = partial(binomial_gen, NSymElement)
 
 def coproduct(f):
     """Binomial coproduct, extended to words multiplicatively."""
-    return on_words(f, _coproduct_gen)
+    return on_words(NSymElement.require(f, "coproduct"), _coproduct_gen)
 
 
 @lru_cache(maxsize=None)
@@ -54,19 +53,10 @@ def _antipode_gen(n):
 
 def antipode(f):
     """Antipode; an antimorphism, so words are processed in reverse order."""
-    return on_words(f, _antipode_gen, reverse=True)
-
-
-def require_nsym(f, name):
-    """Refuse anything but an NSym element as the input of ``name``, a map
-    out of NSym that reads the keys of ``f`` as words."""
-    if not isinstance(f, NSymElement):
-        raise AlgebraMismatchError("%s expects an NSymElement, not %s"
-                                   % (name, type(f).__name__))
+    return on_words(NSymElement.require(f, "antipode"), _antipode_gen, reverse=True)
 
 
 def abelianize(f):
     """Quotient onto symmetric functions: Z_I goes to e_{sort(I)}, the e
     basis constructor sorting each word and merging the repeats."""
-    require_nsym(f, "abelianize")
-    return sym.SymElement(f.terms, "e")
+    return sym.SymElement(NSymElement.require(f, "abelianize").terms, "e")

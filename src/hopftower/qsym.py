@@ -66,7 +66,7 @@ _PAIR = Tensor((QSymElement, QSymElement))
 def coproduct(f):
     """Deconcatenation: split the composition at every position."""
     out = {}
-    for I, c in f.terms.items():
+    for I, c in QSymElement.require(f, "coproduct").terms.items():
         for k in range(len(I) + 1):
             out[(I[:k], I[k:])] = c
     return _PAIR._new(out)
@@ -79,13 +79,13 @@ def _antipode_basis(I):
 
 
 def antipode(f):
-    return sum((_antipode_basis(I).scale(c) for I, c in f.terms.items()), QSymElement())
+    return sum((_antipode_basis(I).scale(c)
+                for I, c in QSymElement.require(f, "antipode").terms.items()), QSymElement())
 
 
 def pair(a, b):
     """Duality pairing with noncommutative symmetric functions: <Z_I, M_J> = delta."""
-    if not isinstance(a, NSymElement) or not isinstance(b, QSymElement):
-        raise AlgebraMismatchError("pair expects (NSymElement, QSymElement)")
+    a, b = NSymElement.require(a, "pair"), QSymElement.require(b, "pair")
     return sum((a.terms[I] * b.terms[I] for I in a.terms.keys() & b.terms.keys()), ZERO)
 
 
@@ -124,7 +124,7 @@ def expand_ordered(f, nvars):
         raise DomainError("expansion needs a nonnegative int number of variables, got %r"
                           % (nvars,))
     out = {}
-    for I, c in f.terms.items():
+    for I, c in QSymElement.require(f, "expand_ordered").terms.items():
         for positions in combinations(range(nvars), len(I)):
             key = [0] * nvars
             for pos, part in zip(positions, I):

@@ -62,7 +62,8 @@ class Structure:
 
 def _bpoly_antipode(f):
     """b_k read as t_k: the bordism coefficients carry the diffeomorphism antipode."""
-    return BElement(diffeo.fdb_antipode(FdBElement(f.terms)).terms)
+    t = FdBElement(BElement.require(f, "bpoly antipode").terms)
+    return BElement(diffeo.fdb_antipode(t).terms)
 
 
 ALGEBRAS = {

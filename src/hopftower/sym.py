@@ -32,7 +32,7 @@ from functools import lru_cache, partial
 from math import factorial, gcd, lcm, prod
 import warnings
 
-from .errors import AlgebraMismatchError, DomainError
+from .errors import DomainError
 from .indices import compositions_of, partitions_of, sort_to_partition
 from .linear import (CommutativeElement, Polynomial, add_term, binomial_gen, image_items,
                      mul_into, on_words)
@@ -135,7 +135,7 @@ def expand(f, nvars):
     if type(nvars) is not int or nvars < 1:
         raise DomainError("expansion needs a positive int number of variables, got %r"
                           % (nvars,))
-    if nvars < f.max_weight():
+    if nvars < SymElement.require(f, "expand").max_weight():
         warnings.warn("expanding in %d variables < weight %d loses information"
                       % (nvars, f.max_weight()), stacklevel=2)
     from . import qsym  # at call time: qsym imports nsym, which imports this module
@@ -309,11 +309,9 @@ def convert(f, to, integral=False):
     Anything but a ``SymElement`` raises ``AlgebraMismatchError``, here and
     in ``hall_pair`` and ``qsym.include_symmetric``, which convert first.
     """
-    if not isinstance(f, SymElement):
-        raise AlgebraMismatchError("expected a SymElement, not %s" % type(f).__name__)
     if to not in BASES:
         raise DomainError("unknown symmetric function basis %r" % (to,))
-    if f.basis == to:
+    if SymElement.require(f, "convert").basis == to:
         result = f
     else:
         by_weight = {}
@@ -374,11 +372,9 @@ def involution(f, which):
     to (-1)^k h_k and omega sends e_k to h_k, both landing in the h basis.
     All three are algebra morphisms and square to the identity.
     """
-    if not isinstance(f, SymElement):
-        raise DomainError("involutions are defined on symmetric functions")
     if which not in ("dual", "whitney", "omega"):
         raise DomainError("unknown involution %r" % (which,))
-    fe = convert(f, "e")
+    fe = convert(SymElement.require(f, "involution"), "e")
     out_basis = "e" if which == "dual" else "h"
     out = {}
     for lam, c in fe.terms.items():

@@ -19,7 +19,7 @@ from .diffeo import bfk_antipode
 from .errors import CapabilityError, DomainError
 from .indices import compositions_of
 from .linear import CommutativeElement, Polynomial, SparseSum, substitute
-from .nsym import NSymElement, require_nsym, z_series
+from .nsym import NSymElement, z_series
 from .scalars import ONE, ZERO
 from .series import generator_series
 from . import qsym
@@ -59,6 +59,8 @@ def chi_b(n):
 
 def cp_hurewicz(n):
     """Hurewicz image of complex projective n-space: (n+1) chi(b_n)."""
+    if type(n) is not int:
+        raise DomainError("projective space dimension must be an int, not %r" % (n,))
     if n < 0:
         raise DomainError("projective space dimension must be >= 0")
     return chi_b(n).scale(n + 1)
@@ -252,8 +254,7 @@ def cp_infinity_coproduct(cap):
 
 def abelianize_to_b(f):
     """Collapse a Z-algebra element to b-polynomials: Z_I to b_{sort(I)}."""
-    require_nsym(f, "abelianize_to_b")
-    return BElement(f.terms)
+    return BElement(NSymElement.require(f, "abelianize_to_b").terms)
 
 
 def abelianize_series_to_b(s):

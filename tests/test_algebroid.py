@@ -125,6 +125,15 @@ def test_a_negative_degree_is_a_domain_error():
                 cohomology_rank(name, w, -1)
 
 
+def test_a_weight_or_degree_that_is_not_an_int_is_a_domain_error():
+    """A float or bool used to reach ``range`` and raise a raw TypeError."""
+    for name in ALGEBROIDS:
+        for (w, s), which in (((2.0, 0), "weight"), ((2, 1.0), "degree"),
+                              ((True, 0), "weight")):
+            with pytest.raises(DomainError, match=which):
+                cohomology_rank(name, w, s)
+
+
 def zcobar_coface(hopf_coproduct, hopf_cls, hopf_make, x, i):
     """Coface of the ground-ring cobar complex of H alone (levels H^(x n)).
 

@@ -70,6 +70,18 @@ def test_convert_paths():
         assert run("convert", "1/2*e[1]", *argv, "--integral") == (0, want, "")
 
 
+def test_a_bare_number_passes_every_involution_unchanged():
+    """omega, dual and Whitney fix weight 0, as the antipode and every basis
+    do, so a bare number comes back as itself; a non-symmetric element is
+    still refused, with exit code 1."""
+    for expr in ("3", "3/4", "0"):
+        for which in ("dual", "whitney", "omega"):
+            assert run("convert", expr, "--involution", which) == (0, expr, "")
+        assert run("convert", expr, "--involution", "omega", "--to", "h") == (0, expr, "")
+    code, out, err = run("convert", "Z[1]", "--involution", "omega")
+    assert (code, out) == (1, "") and "involution" in err and "NSymElement" in err
+
+
 def test_coproduct_json_default_and_text():
     code, out, _ = run("coproduct", "Z[2]")
     assert code == 0

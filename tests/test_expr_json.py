@@ -182,6 +182,25 @@ def test_sym_documents_keep_the_basis():
     x = SymElement({(2, 1): Fraction(3)}, "m")
     back = loads(dumps(document_for(x)))
     assert back == x and back.basis == "m"
+    for x in (m(2, 1), h(2, 1), p(2, 1)):
+        assert loads(dumps(document_for(x))).basis == x.basis
+        series = TruncatedSeries(SymElement, {1: x}, 3)
+        assert from_document(document_for(series)).coefficient(1).basis == x.basis
+
+
+def test_a_basis_key_is_refused_outside_sym_documents():
+    """Only a symmetric function has a basis; a tensor's sym slots are always
+    in the e basis, so a document naming another one would be misread."""
+    tensor = {"algebra": "tensor", "factors": ["sym"], "basis": "m",
+              "terms": [{"slots": [[1]], "coeff": "1"}]}
+    element = {"algebra": "nsym", "structure": "binomial", "basis": "m",
+               "terms": [{"index": [1], "coeff": "1"}]}
+    series = {**document_for(z_series(2)), "basis": "m"}
+    for doc in (tensor, element, series):
+        with pytest.raises(DomainError, match="basis"):
+            from_document(doc)
+        del doc["basis"]
+        from_document(doc)
 
 
 def test_series_documents_round_trip():

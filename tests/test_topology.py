@@ -54,6 +54,14 @@ def test_hurewicz_pins():
     assert cp_hurewicz(2) == b(1, 1).scale(6) - b(2).scale(3)
 
 
+def test_a_dimension_that_is_not_an_int_is_a_domain_error():
+    """A float used to reach ``range`` and raise a raw TypeError."""
+    for call in (lambda: cp_hurewicz(2.0), lambda: cp_char_number(2.0, (1, 1)),
+                 lambda: cp_hurewicz(Fraction(2))):
+        with pytest.raises(DomainError, match="dimension must be an int"):
+            call()
+
+
 def test_projective_numbers_match_oracle():
     cases = [(0, ()), (1, (1,)), (2, (2,)), (2, (1, 1)), (3, (3,)),
              (3, (2, 1)), (3, (1, 1, 1)), (4, (2, 2)), (4, (4,))]
