@@ -38,11 +38,17 @@ def _basis_element(tag):
     return row.element({next(i for i in row.indices(3) if len(i) == 2): 1})
 
 
+def _foreign(domain):
+    """(tag, value) of a basis element of every other algebra, and a bare int."""
+    for tag in structures.ALGEBRAS:
+        if tag != domain:
+            yield tag, _basis_element(tag)
+    yield "int", 3
+
+
 MAPS = list(_maps())
 CASES = [pytest.param(fn, domain, x, id="%s(%s)" % (label, tag))
-         for label, domain, fn in MAPS
-         for tag, x in [(t, _basis_element(t)) for t in structures.ALGEBRAS if t != domain]
-         + [("int", 3)]]
+         for label, domain, fn in MAPS for tag, x in _foreign(domain)]
 
 
 @pytest.mark.parametrize("fn, domain, x", CASES)
