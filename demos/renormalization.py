@@ -23,9 +23,9 @@ for n in (2, 3, 4):
 
 print()
 print("== curried coproduct: pairing away the right leg ==")
-print("right leg M[1] of coproduct Z[2]:", right_unit_functional(2, (1,)))
-print("right leg M[1] of coproduct Z[3]:", right_unit_functional(3, (1,)))
-print("right leg M[2] of coproduct Z[3]:", right_unit_functional(3, (2,)))
+print("right leg M[1] of coproduct Z[2]:", right_unit_functional(z(2), (1,)))
+print("right leg M[1] of coproduct Z[3]:", right_unit_functional(z(3), (1,)))
+print("right leg M[2] of coproduct Z[3]:", right_unit_functional(z(3), (2,)))
 
 print()
 print("== cumulants and the composition-sum invariant ==")

@@ -47,7 +47,7 @@ from .diffeo import (_bfk_coproduct_gen, _coaction_gen, _fdb_coproduct_gen,
                      bfk_coproduct, coaction_sym, fdb_coproduct)
 from .errors import AlgebraMismatchError, CapabilityError, DomainError
 from .exactlinalg import _primitive, row_reduce, sparse_rank
-from .indices import compositions_of
+from .indices import compositions_of, natural
 from .linear import Tensor, image_items, settle
 from .nsym import NSymElement
 from .scalars import ONE, ZERO
@@ -114,7 +114,7 @@ def coface(alg, x, i):
     """The i-th coface on a level-n element (0 <= i <= n+1)."""
     x = alg.as_level(x)
     n = x.arity - 1
-    if not 0 <= i <= n + 1:
+    if natural(i, "coface index") > n + 1:
         raise DomainError("coface index %d out of range for level %d" % (i, n))
     if i == 0:
         return x.apply(0, lambda idx: alg.coaction(alg.base_element(idx)),
@@ -244,13 +244,7 @@ def _algebroid(alg):
 def cohomology_rank(alg, w, s, weight_bound=WEIGHT_BOUND):
     """Rank over Q of the degree-s cohomology of the weight-w normalized complex."""
     alg = _algebroid(alg)
-    for name, value in (("weight", w), ("degree", s)):
-        if type(value) is not int:
-            raise DomainError("the %s must be an int, not %r" % (name, value))
-    if s < 0:
-        raise DomainError("negative degree")
-    if w < 0:
-        raise DomainError("negative weight")
+    s, w = natural(s, "degree"), natural(w, "weight")
     if s not in (0, 1):
         raise CapabilityError("cohomology degree %d not supported (only 0 and 1)" % s)
     if w > weight_bound:
@@ -295,8 +289,7 @@ def right_unit_functional(f, I):
     For f in the Z-algebra, returns the sum over Delta f of
     <Z-part on the right, M_I> times the left part.
     """
-    if isinstance(f, int):
-        f = NSymElement({(f,): ONE})
+    f = NSymElement.require(f, "right_unit_functional")
     I = tuple(I)
     # the terms with right slot I have distinct left slots: nothing to merge
     return NSymElement({left: c for (left, right), c in bfk_coproduct(f).terms.items()

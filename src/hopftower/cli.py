@@ -39,6 +39,7 @@ from .diffeo import FdBElement
 from .errors import (AlgebraMismatchError, CapabilityError, DomainError,
                      ExpressionError)
 from .expr import compose_series, parse_element, parse_series
+from .indices import natural
 from .jsonio import document_for, dumps
 from .series import TruncatedSeries
 from .sym import SymElement
@@ -205,9 +206,7 @@ def _cmd_charnum(args):
 
 
 def _cmd_crn(args):
-    if args.weight < 1:
-        raise DomainError("--weight must be at least 1")
-    return topology.crn_invariant(args.weight)
+    return topology.crn_invariant(natural(args.weight, "--weight", 1))
 
 
 def _cmd_cobar_rank(args):
@@ -219,8 +218,8 @@ def _cmd_cobar_rank(args):
 def _cmd_verify(args):
     from .verify import render_report, run_suites
     for option, value, least in (("--weight", args.weight, 0), ("--cap", args.cap, 2)):
-        if value is not None and value < least:
-            raise DomainError("%s must be at least %d" % (option, least))
+        if value is not None:
+            natural(value, option, least)
     records, ok = run_suites(args.suite, weight=args.weight, cap=args.cap)
     if not ok:
         args.status = 3

@@ -38,7 +38,7 @@ class FdBElement(CommutativeElement):
 
 
 def t(*parts):
-    return FdBElement({tuple(sorted(parts, reverse=True)): ONE})
+    return FdBElement({parts: ONE})
 
 
 def t_series(cap):
@@ -102,7 +102,8 @@ def coaction_sym(f):
     multiplicatively, making S a comodule algebra.  Input in any basis; the
     left slots of the output are in the e basis.
     """
-    return on_words(sym.convert(f, "e"), _coaction_gen)
+    fe = sym.convert(sym.SymElement.require(f, "coaction_sym"), "e")
+    return on_words(fe, _coaction_gen)
 
 
 # -- renormalization coproduct (BFK) --------------------------------------

@@ -1,4 +1,5 @@
-"""Compositions and partitions of nonnegative integers.
+"""Compositions and partitions of nonnegative integers, and the one check on
+an integer argument.
 
 Compositions (ordered tuples of positive parts) index the bases of the
 noncommutative and quasisymmetric algebras; partitions (weakly decreasing
@@ -10,6 +11,12 @@ so ``3`` enumerates as ``(3), (2, 1), (1, 2), (1, 1, 1)`` respectively
 The canonical *sort* order used when printing elements and emitting JSON is
 different: terms are ordered by (weight, parts lexicographically ascending),
 see :func:`index_sort_key`.
+
+Every size a caller passes (a weight, a degree, a cap, a dimension, an
+exponent, a number of variables) goes through :func:`natural`: it must be an
+``int``, never a ``bool``, a float or a string, and anything else raises
+``DomainError`` naming the argument.  The parts of a basis index are checked
+by ``linear.LinearElement.canonical_index`` instead.
 """
 
 from functools import lru_cache
@@ -17,16 +24,21 @@ from functools import lru_cache
 from .errors import DomainError
 
 
-def _check_weight(n):
-    if not isinstance(n, int) or n < 0:
-        raise DomainError("weight must be a nonnegative integer, got %r" % (n,))
+def natural(n, what, least=0):
+    """``n`` when it is an ``int`` of at least ``least``; otherwise
+    ``DomainError`` naming the argument ``what``.  A ``bool`` is refused
+    although it is an ``int`` subclass, since ``True`` would run as 1."""
+    if type(n) is not int:
+        raise DomainError("%s must be an int, not %r" % (what, n))
+    if n < least:
+        raise DomainError("%s must be at least %s" % (what, least))
+    return n
 
 
 @lru_cache(maxsize=None)
 def compositions_of(n):
     """All compositions of ``n``, largest first part first; 2^(n-1) of them."""
-    _check_weight(n)
-    if n == 0:
+    if natural(n, "weight") == 0:
         return ((),)
     out = []
     for first in range(n, 0, -1):
@@ -38,8 +50,7 @@ def compositions_of(n):
 @lru_cache(maxsize=None)
 def partitions_of(n):
     """All partitions of ``n`` in reverse-lexicographic order."""
-    _check_weight(n)
-    return _partitions_bounded(n, n)
+    return _partitions_bounded(natural(n, "weight"), n)
 
 
 @lru_cache(maxsize=None)

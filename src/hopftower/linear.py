@@ -71,7 +71,7 @@ from functools import lru_cache
 from operator import add, le
 
 from .errors import AlgebraMismatchError, DomainError
-from .indices import index_sort_key
+from .indices import index_sort_key, natural
 from .scalars import ONE, ZERO, rational
 
 
@@ -292,9 +292,7 @@ class SparseSum:
         return out
 
     def __pow__(self, n):
-        if type(n) is not int or n < 0:
-            raise DomainError("exponents must be nonnegative integers, not %r" % (n,))
-        if not n:
+        if not natural(n, "exponent"):
             return self._operand(1)
         # from x itself, not the unit: a product with the unit would cut a
         # Laurent view at its lowered cap once more

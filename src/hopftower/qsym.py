@@ -17,7 +17,8 @@ against Ehrenborg's closed coarsening formula.
 from functools import lru_cache
 from itertools import combinations, permutations
 
-from .errors import AlgebraMismatchError, DomainError
+from .errors import AlgebraMismatchError
+from .indices import natural
 from .linear import LinearElement, Tensor, add_term, recursive_antipode
 from .nsym import NSymElement
 from .scalars import ONE, ZERO
@@ -109,8 +110,8 @@ def pair_tensor(t_left, t_right):
 def include_symmetric(f):
     """Embed a symmetric function: m_lam fans out over its distinct
     rearrangements, which no two partitions share."""
-    return QSymElement({I: c for lam, c in sym.convert(f, "m").terms.items()
-                        for I in set(permutations(lam))})
+    fm = sym.convert(sym.SymElement.require(f, "include_symmetric"), "m")
+    return QSymElement({I: c for lam, c in fm.terms.items() for I in set(permutations(lam))})
 
 
 def expand_ordered(f, nvars):
@@ -120,9 +121,7 @@ def expand_ordered(f, nvars):
     monomials in the package: ``sym.expand`` reads symmetric functions through
     it, and it is the independent oracle for the quasi-shuffle product.
     """
-    if type(nvars) is not int or nvars < 0:
-        raise DomainError("expansion needs a nonnegative int number of variables, got %r"
-                          % (nvars,))
+    natural(nvars, "nvars")
     out = {}
     for I, c in QSymElement.require(f, "expand_ordered").terms.items():
         for positions in combinations(range(nvars), len(I)):

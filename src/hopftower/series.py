@@ -17,10 +17,11 @@ coefficients only, takes one pass and no composition: at degree n it fills
 """
 
 from fractions import Fraction
-from math import factorial
+from math import factorial, inf
 from operator import add
 
 from .errors import AlgebraMismatchError, DomainError
+from .indices import natural
 from .linear import SparseSum, add_product, add_term, settle_sums, substitute
 from .scalars import ZERO, quotient, rational
 
@@ -37,9 +38,8 @@ class TruncatedSeries(SparseSum):
     __slots__ = ("algebra", "cap", "nvars")
 
     def __init__(self, algebra, coeffs=None, cap=6, nvars=1):
+        natural(cap, "cap")
         # a bool or a float passes ``in (1, 2)``, so the type is tested
-        if type(cap) is not int or cap < 0:
-            raise DomainError("cap must be a nonnegative integer, not %r" % (cap,))
         if type(nvars) is not int or nvars not in (1, 2):
             raise DomainError("a series has one or two variables, not %r" % (nvars,))
         self.algebra = algebra
@@ -101,8 +101,9 @@ class TruncatedSeries(SparseSum):
 
     def truncate(self, cap):
         """This series known only up to total degree ``cap``; a cap at or
-        above ``self.cap`` keeps ``self.cap``, since no precision is gained."""
-        if cap >= self.cap:
+        above ``self.cap`` keeps ``self.cap``, since no precision is gained.
+        A Laurent view may be cut below degree 0, so any ``int`` is a cap."""
+        if natural(cap, "cap", -inf) >= self.cap:
             return self._new(dict(self.terms))
         return self._new({k: v for k, v in self.terms.items() if _degree(k) <= cap}, cap)
 
@@ -242,6 +243,7 @@ class TruncatedSeries(SparseSum):
         which is unknown, lands on T^(cap + 1 + k)."""
         if self.nvars != 1:
             raise DomainError("shift is univariate only")
+        natural(k, "shift", -inf)
         return self._new({e + k: v for e, v in self.terms.items() if e + k <= self.cap},
                          min(self.cap, self.cap + k))
 
@@ -322,6 +324,6 @@ def generator_series(element_cls, cap):
     algebra, so in weight terms [T^k] has weight k - 1.
     """
     coeffs = {1: element_cls.one()}
-    for n in range(1, cap):
+    for n in range(1, natural(cap, "cap")):
         coeffs[n + 1] = element_cls.from_index((n,))
     return TruncatedSeries(element_cls, coeffs, cap, 1)

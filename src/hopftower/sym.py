@@ -33,7 +33,7 @@ from math import factorial, gcd, lcm, prod
 import warnings
 
 from .errors import DomainError
-from .indices import compositions_of, partitions_of, sort_to_partition
+from .indices import compositions_of, natural, partitions_of, sort_to_partition
 from .linear import (CommutativeElement, Polynomial, add_term, binomial_gen, image_items,
                      mul_into, on_words)
 from .scalars import ONE, ZERO, quotient
@@ -132,10 +132,7 @@ def expand(f, nvars):
     Faithful when nvars >= the weight of f; smaller nvars still evaluates
     honestly but collapses information, hence the warning.
     """
-    if type(nvars) is not int or nvars < 1:
-        raise DomainError("expansion needs a positive int number of variables, got %r"
-                          % (nvars,))
-    if nvars < SymElement.require(f, "expand").max_weight():
+    if natural(nvars, "nvars", 1) < SymElement.require(f, "expand").max_weight():
         warnings.warn("expanding in %d variables < weight %d loses information"
                       % (nvars, f.max_weight()), stacklevel=2)
     from . import qsym  # at call time: qsym imports nsym, which imports this module
@@ -350,7 +347,7 @@ def coproduct(f):
 
     Input in any basis; the output tensor is expressed in the e basis.
     """
-    return on_words(convert(f, "e"), _coproduct_e_gen)
+    return on_words(convert(SymElement.require(f, "coproduct"), "e"), _coproduct_e_gen)
 
 
 @lru_cache(maxsize=None)
@@ -362,6 +359,7 @@ def _antipode_e_gen(n):
 
 def antipode(f):
     """Hopf antipode; an algebra involution here since S is commutative."""
+    f = SymElement.require(f, "antipode")
     return convert(on_words(convert(f, "e"), _antipode_e_gen), f.basis)
 
 
@@ -387,8 +385,8 @@ def involution(f, which):
 
 def hall_pair(f, g):
     """Hall inner product, normalized by <h_lam, m_mu> = delta."""
-    fh = convert(f, "h")
-    gm = convert(g, "m")
+    fh = convert(SymElement.require(f, "hall_pair"), "h")
+    gm = convert(SymElement.require(g, "hall_pair"), "m")
     return sum((fh.terms[lam] * gm.terms[lam]
                 for lam in fh.terms.keys() & gm.terms.keys()), ZERO)
 
@@ -398,7 +396,7 @@ def hall_pair(f, g):
 def e_series(cap):
     """1 + e_1 T + e_2 T^2 + ... up to the cap."""
     coeffs = {0: SymElement.one()}
-    for n in range(1, cap + 1):
+    for n in range(1, natural(cap, "cap") + 1):
         coeffs[n] = SymElement({(n,): ONE})
     return TruncatedSeries(SymElement, coeffs, cap)
 

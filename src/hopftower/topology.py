@@ -17,7 +17,7 @@ from operator import add
 
 from .diffeo import bfk_antipode
 from .errors import CapabilityError, DomainError
-from .indices import compositions_of
+from .indices import compositions_of, natural
 from .linear import CommutativeElement, Polynomial, SparseSum, substitute
 from .nsym import NSymElement, z_series
 from .scalars import ONE, ZERO
@@ -34,7 +34,7 @@ class BElement(CommutativeElement):
 
 
 def b(*parts):
-    return BElement({tuple(sorted(parts, reverse=True)): ONE})
+    return BElement({parts: ONE})
 
 
 def b_series(cap):
@@ -45,9 +45,7 @@ def b_series(cap):
 @lru_cache(maxsize=None)
 def miscenko_log(cap):
     """The logarithm: compositional inverse of b(T)."""
-    if cap < 1:
-        raise DomainError("cap must be at least 1")
-    return b_series(cap).revert()
+    return b_series(natural(cap, "cap", 1)).revert()
 
 
 def chi_b(n):
@@ -59,20 +57,23 @@ def chi_b(n):
 
 def cp_hurewicz(n):
     """Hurewicz image of complex projective n-space: (n+1) chi(b_n)."""
-    if type(n) is not int:
-        raise DomainError("projective space dimension must be an int, not %r" % (n,))
-    if n < 0:
-        raise DomainError("projective space dimension must be >= 0")
+    n = natural(n, "projective space dimension")
     return chi_b(n).scale(n + 1)
+
+
+def _partition_of(n, lam):
+    """``lam`` as a partition of the dimension ``n``; ``DomainError`` if it is
+    not one."""
+    n, lam = natural(n, "projective space dimension"), BElement.canonical_index(lam)
+    if sum(lam) != n:
+        raise DomainError("partition weight %d does not match dimension %d"
+                          % (sum(lam), n))
+    return lam
 
 
 def cp_char_number(n, lam):
     """Characteristic number of CP^n for the partition lam: the b_lam coefficient."""
-    lam = tuple(sorted(lam, reverse=True))
-    if sum(lam) != n:
-        raise DomainError("partition weight %d does not match dimension %d"
-                          % (sum(lam), n))
-    return cp_hurewicz(n).terms.get(lam, ZERO)
+    return cp_hurewicz(n).terms.get(_partition_of(n, lam), ZERO)
 
 
 def cp_char_number_oracle(n, lam):
@@ -82,10 +83,7 @@ def cp_char_number_oracle(n, lam):
     CP^n to -(n+1) x^k in the ring with x^{n+1} = 0, so a p-monomial with r
     parts contributes (-(n+1))^r to the x^n coefficient.
     """
-    lam = tuple(sorted(lam, reverse=True))
-    if sum(lam) != n:
-        raise DomainError("partition weight %d does not match dimension %d"
-                          % (sum(lam), n))
+    lam = _partition_of(n, lam)
     if n == 0:
         return ONE
     fp = sym.convert(sym.SymElement({lam: ONE}, "m"), "p")
@@ -126,8 +124,7 @@ class BetaPolynomial(SparseSum):
         data = {}
         if coeffs:
             for k, v in coeffs.items():
-                if type(k) is not int or k < 0:
-                    raise DomainError("a power of beta is a nonnegative int, not %r" % (k,))
+                natural(k, "a power of beta")
                 v = lift(v)
                 if v:
                     data[k] = v
@@ -142,9 +139,7 @@ class BetaPolynomial(SparseSum):
 
 def beta_series(cap):
     """exp(beta * log(T)): the one-parameter exponential of the logarithm."""
-    if cap < 1:
-        raise DomainError("cap must be at least 1")
-    lifted = miscenko_log(cap).map_coefficients(
+    lifted = miscenko_log(natural(cap, "cap", 1)).map_coefficients(
         lambda el: BetaPolynomial({1: el}), algebra=BetaPolynomial)
     return lifted.exp()
 
@@ -165,8 +160,10 @@ class ProjectiveProductSpace:
 
     def __init__(self, factors, roots):
         factors = tuple(factors)
-        if not factors or any(type(n) is not int or n < 1 for n in factors):
-            raise DomainError("factor dimensions must be positive integers")
+        if not factors:
+            raise DomainError("a space needs at least one factor")
+        for n in factors:
+            natural(n, "a factor dimension", 1)
         roots = tuple(tuple(r) for r in roots)
         if any(type(c) is not int for r in roots for c in r):
             raise DomainError("root coefficients must be integers")
@@ -200,10 +197,7 @@ def quasitoric_char_number(space, I, convention="tangent"):
     The normal convention evaluates on the virtual negative of the bundle,
     which is the antipode of M_I on the same roots.
     """
-    I = tuple(I)
-    if any(type(k) is not int or k < 1 for k in I):
-        raise DomainError("composition parts must be positive integers")
-    f = qsym.QSymElement({I: ONE})
+    f = qsym.QSymElement({tuple(I): ONE})
     if convention == "normal":
         f = qsym.antipode(f)
     elif convention != "tangent":
@@ -221,9 +215,7 @@ CRN_LOG2_BOUND = 17
 
 def crn_invariant(k):
     """Sum of Z_I over all compositions of k: one term per face structure."""
-    if k < 1:
-        raise DomainError("the invariant is defined for weight >= 1")
-    if k - 1 > CRN_LOG2_BOUND:
+    if natural(k, "weight", 1) - 1 > CRN_LOG2_BOUND:
         raise CapabilityError("weight %d has 2^%d compositions, over the bound of "
                               "2^%d = %d" % (k, k - 1, CRN_LOG2_BOUND,
                                              2 ** CRN_LOG2_BOUND))
@@ -232,9 +224,7 @@ def crn_invariant(k):
 
 def cumulant_series(cap):
     """Antipode applied to Z(T) coefficientwise, then T replaced by -T."""
-    if cap < 1:
-        raise DomainError("cap must be at least 1")
-    return z_series(cap).map_coefficients(bfk_antipode).alternate()
+    return z_series(natural(cap, "cap", 1)).map_coefficients(bfk_antipode).alternate()
 
 
 def cp_infinity_coproduct(cap):
@@ -244,9 +234,7 @@ def cp_infinity_coproduct(cap):
     variable to zero must return the other variable alone, and collapsing
     Z_k to b_k recovers the commutative group law.
     """
-    if cap < 1:
-        raise DomainError("cap must be at least 1")
-    zs = z_series(cap)
+    zs = z_series(natural(cap, "cap", 1))
     chi = zs.map_coefficients(bfk_antipode)
     inner = chi.embed_bivariate(0) + chi.embed_bivariate(1)
     return zs.compose(inner)

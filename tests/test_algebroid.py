@@ -121,7 +121,7 @@ def test_a_negative_degree_is_a_domain_error():
     """It used to be refused as a capability bound (exit 2), not as bad input."""
     for name in ALGEBROIDS:
         for w in (-1, 0, 2):
-            with pytest.raises(DomainError, match="^negative degree$"):
+            with pytest.raises(DomainError, match="^degree must be at least 0$"):
                 cohomology_rank(name, w, -1)
 
 
@@ -167,10 +167,17 @@ def test_ground_cobar_cofaces_match_up_to_the_twist():
 
 
 def test_right_unit_functional_pins():
-    assert right_unit_functional(2, (1,)) == z(1).scale(2)
-    assert right_unit_functional(3, (2,)) == z(1).scale(2)
-    assert right_unit_functional(3, (1,)) == z(2).scale(3)
-    assert right_unit_functional(2, (2,)) == NSymElement.one()
+    assert right_unit_functional(z(2), (1,)) == z(1).scale(2)
+    assert right_unit_functional(z(3), (2,)) == z(1).scale(2)
+    assert right_unit_functional(z(3), (1,)) == z(2).scale(3)
+    assert right_unit_functional(z(2), (2,)) == NSymElement.one()
+
+
+def test_right_unit_functional_refuses_a_bare_int():
+    """A bare 2 used to be read as the generator Z_2, where every other map
+    out of NSym refuses a number."""
+    with pytest.raises(AlgebraMismatchError, match="right_unit_functional"):
+        right_unit_functional(2, (1,))
 
 
 def test_unknown_algebroid_names_are_domain_errors():

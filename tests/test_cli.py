@@ -391,14 +391,15 @@ def test_integer_options_take_ascii_digits_only(argv):
 
 @pytest.mark.parametrize("argv, message", [
     (("log", "--cap", "-1"), "error: cap must be at least 1\n"),
-    (("charnum", "cp", "--dim", "-1"), "error: projective space dimension must be >= 0\n"),
+    (("charnum", "cp", "--dim", "-1"),
+     "error: projective space dimension must be at least 0\n"),
     (("crn", "--weight", "-2"), "error: --weight must be at least 1\n"),
     (("cobar-rank", "--algebroid", "S.B", "--weight", "-1", "--degree", "0"),
-     "error: negative weight\n"),
+     "error: weight must be at least 0\n"),
     (("cobar-rank", "--algebroid", "S.B", "--weight", "2", "--degree", "-1"),
-     "error: negative degree\n"),
+     "error: degree must be at least 0\n"),
     (("cobar-rank", "--algebroid", "S.B", "--weight", "-1", "--degree", "5"),
-     "error: negative weight\n"),
+     "error: weight must be at least 0\n"),
 ])
 def test_negative_integer_options_reach_the_domain_messages(argv, message):
     assert run(*argv) == (1, "", message)

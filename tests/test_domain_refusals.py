@@ -1,9 +1,10 @@
 """Every map out of an algebra refuses an element of any other algebra, and a
-bare number, with ``AlgebraMismatchError`` naming both classes.
+bare number, with ``AlgebraMismatchError`` naming the map and both classes.
 
 Each map reads its input's basis indices as its own words or partitions, so
 an element of a neighbouring algebra used to be read as a different element
 of the map's own (``nsym.coproduct(m(2,1))`` gave the coproduct of Z[2,1]).
+A map that converts first names itself, not ``convert``.
 The maps and the inputs are read from the registries: a structure, tower map
 or algebra added later is covered with no edit here.
 """
@@ -14,22 +15,27 @@ from hopftower import cli, qsym, structures, sym
 from hopftower.errors import AlgebraMismatchError
 from hopftower.nsym import z
 from hopftower.qsym import M
+from hopftower.sym import m
 
 
 def _maps():
-    """(label, domain tag, one-argument map) of every map out of an algebra."""
+    """(label, domain tag, one-argument map, the map's name) of every map out
+    of an algebra."""
     for label, st in structures.STRUCTURES.items():
         for part in ("coproduct", "antipode"):
-            if getattr(st, part) is not None:
-                yield "%s.%s" % (label, part), st.algebra, getattr(st, part)
+            fn = getattr(st, part)
+            if fn is not None:
+                yield "%s.%s" % (label, part), st.algebra, fn, fn.__name__
     for (source, target), step in cli._TOWER_MAPS.items():
-        yield "%s->%s" % (source, target), source, step
-    yield "sym.convert", "sym", lambda f: sym.convert(f, "m")
-    yield "sym.involution", "sym", lambda f: sym.involution(f, "omega")
-    yield "sym.expand", "sym", lambda f: sym.expand(f, 3)
-    yield "qsym.expand_ordered", "qsym", lambda f: qsym.expand_ordered(f, 3)
-    yield "qsym.pair.left", "nsym", lambda f: qsym.pair(f, M(2, 1))
-    yield "qsym.pair.right", "qsym", lambda f: qsym.pair(z(2, 1), f)
+        yield "%s->%s" % (source, target), source, step, step.__name__
+    yield "sym.convert", "sym", lambda f: sym.convert(f, "m"), "convert"
+    yield "sym.involution", "sym", lambda f: sym.involution(f, "omega"), "involution"
+    yield "sym.expand", "sym", lambda f: sym.expand(f, 3), "expand"
+    yield "sym.hall_pair.left", "sym", lambda f: sym.hall_pair(f, m(2, 1)), "hall_pair"
+    yield "sym.hall_pair.right", "sym", lambda f: sym.hall_pair(m(2, 1), f), "hall_pair"
+    yield "qsym.expand_ordered", "qsym", lambda f: qsym.expand_ordered(f, 3), "expand_ordered"
+    yield "qsym.pair.left", "nsym", lambda f: qsym.pair(f, M(2, 1)), "pair"
+    yield "qsym.pair.right", "qsym", lambda f: qsym.pair(z(2, 1), f), "pair"
 
 
 def _basis_element(tag):
@@ -47,20 +53,23 @@ def _foreign(domain):
 
 
 MAPS = list(_maps())
-CASES = [pytest.param(fn, domain, x, id="%s(%s)" % (label, tag))
-         for label, domain, fn in MAPS for tag, x in _foreign(domain)]
+CASES = [pytest.param(fn, domain, x, name, id="%s(%s)" % (label, tag))
+         for label, domain, fn, name in MAPS for tag, x in _foreign(domain)]
 
 
-@pytest.mark.parametrize("fn, domain, x", CASES)
-def test_a_map_refuses_every_foreign_input(fn, domain, x):
+@pytest.mark.parametrize("fn, domain, x, name", CASES)
+def test_a_map_refuses_every_foreign_input(fn, domain, x, name):
     with pytest.raises(AlgebraMismatchError) as exc:
         fn(x)
     assert structures.ALGEBRAS[domain].cls.__name__ in str(exc.value)
     assert type(x).__name__ in str(exc.value)
+    # read as words: ``_bpoly_antipode`` says "bpoly antipode"
+    words = name.replace("_", " ").strip()
+    assert str(exc.value).replace("_", " ").startswith(words + " expects ")
 
 
-@pytest.mark.parametrize("label, domain, fn", MAPS, ids=[m[0] for m in MAPS])
-def test_a_map_takes_its_own_algebra(label, domain, fn):
+@pytest.mark.parametrize("label, domain, fn, name", MAPS, ids=[m[0] for m in MAPS])
+def test_a_map_takes_its_own_algebra(label, domain, fn, name):
     """The refusals above are not of everything: the domain passes."""
     fn(_basis_element(domain))
 
