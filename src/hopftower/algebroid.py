@@ -178,7 +178,9 @@ def _level_basis(alg, w, s):
     """Basis keys of the weight-w normalized level-s piece: base weight
     falling, then the H weights of the s slots in increasing lex order, then
     the enumeration order of the indices (``sparse_rank`` breaks ties by
-    column, so the order is part of the result)."""
+    column, so the order is part of the result).  Both sizes go through
+    ``natural``, the degree first."""
+    s, w = natural(s, "degree"), natural(w, "weight")
     return [key for base_w in range(w - s, -1, -1)
             for split in reversed(compositions_of(w - base_w)) if len(split) == s
             for key in product(alg.base_indices(base_w), *map(alg.h_indices, split))]

@@ -49,7 +49,7 @@ key per term pair too; any other tensor gives ``mul_into`` its own
 ``basis_mul``, slot by slot.  The accumulator here, ``add_product`` with
 ``settle_sums``, keeps one such dict per output key for ``substitute`` (so
 every series composition, ``exp``, ``log`` and ``invert``), the series
-product and reversion.
+product, ``compose_sum`` and reversion.
 
 Each coproduct, coaction and antipode is given on the generators and then
 extended over words.  ``on_words`` does that extension, multiplicatively or
@@ -322,7 +322,7 @@ class Polynomial(SparseSum):
     __slots__ = ("nvars", "bound")
 
     def __init__(self, nvars, terms=None, bound=None):
-        self.nvars = nvars
+        self.nvars = natural(nvars, "nvars")
         self.bound = bound
         data = {}
         if terms:

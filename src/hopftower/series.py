@@ -11,9 +11,16 @@ Composition is one ``linear.substitute``, outer coefficients on the left of
 the inner powers: the convention that makes the noncommutative functional
 calculus here come out right.  An outer series over ``Fraction`` takes an
 inner one over any algebra, so ``exp``, ``log`` and ``invert`` are each a
-composition of a fixed rational series.  Reversion, defined over commutative
-coefficients only, takes one pass and no composition: at degree n it fills
-[T^n] g^k for k >= 2 from g_1 .. g_(n-1), then reads off g_n.
+composition of a fixed rational series.  ``compose_sum`` substitutes
+inner(X) + inner(Y) for a univariate inner series, the two-variable addition
+series of ``topology.fgl`` and ``topology.cp_infinity_coproduct``.  The swap of
+the central X and Y fixes every power of that sum, so it builds each power on
+the keys (i, j) with i <= j only and mirrors the result, with about half the
+coefficient products of ``compose`` of the embedded sum.  The ``verify`` suite
+``bfk`` checks both series against Horner's rule on that embedded sum.
+Reversion, defined over commutative coefficients only, takes one pass and no
+composition: at degree n it fills [T^n] g^k for k >= 2 from g_1 .. g_(n-1),
+then reads off g_n.
 """
 
 from fractions import Fraction
@@ -171,8 +178,9 @@ class TruncatedSeries(SparseSum):
         coeffs = {n: (-1) ** n * quotient(1, c0 ** (n + 1)) for n in range(self.cap + 1)}
         return TruncatedSeries(Fraction, coeffs, self.cap).compose(self - c0)
 
-    def compose(self, inner):
-        """Substitute ``inner`` (zero constant term) into this univariate series."""
+    def _composable(self, inner):
+        """``inner`` cut to the common cap, once it may be substituted into this
+        series: ``DomainError`` or ``AlgebraMismatchError`` otherwise."""
         if self.nvars != 1:
             raise DomainError("composition needs a univariate outer series")
         if inner.algebra != self.algebra and self.algebra is not Fraction:
@@ -181,9 +189,57 @@ class TruncatedSeries(SparseSum):
             raise DomainError("inner series must have zero constant term")
         if min(self.terms, default=0) < 0 or inner.valuation() < 0:
             raise DomainError("composition needs power series, not negative powers of T")
-        inner = inner.truncate(min(self.cap, inner.cap))
+        return inner.truncate(min(self.cap, inner.cap))
+
+    def compose(self, inner):
+        """Substitute ``inner`` (zero constant term) into this univariate series."""
+        inner = self._composable(inner)
         # outer coefficients on the left, lowest power first, whose sym basis a sum takes
         return substitute({(n,): self.terms[n] for n in sorted(self.terms)}, [inner], inner ** 0)
+
+    def compose_sum(self, inner):
+        """The bivariate series of this one at inner(X) + inner(Y), for a
+        univariate ``inner`` with zero constant term: equal to ``compose`` of
+        ``inner.embed_bivariate(0) + inner.embed_bivariate(1)``, with the same
+        refusals.
+
+        The swap of the central X and Y fixes the coefficients and the sum, so
+        every power P_k of the sum is symmetric, and only its keys (i, j) with
+        i <= j are built: P_k from P_(k-1) times the sum, the coefficient at
+        (j, i) read from (i, j).  Outer coefficients go on the left, as in
+        ``compose``; the half is mirrored at the end.
+        """
+        if inner.nvars != 1:
+            raise DomainError("compose_sum needs a univariate inner series")
+        inner = self._composable(inner)
+        cap, f = inner.cap, self.terms
+        steps = sorted(inner.terms.items())
+        scalar = inner.algebra is Fraction
+        outer_scalar = scalar or self.algebra is Fraction
+        power = {(0, 0): inner._unit_term(1)[1]}  # P_0, then P_k on keys i <= j
+        out = {}
+        for k in range(max(f, default=-1) + 1):
+            if k:
+                sums = {}
+                for (i, j), v in power.items():
+                    for d, a in steps:
+                        if i + j + d > cap:
+                            break
+                        # X steps (i, j) to (i + d, j), Y to (i, j + d), and Y
+                        # steps the mirror (j, i) to (j, i + d): each kept when
+                        # it lands on a key i <= j
+                        if i + d <= j:
+                            add_product(sums, (i + d, j), v, a, scalar)
+                        add_product(sums, (i, j + d), v, a, scalar)
+                        if i < j <= i + d:
+                            add_product(sums, (j, i + d), v, a, scalar)
+                power = settle_sums(sums, scalar)
+            if k in f:
+                for key, v in power.items():
+                    add_product(out, key, f[k], v, outer_scalar)
+        half = settle_sums(out, outer_scalar)
+        return inner._new({**half, **{(j, i): v for (i, j), v in half.items() if i < j}},
+                          nvars=2)
 
     def revert(self):
         """Compositional inverse of a series T + higher order terms.

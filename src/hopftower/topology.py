@@ -50,7 +50,7 @@ def miscenko_log(cap):
 
 def chi_b(n):
     """Composition antipode of b_n: the T^{n+1} log coefficient."""
-    if n == 0:
+    if natural(n, "weight") == 0:
         return BElement.one()
     return miscenko_log(n + 1).coefficient(n + 1)
 
@@ -94,10 +94,10 @@ def cp_char_number_oracle(n, lam):
 
 
 def fgl(cap):
-    """The two-variable addition law b(b^{-1}(X) + b^{-1}(Y)), total degree <= cap."""
+    """The two-variable addition law b(b^{-1}(X) + b^{-1}(Y)), total degree <= cap,
+    by ``TruncatedSeries.compose_sum``: one pass on the half X^i Y^j, i <= j."""
     log = miscenko_log(cap)
-    inner = log.embed_bivariate(0) + log.embed_bivariate(1)
-    return b_series(cap).compose(inner)
+    return b_series(cap).compose_sum(log)
 
 
 # -- beta exponential ------------------------------------------------------
@@ -232,12 +232,11 @@ def cp_infinity_coproduct(cap):
 
     X and Y are central; the coefficients stay noncommutative.  Setting one
     variable to zero must return the other variable alone, and collapsing
-    Z_k to b_k recovers the commutative group law.
+    Z_k to b_k recovers the commutative group law.  The route is the one of
+    ``fgl``, ``TruncatedSeries.compose_sum``, which needs X and Y central only.
     """
     zs = z_series(natural(cap, "cap", 1))
-    chi = zs.map_coefficients(bfk_antipode)
-    inner = chi.embed_bivariate(0) + chi.embed_bivariate(1)
-    return zs.compose(inner)
+    return zs.compose_sum(zs.map_coefficients(bfk_antipode))
 
 
 def abelianize_to_b(f):

@@ -15,6 +15,7 @@ import pytest
 
 from hopftower import algebroid, cli, indices, qsym, sym, topology, verify
 from hopftower.errors import DomainError
+from hopftower.linear import Polynomial
 from hopftower.series import TruncatedSeries, generator_series
 from hopftower.sym import e
 from hopftower.topology import BElement, BetaPolynomial, ProjectiveProductSpace
@@ -48,9 +49,11 @@ ROWS = [
     ("sym.expand", "nvars", 1, lambda n: sym.expand(e(1), n)),
     ("qsym.expand_ordered", "nvars", 0, lambda n: qsym.expand_ordered(qsym.M(1), n)),
     ("miscenko_log", "cap", 1, topology.miscenko_log),
+    ("fgl", "cap", 1, topology.fgl),
     ("beta_series", "cap", 1, topology.beta_series),
     ("cumulant_series", "cap", 1, topology.cumulant_series),
     ("cp_infinity_coproduct", "cap", 1, topology.cp_infinity_coproduct),
+    ("chi_b", "weight", 0, topology.chi_b),
     ("cp_hurewicz", "projective space dimension", 0, topology.cp_hurewicz),
     ("cp_char_number", "projective space dimension", 0,
      lambda n: topology.cp_char_number(n, ())),
@@ -64,7 +67,16 @@ ROWS = [
      lambda n: algebroid.cohomology_rank("S.B", n, 0)),
     ("cohomology_rank degree", "degree", 0,
      lambda n: algebroid.cohomology_rank("S.B", 2, n)),
+    ("differential_rows weight", "weight", 0,
+     lambda n: algebroid.differential_rows(algebroid.SB, n, 0)),
+    ("differential_rows degree", "degree", 0,
+     lambda n: algebroid.differential_rows(algebroid.SB, 2, n)),
+    ("differential_matrix weight", "weight", 0,
+     lambda n: algebroid.differential_matrix(algebroid.SB, n, 0)),
+    ("differential_matrix degree", "degree", 0,
+     lambda n: algebroid.differential_matrix(algebroid.SB, 2, n)),
     ("coface", "coface index", 0, lambda n: algebroid.coface(algebroid.SB, e(1), n)),
+    ("Polynomial nvars", "nvars", 0, lambda n: Polynomial(n, {})),
     ("crn --weight", "--weight", 1, lambda n: cli._cmd_crn(Namespace(weight=n))),
 ]
 CLI_ROWS = [("verify --weight", "--weight", 0, "weight"), ("verify --cap", "--cap", 2, "cap")]
