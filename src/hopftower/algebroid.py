@@ -249,7 +249,7 @@ def cohomology_rank(alg, w, s, weight_bound=WEIGHT_BOUND):
     s, w = natural(s, "degree"), natural(w, "weight")
     if s not in (0, 1):
         raise CapabilityError("cohomology degree %d not supported (only 0 and 1)" % s)
-    if w > weight_bound:
+    if w > natural(weight_bound, "weight_bound"):
         raise CapabilityError("cohomology weight bounded at %d (got %d)"
                               % (weight_bound, w))
     # each level basis is built once: level s is the domain of d^s and the
@@ -292,7 +292,7 @@ def right_unit_functional(f, I):
     <Z-part on the right, M_I> times the left part.
     """
     f = NSymElement.require(f, "right_unit_functional")
-    I = tuple(I)
+    I = NSymElement.canonical_index(I)
     # the terms with right slot I have distinct left slots: nothing to merge
     return NSymElement({left: c for (left, right), c in bfk_coproduct(f).terms.items()
                         if right == I})

@@ -1,31 +1,27 @@
 """Exact linear algebra over the rationals.
 
-Just what the rest of the package needs: the rank of a matrix, sparse or
-dense (for cohomology dimensions of the cobar complexes), and, as an oracle
-only, the inverse of a square matrix.
+Just what the rest of the package needs: the rank of a sparse integer
+matrix (for cohomology dimensions of the cobar complexes) and, as oracles
+only, Gauss-Jordan reduction and the inverse of a square matrix.
 
-The cobar differentials are sparse with integer entries, so rank is computed
-fraction-free on sparse rows.  ``sparse_rank`` takes each row as a
-``{column: int}`` dict of its nonzeros.  It first counts the nonzeros of
-every column and relabels the columns sparsest first, then eliminates the
+The cobar differentials are sparse with integer entries, so ``sparse_rank``
+computes rank fraction-free on rows given as ``{column: int}`` dicts of
+their nonzeros.  It relabels the columns sparsest first and eliminates the
 rows shortest first; rank changes under neither permutation, and a lead
 column that few rows share leaves little fill-in behind (the static form of
-Markowitz's ordering, Management Sci. 3, 1957).  During elimination a row
-that is shorter than the pivot of its lead column becomes that pivot, and
-the old pivot is reduced in its place, so the rows that are subtracted
-again and again stay short.  Forward elimination
-cross-multiplies by gcd-reduced pivots (fraction-free in the spirit of
-Bareiss, Math. Comp. 22, 1968) and divides every new row by its content,
-which keeps the integers small.  Rank needs neither back-substitution nor
-normalised pivots.  ``matrix_rank`` is the dense front door: it scales each
-rational row to a primitive integer row and hands them to ``sparse_rank``.
-All arithmetic is exact ``int``.
-``row_reduce`` is plain Gauss-Jordan on rational rows, entries in the
-canonical form of ``scalars.rational``; ``verify`` and
+Markowitz's ordering, Management Sci. 3, 1957).  A row shorter than the
+pivot of its lead column becomes that pivot and the old pivot is reduced in
+its place, so the rows that are subtracted again and again stay short.
+Forward elimination cross-multiplies by gcd-reduced pivots (fraction-free in
+the spirit of Bareiss, Math. Comp. 22, 1968) and divides every new row by
+its content, which keeps the integers small; rank needs neither
+back-substitution nor normalised pivots, and all arithmetic is exact
+``int``.  ``matrix_rank``, the dense front door, is kept for the benchmark's
+layer rows: nothing in the package calls it.  ``row_reduce`` is plain
+Gauss-Jordan on rational rows; ``verify`` and
 ``algebroid.invariants_rank_oracle`` count its pivots as the independent
-route for ranks.  ``invert_matrix`` row-reduces [A | I].  No
-conversion calls it: ``sym`` solves its triangular transition tables by
-substitution, and ``verify`` checks those solves against this inverse.
+route for ranks.  ``invert_matrix`` row-reduces [A | I]; only ``verify``
+calls it, to check the substitution solves and h conversions of ``sym``.
 """
 
 from math import gcd, lcm

@@ -439,7 +439,10 @@ class LinearElement(SparseSum):
     def canonical_index(cls, idx):
         """``idx`` as this algebra stores a basis index; ``DomainError`` if it
         is not one."""
-        idx = tuple(idx)
+        try:
+            idx = tuple(idx)
+        except TypeError:
+            raise DomainError("an index is a sequence of parts, not %r" % (idx,)) from None
         for p in idx:
             if type(p) is not int or p < 1:
                 raise DomainError("index parts must be positive integers")
@@ -461,7 +464,7 @@ class LinearElement(SparseSum):
 
     @classmethod
     def from_index(cls, idx):
-        return cls({tuple(idx): 1})
+        return cls({cls.canonical_index(idx): 1})
 
     @classmethod
     def basis_mul(cls, i, j):

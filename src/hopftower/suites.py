@@ -144,6 +144,12 @@ def _gauss_jordan_inverse(basis, w):
                     for r in inverse)
 
 
+def _converted_rows(src, to, w):
+    """Row i: ``convert`` of the i-th ``src`` basis element of weight w, in ``to``."""
+    return tuple(tuple(convert(SymElement({lam: 1}, src), to).terms.get(mu, ZERO)
+                       for mu in partitions_of(w)) for lam in partitions_of(w))
+
+
 def _expanded_m_product(lam, mu):
     """m_lam * m_mu read off the product of the two literal expansions."""
     nvars = max(1, sum(lam) + sum(mu))
@@ -167,15 +173,14 @@ def suite_antipode(weight=None, cap=None):
                  and h_series.coefficient(n) == convert(h(n), "e"))
                 for n in range(1, bound + 1)),
                "fails at n=%d"),
-        _check("counted transition matrices equal the expansion (e, h, p; weight <= %d)"
-               % tbound,
-               (((basis, w), sym_mod._transition(basis, w)[1]
-                 == _expanded_transition(basis, w))
+        _check("e, p tables and h-to-m conversions equal the expansion (weight <= %d)" % tbound,
+               (((basis, w), (sym_mod._transition(basis, w)[1] if basis != "h"
+                              else _converted_rows("h", "m", w)) == _expanded_transition(basis, w))
                 for basis in ("e", "h", "p") for w in range(tbound + 1))),
-        _check("triangular transition inverses equal Gauss-Jordan (e, h, p; weight <= %d)"
-               % tbound,
-               (((basis, w), sym_mod._transition_inverse(basis, w)
-                 == _gauss_jordan_inverse(basis, w))
+        _check("e, p inverses and m-to-h conversions equal Gauss-Jordan (weight <= %d)" % tbound,
+               (((basis, w), _converted_rows("m", "h", w)
+                 == tuple(map(tuple, invert_matrix(_expanded_transition("h", w)))) if basis == "h"
+                 else sym_mod._transition_inverse(basis, w) == _gauss_jordan_inverse(basis, w))
                 for basis in ("e", "h", "p") for w in range(tbound + 1))),
         _check("counted m-products equal the product of expansions "
                "(total weight <= %d, {count} pairs)" % mbound,

@@ -5,8 +5,8 @@ the elementary (e), complete homogeneous (h), power sum (p) and monomial (m)
 families.  e, h and p are multiplicative, so products there just merge
 partitions.  Basis conversions and products in the m basis come from integer
 counts (Macdonald, *Symmetric Functions and Hall Polynomials*, I.6): the
-coefficient of m_mu in e_lam, h_lam or p_lam counts matrices with row sums
-lam and column sums mu, and the coefficient of m_nu in m_lam * m_mu counts
+coefficient of m_mu in e_lam or p_lam counts matrices with row sums lam and
+column sums mu, and the coefficient of m_nu in m_lam * m_mu counts
 arrangements of lam and mu that add up to nu.  The literal expansion as a
 symmetric polynomial in finitely many variables (``expand``) is read through
 QSym, where m_lam is the sum of M_I over the rearrangements I of lam; it stays
@@ -17,10 +17,10 @@ A conversion goes through m and inverts no table by elimination.  In the
 order of ``partitions_of`` (decreasing lex, which refines dominance) the p
 table is lower triangular with diagonal prod_i m_i(lam)!, and w! times its
 inverse is integral; the e table, its row for e_lam moved to the place of
-lam', is unitriangular (I.2, I.6).  Both are solved by substitution in ints.
-For h, h_lam = (-1)^|lam| S(e_lam) and omega swaps e and h, so m in h is
-(-1)^w (m in e) times the matrix of S on e, read from the antipode's memo.
-``exactlinalg.invert_matrix`` is only their oracle, in ``verify``.
+lam', is unitriangular (I.2, I.6).  Both are solved by substitution in ints;
+``exactlinalg.invert_matrix`` is only their oracle, in ``verify``.  h has no
+table: h_lam = (-1)^|lam| S(e_lam) and omega swaps e and h, so one map,
+``_h_swap``, trades h and e coordinates both ways.
 
 The Hopf structure lives on the e basis (each generator series is grouplike),
 with everything else reached by conversion.  Coefficients are ``int``s
@@ -33,9 +33,8 @@ from math import factorial, gcd, lcm, prod
 import warnings
 
 from .errors import DomainError
-from .indices import compositions_of, natural, partitions_of, sort_to_partition
-from .linear import (CommutativeElement, Polynomial, add_term, binomial_gen, image_items,
-                     mul_into, on_words)
+from .indices import natural, partitions_of, sort_to_partition
+from .linear import CommutativeElement, Polynomial, binomial_gen, mul_into, on_words
 from .scalars import ONE, ZERO, quotient
 from .series import TruncatedSeries
 
@@ -198,7 +197,6 @@ def _m_product(lam, mu):
 # what one row of the matrix may put in a column when it has r left to place
 _ROW_STEPS = {
     "e": lambda r: (0, 1),
-    "h": lambda r: range(r + 1),
     "p": lambda r: (0, r),
 }
 
@@ -239,9 +237,8 @@ def _transition(basis, w):
 
     The entry for (lam, mu) is the coefficient of x^mu in basis_lam, which
     counts matrices with row sums lam and column sums mu: 0-1 matrices for e,
-    nonnegative integer matrices for h, and for p matrices with one nonzero
-    entry per row (Macdonald I.6).  The literal expansion gives the same
-    matrix and is checked against it in ``verify``.
+    and for p those with one nonzero entry per row (Macdonald I.6); ``verify``
+    checks them against the literal expansion.
     """
     parts = partitions_of(w)
     if basis == "m":
@@ -272,28 +269,28 @@ def _transition_inverse(basis, w):
     """Inverse of the transition matrix as ``(d, rows)``: ``d`` times the
     inverse is an integer matrix, each of whose rows is held as its nonzero
     (j, entry) pairs, j increasing; solved as the module docstring says."""
-    parts, pos, rows = _sparse_transition("p" if basis == "p" else "e", w)
+    parts, _, rows = _sparse_transition(basis, w)
     # w! times m in p is integral, so every division below is exact
     scale = factorial(w) if basis == "p" else 1
-    if basis == "h":
-        images = [[(pos[nu], (-1) ** w * c) for nu, c in image_items(_antipode_e_gen, lam)]
-                  for lam in parts]
-        inverse = [_combination([0] * len(parts), row, images)
-                   for row in _transition_inverse("e", w)[1]]
-    else:
-        # the diagonal entry is the first pair of an e row, the last of a p row;
-        # every other column of a row is solved before it
-        lead = -1 if basis == "p" else 0
-        inverse = [None] * len(parts)
-        for r in sorted(range(len(parts)), key=lambda r: rows[r][lead][0], reverse=lead == 0):
-            i, diagonal = rows[r][lead]
-            acc = [0] * len(parts)
-            acc[r] = scale
-            inverse[i] = _combination(acc, ((j, -x) for j, x in rows[r] if j != i),
-                                      inverse, diagonal)
+    # the diagonal entry is the first pair of an e row, the last of a p row;
+    # every other column of a row is solved before it
+    lead = -1 if basis == "p" else 0
+    inverse = [None] * len(parts)
+    for r in sorted(range(len(parts)), key=lambda r: rows[r][lead][0], reverse=lead == 0):
+        i, diagonal = rows[r][lead]
+        acc = [0] * len(parts)
+        acc[r] = scale
+        inverse[i] = _combination(acc, ((j, -x) for j, x in rows[r] if j != i),
+                                  inverse, diagonal)
     g = gcd(scale, *(y for r in inverse for _, y in r))
     return scale // g, (tuple(inverse) if g == 1 else tuple(
         tuple((j, y // g) for j, y in r) for r in inverse))
+
+
+def _h_swap(coords, w):
+    """Integer h coordinates of weight w, (partition, int) pairs, as e ones, or e as h."""
+    twisted = _antipode_e_gen(0)._new({lam: (-1) ** w * c for lam, c in coords})
+    return on_words(twisted, _antipode_e_gen).terms.items()
 
 
 def convert(f, to, integral=False):
@@ -309,26 +306,30 @@ def convert(f, to, integral=False):
     if to not in BASES:
         raise DomainError("unknown symmetric function basis %r" % (to,))
     if SymElement.require(f, "convert").basis == to:
-        result = f
-    else:
-        by_weight = {}
-        for lam, c in f.terms.items():
-            by_weight.setdefault(sum(lam), []).append((lam, c))
-        out = {}
-        for w, comp in sorted(by_weight.items()):
-            parts, pos, rows = _sparse_transition(f.basis, w)
-            # integer numerators over one common denominator d keep every
-            # sum below in int arithmetic
-            d = lcm(*(c.denominator for _, c in comp))
-            numerators = ((pos[lam], c.numerator * (d // c.denominator)) for lam, c in comp)
-            coords = _combination([0] * len(parts), numerators, rows)
-            if to != "m":
-                inv_d, inv_rows = _transition_inverse(to, w)
+        return f
+    src, hub = ("e" if basis == "h" else basis for basis in (f.basis, to))
+    by_weight = {}
+    for lam, c in f.terms.items():
+        by_weight.setdefault(sum(lam), []).append((lam, c))
+    out = {}
+    for w, comp in sorted(by_weight.items()):
+        # integer numerators over one common denominator d keep every sum
+        # below in int arithmetic, from h to e, through m and from e to h
+        d = lcm(*(c.denominator for _, c in comp))
+        coords = ((lam, c.numerator * (d // c.denominator)) for lam, c in comp)
+        coords = _h_swap(coords, w) if f.basis == "h" else coords
+        if src != hub:
+            parts, pos, rows = _sparse_transition(src, w)
+            row = _combination([0] * len(parts), ((pos[lam], c) for lam, c in coords), rows)
+            if hub != "m":
+                inv_d, inv_rows = _transition_inverse(hub, w)
                 d *= inv_d
-                coords = _combination([0] * len(parts), coords, inv_rows)
-            for j, c in coords:
-                out[parts[j]] = c if d == 1 else quotient(c, d)
-        result = f._new(out, to)
+                row = _combination([0] * len(parts), row, inv_rows)
+            coords = ((parts[j], c) for j, c in row)
+        coords = _h_swap(coords, w) if to == "h" else coords
+        for lam, c in coords:
+            out[lam] = c if d == 1 else quotient(c, d)
+    result = f._new(out, to)
     if integral:
         den = lcm(*(c.denominator for c in f.terms.values()))
         if any(den % c.denominator for c in result.terms.values()):
@@ -352,9 +353,10 @@ def coproduct(f):
 
 @lru_cache(maxsize=None)
 def _antipode_e_gen(n):
-    """Antipode of e_n: alternating sum of e_I over all compositions I of n."""
-    # the constructor sorts each composition and merges the repeats
-    return SymElement({comp: (-1) ** len(comp) for comp in compositions_of(n)}, "e")
+    """Antipode of e_n: the alternating sum of e_I over the compositions I of
+    n, that is (-1)^l(lam) l!/prod_i m_i(lam)! e_lam summed over lam |- n."""
+    return SymElement({lam: (-1) ** len(lam) * factorial(len(lam)) // prod(
+        map(factorial, Counter(lam).values())) for lam in partitions_of(n)}, "e")
 
 
 def antipode(f):
@@ -373,14 +375,8 @@ def involution(f, which):
     if which not in ("dual", "whitney", "omega"):
         raise DomainError("unknown involution %r" % (which,))
     fe = convert(SymElement.require(f, "involution"), "e")
-    out_basis = "e" if which == "dual" else "h"
-    out = {}
-    for lam, c in fe.terms.items():
-        if which == "omega":
-            add_term(out, lam, c)
-        else:
-            add_term(out, lam, c * (-1) ** sum(lam))
-    return SymElement(out, out_basis)
+    return fe._new({lam: -c if which != "omega" and sum(lam) % 2 else c
+                    for lam, c in fe.terms.items()}, "e" if which == "dual" else "h")
 
 
 def hall_pair(f, g):

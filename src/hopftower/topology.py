@@ -197,7 +197,7 @@ def quasitoric_char_number(space, I, convention="tangent"):
     The normal convention evaluates on the virtual negative of the bundle,
     which is the antipode of M_I on the same roots.
     """
-    f = qsym.QSymElement({tuple(I): ONE})
+    f = qsym.QSymElement.from_index(I)
     if convention == "normal":
         f = qsym.antipode(f)
     elif convention != "tangent":

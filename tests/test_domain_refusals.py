@@ -7,15 +7,21 @@ of the map's own (``nsym.coproduct(m(2,1))`` gave the coproduct of Z[2,1]).
 A map that converts first names itself, not ``convert``.
 The maps and the inputs are read from the registries: a structure, tower map
 or algebra added later is covered with no edit here.
+
+A basis index that is not a sequence of positive ints is refused with
+``DomainError`` by ``LinearElement.canonical_index``, whichever door it comes
+through; a bare int used to leak a raw ``TypeError`` from ``tuple``.
 """
 
 import pytest
 
-from hopftower import cli, qsym, structures, sym
-from hopftower.errors import AlgebraMismatchError
-from hopftower.nsym import z
+from hopftower import algebroid, cli, qsym, structures, sym, topology
+from hopftower.errors import AlgebraMismatchError, DomainError
+from hopftower.linear import Tensor
+from hopftower.nsym import NSymElement, z
 from hopftower.qsym import M
-from hopftower.sym import m
+from hopftower.sym import SymElement, m
+from hopftower.topology import ProjectiveProductSpace
 
 
 def _maps():
@@ -73,3 +79,30 @@ def test_a_map_takes_its_own_algebra(label, domain, fn, name):
     """The refusals above are not of everything: the domain passes."""
     fn(_basis_element(domain))
 
+
+
+# (label, a call that passes a bad basis index)
+BAD_INDICES = [
+    ("NSymElement key", lambda: NSymElement({5: 1})),
+    ("SymElement key", lambda: SymElement({None: 1})),
+    ("from_index", lambda: NSymElement.from_index(2)),
+    ("Tensor slot", lambda: Tensor((NSymElement,), {(5,): 1})),
+    ("cp_char_number partition", lambda: topology.cp_char_number(1, 1)),
+    ("quasitoric_char_number composition",
+     lambda: topology.quasitoric_char_number(ProjectiveProductSpace([1], [[1], [1]]), 3)),
+    ("right_unit_functional None", lambda: algebroid.right_unit_functional(z(2), None)),
+    ("right_unit_functional zero part", lambda: algebroid.right_unit_functional(z(2), (0,))),
+    ("right_unit_functional float part",
+     lambda: algebroid.right_unit_functional(z(2), (1.0,))),
+]
+
+
+@pytest.mark.parametrize("label, call", BAD_INDICES, ids=[r[0] for r in BAD_INDICES])
+def test_a_bad_index_is_refused_with_domain_error(label, call):
+    with pytest.raises(DomainError):
+        call()
+
+
+def test_right_unit_functional_reads_a_checked_index():
+    assert algebroid.right_unit_functional(z(2), [1]) == z(1).scale(2)
+    assert algebroid.right_unit_functional(z(2), (1,)) == z(1).scale(2)

@@ -67,6 +67,8 @@ ROWS = [
      lambda n: algebroid.cohomology_rank("S.B", n, 0)),
     ("cohomology_rank degree", "degree", 0,
      lambda n: algebroid.cohomology_rank("S.B", 2, n)),
+    ("cohomology_rank weight_bound", "weight_bound", 0,
+     lambda n: algebroid.cohomology_rank("S.B", 0, 0, weight_bound=n)),
     ("differential_rows weight", "weight", 0,
      lambda n: algebroid.differential_rows(algebroid.SB, n, 0)),
     ("differential_rows degree", "degree", 0,
@@ -112,6 +114,11 @@ def test_a_verify_size_that_is_not_an_int_is_refused(monkeypatch, label, what, l
     with pytest.raises(DomainError, match="^%s must be at least %d$" % (what, least)):
         _verify(monkeypatch, **{size: least - 1})
     assert _verify(monkeypatch, **{size: least}) == "0/0 checks passed"
+
+
+def test_a_weight_bound_of_none_is_refused():
+    with pytest.raises(DomainError, match=_not_an_int("weight_bound", None)):
+        algebroid.cohomology_rank("S.B", 1, 0, weight_bound=None)
 
 
 def test_a_bool_weight_is_refused_after_the_int_is_cached():

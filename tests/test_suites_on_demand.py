@@ -33,8 +33,8 @@ FULL_REPORT = [
     'ok    bfk counit (weight <= 6, 64 elements)',
     'ok    bfk antipode convolution (weight <= 6, 64 elements)',
     'ok    antipode(e_n) = (-1)^n h_n and h-series agreement (n <= 8)',
-    'ok    counted transition matrices equal the expansion (e, h, p; weight <= 7)',
-    'ok    triangular transition inverses equal Gauss-Jordan (e, h, p; weight <= 7)',
+    'ok    e, p tables and h-to-m conversions equal the expansion (weight <= 7)',
+    'ok    e, p inverses and m-to-h conversions equal Gauss-Jordan (weight <= 7)',
     'ok    counted m-products equal the product of expansions (total weight <= 6, 139 pairs)',
     "ok    qsym antipode: graded recursion equals Ehrenborg's coarsening formula (weight <= 6, 64 compositions)",
     'ok    diffeo antipode: reversion equals graded recursion (n <= 8)',

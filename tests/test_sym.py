@@ -3,8 +3,10 @@
 The conversion tables in weight <= 4 are frozen from the classical
 identities (Newton relations and their inverses), worked out by hand, so
 they check the transition-matrix machinery against an independent source.
-The counted transition matrices and m-products are also compared with the
-literal polynomial expansion up to weight 6; ``verify`` goes on to weight 7.
+The counted transition matrices (e, p) and m-products are also compared with
+the literal polynomial expansion up to weight 6; ``verify`` goes on to weight
+7.  The h basis has no table: its conversions to and from m are compared with
+the expansion and its Gauss-Jordan inverse instead.
 """
 
 import sys
@@ -13,12 +15,14 @@ from fractions import Fraction
 import pytest
 
 from hopftower import exactlinalg, linear, sym
+from hopftower.exactlinalg import invert_matrix
 from hopftower.errors import DomainError
 from hopftower.indices import partitions_of
 from hopftower.linear import Tensor
 from hopftower.sym import (SymElement, antipode, convert, coproduct, e,
                            e_series, h, h_series, hall_pair, involution, m, p)
-from hopftower.suites import _expanded_m_product, _expanded_transition, _gauss_jordan_inverse
+from hopftower.suites import (_converted_rows, _expanded_m_product, _expanded_transition,
+                              _gauss_jordan_inverse)
 
 # hand-frozen expansions in the e basis
 H_IN_E = {
@@ -69,10 +73,15 @@ def test_integral_flag_rejects_denominators():
     with pytest.raises(DomainError):
         convert(e(2), "p", integral=True)
     assert convert(e(2), "h", integral=True) == h(1, 1) - h(2)
+    # h_2 = (p_1^2 + p_2)/2, while m_(1,1) = e_2 = h_1^2 - h_2
+    with pytest.raises(DomainError, match="not integral"):
+        convert(h(2), "p", integral=True)
+    assert convert(m(1, 1), "h", integral=True) == h(1, 1) - h(2)
     # a denominator the input already has is kept, not refused
     half = Fraction(1, 2)
     assert convert(e(1).scale(half), "e", integral=True) == e(1).scale(half)
     assert convert(e(2).scale(half), "h", integral=True) == (h(1, 1) - h(2)).scale(half)
+    assert convert(h(2).scale(half), "e", integral=True) == (e(1, 1) - e(2)).scale(half)
     # e_2/2 = (p_1^2 - p_2)/4: the conversion doubles the denominator
     with pytest.raises(DomainError, match="not integral"):
         convert(e(2).scale(half), "p", integral=True)
@@ -95,7 +104,7 @@ def test_monomial_product_cross_check_through_e():
 
 
 def test_counted_transition_matrices_equal_the_expansion():
-    for basis in ("e", "h", "p", "m"):
+    for basis in ("e", "p", "m"):
         for w in range(7):
             parts, rows = sym._transition(basis, w)
             assert parts == partitions_of(w)
@@ -123,8 +132,15 @@ def test_cold_round_trip_at_weight_ten():
     assert convert(convert(h(10), "e"), "h") == h(10)
 
 
+def test_h_conversions_equal_the_expansion_and_its_inverse():
+    for w in range(8):
+        expanded = _expanded_transition("h", w)
+        assert _converted_rows("h", "m", w) == expanded, w
+        assert _converted_rows("m", "h", w) == tuple(map(tuple, invert_matrix(expanded))), w
+
+
 def test_triangular_transition_inverses_equal_gauss_jordan():
-    for basis in ("e", "h", "p"):
+    for basis in ("e", "p"):
         for w in range(10):
             assert sym._transition_inverse(basis, w) == _gauss_jordan_inverse(basis, w), \
                 (basis, w)
@@ -152,10 +168,35 @@ def test_cold_conversions_never_call_gauss_jordan():
     assert calls == []
 
 
+def test_no_table_is_ever_built_or_read_for_h():
+    """h is traded with e through the antipode memo, so no table function
+    (watched by code object, under its cache) sees the basis ``"h"``."""
+    _clear_sym_caches()
+    watched = {fn.__wrapped__.__code__ for fn in (sym._transition, sym._sparse_transition,
+                                                  sym._transition_inverse, sym._count_matrices)}
+    calls = []
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code in watched:
+            calls.append((frame.f_code.co_name, frame.f_locals["basis"]))
+
+    sys.setprofile(profile)
+    try:
+        for w in range(9):
+            for src in sym.BASES:
+                f = SymElement({lam: 1 for lam in partitions_of(w)}, src)
+                for to in sym.BASES:
+                    convert(f, to)
+    finally:
+        sys.setprofile(None)
+    assert calls and all(basis != "h" for _, basis in calls), \
+        sorted({call for call in calls if call[1] == "h"})
+
+
 def test_conversions_are_canonical_and_share_no_dict_with_a_cache():
-    cached = [id(x) for w in range(8) for basis in sym.BASES
+    cached = [id(x) for w in range(8) for basis in ("e", "p", "m")
               for table in (sym._transition, sym._sparse_transition) for x in table(basis, w)]
-    cached += [id(x) for w in range(8) for basis in ("e", "h", "p")
+    cached += [id(x) for w in range(8) for basis in ("e", "p")
                for x in sym._transition_inverse(basis, w)]
     cached += [id(linear.word_image(sym._antipode_e_gen, lam).terms)
                for w in range(8) for lam in partitions_of(w)]
