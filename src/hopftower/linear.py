@@ -464,7 +464,10 @@ class LinearElement(SparseSum):
 
     @classmethod
     def from_index(cls, idx):
-        return cls({cls.canonical_index(idx): 1})
+        """The basis element of ``idx``, canonicalised once."""
+        obj = cls()
+        obj.terms = {cls.canonical_index(idx): ONE}
+        return obj
 
     @classmethod
     def basis_mul(cls, i, j):
@@ -527,13 +530,22 @@ class Tensor(SparseSum):
 
     def __init__(self, factors, terms=None):
         """Validate ``terms``: each slot key becomes its factor's canonical
-        index (partitions sorted, keys that collide merged), and a key of the
-        wrong arity or with a part below 1 raises ``DomainError``."""
-        self.factors = tuple(factors)
+        index (partitions sorted, keys that collide merged), and factors or a
+        key that are not a sequence, a key of the wrong arity or a part below
+        1 raise ``DomainError``."""
+        try:
+            self.factors = tuple(factors)
+        except TypeError:
+            raise DomainError("tensor factors are a sequence of algebras, not %r"
+                              % (factors,)) from None
         data = {}
         if terms:
             for key, coeff in terms.items():
-                key = tuple(key)
+                try:
+                    key = tuple(key)
+                except TypeError:
+                    raise DomainError("a tensor key is a sequence of slot indices, not %r"
+                                      % (key,)) from None
                 if len(key) != len(self.factors):
                     raise DomainError("tensor key %r has %d slots, not %d"
                                       % (key, len(key), len(self.factors)))

@@ -34,7 +34,7 @@ from .exactlinalg import invert_matrix, row_reduce, sparse_rank
 from .expr import parse_element
 from .indices import compositions_of, partitions_of
 from .jsonio import document_for, dumps, from_document
-from .linear import Polynomial, Tensor
+from .linear import Polynomial, Tensor, on_words
 from .nsym import NSymElement, z
 from .qsym import M, QSymElement, expand_ordered, pair, pair_tensor
 from .scalars import ONE, ZERO
@@ -167,12 +167,25 @@ def suite_antipode(weight=None, cap=None):
     mbound = min(bound, 6)
     qbound = min(bound, 6)
     bfk_bound = min(bound, 6)
+
+    def sym_antipode_routes():
+        # the slow route: every basis through e, with one letter map there
+        for basis in ("h", "p", "m"):
+            for w in range(tbound + 1):
+                for lam in partitions_of(w):
+                    x = SymElement({lam: 1}, basis)
+                    got = sym_mod.antipode(x)
+                    slow = convert(on_words(convert(x, "e"), sym_mod._antipode_e_gen), basis)
+                    yield (basis, lam), got.basis == basis and got.terms == slow.terms
+
     return [
         _check("antipode(e_n) = (-1)^n h_n and h-series agreement (n <= %d)" % bound,
                ((n, sym_mod.antipode(e(n)) == convert(h(n), "e").scale(Fraction(-1) ** n)
                  and h_series.coefficient(n) == convert(h(n), "e"))
                 for n in range(1, bound + 1)),
                "fails at n=%d"),
+        _check("antipode in the h, p and m bases equals the e route "
+               "(weight <= %d, {count} elements)" % tbound, sym_antipode_routes()),
         _check("e, p tables and h-to-m conversions equal the expansion (weight <= %d)" % tbound,
                (((basis, w), (sym_mod._transition(basis, w)[1] if basis != "h"
                               else _converted_rows("h", "m", w)) == _expanded_transition(basis, w))

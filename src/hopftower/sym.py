@@ -22,9 +22,14 @@ lam', is unitriangular (I.2, I.6).  Both are solved by substitution in ints;
 table: h_lam = (-1)^|lam| S(e_lam) and omega swaps e and h, so one map,
 ``_h_swap``, trades h and e coordinates both ways.
 
-The Hopf structure lives on the e basis (each generator series is grouplike),
-with everything else reached by conversion.  Coefficients are ``int``s
-except where a conversion involving the p basis brings in a denominator.
+The coproduct lives on the e basis (each generator series is grouplike), with
+the other bases reached by conversion.  The antipode takes the basis that
+diagonalises it where there is one: p_n is primitive, so S(p_lam) =
+(-1)^l(lam) p_lam is a sign on p; omega is a Hopf automorphism that swaps e_lam
+and h_lam, so S has the same coordinates on h as on e, one ``on_words`` over
+``_antipode_e_gen``; and m goes through p (Macdonald I.2, I.5).  Coefficients
+are ``int``s except where a conversion involving the p basis brings in a
+denominator.
 """
 
 from collections import Counter
@@ -360,9 +365,17 @@ def _antipode_e_gen(n):
 
 
 def antipode(f):
-    """Hopf antipode; an algebra involution here since S is commutative."""
+    """Hopf antipode; an algebra involution here since S is commutative.
+
+    Each basis takes its shortest exact route, as the module docstring says:
+    a sign on p, the e letter map read back as h, and m through p.
+    """
     f = SymElement.require(f, "antipode")
-    return convert(on_words(convert(f, "e"), _antipode_e_gen), f.basis)
+    if f.basis == "p":
+        return f._new({lam: -c if len(lam) % 2 else c for lam, c in f.terms.items()})
+    if f.basis == "m":
+        return convert(antipode(convert(f, "p")), "m")
+    return f._new(on_words(f, _antipode_e_gen).terms)
 
 
 def involution(f, which):

@@ -9,6 +9,7 @@ and explained.
 
 import ast
 import io
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -90,6 +91,23 @@ def test_the_sym_unit_and_basis_elements_are_e_based():
     assert SymElement.one().basis == SymElement.zero().basis == "e"
     assert SymElement.from_index((2, 1)) == e(2, 1)
     assert SymElement.from_index((2, 1)).basis == "e"
+
+
+def test_from_index_canonicalises_its_index_once():
+    calls = []
+    canonical = SymElement.canonical_index.__func__.__code__
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code is canonical:
+            calls.append(frame.f_locals["idx"])
+
+    sys.setprofile(profile)
+    try:
+        x = SymElement.from_index([1, 2])
+    finally:
+        sys.setprofile(None)
+    assert x == e(2, 1) and x.terms == {(2, 1): 1}
+    assert calls == [[1, 2]]
 
 
 def test_scalar_equality_of_the_kinds_that_used_to_refuse_it():

@@ -10,7 +10,8 @@ or algebra added later is covered with no edit here.
 
 A basis index that is not a sequence of positive ints is refused with
 ``DomainError`` by ``LinearElement.canonical_index``, whichever door it comes
-through; a bare int used to leak a raw ``TypeError`` from ``tuple``.
+through; a bare int used to leak a raw ``TypeError`` from ``tuple``.  A
+``Tensor`` refuses a key or factors that are not a sequence the same way.
 """
 
 import pytest
@@ -87,6 +88,9 @@ BAD_INDICES = [
     ("SymElement key", lambda: SymElement({None: 1})),
     ("from_index", lambda: NSymElement.from_index(2)),
     ("Tensor slot", lambda: Tensor((NSymElement,), {(5,): 1})),
+    ("Tensor int key", lambda: Tensor((NSymElement,), {5: 1})),
+    ("Tensor None key", lambda: Tensor((NSymElement,), {None: 1})),
+    ("Tensor int factors", lambda: Tensor(5, {})),
     ("cp_char_number partition", lambda: topology.cp_char_number(1, 1)),
     ("quasitoric_char_number composition",
      lambda: topology.quasitoric_char_number(ProjectiveProductSpace([1], [[1], [1]]), 3)),

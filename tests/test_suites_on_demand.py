@@ -33,6 +33,7 @@ FULL_REPORT = [
     'ok    bfk counit (weight <= 6, 64 elements)',
     'ok    bfk antipode convolution (weight <= 6, 64 elements)',
     'ok    antipode(e_n) = (-1)^n h_n and h-series agreement (n <= 8)',
+    'ok    antipode in the h, p and m bases equals the e route (weight <= 7, 135 elements)',
     'ok    e, p tables and h-to-m conversions equal the expansion (weight <= 7)',
     'ok    e, p inverses and m-to-h conversions equal Gauss-Jordan (weight <= 7)',
     'ok    counted m-products equal the product of expansions (total weight <= 6, 139 pairs)',
@@ -66,7 +67,7 @@ FULL_REPORT = [
     'ok    composition-sum invariant has 2^(k-1) unit terms (k <= 10)',
     'ok    parse/print and JSON round trips on 1000 random elements per algebra',
     'ok    documented invocations: 110 commands, pinned output and exit codes',
-    '49/49 checks passed',
+    '50/50 checks passed',
 ]
 
 

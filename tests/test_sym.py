@@ -13,6 +13,8 @@ import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hopftower import exactlinalg, linear, sym
 from hopftower.exactlinalg import invert_matrix
@@ -253,6 +255,61 @@ def test_antipode_swaps_e_and_h_with_sign():
 
 def test_antipode_pins():
     assert antipode(e(3)) == -e(1, 1, 1) + e(2, 1).scale(2) - e(3)
+    assert antipode(p(3, 2, 1)).terms == {(3, 2, 1): -1}
+    assert antipode(p(2, 2)).terms == {(2, 2): 1}
+    assert antipode(h(2)).terms == {(1, 1): 1, (2,): -1}
+    assert antipode(h(2)).basis == "h"
+
+
+def _e_route(x):
+    """The antipode through the e basis: one letter map there."""
+    return convert(linear.on_words(convert(x, "e"), sym._antipode_e_gen), x.basis)
+
+
+@st.composite
+def sym_elements(draw):
+    basis = draw(st.sampled_from(sym.BASES))
+    partitions = [lam for w in range(9) for lam in partitions_of(w)]
+    coefficient = st.fractions(min_value=-5, max_value=5, max_denominator=6)
+    return SymElement(draw(st.dictionaries(st.sampled_from(partitions), coefficient,
+                                           max_size=4)), basis)
+
+
+@settings(max_examples=80, deadline=None)
+@given(sym_elements())
+def test_antipode_equals_the_e_route_in_every_basis(x):
+    got = antipode(x)
+    assert got.basis == x.basis
+    assert got.terms == _e_route(x).terms
+    assert antipode(got).terms == x.terms
+
+
+def test_antipode_of_p_converts_nothing_and_of_h_reads_no_table():
+    """Watched by code object, under the caches: p takes a sign, h one letter map."""
+    _clear_sym_caches()
+    tables = {fn.__wrapped__.__code__ for fn in (sym._transition, sym._sparse_transition,
+                                                 sym._transition_inverse, sym._count_matrices)}
+    calls = []
+
+    def profile(frame, event, arg):
+        if event == "call" and (frame.f_code is convert.__code__ or frame.f_code in tables):
+            calls.append(frame.f_code.co_name)
+
+    sys.setprofile(profile)
+    try:
+        for w in range(9):
+            for basis in ("p", "h"):
+                antipode(SymElement({lam: 1 for lam in partitions_of(w)}, basis))
+    finally:
+        sys.setprofile(None)
+    assert calls == []
+    # the watch sees the m route, which converts through p
+    sys.setprofile(profile)
+    try:
+        antipode(m(2, 1))
+    finally:
+        sys.setprofile(None)
+    assert "convert" in calls and "_transition" in calls
 
 
 def test_generating_series_identity():
