@@ -366,10 +366,7 @@ def _antipode_e_gen(n):
 
 def antipode(f):
     """Hopf antipode; an algebra involution here since S is commutative.
-
-    Each basis takes its shortest exact route, as the module docstring says:
-    a sign on p, the e letter map read back as h, and m through p.
-    """
+    Each basis takes the route the module docstring gives."""
     f = SymElement.require(f, "antipode")
     if f.basis == "p":
         return f._new({lam: -c if len(lam) % 2 else c for lam, c in f.terms.items()})
