@@ -64,11 +64,6 @@ def _partitions_bounded(n, largest):
     return tuple(out)
 
 
-def sort_to_partition(comp):
-    """Forget the order of a composition, yielding a partition."""
-    return tuple(sorted(comp, reverse=True))
-
-
 def index_sort_key(idx):
     """Canonical display order for basis indices: by weight, then lex."""
     return (sum(idx), idx)

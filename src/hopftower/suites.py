@@ -136,9 +136,15 @@ def _expanded_transition(basis, w):
     return tuple(rows)
 
 
-def _gauss_jordan_inverse(basis, w):
-    """``sym._transition_inverse`` packed from the dense Gauss-Jordan inverse."""
-    inverse = invert_matrix(sym_mod._transition(basis, w)[1])
+def _nonzeros(matrix):
+    """Each row of a dense matrix as its nonzero (j, entry) pairs, j increasing."""
+    return tuple(tuple((j, x) for j, x in enumerate(r) if x) for r in matrix)
+
+
+def _gauss_jordan_inverse(matrix):
+    """The dense Gauss-Jordan inverse of a transition matrix, packed as
+    ``sym._transition_inverse`` packs its own."""
+    inverse = invert_matrix(matrix)
     d = lcm(*(x.denominator for r in inverse for x in r))
     return d, tuple(tuple((j, x.numerator * (d // x.denominator)) for j, x in enumerate(r) if x)
                     for r in inverse)
@@ -167,6 +173,9 @@ def suite_antipode(weight=None, cap=None):
     mbound = min(bound, 6)
     qbound = min(bound, 6)
     bfk_bound = min(bound, 6)
+    # each table is expanded once, for both checks below
+    expanded = {(basis, w): _expanded_transition(basis, w)
+                for basis in ("e", "h", "p") for w in range(tbound + 1)}
 
     def sym_antipode_routes():
         # the slow route: every basis through e, with one letter map there
@@ -187,13 +196,15 @@ def suite_antipode(weight=None, cap=None):
         _check("antipode in the h, p and m bases equals the e route "
                "(weight <= %d, {count} elements)" % tbound, sym_antipode_routes()),
         _check("e, p tables and h-to-m conversions equal the expansion (weight <= %d)" % tbound,
-               (((basis, w), (sym_mod._transition(basis, w)[1] if basis != "h"
-                              else _converted_rows("h", "m", w)) == _expanded_transition(basis, w))
+               (((basis, w), _converted_rows("h", "m", w) == expanded["h", w]
+                 if basis == "h"
+                 else sym_mod._transition(basis, w)[2] == _nonzeros(expanded[basis, w]))
                 for basis in ("e", "h", "p") for w in range(tbound + 1))),
         _check("e, p inverses and m-to-h conversions equal Gauss-Jordan (weight <= %d)" % tbound,
                (((basis, w), _converted_rows("m", "h", w)
-                 == tuple(map(tuple, invert_matrix(_expanded_transition("h", w)))) if basis == "h"
-                 else sym_mod._transition_inverse(basis, w) == _gauss_jordan_inverse(basis, w))
+                 == tuple(map(tuple, invert_matrix(expanded["h", w]))) if basis == "h"
+                 else sym_mod._transition_inverse(basis, w)
+                 == _gauss_jordan_inverse(expanded[basis, w]))
                 for basis in ("e", "h", "p") for w in range(tbound + 1))),
         _check("counted m-products equal the product of expansions "
                "(total weight <= %d, {count} pairs)" % mbound,

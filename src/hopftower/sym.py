@@ -3,11 +3,12 @@
 The algebra is graded by weight.  Basis indices are partitions; the bases are
 the elementary (e), complete homogeneous (h), power sum (p) and monomial (m)
 families.  e, h and p are multiplicative, so products there just merge
-partitions.  Basis conversions and products in the m basis come from integer
-counts (Macdonald, *Symmetric Functions and Hall Polynomials*, I.6): the
-coefficient of m_mu in e_lam or p_lam counts matrices with row sums lam and
-column sums mu, and the coefficient of m_nu in m_lam * m_mu counts
-arrangements of lam and mu that add up to nu.  The literal expansion as a
+partitions.  Basis conversions and products in the m basis come from one
+integer count (Macdonald, *Symmetric Functions and Hall Polynomials*, I.2,
+I.6): the coefficient of m_nu in m_lam * m_mu counts the arrangements of lam
+and mu that add up to nu.  e_lam and p_lam are products of their generators,
+with e_k = m_(1^k) and p_k = m_(k), so each row of the e and p tables is a
+product of m forms taken by that count.  The literal expansion as a
 symmetric polynomial in finitely many variables (``expand``) is read through
 QSym, where m_lam is the sum of M_I over the rearrangements I of lam; it stays
 the public evaluation and the independent oracle that ``verify`` checks the
@@ -20,7 +21,8 @@ inverse is integral; the e table, its row for e_lam moved to the place of
 lam', is unitriangular (I.2, I.6).  Both are solved by substitution in ints;
 ``exactlinalg.invert_matrix`` is only their oracle, in ``verify``.  h has no
 table: h_lam = (-1)^|lam| S(e_lam) and omega swaps e and h, so one map,
-``_h_swap``, trades h and e coordinates both ways.
+``_h_swap``, trades h and e coordinates both ways.  m needs no table either:
+its coordinates are the ones the tables land in.
 
 The coproduct lives on the e basis (each generator series is grouplike), with
 the other bases reached by conversion.  The antipode takes the basis that
@@ -38,8 +40,9 @@ from math import factorial, gcd, lcm, prod
 import warnings
 
 from .errors import DomainError
-from .indices import natural, partitions_of, sort_to_partition
-from .linear import CommutativeElement, Polynomial, binomial_gen, mul_into, on_words
+from .indices import natural, partitions_of
+from .linear import (CommutativeElement, Polynomial, binomial_gen, mul_into, on_words,
+                     settle)
 from .scalars import ONE, ZERO, quotient
 from .series import TruncatedSeries
 
@@ -168,6 +171,7 @@ def _without(parts, x):
     return parts[:i] + parts[i + 1:]
 
 
+@lru_cache(maxsize=None)
 def _arrangements(nu, lam, mu):
     """Distinct arrangements alpha of lam, padded to len(nu), for which
     nu - alpha is an arrangement of mu."""
@@ -199,65 +203,31 @@ def _m_product(lam, mu):
     return tuple(out)
 
 
-# what one row of the matrix may put in a column when it has r left to place
-_ROW_STEPS = {
-    "e": lambda r: (0, 1),
-    "p": lambda r: (0, r),
-}
-
-
 @lru_cache(maxsize=None)
-def _column_fills(basis, rows, c):
-    """The ways to fill a column of sum c, as ((rows left, ways), ...).
-
-    ``rows`` and each ``rows left`` are partitions: the remaining row sums,
-    sorted, with the rows already used up dropped.
-    """
-    if not rows:
-        return () if c else (((), 1),)
-    r = rows[0]
-    out = Counter()
-    for a in _ROW_STEPS[basis](r):
-        if a <= c:
-            for left, ways in _column_fills(basis, rows[1:], c - a):
-                out[sort_to_partition(left + (r - a,)) if a < r else left] += ways
-    return tuple(out.items())
-
-
-@lru_cache(maxsize=None)
-def _count_matrices(basis, rows, cols):
-    """Matrices with row sums ``rows`` (a partition) and column sums ``cols``
-    whose rows take the steps of ``basis``, counted column by column."""
-    if not cols:
-        return int(not rows)
-    return sum(ways * _count_matrices(basis, left, cols[1:])
-               for left, ways in _column_fills(basis, rows, cols[0]))
+def _m_row(basis, lam):
+    """e_lam or p_lam in the m basis, as terms: the m-product of the row of
+    lam without its last part and the m form of that part."""
+    if not lam:
+        return {(): 1}
+    return settle(mul_into({}, _m_row(basis, lam[:-1]),
+                           dict.fromkeys(_M_FORMS[basis](lam[-1]), 1), _m_product))
 
 
 # -- basis conversion ------------------------------------------------------
 
 @lru_cache(maxsize=None)
 def _transition(basis, w):
-    """(partitions of w, matrix): row i gives basis_{lam_i} in m-coordinates.
+    """(partitions of w, their positions, rows): row i gives basis_{lam_i},
+    e or p, in m-coordinates as nonzero (j, entry) pairs, j increasing.
 
-    The entry for (lam, mu) is the coefficient of x^mu in basis_lam, which
-    counts matrices with row sums lam and column sums mu: 0-1 matrices for e,
-    and for p those with one nonzero entry per row (Macdonald I.6); ``verify``
-    checks them against the literal expansion.
+    Each row is the product of the m forms of its generators, e_k = m_(1^k)
+    and p_k = m_(k), taken by the one m-product count (``_m_row``);
+    ``verify`` checks the rows against the literal expansion.
     """
     parts = partitions_of(w)
-    if basis == "m":
-        return parts, tuple(tuple(int(i == j) for j in parts) for i in parts)
-    return parts, tuple(tuple(_count_matrices(basis, lam, mu) for mu in parts)
-                        for lam in parts)
-
-
-@lru_cache(maxsize=None)
-def _sparse_transition(basis, w):
-    """``_transition`` as partitions, their positions and nonzero (j, entry) rows."""
-    parts, rows = _transition(basis, w)
-    return parts, {lam: i for i, lam in enumerate(parts)}, tuple(
-        tuple((j, x) for j, x in enumerate(r) if x) for r in rows)
+    pos = {lam: i for i, lam in enumerate(parts)}
+    return parts, pos, tuple(tuple(sorted((pos[mu], c) for mu, c in _m_row(basis, lam).items()))
+                             for lam in parts)
 
 
 def _combination(acc, terms, rows, diagonal=1):
@@ -274,7 +244,7 @@ def _transition_inverse(basis, w):
     """Inverse of the transition matrix as ``(d, rows)``: ``d`` times the
     inverse is an integer matrix, each of whose rows is held as its nonzero
     (j, entry) pairs, j increasing; solved as the module docstring says."""
-    parts, _, rows = _sparse_transition(basis, w)
+    parts, _, rows = _transition(basis, w)
     # w! times m in p is integral, so every division below is exact
     scale = factorial(w) if basis == "p" else 1
     # the diagonal entry is the first pair of an e row, the last of a p row;
@@ -323,14 +293,20 @@ def convert(f, to, integral=False):
         d = lcm(*(c.denominator for _, c in comp))
         coords = ((lam, c.numerator * (d // c.denominator)) for lam, c in comp)
         coords = _h_swap(coords, w) if f.basis == "h" else coords
-        if src != hub:
-            parts, pos, rows = _sparse_transition(src, w)
-            row = _combination([0] * len(parts), ((pos[lam], c) for lam, c in coords), rows)
-            if hub != "m":
-                inv_d, inv_rows = _transition_inverse(hub, w)
-                d *= inv_d
-                row = _combination([0] * len(parts), row, inv_rows)
-            coords = ((parts[j], c) for j, c in row)
+        if src != hub and src != "m":
+            # into m row by row: only the rows of f's own partitions are built
+            acc = {}
+            for lam, c in coords:
+                for mu, x in _m_row(src, lam).items():
+                    acc[mu] = acc.get(mu, 0) + c * x
+            coords = settle(acc).items()
+        if src != hub and hub != "m":
+            parts, pos, _ = _transition(hub, w)
+            # coords reads d lazily, so it is read before d changes
+            row = [(pos[lam], c) for lam, c in coords]
+            inv_d, inv_rows = _transition_inverse(hub, w)
+            d *= inv_d
+            coords = ((parts[j], c) for j, c in _combination([0] * len(parts), row, inv_rows))
         coords = _h_swap(coords, w) if to == "h" else coords
         for lam, c in coords:
             out[lam] = c if d == 1 else quotient(c, d)

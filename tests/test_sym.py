@@ -3,9 +3,10 @@
 The conversion tables in weight <= 4 are frozen from the classical
 identities (Newton relations and their inverses), worked out by hand, so
 they check the transition-matrix machinery against an independent source.
-The counted transition matrices (e, p) and m-products are also compared with
-the literal polynomial expansion up to weight 6; ``verify`` goes on to weight
-7.  The h basis has no table: its conversions to and from m are compared with
+The e and p transition tables, built as m-products, are compared with the
+same matrices counted directly (pinned to weight 5) and, with the counted
+m-products, with the literal polynomial expansion up to weight 6; ``verify``
+goes on to weight 7.  The h basis has no table: its conversions to and from m are compared with
 the expansion and its Gauss-Jordan inverse instead.
 """
 
@@ -24,7 +25,7 @@ from hopftower.linear import Tensor
 from hopftower.sym import (SymElement, antipode, convert, coproduct, e,
                            e_series, h, h_series, hall_pair, involution, m, p)
 from hopftower.suites import (_converted_rows, _expanded_m_product, _expanded_transition,
-                              _gauss_jordan_inverse)
+                              _gauss_jordan_inverse, _nonzeros)
 
 # hand-frozen expansions in the e basis
 H_IN_E = {
@@ -105,12 +106,50 @@ def test_monomial_product_cross_check_through_e():
         assert lhs == rhs
 
 
-def test_counted_transition_matrices_equal_the_expansion():
-    for basis in ("e", "p", "m"):
-        for w in range(7):
-            parts, rows = sym._transition(basis, w)
+# the e and p transition matrices to weight 5, counted as matrices with row
+# sums lam and column sums mu (0-1 ones for e, one entry per row for p), with
+# no m-product and no ``_M_FORMS``; row and column order is ``partitions_of``
+COUNTED_TRANSITIONS = {
+    "e": {
+        0: ((1,),),
+        1: ((1,),),
+        2: ((0, 1), (1, 2)),
+        3: ((0, 0, 1), (0, 1, 3), (1, 3, 6)),
+        4: ((0, 0, 0, 0, 1), (0, 0, 0, 1, 4), (0, 0, 1, 2, 6), (0, 1, 2, 5, 12),
+            (1, 4, 6, 12, 24)),
+        5: ((0, 0, 0, 0, 0, 0, 1), (0, 0, 0, 0, 0, 1, 5), (0, 0, 0, 0, 1, 3, 10),
+            (0, 0, 0, 1, 2, 7, 20), (0, 0, 1, 2, 5, 12, 30), (0, 1, 3, 7, 12, 27, 60),
+            (1, 5, 10, 20, 30, 60, 120)),
+    },
+    "p": {
+        0: ((1,),),
+        1: ((1,),),
+        2: ((1, 0), (1, 2)),
+        3: ((1, 0, 0), (1, 1, 0), (1, 3, 6)),
+        4: ((1, 0, 0, 0, 0), (1, 1, 0, 0, 0), (1, 0, 2, 0, 0), (1, 2, 2, 2, 0),
+            (1, 4, 6, 12, 24)),
+        5: ((1, 0, 0, 0, 0, 0, 0), (1, 1, 0, 0, 0, 0, 0), (1, 0, 1, 0, 0, 0, 0),
+            (1, 2, 1, 2, 0, 0, 0), (1, 1, 2, 0, 2, 0, 0), (1, 3, 4, 6, 6, 6, 0),
+            (1, 5, 10, 20, 30, 60, 120)),
+    },
+}
+
+
+def test_transition_tables_equal_the_counted_matrices():
+    for basis, tables in COUNTED_TRANSITIONS.items():
+        for w, matrix in tables.items():
+            parts, pos, rows = sym._transition(basis, w)
             assert parts == partitions_of(w)
-            assert rows == _expanded_transition(basis, w), (basis, w)
+            assert pos == {lam: i for i, lam in enumerate(parts)}
+            assert rows == _nonzeros(matrix), (basis, w)
+
+
+def test_counted_transition_matrices_equal_the_expansion():
+    for basis in ("e", "p"):
+        for w in range(7):
+            parts, _, rows = sym._transition(basis, w)
+            assert parts == partitions_of(w)
+            assert rows == _nonzeros(_expanded_transition(basis, w)), (basis, w)
 
 
 def test_counted_m_products_equal_the_expansion():
@@ -144,7 +183,9 @@ def test_h_conversions_equal_the_expansion_and_its_inverse():
 def test_triangular_transition_inverses_equal_gauss_jordan():
     for basis in ("e", "p"):
         for w in range(10):
-            assert sym._transition_inverse(basis, w) == _gauss_jordan_inverse(basis, w), \
+            parts, _, rows = sym._transition(basis, w)
+            dense = [[dict(row).get(j, 0) for j in range(len(parts))] for row in rows]
+            assert sym._transition_inverse(basis, w) == _gauss_jordan_inverse(dense), \
                 (basis, w)
 
 
@@ -174,8 +215,8 @@ def test_no_table_is_ever_built_or_read_for_h():
     """h is traded with e through the antipode memo, so no table function
     (watched by code object, under its cache) sees the basis ``"h"``."""
     _clear_sym_caches()
-    watched = {fn.__wrapped__.__code__ for fn in (sym._transition, sym._sparse_transition,
-                                                  sym._transition_inverse, sym._count_matrices)}
+    watched = {fn.__wrapped__.__code__ for fn in (sym._m_row, sym._transition,
+                                                  sym._transition_inverse)}
     calls = []
 
     def profile(frame, event, arg):
@@ -195,9 +236,39 @@ def test_no_table_is_ever_built_or_read_for_h():
         sorted({call for call in calls if call[1] == "h"})
 
 
+def test_no_table_is_ever_built_or_read_for_m():
+    """m is the coordinates the tables land in, so no table function (watched
+    by code object, under its cache) sees the basis ``"m"``, and m -> p
+    builds no e row."""
+    watched = {fn.__wrapped__.__code__ for fn in (sym._m_row, sym._transition,
+                                                  sym._transition_inverse)}
+    calls = []
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code in watched:
+            calls.append((frame.f_code.co_name, frame.f_locals["basis"]))
+
+    def watch(conversions):
+        _clear_sym_caches()
+        calls.clear()
+        sys.setprofile(profile)
+        try:
+            for w in range(9):
+                for src, to in conversions:
+                    convert(SymElement({lam: 1 for lam in partitions_of(w)}, src), to)
+        finally:
+            sys.setprofile(None)
+        return {basis for _, basis in calls}
+
+    assert watch([(basis, "m") for basis in sym.BASES]
+                 + [("m", basis) for basis in sym.BASES]) == {"e", "p"}
+    assert watch([("m", "p")]) == {"p"}
+
+
 def test_conversions_are_canonical_and_share_no_dict_with_a_cache():
-    cached = [id(x) for w in range(8) for basis in ("e", "p", "m")
-              for table in (sym._transition, sym._sparse_transition) for x in table(basis, w)]
+    cached = [id(x) for w in range(8) for basis in ("e", "p") for x in sym._transition(basis, w)]
+    cached += [id(sym._m_row(basis, lam)) for w in range(8) for basis in ("e", "p")
+               for lam in partitions_of(w)]
     cached += [id(x) for w in range(8) for basis in ("e", "p")
                for x in sym._transition_inverse(basis, w)]
     cached += [id(linear.word_image(sym._antipode_e_gen, lam).terms)
@@ -287,8 +358,8 @@ def test_antipode_equals_the_e_route_in_every_basis(x):
 def test_antipode_of_p_converts_nothing_and_of_h_reads_no_table():
     """Watched by code object, under the caches: p takes a sign, h one letter map."""
     _clear_sym_caches()
-    tables = {fn.__wrapped__.__code__ for fn in (sym._transition, sym._sparse_transition,
-                                                 sym._transition_inverse, sym._count_matrices)}
+    tables = {fn.__wrapped__.__code__ for fn in (sym._m_row, sym._transition,
+                                                 sym._transition_inverse)}
     calls = []
 
     def profile(frame, event, arg):
