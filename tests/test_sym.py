@@ -6,8 +6,8 @@ they check the transition-matrix machinery against an independent source.
 The e and p transition tables, built as m-products, are compared with the
 same matrices counted directly (pinned to weight 5) and, with the counted
 m-products, with the literal polynomial expansion up to weight 6; ``verify``
-goes on to weight 7.  The h basis has no table: its conversions to and from m are compared with
-the expansion and its Gauss-Jordan inverse instead.
+goes on to weight 7.  The h basis has no table: its conversions to and from
+m are compared with the expansion and its Gauss-Jordan inverse instead.
 """
 
 import sys
