@@ -32,12 +32,20 @@ Its level-s basis splits the H weight over the s slots by
 accumulator, in normalized mode, skips every term with a unit H slot and the
 last coface, which only appends one.  ``differential_rows`` maps each image
 to codomain columns as a primitive ``{column: int}`` row, and
-``exactlinalg.sparse_rank`` eliminates the rows sparsest column first.
+``exactlinalg.sparse_leads`` eliminates the rows sparsest column first.
 ``differential_matrix`` keeps the slow route: dense rows from the ``coface``
-tensors, summed and then projected.  One formula, dim C^s - rank d^s -
-rank d^(s-1), gives the rank in every degree; degrees 0 and 1 and modest
-weights are supported.  A negative degree or weight is a domain error, and a
-larger one raises a capability error rather than grinding.
+tensors, summed and then projected.
+
+``cohomology_rank`` clears, as persistent-homology codes do (Chen and
+Kerber, EuroCG 2011; Bauer, Kerber and Reininghaus, 2014).  It walks the
+degrees up from 0; the leads of the pivot rows of d^(t-1) pick out level-t
+keys whose unit vectors, with im d^(t-1), span level t, and since
+d^t d^(t-1) = 0, the rank of d^t is the rank of its rows on the other keys.
+So no row on a lead is built, and H^s is the number of kept level-s keys
+less the leads of d^s: dim C^s - rank d^s - rank d^(s-1) without the rows
+that could only reduce to zero.  Degrees 0 and 1 and modest weights are
+supported.  A negative degree or weight is a domain error, and a larger one
+raises a capability error rather than grinding.
 """
 
 from itertools import product
@@ -46,7 +54,7 @@ from . import structures
 from .diffeo import (_bfk_coproduct_gen, _coaction_gen, _fdb_coproduct_gen,
                      bfk_coproduct, coaction_sym, fdb_coproduct)
 from .errors import AlgebraMismatchError, CapabilityError, DomainError
-from .exactlinalg import _primitive, row_reduce, sparse_rank
+from .exactlinalg import _primitive, row_reduce, sparse_leads
 from .indices import compositions_of, natural
 from .linear import Tensor, image_items, settle
 from .nsym import NSymElement
@@ -177,9 +185,11 @@ def differential(alg, x):
 def _level_basis(alg, w, s):
     """Basis keys of the weight-w normalized level-s piece: base weight
     falling, then the H weights of the s slots in increasing lex order, then
-    the enumeration order of the indices (``sparse_rank`` breaks ties by
-    column, so the order is part of the result).  Both sizes go through
-    ``natural``, the degree first."""
+    the enumeration order of the indices.  ``sparse_leads`` breaks ties by
+    column, so the order is part of its result: which keys lead im d^(s-1),
+    and so which rows of d^s ``cohomology_rank`` keeps, depends on the pivot
+    choice, though the rank does not.  Both sizes go through ``natural``,
+    the degree first."""
     s, w = natural(s, "degree"), natural(w, "weight")
     return [key for base_w in range(w - s, -1, -1)
             for split in reversed(compositions_of(w - base_w)) if len(split) == s
@@ -224,8 +234,9 @@ def differential_rows(alg, w, s):
 
 
 def _sparse_rows(alg, dom, cod, s):
-    """The rows of ``differential_rows`` on the level-s basis ``dom`` and the
-    level-(s+1) basis ``cod``, built once by the caller."""
+    """The rows of ``differential_rows`` on the level-s keys ``dom`` (the
+    whole basis, or the keys that clearing keeps) into the level-(s+1) basis
+    ``cod``, both built once by the caller."""
     col = {key: j for j, key in enumerate(cod)}
     rows = []
     for key in dom:
@@ -252,13 +263,15 @@ def cohomology_rank(alg, w, s, weight_bound=WEIGHT_BOUND):
     if w > natural(weight_bound, "weight_bound"):
         raise CapabilityError("cohomology weight bounded at %d (got %d)"
                               % (weight_bound, w))
-    # each level basis is built once: level s is the domain of d^s and the
-    # codomain of d^(s-1)
-    dom, cod = _level_basis(alg, w, s), _level_basis(alg, w, s + 1)
-    rank = len(dom) - sparse_rank(_sparse_rows(alg, dom, cod, s))
-    if s:
-        rank -= sparse_rank(_sparse_rows(alg, _level_basis(alg, w, s - 1), dom, s - 1))
-    return rank
+    # clearing: d^t vanishes on im d^(t-1), which the unit vectors off its
+    # leads complete to all of level t, so d^t is built and eliminated on
+    # the other keys only; each level basis is built once
+    cod, leads = _level_basis(alg, w, 0), set()
+    for t in range(s + 1):
+        dom, cod = cod, _level_basis(alg, w, t + 1)
+        kept = [key for j, key in enumerate(dom) if j not in leads]
+        leads = sparse_leads(_sparse_rows(alg, kept, cod, t))
+    return len(kept) - len(leads)
 
 
 def invariants_rank_oracle(alg, w):

@@ -1,23 +1,31 @@
 """Exact linear algebra over the rationals.
 
-Just what the rest of the package needs: the rank of a sparse integer
-matrix (for cohomology dimensions of the cobar complexes) and, as oracles
-only, Gauss-Jordan reduction and the inverse of a square matrix.
+Just what the rest of the package needs: the leads and rank of a sparse
+integer matrix (for cohomology dimensions of the cobar complexes) and, as
+oracles only, Gauss-Jordan reduction and the inverse of a square matrix.
 
-The cobar differentials are sparse with integer entries, so ``sparse_rank``
-computes rank fraction-free on rows given as ``{column: int}`` dicts of
-their nonzeros.  It relabels the columns sparsest first and eliminates the
-rows shortest first; rank changes under neither permutation, and a lead
-column that few rows share leaves little fill-in behind (the static form of
+The cobar differentials are sparse with integer entries, so ``sparse_leads``
+eliminates fraction-free on rows given as ``{column: int}`` dicts of their
+nonzeros.  It relabels the columns sparsest first and eliminates the rows
+shortest first; rank changes under neither permutation, and a lead column
+that few rows share leaves little fill-in behind (the static form of
 Markowitz's ordering, Management Sci. 3, 1957).  A row shorter than the
 pivot of its lead column becomes that pivot and the old pivot is reduced in
 its place, so the rows that are subtracted again and again stay short.
 Forward elimination cross-multiplies by gcd-reduced pivots (fraction-free in
 the spirit of Bareiss, Math. Comp. 22, 1968) and divides every new row by
-its content, which keeps the integers small; rank needs neither
-back-substitution nor normalised pivots, and all arithmetic is exact
-``int``.  ``matrix_rank``, the dense front door, is kept for the benchmark's
-layer rows: nothing in the package calls it.  ``row_reduce`` is plain
+its content, which keeps the integers small; neither back-substitution nor
+normalised pivots are needed, and all arithmetic is exact ``int``.
+
+``sparse_leads`` returns the original labels of the columns that lead the
+pivot rows, and ``sparse_rank`` is their count.  The pivot rows are in
+echelon form and span the row space, so the unit vectors of the other
+columns complete it to the whole space.  That is what clearing needs:
+``algebroid.cohomology_rank`` builds no row of d^s on a lead of
+im d^(s-1), since d^s vanishes there.
+
+``matrix_rank``, the dense front door, is kept for the benchmark's layer
+rows: nothing in the package calls it.  ``row_reduce`` is plain
 Gauss-Jordan on rational rows; ``verify`` and
 ``algebroid.invariants_rank_oracle`` count its pivots as the independent
 route for ranks.  ``invert_matrix`` row-reduces [A | I]; only ``verify``
@@ -48,18 +56,23 @@ def _integer_row(values):
                        for j, x in entries})
 
 
-def sparse_rank(rows):
-    """Rank over Q of a matrix given as ``{column: int}`` dicts of nonzeros.
+def sparse_leads(rows):
+    """The column labels that lead the pivot rows of a fraction-free
+    elimination of ``{column: int}`` rows over Q.
 
     The columns are relabelled sparsest first and the rows taken shortest
     first; a row shorter than the pivot of its lead column takes its place.
-    The input dicts are not modified.
+    The pivot rows end in echelon form in the relabelled order and span the
+    row space, so there is one lead per unit of rank, and the unit vectors
+    of the columns that are not leads complete the row space to the whole
+    space.  The input dicts are not modified.
     """
     counts = {}
     for row in rows:
         for j in row:
             counts[j] = counts.get(j, 0) + 1
-    order = {j: k for k, j in enumerate(sorted(counts, key=lambda j: (counts[j], j)))}
+    labels = sorted(counts, key=lambda j: (counts[j], j))
+    order = {j: k for k, j in enumerate(labels)}
     pivots = {}  # leading column -> row whose first nonzero is there
     for row in sorted(({order[j]: c for j, c in row.items()} for row in rows if row),
                       key=len):
@@ -86,7 +99,12 @@ def sparse_rank(rows):
                     del row[j]
             if row:
                 row = _primitive(row)
-    return len(pivots)
+    return {labels[k] for k in pivots}
+
+
+def sparse_rank(rows):
+    """Rank over Q of a matrix given as ``{column: int}`` dicts of nonzeros."""
+    return len(sparse_leads(rows))
 
 
 def matrix_rank(rows):

@@ -358,6 +358,14 @@ def suite_comodule_algebroid(weight=None, cap=None):
     results = []
     bound = weight if weight is not None else 6
     cosimp_bound = min(bound, 5)
+    rank_bound = min(bound, WEIGHT_BOUND)
+    # dim C^s and rank d^s by dense Gauss-Jordan, shared by the rank checks
+    dense = {}
+    for name, alg in ALGEBROIDS.items():
+        for w in range(rank_bound + 1):
+            for s in (0, 1):
+                dom, _, rows = differential_matrix(alg, w, s)
+                dense[name, w, s] = len(dom), _dense_rank_oracle(rows)
 
     def comodule_ok(alg, lam):
         x = alg.base_element(lam)
@@ -390,17 +398,19 @@ def suite_comodule_algebroid(weight=None, cap=None):
             cosimplicial_checks(alg)))
 
     def matrix_squares():
-        for w in range(cosimp_bound + 1):
-            dom0, cod0, rows0 = differential_matrix(ALGEBROIDS["S.B"], w, 0)
-            dom1, cod1, rows1 = differential_matrix(ALGEBROIDS["S.B"], w, 1)
-            assert cod0 == dom1
-            for i in range(len(dom0)):
-                acc = [ZERO] * len(cod1)
-                for j, c in enumerate(rows0[i]):
-                    if c:
-                        for k, d in enumerate(rows1[j]):
-                            acc[k] += c * d
-                yield (w, dom0[i]), not any(acc)
+        # clearing in cohomology_rank rests on this identity for both algebroids
+        for name, alg in ALGEBROIDS.items():
+            for w in range(cosimp_bound + 1):
+                dom0, cod0, rows0 = differential_matrix(alg, w, 0)
+                dom1, cod1, rows1 = differential_matrix(alg, w, 1)
+                assert cod0 == dom1
+                for i in range(len(dom0)):
+                    acc = [ZERO] * len(cod1)
+                    for j, c in enumerate(rows0[i]):
+                        if c:
+                            for k, d in enumerate(rows1[j]):
+                                acc[k] += c * d
+                    yield (name, w, dom0[i]), not any(acc)
 
     results.append(_check(
         "normalized differential squares to zero in matrix form (weight <= %d)"
@@ -416,19 +426,25 @@ def suite_comodule_algebroid(weight=None, cap=None):
     results.append(_check("H^0 of the S.B complex is rank 1 in weights 0-3 (two routes)",
                           h0_ranks(), "%s"))
 
-    rank_bound = min(bound, WEIGHT_BOUND)
-
     def differential_ranks():
-        for name, alg in ALGEBROIDS.items():
-            for w in range(rank_bound + 1):
-                for s in (0, 1):
-                    got = sparse_rank(differential_rows(alg, w, s)[2])
-                    want = _dense_rank_oracle(differential_matrix(alg, w, s)[2])
-                    yield (name, w, s, got, want), got == want
+        for (name, w, s), (_, want) in dense.items():
+            got = sparse_rank(differential_rows(ALGEBROIDS[name], w, s)[2])
+            yield (name, w, s, got, want), got == want
 
     results.append(_check("differential matrix ranks match dense Gauss-Jordan "
                           "(weight <= %d, levels 0 and 1)" % rank_bound,
                           differential_ranks()))
+
+    def cleared_ranks():
+        for name in ALGEBROIDS:
+            for w in range(rank_bound + 1):
+                (dim, rank1), (_, rank0) = dense[name, w, 1], dense[name, w, 0]
+                got, want = cohomology_rank(name, w, 1), dim - rank1 - rank0
+                yield (name, w, got, want), got == want
+
+    results.append(_check("H^1 with cleared rows equals dim C^1 - rank d^1 - rank d^0 "
+                          "by dense Gauss-Jordan (weight <= %d)" % rank_bound,
+                          cleared_ranks()))
     return results
 
 

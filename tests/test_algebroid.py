@@ -84,20 +84,22 @@ def test_the_invariants_oracle_shares_no_eliminator_with_the_ranks(monkeypatch):
     want = [cohomology_rank(name, w, 0) for name, w in cases]
 
     def refuse(rows):
-        raise AssertionError("sparse_rank was called")
+        raise AssertionError("the sparse eliminator was called")
 
-    monkeypatch.setattr(exactlinalg, "sparse_rank", refuse)
-    monkeypatch.setattr(algebroid, "sparse_rank", refuse)
+    for name in ("sparse_rank", "sparse_leads"):
+        monkeypatch.setattr(exactlinalg, name, refuse)
+    monkeypatch.setattr(algebroid, "sparse_leads", refuse)
     assert [invariants_rank_oracle(name, w) for name, w in cases] == want
 
 
 def test_rank_arithmetic_is_consistent():
-    # the degree 1 rank formula can never go negative if d^2 = 0 held
+    # the degree 1 rank formula can never go negative if d^2 = 0 held; the
+    # cleared rank must equal it with every row of d^1 eliminated
     for name in ALGEBROIDS:
-        for w in range(4):
+        for w in range(7):
             dom1, _, rows1 = differential_matrix(ALGEBROIDS[name], w, 1)
             _, _, rows0 = differential_matrix(ALGEBROIDS[name], w, 0)
-            h1 = cohomology_rank(name, w, 1)
+            h1 = cohomology_rank(name, w, 1, weight_bound=6)
             assert h1 == len(dom1) - matrix_rank(rows1) - matrix_rank(rows0)
             assert h1 >= 0
 
@@ -258,6 +260,28 @@ def test_cohomology_rank_builds_no_tensors_and_no_dense_matrix(monkeypatch):
         for s in (0, 1):
             cohomology_rank(name, 4, s)
     assert calls == []
+
+
+def test_clearing_builds_no_row_of_d1_on_a_lead_of_im_d0():
+    """N.N at weight 6: C^0 has 32 keys, C^1 112 and rank d^0 is 32, so the
+    cleared H^1 builds 32 + 112 - 32 rows where building every row of both
+    differentials took 144."""
+    watched = algebroid._cofaces_into.__code__
+    calls = []
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code is watched:
+            calls.append(frame.f_code.co_name)
+
+    sys.setprofile(profile)
+    try:
+        h1 = cohomology_rank("N.N", 6, 1, weight_bound=6)
+    finally:
+        sys.setprofile(None)
+    assert h1 == 0
+    assert len(calls) == 112
+    dom0, dom1, rows0 = differential_rows(ALGEBROIDS["N.N"], 6, 0)
+    assert (len(dom0), len(dom1), exactlinalg.sparse_rank(rows0)) == (32, 112, 32)
 
 
 def test_warm_ranks_and_differentials_only_read_the_word_image_memo():

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hopftower.errors import DomainError
-from hopftower.exactlinalg import invert_matrix, matrix_rank, sparse_rank
+from hopftower.exactlinalg import invert_matrix, matrix_rank, sparse_leads, sparse_rank
 from hopftower.suites import _dense_rank_oracle
 
 entries = st.one_of(
@@ -109,6 +109,24 @@ def test_sparse_rank_ignores_row_and_column_order(case):
     assert rank == sparse_rank([{relabel[j]: c for j, c in r.items()} for r in shuffled])
     dense = [[r.get(j, 0) for j in range(ncols)] for r in rows]
     assert rank == sympy.Matrix(dense).rank() == matrix_rank(dense)
+
+
+@settings(max_examples=200, deadline=None)
+@given(sparse_matrices())
+def test_sparse_leads_are_columns_that_keep_the_rank(case):
+    """The leads are original column labels, one per unit of rank, and the
+    rows cut to them keep the full rank, so the unit vectors of the other
+    columns complete the row space: the property clearing rests on."""
+    ncols, rows, _, _ = case
+    rows = [{1000 + 3 * j: c for j, c in r.items()} for r in rows]  # labels unlike positions
+    before = copy.deepcopy(rows)
+    leads = sparse_leads(rows)
+    assert rows == before
+    assert leads <= {j for r in rows for j in r}
+    labels = [1000 + 3 * j for j in range(ncols)]
+    assert len(leads) == sympy.Matrix([[r.get(j, 0) for j in labels] for r in rows]).rank()
+    cut = sympy.Matrix(len(rows), len(leads), [r.get(j, 0) for r in rows for j in sorted(leads)])
+    assert cut.rank() == len(leads)
 
 
 @st.composite

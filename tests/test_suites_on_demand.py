@@ -55,6 +55,7 @@ FULL_REPORT = [
     'ok    normalized differential squares to zero in matrix form (weight <= 5)',
     'ok    H^0 of the S.B complex is rank 1 in weights 0-3 (two routes)',
     'ok    differential matrix ranks match dense Gauss-Jordan (weight <= 5, levels 0 and 1)',
+    'ok    H^1 with cleared rows equals dim C^1 - rank d^1 - rank d^0 by dense Gauss-Jordan (weight <= 5)',
     'ok    log coefficients equal the structural antipode of b_n (n <= 7)',
     'ok    projective-space numbers match the normal-bundle oracle (n <= 5)',
     'ok    group law is unital, commutative, associative (degree <= 6)',
@@ -67,7 +68,7 @@ FULL_REPORT = [
     'ok    composition-sum invariant has 2^(k-1) unit terms (k <= 10)',
     'ok    parse/print and JSON round trips on 1000 random elements per algebra',
     'ok    documented invocations: 110 commands, pinned output and exit codes',
-    '50/50 checks passed',
+    '51/51 checks passed',
 ]
 
 
