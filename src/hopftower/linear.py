@@ -33,11 +33,14 @@ constants safe to share.
 
 Every hot sum (a product, ``Tensor.apply``, ``on_words``, the cobar cofaces of
 ``algebroid``) adds raw terms into a plain dict and settles once: a key seen
-first stores its value as is, a structure constant 1 is not multiplied, and
-``settle`` drops the zeros and stores integral ``Fraction``s as ``int``, once
-per result.  ``add_term``, which settles each term as it lands, is left to the
-validating constructors and the cold paths, and ``+`` settles only the keys it
-touches.  Every product of elements, tensors or polynomials, and every
+first stores its value as is, and a structure constant 1 is not multiplied.
+Outside ``algebroid`` each coefficient product and sum is ``int`` arithmetic
+inline or the exact kernel of ``scalars``, never a ``Fraction`` operator, so a
+raw sum is canonical, or the ``int`` 0 where terms cancelled; ``settle`` drops
+those zeros, and stores as ``int`` the integral ``Fraction``s the cofaces leave.
+``add_term``, which settles each term as it lands, is left to the validating
+constructors and the cold paths, and ``+`` settles only the keys it touches.
+Every product of elements, tensors or polynomials, and every
 coefficient product of a truncated series, adds through the value's
 ``_mul_into(out, a, b)`` hook.  In a monomial algebra (words in NSym,
 partitions in the commutative algebras, powers of beta) the product of two
@@ -72,18 +75,17 @@ from operator import add, le
 
 from .errors import AlgebraMismatchError, DomainError
 from .indices import index_sort_key, natural
-from .scalars import ONE, ZERO, rational
+from .scalars import ONE, ZERO, qadd, qmul, qscale, rational
 
 
 def add_term(data, idx, coeff):
-    """Add ``coeff`` on ``idx`` in ``data`` and settle it there: a zero is
-    dropped and an integral scalar stored as its ``int``.  For constructors
-    and cold paths only; a hot loop adds raw and settles once."""
+    """Add the canonical ``coeff`` on ``idx`` in ``data`` and settle it there:
+    a zero is dropped.  For constructors and cold paths only; a hot loop adds
+    raw and settles once."""
     c = data.get(idx)
-    c = coeff if c is None else c + coeff
-    if c:
-        if type(c) is Fraction and c.denominator == 1:
-            c = c.numerator
+    c = coeff if c is None else c + coeff if type(c) is int is type(coeff) else qadd(c, coeff)
+    # a canonical Fraction is nonzero, and its truth test is a Python call
+    if type(c) is Fraction or c:
         data[idx] = c
     elif idx in data:
         del data[idx]
@@ -93,27 +95,30 @@ def mul_into(out, a_terms, b_terms, basis_mul):
     """Add the product of the sums ``a_terms`` and ``b_terms`` into ``out``.
 
     ``basis_mul(i, j)`` gives the product of two keys as ``(key, coeff)``
-    pairs.  The sums are raw: a key may end at zero and an integral
-    ``Fraction`` stays one until ``settle`` runs once on the finished dict.
+    pairs.  The sums are raw: a key may end at zero until ``settle`` runs
+    once on the finished dict.
     """
     get = out.get
     b_items = b_terms.items()
     for i, ci in a_terms.items():
         for j, cj in b_items:
-            cij = ci * cj
+            cij = ci * cj if type(ci) is int is type(cj) else qmul(ci, cj)
             for idx, bc in basis_mul(i, j):
-                c = cij if bc == 1 else cij * bc
+                c = (cij if bc == 1 else cij * bc if type(cij) is int is type(bc)
+                     else qmul(cij, bc))
                 old = get(idx)
-                out[idx] = c if old is None else old + c
+                out[idx] = (c if old is None else old + c if type(old) is int is type(c)
+                            else qadd(old, c))
     return out
 
 
 def settle(out):
-    """The raw sums of ``out`` as stored terms: zeros dropped and an integral
-    ``Fraction`` stored as its ``int``; a value that is an element is kept
-    when nonzero.  ``out`` itself comes back when it needs neither."""
+    """The raw sums of ``out`` as stored terms: zeros dropped, an integral
+    ``Fraction`` (only the cofaces leave one) stored as its ``int``, and an
+    element kept when nonzero.  ``out`` itself comes back when it needs neither."""
     for c in out.values():
-        if not c or type(c) is Fraction and c.denominator == 1:
+        # the type first: a Fraction's truth test is a Python-level call
+        if not c if type(c) is not Fraction else c.denominator == 1:
             return {k: c.numerator if type(c) is Fraction and c.denominator == 1 else c
                     for k, c in out.items() if c}
     return out
@@ -252,15 +257,12 @@ class SparseSum:
 
     def scale(self, q):
         q = rational(q)
-        if q == 1:
-            return self._new(dict(self.terms))
-        out = {}
-        if q:
-            # a Fraction on the left: int * Fraction runs the reflected operator
-            for k, c in self.terms.items():
-                c = q * c if type(c) is int else c * q
-                out[k] = c.numerator if type(c) is Fraction and c.denominator == 1 else c
-        return self._new(out)
+        if type(q) is int:
+            if q == 1:
+                return self._new(dict(self.terms))
+            if not q:
+                return self._new({})
+        return self._new(qscale(self.terms, q))
 
     def __rmul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -285,10 +287,16 @@ class SparseSum:
         get = out.get
         b_items = b.terms.items()
         for i, ci in a.terms.items():
+            integral = type(ci) is int
             for j, cj in b_items:
                 k = key_mul(i, j)
                 old = get(k)
-                out[k] = ci * cj if old is None else old + ci * cj
+                if integral and type(cj) is int:
+                    c = ci * cj
+                    out[k] = c if old is None else old + c if type(old) is int else qadd(old, c)
+                else:
+                    c = qmul(ci, cj)
+                    out[k] = c if old is None else qadd(old, c)
         return out
 
     def __pow__(self, n):
@@ -357,7 +365,8 @@ class Polynomial(SparseSum):
             for j, cj in b_items:
                 k = tuple(map(add, i, j))
                 if inside(k):
-                    add_term(out, k, ci * cj)
+                    add_term(out, k, ci * cj if type(ci) is int is type(cj)
+                             else qmul(ci, cj))
         return out
 
     @staticmethod
@@ -375,8 +384,10 @@ def add_product(sums, key, a, b, scalar):
     ``(prototype, raw terms)`` bucket that ``a._mul_into`` fills, the prototype
     being the key's first left factor, whose kind and sym basis the sum takes."""
     if scalar:
+        c = a * b if type(a) is int is type(b) else qmul(a, b)
         old = sums.get(key)
-        sums[key] = a * b if old is None else old + a * b
+        sums[key] = (c if old is None else old + c if type(old) is int is type(c)
+                     else qadd(old, c))
         return
     bucket = sums.get(key)
     if bucket is None:
@@ -572,13 +583,10 @@ class Tensor(SparseSum):
         """Tensor product of algebra elements, expanded bilinearly."""
         elements = [LinearElement.require(x, "Tensor.of").slot_form() for x in elements]
         factors = tuple(type(x) for x in elements)
-        keys = {(): ONE}
-        for x in elements:
-            nxt = {}
-            for prefix, c in keys.items():
-                for idx, cx in x.terms.items():
-                    nxt[prefix + (idx,)] = c * cx
-            keys = nxt
+        keys = {(idx,): c for idx, c in elements[0].terms.items()} if elements else {(): ONE}
+        for x in elements[1:]:
+            keys = {prefix + (idx,): c * cx if type(c) is int is type(cx) else qmul(c, cx)
+                    for prefix, c in keys.items() for idx, cx in x.terms.items()}
         return cls(factors, keys)
 
     @property
@@ -605,10 +613,16 @@ class Tensor(SparseSum):
         get = out.get
         b_items = b.terms.items()
         for k1, c1 in a.terms.items():
+            integral = type(c1) is int
             for k2, c2 in b_items:
                 k = tuple(map(key_mul, k1, k2))
                 old = get(k)
-                out[k] = c1 * c2 if old is None else old + c1 * c2
+                if integral and type(c2) is int:
+                    c = c1 * c2
+                    out[k] = c if old is None else old + c if type(old) is int else qadd(old, c)
+                else:
+                    c = qmul(c1, c2)
+                    out[k] = c if old is None else qadd(old, c)
         return out
 
     def basis_mul(self, k1, k2):
@@ -641,9 +655,10 @@ class Tensor(SparseSum):
             head, tail = key[:pos], key[pos + 1:]
             for sub, cc in items:
                 k = head + sub + tail
-                v = c if cc == 1 else c * cc
+                v = c if cc == 1 else c * cc if type(c) is int is type(cc) else qmul(c, cc)
                 old = get(k)
-                out[k] = v if old is None else old + v
+                out[k] = (v if old is None else old + v if type(old) is int is type(v)
+                          else qadd(old, v))
         return self._new(settle(out), factors)
 
     def insert_slot(self, pos, factor):
@@ -735,14 +750,25 @@ def on_words(f, gen, reverse=False):
     if len(f.terms) == 1:
         (word, c), = f.terms.items()
         image = word_image(gen, word[::-1] if reverse else word)
-        return image._new(dict(image.terms)) if c == 1 else image.scale(c)
-    out = {}
-    get = out.get
+        return image.scale(c)
+    out, fractions = {}, {}
     for word, c in f.terms.items():
-        for key, cc in word_image(gen, word[::-1] if reverse else word).terms.items():
-            v = c if cc == 1 else c * cc
-            old = get(key)
-            out[key] = v if old is None else old + v
+        items = word_image(gen, word[::-1] if reverse else word).terms.items()
+        if type(c) is int:
+            # word images hold structure constants, so these sums stay in ints
+            get = out.get
+            for key, cc in items:
+                v = c if cc == 1 else c * cc
+                old = get(key)
+                out[key] = v if old is None else old + v
+        else:
+            get = fractions.get
+            for key, cc in items:
+                v = c if cc == 1 else qmul(c, cc)
+                old = get(key)
+                fractions[key] = v if old is None else qadd(old, v)
+    for key, v in fractions.items():
+        add_term(out, key, v)
     return gen(0)._new(settle(out))
 
 

@@ -11,15 +11,23 @@ equality on the nose.
 
 ``rational`` is the one normaliser: public constructors and every ``scale``
 pass their scalars through it, and it refuses a ``float``.  ``quotient`` is
-the one division, since ``int / int`` would give a float.
+the one division, since ``int / int`` would give a float.  ``qmul`` and
+``qadd`` are the one product and sum of two coefficients: canonical in and
+out, cancelling by gcd before they multiply (Henrici 1956; Knuth, *TAOCP*
+vol. 2, section 4.5.1), reading a ``Fraction`` only by ``as_integer_ratio``
+and handing a non-scalar operand to the operator; ``qscale`` is ``qmul`` over
+a dict.  Hot loops keep ``int`` arithmetic inline; the slow routes that check
+them (``exactlinalg``, the ``suites`` oracles) keep ``Fraction``'s own.
 """
 
 from fractions import Fraction
+from math import gcd
 
 from .errors import DomainError
 
 ZERO = 0
 ONE = 1
+_EXACT = (int, Fraction)
 
 
 def rational(q):
@@ -44,6 +52,54 @@ def rational(q):
 def quotient(a, b):
     """The exact quotient ``a / b`` of two rationals, in canonical form."""
     return rational(Fraction(a, b))
+
+
+def qmul(a, b):
+    """``a * b`` of two canonical scalars, canonical: (n1/d1)(n2/d2) cancels
+    gcd(n1, d2) and gcd(n2, d1) first, which leaves it in lowest terms.  Any
+    other operand falls back to ``*``."""
+    if type(a) not in _EXACT or type(b) not in _EXACT:
+        return a * b
+    n1, d1 = a.as_integer_ratio()
+    n2, d2 = b.as_integer_ratio()
+    g1, g2 = gcd(n1, d2), gcd(n2, d1)
+    n, d = (n1 // g1) * (n2 // g2), (d1 // g2) * (d2 // g1)
+    return n if d == 1 else Fraction(n, d)
+
+
+def qadd(a, b):
+    """``a + b`` of two canonical scalars, canonical (``0`` when they cancel):
+    n/d + c is (n + c*d)/d in lowest terms, and over two denominators only a
+    factor of gcd(d1, d2) can cancel.  Any other operand falls back to ``+``."""
+    if type(a) not in _EXACT or type(b) not in _EXACT:
+        return a + b
+    n1, d1 = a.as_integer_ratio()
+    n2, d2 = b.as_integer_ratio()
+    g = gcd(d1, d2)
+    if g == 1:
+        n, d = n1 * d2 + n2 * d1, d1 * d2
+    else:
+        s = d1 // g
+        t = n1 * (d2 // g) + n2 * s
+        g = gcd(t, g)
+        n, d = t // g, s * (d2 // g)
+    return n if d == 1 else Fraction(n, d)
+
+
+def qscale(terms, q):
+    """``{k: c * q}`` over the dict ``terms`` for a nonzero canonical ``q``, the
+    ratio of a ``Fraction`` ``q`` read once and an ``int`` ``c`` cancelled inline."""
+    if type(q) is int:
+        return {k: q * c if type(c) is int else qmul(c, q) for k, c in terms.items()}
+    n, d = q.as_integer_ratio()
+    out = {}
+    for k, c in terms.items():
+        if type(c) is int:
+            g = gcd(c, d)
+            out[k] = c // g * n if g == d else Fraction(c // g * n, d // g)
+        else:
+            out[k] = qmul(c, q)
+    return out
 
 
 def format_scalar(q):

@@ -1,67 +1,98 @@
-"""The sparse-sum loops add raw terms and settle once, with no wasted Fraction work.
+"""The sparse-sum loops add raw terms and settle once, with no wasted scalar work.
 
-A hot loop of ``linear`` stores the value of a key it sees for the first
-time as is, multiplies by no structure constant equal to 1, and leaves zeros
-and integral ``Fraction``s to one ``settle`` per result; ``scale`` by 1 is a
-copy.  ``0 + Fraction`` and ``Fraction * 1`` each cost a full Fraction
-operation, so a counter on ``Fraction``'s operators checks the public routes
-that run these loops, and an ast guard keeps the ``get(key, 0) + ...``
-spelling out of the modules that hold them.  ``exactlinalg.sparse_rank``
-counts columns in ``int``s, where ``0 + 1`` costs nothing, and is not checked.
+Every coefficient product and sum in a hot loop of ``linear`` is ``int``
+arithmetic inline or a call of the exact kernel ``scalars.qmul``/``qadd``
+(``qscale`` for a scalar action), so the public routes that run those loops
+make no call of a ``Fraction`` operator at all.  The loops store the value of
+a key they see for the first time as is, multiply by no structure constant
+equal to 1, and leave zeros to one ``settle`` per result; ``scale`` by 1 is a
+copy.  A kernel call with a unit operand (a product with 1, a sum with 0, a
+scaling by 1) still builds a new ``Fraction``, so a counter on the names
+``linear`` binds the kernel to checks the same routes for those, and an ast
+guard keeps the ``get(key, 0) + ...`` spelling out of the modules that hold
+the loops.  ``exactlinalg.sparse_rank`` counts columns in ``int``s, where
+``0 + 1`` costs nothing, and is not checked.
 """
 
 import ast
 from fractions import Fraction
 from pathlib import Path
 
-from hopftower import nsym, qsym
-from hopftower.linear import on_words
+from hopftower import linear, nsym, qsym
+from hopftower.linear import Tensor, on_words
 from hopftower.nsym import NSymElement
 from hopftower.qsym import QSymElement
+from hopftower.series import TruncatedSeries
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "hopftower"
 HOT_MODULES = ("linear.py", "algebroid.py", "series.py")
+OPERATORS = ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__")
 
 HALF, THIRD, FIFTH = Fraction(1, 2), Fraction(-2, 3), Fraction(3, 5)
 
 
-def _count_wasted(monkeypatch):
-    """The Fraction additions with a zero operand and multiplications with an
-    operand equal to 1 made from now until the test ends, as
-    ``(operator, a, b)``."""
+def _count_operators(monkeypatch):
+    """The calls of ``Fraction``'s arithmetic operators made from now until
+    the test ends, as ``(operator, a, b)``."""
     seen = []
 
-    def watch(name, unit):
+    def watch(name):
         op = getattr(Fraction, name)
 
         def counted(a, b):
-            if type(b) in (int, Fraction) and (a == unit or b == unit):
-                seen.append((name, a, b))
+            seen.append((name, a, b))
             return op(a, b)
 
         monkeypatch.setattr(Fraction, name, counted)
 
-    for name in ("__add__", "__radd__"):
-        watch(name, 0)
-    for name in ("__mul__", "__rmul__"):
-        watch(name, 1)
+    for name in OPERATORS:
+        watch(name)
+    return seen
+
+
+def _is_scalar(x, unit):
+    return type(x) in (int, Fraction) and x == unit
+
+
+def _count_wasted(monkeypatch):
+    """The kernel calls through ``linear``'s names made from now until the
+    test ends that have a unit operand: a product or a scaling with 1, a sum
+    with 0; as ``(kernel, a, b)``."""
+    seen = []
+
+    def watch(name, unit):
+        kernel = getattr(linear, name)
+
+        def counted(a, b):
+            if _is_scalar(a, unit) or _is_scalar(b, unit):
+                seen.append((name, a, b))
+            return kernel(a, b)
+
+        monkeypatch.setattr(linear, name, counted)
+
+    watch("qmul", 1)
+    watch("qadd", 0)
+    watch("qscale", 1)
     return seen
 
 
 def _routes():
-    """Every route the counter checks, on Fraction coefficients other than 1;
+    """Every route the counters check, on Fraction coefficients other than 1;
     the word-image memo is warmed here, before anything is counted."""
     x = NSymElement({(2, 1): HALF, (1,): THIRD, (1, 2): FIFTH})
     y = NSymElement({(1, 1): THIRD, (2,): FIFTH})
     m = QSymElement({(1,): HALF, (2, 1): THIRD})
     t = nsym.coproduct(x)
     u = qsym.coproduct(m)
+    f = TruncatedSeries(Fraction, {0: 3, 1: HALF, 2: THIRD, 4: FIFTH}, 6)
+    g = TruncatedSeries(Fraction, {1: FIFTH, 2: -HALF, 3: 2}, 6)
 
     def delta(idx):
         return nsym.coproduct(NSymElement({idx: 1}))
 
     routes = {
         "Tensor.apply": lambda: t.apply(0, delta, t.factors),
+        "Tensor.of": lambda: (Tensor.of(x, y), Tensor.of(y, x, m)),
         "on_words": lambda: on_words(x + y, nsym._coproduct_gen),
         "on_words, cancelling": lambda: nsym.antipode(
             NSymElement({(1, 1): HALF, (2,): -HALF, (3,): THIRD})),
@@ -71,11 +102,21 @@ def _routes():
         "powers": lambda: (x ** 2, x ** 3, t ** 2),
         "structure-constant product": lambda: m * m,
         "tensor products": lambda: (t * t, u * u),
+        "series over Fraction": lambda: (f * g, g * f, f ** 2),
     }
     return {name: (call, call()) for name, call in routes.items()}
 
 
-def test_the_sparse_sum_loops_make_no_wasted_fraction_operation(monkeypatch):
+def test_the_sparse_sum_loops_call_no_fraction_operator(monkeypatch):
+    routes = _routes()
+    calls = _count_operators(monkeypatch)
+    for name, (call, want) in routes.items():
+        got = call()
+        assert calls == [], name
+        assert got == want, name
+
+
+def test_the_sparse_sum_loops_make_no_wasted_kernel_call(monkeypatch):
     routes = _routes()
     wasted = _count_wasted(monkeypatch)
     for name, (call, want) in routes.items():
@@ -84,12 +125,20 @@ def test_the_sparse_sum_loops_make_no_wasted_fraction_operation(monkeypatch):
         assert wasted == [], name
 
 
+def test_the_operator_counter_sees_fraction_operators(monkeypatch):
+    calls = _count_operators(monkeypatch)
+    assert HALF + THIRD == Fraction(-1, 6) and 2 * FIFTH == Fraction(6, 5)
+    assert 1 - HALF == HALF and HALF * THIRD == Fraction(-1, 3)
+    assert [name for name, _, _ in calls] == ["__add__", "__rmul__", "__rsub__", "__mul__"]
+
+
 def test_the_counter_sees_the_wasted_operations(monkeypatch):
     wasted = _count_wasted(monkeypatch)
-    assert 0 + HALF == HALF and THIRD * 1 == THIRD and 1 * FIFTH == FIFTH
-    assert HALF + THIRD and HALF * THIRD
+    assert linear.qadd(0, HALF) == HALF and linear.qmul(THIRD, 1) == THIRD
+    assert linear.qmul(1, FIFTH) == FIFTH and linear.qscale({(): HALF}, 1) == {(): HALF}
+    assert linear.qmul(HALF, THIRD) and linear.qadd(HALF, THIRD)
     assert [(name, a) for name, a, _ in wasted] == [
-        ("__radd__", HALF), ("__mul__", THIRD), ("__rmul__", FIFTH)]
+        ("qadd", 0), ("qmul", THIRD), ("qmul", 1), ("qscale", {(): HALF})]
 
 
 def _zero_default_sums(source):

@@ -3,7 +3,10 @@
 ``scalars.rational`` is the one normaliser and refuses a float, whose binary
 expansion would otherwise be stored as an exact but unintended rational.
 ``scalars.quotient`` is the one division: ``int / int`` gives a float, so no
-other module of the package may use the ``/`` operator.
+other module of the package may use the ``/`` operator.  ``scalars.qmul`` and
+``scalars.qadd`` are the one coefficient product and sum: they agree with
+``Fraction``'s operators, return canonical scalars and hand anything that is
+not a scalar back to the operator.
 """
 
 import ast
@@ -11,10 +14,14 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hopftower.errors import DomainError
 from hopftower.nsym import NSymElement, z
+from hopftower.scalars import qadd, qmul, qscale
 from hopftower.series import TruncatedSeries
+from hopftower.topology import BElement
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "hopftower"
 
@@ -69,3 +76,50 @@ def test_division_only_in_scalars():
              for path in sorted(PACKAGE.rglob("*.py")) if path.name != "scalars.py"
              for line in _division_sites(path)}
     assert not stray
+
+
+# canonical scalars: ints (zero, negatives and ones far past a machine word
+# included) and Fractions with denominator > 1
+canonical = st.one_of(
+    st.integers(-40, 40), st.integers(-2 ** 130, 2 ** 130),
+    st.fractions(max_denominator=60).filter(lambda q: q.denominator > 1),
+    st.builds(Fraction, st.integers(-2 ** 100, 2 ** 100), st.integers(2, 2 ** 90)).filter(
+        lambda q: q.denominator > 1))
+
+
+def _is_canonical(q, value):
+    return q == value and (type(q) is int) == (Fraction(value).denominator == 1) and (
+        type(q) in (int, Fraction))
+
+
+@settings(max_examples=400, deadline=None)
+@given(canonical, canonical)
+def test_the_kernel_agrees_with_fraction_and_stays_canonical(a, b):
+    assert _is_canonical(qmul(a, b), Fraction(a) * Fraction(b))
+    assert _is_canonical(qadd(a, b), Fraction(a) + Fraction(b))
+
+
+@settings(max_examples=200, deadline=None)
+@given(canonical)
+def test_a_cancelling_sum_is_the_int_zero(a):
+    for total in (qadd(a, -a), qadd(-a, a)):
+        assert total == 0 and type(total) is int
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.dictionaries(st.integers(0, 5), canonical.filter(bool), max_size=6),
+       canonical.filter(bool))
+def test_scaling_a_dict_is_the_kernel_product_term_by_term(terms, q):
+    assert qscale(terms, q) == {k: c * q for k, c in terms.items()}
+    for k, c in qscale(terms, q).items():
+        assert _is_canonical(c, Fraction(terms[k]) * q)
+
+
+def test_an_element_operand_falls_back_to_the_operator():
+    x = BElement({(1,): Fraction(1, 2), (2,): 3})
+    half = Fraction(1, 2)
+    for a, b in ((x, half), (half, x), (x, 2), (3, x), (x, x)):
+        assert qmul(a, b) == a * b
+        assert qadd(a, b) == a + b
+    assert qscale({(1,): x, (2,): half}, Fraction(2, 3)) == {
+        (1,): x.scale(Fraction(2, 3)), (2,): Fraction(1, 3)}
