@@ -75,7 +75,7 @@ from operator import add, le
 
 from .errors import AlgebraMismatchError, DomainError
 from .indices import index_sort_key, natural
-from .scalars import ONE, ZERO, qadd, qmul, qscale, rational
+from .scalars import ONE, ZERO, qadd, qmul, rational
 
 
 def add_term(data, idx, coeff):
@@ -262,7 +262,8 @@ class SparseSum:
                 return self._new(dict(self.terms))
             if not q:
                 return self._new({})
-        return self._new(qscale(self.terms, q))
+        return self._new({k: c * q if type(c) is int is type(q) else qmul(c, q)
+                          for k, c in self.terms.items()})
 
     def __rmul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -751,24 +752,14 @@ def on_words(f, gen, reverse=False):
         (word, c), = f.terms.items()
         image = word_image(gen, word[::-1] if reverse else word)
         return image.scale(c)
-    out, fractions = {}, {}
+    out = {}
+    get = out.get
     for word, c in f.terms.items():
-        items = word_image(gen, word[::-1] if reverse else word).terms.items()
-        if type(c) is int:
-            # word images hold structure constants, so these sums stay in ints
-            get = out.get
-            for key, cc in items:
-                v = c if cc == 1 else c * cc
-                old = get(key)
-                out[key] = v if old is None else old + v
-        else:
-            get = fractions.get
-            for key, cc in items:
-                v = c if cc == 1 else qmul(c, cc)
-                old = get(key)
-                fractions[key] = v if old is None else qadd(old, v)
-    for key, v in fractions.items():
-        add_term(out, key, v)
+        for key, cc in word_image(gen, word[::-1] if reverse else word).terms.items():
+            v = c if cc == 1 else c * cc if type(c) is int is type(cc) else qmul(c, cc)
+            old = get(key)
+            out[key] = (v if old is None else old + v if type(old) is int is type(v)
+                        else qadd(old, v))
     return gen(0)._new(settle(out))
 
 

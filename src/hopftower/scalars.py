@@ -15,9 +15,9 @@ the one division, since ``int / int`` would give a float.  ``qmul`` and
 ``qadd`` are the one product and sum of two coefficients: canonical in and
 out, cancelling by gcd before they multiply (Henrici 1956; Knuth, *TAOCP*
 vol. 2, section 4.5.1), reading a ``Fraction`` only by ``as_integer_ratio``
-and handing a non-scalar operand to the operator; ``qscale`` is ``qmul`` over
-a dict.  Hot loops keep ``int`` arithmetic inline; the slow routes that check
-them (``exactlinalg``, the ``suites`` oracles) keep ``Fraction``'s own.
+and handing a non-scalar operand to the operator.  Hot loops keep ``int``
+arithmetic inline; the slow routes that check them (``exactlinalg``, the
+``suites`` oracles) keep ``Fraction``'s own.
 """
 
 from fractions import Fraction
@@ -84,22 +84,6 @@ def qadd(a, b):
         g = gcd(t, g)
         n, d = t // g, s * (d2 // g)
     return n if d == 1 else Fraction(n, d)
-
-
-def qscale(terms, q):
-    """``{k: c * q}`` over the dict ``terms`` for a nonzero canonical ``q``, the
-    ratio of a ``Fraction`` ``q`` read once and an ``int`` ``c`` cancelled inline."""
-    if type(q) is int:
-        return {k: q * c if type(c) is int else qmul(c, q) for k, c in terms.items()}
-    n, d = q.as_integer_ratio()
-    out = {}
-    for k, c in terms.items():
-        if type(c) is int:
-            g = gcd(c, d)
-            out[k] = c // g * n if g == d else Fraction(c // g * n, d // g)
-        else:
-            out[k] = qmul(c, q)
-    return out
 
 
 def format_scalar(q):

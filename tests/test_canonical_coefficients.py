@@ -7,8 +7,8 @@ with denominator > 1.  It must also equal the same operation on the operands
 cleared of denominators (each multiplied by a common denominator D, so that
 every coefficient is an ``int``), divided back by D: by D_x * D_y for a
 product, D^2 for a square.  The cleared route meets almost no ``Fraction``,
-so it checks the exact kernel of ``scalars`` (``qmul``, ``qadd``, ``qscale``)
-by way of plain integer arithmetic.
+so it checks the exact kernel of ``scalars`` (``qmul``, ``qadd``) by way of
+plain integer arithmetic.
 """
 
 from fractions import Fraction

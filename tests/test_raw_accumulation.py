@@ -1,17 +1,16 @@
 """The sparse-sum loops add raw terms and settle once, with no wasted scalar work.
 
 Every coefficient product and sum in a hot loop of ``linear`` is ``int``
-arithmetic inline or a call of the exact kernel ``scalars.qmul``/``qadd``
-(``qscale`` for a scalar action), so the public routes that run those loops
-make no call of a ``Fraction`` operator at all.  The loops store the value of
-a key they see for the first time as is, multiply by no structure constant
-equal to 1, and leave zeros to one ``settle`` per result; ``scale`` by 1 is a
-copy.  A kernel call with a unit operand (a product with 1, a sum with 0, a
-scaling by 1) still builds a new ``Fraction``, so a counter on the names
-``linear`` binds the kernel to checks the same routes for those, and an ast
-guard keeps the ``get(key, 0) + ...`` spelling out of the modules that hold
-the loops.  ``exactlinalg.sparse_rank`` counts columns in ``int``s, where
-``0 + 1`` costs nothing, and is not checked.
+arithmetic inline or a call of the exact kernel ``scalars.qmul``/``qadd``, so
+the public routes that run those loops make no call of a ``Fraction`` operator
+at all.  The loops store the value of a key they see for the first time as is,
+multiply by no structure constant equal to 1, and leave zeros to one
+``settle`` per result; ``scale`` by 1 is a copy.  A kernel call with a unit
+operand (a product with 1, a sum with 0) still builds a new ``Fraction``, so a
+counter on the names ``linear`` binds the kernel to checks the same routes for
+those, and an ast guard keeps the ``get(key, 0) + ...`` spelling out of the
+modules that hold the loops.  ``exactlinalg.sparse_rank`` counts columns in
+``int``s, where ``0 + 1`` costs nothing, and is not checked.
 """
 
 import ast
@@ -56,8 +55,8 @@ def _is_scalar(x, unit):
 
 def _count_wasted(monkeypatch):
     """The kernel calls through ``linear``'s names made from now until the
-    test ends that have a unit operand: a product or a scaling with 1, a sum
-    with 0; as ``(kernel, a, b)``."""
+    test ends that have a unit operand: a product with 1, a sum with 0; as
+    ``(kernel, a, b)``."""
     seen = []
 
     def watch(name, unit):
@@ -72,7 +71,6 @@ def _count_wasted(monkeypatch):
 
     watch("qmul", 1)
     watch("qadd", 0)
-    watch("qscale", 1)
     return seen
 
 
@@ -135,10 +133,9 @@ def test_the_operator_counter_sees_fraction_operators(monkeypatch):
 def test_the_counter_sees_the_wasted_operations(monkeypatch):
     wasted = _count_wasted(monkeypatch)
     assert linear.qadd(0, HALF) == HALF and linear.qmul(THIRD, 1) == THIRD
-    assert linear.qmul(1, FIFTH) == FIFTH and linear.qscale({(): HALF}, 1) == {(): HALF}
+    assert linear.qmul(1, FIFTH) == FIFTH
     assert linear.qmul(HALF, THIRD) and linear.qadd(HALF, THIRD)
-    assert [(name, a) for name, a, _ in wasted] == [
-        ("qadd", 0), ("qmul", THIRD), ("qmul", 1), ("qscale", {(): HALF})]
+    assert [(name, a) for name, a, _ in wasted] == [("qadd", 0), ("qmul", THIRD), ("qmul", 1)]
 
 
 def _zero_default_sums(source):
