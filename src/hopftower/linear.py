@@ -8,11 +8,11 @@ are the algebra elements, tensors and exponent-vector polynomials here
 ``series.TruncatedSeries``.  The base owns every rule the kinds share: the
 trusted builder ``_new``, the operand rule, equality, addition, negation,
 subtraction, the scalar action, the product, powers, the classmethods
-``one`` and ``zero``, the lifting of a constructor's coefficients, and
+``one`` and ``zero``, the storing of a constructor's terms (``checked``), and
 printing.  A subclass says only what its keys mean, which values are of its
 kind, where its unit sits, how two keys multiply and how a key prints.  The
-operand rule is the same for every kind and every binary operation,
-equality included: a value of the same kind is combined, an ``int`` or
+operand rule is the same for every kind and every binary operation, equality
+included: a value of the same kind is combined, an ``int`` or
 ``Fraction`` stands for that multiple of the unit, and anything else raises
 ``AlgebraMismatchError``.  An exponent is a nonnegative ``int``; anything
 else raises ``DomainError``.  Every value prints through the one term
@@ -38,21 +38,21 @@ Outside ``algebroid`` each coefficient product and sum is ``int`` arithmetic
 inline or the exact kernel of ``scalars``, never a ``Fraction`` operator, so a
 raw sum is canonical, or the ``int`` 0 where terms cancelled; ``settle`` drops
 those zeros, and stores as ``int`` the integral ``Fraction``s the cofaces leave.
-``add_term``, which settles each term as it lands, is left to the validating
-constructors and the cold paths, and ``+`` settles only the keys it touches.
-Every product of elements, tensors or polynomials, and every
-coefficient product of a truncated series, adds through the value's
-``_mul_into(out, a, b)`` hook.  In a monomial algebra (words in NSym,
-partitions in the commutative algebras, powers of beta) the product of two
-keys is one key with coefficient 1, which the class's ``key_mul`` gives, so
-the base hook makes one key per term pair and ``basis_mul`` follows from it.
-QSym and the sym m basis give ``basis_mul`` as ``(key, coeff)`` pairs to
-``mul_into`` instead.  A tensor whose factors share one ``key_mul`` makes one
-key per term pair too; any other tensor gives ``mul_into`` its own
-``basis_mul``, slot by slot.  The accumulator here, ``add_product`` with
-``settle_sums``, keeps one such dict per output key for ``substitute`` (so
-every series composition, ``exp``, ``log`` and ``invert``), the series
-product, ``compose_sum`` and reversion.
+``add_term``, which settles each term as it lands, is left to ``checked`` and
+the cold paths, and ``+`` settles only the keys it touches.  Every product of
+elements, tensors or polynomials, and every coefficient product of a
+truncated series, adds through the value's ``_mul_into(out, a, b)`` hook.  In
+a monomial algebra (words in NSym, partitions in the commutative algebras,
+powers of beta) the product of two keys is one key with coefficient 1, which
+the class's ``key_mul`` gives, so the base hook makes one key per term pair
+and ``basis_mul`` follows from it.  A tensor whose factors share one
+``key_mul`` takes their slot-wise product as its own, so the base hook
+multiplies it too.  QSym, the sym m basis and any other tensor give
+``mul_into`` their ``basis_mul`` as ``(key, coeff)`` pairs instead, a tensor
+slot by slot.  The accumulator here, ``add_product`` with ``settle_sums``,
+keeps one such dict per output key for ``substitute`` (so every series
+composition, ``exp``, ``log`` and ``invert``), the series product,
+``compose_sum`` and reversion.
 
 Each coproduct, coaction and antipode is given on the generators and then
 extended over words.  ``on_words`` does that extension, multiplicatively or
@@ -91,6 +91,26 @@ def add_term(data, idx, coeff):
         del data[idx]
 
 
+def checked(terms, key, coefficient=rational):
+    """A constructor's ``terms`` as stored terms, refused in one order for
+    every kind: ``key`` checks each key, raising ``DomainError`` on a
+    malformed one and returning ``None`` for one the value drops (beyond a
+    series cap, outside a polynomial bound), whose coefficient is never read;
+    ``coefficient`` lifts each kept value.  Zeros are dropped, and
+    ``add_term`` sums a repeated key."""
+    data = {}
+    if terms:
+        for k, c in terms.items():
+            k = key(k)
+            if k is not None:
+                c = coefficient(c)
+                if k in data:
+                    add_term(data, k, c)
+                elif type(c) is Fraction or c:
+                    data[k] = c
+    return data
+
+
 def mul_into(out, a_terms, b_terms, basis_mul):
     """Add the product of the sums ``a_terms`` and ``b_terms`` into ``out``.
 
@@ -117,10 +137,11 @@ def settle(out):
     ``Fraction`` (only the cofaces leave one) stored as its ``int``, and an
     element kept when nonzero.  ``out`` itself comes back when it needs neither."""
     for c in out.values():
-        # the type first: a Fraction's truth test is a Python-level call
+        # the type first: a Fraction's truth test is a Python-level call, so
+        # the rebuild reads a Fraction's numerator instead
         if not c if type(c) is not Fraction else c.denominator == 1:
             return {k: c.numerator if type(c) is Fraction and c.denominator == 1 else c
-                    for k, c in out.items() if c}
+                    for k, c in out.items() if (c.numerator if type(c) is Fraction else c)}
     return out
 
 
@@ -332,15 +353,13 @@ class Polynomial(SparseSum):
 
     def __init__(self, nvars, terms=None, bound=None):
         self.nvars = natural(nvars, "nvars")
+        if type(bound) is tuple and len(bound) != nvars:
+            raise DomainError("a bound has one degree per variable, not %r" % (bound,))
+        for n in bound if type(bound) is tuple else () if bound is None else (bound,):
+            natural(n, "a bound")
         self.bound = bound
-        data = {}
-        if terms:
-            for key, c in terms.items():
-                if len(key) != nvars or any(type(k) is not int or k < 0 for k in key):
-                    raise DomainError("%r is not %d nonnegative int exponents" % (key, nvars))
-                if self._inside(key):
-                    add_term(data, key, c if isinstance(c, SparseSum) else rational(c))
-        self.terms = data
+        self.terms = checked(terms, self._exponents,
+                             lambda c: c if isinstance(c, SparseSum) else rational(c))
 
     def _new(self, terms):
         obj = super()._new(terms)
@@ -353,6 +372,14 @@ class Polynomial(SparseSum):
 
     def _unit_term(self, q):
         return (0,) * self.nvars, q
+
+    def _exponents(self, key):
+        """``key`` if it is an exponent vector inside the bound, ``None`` if it
+        leaves the bound; ``DomainError`` if it is not an exponent vector."""
+        if (type(key) is not tuple or len(key) != self.nvars
+                or any(type(k) is not int or k < 0 for k in key)):
+            raise DomainError("%r is not %d nonnegative int exponents" % (key, self.nvars))
+        return key if self._inside(key) else None
 
     def _inside(self, key):
         bound = self.bound
@@ -441,11 +468,7 @@ class LinearElement(SparseSum):
     _sort_key = staticmethod(index_sort_key)
 
     def __init__(self, terms=None):
-        data = {}
-        if terms:
-            for idx, coeff in terms.items():
-                add_term(data, self.canonical_index(idx), rational(coeff))
-        self.terms = data
+        self.terms = checked(terms, self.canonical_index)
 
     @classmethod
     def canonical_index(cls, idx):
@@ -542,28 +565,27 @@ class Tensor(SparseSum):
 
     def __init__(self, factors, terms=None):
         """Validate ``terms``: each slot key becomes its factor's canonical
-        index (partitions sorted, keys that collide merged), and factors or a
-        key that are not a sequence, a key of the wrong arity or a part below
-        1 raise ``DomainError``."""
+        index (partitions sorted, keys that collide merged), and factors that
+        are not a tuple or list of algebra classes, a key that is not a
+        sequence, a key of the wrong arity or a part below 1 raise
+        ``DomainError``."""
+        if not (isinstance(factors, (tuple, list)) and all(
+                isinstance(f, type) and issubclass(f, LinearElement) for f in factors)):
+            raise DomainError("tensor factors are a sequence of algebras, not %r" % (factors,))
+        self.factors = tuple(factors)
+        self.terms = checked(terms, self._slot_indices)
+
+    def _slot_indices(self, key):
+        """``key`` as one canonical index per slot; ``DomainError`` if it is not."""
         try:
-            self.factors = tuple(factors)
+            key = tuple(key)
         except TypeError:
-            raise DomainError("tensor factors are a sequence of algebras, not %r"
-                              % (factors,)) from None
-        data = {}
-        if terms:
-            for key, coeff in terms.items():
-                try:
-                    key = tuple(key)
-                except TypeError:
-                    raise DomainError("a tensor key is a sequence of slot indices, not %r"
-                                      % (key,)) from None
-                if len(key) != len(self.factors):
-                    raise DomainError("tensor key %r has %d slots, not %d"
-                                      % (key, len(key), len(self.factors)))
-                key = tuple(f.canonical_index(i) for f, i in zip(self.factors, key))
-                add_term(data, key, rational(coeff))
-        self.terms = data
+            raise DomainError("a tensor key is a sequence of slot indices, not %r"
+                              % (key,)) from None
+        if len(key) != len(self.factors):
+            raise DomainError("tensor key %r has %d slots, not %d"
+                              % (key, len(key), len(self.factors)))
+        return tuple(f.canonical_index(i) for f, i in zip(self.factors, key))
 
     def _new(self, terms, factors=None):
         """Adopt ``terms`` as a tensor over ``factors`` (by default the same
@@ -581,14 +603,15 @@ class Tensor(SparseSum):
 
     @classmethod
     def of(cls, *elements):
-        """Tensor product of algebra elements, expanded bilinearly."""
+        """Tensor product of algebra elements, expanded bilinearly: canonical,
+        distinct keys and nonzero products, adopted with no second pass."""
         elements = [LinearElement.require(x, "Tensor.of").slot_form() for x in elements]
         factors = tuple(type(x) for x in elements)
         keys = {(idx,): c for idx, c in elements[0].terms.items()} if elements else {(): ONE}
         for x in elements[1:]:
             keys = {prefix + (idx,): c * cx if type(c) is int is type(cx) else qmul(c, cx)
                     for prefix, c in keys.items() for idx, cx in x.terms.items()}
-        return cls(factors, keys)
+        return cls(factors)._new(keys)
 
     @property
     def arity(self):
@@ -604,27 +627,16 @@ class Tensor(SparseSum):
     # own (bench/layers.py wraps this entry)
     __mul__ = SparseSum.__mul__
 
-    def _mul_into(self, out, a, b):
-        """Add the raw terms of ``a * b`` into ``out``: one key per term pair
-        when every factor shares one ``key_mul``, else by ``basis_mul``."""
+    @property
+    def key_mul(self):
+        """The slot-wise product of two keys when every factor shares one
+        ``key_mul``, so the base product makes one key per term pair; ``None``
+        otherwise, and ``basis_mul`` multiplies."""
         key_muls = {f.key_mul for f in self.factors}
         if None in key_muls or len(key_muls) != 1:
-            return mul_into(out, a.terms, b.terms, self.basis_mul)
-        key_mul = key_muls.pop()
-        get = out.get
-        b_items = b.terms.items()
-        for k1, c1 in a.terms.items():
-            integral = type(c1) is int
-            for k2, c2 in b_items:
-                k = tuple(map(key_mul, k1, k2))
-                old = get(k)
-                if integral and type(c2) is int:
-                    c = c1 * c2
-                    out[k] = c if old is None else old + c if type(old) is int else qadd(old, c)
-                else:
-                    c = qmul(c1, c2)
-                    out[k] = c if old is None else qadd(old, c)
-        return out
+            return None
+        key_mul, = key_muls
+        return lambda k1, k2: tuple(map(key_mul, k1, k2))
 
     def basis_mul(self, k1, k2):
         """Product of two keys as ``(key, coeff)`` pairs, slot by slot."""

@@ -29,7 +29,7 @@ from operator import add
 
 from .errors import AlgebraMismatchError, DomainError
 from .indices import natural
-from .linear import SparseSum, add_product, add_term, settle_sums, substitute
+from .linear import SparseSum, add_product, add_term, checked, settle_sums, substitute
 from .scalars import ZERO, quotient, rational
 
 
@@ -53,27 +53,19 @@ class TruncatedSeries(SparseSum):
         self.cap = cap
         self.nvars = nvars
         # a scalar goes on the unit; anything else must be of the algebra
-        lift = rational if algebra is Fraction else algebra.one()._lift
-        data = {}
-        if coeffs:
-            for k, v in coeffs.items():
-                key = self._norm_key(k)
-                if _degree(key) > cap:
-                    continue
-                v = lift(v)
-                if v:
-                    data[key] = v
-        self.terms = data
+        self.terms = checked(coeffs, self._norm_key,
+                             rational if algebra is Fraction else algebra.one()._lift)
 
     # -- representation helpers -------------------------------------------
 
     def _norm_key(self, k):
-        """``k`` if it is an exponent here: a nonnegative ``int``, or a pair of
-        them for two variables; ``DomainError`` otherwise."""
+        """``k`` if it is an exponent here (a nonnegative ``int``, or a pair of
+        them for two variables) of total degree at most the cap, ``None`` if
+        it lies beyond the cap; ``DomainError`` if it is not an exponent."""
         if (type(k) is int and k >= 0 if self.nvars == 1 else
                 type(k) is tuple and len(k) == 2 and type(k[0]) is type(k[1]) is int
                 and min(k) >= 0):
-            return k
+            return k if (k if self.nvars == 1 else k[0] + k[1]) <= self.cap else None
         raise DomainError("%r is not an exponent of a %d-variable power series"
                           % (k, self.nvars))
 

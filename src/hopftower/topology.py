@@ -12,13 +12,13 @@ compositions, the cumulant series, and the noncommutative two-variable
 addition series that abelianizes to the group law.
 """
 
-from functools import lru_cache
+from functools import lru_cache, partial
 from operator import add
 
 from .diffeo import bfk_antipode
 from .errors import CapabilityError, DomainError
 from .indices import compositions_of, natural
-from .linear import CommutativeElement, Polynomial, SparseSum, substitute
+from .linear import CommutativeElement, Polynomial, SparseSum, checked, substitute
 from .nsym import NSymElement, z_series
 from .scalars import ONE, ZERO
 from .series import generator_series
@@ -102,6 +102,9 @@ def fgl(cap):
 
 # -- beta exponential ------------------------------------------------------
 
+_power = partial(natural, what="a power of beta")
+
+
 class BetaPolynomial(SparseSum):
     """Polynomial in a central variable beta with b-polynomial coefficients,
     keyed by the power of beta.
@@ -120,15 +123,7 @@ class BetaPolynomial(SparseSum):
     key_mul = add
 
     def __init__(self, coeffs=None):
-        lift = BElement.one()._lift
-        data = {}
-        if coeffs:
-            for k, v in coeffs.items():
-                natural(k, "a power of beta")
-                v = lift(v)
-                if v:
-                    data[k] = v
-        self.terms = data
+        self.terms = checked(coeffs, _power, BElement.one()._lift)
 
     def _unit_term(self, q):
         return 0, BElement({(): q})

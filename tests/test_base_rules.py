@@ -110,6 +110,23 @@ def test_from_index_canonicalises_its_index_once():
     assert calls == [[1, 2]]
 
 
+def test_tensor_of_adopts_its_terms_with_no_second_pass():
+    left, right = z(1) + z(2, 1), e(1, 2)
+    calls = []
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code.co_name == "canonical_index":
+            calls.append(frame.f_locals["idx"])
+
+    sys.setprofile(profile)
+    try:
+        x = Tensor.of(left, right)
+    finally:
+        sys.setprofile(None)
+    assert calls == []
+    assert x == Tensor((NSymElement, SymElement), {((1,), (2, 1)): 1, ((2, 1), (1, 2)): 1})
+
+
 def test_scalar_equality_of_the_kinds_that_used_to_refuse_it():
     assert BetaPolynomial.one() == 1
     assert Tensor.of(e(1)) * 0 == 0
@@ -215,7 +232,6 @@ DEFINED = {("SparseSum", name) for name in RULES - {"from_index", "basis_mul"}} 
     ("LinearElement", "basis_mul"),  # the one pair of key_mul, in a monomial algebra
     ("QSymElement", "basis_mul"),  # the quasi-shuffle product of compositions
     ("Tensor", "basis_mul"),  # slot by slot, where the factors' key_mul differ
-    ("Tensor", "_mul_into"),  # one key per pair only where the factors agree
     ("Polynomial", "_mul_into"),  # skips a pair outside the bound before multiplying
     ("SymElement", "_mul_into"),  # the m basis and mixed bases
     ("SymElement", "__eq__"),  # compares across bases
@@ -248,3 +264,59 @@ def test_products_powers_units_and_equality_live_in_the_base():
     assert Tensor.__mul__ is SparseSum.__mul__
     assert BetaPolynomial.__mul__ is SparseSum.__mul__
     assert Polynomial.__mul__ is SparseSum.__mul__
+
+
+def _sparse_sum_inits():
+    """``(class name, __init__ node)`` of every kind of sparse sum in the
+    package, the kinds found by their bases."""
+    classes = {}
+    for path in sorted(PACKAGE.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.ClassDef):
+                classes[node.name] = node
+    kinds, grown = {"SparseSum"}, True
+    while grown:
+        found = {name for name, node in classes.items()
+                 if any(getattr(b, "id", None) in kinds for b in node.bases)}
+        grown = not found <= kinds
+        kinds |= found
+    return [(name, item) for name in sorted(kinds) for item in classes[name].body
+            if isinstance(item, ast.FunctionDef) and item.name == "__init__"]
+
+
+def _own_term_loops(init):
+    """The lines of ``init`` that loop over a dict's items or call ``add_term``."""
+    lines = []
+    for node in ast.walk(init):
+        if isinstance(node, (ast.For, ast.comprehension)):
+            it = node.iter
+            if isinstance(it, ast.Call) and getattr(it.func, "attr", None) == "items":
+                lines.append(it.lineno)
+        elif isinstance(node, ast.Call) and getattr(node.func, "id", None) == "add_term":
+            lines.append(node.lineno)
+    return sorted(lines)
+
+
+def _calls_checked(init):
+    return any(isinstance(node, ast.Call) and getattr(node.func, "id", None) == "checked"
+               for node in ast.walk(init))
+
+
+def test_every_constructor_stores_its_terms_through_checked():
+    inits = _sparse_sum_inits()
+    assert {name: _own_term_loops(init) for name, init in inits} \
+        == {name: [] for name, _ in inits}
+    assert {name for name, init in inits if _calls_checked(init)} == {
+        "LinearElement", "Tensor", "Polynomial", "BetaPolynomial", "TruncatedSeries"}
+
+
+def test_the_guard_sees_a_constructor_storing_its_own_terms():
+    init = ast.parse("def __init__(self, terms):\n"
+                     "    data = {}\n"
+                     "    for k, c in terms.items():\n"
+                     "        data[k] = c\n"
+                     "    self.terms = {k: c for k, c in terms.items() if c}\n"
+                     "    add_term(data, (), 1)\n"
+                     "    self.factors = tuple(f for f in data)\n").body[0]
+    assert _own_term_loops(init) == [3, 5, 6]
+    assert not _calls_checked(init)

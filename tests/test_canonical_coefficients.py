@@ -8,16 +8,20 @@ cleared of denominators (each multiplied by a common denominator D, so that
 every coefficient is an ``int``), divided back by D: by D_x * D_y for a
 product, D^2 for a square.  The cleared route meets almost no ``Fraction``,
 so it checks the exact kernel of ``scalars`` (``qmul``, ``qadd``) by way of
-plain integer arithmetic.
+plain integer arithmetic.  The cobar differential of ``algebroid``, whose
+cofaces use ``Fraction``'s own operators and leave ``settle`` to canonicalise,
+is checked the same way on cochains of both algebroids at levels 0 and 1.
 """
 
 from fractions import Fraction
+from itertools import product
 from math import lcm
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hopftower import diffeo, nsym, qsym, structures, sym
+from hopftower import algebroid, diffeo, nsym, qsym, structures, sym
 from hopftower.diffeo import FdBElement
 from hopftower.linear import Tensor
 from hopftower.nsym import NSymElement
@@ -141,3 +145,30 @@ def test_tensor_operations_store_canonical_coefficients(case):
 
     d = _denominator(t)
     _check(t.apply(0, image, factors), _cleared(t, d).apply(0, image, factors), d)
+
+
+
+def _check_differential(alg, x):
+    d = _denominator(x)
+    _check(algebroid.differential(alg, x), algebroid.differential(alg, _cleared(x, d)), d)
+
+
+@pytest.mark.parametrize("level", [0, 1])
+@pytest.mark.parametrize("name", sorted(algebroid.ALGEBROIDS))
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_the_cofaces_store_canonical_coefficients(name, level, data):
+    alg = algebroid.ALGEBROIDS[name]
+    factors = (alg.base_cls,) + (alg.hopf_cls,) * level
+    keys = list(product(*(_indices(f, 2) for f in factors)))
+    _check_differential(alg, Tensor(factors, data.draw(terms(keys))))
+
+
+def test_cofaces_whose_halves_meet_store_ints():
+    # the raw cofaces sum halves to Fraction(0) here, and to Fraction(-1) too
+    # in the second cochain
+    half = Fraction(1, 2)
+    _check_differential(algebroid.NN, Tensor((NSymElement, NSymElement),
+                                             {((1,), (2,)): half, ((2,), (1,)): half}))
+    _check_differential(algebroid.NN, Tensor((NSymElement, NSymElement),
+                                             {((), ()): half, ((), (2,)): half}))

@@ -18,7 +18,7 @@ import pytest
 
 from hopftower import algebroid, cli, qsym, structures, sym, topology
 from hopftower.errors import AlgebraMismatchError, DomainError
-from hopftower.linear import Tensor
+from hopftower.linear import Polynomial, Tensor
 from hopftower.nsym import NSymElement, z
 from hopftower.qsym import M
 from hopftower.sym import SymElement, m
@@ -91,6 +91,9 @@ BAD_INDICES = [
     ("Tensor int key", lambda: Tensor((NSymElement,), {5: 1})),
     ("Tensor None key", lambda: Tensor((NSymElement,), {None: 1})),
     ("Tensor int factors", lambda: Tensor(5, {})),
+    ("Tensor factor not an algebra", lambda: Tensor((1,), {((1,),): 1})),
+    ("Tensor string factors", lambda: Tensor("ab", {})),
+    ("Polynomial int key", lambda: Polynomial(2, {5: 1})),
     ("cp_char_number partition", lambda: topology.cp_char_number(1, 1)),
     ("quasitoric_char_number composition",
      lambda: topology.quasitoric_char_number(ProjectiveProductSpace([1], [[1], [1]]), 3)),

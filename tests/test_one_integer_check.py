@@ -19,7 +19,7 @@ ALLOWED = {
         "its per-part loop runs in every element constructor, a hot path",
     ("series.py", "TruncatedSeries._norm_key"): "an exponent is an int or a pair of ints",
     ("series.py", "TruncatedSeries.__init__"): "the number of variables is 1 or 2, a set",
-    ("linear.py", "Polynomial.__init__"): "an exponent vector is checked as a whole key",
+    ("linear.py", "Polynomial._exponents"): "an exponent vector is checked as a whole key",
     ("topology.py", "ProjectiveProductSpace.__init__"): "root coefficients may be negative",
     ("jsonio.py", "_index"): "the type is checked before a repeated key merges",
 }

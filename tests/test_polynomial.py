@@ -170,10 +170,17 @@ def test_values_of_another_ring_do_not_combine():
     assert x != Polynomial(2, {(1, 0): 1}, (1, 1))
 
 
-@pytest.mark.parametrize("key", [(1,), (1, 2, 3), (-1, 0), (True, 0), (1.0, 0)])
+@pytest.mark.parametrize("key", [(1,), (1, 2, 3), (-1, 0), (True, 0), (1.0, 0), 5, "ab"])
 def test_a_key_is_a_vector_of_nonnegative_ints(key):
     with pytest.raises(DomainError):
         Polynomial(2, {key: 1})
+
+
+@pytest.mark.parametrize("bound", [(1,), (1, 2, 3), (1, -1), (1, True), (1.0, 2), -1, True,
+                                   "x", [1, 2]])
+def test_a_bound_is_none_an_int_or_one_natural_per_variable(bound):
+    with pytest.raises(DomainError):
+        Polynomial(2, {(0, 3): 1}, bound)
 
 
 def test_the_constructor_drops_keys_outside_the_bound():

@@ -17,7 +17,7 @@ import ast
 from fractions import Fraction
 from pathlib import Path
 
-from hopftower import linear, nsym, qsym
+from hopftower import algebroid, linear, nsym, qsym
 from hopftower.linear import Tensor, on_words
 from hopftower.nsym import NSymElement
 from hopftower.qsym import QSymElement
@@ -121,6 +121,32 @@ def test_the_sparse_sum_loops_make_no_wasted_kernel_call(monkeypatch):
         got = call()
         assert got == want, name
         assert wasted == [], name
+
+
+def _count_truth_tests(monkeypatch):
+    """The ``Fraction.__bool__`` calls made from now until the test ends."""
+    seen = []
+    truth = Fraction.__bool__
+
+    def counted(a):
+        seen.append(a)
+        return truth(a)
+
+    monkeypatch.setattr(Fraction, "__bool__", counted)
+    return seen
+
+
+def test_settle_makes_no_fraction_truth_test(monkeypatch):
+    raw = {(1,): HALF, (2,): Fraction(4, 2), (3,): Fraction(0), (4,): 0, (5,): 3}
+    halves = Tensor((NSymElement, NSymElement), {((), ()): HALF, ((), (2,)): HALF})
+    want = algebroid.differential(algebroid.NN, halves)
+    calls = _count_truth_tests(monkeypatch)
+    got = linear.settle(raw)
+    assert got == {(1,): HALF, (2,): 2, (5,): 3} and type(got[(2,)]) is int
+    # the cofaces leave Fraction(0) and Fraction(-1) for settle
+    assert algebroid.differential(algebroid.NN, halves) == want
+    assert calls == []
+    assert bool(HALF) and calls == [HALF]
 
 
 def test_the_operator_counter_sees_fraction_operators(monkeypatch):
