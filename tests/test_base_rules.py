@@ -162,6 +162,16 @@ def test_a_float_coefficient_is_refused_by_every_constructor(kind):
         FLOAT_COEFFICIENTS[kind]()
 
 
+def test_a_key_is_checked_then_dropped_before_its_coefficient_is_read():
+    assert TruncatedSeries(Fraction, {9: 0.5, 1: 2}, 2) == TruncatedSeries(Fraction, {1: 2}, 2)
+    assert TruncatedSeries(BElement, {(2, 1): z(1)}, 2, 2) == 0
+    assert Polynomial(2, {(3, 0): 0.5, (0, 1): 1}, 2).terms == {(0, 1): 1}
+    assert Polynomial(2, {(2, 0): "junk"}, (1, 1)).terms == {}
+    # a malformed key is refused before a coefficient of another kind is lifted
+    with pytest.raises(DomainError):
+        TruncatedSeries(BElement, {-1: z(1)}, 2)
+
+
 def _bpoly_document(power):
     return {"algebra": "bpoly",
             "beta": [{"power": power, "terms": [{"index": [1], "coeff": "1"}]}]}
