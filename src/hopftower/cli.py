@@ -10,6 +10,11 @@ truncation marker `` (cap N)`` so a truncated value is never mistaken for an
 exact one.  Element commands take ``--json``, series and coproduct commands
 ``--text``, and a command with neither flag prints text.
 
+``run_command`` sends an invocation whose first word is a command straight
+to that command's subparser, so its arguments are parsed once; the top-level
+parser answers only argv that do not start with a command, with help or a
+usage error, and reports the arguments a subparser leaves over.
+
 To add a subcommand, declare it in ``build_parser`` with one ``command``
 call (its name, summary, handler, output flag, and whether it takes ``--cap``)
 and add its own arguments to the subparser that call returns.  A handler
@@ -358,10 +363,17 @@ def run_command(argv, stdout=None, stderr=None):
     out = stdout if stdout is not None else sys.stdout
     err = stderr if stderr is not None else sys.stderr
     parser = _parser()
+    commands = next(a for a in parser._actions if a.dest == "command").choices
+    sub = commands.get(argv[0]) if argv else None
     try:
         with redirect_stdout(out), redirect_stderr(err):
             try:
-                args = parser.parse_args(argv)
+                if sub is None:
+                    args = parser.parse_args(argv)
+                else:
+                    args, extra = sub.parse_known_args(argv[1:])
+                    if extra:
+                        parser.error("unrecognized arguments: %s" % " ".join(extra))
             except _ParserExit as exc:
                 if exc.message:
                     print(exc.message, file=err)

@@ -88,8 +88,14 @@ class TruncatedSeries(SparseSum):
         return _zero_key(self.nvars), q if algebra is Fraction else algebra.one().scale(q)
 
     def coefficient(self, k):
-        """Coefficient of T^k (or X^i Y^j for a pair key); zero when absent."""
-        v = self.terms.get(self._norm_key(k))
+        """Coefficient of T^k (or X^i Y^j for a pair key); zero when absent.
+        Beyond the cap the coefficient is unknown, so it is refused."""
+        key = self._norm_key(k)
+        if key is None:
+            term = "T^%d" % k if self.nvars == 1 else "X^%d*Y^%d" % k
+            raise DomainError("the coefficient of %s is unknown: this series is "
+                              "known only to total degree %d" % (term, self.cap))
+        v = self.terms.get(key)
         if v is None:
             return ZERO if self.algebra is Fraction else self.algebra.zero()
         return v

@@ -1,5 +1,6 @@
 """Command-line behavior: outputs, exit codes, stream handling."""
 
+import argparse
 import io
 import json
 import os
@@ -12,6 +13,7 @@ import pytest
 
 from hopftower import cli
 from hopftower.cli import run_command
+from hopftower.verify import DOCUMENTED_INVOCATIONS
 
 ROOT = Path(__file__).resolve().parent.parent
 # the child interpreters import the package from this checkout
@@ -433,3 +435,142 @@ def test_verify_refuses_sizes_its_suites_cannot_check(monkeypatch, argv, message
 def test_verify_runs_at_its_least_sizes(argv):
     code, out, err = run(*argv)
     assert (code, err) == (0, "") and "FAIL" not in out
+
+
+_COMMANDS = ("'eval', 'coproduct', 'antipode', 'convert', 'pair', 'compose', 'revert', "
+             "'log', 'fgl', 'beta', 'cumulant', 'charnum', 'crn', 'cobar-rank', 'verify'")
+
+# help, usage errors and option spellings, as the top-level parser answered
+# them when it parsed every invocation first: exit code, stdout, stderr (only
+# the first line of stdout for -h and eval -h), at 80 columns
+USAGE_BYTES = [
+    (("-h",), 0, "usage: hopftower [-h] COMMAND ...", ""),
+    (("--help",), 0, """\
+usage: hopftower [-h] COMMAND ...
+
+Exact calculator for a tower of combinatorial Hopf algebras and its bordism
+applications.
+
+positional arguments:
+  COMMAND
+    eval      evaluate an element expression
+    coproduct
+              coproduct (or coaction) of an element
+    antipode  antipode of an element
+    convert   change basis, apply involutions, or move down the tower
+    pair      dual pairing of two elements
+    compose   substitute one series into another
+    revert    compositional inverse of a series
+    log       series logarithm; with no argument, the logarithm of the bordism
+              series
+    fgl       two-variable addition law of the bordism series
+    beta      the beta deformation series
+    cumulant  the cumulant series
+    charnum   characteristic numbers
+    crn       composition-sum invariant of a weight
+    cobar-rank
+              cohomology rank of the reduced cobar complex
+    verify    run property-check suites
+
+options:
+  -h, --help  show this help message and exit
+""", ""),
+    (("eval", "-h"), 0, "usage: hopftower eval [-h] [--json] expr", ""),
+    (("convert", "--help"), 0, """\
+usage: hopftower convert [-h] [--json] [--to {e,h,p,m,M,t}]
+                         [--involution {dual,whitney,omega}] [--integral]
+                         expr
+
+positional arguments:
+  expr
+
+options:
+  -h, --help            show this help message and exit
+  --json                print JSON instead of readable text
+  --to {e,h,p,m,M,t}
+  --involution {dual,whitney,omega}
+  --integral            fail instead of introducing denominators
+""", ""),
+    (("verify", "--help"), 0, """\
+usage: hopftower verify [-h]
+                        [--suite {antipode,bfk,cli-roundtrip,comodule-algebroid,counts,duality,hopf-axioms,topology,all}]
+                        [--weight WEIGHT] [--cap CAP]
+
+options:
+  -h, --help            show this help message and exit
+  --suite {antipode,bfk,cli-roundtrip,comodule-algebroid,counts,duality,hopf-axioms,topology,all}
+  --weight WEIGHT
+  --cap CAP
+""", ""),
+    (("charnum", "-h"), 0, """\
+usage: hopftower charnum [-h] [--json] [--dim DIM] [--partition PARTITION]
+                         [--space SPACE] [--composition COMPOSITION]
+                         [--convention {tangent,normal}]
+                         {cp,quasitoric}
+
+positional arguments:
+  {cp,quasitoric}
+
+options:
+  -h, --help            show this help message and exit
+  --json                print JSON instead of readable text
+  --dim DIM
+  --partition PARTITION
+  --space SPACE         inline JSON or @file
+  --composition COMPOSITION
+  --convention {tangent,normal}
+""", ""),
+    (("eval", "--", "-h"), 1, "",
+     "error: expected '[' after generator letter at column 2\n"),
+    (("crn", "--weight"), 1, "",
+     "hopftower crn: error: argument --weight: expected one argument\n"),
+    (("crn", "--weight=3"), 0, "Z[1,1,1] + Z[1,2] + Z[2,1] + Z[3]\n", ""),
+    (("cobar-rank", "--algebroid=S.B", "--weight", "2", "--degree", "1"), 0,
+     '{"algebroid":"S.B","weight":2,"degree":1,"rank":1}\n', ""),
+    (("eval", "--js", "e[1]"), 0,
+     '{"algebra":"sym","basis":"e","terms":[{"index":[1],"coeff":"1"}]}\n', ""),
+    (("log", "--ca", "3"), 0,
+     '{"algebra":"bpoly","cap":3,"vars":1,"series":[{"power":1,"terms":'
+     '[{"index":[],"coeff":"1"}]},{"power":2,"terms":[{"index":[1],"coeff":"-1"}]},'
+     '{"power":3,"terms":[{"index":[1,1],"coeff":"2"},{"index":[2],"coeff":"-1"}]}]}\n',
+     ""),
+    ((), 1, "", "hopftower: error: the following arguments are required: COMMAND\n"),
+    (("nosuch",), 1, "", "hopftower: error: argument COMMAND: invalid choice: "
+                         "'nosuch' (choose from %s)\n" % _COMMANDS),
+    (("ev", "e[1]"), 1, "", "hopftower: error: argument COMMAND: invalid choice: "
+                            "'ev' (choose from %s)\n" % _COMMANDS),
+    (("eval",), 1, "", "hopftower eval: error: the following arguments are required: expr\n"),
+    (("eval", "e[1]", "extra"), 1, "", "hopftower: error: unrecognized arguments: extra\n"),
+    (("eval", "--bogus", "e[1]"), 1, "",
+     "hopftower: error: unrecognized arguments: --bogus\n"),
+    (("--json", "eval", "e[1]"), 1, "", "hopftower: error: unrecognized arguments: --json\n"),
+    (("eval", "e[1]", "--json", "extra"), 1, "",
+     "hopftower: error: unrecognized arguments: extra\n"),
+    (("convert", "--to", "e", "e[1]", "--to", "h"), 0, "h[1]\n", ""),
+]
+
+
+@pytest.mark.parametrize("argv, code, stdout, stderr", USAGE_BYTES)
+def test_help_and_usage_errors_keep_their_bytes(monkeypatch, argv, code, stdout, stderr):
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps help to the terminal
+    out, err = io.StringIO(), io.StringIO()
+    got = run_command(list(argv), out, err)
+    if argv in (("-h",), ("eval", "-h")):
+        out = io.StringIO(out.getvalue().splitlines()[0])
+    assert (got, out.getvalue(), err.getvalue()) == (code, stdout, stderr)
+
+
+def test_an_invocation_that_starts_with_a_command_is_parsed_once(monkeypatch):
+    """Every pinned row but ``verify`` goes straight to its command's
+    subparser: one ``parse_known_args`` call, and no top-level pass."""
+    calls = []
+    parse = argparse.ArgumentParser.parse_known_args
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args",
+                        lambda self, *a, **k: calls.append(self.prog) or parse(self, *a, **k))
+    rows = [row for row in DOCUMENTED_INVOCATIONS if row[0][0] != "verify"]
+    assert len(rows) > 100
+    for argv, stdout, code in rows:
+        calls.clear()
+        got, out, _ = run(*argv)
+        assert got == code and stdout in (None, out), argv
+        assert calls == ["hopftower " + argv[0]], argv

@@ -1,5 +1,6 @@
 """Truncated series arithmetic, composition and calculus."""
 
+import re
 from fractions import Fraction
 
 import pytest
@@ -104,6 +105,19 @@ def test_shift_and_residue():
     with pytest.raises(DomainError):
         zs.shift(-6).residue()
     assert S({0: Fraction(1)}).residue() == 0
+
+
+def test_a_coefficient_beyond_the_cap_is_refused():
+    """Beyond the cap a coefficient is unknown, not zero."""
+    s = TruncatedSeries(Fraction, {0: 1, 1: 1}, 2)
+    for series, k, term, cap in ((s, 9, "T^9", 2), (s * s, 3, "T^3", 2),
+                                 (s.shift(-1), 2, "T^2", 1),
+                                 (s.embed_bivariate(0), (2, 1), "X^2*Y^1", 2)):
+        with pytest.raises(DomainError, match=r"^the coefficient of %s is unknown: this "
+                           r"series is known only to total degree %d$" % (re.escape(term), cap)):
+            series.coefficient(k)
+    assert (s * s).coefficient(2) == 1 and s.shift(-1).coefficient(1) == 0
+    assert s.embed_bivariate(1).coefficient((0, 2)) == 0
 
 
 def test_negative_exponents_are_refused():
