@@ -555,9 +555,10 @@ def test_help_and_usage_errors_keep_their_bytes(monkeypatch, argv, code, stdout,
     monkeypatch.setenv("COLUMNS", "80")  # argparse wraps help to the terminal
     out, err = io.StringIO(), io.StringIO()
     got = run_command(list(argv), out, err)
+    printed = out.getvalue()
     if argv in (("-h",), ("eval", "-h")):
-        out = io.StringIO(out.getvalue().splitlines()[0])
-    assert (got, out.getvalue(), err.getvalue()) == (code, stdout, stderr)
+        printed = printed.splitlines()[0]
+    assert (got, printed, err.getvalue()) == (code, stdout, stderr)
 
 
 def test_an_invocation_that_starts_with_a_command_is_parsed_once(monkeypatch):
