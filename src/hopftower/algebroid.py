@@ -28,9 +28,9 @@ Cohomology ranks are computed over the rationals on the normalized
 subcomplex (all H slots of positive weight), one weight at a time; it has
 the cohomology of the whole complex (Ravenel, Complex Cobordism, App. A1.2).
 Its level-s basis splits the H weight over the s slots by
-``indices.compositions_of``.  Its differential is built directly: the
-accumulator, in normalized mode, skips every term with a unit H slot and the
-last coface, which only appends one.  ``differential_rows`` maps each image
+``indices.compositions_of``.  Its differential is the full one projected:
+the accumulator builds the whole differential of a basis key, and the rows
+keep the keys with no unit H slot.  ``differential_rows`` maps each image
 to codomain columns as a primitive ``{column: int}`` row, and
 ``exactlinalg.sparse_leads`` eliminates the rows sparsest column first.
 ``differential_matrix`` keeps the slow route: dense rows from the ``coface``
@@ -133,39 +133,27 @@ def coface(alg, x, i):
     return x.insert_slot(n + 1, alg.hopf_cls)
 
 
-def _cofaces_into(out, alg, terms, n, normalized):
+def _cofaces_into(out, alg, terms, n):
     """Add sum_i (-1)^i d_i(terms), i = 0..n+1, of level-n ``terms`` into the
-    raw dict ``out`` (zeros kept until ``settle``).
-
-    With ``normalized`` every term with a unit H slot is skipped, and so is
-    the last coface, all of whose terms end in a unit slot.  Each slot's
-    image is read from the word-image memo through ``image_items``: slot
-    indices are e-basis (or word) indices, on which the public coaction and
-    coproduct are exactly ``on_words`` of these letter maps.
-    """
+    raw dict ``out`` (zeros kept until ``settle``): one loop splices the image
+    of each slot i <= n whole, as ``head + image + rest``, read from the
+    word-image memo by ``image_items`` of ``base_gen`` at slot 0 and
+    ``hopf_gen`` above (on slot indices the public coaction and coproduct are
+    exactly ``on_words`` of these letter maps); the last coface appends a
+    unit slot."""
     get = out.get
-    base_gen, hopf_gen = alg.base_gen, alg.hopf_gen
+    gens = (alg.base_gen,) + (alg.hopf_gen,) * n
     for key, c in terms.items():
-        if normalized and () in key[1:]:
-            continue
-        tail = key[1:]
-        for (a, g), cc in image_items(base_gen, key[0]):
-            if g or not normalized:
-                k = (a, g) + tail
-                old = get(k)
-                out[k] = c * cc if old is None else old + c * cc
-        for i in range(1, n + 1):
+        for i, gen in enumerate(gens):
             signed = -c if i % 2 else c
             head, rest = key[:i], key[i + 1:]
-            for (l, r), cc in image_items(hopf_gen, key[i]):
-                if l and r or not normalized:
-                    k = head + (l, r) + rest
-                    old = get(k)
-                    out[k] = signed * cc if old is None else old + signed * cc
-        if not normalized:
-            k, v = key + ((),), c if n % 2 else -c
-            old = get(k)
-            out[k] = v if old is None else old + v
+            for image, cc in image_items(gen, key[i]):
+                k = head + image + rest
+                old = get(k)
+                out[k] = signed * cc if old is None else old + signed * cc
+        k, v = key + ((),), c if n % 2 else -c
+        old = get(k)
+        out[k] = v if old is None else old + v
     return out
 
 
@@ -176,7 +164,7 @@ def differential(alg, x):
     if n > LEVEL_BOUND:
         raise CapabilityError("cobar differential bounded at level %d (got %d)"
                               % (LEVEL_BOUND, n))
-    return x._new(settle(_cofaces_into({}, alg, x.terms, n, False)),
+    return x._new(settle(_cofaces_into({}, alg, x.terms, n)),
                   (alg.base_cls,) + (alg.hopf_cls,) * (n + 1))
 
 
@@ -236,11 +224,13 @@ def differential_rows(alg, w, s):
 def _sparse_rows(alg, dom, cod, s):
     """The rows of ``differential_rows`` on the level-s keys ``dom`` (the
     whole basis, or the keys that clearing keeps) into the level-(s+1) basis
-    ``cod``, both built once by the caller."""
+    ``cod``, both built once by the caller: the full differential of each key,
+    projected onto normalized cochains by dropping the keys with a unit H slot."""
     col = {key: j for j, key in enumerate(cod)}
     rows = []
     for key in dom:
-        row = {col[k]: c for k, c in _cofaces_into({}, alg, {key: 1}, s, True).items() if c}
+        row = {col[k]: c for k, c in _cofaces_into({}, alg, {key: 1}, s).items()
+               if c and () not in k[1:]}
         rows.append(_primitive(row) if row else row)
     return rows
 

@@ -46,6 +46,7 @@ from .errors import (AlgebraMismatchError, CapabilityError, DomainError,
 from .expr import compose_series, parse_element, parse_series
 from .indices import natural
 from .jsonio import document_for, dumps
+from .scalars import qmul
 from .series import TruncatedSeries
 from .sym import SymElement
 from .topology import ProjectiveProductSpace
@@ -171,7 +172,7 @@ def _cmd_pair(args):
     a, fa = parse_element(args.left)
     b, fb = parse_element(args.right)
     if fa == fb == "scalar":
-        return a * b
+        return qmul(a, b)
     sides = next((k for k in _PAIRINGS
                   if fa in (k[0], "scalar") and fb in (k[1], "scalar")), None)
     if sides is None:

@@ -176,6 +176,19 @@ def format_terms(terms):
     return out
 
 
+def dot(a_terms, b_terms):
+    """The canonical pairing: the sum of ``c * d`` over the keys both term dicts
+    share, ``int`` arithmetic inline and ``qmul`` and ``qadd`` otherwise."""
+    get = b_terms.get
+    total = ZERO
+    for key, c in a_terms.items():
+        d = get(key)
+        if d is not None:
+            v = c * d if type(c) is int is type(d) else qmul(c, d)
+            total = total + v if type(total) is int is type(v) else qadd(total, v)
+    return total
+
+
 class SparseSum:
     """A finite sum held as a dict ``terms`` from keys to nonzero coefficients.
 

@@ -19,9 +19,9 @@ from itertools import combinations, permutations
 
 from .errors import AlgebraMismatchError
 from .indices import natural
-from .linear import LinearElement, Tensor, add_term, recursive_antipode
+from .linear import LinearElement, Tensor, add_term, dot, recursive_antipode
 from .nsym import NSymElement
-from .scalars import ONE, ZERO
+from .scalars import ONE
 from . import sym
 
 
@@ -87,7 +87,7 @@ def antipode(f):
 def pair(a, b):
     """Duality pairing with noncommutative symmetric functions: <Z_I, M_J> = delta."""
     a, b = NSymElement.require(a, "pair"), QSymElement.require(b, "pair")
-    return sum((a.terms[I] * b.terms[I] for I in a.terms.keys() & b.terms.keys()), ZERO)
+    return dot(a.terms, b.terms)
 
 
 def pair_tensor(t_left, t_right):
@@ -99,12 +99,7 @@ def pair_tensor(t_left, t_right):
         raise AlgebraMismatchError("pair_tensor expects (NSym tensor, QSym tensor)")
     if t_left.arity != t_right.arity:
         raise AlgebraMismatchError("tensor arities differ")
-    total = ZERO
-    for key, c in t_left.terms.items():
-        d = t_right.terms.get(key)
-        if d is not None:
-            total += c * d
-    return total
+    return dot(t_left.terms, t_right.terms)
 
 
 def include_symmetric(f):

@@ -41,9 +41,9 @@ import warnings
 
 from .errors import DomainError
 from .indices import natural, partitions_of
-from .linear import (CommutativeElement, Polynomial, binomial_gen, mul_into, on_words,
-                     settle)
-from .scalars import ONE, ZERO, quotient
+from .linear import (CommutativeElement, Polynomial, binomial_gen, dot, mul_into,
+                     on_words, settle)
+from .scalars import ONE, quotient
 from .series import TruncatedSeries
 
 BASES = ("e", "h", "p", "m")
@@ -369,8 +369,7 @@ def hall_pair(f, g):
     """Hall inner product, normalized by <h_lam, m_mu> = delta."""
     fh = convert(SymElement.require(f, "hall_pair"), "h")
     gm = convert(SymElement.require(g, "hall_pair"), "m")
-    return sum((fh.terms[lam] * gm.terms[lam]
-                for lam in fh.terms.keys() & gm.terms.keys()), ZERO)
+    return dot(fh.terms, gm.terms)
 
 
 # -- generating series -----------------------------------------------------

@@ -241,6 +241,24 @@ def test_differential_is_the_alternating_sum_of_cofaces():
                     assert differential(alg, x) == want
 
 
+def test_sparse_rows_are_the_differential_without_unit_slots():
+    """Both callers of the accumulator agree: each row of ``differential_rows``
+    is the primitive form of the terms of ``differential`` on its basis key
+    that have no unit H slot, at every level the differential takes."""
+    for alg in ALGEBROIDS.values():
+        for s in range(algebroid.LEVEL_BOUND + 1):
+            level = Tensor((alg.base_cls,) + (alg.hopf_cls,) * s)
+            for w in range(6):
+                dom, cod, rows = differential_rows(alg, w, s)
+                col = {key: j for j, key in enumerate(cod)}
+                for key, row in zip(dom, rows):
+                    dense = [ZERO] * len(cod)
+                    for k, c in differential(alg, level._new({key: 1})).terms.items():
+                        if () not in k[1:]:
+                            dense[col[k]] = c
+                    assert row == _integer_row(dense), (alg, w, s, key)
+
+
 def test_cohomology_rank_builds_no_tensors_and_no_dense_matrix(monkeypatch):
     for name in ALGEBROIDS:
         cohomology_rank(name, 4, 1)  # fill the structure-constant memos first

@@ -13,6 +13,7 @@ cofaces use ``Fraction``'s own operators and leave ``settle`` to canonicalise,
 is checked the same way on cochains of both algebroids at levels 0 and 1.
 """
 
+from argparse import Namespace
 from fractions import Fraction
 from itertools import product
 from math import lcm
@@ -21,7 +22,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hopftower import algebroid, diffeo, nsym, qsym, structures, sym
+from hopftower import algebroid, cli, diffeo, nsym, qsym, structures, sym
 from hopftower.diffeo import FdBElement
 from hopftower.linear import Tensor
 from hopftower.nsym import NSymElement
@@ -172,3 +173,35 @@ def test_cofaces_whose_halves_meet_store_ints():
                                              {((1,), (2,)): half, ((2,), (1,)): half}))
     _check_differential(algebroid.NN, Tensor((NSymElement, NSymElement),
                                              {((), ()): half, ((), (2,)): half}))
+
+
+def _pairings(left, right):
+    """The four canonical pairings, each of a left and a right coefficient
+    placed on the same key: ``pair``, ``pair_tensor``, ``hall_pair`` and the
+    ``pair`` command on two numbers."""
+    return [
+        qsym.pair(NSymElement({(1,): left}), QSymElement({(1,): right})),
+        qsym.pair_tensor(Tensor.of(NSymElement({(1,): left}), NSymElement({(1,): 1})),
+                         Tensor.of(QSymElement({(1,): right}), QSymElement({(1,): 1}))),
+        sym.hall_pair(SymElement({(1,): left}, "h"), SymElement({(1,): right}, "m")),
+        cli._cmd_pair(Namespace(left=str(left), right=str(right))),
+    ]
+
+
+@pytest.mark.parametrize("left, right, want", [
+    (Fraction(1, 2), 2, 1),
+    (Fraction(2, 3), Fraction(3, 2), 1),
+    (Fraction(-1, 4), 8, -2),
+])
+def test_an_integral_pairing_is_an_int(left, right, want):
+    for got in _pairings(left, right):
+        assert type(got) is int and got == want, got
+
+
+@pytest.mark.parametrize("left, right", [
+    (Fraction(1, 2), 3),
+    (Fraction(2, 3), Fraction(3, 4)),
+])
+def test_a_fractional_pairing_is_a_reduced_fraction(left, right):
+    for got in _pairings(left, right):
+        assert type(got) is Fraction and got.denominator > 1 and got == left * right, got
