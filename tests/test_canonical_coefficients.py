@@ -11,6 +11,8 @@ so it checks the exact kernel of ``scalars`` (``qmul``, ``qadd``) by way of
 plain integer arithmetic.  The cobar differential of ``algebroid``, whose
 cofaces use ``Fraction``'s own operators and leave ``settle`` to canonicalise,
 is checked the same way on cochains of both algebroids at levels 0 and 1.
+The canonical pairings return a canonical number too: an ``int`` where the
+value is integral.
 """
 
 from argparse import Namespace
