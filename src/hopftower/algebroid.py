@@ -30,7 +30,8 @@ the cohomology of the whole complex (Ravenel, Complex Cobordism, App. A1.2).
 Its level-s basis splits the H weight over the s slots by
 ``indices.compositions_of``.  Its differential is the full one projected:
 the accumulator builds the whole differential of a basis key, and the rows
-keep the keys with no unit H slot.  ``differential_rows`` maps each image
+keep the keys of the codomain basis, refusing any other key that has no unit
+H slot.  ``differential_rows`` maps each image
 to codomain columns as a primitive ``{column: int}`` row, and
 ``exactlinalg.sparse_leads`` eliminates the rows sparsest column first.
 ``differential_matrix`` keeps the slow route: dense rows from the ``coface``
@@ -225,12 +226,21 @@ def _sparse_rows(alg, dom, cod, s):
     """The rows of ``differential_rows`` on the level-s keys ``dom`` (the
     whole basis, or the keys that clearing keeps) into the level-(s+1) basis
     ``cod``, both built once by the caller: the full differential of each key,
-    projected onto normalized cochains by dropping the keys with a unit H slot."""
+    projected onto normalized cochains by keeping the keys of ``cod``.  Only a
+    key with a unit H slot may miss it; any other is refused, not dropped."""
     col = {key: j for j, key in enumerate(cod)}
+    get = col.get
     rows = []
     for key in dom:
-        row = {col[k]: c for k, c in _cofaces_into({}, alg, {key: 1}, s).items()
-               if c and () not in k[1:]}
+        row = {}
+        for k, c in _cofaces_into({}, alg, {key: 1}, s).items():
+            j = get(k)
+            if j is not None:
+                if c:
+                    row[j] = c
+            elif () not in k[1:]:
+                raise DomainError("the differential of %r has the term %r outside the "
+                                  "normalized level-%d basis" % (key, k, s + 1))
         rows.append(_primitive(row) if row else row)
     return rows
 

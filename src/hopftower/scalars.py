@@ -14,10 +14,13 @@ pass their scalars through it, and it refuses a ``float``.  ``quotient`` is
 the one division, since ``int / int`` would give a float.  ``qmul`` and
 ``qadd`` are the one product and sum of two coefficients: canonical in and
 out, cancelling by gcd before they multiply (Henrici 1956; Knuth, *TAOCP*
-vol. 2, section 4.5.1), reading a ``Fraction`` only by ``as_integer_ratio``
-and handing a non-scalar operand to the operator.  Hot loops keep ``int``
-arithmetic inline; the slow routes that check them (``exactlinalg``, the
-``suites`` oracles) keep ``Fraction``'s own.
+vol. 2, section 4.5.1), reading a ``Fraction`` by ``as_integer_ratio`` and
+handing a non-scalar operand to the operator.  A ``Fraction`` they or
+``quotient`` form is already in lowest terms, so ``_coprime`` stores its two
+slots without the second gcd, sign and type checks of ``Fraction(n, d)``;
+it is the one trusted scalar builder, and every caller hands it a reduced
+pair.  Hot loops keep ``int`` arithmetic inline; the slow routes that check
+them (``exactlinalg``, the ``suites`` oracles) keep ``Fraction``'s own.
 """
 
 from fractions import Fraction
@@ -49,28 +52,44 @@ def rational(q):
         raise DomainError("not a rational scalar: %r" % (q,)) from exc
 
 
+def _coprime(n, d):
+    """The ``Fraction`` n/d of coprime ``int``s n and d > 1, built without a
+    second reduction.  ``Fraction`` has ``__slots__`` and no ``__dict__``, so
+    were its slots ever renamed this would raise, never give a wrong value."""
+    q = object.__new__(Fraction)
+    q._numerator, q._denominator = n, d
+    return q
+
+
 def quotient(a, b):
-    """The exact quotient ``a / b`` of two rationals, in canonical form."""
+    """The exact quotient ``a / b`` of two rationals, in canonical form: two
+    ``int``s over a positive divisor by one gcd, any other pair through
+    ``Fraction``."""
+    if type(a) is int and type(b) is int and b > 0:
+        g = gcd(a, b)
+        return a // g if g == b else _coprime(a // g, b // g)
     return rational(Fraction(a, b))
 
 
 def qmul(a, b):
     """``a * b`` of two canonical scalars, canonical: (n1/d1)(n2/d2) cancels
-    gcd(n1, d2) and gcd(n2, d1) first, which leaves it in lowest terms.  Any
-    other operand falls back to ``*``."""
+    gcd(n1, d2) and gcd(n2, d1) first, which leaves it in lowest terms, so a
+    non-integral result is built by ``_coprime``.  Any other operand falls
+    back to ``*``."""
     if type(a) not in _EXACT or type(b) not in _EXACT:
         return a * b
     n1, d1 = a.as_integer_ratio()
     n2, d2 = b.as_integer_ratio()
     g1, g2 = gcd(n1, d2), gcd(n2, d1)
     n, d = (n1 // g1) * (n2 // g2), (d1 // g2) * (d2 // g1)
-    return n if d == 1 else Fraction(n, d)
+    return n if d == 1 else _coprime(n, d)
 
 
 def qadd(a, b):
     """``a + b`` of two canonical scalars, canonical (``0`` when they cancel):
     n/d + c is (n + c*d)/d in lowest terms, and over two denominators only a
-    factor of gcd(d1, d2) can cancel.  Any other operand falls back to ``+``."""
+    factor of gcd(d1, d2) can cancel, so a non-integral result is built by
+    ``_coprime``.  Any other operand falls back to ``+``."""
     if type(a) not in _EXACT or type(b) not in _EXACT:
         return a + b
     n1, d1 = a.as_integer_ratio()
@@ -83,7 +102,7 @@ def qadd(a, b):
         t = n1 * (d2 // g) + n2 * s
         g = gcd(t, g)
         n, d = t // g, s * (d2 // g)
-    return n if d == 1 else Fraction(n, d)
+    return n if d == 1 else _coprime(n, d)
 
 
 def format_scalar(q):

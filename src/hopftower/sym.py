@@ -21,8 +21,11 @@ inverse is integral; the e table, its row for e_lam moved to the place of
 lam', is unitriangular (I.2, I.6).  Both are solved by substitution in ints;
 ``exactlinalg.invert_matrix`` is only their oracle, in ``verify``.  h has no
 table: h_lam = (-1)^|lam| S(e_lam) and omega swaps e and h, so one map,
-``_h_swap``, trades h and e coordinates both ways.  m needs no table either:
-its coordinates are the ones the tables land in.
+``_h_swap``, trades h and e coordinates both ways.  Between h and p the swap
+is not needed: omega is the sign (-1)^(|lam| - l(lam)) on p_lam (I.2.13), so
+the h coordinates of f are the e ones of omega(f), and ``_p_twist`` applies
+omega on the p side, before p -> e or after e -> p.  m needs no table
+either: its coordinates are the ones the tables land in.
 
 The coproduct lives on the e basis (each generator series is grouplike), with
 the other bases reached by conversion.  The antipode takes the basis that
@@ -268,6 +271,12 @@ def _h_swap(coords, w):
     return on_words(twisted, _antipode_e_gen).terms.items()
 
 
+def _p_twist(coords, w):
+    """p coordinates of weight w, (partition, int) pairs, under omega: the
+    sign (-1)^(w - l(lam)) on p_lam."""
+    return ((lam, -c if (w - len(lam)) % 2 else c) for lam, c in coords)
+
+
 def convert(f, to, integral=False):
     """Re-express f in another basis; exact, and the round trip is identity.
 
@@ -283,16 +292,23 @@ def convert(f, to, integral=False):
     if SymElement.require(f, "convert").basis == to:
         return f
     src, hub = ("e" if basis == "h" else basis for basis in (f.basis, to))
+    # h is read as e through omega: by the sign on the p side between h and
+    # p, by the swap on the h side otherwise
+    if {f.basis, to} == {"h", "p"}:
+        before, after = (_p_twist, None) if f.basis == "p" else (None, _p_twist)
+    else:
+        before = _h_swap if f.basis == "h" else None
+        after = _h_swap if to == "h" else None
     by_weight = {}
     for lam, c in f.terms.items():
         by_weight.setdefault(sum(lam), []).append((lam, c))
     out = {}
     for w, comp in sorted(by_weight.items()):
         # integer numerators over one common denominator d keep every sum
-        # below in int arithmetic, from h to e, through m and from e to h
+        # below in int arithmetic, through omega, through m and back
         d = lcm(*(c.denominator for _, c in comp))
         coords = ((lam, c.numerator * (d // c.denominator)) for lam, c in comp)
-        coords = _h_swap(coords, w) if f.basis == "h" else coords
+        coords = before(coords, w) if before else coords
         if src != hub and src != "m":
             # into m row by row: only the rows of f's own partitions are built
             acc = {}
@@ -307,7 +323,7 @@ def convert(f, to, integral=False):
             inv_d, inv_rows = _transition_inverse(hub, w)
             d *= inv_d
             coords = ((parts[j], c) for j, c in _combination([0] * len(parts), row, inv_rows))
-        coords = _h_swap(coords, w) if to == "h" else coords
+        coords = after(coords, w) if after else coords
         for lam, c in coords:
             out[lam] = c if d == 1 else quotient(c, d)
     result = f._new(out, to)

@@ -259,6 +259,17 @@ def test_sparse_rows_are_the_differential_without_unit_slots():
                     assert row == _integer_row(dense), (alg, w, s, key)
 
 
+def test_a_key_outside_the_codomain_is_refused_not_dropped():
+    """The rows keep the keys of the codomain basis; a key they miss that has
+    no unit H slot is a term the projection has no column for, so it is
+    refused rather than lost."""
+    for alg in ALGEBROIDS.values():
+        dom, cod, rows = differential_rows(alg, 3, 1)
+        hit = next(j for row in rows for j in row)
+        with pytest.raises(DomainError, match="outside the normalized level-2 basis"):
+            algebroid._sparse_rows(alg, dom, cod[:hit] + cod[hit + 1:], 1)
+
+
 def test_cohomology_rank_builds_no_tensors_and_no_dense_matrix(monkeypatch):
     for name in ALGEBROIDS:
         cohomology_rank(name, 4, 1)  # fill the structure-constant memos first

@@ -6,20 +6,23 @@ expansion would otherwise be stored as an exact but unintended rational.
 other module of the package may use the ``/`` operator.  ``scalars.qmul`` and
 ``scalars.qadd`` are the one coefficient product and sum: they agree with
 ``Fraction``'s operators, return canonical scalars and hand anything that is
-not a scalar back to the operator.
+not a scalar back to the operator.  Their non-integral results, and those of
+``quotient`` on two ``int``s, are built by ``scalars._coprime`` without a
+second reduction, so they must equal ``Fraction``'s in every reading.
 """
 
 import ast
+import pickle
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hopftower.errors import DomainError
 from hopftower.nsym import NSymElement, z
-from hopftower.scalars import qadd, qmul
+from hopftower.scalars import _coprime, qadd, qmul, quotient
 from hopftower.series import TruncatedSeries
 from hopftower.topology import BElement, BetaPolynomial
 
@@ -92,11 +95,73 @@ def _is_canonical(q, value):
         type(q) in (int, Fraction))
 
 
+def _readings(q):
+    """Everything a caller can read off a rational, so a built value and
+    ``Fraction``'s own must agree on all of it."""
+    return (q.numerator, q.denominator), hash(q), str(q)
+
+
 @settings(max_examples=400, deadline=None)
 @given(canonical, canonical)
 def test_the_kernel_agrees_with_fraction_and_stays_canonical(a, b):
-    assert _is_canonical(qmul(a, b), Fraction(a) * Fraction(b))
-    assert _is_canonical(qadd(a, b), Fraction(a) + Fraction(b))
+    for q, value in ((qmul(a, b), Fraction(a) * Fraction(b)),
+                     (qadd(a, b), Fraction(a) + Fraction(b))):
+        assert _is_canonical(q, value)
+        assert _readings(q)[:2] == _readings(value)[:2]
+
+
+integers = st.one_of(st.integers(-40, 40), st.integers(-2 ** 130, 2 ** 130))
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.one_of(st.just(0), integers), integers.filter(bool))
+@example(0, 7)
+@example(0, -7)
+@example(3, -6)
+@example(-3, -6)
+@example(6, -3)
+@example(-(2 ** 101 + 1), 2 ** 103)
+@example(2 ** 120, -(2 ** 101))
+@example(7 * (2 ** 101 + 1), 3 * (2 ** 101 + 1))
+def test_an_int_quotient_is_fractions_in_every_reading(a, b):
+    q, value = quotient(a, b), Fraction(a, b)
+    assert _is_canonical(q, value)
+    assert _readings(q) == _readings(value)
+    back = pickle.loads(pickle.dumps(q))
+    assert type(back) is type(q) and _readings(back) == _readings(value)
+
+
+def test_the_trusted_builder_fills_the_only_two_slots():
+    assert Fraction.__slots__ == ("_numerator", "_denominator")
+    q = _coprime(-(2 ** 101 + 3), 6)
+    assert not hasattr(q, "__dict__")
+    assert type(q) is Fraction and _readings(q) == _readings(Fraction(-(2 ** 101 + 3), 6))
+
+
+def _name_references(path, name):
+    """(enclosing function, is the callee of a call) for every use of ``name``
+    in ``path``: a bare name, an attribute or an import alias."""
+    refs = []
+
+    def visit(node, func, callee):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            func = node.name
+        if ((isinstance(node, ast.Name) and node.id == name)
+                or (isinstance(node, ast.Attribute) and node.attr == name)
+                or (isinstance(node, ast.alias) and name in (node.name, node.asname))):
+            refs.append((func, node is callee))
+        for child in ast.iter_child_nodes(node):
+            visit(child, func, node.func if isinstance(node, ast.Call) else None)
+
+    visit(ast.parse(path.read_text(), filename=str(path)), None, None)
+    return refs
+
+
+def test_the_trusted_builder_is_called_only_by_the_kernel():
+    found = {(path.name, func, called)
+             for path in sorted(PACKAGE.rglob("*.py"))
+             for func, called in _name_references(path, "_coprime")}
+    assert found == {("scalars.py", func, True) for func in ("qmul", "qadd", "quotient")}
 
 
 @settings(max_examples=200, deadline=None)

@@ -236,6 +236,24 @@ def test_no_table_is_ever_built_or_read_for_h():
         sorted({call for call in calls if call[1] == "h"})
 
 
+def test_h_and_p_trade_through_the_omega_sign_without_the_swap(monkeypatch):
+    """omega is (-1)^(|lam| - l(lam)) on p_lam, so p -> h and h -> p twist the
+    p side and read h as e; neither calls ``_h_swap``, and both agree with
+    the route through e, which does."""
+    swaps = []
+    swap = sym._h_swap
+    monkeypatch.setattr(sym, "_h_swap", lambda *args: swaps.append(args) or swap(*args))
+    for w in range(7):
+        for src, to in (("p", "h"), ("h", "p")):
+            f = SymElement({lam: Fraction(k + 1, 3) for k, lam in enumerate(partitions_of(w))},
+                           src)
+            direct = convert(f, to)
+            assert not swaps
+            assert direct.basis == to and direct == convert(convert(f, "e"), to)
+            assert swaps or w == 0
+            swaps.clear()
+
+
 def test_no_table_is_ever_built_or_read_for_m():
     """m is the coordinates the tables land in, so no table function (watched
     by code object, under its cache) sees the basis ``"m"``, and m -> p
