@@ -1,6 +1,7 @@
 """Split Hopf algebroids and their Amitsur (cobar) cosimplicial complexes.
 
-Two algebroids are wired up: symmetric functions coacted on by the
+Two algebroids are wired up, each by one line naming the ``structures``
+rows of its coaction and coproduct: symmetric functions coacted on by the
 commutative diffeomorphism algebra, and the Z-algebra coacted on by its own
 renormalization coproduct.  Level n of the cosimplicial object is
 A (x) H^(x n); the cofaces apply the coaction to the base slot, the
@@ -52,8 +53,7 @@ raises a capability error rather than grinding.
 from itertools import product
 
 from . import structures
-from .diffeo import (_bfk_coproduct_gen, _coaction_gen, _fdb_coproduct_gen,
-                     bfk_coproduct, coaction_sym, fdb_coproduct)
+from .diffeo import _bfk_coproduct_gen, _coaction_gen, _fdb_coproduct_gen, bfk_coproduct
 from .errors import AlgebraMismatchError, CapabilityError, DomainError
 from .exactlinalg import _primitive, row_reduce, sparse_leads
 from .indices import compositions_of, natural
@@ -67,23 +67,25 @@ WEIGHT_BOUND = 5
 
 class SplitAlgebroid:
     """Bundle of the data the cobar machinery needs for one algebroid: the
-    tags of the base algebra and the Hopf algebra, the coaction and the
-    coproduct of the Hopf algebra, and the letter maps ``linear.on_words``
+    labels of the ``structures.STRUCTURES`` rows of its coaction and of the
+    coproduct of its Hopf algebra, and the letter maps ``linear.on_words``
     extends to them (``base_gen`` on e-basis or word indices of the base,
-    ``hopf_gen`` on indices of H)."""
+    ``hopf_gen`` on indices of H).  The tags ``base`` and ``hopf`` are read
+    off the rows once; ``coaction`` and ``h_coproduct`` read them per call."""
 
-    __slots__ = ("name", "base", "hopf", "coaction", "h_coproduct",
+    __slots__ = ("name", "coaction_row", "coproduct_row", "base", "hopf",
                  "base_gen", "hopf_gen")
 
-    def __init__(self, name, base, hopf, coaction, h_coproduct, base_gen, hopf_gen):
+    def __init__(self, name, coaction_row, coproduct_row, base_gen, hopf_gen):
         self.name = name
-        self.base = base
-        self.hopf = hopf
-        self.coaction = coaction
-        self.h_coproduct = h_coproduct
+        self.coaction_row, self.coproduct_row = coaction_row, coproduct_row
+        self.base = structures.STRUCTURES[coaction_row].algebra
+        self.hopf = structures.STRUCTURES[coproduct_row].algebra
         self.base_gen = base_gen
         self.hopf_gen = hopf_gen
 
+    coaction = property(lambda self: structures.STRUCTURES[self.coaction_row].coproduct)
+    h_coproduct = property(lambda self: structures.STRUCTURES[self.coproduct_row].coproduct)
     base_cls = property(lambda self: structures.ALGEBRAS[self.base].cls)
     hopf_cls = property(lambda self: structures.ALGEBRAS[self.hopf].cls)
     base_indices = property(lambda self: structures.ALGEBRAS[self.base].indices)
@@ -111,10 +113,8 @@ class SplitAlgebroid:
         return "SplitAlgebroid(%s)" % self.name
 
 
-SB = SplitAlgebroid("S.B", "sym", "fdb", coaction_sym, fdb_coproduct,
-                    _coaction_gen, _fdb_coproduct_gen)
-NN = SplitAlgebroid("N.N", "nsym", "nsym", bfk_coproduct, bfk_coproduct,
-                    _bfk_coproduct_gen, _bfk_coproduct_gen)
+SB = SplitAlgebroid("S.B", "sym-fdb-coaction", "fdb", _coaction_gen, _fdb_coproduct_gen)
+NN = SplitAlgebroid("N.N", "bfk", "bfk", _bfk_coproduct_gen, _bfk_coproduct_gen)
 
 ALGEBROIDS = {"S.B": SB, "N.N": NN}
 

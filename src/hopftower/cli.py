@@ -21,6 +21,9 @@ and add its own arguments to the subparser that call returns.  A handler
 that exits with a status other than 0, or whose JSON names a structure, sets
 ``args.status`` or ``args.structure``.
 
+The maps ``convert --to`` follows and the pairings ``pair`` offers are rows
+of :mod:`hopftower.structures`.
+
 Exit codes: 0 success, 1 bad input (syntax, domain, algebra mix, usage),
 2 a configured capability bound was exceeded, 3 a verification suite
 failed, 4 a file could not be read.
@@ -33,9 +36,6 @@ from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 from functools import lru_cache
 
-from . import diffeo
-from . import nsym as nsym_mod
-from . import qsym as qsym_mod
 from . import structures
 from . import sym as sym_mod
 from . import topology
@@ -55,14 +55,6 @@ from .topology import ProjectiveProductSpace
 # from them, and building the parser loads no part of verify
 SUITE_NAMES = ("hopf-axioms", "antipode", "duality", "bfk", "comodule-algebroid",
                "topology", "counts", "cli-roundtrip")
-
-# the maps down the tower that ``convert --to`` follows, by (source, target) tag
-_TOWER_MAPS = {("sym", "qsym"): qsym_mod.include_symmetric,
-               ("nsym", "sym"): nsym_mod.abelianize,
-               ("nsym", "fdb"): diffeo.bfk_abelianize}
-
-# the dual pairings ``pair`` offers, by (left, right) tag
-_PAIRINGS = {("sym", "sym"): sym_mod.hall_pair, ("nsym", "qsym"): qsym_mod.pair}
 
 
 class _ParserExit(Exception):
@@ -158,7 +150,9 @@ def _cmd_convert(args):
     if args.to is not None:
         target = structures.tag_of_letter(args.to)
         if target != family:
-            step = _TOWER_MAPS.get((family, target))
+            rows = structures.STRUCTURES
+            step = next((f for (a, b), f in structures.ARROWS.items()
+                         if (rows[a].algebra, rows[b].algebra) == (family, target)), None)
             if step is None:
                 raise DomainError("cannot convert a %s expression to %r"
                                   % (family, args.to))
@@ -173,12 +167,12 @@ def _cmd_pair(args):
     b, fb = parse_element(args.right)
     if fa == fb == "scalar":
         return qmul(a, b)
-    sides = next((k for k in _PAIRINGS
+    sides = next((k for k in structures.PAIRINGS
                   if fa in (k[0], "scalar") and fb in (k[1], "scalar")), None)
     if sides is None:
         raise AlgebraMismatchError(
             "no pairing between %s and %s expressions" % (fa, fb))
-    return _PAIRINGS[sides](_promote(a, sides[0]), _promote(b, sides[1]))
+    return structures.PAIRINGS[sides](_promote(a, sides[0]), _promote(b, sides[1]))
 
 
 def _cmd_log(args):
@@ -285,7 +279,9 @@ def build_parser():
     p = command("convert", "change basis, apply involutions, or move down the "
                            "tower", _cmd_convert, "--json")
     p.add_argument("expr")
-    p.add_argument("--to", choices=["e", "h", "p", "m", "M", "t"])
+    p.add_argument("--to", choices=list(dict.fromkeys(
+        x for _, b in structures.ARROWS
+        for x in structures.algebra(structures.STRUCTURES[b].algebra).letters)))
     p.add_argument("--involution", action="append",
                    choices=["dual", "whitney", "omega"])
     p.add_argument("--integral", action="store_true",

@@ -1,11 +1,14 @@
-"""The one registry of the algebras and Hopf structures of the tower.
+"""The one registry of the algebras, Hopf structures and maps of the tower.
 
-``ALGEBRAS`` has one row per algebra, keyed by its JSON tag, and
-``STRUCTURES`` one row per coproduct, keyed by its label.  ``expr``,
-``jsonio``, ``cli``, ``suites`` and ``algebroid`` read the rows at each
-lookup, so adding a structure takes one row.  Every function is a direct
-attribute of its row, so code that rebinds a function wherever it is held
-(a tracer, a test double) also reaches the calls made through the registry.
+``ALGEBRAS`` has one row per algebra, keyed by its JSON tag, ``STRUCTURES``
+one row per coproduct, keyed by its label, ``ARROWS`` one row per Hopf map
+between two structures, keyed by their labels, and ``PAIRINGS`` one row per
+dual pairing, keyed by the two tags; no other module binds a map between
+algebras.  ``expr``, ``jsonio``, ``cli``, ``suites`` and ``algebroid`` read
+the rows at each lookup, so adding a structure or an arrow takes one row.
+Every function is a direct attribute of its row, so code that rebinds a
+function wherever it is held (a tracer, a test double) also reaches the
+calls made through the registry.
 """
 
 from . import diffeo, nsym, qsym, sym, topology
@@ -86,6 +89,16 @@ STRUCTURES = {
     "sym-fdb-coaction": Structure("sym", "fdb", diffeo.coaction_sym, None, None),
     "bpoly": Structure("bpoly", None, None, _bpoly_antipode, None),
 }
+
+# Hopf maps from the structure the first label names to the one the second names
+ARROWS = {
+    ("nsym-binomial", "sym-binomial"): nsym.abelianize,
+    ("sym-binomial", "qsym"): qsym.include_symmetric,
+    ("bfk", "fdb"): diffeo.bfk_abelianize,
+}
+
+# the dual pairings ``pair`` offers, by (left, right) algebra tag
+PAIRINGS = {("sym", "sym"): sym.hall_pair, ("nsym", "qsym"): qsym.pair}
 
 
 def algebra(tag):

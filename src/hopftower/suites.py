@@ -108,7 +108,34 @@ def suite_hopf_axioms(weight=None, cap=None):
                 ((idx, check(st, alg.element({idx: 1})))
                  for w in range(bound + 1) for idx in alg.indices(w)),
                 "fails on index %r"))
+    bound = weight if weight is not None else 5
+    results.append(_check("arrows commute with coproduct and antipode and respect "
+                          "products (weight <= %d, {count} cases)" % bound,
+                          _arrow_cases(bound)))
     return results
+
+
+def _arrow_cases(bound):
+    """(case, passed) pairs for every ``structures.ARROWS`` row f: src -> tgt
+    on the source basis to weight ``bound``: (f (x) f) Delta x = Delta f(x),
+    f(S x) = S f(x), and f(xy) = f(x) f(y) for pairs of total weight <= bound."""
+    for (source, target), f in structures.ARROWS.items():
+        src, tgt = structures.STRUCTURES[source], structures.STRUCTURES[target]
+        alg, cls = structures.ALGEBRAS[src.algebra], structures.ALGEBRAS[tgt.algebra].cls
+        basis = [(w, alg.element({idx: 1})) for w in range(bound + 1) for idx in alg.indices(w)]
+
+        def image(idx):
+            return f(alg.element({idx: 1})).slot_form()
+
+        for _, x in basis:
+            fx = f(x)
+            pushed = src.coproduct(x).apply(0, image, (cls,)).apply(1, image, (cls,))
+            yield (source, target, "coproduct", x), pushed == tgt.coproduct(fx)
+            yield (source, target, "antipode", x), f(src.antipode(x)) == tgt.antipode(fx)
+        for w, x in basis:
+            for v, y in basis:
+                if w + v <= bound:
+                    yield (source, target, "product", x, y), f(x * y) == f(x) * f(y)
 
 
 # -- antipode cross-checks -------------------------------------------------

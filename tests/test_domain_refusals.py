@@ -16,7 +16,7 @@ through; a bare int used to leak a raw ``TypeError`` from ``tuple``.  A
 
 import pytest
 
-from hopftower import algebroid, cli, qsym, structures, sym, topology
+from hopftower import algebroid, qsym, structures, sym, topology
 from hopftower.errors import AlgebraMismatchError, DomainError
 from hopftower.linear import Polynomial, Tensor
 from hopftower.nsym import NSymElement, z
@@ -33,7 +33,8 @@ def _maps():
             fn = getattr(st, part)
             if fn is not None:
                 yield "%s.%s" % (label, part), st.algebra, fn, fn.__name__
-    for (source, target), step in cli._TOWER_MAPS.items():
+    for (source, target), step in structures.ARROWS.items():
+        source, target = (structures.STRUCTURES[x].algebra for x in (source, target))
         yield "%s->%s" % (source, target), source, step, step.__name__
     yield "sym.convert", "sym", lambda f: sym.convert(f, "m"), "convert"
     yield "sym.involution", "sym", lambda f: sym.involution(f, "omega"), "involution"

@@ -32,6 +32,7 @@ FULL_REPORT = [
     'ok    bfk coassociativity (weight <= 6, 64 elements)',
     'ok    bfk counit (weight <= 6, 64 elements)',
     'ok    bfk antipode convolution (weight <= 6, 64 elements)',
+    'ok    arrows commute with coproduct and antipode and respect products (weight <= 5, 464 cases)',
     'ok    antipode(e_n) = (-1)^n h_n and h-series agreement (n <= 8)',
     'ok    antipode in the h, p and m bases equals the e route (weight <= 7, 135 elements)',
     'ok    e, p tables and h-to-m conversions equal the expansion (weight <= 7)',
@@ -68,7 +69,7 @@ FULL_REPORT = [
     'ok    composition-sum invariant has 2^(k-1) unit terms (k <= 10)',
     'ok    parse/print and JSON round trips on 1000 random elements per algebra',
     'ok    documented invocations: 110 commands, pinned output and exit codes',
-    '51/51 checks passed',
+    '52/52 checks passed',
 ]
 
 
