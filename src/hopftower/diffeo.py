@@ -21,8 +21,11 @@ reaches words through ``linear.on_words``, multiplicatively or, for the
 BFK antipode, as an antimorphism.
 """
 
+from collections import Counter
 from functools import lru_cache
+from math import comb, factorial, perm, prod
 
+from .indices import compositions_of, partitions_of
 from .linear import CommutativeElement, Tensor, on_words, recursive_antipode
 from .nsym import NSymElement, z
 from .scalars import ONE
@@ -48,17 +51,24 @@ def t_series(cap):
 
 def _substitution(left_cls, right_cls, n, shift):
     """[T^(n+shift)] sum_j a_(j-shift) (x) g(T)^j, a_k the generators of
-    ``left_cls`` and g the generic diffeomorphism over ``right_cls``; g^j
-    starts at T^j, so j runs from ``shift`` to n + shift."""
-    g = generator_series(right_cls, n + shift)
-    power = g ** shift
+    ``left_cls`` and g the generic diffeomorphism over ``right_cls``, counted
+    in closed form: g^j = T^j (1 + g_1 T + g_2 T^2 + ...)^j, whose T^r
+    coefficient is the sum of g_alpha over the compositions alpha of r with at
+    most j parts, C(j, l(alpha)) times each (the factors that give a part);
+    over a commutative algebra the l!/prod m_i! orderings of a partition are
+    one monomial."""
+    commutative = right_cls.COMMUTATIVE
     terms = {}
     for k in range(n + 1):
-        left = (k,) if k else ()
-        for idx, c in power.coefficient(n + shift).terms.items():
-            terms[(left, idx)] = c
-        power = power * g
-    return Tensor((left_cls, right_cls), terms)
+        left, j = ((k,) if k else ()), k + shift
+        for idx in (partitions_of if commutative else compositions_of)(n - k):
+            if len(idx) > j:
+                continue
+            if commutative:
+                terms[left, idx] = perm(j, len(idx)) // prod(map(factorial, Counter(idx).values()))
+            else:
+                terms[left, idx] = comb(j, len(idx))
+    return Tensor((left_cls, right_cls))._new(terms)
 
 
 # -- composition coproduct -------------------------------------------------

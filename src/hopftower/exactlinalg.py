@@ -21,7 +21,7 @@ normalised pivots are needed, and all arithmetic is exact ``int``.
 pivot rows, and ``sparse_rank`` is their count.  The pivot rows are in
 echelon form and span the row space, so the unit vectors of the other
 columns complete it to the whole space.  That is what clearing needs:
-``algebroid.cohomology_rank`` builds no row of d^s on a lead of
+``algebroid._cleared_rank`` builds no row of d^s on a lead of
 im d^(s-1), since d^s vanishes there.
 
 ``matrix_rank``, the dense front door, is kept for the benchmark's layer

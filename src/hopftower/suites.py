@@ -25,8 +25,9 @@ from . import diffeo, structures, topology
 from . import nsym as nsym_mod
 from . import qsym as qsym_mod
 from . import sym as sym_mod
-from .algebroid import (ALGEBROIDS, WEIGHT_BOUND, coface, cohomology_rank, differential,
-                        differential_matrix, differential_rows, invariants_rank_oracle)
+from .algebroid import (ALGEBROIDS, WEIGHT_BOUND, _action, ce_rank, coface, cobar_rank,
+                        cohomology_rank, differential, differential_matrix,
+                        differential_rows, invariants_rank_oracle)
 from .cli import SUITE_NAMES, run_command
 from .diffeo import FdBElement, t
 from .errors import ExpressionError
@@ -34,7 +35,7 @@ from .exactlinalg import invert_matrix, row_reduce, sparse_rank
 from .expr import parse_element
 from .indices import compositions_of, partitions_of
 from .jsonio import document_for, dumps, from_document
-from .linear import Polynomial, Tensor, on_words
+from .linear import Polynomial, Tensor, image_items, on_words
 from .nsym import NSymElement, z
 from .qsym import M, QSymElement, expand_ordered, pair, pair_tensor
 from .scalars import ONE, ZERO
@@ -425,7 +426,7 @@ def suite_comodule_algebroid(weight=None, cap=None):
             cosimplicial_checks(alg)))
 
     def matrix_squares():
-        # clearing in cohomology_rank rests on this identity for both algebroids
+        # clearing in cobar_rank rests on this identity for both algebroids
         for name, alg in ALGEBROIDS.items():
             for w in range(cosimp_bound + 1):
                 dom0, cod0, rows0 = differential_matrix(alg, w, 0)
@@ -472,6 +473,41 @@ def suite_comodule_algebroid(weight=None, cap=None):
     results.append(_check("H^1 with cleared rows equals dim C^1 - rank d^1 - rank d^0 "
                           "by dense Gauss-Jordan (weight <= %d)" % rank_bound,
                           cleared_ranks()))
+
+    sb = ALGEBROIDS["S.B"]
+
+    def ce_actions():
+        # the derivation on a monomial against the coaction of the whole monomial
+        key_mul = sb.base_cls.key_mul
+        for w in range(9):
+            for lam in sb.base_indices(w):
+                for n in range(1, w + 1):
+                    want = {left: c for (left, right), c in image_items(sb.base_gen, lam)
+                            if right == (n,)}
+                    yield (n, lam), dict(_action(sb.base_gen, key_mul, n, lam)) == want
+
+    results.append(_check("S.B Lie action: xi_n as a derivation equals (id (x) xi_n) of "
+                          "the coaction (weight <= 8)", ce_actions()))
+
+    def ce_ranks():
+        for w in range(9):
+            for s in range(4):
+                got, want = ce_rank(sb, w, s), cobar_rank(sb, w, s)
+                yield (w, s, got, want), got == want
+
+    results.append(_check("S.B Chevalley-Eilenberg ranks equal the cleared cobar ranks "
+                          "(weight <= 8, degrees 0-3)", ce_ranks()))
+
+    def goncharova():
+        # one class in each weight (3q^2 - q)/2 and (3q^2 + q)/2 of degree q
+        for w in range(31):
+            for q in range(6):
+                got = ce_rank(sb, w, q, trivial=True)
+                yield (w, q, got), got == (2 * w in (3 * q * q - q, 3 * q * q + q))
+
+    results.append(_check("H^*(L_1) by Chevalley-Eilenberg cochains is Goncharova's: one "
+                          "class in each weight (3q^2 +- q)/2 (weight <= 30, degrees 0-5)",
+                          goncharova()))
     return results
 
 

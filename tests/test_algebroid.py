@@ -4,6 +4,8 @@ import sys
 from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hopftower import algebroid, diffeo, exactlinalg, structures
 from hopftower.algebroid import (ALGEBROIDS, coface, cohomology_rank,
@@ -113,10 +115,12 @@ def test_level_bound_is_enforced():
         differential(alg, x)
     with pytest.raises(CapabilityError):
         cohomology_rank("S.B", 99, 0)
-    for name in ALGEBROIDS:
-        with pytest.raises(CapabilityError,
-                           match=r"^cohomology degree 2 not supported \(only 0 and 1\)$"):
-            cohomology_rank(name, 3, 2)
+    with pytest.raises(CapabilityError,
+                       match=r"^cohomology degree 2 not supported \(only 0 and 1\)$"):
+        cohomology_rank("N.N", 3, 2)
+    with pytest.raises(CapabilityError,
+                       match=r"^cohomology degree 6 not supported \(only 0 to 5\)$"):
+        cohomology_rank("S.B", 3, 6)
 
 
 def test_a_negative_degree_is_a_domain_error():
@@ -375,3 +379,115 @@ def test_foreign_cochains_are_refused():
         for apply in (lambda: differential(alg, x), lambda: coface(alg, x, 0)):
             with pytest.raises(AlgebraMismatchError):
                 apply()
+
+
+# -- the Chevalley-Eilenberg route --------------------------------------------
+
+# S.B cohomology ranks H^0..H^5 for w = 0..20; H^0 is 1 and H^4, H^5 vanish
+SB_H1 = (0, 1, 1, 1, 1, 2, 1, 2, 2, 2, 2, 3, 2, 3, 3, 3, 3, 4, 3, 4, 4)
+SB_H2 = (0, 0, 0, 0, 0, 1, 0, 1, 1, 1, 1, 2, 2, 2, 2, 3, 3, 4, 3, 4, 5)
+SB_H3 = (0,) * 12 + (1, 0, 0, 1, 1, 1, 1, 1, 2)
+
+
+def test_sb_ranks_to_weight_20_and_degree_5_are_pinned():
+    for w in range(21):
+        want = [1, SB_H1[w], SB_H2[w], SB_H3[w], 0, 0]
+        assert [cohomology_rank("S.B", w, s) for s in range(6)] == want, w
+
+
+def test_sb_takes_the_chevalley_eilenberg_route_and_nn_the_cobar_route(monkeypatch):
+    """No coface is spliced for an S.B rank, and N.N is refused the CE route."""
+    watched = algebroid._cofaces_into.__code__
+    calls = []
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code is watched:
+            calls.append(frame.f_code.co_name)
+
+    sys.setprofile(profile)
+    try:
+        assert cohomology_rank("S.B", 12, 3) == 1
+    finally:
+        sys.setprofile(None)
+    assert calls == []
+    with pytest.raises(DomainError, match="needs a commutative Hopf algebra; N.N has NSymElement"):
+        algebroid.ce_rank("N.N", 2, 0)
+
+
+def test_ce_differential_squares_to_zero(monkeypatch):
+    """d^(t+1) d^t = 0 on the CE cochains of S.B, rows taken before they are
+    made primitive (a row's content scales it alone)."""
+    monkeypatch.setattr(algebroid, "_primitive", lambda row: row)
+    alg = ALGEBROIDS["S.B"]
+    for w in range(11):
+        for t in range(3):
+            b0, b1, b2 = (algebroid._ce_basis(alg.base_indices, w, u) for u in (t, t + 1, t + 2))
+            rows0 = algebroid._ce_rows(alg, b0, b1, t)
+            rows1 = algebroid._ce_rows(alg, b1, b2, t + 1)
+            for key, row in zip(b0, rows0):
+                acc = {}
+                for j, c in row.items():
+                    for k, d in rows1[j].items():
+                        acc[k] = acc.get(k, 0) + c * d
+                assert not any(acc.values()), (w, t, key)
+
+
+def test_the_bracket_of_fdb_is_l1_and_its_action_on_sym_lowers_e():
+    """[xi_a, xi_b] = (a - b) xi_(a+b), and xi_n e_k = (k - n) e_(k-n) for k > n."""
+    alg = ALGEBROIDS["S.B"]
+    for k in range(2, 12):
+        assert algebroid._bracket(alg.hopf_gen, k) == tuple(
+            (a, k - a, 2 * a - k) for a in range(1, (k + 1) // 2))
+        for n in range(1, 12):
+            want = (((k - n,), k - n),) if k > n else ()
+            assert algebroid._generator_action(alg.base_gen, n, k) == want
+
+
+def _sym_shifted(base_gen, n, k):
+    """The mutant action e_k -> (k - n + 1) e_(k-n), e_0 = 1."""
+    return (((k - n,) if k > n else (), k - n + 1),) if k >= n else ()
+
+
+def _negated(real):
+    return lambda *args: tuple(item[:-1] + (-item[-1],) for item in real(*args))
+
+
+@pytest.fixture
+def fresh_action():
+    algebroid._action.cache_clear()
+    yield
+    algebroid._action.cache_clear()
+
+
+@pytest.mark.parametrize("name, mutant, first", [
+    ("_generator_action", lambda real: _sym_shifted, None),
+    ("_bracket", _negated, 8),
+    ("_generator_action", _negated, 8),
+], ids=["shifted action", "bracket sign", "negated action"])
+def test_a_mutated_action_or_bracket_fails_the_ce_record(monkeypatch, fresh_action,
+                                                         name, mutant, first):
+    """The record that compares CE ranks with the cleared cobar ranks fails;
+    the negated action and the flipped bracket agree with it below weight 8."""
+    from hopftower import suites
+
+    monkeypatch.setattr(algebroid, name, mutant(getattr(algebroid, name)))
+    records = {label: (ok, detail) for label, ok, detail in suites.suite_comodule_algebroid()}
+    ok, detail = records["S.B Chevalley-Eilenberg ranks equal the cleared cobar ranks "
+                         "(weight <= 8, degrees 0-3)"]
+    assert not ok
+    if first is not None:
+        assert detail.startswith("fails on (%d, " % first)
+
+
+@settings(max_examples=20, deadline=None)
+@given(w=st.integers(0, 7), s=st.integers(0, 2))
+def test_ce_ranks_equal_the_cleared_cobar_ranks(w, s):
+    sb = ALGEBROIDS["S.B"]
+    assert algebroid.ce_rank(sb, w, s) == algebroid.cobar_rank(sb, w, s)
+
+
+def test_goncharova_with_trivial_coefficients():
+    """H^q(L_1) is one class in each weight (3q^2 +- q)/2 and nothing else."""
+    classes = [(w, q) for w in range(23) for q in range(5)
+               if algebroid.ce_rank("S.B", w, q, trivial=True)]
+    assert classes == [(0, 0), (1, 1), (2, 1), (5, 2), (7, 2), (12, 3), (15, 3), (22, 4)]

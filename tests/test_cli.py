@@ -169,8 +169,12 @@ def test_undecodable_space_file_is_bad_input(tmp_path):
 
 def test_capability_errors_exit_2():
     for degree in ("2", "5"):
-        assert run("cobar-rank", "--algebroid", "S.B", "--weight", "3", "--degree", degree) == (
+        assert run("cobar-rank", "--algebroid", "N.N", "--weight", "3", "--degree", degree) == (
             2, "", "error: cohomology degree %s not supported (only 0 and 1)\n" % degree)
+    assert run("cobar-rank", "--algebroid", "S.B", "--weight", "3", "--degree", "6") == (
+        2, "", "error: cohomology degree 6 not supported (only 0 to 5)\n")
+    assert run("cobar-rank", "--algebroid", "S.B", "--weight", "21", "--degree", "0") == (
+        2, "", "error: cohomology weight bounded at 20 (got 21)\n")
     code, _, err = run("coproduct", "b[1]")
     assert code == 2
     code, _, err = run("crn", "--weight", "30")
@@ -270,6 +274,16 @@ def test_cobar_rank_json():
                        "--weight", "2", "--degree", "0")
     assert (code, out) == (
         0, '{"algebroid":"S.B","weight":2,"degree":0,"rank":1}')
+
+
+def test_cobar_rank_reaches_weight_20_and_degree_5_for_sb():
+    """S.B takes the Chevalley-Eilenberg route; N.N keeps degrees 0 and 1."""
+    assert run("cobar-rank", "--algebroid", "S.B", "--weight", "20", "--degree", "2") == (
+        0, '{"algebroid":"S.B","weight":20,"degree":2,"rank":5}', "")
+    assert run("cobar-rank", "--algebroid", "S.B", "--weight", "12", "--degree", "5") == (
+        0, '{"algebroid":"S.B","weight":12,"degree":5,"rank":0}', "")
+    assert run("cobar-rank", "--algebroid", "N.N", "--weight", "2", "--degree", "2") == (
+        2, "", "error: cohomology degree 2 not supported (only 0 and 1)\n")
 
 
 def test_console_entry_point_subprocess():

@@ -8,8 +8,9 @@ from itertools import permutations
 import pytest
 
 from hopftower import cli, diffeo, linear, structures, suites, sym
-from hopftower.algebroid import (ALGEBROIDS, SplitAlgebroid, cohomology_rank,
-                                 invariants_rank_oracle)
+from hopftower.algebroid import (ALGEBROIDS, SplitAlgebroid, ce_rank, cobar_rank,
+                                 cohomology_rank, invariants_rank_oracle)
+from hopftower.errors import DomainError
 from hopftower.expr import parse_element
 from hopftower.indices import partitions_of
 from hopftower.jsonio import document_for, dumps, from_document
@@ -144,12 +145,23 @@ def test_one_row_adds_an_algebroid(monkeypatch):
     for w in range(5):
         assert cohomology_rank("toy", w, 0) == invariants_rank_oracle(toy, w) == (1 if w == 0 else 0)
         assert cohomology_rank("toy", w, 1) == 0
+        # the toy Hopf class is commutative, so the ranks take the CE route
+        for s in range(3):
+            assert ce_rank(toy, w, s) == cobar_rank(toy, w, s) == (w == s == 0)
     cli._parser.cache_clear()
     try:
         assert run("cobar-rank", "--algebroid", "toy", "--weight", "3", "--degree", "0") == (
             0, '{"algebroid":"toy","weight":3,"degree":0,"rank":0}', "")
     finally:
         cli._parser.cache_clear()
+
+
+@pytest.mark.parametrize("rows", [("nope", "fdb"), ("sym-fdb-coaction", "nope"),
+                                  (["fdb"], "fdb")])
+def test_an_algebroid_on_an_unknown_row_is_refused(rows):
+    """It used to raise a raw KeyError (or TypeError for a list) from the lookup."""
+    with pytest.raises(DomainError, match=r"^unknown structure .* \(known: \['sym-binomial', "):
+        SplitAlgebroid("x", *rows, None, None)
 
 
 def test_an_algebroid_reads_its_rows_at_each_call(monkeypatch):

@@ -57,6 +57,10 @@ FULL_REPORT = [
     'ok    H^0 of the S.B complex is rank 1 in weights 0-3 (two routes)',
     'ok    differential matrix ranks match dense Gauss-Jordan (weight <= 5, levels 0 and 1)',
     'ok    H^1 with cleared rows equals dim C^1 - rank d^1 - rank d^0 by dense Gauss-Jordan (weight <= 5)',
+    'ok    S.B Lie action: xi_n as a derivation equals (id (x) xi_n) of the coaction (weight <= 8)',
+    'ok    S.B Chevalley-Eilenberg ranks equal the cleared cobar ranks (weight <= 8, degrees 0-3)',
+    "ok    H^*(L_1) by Chevalley-Eilenberg cochains is Goncharova's: one class in each weight "
+    "(3q^2 +- q)/2 (weight <= 30, degrees 0-5)",
     'ok    log coefficients equal the structural antipode of b_n (n <= 7)',
     'ok    projective-space numbers match the normal-bundle oracle (n <= 5)',
     'ok    group law is unital, commutative, associative (degree <= 6)',
@@ -69,7 +73,7 @@ FULL_REPORT = [
     'ok    composition-sum invariant has 2^(k-1) unit terms (k <= 10)',
     'ok    parse/print and JSON round trips on 1000 random elements per algebra',
     'ok    documented invocations: 110 commands, pinned output and exit codes',
-    '52/52 checks passed',
+    '55/55 checks passed',
 ]
 
 
