@@ -395,7 +395,7 @@ def test_sb_ranks_to_weight_20_and_degree_5_are_pinned():
         assert [cohomology_rank("S.B", w, s) for s in range(6)] == want, w
 
 
-def test_sb_takes_the_chevalley_eilenberg_route_and_nn_the_cobar_route(monkeypatch):
+def test_sb_takes_the_chevalley_eilenberg_route_and_nn_the_cobar_route():
     """No coface is spliced for an S.B rank, and N.N is refused the CE route."""
     watched = algebroid._cofaces_into.__code__
     calls = []
@@ -484,10 +484,3 @@ def test_a_mutated_action_or_bracket_fails_the_ce_record(monkeypatch, fresh_acti
 def test_ce_ranks_equal_the_cleared_cobar_ranks(w, s):
     sb = ALGEBROIDS["S.B"]
     assert algebroid.ce_rank(sb, w, s) == algebroid.cobar_rank(sb, w, s)
-
-
-def test_goncharova_with_trivial_coefficients():
-    """H^q(L_1) is one class in each weight (3q^2 +- q)/2 and nothing else."""
-    classes = [(w, q) for w in range(23) for q in range(5)
-               if algebroid.ce_rank("S.B", w, q, trivial=True)]
-    assert classes == [(0, 0), (1, 1), (2, 1), (5, 2), (7, 2), (12, 3), (15, 3), (22, 4)]
