@@ -33,13 +33,14 @@ Its level-s basis splits the H weight over the s slots by
 the accumulator builds the whole differential of a basis key, and the rows
 keep the keys of the codomain basis, refusing any other key that has no unit
 H slot.  ``differential_rows`` maps each image
-to codomain columns as a primitive ``{column: int}`` row, and
-``exactlinalg.sparse_leads`` eliminates the rows sparsest column first.
+to codomain columns as the exact ``{column: int}`` row of d, and
+``exactlinalg.sparse_leads`` divides the rows by their content and
+eliminates them sparsest column first.
 ``differential_matrix`` keeps the slow route: dense rows from the ``coface``
 tensors, summed and then projected.
 
 ``_cleared_rank`` is the one rank loop, over two callables: the basis of
-level t and the primitive rows of d^t on a list of level-t keys.  It clears,
+level t and the integer rows of d^t on a list of level-t keys.  It clears,
 as persistent-homology codes do (Chen and Kerber, EuroCG 2011; Bauer, Kerber
 and Reininghaus, 2014).  It walks the degrees up from 0; the leads of the
 pivot rows of d^(t-1) pick out level-t keys whose unit vectors, with
@@ -76,7 +77,7 @@ from itertools import product
 from . import structures
 from .diffeo import _bfk_coproduct_gen, _coaction_gen, _fdb_coproduct_gen, bfk_coproduct
 from .errors import AlgebraMismatchError, CapabilityError, DomainError
-from .exactlinalg import _primitive, row_reduce, sparse_leads
+from .exactlinalg import matrix_rank, sparse_leads
 from .indices import compositions_of, natural
 from .linear import CommutativeElement, Tensor, image_items, settle
 from .nsym import NSymElement
@@ -241,7 +242,7 @@ def differential_rows(alg, w, s):
     """The normalized differential level s -> s+1 in weight w as sparse rows.
 
     Returns ``(dom, cod, rows)`` like ``differential_matrix``, but each row is
-    the primitive ``{column: int}`` dict of its nonzeros (the structure
+    the ``{column: int}`` dict of its nonzeros, unscaled (the structure
     constants of both algebroids are integers), built by the accumulator.
     """
     dom, cod = _level_basis(alg, w, s), _level_basis(alg, w, s + 1)
@@ -252,8 +253,9 @@ def _sparse_rows(alg, dom, cod, s):
     """The rows of ``differential_rows`` on the level-s keys ``dom`` (the
     whole basis, or the keys that clearing keeps) into the level-(s+1) basis
     ``cod``, both built once by the caller: the full differential of each key,
-    projected onto normalized cochains by keeping the keys of ``cod``.  Only a
-    key with a unit H slot may miss it; any other is refused, not dropped."""
+    unscaled, projected onto normalized cochains by keeping the keys of
+    ``cod``.  Only a key with a unit H slot may miss it; any other is
+    refused, not dropped."""
     col = {key: j for j, key in enumerate(cod)}
     get = col.get
     rows = []
@@ -267,7 +269,7 @@ def _sparse_rows(alg, dom, cod, s):
             elif () not in k[1:]:
                 raise DomainError("the differential of %r has the term %r outside the "
                                   "normalized level-%d basis" % (key, k, s + 1))
-        rows.append(_primitive(row) if row else row)
+        rows.append(row)
     return rows
 
 
@@ -282,7 +284,7 @@ def _algebroid(alg):
 
 def _cleared_rank(basis, rows, s):
     """H^s of a cochain complex given by ``basis(t)``, the basis of level t,
-    and ``rows(keys, cod, t)``, the primitive ``{column: int}`` rows of d^t on
+    and ``rows(keys, cod, t)``, the integer ``{column: int}`` rows of d^t on
     the level-t ``keys`` into the level-(t+1) basis ``cod``.
 
     Clearing: d^t vanishes on im d^(t-1), which the unit vectors off its
@@ -384,7 +386,7 @@ def _ce_basis(base_indices, w, s):
 
 
 def _ce_rows(alg, keys, cod, t):
-    """The primitive ``{column: int}`` rows of the CE differential on the
+    """The exact ``{column: int}`` rows of the CE differential on the
     degree-t ``keys`` into the degree-(t+1) basis ``cod``:
 
         d(xi^J (x) a) = d(xi^J) (x) a + sum_n xi^n ^ xi^J (x) xi_n . a,
@@ -416,8 +418,7 @@ def _ce_rows(alg, keys, cod, t):
                 v = c if (i + pa + pb) % 2 else -c
                 old = row.get(j)
                 row[j] = v if old is None else old + v
-        row = {j: c for j, c in row.items() if c}
-        rows.append(_primitive(row) if row else row)
+        rows.append({j: c for j, c in row.items() if c})
     return rows
 
 
@@ -438,8 +439,8 @@ def ce_rank(alg, w, s, trivial=False):
 def invariants_rank_oracle(alg, w):
     """Independent H^0 computation: solve coaction(x) = x (x) 1 directly.
 
-    The rank of the residual rows is the pivot count of dense Gauss-Jordan
-    (``exactlinalg.row_reduce``), not the sparse elimination that
+    The rank of the residual rows is the dense Gauss-Jordan pivot count of
+    ``exactlinalg.matrix_rank``, not the sparse elimination that
     ``cohomology_rank`` uses."""
     alg = _algebroid(alg)
     basis = alg.base_indices(w)
@@ -456,7 +457,7 @@ def invariants_rank_oracle(alg, w):
         for k, c in r.terms.items():
             row[col[k]] = c
         rows.append(row)
-    return len(basis) - len(row_reduce(rows)[1])
+    return len(basis) - matrix_rank(rows)
 
 
 def right_unit_functional(f, I):

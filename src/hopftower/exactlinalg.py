@@ -2,7 +2,8 @@
 
 Just what the rest of the package needs: the leads and rank of a sparse
 integer matrix (for cohomology dimensions of the cobar complexes) and, as
-oracles only, Gauss-Jordan reduction and the inverse of a square matrix.
+oracles only, Gauss-Jordan reduction, its rank and the inverse of a square
+matrix.
 
 The cobar differentials are sparse with integer entries, so ``sparse_leads``
 eliminates fraction-free on rows given as ``{column: int}`` dicts of their
@@ -12,10 +13,12 @@ that few rows share leaves little fill-in behind (the static form of
 Markowitz's ordering, Management Sci. 3, 1957).  A row shorter than the
 pivot of its lead column becomes that pivot and the old pivot is reduced in
 its place, so the rows that are subtracted again and again stay short.
-Forward elimination cross-multiplies by gcd-reduced pivots (fraction-free in
-the spirit of Bareiss, Math. Comp. 22, 1968) and divides every new row by
-its content, which keeps the integers small; neither back-substitution nor
-normalised pivots are needed, and all arithmetic is exact ``int``.
+It divides each row by its content as it takes it, so a caller hands over
+the exact integer rows.  Forward elimination cross-multiplies by
+gcd-reduced pivots (fraction-free in the spirit of Bareiss, Math. Comp. 22,
+1968) and divides every new row by its content too, which keeps the
+integers small; neither back-substitution nor normalised pivots are needed,
+and all arithmetic is exact ``int``.
 
 ``sparse_leads`` returns the original labels of the columns that lead the
 pivot rows, and ``sparse_rank`` is their count.  The pivot rows are in
@@ -24,15 +27,15 @@ columns complete it to the whole space.  That is what clearing needs:
 ``algebroid._cleared_rank`` builds no row of d^s on a lead of
 im d^(s-1), since d^s vanishes there.
 
-``matrix_rank``, the dense front door, is kept for the benchmark's layer
-rows: nothing in the package calls it.  ``row_reduce`` is plain
-Gauss-Jordan on rational rows; ``verify`` and
-``algebroid.invariants_rank_oracle`` count its pivots as the independent
-route for ranks.  ``invert_matrix`` row-reduces [A | I]; only ``verify``
-calls it, to check the substitution solves and h conversions of ``sym``.
+``row_reduce`` is plain Gauss-Jordan on rational rows, and ``matrix_rank``,
+the dense oracle, counts its pivots: ``verify`` and
+``algebroid.invariants_rank_oracle`` call it as the independent route for
+ranks, which shares no step with ``sparse_leads``.  ``invert_matrix``
+row-reduces [A | I]; only ``verify`` calls it, to check the substitution
+solves and h conversions of ``sym``.
 """
 
-from math import gcd, lcm
+from math import gcd
 
 from .errors import DomainError
 from .scalars import quotient, rational
@@ -46,22 +49,13 @@ def _primitive(row):
     return row
 
 
-def _integer_row(values):
-    """A rational row as a primitive ``{column: int}`` dict of its nonzeros."""
-    entries = [(j, x) for j, x in enumerate(values) if x]
-    if not entries:
-        return {}
-    scale = lcm(*(x.denominator for _, x in entries))
-    return _primitive({j: x.numerator * (scale // x.denominator)
-                       for j, x in entries})
-
-
 def sparse_leads(rows):
     """The column labels that lead the pivot rows of a fraction-free
     elimination of ``{column: int}`` rows over Q.
 
-    The columns are relabelled sparsest first and the rows taken shortest
-    first; a row shorter than the pivot of its lead column takes its place.
+    Each row is divided by its content as it is taken.  The columns are
+    relabelled sparsest first and the rows taken shortest first; a row
+    shorter than the pivot of its lead column takes its place.
     The pivot rows end in echelon form in the relabelled order and span the
     row space, so there is one lead per unit of rank, and the unit vectors
     of the columns that are not leads complete the row space to the whole
@@ -74,8 +68,8 @@ def sparse_leads(rows):
     labels = sorted(counts, key=lambda j: (counts[j], j))
     order = {j: k for k, j in enumerate(labels)}
     pivots = {}  # leading column -> row whose first nonzero is there
-    for row in sorted(({order[j]: c for j, c in row.items()} for row in rows if row),
-                      key=len):
+    for row in sorted((_primitive({order[j]: c for j, c in row.items()})
+                       for row in rows if row), key=len):
         while row:
             lead = min(row)
             pivot = pivots.get(lead)
@@ -107,11 +101,6 @@ def sparse_rank(rows):
     return len(sparse_leads(rows))
 
 
-def matrix_rank(rows):
-    """Rank over Q of a matrix given as a list of equal-length rational rows."""
-    return sparse_rank([_integer_row(r) for r in rows])
-
-
 def row_reduce(rows):
     """Gauss-Jordan on a list of equal-length rational rows: the reduced row
     echelon form, entries in the canonical form of ``scalars.rational``, and
@@ -132,6 +121,12 @@ def row_reduce(rows):
                 m[r] = [rational(a - f * b) for a, b in zip(m[r], m[top])]
         pivots.append(col)
     return m, pivots
+
+
+def matrix_rank(rows):
+    """Rank over Q of a list of equal-length rational rows: the pivot count
+    of ``row_reduce``, the dense oracle for ``sparse_rank``."""
+    return len(row_reduce(rows)[1])
 
 
 def invert_matrix(rows):

@@ -31,7 +31,7 @@ from .algebroid import (ALGEBROIDS, WEIGHT_BOUND, _action, ce_rank, coface, coba
 from .cli import SUITE_NAMES, run_command
 from .diffeo import FdBElement, t
 from .errors import ExpressionError
-from .exactlinalg import invert_matrix, row_reduce, sparse_rank
+from .exactlinalg import invert_matrix, matrix_rank, sparse_rank
 from .expr import parse_element
 from .indices import compositions_of, partitions_of
 from .jsonio import document_for, dumps, from_document
@@ -376,12 +376,6 @@ def suite_bfk(weight=None, cap=None):
 
 # -- comodules and the cobar complex ---------------------------------------
 
-def _dense_rank_oracle(rows):
-    """Rank by dense Gauss-Jordan, the slow route for sparse_rank: no column
-    order and no fraction-free elimination."""
-    return len(row_reduce(rows)[1])
-
-
 def suite_comodule_algebroid(weight=None, cap=None):
     results = []
     bound = weight if weight is not None else 6
@@ -393,7 +387,7 @@ def suite_comodule_algebroid(weight=None, cap=None):
         for w in range(rank_bound + 1):
             for s in (0, 1):
                 dom, _, rows = differential_matrix(alg, w, s)
-                dense[name, w, s] = len(dom), _dense_rank_oracle(rows)
+                dense[name, w, s] = len(dom), matrix_rank(rows)
 
     def comodule_ok(alg, lam):
         x = alg.base_element(lam)
@@ -687,13 +681,15 @@ def suite_cli_roundtrip(weight=None, cap=None):
         for argv, expected_out, expected_exit in DOCUMENTED_INVOCATIONS:
             out1, err1 = io.StringIO(), io.StringIO()
             code1 = run_command(list(argv), out1, err1)
-            out2, err2 = io.StringIO(), io.StringIO()
-            code2 = run_command(list(argv), out2, err2)
             yield ("%s -> exit %d != %d; stderr: %s"
                    % (argv, code1, expected_exit, err1.getvalue().strip()),
                    code1 == expected_exit)
-            yield ("%s -> output not byte-stable" % (argv,),
-                   (code1, out1.getvalue()) == (code2, out2.getvalue()))
+            # a verify row reports this process's own suites: not replayed
+            if argv[0] != "verify":
+                out2 = io.StringIO()
+                code2 = run_command(list(argv), out2, io.StringIO())
+                yield ("%s -> output not byte-stable" % (argv,),
+                       (code1, out1.getvalue()) == (code2, out2.getvalue()))
             got = out1.getvalue().rstrip("\n")
             yield "%s -> got %r" % (argv, got), expected_out is None or got == expected_out
 

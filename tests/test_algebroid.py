@@ -14,7 +14,7 @@ from hopftower.algebroid import (ALGEBROIDS, coface, cohomology_rank,
                                  right_unit_functional)
 from hopftower.diffeo import bfk_coproduct
 from hopftower.errors import AlgebraMismatchError, CapabilityError, DomainError
-from hopftower.exactlinalg import _integer_row, matrix_rank
+from hopftower.exactlinalg import matrix_rank
 from hopftower.linear import Tensor, word_image
 from hopftower.nsym import NSymElement, z
 from hopftower.scalars import ZERO
@@ -79,8 +79,8 @@ def test_invariant_ranks_match_oracle_everywhere():
 
 
 def test_the_invariants_oracle_shares_no_eliminator_with_the_ranks(monkeypatch):
-    """The oracle counts dense Gauss-Jordan pivots; it used to call
-    ``matrix_rank``, which hands its rows to ``sparse_rank``, the eliminator
+    """The oracle counts dense Gauss-Jordan pivots through ``matrix_rank``,
+    which must not reach ``sparse_rank`` or ``sparse_leads``, the eliminator
     that ``cohomology_rank`` uses."""
     cases = [(name, w) for name in ALGEBROIDS for w in range(5)]
     want = [cohomology_rank(name, w, 0) for name, w in cases]
@@ -193,14 +193,21 @@ def test_unknown_algebroid_names_are_domain_errors():
             call()
 
 
-def test_sparse_rows_are_the_primitive_dense_rows():
+def _nonzeros(row):
+    """The nonzero entries of a dense row as ``{column: int}``, unscaled;
+    every entry of a cobar differential is an integer."""
+    assert all(type(c) is int for c in row)
+    return {j: c for j, c in enumerate(row) if c}
+
+
+def test_sparse_rows_are_the_dense_integer_rows():
     for alg in ALGEBROIDS.values():
         for w in range(7):
             for s in (0, 1):
                 dom, cod, rows = differential_rows(alg, w, s)
                 dense = differential_matrix(alg, w, s)
                 assert (dom, cod) == dense[:2]
-                assert rows == [_integer_row(r) for r in dense[2]]
+                assert rows == [_nonzeros(r) for r in dense[2]]
 
 
 def _weak_compositions(total, parts):
@@ -247,8 +254,8 @@ def test_differential_is_the_alternating_sum_of_cofaces():
 
 def test_sparse_rows_are_the_differential_without_unit_slots():
     """Both callers of the accumulator agree: each row of ``differential_rows``
-    is the primitive form of the terms of ``differential`` on its basis key
-    that have no unit H slot, at every level the differential takes."""
+    is exactly the terms of ``differential`` on its basis key that have no
+    unit H slot, at every level the differential takes."""
     for alg in ALGEBROIDS.values():
         for s in range(algebroid.LEVEL_BOUND + 1):
             level = Tensor((alg.base_cls,) + (alg.hopf_cls,) * s)
@@ -260,7 +267,7 @@ def test_sparse_rows_are_the_differential_without_unit_slots():
                     for k, c in differential(alg, level._new({key: 1})).terms.items():
                         if () not in k[1:]:
                             dense[col[k]] = c
-                    assert row == _integer_row(dense), (alg, w, s, key)
+                    assert row == _nonzeros(dense), (alg, w, s, key)
 
 
 def test_a_key_outside_the_codomain_is_refused_not_dropped():
@@ -414,10 +421,8 @@ def test_sb_takes_the_chevalley_eilenberg_route_and_nn_the_cobar_route():
         algebroid.ce_rank("N.N", 2, 0)
 
 
-def test_ce_differential_squares_to_zero(monkeypatch):
-    """d^(t+1) d^t = 0 on the CE cochains of S.B, rows taken before they are
-    made primitive (a row's content scales it alone)."""
-    monkeypatch.setattr(algebroid, "_primitive", lambda row: row)
+def test_ce_differential_squares_to_zero():
+    """d^(t+1) d^t = 0 on the CE cochains of S.B."""
     alg = ALGEBROIDS["S.B"]
     for w in range(11):
         for t in range(3):

@@ -1,8 +1,9 @@
-"""Sparse fraction-free rank and the exact inverse against dense Gauss-Jordan
-and sympy."""
+"""Sparse fraction-free rank, the dense Gauss-Jordan rank and the exact
+inverse against each other and sympy."""
 
 import copy
 from fractions import Fraction
+from math import lcm
 
 import pytest
 import sympy
@@ -11,7 +12,6 @@ from hypothesis import strategies as st
 
 from hopftower.errors import DomainError
 from hopftower.exactlinalg import invert_matrix, matrix_rank, sparse_leads, sparse_rank
-from hopftower.suites import _dense_rank_oracle
 
 entries = st.one_of(
     st.just(Fraction(0)),
@@ -43,11 +43,21 @@ def _sympy_rank(rows):
                          for r in rows]).rank()
 
 
+def _sparse_cleared_rank(rows):
+    """``sparse_rank`` of rational rows, each cleared of its denominators
+    into a ``{column: int}`` dict of its nonzeros."""
+    cleared = []
+    for r in rows:
+        scale = lcm(*(Fraction(x).denominator for x in r))
+        cleared.append({j: int(x * scale) for j, x in enumerate(r) if x})
+    return sparse_rank(cleared)
+
+
 @settings(max_examples=200, deadline=None)
 @given(matrices())
 def test_rank_matches_dense_oracle_and_sympy(rows):
     rank = matrix_rank(rows)
-    assert rank == _dense_rank_oracle(rows) == _sympy_rank(rows)
+    assert rank == _sparse_cleared_rank(rows) == _sympy_rank(rows)
 
 
 def test_empty_and_zero_matrices():
@@ -70,7 +80,7 @@ def test_entries_near_ten_to_the_thirty():
     rows.append([x / big for x in rows[2]])
     want = _sympy_rank(rows)
     assert want == 5
-    assert matrix_rank(rows) == _dense_rank_oracle(rows) == want
+    assert matrix_rank(rows) == _sparse_cleared_rank(rows) == want
 
 
 def test_input_is_not_mutated_and_rank_is_an_int():
@@ -109,6 +119,18 @@ def test_sparse_rank_ignores_row_and_column_order(case):
     assert rank == sparse_rank([{relabel[j]: c for j, c in r.items()} for r in shuffled])
     dense = [[r.get(j, 0) for j in range(ncols)] for r in rows]
     assert rank == sympy.Matrix(dense).rank() == matrix_rank(dense)
+
+
+@settings(max_examples=200, deadline=None)
+@given(sparse_matrices(), st.data())
+def test_sparse_leads_ignore_the_scale_of_each_row(case, data):
+    """Each row is divided by its content as it is taken, so scaling a row by
+    a nonzero integer of either sign changes no lead."""
+    _, rows, _, _ = case
+    scales = data.draw(st.lists(st.integers(-50, 50).filter(bool),
+                                min_size=len(rows), max_size=len(rows)))
+    scaled = [{j: k * c for j, c in r.items()} for k, r in zip(scales, rows)]
+    assert sparse_leads(scaled) == sparse_leads(rows)
 
 
 @settings(max_examples=200, deadline=None)

@@ -1,7 +1,8 @@
 """Refusals that no other test reaches in process, each with its message.
 
 A CLI refusal exits 1 through ``run_command`` with ``error: <message>`` on
-stderr and nothing on stdout; a series refusal raises ``DomainError``.
+stderr and nothing on stdout; any other refusal raises ``DomainError``, or
+the exception class its case names as a third entry.
 """
 
 import io
@@ -10,13 +11,25 @@ from fractions import Fraction
 import pytest
 
 from hopftower import cli
-from hopftower.errors import DomainError
+from hopftower.algebroid import SB, differential
+from hopftower.errors import CapabilityError, DomainError
+from hopftower.exactlinalg import invert_matrix
+from hopftower.linear import Tensor
 from hopftower.nsym import z_series
 from hopftower.series import TruncatedSeries
 
 
 def _bivariate():
     return TruncatedSeries(Fraction, {(0, 1): 1, (1, 0): 1}, 3, 2)
+
+
+def _t():
+    return TruncatedSeries(Fraction, {1: 1}, 3)
+
+
+def _level_three():
+    """A level-3 S.B cochain: one base slot and three H slots."""
+    return Tensor.of(SB.base_element((1,)), *[SB.hopf_element((1,))] * 3)
 
 
 CASES = [
@@ -27,16 +40,32 @@ CASES = [
     ("residue is univariate only", lambda: _bivariate().residue()),
     ("shift is univariate only", lambda: _bivariate().shift(1)),
     ("alternate is univariate only", lambda: _bivariate().alternate()),
+    ("cobar differential bounded at level 2 (got 3)",
+     lambda: differential(SB, _level_three()), CapabilityError),
+    ("matrix is not square", lambda: invert_matrix([[1, 2]])),
+    ("matrix is singular", lambda: invert_matrix([[1, 2], [2, 4]])),
+    ("inversion needs a nonzero rational times 1 as constant term", lambda: _t().invert()),
+    ("compose_sum needs a univariate inner series", lambda: _t().compose_sum(_bivariate())),
+    ("embed_bivariate needs a univariate series", lambda: _bivariate().embed_bivariate(0)),
+    ("swap_variables needs a bivariate series", lambda: _t().swap_variables()),
+    ("set_variable_zero needs a bivariate series", lambda: _t().set_variable_zero(0)),
+    ("variable slot must be 0 or 1, not 2", lambda: _t().embed_bivariate(2)),
+    ("exp needs a power series with zero constant term", lambda: (_t() + 1).exp()),
+    ("log needs a power series with constant term 1", lambda: _t().log()),
+    ("a bare number needs --algebra to pick a coproduct", ("coproduct", "2")),
+    ("no pairing between qsym and qsym expressions", ("pair", "M[1]", "M[1]")),
 ]
 
 
-@pytest.mark.parametrize("message, call", CASES, ids=[m for m, _ in CASES])
-def test_each_refusal_says_what_it_refuses(message, call):
+@pytest.mark.parametrize("case", CASES, ids=[case[0] for case in CASES])
+def test_each_refusal_says_what_it_refuses(case):
+    message, call, refusal = (*case, DomainError)[:3]
     if isinstance(call, tuple):
         out, err = io.StringIO(), io.StringIO()
         assert cli.run_command(list(call), out, err) == 1
         assert (out.getvalue(), err.getvalue()) == ("", "error: %s\n" % message)
     else:
-        with pytest.raises(DomainError) as exc:
+        with pytest.raises(refusal) as exc:
             call()
+        assert type(exc.value) is refusal
         assert str(exc.value) == message

@@ -7,6 +7,7 @@ import sys
 from pathlib import Path
 
 from hopftower import suites
+from hopftower.verify import run_suites
 
 # the child interpreter imports the package from this checkout
 ENV = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
@@ -67,6 +68,23 @@ def test_cli_roundtrip_reports_the_first_broken_invocation(monkeypatch):
                      "pinned output and exit codes")
     assert not ok
     assert detail == "%s -> got %r" % (rows[1][0], "Z[2,1]")
+
+
+def test_the_pinned_verify_rows_are_not_replayed(monkeypatch):
+    """The cli-roundtrip suite runs each pinned row once and replays it for
+    byte stability, except the ``verify`` rows, whose reports come from this
+    process's own suites: beside its own run, hopf-axioms runs once more."""
+    runs = []
+    real = suites.SUITES["hopf-axioms"]
+
+    def hopf_axioms(**kwargs):
+        runs.append(kwargs)
+        return real(**kwargs)
+
+    monkeypatch.setitem(suites.SUITES, "hopf-axioms", hopf_axioms)
+    records, ok = run_suites(["hopf-axioms", "cli-roundtrip"])
+    assert ok, [r for r in records if not r[1]]
+    assert runs == [{"weight": None, "cap": None}, {"weight": 6, "cap": None}]
 
 
 def test_every_record_comes_from_the_check_runner(monkeypatch):
