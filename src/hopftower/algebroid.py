@@ -66,8 +66,10 @@ Appl. 7, 1973).  A Hopf class that is not commutative is refused.
 ``cohomology_rank`` takes the CE route for a commutative Hopf class (S.B),
 degrees 0-5 up to weight 20, and the cobar route otherwise (N.N), degrees 0
 and 1 up to weight 5; ``cobar_rank`` and the dense ``differential_matrix``
-stay S.B's oracles in ``verify``.  A negative degree or weight is a domain
-error, and a larger one raises a capability error rather than grinding.
+stay S.B's oracles in ``verify``, and ``invariants_rank_oracle``, counted
+by the dense ``exactlinalg.matrix_rank``, is H^0's.  A negative degree or
+weight is a domain error, and a larger one raises a capability error rather
+than grinding.
 """
 
 from bisect import bisect
