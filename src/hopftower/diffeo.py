@@ -2,34 +2,36 @@
 
 The commutative one (Faa di Bruno) is the free polynomial algebra on t_1,
 t_2, ... with t_0 = 1; its coproduct represents composition of series
-t(T) = T + t_1 T^2 + ... and its antipode is Lagrange reversion.
+t(T) = T + t_1 T^2 + ... and its antipode takes t_n to the T^(n+1)
+coefficient of the compositional inverse, counted in closed form by Lagrange
+inversion (``series.reverted_power``); reversion of t(T) is the check.
 
 The noncommutative counterpart (Brouder-Frabetti-Krattenthaler, BFK) is the
 free associative algebra on Z_k with the renormalization coproduct.  Its
 antipode on generators, by the connected-graded recursion of ``linear``,
-abelianizes to Lagrange reversion, which is the main cross-check.
+abelianizes to the Faa di Bruno antipode, which is the main cross-check.
 
 Three generator maps substitute the generic diffeomorphism g(T) = T + g_1 T^2
 + ... (BFK, Adv. Math. 200, 2006): the image of the weight-n generator is
 [T^(n+s)] sum_j a_(j-s) (x) g(T)^j, a_k the weight-k generator on the left
 (a_0 = 1).  The Faa di Bruno coproduct (g = t) and the BFK coproduct (g = Z,
 word order kept) take s = 1; the coaction on symmetric functions (a = e,
-g = t) takes s = 0.
+g = t) takes s = 0.  Over a commutative algebra the coefficients of the
+powers of g are ``indices.power_count``.
 
 Only the generator images live here: every coproduct, coaction and antipode
 reaches words through ``linear.on_words``, multiplicatively or, for the
 BFK antipode, as an antimorphism.
 """
 
-from collections import Counter
 from functools import lru_cache
-from math import comb, factorial, perm, prod
+from math import comb
 
-from .indices import compositions_of, partitions_of
+from .indices import compositions_of, partitions_of, power_count
 from .linear import CommutativeElement, Tensor, on_words, recursive_antipode
 from .nsym import NSymElement, z
 from .scalars import ONE
-from .series import generator_series
+from .series import generator_series, reverted_power
 from . import sym
 
 
@@ -55,8 +57,8 @@ def _substitution(left_cls, right_cls, n, shift):
     in closed form: g^j = T^j (1 + g_1 T + g_2 T^2 + ...)^j, whose T^r
     coefficient is the sum of g_alpha over the compositions alpha of r with at
     most j parts, C(j, l(alpha)) times each (the factors that give a part);
-    over a commutative algebra the l!/prod m_i! orderings of a partition are
-    one monomial."""
+    over a commutative algebra the orderings of a partition are one monomial,
+    whose coefficient is ``power_count(j, lam)``."""
     commutative = right_cls.COMMUTATIVE
     terms = {}
     for k in range(n + 1):
@@ -65,7 +67,7 @@ def _substitution(left_cls, right_cls, n, shift):
             if len(idx) > j:
                 continue
             if commutative:
-                terms[left, idx] = perm(j, len(idx)) // prod(map(factorial, Counter(idx).values()))
+                terms[left, idx] = power_count(j, idx)
             else:
                 terms[left, idx] = comb(j, len(idx))
     return Tensor((left_cls, right_cls))._new(terms)
@@ -86,14 +88,13 @@ def fdb_coproduct(f):
 
 @lru_cache(maxsize=None)
 def _fdb_antipode_gen(n):
-    """Antipode of t_n: the T^{n+1} coefficient of the reverted series."""
-    if n == 0:
-        return FdBElement.one()
-    return t_series(n + 1).revert().coefficient(n + 1)
+    """Antipode of t_n: the T^{n+1} coefficient of the reverted series,
+    counted in closed form."""
+    return reverted_power(FdBElement, n + 1)
 
 
 def fdb_antipode(f):
-    """Lagrange reversion coefficients, extended as an algebra morphism."""
+    """The coefficients of the reverted series, extended as an algebra morphism."""
     return on_words(FdBElement.require(f, "fdb_antipode"), _fdb_antipode_gen)
 
 

@@ -17,9 +17,19 @@ exponent, a number of variables) goes through :func:`natural`: it must be an
 ``int``, never a ``bool``, a float or a string, and anything else raises
 ``DomainError`` naming the argument.  The parts of a basis index are checked
 by ``linear.LinearElement.canonical_index`` instead.
+
+The one count over partitions lives here too: :func:`power_count`, the
+coefficient of g_lam in (1 + g_1 T + g_2 T^2 + ...)^a over a commutative
+algebra, for any ``int`` a.  Nonnegative powers give the substitution maps of
+``diffeo``, the power -1 gives the antipode of e_n in ``sym``, and through
+Lagrange inversion (``series.reverted_power``) the power -n gives the
+logarithm of ``topology`` and the Faa di Bruno antipode of ``diffeo`` with
+no series reverted.
 """
 
+from collections import Counter
 from functools import lru_cache
+from math import factorial, prod
 
 from .errors import DomainError
 
@@ -67,3 +77,15 @@ def _partitions_bounded(n, largest):
 def index_sort_key(idx):
     """Canonical display order for basis indices: by weight, then lex."""
     return (sum(idx), idx)
+
+
+def power_count(a, lam):
+    """The coefficient of g_lam in (1 + g_1 T + g_2 T^2 + ...)^a over a
+    commutative algebra, for a partition ``lam`` and any ``int`` ``a``:
+    (a)_l / prod_i m_i!, with (a)_l = a (a - 1) ... (a - l + 1), l the length
+    of ``lam`` and m_i its multiplicities.  Always an ``int``: (a)_l / l! is
+    the binomial C(a, l), and l! / prod_i m_i! counts the orderings of
+    ``lam``, one for each way of choosing which of l factors gives which
+    part."""
+    return prod(range(a, a - len(lam), -1)) // prod(map(factorial, Counter(lam).values()))
+

@@ -20,7 +20,10 @@ coefficient products of ``compose`` of the embedded sum.  The ``verify`` suite
 ``bfk`` checks both series against Horner's rule on that embedded sum.
 Reversion, defined over commutative coefficients only, takes one pass and no
 composition: at degree n it fills [T^n] g^k for k >= 2 from g_1 .. g_(n-1),
-then reads off g_n.
+then reads off g_n.  The package's own readers of the inverse of the
+generic series of ``generator_series`` (the logarithm, the beta series and
+the Faa di Bruno antipode) revert nothing: ``reverted_power`` counts the
+coefficients of the powers of that inverse in closed form.
 """
 
 from fractions import Fraction
@@ -28,7 +31,7 @@ from math import factorial, inf
 from operator import add
 
 from .errors import AlgebraMismatchError, DomainError
-from .indices import natural
+from .indices import natural, partitions_of, power_count
 from .linear import SparseSum, add_product, add_term, checked, settle_sums, substitute
 from .scalars import ZERO, quotient, rational
 
@@ -381,3 +384,20 @@ def generator_series(element_cls, cap):
     for n in range(1, natural(cap, "cap")):
         coeffs[n + 1] = element_cls.from_index((n,))
     return TruncatedSeries(element_cls, coeffs, cap, 1)
+
+
+def reverted_power(element_cls, n, k=1):
+    """[T^n] r^k over the commutative ``element_cls``, for r the
+    compositional inverse of ``generator_series(element_cls, cap)``, any cap
+    >= n, and 1 <= k <= n; no series arithmetic.
+
+    Lagrange inversion (Stanley, *Enumerative Combinatorics* 2, Thm 5.4.2)
+    gives [T^n] r^k = (k/n) [T^(n-k)] (1 + g_1 T + g_2 T^2 + ...)^(-n), so
+    the coefficient of g_lam, lam a partition of n - k with l parts and
+    multiplicities m_i, is k/n times ``indices.power_count(-n, lam)``, that
+    is (-1)^l k (n+l-1)! / (n! prod_i m_i!): an ``int``, since r has integer
+    coefficients.  ``TruncatedSeries.revert`` of the generic series is its
+    check.
+    """
+    return element_cls()._new({lam: k * power_count(-n, lam) // n
+                               for lam in partitions_of(n - k)})

@@ -245,7 +245,9 @@ def suite_antipode(weight=None, cap=None):
                ((I, qsym_mod.antipode(M(*I)) == _ehrenborg_antipode(I))
                 for w in range(qbound + 1) for I in compositions_of(w))),
         _check("diffeo antipode: reversion equals graded recursion (n <= %d)" % bound,
-               ((n, diffeo.fdb_antipode(t(n)) == _fdb_chi_gen_oracle(n))
+               ((n, diffeo.fdb_antipode(t(n))
+                 == diffeo.t_series(n + 1).revert().coefficient(n + 1)
+                 == _fdb_chi_gen_oracle(n))
                 for n in range(1, bound + 1)),
                "fails at n=%d"),
         _check("renormalization antipode abelianizes to diffeo antipode (n <= %d)"
@@ -510,12 +512,16 @@ def suite_comodule_algebroid(weight=None, cap=None):
 def suite_topology(weight=None, cap=None):
     bound = weight if weight is not None else 7
 
+    # three routes: the closed form, reversion of b(T), and the structural
+    # antipode of t_n carried over to b_n
     log = topology.miscenko_log(bound + 1)
+    reverted = topology.b_series(bound + 1).revert()
 
     def log_coefficients():
         for n in range(1, bound + 1):
             structural = BElement(_fdb_chi_gen_oracle(n).terms)
-            yield n, log.coefficient(n + 1) == structural == topology.chi_b(n)
+            yield n, (log.coefficient(n + 1) == reverted.coefficient(n + 1) == structural
+                      == topology.chi_b(n))
 
     results = [_check("log coefficients equal the structural antipode of b_n (n <= %d)"
                       % bound, log_coefficients(), "fails at n=%d")]
@@ -588,6 +594,12 @@ def suite_topology(weight=None, cap=None):
            and C.coefficient(3) == -(z(1, 1).scale(2) - z(2)))
     results.append(_check("cumulant series pinned coefficients through T^3",
                           [(C, okq)], "got %s"))
+
+    lifted = topology.b_series(fcap).revert().map_coefficients(
+        lambda el: BetaPolynomial({1: el}), algebra=BetaPolynomial)
+    results.append(_check("beta series in closed form equals exp(beta * log) of the "
+                          "reverted b(T) (degree <= %d)" % fcap,
+                          [("mismatch", B == lifted.exp())], "%s"))
     return results
 
 

@@ -37,13 +37,12 @@ are ``int``s except where a conversion involving the p basis brings in a
 denominator.
 """
 
-from collections import Counter
 from functools import lru_cache, partial
 from math import factorial, gcd, lcm, prod
 import warnings
 
 from .errors import DomainError
-from .indices import natural, partitions_of
+from .indices import natural, partitions_of, power_count
 from .linear import (CommutativeElement, Polynomial, binomial_gen, dot, mul_into,
                      on_words, settle)
 from .scalars import ONE, quotient
@@ -351,9 +350,9 @@ def coproduct(f):
 @lru_cache(maxsize=None)
 def _antipode_e_gen(n):
     """Antipode of e_n: the alternating sum of e_I over the compositions I of
-    n, that is (-1)^l(lam) l!/prod_i m_i(lam)! e_lam summed over lam |- n."""
-    return SymElement({lam: (-1) ** len(lam) * factorial(len(lam)) // prod(
-        map(factorial, Counter(lam).values())) for lam in partitions_of(n)}, "e")
+    n, that is (-1)^l(lam) l!/prod_i m_i(lam)! e_lam summed over lam |- n,
+    the T^n coefficient of E(T)^-1 for E(T) = 1 + e_1 T + e_2 T^2 + ..."""
+    return SymElement({lam: power_count(-1, lam) for lam in partitions_of(n)}, "e")
 
 
 def antipode(f):

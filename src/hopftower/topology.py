@@ -3,8 +3,16 @@
 The generators b_k are the coefficients of the universal orientation series
 b(T) = T + b_1 T^2 + ...; its compositional inverse is the logarithm, whose
 coefficients produce the projective-space Hurewicz images and their
-characteristic numbers.  The two-variable group law b(b^{-1}(X) + b^{-1}(Y))
-and the beta exponential live here too, as do the quasisymmetric
+characteristic numbers.  The logarithm is never reverted here: Lagrange
+inversion counts the coefficient of b_lam in [T^n] log^k in closed form
+(``series.reverted_power``, one ``indices.power_count`` per partition), so
+the logarithm, its powers in the beta series and each characteristic
+number are read off without series arithmetic, and a single number without
+enumerating partitions.  ``verify`` checks them against the reversion of
+b(T) and the structural antipode of the Faa di Bruno algebra.
+
+The two-variable group law b(b^{-1}(X) + b^{-1}(Y)) and the beta
+exponential live here too, as do the quasisymmetric
 characteristic numbers of products of projective spaces (the roots
 substituted into the ordered-variable expansion of M_I, in the truncated
 cohomology ring), the invariant attached to each weight as a sum over
@@ -13,15 +21,16 @@ addition series that abelianizes to the group law.
 """
 
 from functools import lru_cache, partial
+from math import factorial
 from operator import add
 
 from .diffeo import bfk_antipode
 from .errors import CapabilityError, DomainError
-from .indices import compositions_of, natural
+from .indices import compositions_of, natural, partitions_of, power_count
 from .linear import CommutativeElement, Polynomial, SparseSum, checked, substitute
 from .nsym import NSymElement, z_series
-from .scalars import ONE, ZERO
-from .series import generator_series
+from .scalars import ONE, ZERO, quotient
+from .series import TruncatedSeries, generator_series, reverted_power
 from . import qsym
 from . import sym
 
@@ -44,21 +53,23 @@ def b_series(cap):
 
 @lru_cache(maxsize=None)
 def miscenko_log(cap):
-    """The logarithm: compositional inverse of b(T)."""
-    return b_series(natural(cap, "cap", 1)).revert()
+    """The logarithm: compositional inverse of b(T), each coefficient
+    counted in closed form."""
+    cap = natural(cap, "cap", 1)
+    return TruncatedSeries(BElement, cap=cap)._new(
+        {n: reverted_power(BElement, n) for n in range(1, cap + 1)})
 
 
 def chi_b(n):
     """Composition antipode of b_n: the T^{n+1} log coefficient."""
-    if natural(n, "weight") == 0:
-        return BElement.one()
-    return miscenko_log(n + 1).coefficient(n + 1)
+    return reverted_power(BElement, natural(n, "weight") + 1)
 
 
 def cp_hurewicz(n):
-    """Hurewicz image of complex projective n-space: (n+1) chi(b_n)."""
+    """Hurewicz image of complex projective n-space: (n+1) chi(b_n), whose
+    b_lam coefficient is ``cp_char_number(n, lam)``."""
     n = natural(n, "projective space dimension")
-    return chi_b(n).scale(n + 1)
+    return BElement()._new({lam: power_count(-n - 1, lam) for lam in partitions_of(n)})
 
 
 def _partition_of(n, lam):
@@ -72,8 +83,13 @@ def _partition_of(n, lam):
 
 
 def cp_char_number(n, lam):
-    """Characteristic number of CP^n for the partition lam: the b_lam coefficient."""
-    return cp_hurewicz(n).terms.get(_partition_of(n, lam), ZERO)
+    """Characteristic number of CP^n for the partition lam: the b_lam
+    coefficient of the Hurewicz image, (n+1) [T^(n+1)] log, which Lagrange
+    inversion makes (n+1)/(n+1) [T^n] (1 + B)^-(n+1), B = b_1 T + b_2 T^2
+    + ...: the integer (-1)^l C(n+l, l) l!/prod_i m_i!, l the length of lam
+    and m_i its multiplicities.  No element is built."""
+    lam = _partition_of(n, lam)
+    return power_count(-n - 1, lam)
 
 
 def cp_char_number_oracle(n, lam):
@@ -133,10 +149,20 @@ class BetaPolynomial(SparseSum):
 
 
 def beta_series(cap):
-    """exp(beta * log(T)): the one-parameter exponential of the logarithm."""
-    lifted = miscenko_log(natural(cap, "cap", 1)).map_coefficients(
-        lambda el: BetaPolynomial({1: el}), algebra=BetaPolynomial)
-    return lifted.exp()
+    """exp(beta * log(T)): the one-parameter exponential of the logarithm.
+
+    Its beta^k T^n coefficient is [T^n] log^k / k!, counted in closed form:
+    the sum over the partitions lam of n - k of (-1)^l (n+l-1)! / (n! (k-1)!
+    prod_i m_i!) b_lam.  ``verify`` checks it against ``exp`` of the lifted
+    logarithm.
+    """
+    cap = natural(cap, "cap", 1)
+    terms = {0: BetaPolynomial.one()}
+    for n in range(1, cap + 1):
+        terms[n] = BetaPolynomial()._new({
+            k: reverted_power(BElement, n, k).scale(quotient(1, factorial(k)))
+            for k in range(1, n + 1)})
+    return TruncatedSeries(BetaPolynomial, cap=cap)._new(terms)
 
 
 # -- products of projective spaces ----------------------------------------

@@ -363,7 +363,7 @@ def test_one_parser_serves_every_call(monkeypatch):
     assert [code for code, _, _ in fresh[:4]] == [1, 1, 1, 2]
     assert all(err for _, _, err in fresh[:4])
     assert fresh[-2][1].endswith("3/3 checks passed")
-    assert fresh[-1][1].endswith("7/7 checks passed")
+    assert fresh[-1][1].endswith("8/8 checks passed")
 
 
 def test_quasitoric_space_entries_must_be_ints():

@@ -173,7 +173,7 @@ def _coaction_by_weak_compositions(n):
 
 
 def test_generator_maps_equal_the_reference_constructions():
-    for n in range(10):
+    for n in range(11):
         assert diffeo._fdb_coproduct_gen(n) == _fdb_coproduct_by_composition(n)
         assert diffeo._bfk_coproduct_gen(n) == _bfk_coproduct_by_powers(n)
         assert diffeo._coaction_gen(n) == _coaction_by_weak_compositions(n)

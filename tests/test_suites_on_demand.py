@@ -68,12 +68,13 @@ FULL_REPORT = [
     'ok    beta series low coefficients: 1, beta, beta^2/2 - beta b_1',
     'ok    noncommutative addition series degenerates and abelianizes correctly',
     'ok    cumulant series pinned coefficients through T^3',
+    'ok    beta series in closed form equals exp(beta * log) of the reverted b(T) (degree <= 6)',
     'ok    compositions of n number 2^(n-1) (n <= 12), pinned order at 3',
     'ok    partitions agree with brute-force enumeration (n <= 8)',
     'ok    composition-sum invariant has 2^(k-1) unit terms (k <= 10)',
     'ok    parse/print and JSON round trips on 1000 random elements per algebra',
     'ok    documented invocations: 110 commands, pinned output and exit codes',
-    '55/55 checks passed',
+    '56/56 checks passed',
 ]
 
 
