@@ -18,13 +18,9 @@ exponent, a number of variables) goes through :func:`natural`: it must be an
 ``DomainError`` naming the argument.  The parts of a basis index are checked
 by ``linear.LinearElement.canonical_index`` instead.
 
-The one count over partitions lives here too: :func:`power_count`, the
-coefficient of g_lam in (1 + g_1 T + g_2 T^2 + ...)^a over a commutative
-algebra, for any ``int`` a.  Nonnegative powers give the substitution maps of
-``diffeo``, the power -1 gives the antipode of e_n in ``sym``, and through
-Lagrange inversion (``series.reverted_power``) the power -n gives the
-logarithm of ``topology`` and the Faa di Bruno antipode of ``diffeo`` with
-no series reverted.
+The one count over partitions lives here too, :func:`power_count`: the
+substitution maps of ``diffeo`` read it at nonnegative powers, the antipode
+of e_n in ``sym`` at -1, and ``series.reverted_power`` at -n.
 """
 
 from collections import Counter
@@ -83,9 +79,7 @@ def power_count(a, lam):
     """The coefficient of g_lam in (1 + g_1 T + g_2 T^2 + ...)^a over a
     commutative algebra, for a partition ``lam`` and any ``int`` ``a``:
     (a)_l / prod_i m_i!, with (a)_l = a (a - 1) ... (a - l + 1), l the length
-    of ``lam`` and m_i its multiplicities.  Always an ``int``: (a)_l / l! is
-    the binomial C(a, l), and l! / prod_i m_i! counts the orderings of
-    ``lam``, one for each way of choosing which of l factors gives which
-    part."""
+    of ``lam`` and m_i its multiplicities.  An ``int``: C(a, l) times the
+    l! / prod_i m_i! orderings of ``lam``."""
     return prod(range(a, a - len(lam), -1)) // prod(map(factorial, Counter(lam).values()))
 

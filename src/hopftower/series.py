@@ -20,10 +20,8 @@ coefficient products of ``compose`` of the embedded sum.  The ``verify`` suite
 ``bfk`` checks both series against Horner's rule on that embedded sum.
 Reversion, defined over commutative coefficients only, takes one pass and no
 composition: at degree n it fills [T^n] g^k for k >= 2 from g_1 .. g_(n-1),
-then reads off g_n.  The package's own readers of the inverse of the
-generic series of ``generator_series`` (the logarithm, the beta series and
-the Faa di Bruno antipode) revert nothing: ``reverted_power`` counts the
-coefficients of the powers of that inverse in closed form.
+then reads off g_n.  ``reverted_power`` counts the coefficients of the
+powers of the inverse of ``generator_series`` in closed form instead.
 """
 
 from fractions import Fraction
@@ -388,16 +386,10 @@ def generator_series(element_cls, cap):
 
 def reverted_power(element_cls, n, k=1):
     """[T^n] r^k over the commutative ``element_cls``, for r the
-    compositional inverse of ``generator_series(element_cls, cap)``, any cap
-    >= n, and 1 <= k <= n; no series arithmetic.
-
-    Lagrange inversion (Stanley, *Enumerative Combinatorics* 2, Thm 5.4.2)
-    gives [T^n] r^k = (k/n) [T^(n-k)] (1 + g_1 T + g_2 T^2 + ...)^(-n), so
-    the coefficient of g_lam, lam a partition of n - k with l parts and
-    multiplicities m_i, is k/n times ``indices.power_count(-n, lam)``, that
-    is (-1)^l k (n+l-1)! / (n! prod_i m_i!): an ``int``, since r has integer
-    coefficients.  ``TruncatedSeries.revert`` of the generic series is its
-    check.
-    """
+    compositional inverse of ``generator_series(element_cls, cap)``, cap >= n,
+    and 1 <= k <= n.  Lagrange inversion (Stanley, *Enumerative
+    Combinatorics* 2, Thm 5.4.2) makes it (k/n) [T^(n-k)] (1 + g_1 T + g_2
+    T^2 + ...)^(-n): the coefficient of g_lam is (k/n) ``power_count(-n,
+    lam)``, an ``int`` since r has integer coefficients."""
     return element_cls()._new({lam: k * power_count(-n, lam) // n
                                for lam in partitions_of(n - k)})

@@ -3,13 +3,10 @@
 The generators b_k are the coefficients of the universal orientation series
 b(T) = T + b_1 T^2 + ...; its compositional inverse is the logarithm, whose
 coefficients produce the projective-space Hurewicz images and their
-characteristic numbers.  The logarithm is never reverted here: Lagrange
-inversion counts the coefficient of b_lam in [T^n] log^k in closed form
-(``series.reverted_power``, one ``indices.power_count`` per partition), so
-the logarithm, its powers in the beta series and each characteristic
-number are read off without series arithmetic, and a single number without
-enumerating partitions.  ``verify`` checks them against the reversion of
-b(T) and the structural antipode of the Faa di Bruno algebra.
+characteristic numbers.  No reader of the logarithm reverts b(T): Lagrange
+inversion counts each coefficient of its powers in closed form
+(``series.reverted_power``), and a single number is one
+``indices.power_count``.  ``verify`` checks them against the reversion.
 
 The two-variable group law b(b^{-1}(X) + b^{-1}(Y)) and the beta
 exponential live here too, as do the quasisymmetric
@@ -84,10 +81,8 @@ def _partition_of(n, lam):
 
 def cp_char_number(n, lam):
     """Characteristic number of CP^n for the partition lam: the b_lam
-    coefficient of the Hurewicz image, (n+1) [T^(n+1)] log, which Lagrange
-    inversion makes (n+1)/(n+1) [T^n] (1 + B)^-(n+1), B = b_1 T + b_2 T^2
-    + ...: the integer (-1)^l C(n+l, l) l!/prod_i m_i!, l the length of lam
-    and m_i its multiplicities.  No element is built."""
+    coefficient of (n+1) [T^(n+1)] log, by Lagrange inversion [T^n] of
+    (1 + b_1 T + b_2 T^2 + ...)^-(n+1).  No element is built."""
     lam = _partition_of(n, lam)
     return power_count(-n - 1, lam)
 
@@ -149,13 +144,8 @@ class BetaPolynomial(SparseSum):
 
 
 def beta_series(cap):
-    """exp(beta * log(T)): the one-parameter exponential of the logarithm.
-
-    Its beta^k T^n coefficient is [T^n] log^k / k!, counted in closed form:
-    the sum over the partitions lam of n - k of (-1)^l (n+l-1)! / (n! (k-1)!
-    prod_i m_i!) b_lam.  ``verify`` checks it against ``exp`` of the lifted
-    logarithm.
-    """
+    """exp(beta * log(T)): the one-parameter exponential of the logarithm,
+    whose beta^k T^n coefficient is [T^n] log^k / k!."""
     cap = natural(cap, "cap", 1)
     terms = {0: BetaPolynomial.one()}
     for n in range(1, cap + 1):

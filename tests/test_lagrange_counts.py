@@ -31,11 +31,6 @@ from hopftower.topology import BElement, BetaPolynomial, b_series
 CAP = 10
 
 
-def _counted(cls, r, count):
-    """The element sum_(lam |- r) count(lam) g_lam of ``cls``."""
-    return cls({lam: c for lam in partitions_of(r) if (c := count(lam))})
-
-
 def test_the_count_is_the_coefficient_of_a_power_of_the_series():
     """[T^r] (1 + G)^a for -12 <= a <= 12 and r <= 10, G = b_1 T + b_2 T^2 +
     ..., from series products, with ``invert`` for the negative powers; the
@@ -48,9 +43,9 @@ def test_the_count_is_the_coefficient_of_a_power_of_the_series():
         for size in range(13):
             a = sign * size
             for r in range(CAP + 1):
-                assert power.coefficient(r) == _counted(
-                    BElement, r, lambda lam: power_count(a, lam)), (a, r)
-                assert all(type(power_count(a, lam)) is int for lam in partitions_of(r))
+                counts = {lam: power_count(a, lam) for lam in partitions_of(r)}
+                assert all(type(c) is int for c in counts.values())
+                assert power.coefficient(r) == BElement(counts), (a, r)
             power = power * step
 
 
