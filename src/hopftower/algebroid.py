@@ -83,7 +83,6 @@ from .exactlinalg import matrix_rank, sparse_leads
 from .indices import compositions_of, natural
 from .linear import CommutativeElement, Tensor, image_items, settle
 from .nsym import NSymElement
-from .scalars import ONE, ZERO
 
 LEVEL_BOUND = 2
 WEIGHT_BOUND = 5
@@ -228,11 +227,11 @@ def differential_matrix(alg, w, s):
     level = Tensor((alg.base_cls,) + (alg.hopf_cls,) * s)
     rows = []
     for key in dom:
-        x = level._new({key: ONE})
+        x = level._new({key: 1})
         img = coface(alg, x, 0)
         for i in range(1, s + 2):
             img = img - coface(alg, x, i) if i % 2 else img + coface(alg, x, i)
-        row = [ZERO] * len(cod)
+        row = [0] * len(cod)
         for k, c in img.terms.items():
             if () not in k[1:]:
                 row[col[k]] = c
@@ -455,7 +454,7 @@ def invariants_rank_oracle(alg, w):
     col = {k: j for j, k in enumerate(keys)}
     rows = []
     for r in residuals:
-        row = [ZERO] * len(keys)
+        row = [0] * len(keys)
         for k, c in r.terms.items():
             row[col[k]] = c
         rows.append(row)

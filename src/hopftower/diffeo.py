@@ -30,7 +30,6 @@ from math import comb
 from .indices import compositions_of, partitions_of, power_count
 from .linear import CommutativeElement, Tensor, on_words, recursive_antipode
 from .nsym import NSymElement, z
-from .scalars import ONE
 from .series import generator_series, reverted_power
 from . import sym
 
@@ -43,7 +42,7 @@ class FdBElement(CommutativeElement):
 
 
 def t(*parts):
-    return FdBElement({parts: ONE})
+    return FdBElement({parts: 1})
 
 
 def t_series(cap):

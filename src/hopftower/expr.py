@@ -43,7 +43,7 @@ from fractions import Fraction
 
 from . import structures
 from .errors import AlgebraMismatchError, ExpressionError
-from .scalars import quotient
+from .scalars import quotient, rational
 from .series import TruncatedSeries
 from .topology import BElement, BetaPolynomial
 
@@ -346,7 +346,8 @@ def parse_element(text, algebra=None):
     Returns ``(value, family)`` with family one of ``sym``, ``nsym``,
     ``qsym``, ``fdb``, ``bpoly``, or ``scalar`` for a pure number.  Passing
     ``algebra`` pins the family up front; an expression may never mix
-    generator letters from two families.
+    generator letters from two families.  A number-only value is made
+    canonical here, as bare numbers combine by Python's operators.
     """
     parser = _Parser(text, series_mode=False)
     node = parser.parse()
@@ -359,7 +360,8 @@ def parse_element(text, algebra=None):
             raise ExpressionError(
                 "generator %r belongs to %s but the expression is over %s"
                 % (letter, fam, family), pos)
-    return _evaluate(node, None), (family or "scalar")
+    value = _evaluate(node, None)
+    return value if parser.letters else rational(value), (family or "scalar")
 
 
 def parse_series(text, cap):

@@ -3,8 +3,8 @@
 Every document is a plain dict built in a fixed key order and rendered with
 compact separators, so identical values always produce identical bytes.
 Coefficients are decimal strings like ``"3"`` or ``"-5/2"`` to keep the
-documents exact.  Term lists are sorted by (weight, index) ascending, the
-same canonical order used for pretty printing.
+documents exact.  Terms come in the value's own ``_sort_key`` order, the one
+it prints in; series entries keep theirs, by total degree and then power.
 
 Shapes:
 
@@ -35,7 +35,6 @@ from fractions import Fraction
 
 from . import structures
 from .errors import DomainError
-from .indices import index_sort_key
 from .linear import Tensor, TensorSpace, add_term
 from .scalars import format_scalar, parse_scalar
 from .series import TruncatedSeries
@@ -71,17 +70,18 @@ def _body(x):
     what follows the power of a series entry."""
     if isinstance(x, (int, Fraction)):
         return {"coeff": format_scalar(x)}
+    order = sorted(x.terms, key=x._sort_key)
     if isinstance(x, BetaPolynomial):
-        return {"beta": [{"power": k, **_body(x.terms[k])} for k in sorted(x.terms)]}
+        return {"beta": [{"power": k, **_body(x.terms[k])} for k in order]}
     terms = []
     if isinstance(x, Tensor):
-        for key in sorted(x.terms, key=lambda k: tuple(map(index_sort_key, k))):
+        for key in order:
             entry = ({"left": list(key[0]), "right": list(key[1])} if len(key) == 2
                      else {"slots": [list(i) for i in key]})
             entry["coeff"] = format_scalar(x.terms[key])
             terms.append(entry)
     else:
-        for idx in sorted(x.terms, key=index_sort_key):
+        for idx in order:
             terms.append({"index": list(idx), "coeff": format_scalar(x.terms[idx])})
     return {"terms": terms}
 

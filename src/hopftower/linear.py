@@ -75,7 +75,7 @@ from operator import add, le
 
 from .errors import AlgebraMismatchError, DomainError
 from .indices import index_sort_key, natural
-from .scalars import ONE, ZERO, qadd, qmul, rational
+from .scalars import qadd, qmul, rational
 
 
 def add_term(data, idx, coeff):
@@ -180,7 +180,7 @@ def dot(a_terms, b_terms):
     """The canonical pairing: the sum of ``c * d`` over the keys both term dicts
     share, ``int`` arithmetic inline and ``qmul`` and ``qadd`` otherwise."""
     get = b_terms.get
-    total = ZERO
+    total = 0
     for key, c in a_terms.items():
         d = get(key)
         if d is not None:
@@ -514,20 +514,20 @@ class LinearElement(SparseSum):
     def from_index(cls, idx):
         """The basis element of ``idx``, canonicalised once."""
         obj = cls()
-        obj.terms = {cls.canonical_index(idx): ONE}
+        obj.terms = {cls.canonical_index(idx): 1}
         return obj
 
     @classmethod
     def basis_mul(cls, i, j):
         """Product of two basis indices as ((index, coeff), ...) pairs; in a
         monomial algebra the one pair ``(key_mul(i, j), 1)``."""
-        return ((cls.key_mul(i, j), ONE),)
+        return ((cls.key_mul(i, j), 1),)
 
     # -- structure helpers ------------------------------------------------
 
     def counit(self):
         """Coefficient of the unit; kills everything of positive weight."""
-        return self.terms.get((), ZERO)
+        return self.terms.get((), 0)
 
     def max_weight(self):
         return max((sum(i) for i in self.terms), default=0)
@@ -620,7 +620,7 @@ class Tensor(SparseSum):
         distinct keys and nonzero products, adopted with no second pass."""
         elements = [LinearElement.require(x, "Tensor.of").slot_form() for x in elements]
         factors = tuple(type(x) for x in elements)
-        keys = {(idx,): c for idx, c in elements[0].terms.items()} if elements else {(): ONE}
+        keys = {(idx,): c for idx, c in elements[0].terms.items()} if elements else {(): 1}
         for x in elements[1:]:
             keys = {prefix + (idx,): c * cx if type(c) is int is type(cx) else qmul(c, cx)
                     for prefix, c in keys.items() for idx, cx in x.terms.items()}
@@ -708,7 +708,7 @@ class Tensor(SparseSum):
 
     @staticmethod
     def _sort_key(key):
-        return tuple(index_sort_key(i) for i in key)
+        return tuple(map(index_sort_key, key))
 
     def _monomial(self, key):
         units = [f.one() for f in self.factors]
@@ -745,7 +745,7 @@ class TensorSpace:
 @lru_cache(maxsize=None)
 def binomial_gen(cls, k):
     """sum_{i+j=k} g_i (x) g_j: the coproduct of g_k in a grouplike generator series."""
-    return Tensor((cls, cls), {((i,) if i else (), (k - i,) if k - i else ()): ONE
+    return Tensor((cls, cls), {((i,) if i else (), (k - i,) if k - i else ()): 1
                                for i in range(k + 1)})
 
 
@@ -807,7 +807,7 @@ def recursive_antipode(delta_x, antipode):
     for (i, j), c in delta_x.terms.items():
         if j:
             rights.setdefault(i, {})[j] = -c
-    out = cls({(): delta_x.terms.get(((), ()), ZERO)})
+    out = cls({(): delta_x.terms.get(((), ()), 0)})
     for i, r in rights.items():
         out = out + antipode(i) * cls(r)
     return out

@@ -15,7 +15,6 @@ from operator import add
 
 from .indices import compositions_of
 from .linear import LinearElement, binomial_gen, on_words
-from .scalars import ONE
 from .series import generator_series
 from . import sym
 
@@ -28,7 +27,7 @@ class NSymElement(LinearElement):
 
 
 def z(*parts):
-    return NSymElement({tuple(parts): ONE})
+    return NSymElement({tuple(parts): 1})
 
 
 def z_series(cap):

@@ -21,7 +21,6 @@ from .errors import AlgebraMismatchError
 from .indices import natural
 from .linear import LinearElement, Tensor, add_term, dot, recursive_antipode
 from .nsym import NSymElement
-from .scalars import ONE
 from . import sym
 
 
@@ -57,7 +56,7 @@ class QSymElement(LinearElement):
 
 
 def M(*parts):
-    return QSymElement({tuple(parts): ONE})
+    return QSymElement({tuple(parts): 1})
 
 
 # the zero of QSym (x) QSym, whose _new adopts each coproduct's dict

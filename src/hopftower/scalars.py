@@ -20,7 +20,8 @@ handing a non-scalar operand to the operator.  A ``Fraction`` they or
 slots without the second gcd, sign and type checks of ``Fraction(n, d)``;
 it is the one trusted scalar builder, and every caller hands it a reduced
 pair.  Hot loops keep ``int`` arithmetic inline; the slow routes that check
-them (``exactlinalg``, the ``suites`` oracles) keep ``Fraction``'s own.
+them (``exactlinalg``, the ``suites`` oracles) keep ``Fraction``'s own.  Only
+this module and ``suites`` call ``Fraction(...)``, and 1 and 0 are literals.
 """
 
 from fractions import Fraction
@@ -28,8 +29,6 @@ from math import gcd
 
 from .errors import DomainError
 
-ZERO = 0
-ONE = 1
 _EXACT = (int, Fraction)
 
 

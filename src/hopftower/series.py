@@ -31,7 +31,7 @@ from operator import add
 from .errors import AlgebraMismatchError, DomainError
 from .indices import natural, partitions_of, power_count
 from .linear import SparseSum, add_product, add_term, checked, settle_sums, substitute
-from .scalars import ZERO, quotient, rational
+from .scalars import quotient, rational
 
 
 def _zero_key(nvars):
@@ -98,7 +98,7 @@ class TruncatedSeries(SparseSum):
                               "known only to total degree %d" % (term, self.cap))
         v = self.terms.get(key)
         if v is None:
-            return ZERO if self.algebra is Fraction else self.algebra.zero()
+            return 0 if self.algebra is Fraction else self.algebra.zero()
         return v
 
     def valuation(self):
@@ -174,7 +174,8 @@ class TruncatedSeries(SparseSum):
             c0 = c0.terms[key]
         if isinstance(c0, SparseSum) or not c0:
             raise DomainError("inversion needs a nonzero rational times 1 as constant term")
-        coeffs = {n: (-1) ** n * quotient(1, c0 ** (n + 1)) for n in range(self.cap + 1)}
+        a, b = c0.as_integer_ratio()  # 1/c0 = b/a
+        coeffs = {n: quotient((-b) ** n * b, a ** (n + 1)) for n in range(self.cap + 1)}
         return TruncatedSeries(Fraction, coeffs, self.cap).compose(self - c0)
 
     def _composable(self, inner):
@@ -289,7 +290,7 @@ class TruncatedSeries(SparseSum):
                               "to T^%d" % self.cap)
         v = self.terms.get(-1)
         if v is None:
-            return ZERO if self.algebra is Fraction else self.algebra.zero()
+            return 0 if self.algebra is Fraction else self.algebra.zero()
         return v
 
     def shift(self, k):
@@ -308,7 +309,7 @@ class TruncatedSeries(SparseSum):
         """exp of a series with zero constant term: sum_n T^n/n! of it."""
         if self.terms.get(_zero_key(self.nvars)) or self.valuation() < 0:
             raise DomainError("exp needs a power series with zero constant term")
-        coeffs = {n: Fraction(1, factorial(n)) for n in range(self.cap + 1)}
+        coeffs = {n: quotient(1, factorial(n)) for n in range(self.cap + 1)}
         return TruncatedSeries(Fraction, coeffs, self.cap).compose(self)
 
     def log(self):
@@ -316,7 +317,7 @@ class TruncatedSeries(SparseSum):
         u = self - 1
         if _zero_key(self.nvars) in u.terms or u.valuation() < 0:
             raise DomainError("log needs a power series with constant term 1")
-        coeffs = {n: Fraction((-1) ** (n + 1), n) for n in range(1, self.cap + 1)}
+        coeffs = {n: quotient((-1) ** (n + 1), n) for n in range(1, self.cap + 1)}
         return TruncatedSeries(Fraction, coeffs, self.cap).compose(u)
 
     def alternate(self):

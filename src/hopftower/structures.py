@@ -15,6 +15,7 @@ from . import diffeo, nsym, qsym, sym, topology
 from .diffeo import FdBElement
 from .errors import CapabilityError, DomainError
 from .indices import compositions_of, partitions_of
+from .linear import on_words
 from .nsym import NSymElement
 from .qsym import QSymElement
 from .sym import SymElement
@@ -64,9 +65,9 @@ class Structure:
 
 
 def _bpoly_antipode(f):
-    """b_k read as t_k: the bordism coefficients carry the diffeomorphism antipode."""
-    t = FdBElement(BElement.require(f, "bpoly antipode").terms)
-    return BElement(diffeo.fdb_antipode(t).terms)
+    """b_n read as t_n carries the diffeomorphism antipode, whose closed form
+    is ``topology.chi_b(n)``, the T^(n+1) coefficient of the logarithm."""
+    return on_words(BElement.require(f, "bpoly antipode"), topology.chi_b)
 
 
 ALGEBRAS = {

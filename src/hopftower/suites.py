@@ -38,7 +38,6 @@ from .jsonio import document_for, dumps, from_document
 from .linear import Polynomial, Tensor, image_items, on_words
 from .nsym import NSymElement, z
 from .qsym import M, QSymElement, expand_ordered, pair, pair_tensor
-from .scalars import ONE, ZERO
 from .series import TruncatedSeries
 from .sym import SymElement, convert, e, h
 from .topology import BElement, BetaPolynomial, b
@@ -160,7 +159,7 @@ def _expanded_transition(basis, w):
     rows = []
     for lam in parts:
         poly = sym_mod.expand(SymElement({lam: 1}, basis), nvars)
-        rows.append(tuple(poly.get(mu + (0,) * (nvars - len(mu)), ZERO) for mu in parts))
+        rows.append(tuple(poly.get(mu + (0,) * (nvars - len(mu)), 0) for mu in parts))
     return tuple(rows)
 
 
@@ -180,7 +179,7 @@ def _gauss_jordan_inverse(matrix):
 
 def _converted_rows(src, to, w):
     """Row i: ``convert`` of the i-th ``src`` basis element of weight w, in ``to``."""
-    return tuple(tuple(convert(SymElement({lam: 1}, src), to).terms.get(mu, ZERO)
+    return tuple(tuple(convert(SymElement({lam: 1}, src), to).terms.get(mu, 0)
                        for mu in partitions_of(w)) for lam in partitions_of(w))
 
 
@@ -298,7 +297,7 @@ def suite_duality(weight=None, cap=None):
     return [
         _check("basis pairing is delta (weight <= %d)" % bound,
                (((I, J), pair(NSymElement({I: 1}), QSymElement({J: 1}))
-                 == (ONE if I == J else ZERO))
+                 == (1 if I == J else 0))
                 for I, J in chain(same_weight, cross_weight))),
         _check("product adjoint to deconcatenation (weight <= %d, {count} triples)" % bound,
                product_adjoint()),
@@ -429,7 +428,7 @@ def suite_comodule_algebroid(weight=None, cap=None):
                 dom1, cod1, rows1 = differential_matrix(alg, w, 1)
                 assert cod0 == dom1
                 for i in range(len(dom0)):
-                    acc = [ZERO] * len(cod1)
+                    acc = [0] * len(cod1)
                     for j, c in enumerate(rows0[i]):
                         if c:
                             for k, d in enumerate(rows1[j]):
@@ -637,7 +636,7 @@ def suite_counts(weight=None, cap=None):
         for k in range(1, kbound + 1):
             inv = topology.crn_invariant(k)
             yield k, (len(inv.terms) == 2 ** (k - 1)
-                      and all(c == ONE for c in inv.terms.values()))
+                      and all(c == 1 for c in inv.terms.values()))
 
     return [
         _check("compositions of n number 2^(n-1) (n <= %d), pinned order at 3" % bound,

@@ -45,7 +45,7 @@ from .errors import DomainError
 from .indices import natural, partitions_of, power_count
 from .linear import (CommutativeElement, Polynomial, binomial_gen, dot, mul_into,
                      on_words, settle)
-from .scalars import ONE, quotient
+from .scalars import quotient
 from .series import TruncatedSeries
 
 BASES = ("e", "h", "p", "m")
@@ -110,19 +110,19 @@ class SymElement(CommutativeElement):
 
 
 def e(*parts):
-    return SymElement({tuple(parts): ONE}, "e")
+    return SymElement({tuple(parts): 1}, "e")
 
 
 def h(*parts):
-    return SymElement({tuple(parts): ONE}, "h")
+    return SymElement({tuple(parts): 1}, "h")
 
 
 def p(*parts):
-    return SymElement({tuple(parts): ONE}, "p")
+    return SymElement({tuple(parts): 1}, "p")
 
 
 def m(*parts):
-    return SymElement({tuple(parts): ONE}, "m")
+    return SymElement({tuple(parts): 1}, "m")
 
 
 # -- polynomial expansion, read through QSym (public; the counts' oracle) ---
@@ -151,7 +151,7 @@ def expand(f, nvars):
 
     if f.basis == "m":
         return through_qsym(f).terms
-    gens = {k: through_qsym(SymElement(dict.fromkeys(_M_FORMS[f.basis](k), ONE), "m"))
+    gens = {k: through_qsym(SymElement(dict.fromkeys(_M_FORMS[f.basis](k), 1), "m"))
             for k in {k for lam in f.terms for k in lam}}
     one = Polynomial(nvars, {(0,) * nvars: 1})
     return sum((prod((gens[k] for k in lam), start=one).scale(c)
@@ -393,7 +393,7 @@ def e_series(cap):
     """1 + e_1 T + e_2 T^2 + ... up to the cap."""
     coeffs = {0: SymElement.one()}
     for n in range(1, natural(cap, "cap") + 1):
-        coeffs[n] = SymElement({(n,): ONE})
+        coeffs[n] = SymElement({(n,): 1})
     return TruncatedSeries(SymElement, coeffs, cap)
 
 

@@ -26,7 +26,7 @@ from .errors import CapabilityError, DomainError
 from .indices import compositions_of, natural, partitions_of, power_count
 from .linear import CommutativeElement, Polynomial, SparseSum, checked, substitute
 from .nsym import NSymElement, z_series
-from .scalars import ONE, ZERO, quotient
+from .scalars import quotient, rational
 from .series import TruncatedSeries, generator_series, reverted_power
 from . import qsym
 from . import sym
@@ -40,7 +40,7 @@ class BElement(CommutativeElement):
 
 
 def b(*parts):
-    return BElement({parts: ONE})
+    return BElement({parts: 1})
 
 
 def b_series(cap):
@@ -92,16 +92,11 @@ def cp_char_number_oracle(n, lam):
 
     Convert m_lam to power sums; each p_k evaluates on the normal bundle of
     CP^n to -(n+1) x^k in the ring with x^{n+1} = 0, so a p-monomial with r
-    parts contributes (-(n+1))^r to the x^n coefficient.
+    parts contributes (-(n+1))^r to the x^n coefficient.  The sum keeps
+    ``Fraction``'s own operators, as an oracle should; its value is canonical.
     """
-    lam = _partition_of(n, lam)
-    if n == 0:
-        return ONE
-    fp = sym.convert(sym.SymElement({lam: ONE}, "m"), "p")
-    total = ZERO
-    for mu, c in fp.terms.items():
-        total += c * (-(n + 1)) ** len(mu)
-    return total
+    fp = sym.convert(sym.SymElement({_partition_of(n, lam): 1}, "m"), "p")
+    return rational(sum(c * (-(n + 1)) ** len(mu) for mu, c in fp.terms.items()))
 
 
 def fgl(cap):
@@ -194,7 +189,7 @@ class ProjectiveProductSpace:
         """f on the ordered roots, as linear polynomials in the cohomology ring:
         a dict from exponent vectors to rationals."""
         m = len(self.factors)
-        one = Polynomial(m, {(0,) * m: ONE}, self.factors)
+        one = Polynomial(m, {(0,) * m: 1}, self.factors)
         axes = [tuple(int(i == j) for i in range(m)) for j in range(m)]
         # the roots' coefficients are checked ints, and every x_j is inside the box
         roots = [one._new({x: c for x, c in zip(axes, r) if c}) for r in self.roots]
@@ -213,7 +208,7 @@ def quasitoric_char_number(space, I, convention="tangent"):
         f = qsym.antipode(f)
     elif convention != "tangent":
         raise DomainError("convention must be 'tangent' or 'normal'")
-    return space.evaluate_qsym(f).get(space.factors, ZERO)
+    return space.evaluate_qsym(f).get(space.factors, 0)
 
 
 # -- composition-sum invariant, cumulants, noncommutative addition ---------
@@ -230,7 +225,7 @@ def crn_invariant(k):
         raise CapabilityError("weight %d has 2^%d compositions, over the bound of "
                               "2^%d = %d" % (k, k - 1, CRN_LOG2_BOUND,
                                              2 ** CRN_LOG2_BOUND))
-    return NSymElement({I: ONE for I in compositions_of(k)})
+    return NSymElement({I: 1 for I in compositions_of(k)})
 
 
 def cumulant_series(cap):

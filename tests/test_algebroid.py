@@ -17,7 +17,6 @@ from hopftower.errors import AlgebraMismatchError, CapabilityError, DomainError
 from hopftower.exactlinalg import matrix_rank
 from hopftower.linear import Tensor, word_image
 from hopftower.nsym import NSymElement, z
-from hopftower.scalars import ZERO
 from hopftower.sym import convert, e, h, m, p
 
 
@@ -52,7 +51,7 @@ def test_differential_matrices_compose_to_zero():
             dom1, cod1, rows1 = differential_matrix(ALGEBROIDS[name], w, 1)
             assert cod0 == dom1
             for i in range(len(dom0)):
-                acc = [ZERO] * len(cod1)
+                acc = [0] * len(cod1)
                 for j, c in enumerate(rows0[i]):
                     if c:
                         for k, d in enumerate(rows1[j]):
@@ -263,7 +262,7 @@ def test_sparse_rows_are_the_differential_without_unit_slots():
                 dom, cod, rows = differential_rows(alg, w, s)
                 col = {key: j for j, key in enumerate(cod)}
                 for key, row in zip(dom, rows):
-                    dense = [ZERO] * len(cod)
+                    dense = [0] * len(cod)
                     for k, c in differential(alg, level._new({key: 1})).terms.items():
                         if () not in k[1:]:
                             dense[col[k]] = c

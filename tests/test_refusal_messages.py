@@ -11,12 +11,18 @@ from fractions import Fraction
 import pytest
 
 from hopftower import cli
-from hopftower.algebroid import SB, differential
-from hopftower.errors import CapabilityError, DomainError
+from hopftower.algebroid import SB, coface, differential
+from hopftower.errors import AlgebraMismatchError, CapabilityError, DomainError, ExpressionError
 from hopftower.exactlinalg import invert_matrix
+from hopftower.expr import parse_element
 from hopftower.linear import Tensor
-from hopftower.nsym import z_series
+from hopftower.nsym import NSymElement, z_series
+from hopftower.qsym import QSymElement, pair_tensor
+from hopftower.scalars import parse_scalar, rational
 from hopftower.series import TruncatedSeries
+from hopftower.structures import tag_of_class
+from hopftower.sym import SymElement, convert, e, involution
+from hopftower.topology import ProjectiveProductSpace, quasitoric_char_number
 
 
 def _bivariate():
@@ -54,6 +60,29 @@ CASES = [
     ("log needs a power series with constant term 1", lambda: _t().log()),
     ("a bare number needs --algebra to pick a coproduct", ("coproduct", "2")),
     ("no pairing between qsym and qsym expressions", ("pair", "M[1]", "M[1]")),
+    ("coface index 2 out of range for level 0", lambda: coface(SB, e(1), 2)),
+    ("not a rational scalar: 'x'", lambda: rational("x")),
+    ("not a rational literal: 'x'", lambda: parse_scalar("x")),
+    ("no JSON tag for <class 'int'>", lambda: tag_of_class(int)),
+    ("unknown symmetric function basis 'q'", lambda: SymElement({(1,): 1}, "q")),
+    ("unknown symmetric function basis 'q'", lambda: convert(e(1), "q")),
+    ("unknown involution 'flip'", lambda: involution(e(1), "flip")),
+    ("a space needs at least one factor", lambda: ProjectiveProductSpace((), [])),
+    ("each root needs one coefficient per factor",
+     lambda: ProjectiveProductSpace((1,), [(1, 0)])),
+    ("space document needs 'factors' and 'roots' lists",
+     lambda: ProjectiveProductSpace.from_document({"roots": []})),
+    ("convention must be 'tangent' or 'normal'",
+     lambda: quasitoric_char_number(ProjectiveProductSpace((1,), [(1,)]), (1,), "both")),
+    ("tensor arities differ",
+     lambda: pair_tensor(Tensor((NSymElement,), {((1,),): 1}),
+                         Tensor((QSymElement,) * 2, {((1,), (1,)): 1})),
+     AlgebraMismatchError),
+    ("name 'beta' is not allowed here at column 1", lambda: parse_element("beta"),
+     ExpressionError),
+    ("expected a number, a generator or '(' at column 1", lambda: parse_element("*"),
+     ExpressionError),
+    ("expected an index part at column 3", lambda: parse_element("e[1/2]"), ExpressionError),
 ]
 
 
