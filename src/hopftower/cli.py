@@ -33,7 +33,6 @@ import argparse
 import json
 import sys
 from contextlib import redirect_stderr, redirect_stdout
-from fractions import Fraction
 from functools import lru_cache
 
 from . import structures
@@ -72,13 +71,6 @@ class _ArgumentParser(argparse.ArgumentParser):
 
     def exit(self, status=0, message=None):
         raise _ParserExit(status, message.rstrip() if message else None)
-
-
-def _promote(value, family):
-    """A bare number as an element of ``family``; anything else unchanged."""
-    if isinstance(value, (int, Fraction)) and family != "scalar":
-        return structures.ALGEBRAS[family].cls.one().scale(value)
-    return value
 
 
 def _print(value, args, out):
@@ -129,7 +121,7 @@ def _cmd_coproduct(args):
         raise DomainError("a bare number needs --algebra to pick a coproduct")
     st = structures.find(family, args.structure, "coproduct")
     args.structure = st.flag
-    return st.coproduct(_promote(value, family))
+    return st.coproduct(structures.ALGEBRAS[family].cls.lift(value))  # a number on the unit
 
 
 def _cmd_antipode(args):
@@ -172,7 +164,8 @@ def _cmd_pair(args):
     if sides is None:
         raise AlgebraMismatchError(
             "no pairing between %s and %s expressions" % (fa, fb))
-    return structures.PAIRINGS[sides](_promote(a, sides[0]), _promote(b, sides[1]))
+    left, right = (structures.ALGEBRAS[tag].cls for tag in sides)
+    return structures.PAIRINGS[sides](left.lift(a), right.lift(b))
 
 
 def _cmd_log(args):

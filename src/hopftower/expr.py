@@ -27,7 +27,8 @@ Series expressions extend the same grammar with three more atoms:
 Generator atoms like ``e[1]`` act as constant coefficients, so
 ``invert(1 - e[1]*T)`` is a series over symmetric functions.  Rational
 constants promote into any coefficient algebra, and b-polynomials promote
-into beta-polynomials; no other mixing is allowed.
+into beta-polynomials, by the target algebra's lift; no other mixing is
+allowed.
 
 Both languages share one parse tree and one evaluator, ``_evaluate``: a
 syntax, arity or family error is raised before any product is formed, so
@@ -39,13 +40,11 @@ Errors carry a 1-based column; positions past the end of the input are
 reported at the last character.
 """
 
-from fractions import Fraction
-
 from . import structures
 from .errors import AlgebraMismatchError, ExpressionError
-from .scalars import quotient, rational
+from .scalars import Q, quotient, rational
 from .series import TruncatedSeries
-from .topology import BElement, BetaPolynomial
+from .topology import BetaPolynomial
 
 _FUNCTIONS = {"invert": 1, "revert": 1, "exp": 1, "log": 1,
               "alternate": 1, "residue": 1, "shift": 2, "compose": 2}
@@ -253,23 +252,21 @@ class _Parser:
 # -- evaluation -------------------------------------------------------------
 
 def _promote(s, algebra):
-    """Lift a series into a larger coefficient algebra, or fail."""
+    """Lift a series into a larger coefficient algebra, or fail: the target's
+    lift decides on the unit of the series' algebra."""
     if s.algebra is algebra:
         return s
-    if s.algebra is Fraction:  # the constructor puts each scalar on the unit
-        return TruncatedSeries(algebra, s.terms, s.cap, s.nvars)
-    if s.algebra is BElement and algebra is BetaPolynomial:
-        return s.map_coefficients(lambda el: BetaPolynomial({0: el}),
-                                  algebra=BetaPolynomial)
-    raise AlgebraMismatchError(
-        "series coefficients mix %s with %s" %
-        (getattr(s.algebra, "__name__", s.algebra),
-         getattr(algebra, "__name__", algebra)))
+    if not algebra.SCALAR:
+        try:
+            algebra.lift(s.algebra.one())
+            return TruncatedSeries(algebra, s.terms, s.cap, s.nvars)
+        except AlgebraMismatchError:
+            pass
+    raise AlgebraMismatchError("series coefficients mix %s with %s" % (
+        getattr(s.algebra, "__name__", s.algebra), getattr(algebra, "__name__", algebra)))
 
 
 def _unify(a, b):
-    if a.algebra is b.algebra:
-        return a, b
     try:
         return a, _promote(b, a.algebra)
     except AlgebraMismatchError:
@@ -288,15 +285,14 @@ def _evaluate(node, cap):
     of each sum and product are first lifted into one coefficient algebra."""
     kind = node[0]
     if kind == "num":
-        return node[1] if cap is None else TruncatedSeries(Fraction, {0: node[1]}, cap)
+        return node[1] if cap is None else TruncatedSeries(Q, {0: node[1]}, cap)
     if kind == "gen":
         el = structures.generator(node[1], node[2])
         return el if cap is None else TruncatedSeries(type(el), {0: el}, cap)
     if kind == "var":
-        return TruncatedSeries(Fraction, {1: 1}, cap)
+        return TruncatedSeries(Q, {1: 1}, cap)
     if kind == "beta":
-        return TruncatedSeries(
-            BetaPolynomial, {0: BetaPolynomial({1: BElement.one()})}, cap)
+        return TruncatedSeries(BetaPolynomial, {0: BetaPolynomial({1: 1})}, cap)
     if kind == "sercall":
         return compose_series(structures.named_series(node[1])(cap),
                               _evaluate(node[2], cap))
@@ -333,7 +329,7 @@ def _eval_call(node, cap):
     if name == "shift":
         offset = _evaluate(args[1], cap)
         k = offset.coeffs.get(0, 0)
-        if (offset.algebra is not Fraction or set(offset.coeffs) - {0}
+        if (not offset.algebra.SCALAR or set(offset.coeffs) - {0}
                 or k.denominator != 1):
             raise ExpressionError("shift offset must be an integer", pos)
         return first.shift(int(k))

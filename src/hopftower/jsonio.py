@@ -2,9 +2,10 @@
 
 Every document is a plain dict built in a fixed key order and rendered with
 compact separators, so identical values always produce identical bytes.
-Coefficients are decimal strings like ``"3"`` or ``"-5/2"`` to keep the
-documents exact.  Terms come in the value's own ``_sort_key`` order, the one
-it prints in; series entries keep theirs, by total degree and then power.
+Coefficients are decimal strings like ``"3"`` or ``"-5/2"``, the ``str`` of
+a canonical rational, to keep the documents exact.  Terms come in the
+value's own ``_sort_key`` order, the one it prints in; series entries keep
+theirs, by total degree and then power.
 
 Shapes:
 
@@ -21,106 +22,89 @@ Shapes:
   a series of them is marked ``"coefficients":"beta"`` after its algebra tag
   (a document without the mark is read as one when an entry nests ``beta``)
 
-One writer, ``_body``, gives the terms of every value after its head: an
-element or tensor document and each series entry share it.  The readers stay
-separate: a series entry may hold a bare scalar (``"coeff"``) whatever the
-algebra, and a whole document may not, so one reader would branch on its
-caller.  ``from_document`` inverts all of the above exactly; a ``shift`` view
-with a negative power or cap is refused when written, since no document
-holds it.
+A document is a head, which names the coefficient algebra, and one body:
+``terms`` (an element, a tensor, or a lone number on the empty index),
+``beta``, or ``series``, whose entries hold one body each, ``coeff`` for a
+number; a document or entry with two bodies is refused.  One lookup per
+document, ``_writer`` or ``_reader``, picks the head and the body writer or
+reader of its algebra.  A series entry may hold a bare ``coeff`` whatever
+the algebra, which the series constructor lifts.  ``from_document`` inverts
+all of the above exactly; a ``shift`` view with a negative power or cap is
+refused when written, since no document holds it.
 """
 
 import json
-from fractions import Fraction
+from numbers import Rational
 
 from . import structures
 from .errors import DomainError
-from .linear import Tensor, TensorSpace, add_term
-from .scalars import format_scalar, parse_scalar
+from .linear import Tensor, add_term
+from .scalars import Q, parse_scalar
 from .series import TruncatedSeries
-from .sym import SymElement, convert
-from .topology import BElement, BetaPolynomial
+from .sym import convert
+from .topology import BElement
 
 
-def _class_tag(cls):
-    if cls is Fraction:
-        return "scalar"
-    if cls is BetaPolynomial:
-        return "bpoly"
-    return structures.tag_of_class(cls)
+def _number_body(c):
+    # the scalars are spanned by the unit, whose index is []
+    return {"terms": [{"index": [], "coeff": str(Q.lift(c))}] if c else []}
 
 
-def _head(space, structure):
-    """The algebra tag (with the factor tags of a tensor space), and the
-    structure where the noncommutative algebra carries two: an nsym element
-    always names it, a tensor only when it is given and a factor is nsym."""
-    if isinstance(space, TensorSpace):
-        doc = {"algebra": "tensor", "factors": [_class_tag(c) for c in space.factors]}
-        if structure is not None and "nsym" in doc["factors"]:
-            doc["structure"] = structure
-    else:
-        doc = {"algebra": _class_tag(space)}
-        if doc["algebra"] == "nsym":
-            doc["structure"] = structure or "binomial"
-    return doc
+def _index_body(x):
+    t = x.terms
+    return {"terms": [{"index": list(k), "coeff": str(t[k])} for k in sorted(t, key=x._sort_key)]}
 
 
-def _body(x):
-    """The terms of one value: what follows the head of its document, and
-    what follows the power of a series entry."""
-    if isinstance(x, (int, Fraction)):
-        return {"coeff": format_scalar(x)}
-    order = sorted(x.terms, key=x._sort_key)
-    if isinstance(x, BetaPolynomial):
-        return {"beta": [{"power": k, **_body(x.terms[k])} for k in order]}
-    terms = []
-    if isinstance(x, Tensor):
-        for key in order:
-            entry = ({"left": list(key[0]), "right": list(key[1])} if len(key) == 2
-                     else {"slots": [list(i) for i in key]})
-            entry["coeff"] = format_scalar(x.terms[key])
-            terms.append(entry)
-    else:
-        for idx in order:
-            terms.append({"index": list(idx), "coeff": format_scalar(x.terms[idx])})
-    return {"terms": terms}
+def _tensor_body(x):
+    t = x.terms
+    return {"terms": [{**({"left": list(k[0]), "right": list(k[1])} if len(k) == 2
+                          else {"slots": [list(i) for i in k]}), "coeff": str(t[k])}
+                      for k in sorted(t, key=x._sort_key)]}
 
 
-def series_document(s, structure=None):
-    """A series with every coefficient in one basis.  A ``shift`` view with a
-    negative power or a negative cap raises ``DomainError``: a series
-    document holds a power series, as ``from_document`` builds it."""
-    if s.cap < 0 or s.valuation() < 0:
-        raise DomainError("the shift view %s (cap %d) has no document" % (s, s.cap))
-    doc = _head(s.algebra, structure)
-    if s.algebra is BetaPolynomial:
-        doc["coefficients"] = "beta"  # BElement series share the bpoly tag
-    elif s.algebra is SymElement:
-        # one basis for the whole series: that of the first term printed
-        basis = s.terms[min(s.terms, key=s._sort_key)].basis if s.terms else "e"
-        doc["basis"] = basis
-        s = s.map_coefficients(lambda v: convert(v, basis))
-    doc["cap"] = s.cap
-    doc["vars"] = s.nvars
-    entries = []
-    for k in sorted(s.terms, key=None if s.nvars == 1 else lambda k: (sum(k), k)):
-        entry = {"power": k} if s.nvars == 1 else {"powers": list(k)}
-        entry.update(_body(s.terms[k]))
-        entries.append(entry)
-    doc["series"] = entries
-    return doc
+def _beta_body(x):
+    return {"beta": [{"power": k, **_index_body(x.terms[k])} for k in sorted(x.terms)]}
+
+
+def _writer(algebra, structure, x, series):
+    """The head of the document of ``x``, a value of the coefficient algebra
+    ``algebra`` or a ``series`` over it, and the writer of one value's body."""
+    kind = next((name for name, row in structures.KINDS.items() if algebra is row
+                 or type(algebra) is row), None) or structures.tag_of_class(algebra)
+    if kind == "scalar":
+        return {"algebra": "scalar"}, (lambda c: {"coeff": str(c)}) if series else _number_body
+    if kind == "beta":  # b-element series share the bpoly tag, so a series is marked
+        return {"algebra": "bpoly", **({"coefficients": "beta"} if series else {})}, _beta_body
+    if kind == "tensor":
+        tags = [structures.tag_of_class(c) for c in algebra.factors]
+        named = {"structure": structure} if structure is not None and "nsym" in tags else {}
+        return {"algebra": "tensor", "factors": tags, **named}, _tensor_body
+    if kind == "sym":  # one basis for the document: that of the value printed first
+        if series:
+            x = x.terms[min(x.terms, key=x._sort_key)] if x.terms else None
+        basis = "e" if x is None else x.basis
+        return {"algebra": "sym", "basis": basis}, lambda v: _index_body(convert(v, basis))
+    return ({"algebra": kind, "structure": structure or "binomial"} if kind == "nsym"
+            else {"algebra": kind}), _index_body
 
 
 def document_for(x, structure=None):
-    """Serialize any supported value to its canonical document."""
-    if isinstance(x, TruncatedSeries):
-        return series_document(x, structure)
-    if isinstance(x, (int, Fraction)):  # a number is one term on the empty index
-        return {"algebra": "scalar", "terms": [{"index": [], **_body(x)}] if x else []}
-    doc = _head(TensorSpace(*x.factors) if isinstance(x, Tensor) else type(x), structure)
-    if isinstance(x, SymElement):
-        doc["basis"] = x.basis
-    doc.update(_body(x))
+    """Serialize any supported value to its canonical document, a series with
+    every coefficient in one basis.  A ``shift`` view with a negative power or
+    a negative cap raises ``DomainError``: a series document holds a power
+    series, as ``from_document`` builds it."""
+    if not isinstance(x, TruncatedSeries):
+        algebra = (structures.KINDS["tensor"](*x.factors) if isinstance(x, Tensor)
+                   else Q if isinstance(x, Rational) else type(x))
+        doc, write = _writer(algebra, structure, x, False)
+        return {**doc, **write(x)}
+    if x.cap < 0 or x.valuation() < 0:
+        raise DomainError("the shift view %s (cap %d) has no document" % (x, x.cap))
+    doc, write = _writer(x.algebra, structure, x, True)
+    doc["cap"], doc["vars"] = x.cap, x.nvars
+    doc["series"] = [{**({"power": k} if x.nvars == 1 else {"powers": list(k)}),
+                      **write(x.terms[k])}
+                     for k in sorted(x.terms, key=None if x.nvars == 1 else lambda k: (sum(k), k))]
     return doc
 
 
@@ -139,78 +123,62 @@ def _index(parts):
     return key
 
 
-def _terms_from(entries):
+def _terms_from(entries, key=lambda entry: _index(entry["index"])):
+    """The terms of a body, a repeated key summed; ``key`` reads an entry's key."""
     out = {}
     for entry in entries:
-        add_term(out, _index(entry["index"]), parse_scalar(entry["coeff"]))
+        add_term(out, key(entry), parse_scalar(entry["coeff"]))
     return out
 
 
-def _beta_from(entries):
+def _slots(entry):
+    """A tensor entry's slot keys as given; the ``Tensor`` constructor checks
+    and canonicalises them."""
+    if "slots" in entry:
+        return tuple(_index(i) for i in entry["slots"])
+    return _index(entry["left"]), _index(entry["right"])
+
+
+def _number_from(body):
+    wrong = next((e["index"] for e in body["terms"] if _index(e["index"])), None)
+    if wrong is not None:
+        raise DomainError("a scalar term has the index [], not %r" % (wrong,))
+    return _terms_from(body["terms"]).get((), 0)
+
+
+def _beta_from(body):
     """A repeated power is summed; the constructor checks every power."""
-    return sum((BetaPolynomial({entry["power"]: BElement(_terms_from(entry["terms"]))})
-                for entry in entries), BetaPolynomial())
+    beta = structures.KINDS["beta"]
+    return sum((beta({entry["power"]: BElement(_terms_from(entry["terms"]))})
+                for entry in body["beta"]), beta())
 
 
-def _element_from(doc):
+def _reader(doc, series):
+    """The coefficient algebra of a document and the reader of one body.  A
+    bpoly document holds beta polynomials when it nests ``beta``, and a
+    series one when it is marked or an entry nests it."""
     tag = doc["algebra"]
     if tag == "scalar":
-        # the scalars are spanned by the unit, whose index is []
-        wrong = next((e["index"] for e in doc["terms"] if _index(e["index"])), None)
-        if wrong is not None:
-            raise DomainError("a scalar term has the index [], not %r" % (wrong,))
-        return _terms_from(doc["terms"]).get((), 0)
-    if tag == "bpoly" and "beta" in doc:
-        return _beta_from(doc["beta"])
-    return structures.algebra(tag).element(_terms_from(doc["terms"]), doc.get("basis"))
-
-
-def _tensor_terms_from(entries):
-    """Slot keys as given, a repeated key summed; the ``Tensor`` constructor
-    checks and canonicalises them."""
-    terms = {}
-    for entry in entries:
-        if "slots" in entry:
-            key = tuple(_index(i) for i in entry["slots"])
-        else:
-            key = (_index(entry["left"]), _index(entry["right"]))
-        add_term(terms, key, parse_scalar(entry["coeff"]))
-    return terms
-
-
-def _tensor_from(doc):
-    factors = tuple(structures.algebra(tag).cls for tag in doc["factors"])
-    return Tensor(factors, _tensor_terms_from(doc["terms"]))
-
-
-def _series_from(doc):
-    tag = doc["algebra"]
+        return Q, (lambda body: parse_scalar(body["coeff"])) if series else _number_from
     if tag == "tensor":
-        algebra = TensorSpace(*[structures.algebra(t).cls for t in doc["factors"]])
-    elif tag == "scalar":
-        algebra = Fraction
-    elif tag == "bpoly" and (doc.get("coefficients") == "beta"
-                             or any("beta" in e for e in doc["series"])):
-        algebra = BetaPolynomial
-    else:
-        algebra = structures.algebra(tag).cls
-    cap, nvars = doc["cap"], doc.get("vars", 1)
-    total = TruncatedSeries(algebra, None, cap, nvars)
-    for entry in doc["series"]:
-        key = tuple(entry["powers"]) if nvars == 2 else entry["power"]
-        if "coeff" in entry:
-            value = parse_scalar(entry["coeff"])
-        elif "beta" in entry:
-            value = _beta_from(entry["beta"])
-        elif isinstance(algebra, TensorSpace):
-            value = Tensor(algebra.factors, _tensor_terms_from(entry["terms"]))
-        else:
-            value = structures.algebra(tag).element(_terms_from(entry["terms"]),
-                                                    doc.get("basis"))
-        # a repeated power is summed, each entry a series whose constructor
-        # has checked its power first
-        total = total + TruncatedSeries(algebra, {key: value}, cap, nvars)
-    return total
+        factors = tuple(structures.algebra(t).cls for t in doc["factors"])
+        return (structures.KINDS["tensor"](*factors),
+                lambda body: Tensor(factors, _terms_from(body["terms"], _slots)))
+    if tag == "bpoly" and ((doc.get("coefficients") == "beta"
+                            or any("beta" in e for e in doc["series"])) if series
+                           else "beta" in doc):
+        return structures.KINDS["beta"], _beta_from
+    row, basis = structures.algebra(tag), doc.get("basis")
+    return row.cls, lambda body: row.element(_terms_from(body["terms"]), basis)
+
+
+def _body(d):
+    """The body key of a document or series entry, None if it has none;
+    ``DomainError`` if it has two."""
+    keys = [k for k in ("coeff", "terms", "beta", "series") if k in d]
+    if len(keys) > 1:
+        raise DomainError("a value has one body, not %s" % " and ".join(map(repr, keys)))
+    return keys[0] if keys else None
 
 
 def from_document(doc):
@@ -218,17 +186,25 @@ def from_document(doc):
 
     A document that lacks a required key raises ``DomainError`` naming it,
     and so does one of the wrong shape (not an object, a term that is not an
-    object, a cap that is not an integer, and so on).
+    object, a cap that is not an integer, two bodies, and so on).
     """
     try:
         if "basis" in doc and doc.get("algebra") != "sym":
             raise DomainError("only a sym document names a basis, not a %s one"
                               % (doc.get("algebra"),))
-        if "series" in doc:
-            return _series_from(doc)
-        if doc.get("algebra") == "tensor":
-            return _tensor_from(doc)
-        return _element_from(doc)
+        series = _body(doc) == "series"
+        algebra, read = _reader(doc, series)
+        if not series:
+            return read(doc)
+        cap, nvars = doc["cap"], doc.get("vars", 1)
+        total = TruncatedSeries(algebra, None, cap, nvars)
+        for entry in doc["series"]:
+            key = tuple(entry["powers"]) if nvars == 2 else entry["power"]
+            value = parse_scalar(entry["coeff"]) if _body(entry) == "coeff" else read(entry)
+            # a repeated power is summed, each entry a series whose constructor
+            # has checked its power first
+            total = total + TruncatedSeries(algebra, {key: value}, cap, nvars)
+        return total
     except DomainError:
         raise
     except KeyError as exc:

@@ -203,6 +203,7 @@ class SparseSum:
     __hash__ = None
     _sort_key = None
     key_mul = None  # in a monomial algebra, the one key of a product of two keys
+    SCALAR = False  # a series coefficient algebra (``scalars.Q``) of sums, not numbers
     coeffs = property(lambda self: self.terms)  # read by bench/streams.py
 
     def _new(self, terms):
@@ -229,6 +230,11 @@ class SparseSum:
     @classmethod
     def zero(cls):
         return cls()
+
+    @classmethod
+    def lift(cls, v):
+        """``_lift``, for a kind whose constructor needs nothing but terms."""
+        return cls()._lift(v)
 
     def _same_kind(self, other):
         """Whether ``other``, a sum of this type, combines with this one."""
@@ -719,15 +725,19 @@ class TensorSpace:
     """Descriptor for a tensor-product coefficient algebra, usable by series."""
 
     __slots__ = ("factors",)
+    SCALAR = False
 
     def __init__(self, *factors):
-        self.factors = tuple(factors)
+        self.factors = Tensor(factors).factors  # checked as a tensor's
 
     def one(self):
         return Tensor(self.factors, {tuple(() for _ in self.factors): 1})
 
     def zero(self):
         return Tensor(self.factors, {})
+
+    def lift(self, v):
+        return self.zero()._lift(v)
 
     @property
     def COMMUTATIVE(self):

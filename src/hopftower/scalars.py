@@ -22,6 +22,7 @@ it is the one trusted scalar builder, and every caller hands it a reduced
 pair.  Hot loops keep ``int`` arithmetic inline; the slow routes that check
 them (``exactlinalg``, the ``suites`` oracles) keep ``Fraction``'s own.  Only
 this module and ``suites`` call ``Fraction(...)``, and 1 and 0 are literals.
+``Q`` is the rationals as the coefficient algebra of a series.
 """
 
 from fractions import Fraction
@@ -104,14 +105,33 @@ def qadd(a, b):
     return n if d == 1 else _coprime(n, d)
 
 
-def format_scalar(q):
-    """Render a rational as ``"p"`` or ``"p/q"`` (lowest terms, q > 0)."""
-    return str(rational(q))
-
-
 def parse_scalar(text):
-    """Inverse of :func:`format_scalar`."""
+    """The canonical rational a literal such as ``"-5/2"`` names, as ``str`` writes it."""
     try:
         return rational(Fraction(text.strip()))
     except (ValueError, ZeroDivisionError) as exc:
         raise DomainError("not a rational literal: %r" % (text,)) from exc
+
+
+class Q:
+    """The rationals as a series coefficient algebra.  Every coefficient algebra
+    answers its protocol: ``one``, ``zero``, ``lift`` (a constructor's coefficient
+    as a stored one), ``COMMUTATIVE``, and ``SCALAR``: are its values numbers."""
+
+    COMMUTATIVE = SCALAR = True
+    lift = staticmethod(rational)
+    one = staticmethod(lambda: 1)
+    zero = staticmethod(lambda: 0)
+
+
+def coefficient_algebra(algebra):
+    """``Q`` for ``Fraction``, the one reader of that spelling, or ``algebra``
+    itself when it answers the protocol of ``Q``: in this package only a
+    coefficient algebra has ``COMMUTATIVE``.  Anything else raises
+    ``DomainError``."""
+    if algebra is Fraction:
+        return Q
+    if hasattr(algebra, "COMMUTATIVE"):
+        return algebra
+    raise DomainError("a series coefficient algebra is Fraction, an algebra class or "
+                      "a TensorSpace, not %r" % (algebra,))

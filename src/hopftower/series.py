@@ -1,16 +1,16 @@
 """Truncated power series with exact coefficients in a configurable algebra.
 
 A series is a ``linear.SparseSum`` keyed by the exponent: an ``int``, or a
-pair ``(i, j)`` for two variables.  Coefficients are plain rational scalars
-(the ``algebra`` tag is ``Fraction``), elements of one of the package's
-algebras, or tensors over a ``TensorSpace``.  Every operation truncates at a
-fixed ``cap``: exponents of total degree > cap are discarded, and operations
-never invent coefficients beyond it.
+pair ``(i, j)`` for two variables.  Its ``algebra`` holds the coefficients:
+``scalars.Q`` (given as ``Q`` or ``Fraction``), an algebra of the package, or
+a ``TensorSpace``, read only through the protocol of ``scalars.Q``.  Every
+operation truncates at a fixed ``cap``: exponents of total degree > cap are
+discarded, and operations never invent coefficients beyond it.
 
 Composition is one ``linear.substitute``, outer coefficients on the left of
 the inner powers: the convention that makes the noncommutative functional
-calculus here come out right.  An outer series over ``Fraction`` takes an
-inner one over any algebra, so ``exp``, ``log`` and ``invert`` are each a
+calculus here come out right.  An outer series over numbers takes an inner
+one over any algebra, so ``exp``, ``log`` and ``invert`` are each a
 composition of a fixed rational series.  ``compose_sum`` substitutes
 inner(X) + inner(Y) for a univariate inner series, the two-variable addition
 series of ``topology.fgl`` and ``topology.cp_infinity_coproduct``.  The swap of
@@ -31,7 +31,7 @@ from operator import add
 from .errors import AlgebraMismatchError, DomainError
 from .indices import natural, partitions_of, power_count
 from .linear import SparseSum, add_product, add_term, checked, settle_sums, substitute
-from .scalars import quotient, rational
+from .scalars import Q, coefficient_algebra, quotient
 
 
 def _zero_key(nvars):
@@ -50,12 +50,11 @@ class TruncatedSeries(SparseSum):
         # a bool or a float passes ``in (1, 2)``, so the type is tested
         if type(nvars) is not int or nvars not in (1, 2):
             raise DomainError("a series has one or two variables, not %r" % (nvars,))
-        self.algebra = algebra
+        self.algebra = algebra = coefficient_algebra(algebra)
         self.cap = cap
         self.nvars = nvars
         # a scalar goes on the unit; anything else must be of the algebra
-        self.terms = checked(coeffs, self._norm_key,
-                             rational if algebra is Fraction else algebra.one()._lift)
+        self.terms = checked(coeffs, self._norm_key, algebra.lift)
 
     # -- representation helpers -------------------------------------------
 
@@ -85,8 +84,7 @@ class TruncatedSeries(SparseSum):
         return other.algebra == self.algebra and other.nvars == self.nvars
 
     def _unit_term(self, q):
-        algebra = self.algebra
-        return _zero_key(self.nvars), q if algebra is Fraction else algebra.one().scale(q)
+        return _zero_key(self.nvars), self.algebra.lift(q)
 
     def coefficient(self, k):
         """Coefficient of T^k (or X^i Y^j for a pair key); zero when absent.
@@ -96,10 +94,7 @@ class TruncatedSeries(SparseSum):
             term = "T^%d" % k if self.nvars == 1 else "X^%d*Y^%d" % k
             raise DomainError("the coefficient of %s is unknown: this series is "
                               "known only to total degree %d" % (term, self.cap))
-        v = self.terms.get(key)
-        if v is None:
-            return 0 if self.algebra is Fraction else self.algebra.zero()
-        return v
+        return self.terms.get(key) or self.algebra.zero()  # a stored value is nonzero
 
     def valuation(self):
         """Smallest total degree with a nonzero coefficient; cap+1 when zero."""
@@ -142,7 +137,7 @@ class TruncatedSeries(SparseSum):
         other = self._operand(other)
         cap = min(self.cap, other.cap)
         univariate = self.nvars == 1
-        scalar = self.algebra is Fraction
+        scalar = self.algebra.SCALAR
         right = sorted((k if univariate else sum(k), k, v) for k, v in other.terms.items())
         if univariate and right and self.terms:
             low = min(self.terms)
@@ -168,7 +163,7 @@ class TruncatedSeries(SparseSum):
             raise DomainError("inversion needs a power series, not negative powers of T")
         c0 = self.coefficient(_zero_key(self.nvars))
         # read the rational off c0 along the unit's chain of one-term sums
-        unit = self._unit_term(1)[1]
+        unit = self.algebra.one()
         while isinstance(unit, SparseSum) and c0.terms.keys() == unit.terms.keys():
             (key, unit), = unit.terms.items()
             c0 = c0.terms[key]
@@ -176,14 +171,14 @@ class TruncatedSeries(SparseSum):
             raise DomainError("inversion needs a nonzero rational times 1 as constant term")
         a, b = c0.as_integer_ratio()  # 1/c0 = b/a
         coeffs = {n: quotient((-b) ** n * b, a ** (n + 1)) for n in range(self.cap + 1)}
-        return TruncatedSeries(Fraction, coeffs, self.cap).compose(self - c0)
+        return TruncatedSeries(Q, coeffs, self.cap).compose(self - c0)
 
     def _composable(self, inner):
         """``inner`` cut to the common cap, once it may be substituted into this
         series: ``DomainError`` or ``AlgebraMismatchError`` otherwise."""
         if self.nvars != 1:
             raise DomainError("composition needs a univariate outer series")
-        if inner.algebra != self.algebra and self.algebra is not Fraction:
+        if inner.algebra != self.algebra and not self.algebra.SCALAR:
             raise AlgebraMismatchError("inner series over a different coefficient ring")
         if inner.terms.get(_zero_key(inner.nvars)):
             raise DomainError("inner series must have zero constant term")
@@ -214,9 +209,9 @@ class TruncatedSeries(SparseSum):
         inner = self._composable(inner)
         cap, f = inner.cap, self.terms
         steps = sorted(inner.terms.items())
-        scalar = inner.algebra is Fraction
-        outer_scalar = scalar or self.algebra is Fraction
-        power = {(0, 0): inner._unit_term(1)[1]}  # P_0, then P_k on keys i <= j
+        scalar = inner.algebra.SCALAR
+        outer_scalar = scalar or self.algebra.SCALAR
+        power = {(0, 0): inner.algebra.one()}  # P_0, then P_k on keys i <= j
         out = {}
         for k in range(max(f, default=-1) + 1):
             if k:
@@ -250,13 +245,13 @@ class TruncatedSeries(SparseSum):
         """
         if self.nvars != 1:
             raise DomainError("reversion needs a univariate series")
-        if not (self.algebra is Fraction or self.algebra.COMMUTATIVE):
+        if not self.algebra.COMMUTATIVE:
             raise DomainError("reversion requires commutative coefficients")
-        one = self._unit_term(1)[1]
+        one = self.algebra.one()
         if self.terms.get(0) or self.terms.get(1) != one or self.valuation() < 0:
             raise DomainError("reversion needs the form T + higher order terms")
         f, g = self.terms, {1: one}
-        scalar = self.algebra is Fraction
+        scalar = self.algebra.SCALAR
         powers = {1: g}  # powers[k][m] = [T^m] g^k, known for m < n
         for n in range(2, self.cap + 1):
             # [T^n] g^k = sum_j g_j [T^(n-j)] g^(k-1) needs only g_1 .. g_(n-1)
@@ -288,10 +283,7 @@ class TruncatedSeries(SparseSum):
         if self.cap < -1:
             raise DomainError("the residue needs T^-1, but this series is known only "
                               "to T^%d" % self.cap)
-        v = self.terms.get(-1)
-        if v is None:
-            return 0 if self.algebra is Fraction else self.algebra.zero()
-        return v
+        return self.terms.get(-1) or self.algebra.zero()
 
     def shift(self, k):
         """Multiply by T^k, allowing negative exponents (Laurent view).  A
@@ -310,7 +302,7 @@ class TruncatedSeries(SparseSum):
         if self.terms.get(_zero_key(self.nvars)) or self.valuation() < 0:
             raise DomainError("exp needs a power series with zero constant term")
         coeffs = {n: quotient(1, factorial(n)) for n in range(self.cap + 1)}
-        return TruncatedSeries(Fraction, coeffs, self.cap).compose(self)
+        return TruncatedSeries(Q, coeffs, self.cap).compose(self)
 
     def log(self):
         """log of a series with constant term 1: sum_n (-1)^(n+1) T^n/n of it - 1."""
@@ -318,7 +310,7 @@ class TruncatedSeries(SparseSum):
         if _zero_key(self.nvars) in u.terms or u.valuation() < 0:
             raise DomainError("log needs a power series with constant term 1")
         coeffs = {n: quotient((-1) ** (n + 1), n) for n in range(1, self.cap + 1)}
-        return TruncatedSeries(Fraction, coeffs, self.cap).compose(u)
+        return TruncatedSeries(Q, coeffs, self.cap).compose(u)
 
     def alternate(self):
         """Substitute T -> -T in a univariate series."""

@@ -4,22 +4,24 @@
 one row per coproduct, keyed by its label, ``ARROWS`` one row per Hopf map
 between two structures, keyed by their labels, and ``PAIRINGS`` one row per
 dual pairing, keyed by the two tags; no other module binds a map between
-algebras.  ``expr``, ``jsonio``, ``cli``, ``suites`` and ``algebroid`` read
-the rows at each lookup, so adding a structure or an arrow takes one row.
-Every function is a direct attribute of its row, so code that rebinds a
-function wherever it is held (a tracer, a test double) also reaches the
-calls made through the registry.
+algebras.  ``KINDS`` adds the other coefficient algebras of a series: the
+rationals, the beta polynomials and the tensor spaces.  ``expr``, ``jsonio``,
+``cli``, ``suites`` and ``algebroid`` read the rows at each lookup, so adding
+a structure or an arrow takes one row.  Every function is a direct attribute
+of its row, so code that rebinds a function wherever it is held (a tracer, a
+test double) also reaches the calls made through the registry.
 """
 
 from . import diffeo, nsym, qsym, sym, topology
 from .diffeo import FdBElement
 from .errors import CapabilityError, DomainError
 from .indices import compositions_of, partitions_of
-from .linear import on_words
+from .linear import TensorSpace, on_words
 from .nsym import NSymElement
 from .qsym import QSymElement
+from .scalars import Q
 from .sym import SymElement
-from .topology import BElement
+from .topology import BElement, BetaPolynomial
 
 
 class Algebra:
@@ -100,6 +102,9 @@ ARROWS = {
 
 # the dual pairings ``pair`` offers, by (left, right) algebra tag
 PAIRINGS = {("sym", "sym"): sym.hall_pair, ("nsym", "qsym"): qsym.pair}
+
+# the coefficient algebras beyond the tower's; a tensor space is an instance of its row
+KINDS = {"scalar": Q, "beta": BetaPolynomial, "tensor": TensorSpace}
 
 
 def algebra(tag):

@@ -566,8 +566,7 @@ def suite_topology(weight=None, cap=None):
                           % fcap, [(", ".join(problems), not problems)], "failed: %s"))
 
     B = topology.beta_series(fcap)
-    lift = F.map_coefficients(lambda el: BetaPolynomial({0: el}),
-                              algebra=BetaPolynomial)
+    lift = TruncatedSeries(BetaPolynomial, F.terms, F.cap, F.nvars)
     lhs = B.compose(lift)
     rhs = B.embed_bivariate(0) * B.embed_bivariate(1)
     results.append(_check("beta series turns the group law into a product (degree <= %d)"

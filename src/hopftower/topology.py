@@ -121,7 +121,8 @@ class BetaPolynomial(SparseSum):
     (``DomainError``) and lifts each coefficient by the operand rule of
     ``BElement``, so an ``int`` or ``Fraction`` stands for that multiple of
     the unit, a float raises ``DomainError`` and a value of another kind
-    ``AlgebraMismatchError``.
+    ``AlgebraMismatchError``; as a series coefficient algebra it lifts a
+    b-element onto beta^0.
     """
 
     COMMUTATIVE = True
@@ -129,7 +130,11 @@ class BetaPolynomial(SparseSum):
     key_mul = add
 
     def __init__(self, coeffs=None):
-        self.terms = checked(coeffs, _power, BElement.one()._lift)
+        self.terms = checked(coeffs, _power, BElement.lift)
+
+    @classmethod
+    def lift(cls, v):
+        return cls({0: v}) if isinstance(v, BElement) else super().lift(v)
 
     def _unit_term(self, q):
         return 0, BElement({(): q})

@@ -249,6 +249,8 @@ DEFINED = {("SparseSum", name) for name in RULES - {"from_index", "basis_mul"}} 
     ("TruncatedSeries", "__eq__"),  # tells caps apart
     # not a sparse sum: the coefficient algebra of a tensor series
     ("TensorSpace", "one"), ("TensorSpace", "zero"), ("TensorSpace", "__eq__"),
+    # not a sparse sum: the coefficient algebra of a rational series
+    ("Q", "one"), ("Q", "zero"),
 }
 
 

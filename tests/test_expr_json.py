@@ -235,12 +235,12 @@ def _series(draw):
     """A series of one of the kinds the JSON layer writes, zero ones included."""
     cap = draw(st.integers(1, 3))
     kind = draw(st.sampled_from(["scalar", "bivariate", "sym", "nsym", "tensor",
-                                 "beta", "fgl"]))
+                                 "beta", "fgl", "bivariate beta", "bivariate tensor"]))
     if kind == "beta":
         return beta_series(cap).scale(draw(fractions))
     if kind == "fgl":
         return fgl(cap).scale(draw(fractions))
-    nvars = 2 if kind == "bivariate" else 1
+    nvars = 2 if kind.startswith("bivariate") else 1
     keys = [(i, j) for i in range(cap + 1) for j in range(cap + 1 - i)] \
         if nvars == 2 else list(range(cap + 1))
     coefficient = {
@@ -251,23 +251,33 @@ def _series(draw):
         "tensor": lambda: Tensor((NSymElement, SymElement), {
             (draw(st.sampled_from(COMPOSITIONS)), draw(st.sampled_from(PARTITIONS))):
             draw(fractions) for _ in range(draw(st.integers(0, 2)))}),
+        "bivariate beta": lambda: BetaPolynomial({
+            draw(st.integers(0, 2)): BElement(draw(_terms(PARTITIONS)))}),
+        "bivariate tensor": lambda: Tensor((SymElement, BElement), {
+            (draw(st.sampled_from(PARTITIONS)), draw(st.sampled_from(PARTITIONS))):
+            draw(fractions) for _ in range(draw(st.integers(0, 2)))}),
     }[kind]
     algebra = {"scalar": Fraction, "bivariate": Fraction, "sym": SymElement,
-               "nsym": NSymElement, "tensor": TensorSpace(NSymElement, SymElement)}[kind]
+               "nsym": NSymElement, "tensor": TensorSpace(NSymElement, SymElement),
+               "bivariate beta": BetaPolynomial,
+               "bivariate tensor": TensorSpace(SymElement, BElement)}[kind]
     picked = draw(st.lists(st.sampled_from(keys), max_size=3, unique=True))
     return TruncatedSeries(algebra, {k: coefficient() for k in picked}, cap, nvars)
 
 
 ZERO_SERIES = [TruncatedSeries(algebra, {}, 2, nvars) for algebra, nvars in (
     (Fraction, 1), (Fraction, 2), (SymElement, 1), (NSymElement, 1), (type(M(1)), 1),
-    (type(t(1)), 1), (BElement, 1), (BElement, 2), (BetaPolynomial, 1),
-    (TensorSpace(NSymElement, NSymElement), 1))]
+    (type(t(1)), 1), (BElement, 1), (BElement, 2), (BetaPolynomial, 1), (BetaPolynomial, 2),
+    (TensorSpace(NSymElement, NSymElement), 1), (TensorSpace(NSymElement, NSymElement), 2))]
 
 
 @settings(max_examples=80, deadline=None)
 @given(st.one_of(_series(), st.sampled_from(ZERO_SERIES)))
 @example(parse_series("h[1]*T + (m[2]+p[1,1])*T^2 + e[3]*T^3", 3))
 @example(parse_series("exp(beta*T)-exp(beta*T)", 2))
+@example(TruncatedSeries(BetaPolynomial, {(1, 0): BetaPolynomial({2: b(1)}), (0, 1): 1}, 2, 2))
+@example(TruncatedSeries(TensorSpace(SymElement, BElement),
+                         {(1, 1): Tensor.of(e(1), b(1)), (0, 2): 1}, 2, 2))
 def test_series_documents_round_trip_every_kind(s):
     back = loads(dumps(document_for(s)))
     assert back == s
@@ -416,3 +426,20 @@ def test_an_index_part_equal_to_an_int_is_refused_before_it_is_summed():
     for doc in (element, tensor, slots):
         with pytest.raises(DomainError):
             from_document(doc)
+
+
+_TERMS = [{"index": [1], "coeff": "1"}]
+_BETA = [{"power": 2, "terms": [{"index": [], "coeff": "1"}]}]
+
+
+@pytest.mark.parametrize("doc", [
+    {"algebra": "fdb", "cap": 2, "series": [
+        {"power": 1, "coeff": "3", "terms": [{"index": [2], "coeff": "1"}]}]},
+    {"algebra": "sym", "basis": "e", "terms": _TERMS, "beta": _BETA},
+    {"algebra": "bpoly", "terms": _TERMS, "beta": _BETA},
+], ids=["series entry", "sym element", "bpoly element"])
+def test_a_document_with_two_bodies_is_refused(doc):
+    """Each body is read by its own kind, so a second one is refused rather
+    than silently dropped."""
+    with pytest.raises(DomainError, match="one body"):
+        from_document(doc)

@@ -14,8 +14,8 @@ from hopftower import cli
 from hopftower.algebroid import SB, coface, differential
 from hopftower.errors import AlgebraMismatchError, CapabilityError, DomainError, ExpressionError
 from hopftower.exactlinalg import invert_matrix
-from hopftower.expr import parse_element
-from hopftower.linear import Tensor
+from hopftower.expr import parse_element, parse_series
+from hopftower.linear import Tensor, TensorSpace
 from hopftower.nsym import NSymElement, z_series
 from hopftower.qsym import QSymElement, pair_tensor
 from hopftower.scalars import parse_scalar, rational
@@ -31,6 +31,11 @@ def _bivariate():
 
 def _t():
     return TruncatedSeries(Fraction, {1: 1}, 3)
+
+
+def _noncommutative_tensor_series():
+    space = TensorSpace(NSymElement, NSymElement)
+    return TruncatedSeries(space, {1: 1, 2: Tensor((NSymElement,) * 2, {((1,), (2,)): 1})}, 3)
 
 
 def _level_three():
@@ -83,6 +88,16 @@ CASES = [
     ("expected a number, a generator or '(' at column 1", lambda: parse_element("*"),
      ExpressionError),
     ("expected an index part at column 3", lambda: parse_element("e[1/2]"), ExpressionError),
+    ("a series coefficient algebra is Fraction, an algebra class or a TensorSpace, not 'foo'",
+     lambda: TruncatedSeries("foo")),
+    ("a series coefficient algebra is Fraction, an algebra class or a TensorSpace, "
+     "not <class 'int'>", lambda: TruncatedSeries(int)),
+    ("a series coefficient algebra is Fraction, an algebra class or a TensorSpace, not None",
+     lambda: TruncatedSeries(None, {0: 1}, 2)),
+    ("series coefficients mix BElement with FdBElement",
+     lambda: parse_series("b[1]*T + t[1]*T", 2), AlgebraMismatchError),
+    ("reversion requires commutative coefficients",
+     lambda: _noncommutative_tensor_series().revert()),
 ]
 
 

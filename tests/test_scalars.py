@@ -30,7 +30,7 @@ PACKAGE = Path(__file__).resolve().parent.parent / "src" / "hopftower"
 
 
 def test_rational_is_canonical():
-    from hopftower.scalars import format_scalar, parse_scalar, quotient, rational
+    from hopftower.scalars import parse_scalar, quotient, rational
     assert type(rational(Fraction(6, 3))) is int and rational(Fraction(6, 3)) == 2
     assert rational(Fraction(1, 2)) == Fraction(1, 2)
     assert type(rational(True)) is int
@@ -38,7 +38,21 @@ def test_rational_is_canonical():
     assert type(quotient(6, 3)) is int and quotient(1, 3) == Fraction(1, 3)
     assert quotient(Fraction(1, 2), Fraction(1, 4)) == 2
     assert type(parse_scalar("4/2")) is int
-    assert format_scalar(Fraction(4, 2)) == format_scalar(2) == "2"
+
+
+def test_documents_write_each_coefficient_canonically():
+    # a document writes str of the stored coefficient, already canonical
+    from hopftower.jsonio import document_for, dumps
+    two = '{"algebra":"scalar","terms":[{"index":[],"coeff":"2"}]}'
+    assert dumps(document_for(Fraction(4, 2))) == dumps(document_for(2)) == two
+    assert dumps(document_for(Fraction(-5, 2))) \
+        == '{"algebra":"scalar","terms":[{"index":[],"coeff":"-5/2"}]}'
+    s = TruncatedSeries(Fraction, {1: Fraction(-5, 2), 2: Fraction(4, 2)}, 2)
+    assert dumps(document_for(s)) == ('{"algebra":"scalar","cap":2,"vars":1,"series":'
+                                      '[{"power":1,"coeff":"-5/2"},{"power":2,"coeff":"2"}]}')
+    assert dumps(document_for(z(1).scale(Fraction(-5, 2)) + 2)) == (
+        '{"algebra":"nsym","structure":"binomial","terms":[{"index":[],"coeff":"2"},'
+        '{"index":[1],"coeff":"-5/2"}]}')
 
 
 def test_element_constructor_rejects_floats():
