@@ -23,9 +23,7 @@ substitution maps of ``diffeo`` read it at nonnegative powers, the antipode
 of e_n in ``sym`` at -1, and ``series.reverted_power`` at -n.
 """
 
-from collections import Counter
 from functools import lru_cache
-from math import factorial, prod
 
 from .errors import DomainError
 
@@ -80,6 +78,13 @@ def power_count(a, lam):
     commutative algebra, for a partition ``lam`` and any ``int`` ``a``:
     (a)_l / prod_i m_i!, with (a)_l = a (a - 1) ... (a - l + 1), l the length
     of ``lam`` and m_i its multiplicities.  An ``int``: C(a, l) times the
-    l! / prod_i m_i! orderings of ``lam``."""
-    return prod(range(a, a - len(lam), -1)) // prod(map(factorial, Counter(lam).values()))
+    l! / prod_i m_i! orderings of ``lam``.  The equal parts of a partition
+    are adjacent, so a run of r of them divides by r!, one factor a step;
+    every partial quotient is such a count of a prefix, hence exact."""
+    count, run, prev = 1, 0, 0
+    for k, part in enumerate(lam):
+        run = run + 1 if part == prev else 1
+        count = count * (a - k) // run
+        prev = part
+    return count
 

@@ -147,10 +147,13 @@ def _number_from(body):
 
 
 def _beta_from(body):
-    """A repeated power is summed; the constructor checks every power."""
-    beta = structures.KINDS["beta"]
-    return sum((beta({entry["power"]: BElement(_terms_from(entry["terms"]))})
-                for entry in body["beta"]), beta())
+    """The terms gathered in one dict, a repeated power summed once the
+    constructor of its one-term polynomial has checked it."""
+    beta, out = structures.KINDS["beta"], {}
+    for entry in body["beta"]:
+        for k, v in beta({entry["power"]: BElement(_terms_from(entry["terms"]))}).terms.items():
+            add_term(out, k, v)
+    return beta()._new(out)
 
 
 def _reader(doc, series):
@@ -197,14 +200,17 @@ def from_document(doc):
         if not series:
             return read(doc)
         cap, nvars = doc["cap"], doc.get("vars", 1)
-        total = TruncatedSeries(algebra, None, cap, nvars)
+        zero, out = TruncatedSeries(algebra, None, cap, nvars), {}
         for entry in doc["series"]:
             key = tuple(entry["powers"]) if nvars == 2 else entry["power"]
             value = parse_scalar(entry["coeff"]) if _body(entry) == "coeff" else read(entry)
-            # a repeated power is summed, each entry a series whose constructor
-            # has checked its power first
-            total = total + TruncatedSeries(algebra, {key: value}, cap, nvars)
-        return total
+            # the terms are gathered in one dict, each power checked and each
+            # value lifted before a repeated power is summed (True and 1.0
+            # hash like 1), as the series constructor does
+            key = zero._norm_key(key)
+            if key is not None:
+                add_term(out, key, zero.algebra.lift(value))
+        return zero._new(out)
     except DomainError:
         raise
     except KeyError as exc:

@@ -65,8 +65,10 @@ result (a one-word input, the common case, is one ``dict`` copy, or one
 read-only view of one word's terms, through which the cobar accumulator of
 ``algebroid`` reads each basis index's coaction or coproduct.  ``binomial_gen``
 is the generator coproduct of a grouplike generator series.  Where no closed
-form on generators is known, ``recursive_antipode`` computes the antipode
-from the coproduct by the connected-graded recursion (Takeuchi 1971).
+form on generators is known (the renormalization generators of ``diffeo``),
+``recursive_antipode`` computes the antipode from the coproduct by the
+connected-graded recursion (Takeuchi 1971); elsewhere it is the ``verify``
+oracle of a closed form.
 """
 
 from fractions import Fraction
@@ -810,14 +812,16 @@ def recursive_antipode(delta_x, antipode):
 
     S(x) = e(x) - sum c S(x') x'' over the terms c x' (x) x'' of ``delta_x``
     whose right slot is not the unit (Takeuchi 1971); ``antipode`` maps a
-    basis index of the left slot, always of lower weight, to its image.
+    basis index of the left slot, always of lower weight, to its image.  Each
+    product is added raw through the unit's ``_mul_into``, settled once.
     """
-    cls = delta_x.factors[1]
+    unit = delta_x.factors[1].one()
     rights = {}
     for (i, j), c in delta_x.terms.items():
         if j:
             rights.setdefault(i, {})[j] = -c
-    out = cls({(): delta_x.terms.get(((), ()), 0)})
+    c = delta_x.terms.get(((), ()))
+    out = {(): c} if c else {}
     for i, r in rights.items():
-        out = out + antipode(i) * cls(r)
-    return out
+        unit._mul_into(out, antipode(i), unit._new(r))
+    return unit._new(settle(out))

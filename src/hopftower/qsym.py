@@ -9,17 +9,17 @@ symmetric functions sit inside it by fanning a partition out over all of
 its rearrangements.
 
 QSym is not free on the M_I, so its antipode is not a word extension: each
-basis element's image comes from ``linear.recursive_antipode``, the
-connected-graded recursion through deconcatenation.  ``verify`` checks it
-against Ehrenborg's closed coarsening formula.
+basis element's image is Ehrenborg's closed coarsening formula, and ``verify``
+checks it against the connected-graded recursion through deconcatenation
+(``linear.recursive_antipode``).
 """
 
 from functools import lru_cache
-from itertools import combinations, permutations
+from itertools import accumulate, combinations, permutations
 
 from .errors import AlgebraMismatchError
-from .indices import natural
-from .linear import LinearElement, Tensor, add_term, dot, recursive_antipode
+from .indices import compositions_of, natural
+from .linear import LinearElement, Tensor, add_term, dot, mul_into, settle
 from .nsym import NSymElement
 from . import sym
 
@@ -74,13 +74,24 @@ def coproduct(f):
 
 @lru_cache(maxsize=None)
 def _antipode_basis(I):
-    """Antipode on M_I by the connected-graded recursion."""
-    return recursive_antipode(coproduct(QSymElement.from_index(I)), _antipode_basis)
+    """S(M_I) = (-1)^len(I) times the sum of M_J over the coarsenings J of
+    reversed I (Ehrenborg, Adv. Math. 119, 1996): one J, each once, per
+    composition of len(I) into blocks."""
+    ends = (0, *accumulate(I[::-1]))
+    sign = -1 if len(I) % 2 else 1
+    out = {}
+    for blocks in compositions_of(len(I)):
+        cuts = (0, *accumulate(blocks))
+        out[tuple(ends[b] - ends[a] for a, b in zip(cuts, cuts[1:]))] = sign
+    return QSymElement()._new(out)
 
 
 def antipode(f):
-    return sum((_antipode_basis(I).scale(c)
-                for I, c in QSymElement.require(f, "antipode").terms.items()), QSymElement())
+    """Each term's c S(M_I) added raw into one dict, settled once: f times the
+    unit, with M_I * 1 read as S(M_I)."""
+    f = QSymElement.require(f, "antipode")
+    return f._new(settle(mul_into({}, f.terms, {(): 1},
+                                  lambda I, _: _antipode_basis(I).terms.items())))
 
 
 def pair(a, b):

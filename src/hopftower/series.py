@@ -12,12 +12,14 @@ the inner powers: the convention that makes the noncommutative functional
 calculus here come out right.  An outer series over numbers takes an inner
 one over any algebra, so ``exp``, ``log`` and ``invert`` are each a
 composition of a fixed rational series.  ``compose_sum`` substitutes
-inner(X) + inner(Y) for a univariate inner series, the two-variable addition
-series of ``topology.fgl`` and ``topology.cp_infinity_coproduct``.  The swap of
-the central X and Y fixes every power of that sum, so it builds each power on
-the keys (i, j) with i <= j only and mirrors the result, with about half the
-coefficient products of ``compose`` of the embedded sum.  The ``verify`` suite
-``bfk`` checks both series against Horner's rule on that embedded sum.
+inner(X) + inner(Y) for a univariate inner series: it serves only
+``topology.cp_infinity_coproduct``, whose noncommutative coefficients keep
+the binomial count of the commutative group law ``topology.fgl`` from
+applying.  The swap of the central X and Y fixes every power of that sum, so
+it builds each power on the keys (i, j) with i <= j only and mirrors the
+result, with about half the coefficient products of ``compose`` of the
+embedded sum.  The ``verify`` suite ``bfk`` checks it against Horner's rule
+on that embedded sum.
 Reversion, defined over commutative coefficients only, takes one pass and no
 composition: at degree n it fills [T^n] g^k for k >= 2 from g_1 .. g_(n-1),
 then reads off g_n.  ``reverted_power`` counts the coefficients of the

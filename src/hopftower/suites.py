@@ -6,7 +6,10 @@ everything twice along independent routes wherever the library offers one
 (series reversion against the connected-graded recursion, matrix ranks
 against a direct kernel solve, quasi-shuffle against expansion in ordered
 variables, and so on), so a bug in either route breaks the comparison rather
-than hiding inside it.
+than hiding inside it.  Where the package counts in closed form, the slow
+route it replaced is the oracle here: the QSym antipode against the
+connected-graded recursion (``linear.recursive_antipode``), the group law
+``topology.fgl`` against Horner's composition.
 
 Every record comes from ``_check``, the one record runner.  ``SUITES`` maps
 each name of ``cli.SUITE_NAMES`` to its suite, and ``verify.run_suites``
@@ -18,7 +21,7 @@ import io
 import json
 import random
 from fractions import Fraction
-from itertools import accumulate, chain, permutations
+from itertools import chain, permutations
 from math import lcm
 
 from . import diffeo, structures, topology
@@ -35,7 +38,7 @@ from .exactlinalg import invert_matrix, matrix_rank, sparse_rank
 from .expr import parse_element
 from .indices import compositions_of, partitions_of
 from .jsonio import document_for, dumps, from_document
-from .linear import Polynomial, Tensor, image_items, on_words
+from .linear import Polynomial, Tensor, image_items, on_words, recursive_antipode
 from .nsym import NSymElement, z
 from .qsym import M, QSymElement, expand_ordered, pair, pair_tensor
 from .series import TruncatedSeries
@@ -140,16 +143,11 @@ def _arrow_cases(bound):
 
 # -- antipode cross-checks -------------------------------------------------
 
-def _ehrenborg_antipode(I):
-    """S(M_I) = (-1)^len(I) * sum of M_J over the coarsenings J of reversed I
-    (Ehrenborg, Adv. Math. 119, 1996): a closed form, with no recursion."""
-    rev = I[::-1]
-    out = {}
-    for blocks in compositions_of(len(I)):
-        ends = list(accumulate(blocks))
-        J = tuple(sum(rev[a:b]) for a, b in zip([0] + ends, ends))
-        out[J] = Fraction(-1) ** len(I)
-    return QSymElement(out)
+def _recursive_qsym_antipode(I):
+    """S(M_I) by the connected-graded recursion through deconcatenation
+    (Takeuchi 1971), with no closed form and no memo: the oracle of
+    Ehrenborg's coarsening formula in ``qsym.antipode``."""
+    return recursive_antipode(qsym_mod.coproduct(M(*I)), _recursive_qsym_antipode)
 
 
 def _expanded_transition(basis, w):
@@ -241,7 +239,7 @@ def suite_antipode(weight=None, cap=None):
                 for lam in partitions_of(w1) for mu in partitions_of(w2))),
         _check("qsym antipode: graded recursion equals Ehrenborg's coarsening formula "
                "(weight <= %d, {count} compositions)" % qbound,
-               ((I, qsym_mod.antipode(M(*I)) == _ehrenborg_antipode(I))
+               ((I, qsym_mod.antipode(M(*I)) == _recursive_qsym_antipode(I))
                 for w in range(qbound + 1) for I in compositions_of(w))),
         _check("diffeo antipode: reversion equals graded recursion (n <= %d)" % bound,
                ((n, diffeo.fdb_antipode(t(n))

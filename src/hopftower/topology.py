@@ -8,23 +8,24 @@ inversion counts each coefficient of its powers in closed form
 (``series.reverted_power``), and a single number is one
 ``indices.power_count``.  ``verify`` checks them against the reversion.
 
-The two-variable group law b(b^{-1}(X) + b^{-1}(Y)) and the beta
-exponential live here too, as do the quasisymmetric
-characteristic numbers of products of projective spaces (the roots
-substituted into the ordered-variable expansion of M_I, in the truncated
-cohomology ring), the invariant attached to each weight as a sum over
-compositions, the cumulant series, and the noncommutative two-variable
+The two-variable group law b(b^{-1}(X) + b^{-1}(Y)) is counted from the same
+powers by the binomial theorem, with no composition; ``verify`` checks it
+against Horner's composition.  The beta exponential lives here too, as do
+the quasisymmetric characteristic numbers of products of projective spaces
+(the roots substituted into the ordered-variable expansion of M_I, in the
+truncated cohomology ring), the invariant attached to each weight as a sum
+over compositions, the cumulant series, and the noncommutative two-variable
 addition series that abelianizes to the group law.
 """
 
 from functools import lru_cache, partial
-from math import factorial
+from math import comb, factorial
 from operator import add
 
 from .diffeo import bfk_antipode
 from .errors import CapabilityError, DomainError
 from .indices import compositions_of, natural, partitions_of, power_count
-from .linear import CommutativeElement, Polynomial, SparseSum, checked, substitute
+from .linear import CommutativeElement, Polynomial, SparseSum, checked, settle, substitute
 from .nsym import NSymElement, z_series
 from .scalars import quotient, rational
 from .series import TruncatedSeries, generator_series, reverted_power
@@ -100,10 +101,33 @@ def cp_char_number_oracle(n, lam):
 
 
 def fgl(cap):
-    """The two-variable addition law b(b^{-1}(X) + b^{-1}(Y)), total degree <= cap,
-    by ``TruncatedSeries.compose_sum``: one pass on the half X^i Y^j, i <= j."""
-    log = miscenko_log(cap)
-    return b_series(cap).compose_sum(log)
+    """The two-variable addition law b(L(X) + L(Y)), L = b^{-1} the logarithm,
+    total degree <= cap, counted with no composition.  [X^0 Y^j] is [Y^j]
+    b(L(Y)) = Y.  For i, j >= 1 the b's commute, so by the binomial theorem
+    [X^i Y^j] = sum_c U_(i,c) [Y^j] L^c, where U_(i,c) = sum_a C(a + c, a)
+    b_(a+c-1) [X^i] L^a, b_0 = 1 and each [T^n] L^k one ``reverted_power``.
+    The half i <= j is built and mirrored."""
+    cap = natural(cap, "cap", 1)
+    one = BElement.one()
+    # powers[n][k] = [T^n] L^k, nonzero for 1 <= k <= n
+    powers = {n: {k: reverted_power(BElement, n, k) for k in range(1, n + 1)}
+              for n in range(1, cap + 1)}
+    out = {(0, 1): one, (1, 0): one}
+    for i in range(1, cap // 2 + 1):
+        row = {}
+        for c in range(1, cap - i + 1):
+            raw = {}
+            for a, power in powers[i].items():
+                one._mul_into(raw, BElement()._new({(a + c - 1,): comb(a + c, a)}), power)
+            row[c] = one._new(settle(raw))
+        for j in range(i, cap - i + 1):
+            raw = {}
+            for c, power in powers[j].items():
+                one._mul_into(raw, row[c], power)
+            terms = settle(raw)
+            if terms:
+                out[i, j] = out[j, i] = one._new(terms)
+    return TruncatedSeries(BElement, cap=cap)._new(out, nvars=2)
 
 
 # -- beta exponential ------------------------------------------------------
@@ -243,8 +267,10 @@ def cp_infinity_coproduct(cap):
 
     X and Y are central; the coefficients stay noncommutative.  Setting one
     variable to zero must return the other variable alone, and collapsing
-    Z_k to b_k recovers the commutative group law.  The route is the one of
-    ``fgl``, ``TruncatedSeries.compose_sum``, which needs X and Y central only.
+    Z_k to b_k recovers the commutative group law.  The route is
+    ``TruncatedSeries.compose_sum``, which needs X and Y central only: the
+    coefficients do not commute, so the binomial count of ``fgl`` does not
+    apply.
     """
     zs = z_series(natural(cap, "cap", 1))
     return zs.compose_sum(zs.map_coefficients(bfk_antipode))

@@ -5,7 +5,8 @@ extended over words by ``linear.on_words``; the properties below check the
 extension on random linear combinations (not just basis elements) of all
 five structures, and check ``linear.recursive_antipode`` against the closed
 forms the library keeps: the composition sum for NSym, the e-basis sum for
-symmetric functions and Lagrange reversion for the diffeomorphism algebra.
+symmetric functions, Lagrange reversion for the diffeomorphism algebra and
+Ehrenborg's coarsening formula for QSym.
 Arithmetic builds its results through the trusted ``_new`` path, so the last
 properties check that every result is canonical, equal to its rebuild through
 the validating constructor, and shares no dict with its operands.
@@ -29,7 +30,7 @@ from hopftower.nsym import NSymElement, z
 from hopftower.qsym import M, QSymElement
 from hopftower.series import TruncatedSeries
 from hopftower.sym import SymElement, e
-from hopftower.suites import _ehrenborg_antipode
+from hopftower.suites import _recursive_qsym_antipode
 
 WEIGHT = 4
 
@@ -111,11 +112,15 @@ def test_recursion_on_generators_matches_each_closed_form():
             == diffeo._fdb_antipode_gen(n)
 
 
-def test_qsym_antipode_matches_ehrenborg():
+def test_qsym_antipode_matches_the_recursion():
+    """Ehrenborg's coarsening formula equals the connected-graded recursion
+    on every composition of weight <= 8, and on a sum with a repeated image."""
     assert qsym.antipode(M(2, 1)) == M(1, 2) + M(3)
-    for w in range(WEIGHT + 2):
+    for w in range(9):
         for I in compositions_of(w):
-            assert qsym.antipode(M(*I)) == _ehrenborg_antipode(I)
+            assert qsym.antipode(M(*I)) == _recursive_qsym_antipode(I), I
+    f = M(1, 2).scale(3) - M(3) + M(2, 1).scale(Fraction(1, 2))
+    assert qsym.antipode(f) == recursive_antipode(qsym.coproduct(f), _recursive_qsym_antipode)
 
 
 def test_unit_and_zero():

@@ -412,6 +412,30 @@ def test_a_power_equal_to_an_int_is_refused_before_it_is_summed():
     with pytest.raises(DomainError):
         from_document(doc)
 
+    for other in (True, 1.0):
+        poly = {"algebra": "bpoly", "beta": [
+            {"power": 1, "terms": [{"index": [1], "coeff": "1"}]},
+            {"power": other, "terms": [{"index": [1], "coeff": "1"}]}]}
+        with pytest.raises(DomainError, match="power of beta"):
+            from_document(poly)
+
+
+def test_a_repeated_power_in_a_bivariate_series_document_is_summed():
+    doc = document_for(TruncatedSeries(BElement, {(1, 2): b(1), (0, 1): 1}, 4, 2))
+    doc["series"] += [{"powers": [1, 2], "terms": [{"index": [1], "coeff": "-1"}]},
+                      {"powers": [0, 1], "coeff": "1/2"}, {"powers": [3, 3], "coeff": "7"}]
+    assert from_document(doc) == TruncatedSeries(BElement, {(0, 1): Fraction(3, 2)}, 4, 2)
+
+
+def test_a_cap_80_bivariate_document_reads_back_equal():
+    """3,321 entries, gathered into one dict rather than added one series at
+    a time."""
+    s = TruncatedSeries(Fraction, {(i, j): Fraction(i - 2 * j, j + 1) or 1
+                                   for i in range(81) for j in range(81 - i)}, 80, 2)
+    doc = document_for(s)
+    assert len(doc["series"]) == 3321
+    assert from_document(json.loads(dumps(doc))) == s
+
 
 def test_an_index_part_equal_to_an_int_is_refused_before_it_is_summed():
     element = {"algebra": "nsym", "terms": [{"index": [1], "coeff": "1"},

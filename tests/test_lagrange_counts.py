@@ -15,7 +15,7 @@ projective-space number is one count, so it enumerates no partitions.
 import io
 from collections import Counter
 from fractions import Fraction
-from math import comb
+from math import comb, factorial, prod
 
 import pytest
 
@@ -47,6 +47,16 @@ def test_the_count_is_the_coefficient_of_a_power_of_the_series():
                 assert all(type(c) is int for c in counts.values())
                 assert power.coefficient(r) == BElement(counts), (a, r)
             power = power * step
+
+
+def test_the_count_equals_the_multiplicity_formula():
+    """(a)_l / prod_i m_i!, the multiplicities taken by ``Counter``, on every
+    partition of weight <= 20 at powers from -21 to 21."""
+    for w in range(21):
+        for lam in partitions_of(w):
+            denominator = prod(map(factorial, Counter(lam).values()))
+            for a in (-21, -w - 1, -7, -1, 0, 1, 2, 5, w, 21):
+                assert power_count(a, lam) == prod(range(a, a - len(lam), -1)) // denominator
 
 
 @pytest.mark.parametrize("cls", [BElement, FdBElement])

@@ -10,6 +10,7 @@ from fractions import Fraction
 
 import pytest
 
+from hopftower import topology
 from hopftower.cli import run_command
 from hopftower.diffeo import FdBElement, fdb_antipode
 from hopftower.errors import AlgebraMismatchError, CapabilityError, DomainError
@@ -84,6 +85,30 @@ def test_group_law_pins_and_axioms():
     assert F.set_variable_zero(0) == ident
     assert F.set_variable_zero(1) == ident
     assert F.swap_variables() == F
+
+
+def test_group_law_in_closed_form_equals_the_composition():
+    """The binomial count of ``fgl`` against ``compose_sum`` of the
+    logarithm, keys and ``int`` coefficients included, for caps 1-14; it
+    composes nothing and reads no logarithm."""
+    for cap in range(1, 15):
+        F = fgl(cap)
+        G = b_series(cap).compose_sum(miscenko_log(cap))
+        assert (F.cap, F.nvars, F.algebra) == (G.cap, G.nvars, G.algebra), cap
+        assert F.terms.keys() == G.terms.keys(), cap
+        for key, v in F.terms.items():
+            assert type(v) is BElement and v.terms == G.terms[key].terms, (cap, key)
+            assert all(type(c) is int for c in v.terms.values()), (cap, key)
+
+
+def test_group_law_composes_nothing(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("composition")
+
+    for name in ("compose", "compose_sum", "revert"):
+        monkeypatch.setattr(TruncatedSeries, name, refuse)
+    monkeypatch.setattr(topology, "miscenko_log", refuse)
+    assert fgl(6).coefficient((1, 1)) == b(1).scale(2)
 
 
 def test_group_law_associativity_low_degree():
