@@ -43,7 +43,7 @@ from .indices import compositions_of, partitions_of
 from .jsonio import document_for, dumps, from_document, loads
 from .linear import Tensor
 from .nsym import NSymElement, abelianize, z, z_series
-from .qsym import M, QSymElement, include_symmetric, pair, quasi_shuffle
+from .qsym import M, QSymElement, include_symmetric, pair
 from .series import TruncatedSeries
 from .sym import SymElement, convert, e, h, hall_pair, involution, m, p
 from .topology import (BElement, BetaPolynomial, ProjectiveProductSpace, b,
@@ -64,9 +64,8 @@ __all__ = [
     "document_for", "dumps", "e", "fdb_antipode", "fdb_coproduct", "fgl",
     "from_document", "h", "hall_pair", "include_symmetric", "involution",
     "loads", "m", "miscenko_log", "p", "pair", "parse_element",
-    "parse_series", "partitions_of", "quasi_shuffle",
-    "quasitoric_char_number", "right_unit_functional", "run_suites", "t",
-    "t_series", "z", "z_series",
+    "parse_series", "partitions_of", "quasitoric_char_number",
+    "right_unit_functional", "run_suites", "t", "t_series", "z", "z_series",
 ]
 
 __version__ = "0.1.0"

@@ -31,8 +31,8 @@ im d^(s-1), since d^s vanishes there.
 the dense oracle, counts its pivots: ``verify`` and
 ``algebroid.invariants_rank_oracle`` call it as the independent route for
 ranks, which shares no step with ``sparse_leads``.  ``invert_matrix``
-row-reduces [A | I]; only ``verify`` calls it, to check the substitution
-solves and h conversions of ``sym``.
+row-reduces [A | I]; only ``verify`` calls it, to check the inverse tables
+of ``sym``, one substitution solve per unit vector, and its h conversions.
 """
 
 from math import gcd

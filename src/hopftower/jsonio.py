@@ -95,7 +95,7 @@ def document_for(x, structure=None):
     series, as ``from_document`` builds it."""
     if not isinstance(x, TruncatedSeries):
         algebra = (structures.KINDS["tensor"](*x.factors) if isinstance(x, Tensor)
-                   else Q if isinstance(x, Rational) else type(x))
+                   else Q if isinstance(x, Rational) and type(x) is not bool else type(x))
         doc, write = _writer(algebra, structure, x, False)
         return {**doc, **write(x)}
     if x.cap < 0 or x.valuation() < 0:

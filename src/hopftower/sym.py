@@ -14,12 +14,13 @@ QSym, where m_lam is the sum of M_I over the rearrangements I of lam; it stays
 the public evaluation and the independent oracle that ``verify`` checks the
 counts against.
 
-A conversion goes through m and inverts no table by elimination.  In the
-order of ``partitions_of`` (decreasing lex, which refines dominance) the p
-table is lower triangular with diagonal prod_i m_i(lam)!, and w! times its
-inverse is integral; the e table, its row for e_lam moved to the place of
-lam', is unitriangular (I.2, I.6).  Both are solved by substitution in ints;
-``exactlinalg.invert_matrix`` is only their oracle, in ``verify``.  h has no
+A conversion goes through m and inverts no table.  In the order of
+``partitions_of`` (decreasing lex, which refines dominance) the p table is
+lower triangular with diagonal prod_i m_i(lam)!, and w! times its inverse is
+integral; the e table, its row for e_lam moved to the place of lam', is
+unitriangular (I.2, I.6).  So m -> e or p is one substitution pass per weight
+in ints (``_solve``); the inverse is built only for ``verify``, one solve per
+unit vector, to be checked against ``exactlinalg.invert_matrix``.  h has no
 table: h_lam = (-1)^|lam| S(e_lam) and omega swaps e and h, so one map,
 ``_h_swap``, trades h and e coordinates both ways.  Between h and p the swap
 is not needed: omega is the sign (-1)^(|lam| - l(lam)) on p_lam (I.2.13), so
@@ -232,33 +233,34 @@ def _transition(basis, w):
                              for lam in parts)
 
 
-def _combination(acc, terms, rows, diagonal=1):
-    """(the dense row ``acc`` plus x * rows[k] for each (k, x) in ``terms``)
-    // diagonal, as nonzero (j, entry) pairs, j increasing."""
-    for k, x in terms:
-        for j, y in rows[k]:
-            acc[j] += x * y
-    return tuple((j, y // diagonal) for j, y in enumerate(acc) if y)
+def _solve(basis, w, coords):
+    """The x with x T = v, as (partition, int) pairs, for T the e or p table
+    of weight w and v the dict ``coords`` of m coordinates, scaled so that x
+    is integral (by w! on p).  One pass of substitution, rows last first: a
+    row's diagonal is its first pair on e and its last on p, and every other
+    column of a row is the diagonal of an earlier row, so each division is exact."""
+    parts, _, rows = _transition(basis, w)
+    acc = [coords.get(lam, 0) for lam in parts]
+    lead = -1 if basis == "p" else 0
+    for r in range(len(parts) - 1, -1, -1):
+        i, diagonal = rows[r][lead]
+        x = acc[i] // diagonal
+        if x:
+            for j, y in rows[r]:
+                acc[j] -= x * y
+            yield parts[r], x
 
 
 @lru_cache(maxsize=None)
 def _transition_inverse(basis, w):
     """Inverse of the transition matrix as ``(d, rows)``: ``d`` times the
     inverse is an integer matrix, each of whose rows is held as its nonzero
-    (j, entry) pairs, j increasing; solved as the module docstring says."""
-    parts, _, rows = _transition(basis, w)
-    # w! times m in p is integral, so every division below is exact
+    (j, entry) pairs, j increasing.  Row j is the ``_solve`` of the j-th unit
+    vector; ``convert`` never builds it, ``verify`` checks it by Gauss-Jordan."""
+    parts, pos, _ = _transition(basis, w)
     scale = factorial(w) if basis == "p" else 1
-    # the diagonal entry is the first pair of an e row, the last of a p row;
-    # every other column of a row is solved before it
-    lead = -1 if basis == "p" else 0
-    inverse = [None] * len(parts)
-    for r in sorted(range(len(parts)), key=lambda r: rows[r][lead][0], reverse=lead == 0):
-        i, diagonal = rows[r][lead]
-        acc = [0] * len(parts)
-        acc[r] = scale
-        inverse[i] = _combination(acc, ((j, -x) for j, x in rows[r] if j != i),
-                                  inverse, diagonal)
+    inverse = [tuple(sorted((pos[mu], x) for mu, x in _solve(basis, w, {lam: scale})))
+               for lam in parts]
     g = gcd(scale, *(y for r in inverse for _, y in r))
     return scale // g, (tuple(inverse) if g == 1 else tuple(
         tuple((j, y // g) for j, y in r) for r in inverse))
@@ -316,12 +318,10 @@ def convert(f, to, integral=False):
                     acc[mu] = acc.get(mu, 0) + c * x
             coords = settle(acc).items()
         if src != hub and hub != "m":
-            parts, pos, _ = _transition(hub, w)
-            # coords reads d lazily, so it is read before d changes
-            row = [(pos[lam], c) for lam, c in coords]
-            inv_d, inv_rows = _transition_inverse(hub, w)
-            d *= inv_d
-            coords = ((parts[j], c) for j, c in _combination([0] * len(parts), row, inv_rows))
+            scale = factorial(w) if hub == "p" else 1
+            # coords reads d lazily, so the dict reads it before d changes
+            coords = _solve(hub, w, {lam: scale * c for lam, c in coords})
+            d *= scale
         coords = after(coords, w) if after else coords
         for lam, c in coords:
             out[lam] = c if d == 1 else quotient(c, d)

@@ -100,29 +100,34 @@ def cp_char_number_oracle(n, lam):
     return rational(sum(c * (-(n + 1)) ** len(mu) for mu, c in fp.terms.items()))
 
 
+@lru_cache(maxsize=None)
+def _log_powers(n):
+    """((k, [T^n] L^k), ...) for 1 <= k <= n, L = b^{-1} the logarithm, each
+    one ``reverted_power``: a tuple, so the memo hands out no shared dict,
+    and its readers only multiply or scale the elements, which copies."""
+    return tuple((k, reverted_power(BElement, n, k)) for k in range(1, n + 1))
+
+
 def fgl(cap):
     """The two-variable addition law b(L(X) + L(Y)), L = b^{-1} the logarithm,
     total degree <= cap, counted with no composition.  [X^0 Y^j] is [Y^j]
     b(L(Y)) = Y.  For i, j >= 1 the b's commute, so by the binomial theorem
     [X^i Y^j] = sum_c U_(i,c) [Y^j] L^c, where U_(i,c) = sum_a C(a + c, a)
-    b_(a+c-1) [X^i] L^a, b_0 = 1 and each [T^n] L^k one ``reverted_power``.
+    b_(a+c-1) [X^i] L^a, b_0 = 1 and each row [T^n] L^k one ``_log_powers``.
     The half i <= j is built and mirrored."""
     cap = natural(cap, "cap", 1)
     one = BElement.one()
-    # powers[n][k] = [T^n] L^k, nonzero for 1 <= k <= n
-    powers = {n: {k: reverted_power(BElement, n, k) for k in range(1, n + 1)}
-              for n in range(1, cap + 1)}
     out = {(0, 1): one, (1, 0): one}
     for i in range(1, cap // 2 + 1):
         row = {}
         for c in range(1, cap - i + 1):
             raw = {}
-            for a, power in powers[i].items():
+            for a, power in _log_powers(i):
                 one._mul_into(raw, BElement()._new({(a + c - 1,): comb(a + c, a)}), power)
             row[c] = one._new(settle(raw))
         for j in range(i, cap - i + 1):
             raw = {}
-            for c, power in powers[j].items():
+            for c, power in _log_powers(j):
                 one._mul_into(raw, row[c], power)
             terms = settle(raw)
             if terms:
@@ -173,9 +178,8 @@ def beta_series(cap):
     cap = natural(cap, "cap", 1)
     terms = {0: BetaPolynomial.one()}
     for n in range(1, cap + 1):
-        terms[n] = BetaPolynomial()._new({
-            k: reverted_power(BElement, n, k).scale(quotient(1, factorial(k)))
-            for k in range(1, n + 1)})
+        terms[n] = BetaPolynomial()._new({k: power.scale(quotient(1, factorial(k)))
+                                          for k, power in _log_powers(n)})
     return TruncatedSeries(BetaPolynomial, cap=cap)._new(terms)
 
 

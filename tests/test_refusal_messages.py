@@ -15,6 +15,7 @@ from hopftower.algebroid import SB, coface, differential
 from hopftower.errors import AlgebraMismatchError, CapabilityError, DomainError, ExpressionError
 from hopftower.exactlinalg import invert_matrix
 from hopftower.expr import parse_element, parse_series
+from hopftower.jsonio import document_for
 from hopftower.linear import Tensor, TensorSpace
 from hopftower.nsym import NSymElement, z_series
 from hopftower.qsym import QSymElement, pair_tensor
@@ -69,6 +70,8 @@ CASES = [
     ("not a rational scalar: 'x'", lambda: rational("x")),
     ("not a rational literal: 'x'", lambda: parse_scalar("x")),
     ("no JSON tag for <class 'int'>", lambda: tag_of_class(int)),
+    ("no JSON tag for <class 'bool'>", lambda: document_for(True)),
+    ("no JSON tag for <class 'bool'>", lambda: document_for(False)),
     ("unknown symmetric function basis 'q'", lambda: SymElement({(1,): 1}, "q")),
     ("unknown symmetric function basis 'q'", lambda: convert(e(1), "q")),
     ("unknown involution 'flip'", lambda: involution(e(1), "flip")),

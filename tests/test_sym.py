@@ -10,6 +10,7 @@ goes on to weight 7.  The h basis has no table: its conversions to and from
 m are compared with the expansion and its Gauss-Jordan inverse instead.
 """
 
+import random
 import sys
 from fractions import Fraction
 
@@ -211,12 +212,62 @@ def test_cold_conversions_never_call_gauss_jordan():
     assert calls == []
 
 
+def test_no_conversion_builds_the_inverse_table():
+    """A conversion solves x T = v once per weight; ``_transition_inverse``
+    (watched by code object, under its cache) is built only for the
+    Gauss-Jordan check."""
+    _clear_sym_caches()
+    inverse = sym._transition_inverse.__wrapped__.__code__
+    calls = []
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code is inverse:
+            calls.append(frame.f_locals["w"])
+
+    sys.setprofile(profile)
+    try:
+        for w in range(9):
+            for src in sym.BASES:
+                f = SymElement({lam: k + 1 for k, lam in enumerate(partitions_of(w))}, src)
+                for to in sym.BASES:
+                    convert(f, to)
+    finally:
+        sys.setprofile(None)
+    assert calls == []
+
+
+def test_m_conversions_at_weights_ten_to_twelve_equal_gauss_jordan():
+    """m -> e, h and p on seeded random elements, ``int`` and ``Fraction``
+    coefficients, against v times the Gauss-Jordan inverse of the dense
+    table of the target in m (read off ``convert`` into m)."""
+    rng = random.Random(20261020)
+    for w in (10, 11, 12):
+        parts = partitions_of(w)
+        elements = [SymElement({rng.choice(parts): coefficient() for _ in range(5)}, "m")
+                    for coefficient in (lambda: rng.randint(-9, 9),
+                                        lambda: Fraction(rng.randint(-9, 9), rng.randint(1, 6)))
+                    for _ in range(2)]
+        for to in ("e", "h", "p"):
+            inverse = invert_matrix(_converted_rows(to, "m", w))
+            for f in elements:
+                want = {}
+                for j, mu in enumerate(parts):
+                    x = sum(c * inverse[parts.index(lam)][j] for lam, c in f.terms.items())
+                    if x:
+                        want[mu] = x
+                got = convert(f, to).terms
+                assert got == want, (w, to, f)
+                assert all(type(c) is (int if want[k].denominator == 1 else Fraction)
+                           for k, c in got.items()), (w, to, f)
+
+
 def test_no_table_is_ever_built_or_read_for_h():
     """h is traded with e through the antipode memo, so no table function
     (watched by code object, under its cache) sees the basis ``"h"``."""
     _clear_sym_caches()
     watched = {fn.__wrapped__.__code__ for fn in (sym._m_row, sym._transition,
                                                   sym._transition_inverse)}
+    watched.add(sym._solve.__code__)
     calls = []
 
     def profile(frame, event, arg):
@@ -260,6 +311,7 @@ def test_no_table_is_ever_built_or_read_for_m():
     builds no e row."""
     watched = {fn.__wrapped__.__code__ for fn in (sym._m_row, sym._transition,
                                                   sym._transition_inverse)}
+    watched.add(sym._solve.__code__)
     calls = []
 
     def profile(frame, event, arg):

@@ -111,6 +111,24 @@ def test_group_law_composes_nothing(monkeypatch):
     assert fgl(6).coefficient((1, 1)) == b(1).scale(2)
 
 
+def test_one_memoised_row_of_log_powers_serves_fgl_and_beta():
+    """``fgl`` and ``beta_series`` read each row [T^n] L^k of
+    ``_log_powers`` once between them, and neither hands out an element or a
+    dict of the memo."""
+    topology._log_powers.cache_clear()
+    F, B = fgl(8), beta_series(8)
+    info = topology._log_powers.cache_info()
+    assert info.currsize == 8 and info.misses == 8 and info.hits > 0
+    cached = {id(x) for n in range(1, 9) for _, power in topology._log_powers(n)
+              for x in (power, power.terms)}
+    handed = {id(x) for v in F.terms.values() for x in (v, v.terms)}
+    handed |= {id(x) for v in B.terms.values() for c in v.terms.values()
+               for x in (c, c.terms)}
+    assert not cached & handed
+    for n in range(1, 9):
+        assert [k for k, _ in topology._log_powers(n)] == list(range(1, n + 1))
+
+
 def test_group_law_associativity_low_degree():
     cap = 4
     F = fgl(cap)
