@@ -63,13 +63,13 @@ weight 12 are 6, 33 and 272 times fewer than the cobar levels; with trivial
 coefficients (``trivial=True``) the ranks are Goncharova's (Funct. Anal.
 Appl. 7, 1973).  A Hopf class that is not commutative is refused.
 
-``cohomology_rank`` takes the CE route for a commutative Hopf class (S.B),
-degrees 0-5 up to weight 20, and the cobar route otherwise (N.N), degrees 0
-and 1 up to weight 5; ``cobar_rank`` and the dense ``differential_matrix``
-stay S.B's oracles in ``verify``, and ``invariants_rank_oracle``, counted
-by the dense ``exactlinalg.matrix_rank``, is H^0's.  A negative degree or
-weight is a domain error, and a larger one raises a capability error rather
-than grinding.
+``cohomology_rank`` takes the CE route for a commutative Hopf class (S.B)
+up to weight 20, and the cobar route otherwise (N.N) up to weight 5, in any
+degree: a degree above the weight is 0 without a walk, as C^s is empty.
+``cobar_rank`` and the dense ``differential_matrix`` stay the oracles in
+``verify``, and ``invariants_rank_oracle``, counted by the dense
+``exactlinalg.matrix_rank``, is H^0's.  A negative degree or weight is a
+domain error, and a weight above the bound raises a capability error.
 """
 
 from bisect import bisect
@@ -84,9 +84,7 @@ from .indices import compositions_of, natural
 from .linear import CommutativeElement, Tensor, image_items, settle
 from .nsym import NSymElement
 
-LEVEL_BOUND = 2
 WEIGHT_BOUND = 5
-CE_DEGREE_BOUND = 5
 CE_WEIGHT_BOUND = 20
 
 
@@ -187,12 +185,9 @@ def _cofaces_into(out, alg, terms, n):
 
 
 def differential(alg, x):
-    """Alternating sum of cofaces, level n -> n+1; bounded to keep sizes sane."""
+    """Alternating sum of cofaces, level n -> n+1, at any level."""
     x = alg.as_level(x)
     n = x.arity - 1
-    if n > LEVEL_BOUND:
-        raise CapabilityError("cobar differential bounded at level %d (got %d)"
-                              % (LEVEL_BOUND, n))
     return x._new(settle(_cofaces_into({}, alg, x.terms, n)),
                   (alg.base_cls,) + (alg.hopf_cls,) * (n + 1))
 
@@ -307,23 +302,23 @@ def cobar_rank(alg, w, s):
 
 
 def cohomology_rank(alg, w, s, weight_bound=WEIGHT_BOUND):
-    """Rank over Q of the weight-w, degree-s cohomology of ``alg``.
+    """Rank over Q of the weight-w, degree-s cohomology of ``alg``, in any degree.
 
-    An algebroid whose Hopf class is commutative takes ``ce_rank`` in degrees
-    0 to ``CE_DEGREE_BOUND``; any other takes ``cobar_rank`` in degrees 0 and
-    1.  ``weight_bound`` bounds the weight of the cobar route, and the CE
-    route answers to at least ``CE_WEIGHT_BOUND``."""
+    An algebroid whose Hopf class is commutative takes ``ce_rank``; any other
+    takes ``cobar_rank``.  ``weight_bound`` bounds the weight of the cobar
+    route, and the CE route answers to at least ``CE_WEIGHT_BOUND``; the
+    weight is the one bound, and a degree above it is 0."""
     alg = _algebroid(alg)
     s, w = natural(s, "degree"), natural(w, "weight")
     bound = natural(weight_bound, "weight_bound")
     lie = issubclass(alg.hopf_cls, CommutativeElement)
-    if s > (CE_DEGREE_BOUND if lie else 1):
-        raise CapabilityError("cohomology degree %d not supported (%s)"
-                              % (s, "only 0 to %d" % CE_DEGREE_BOUND if lie else "only 0 and 1"))
     if lie:
         bound = max(bound, CE_WEIGHT_BOUND)
     if w > bound:
         raise CapabilityError("cohomology weight bounded at %d (got %d)" % (bound, w))
+    # a normalized cochain of degree s has weight >= s (a CE one s(s+1)/2): C^s is empty
+    if s > w:
+        return 0
     return (ce_rank if lie else cobar_rank)(alg, w, s)
 
 

@@ -30,7 +30,6 @@ failed, 4 a file could not be read.
 """
 
 import argparse
-import json
 import sys
 from contextlib import redirect_stderr, redirect_stdout
 from functools import lru_cache
@@ -44,7 +43,7 @@ from .errors import (AlgebraMismatchError, CapabilityError, DomainError,
                      ExpressionError)
 from .expr import compose_series, parse_element, parse_series
 from .indices import natural
-from .jsonio import document_for, dumps
+from .jsonio import document_for, dumps, parse_json
 from .scalars import qmul
 from .series import TruncatedSeries
 from .sym import SymElement
@@ -104,13 +103,13 @@ def _ascii_int(text):
 
 
 def _load_json_arg(text):
-    try:
-        if text.startswith("@"):
+    if text.startswith("@"):
+        try:
             with open(text[1:], "r", encoding="utf-8") as fh:
                 text = fh.read()
-        return json.loads(text)
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-        raise DomainError("invalid JSON: %s" % exc)
+        except UnicodeDecodeError as exc:
+            raise DomainError("invalid JSON: %s" % exc)
+    return parse_json(text)
 
 
 # -- subcommand handlers ----------------------------------------------------

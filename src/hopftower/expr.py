@@ -37,14 +37,18 @@ column of each generator as it reads it, and ``parse_element`` checks the
 families from that record.
 
 Errors carry a 1-based column; positions past the end of the input are
-reported at the last character.
+reported at the last character.  A ``(`` or a call opens a level of nesting,
+and more than ``NESTING_BOUND`` open levels are a capability error, raised
+long before the parser or the evaluator could exhaust the stack.
 """
 
 from . import structures
-from .errors import AlgebraMismatchError, ExpressionError
+from .errors import AlgebraMismatchError, CapabilityError, ExpressionError
 from .scalars import Q, quotient, rational
 from .series import TruncatedSeries
 from .topology import BetaPolynomial
+
+NESTING_BOUND = 100
 
 _FUNCTIONS = {"invert": 1, "revert": 1, "exp": 1, "log": 1,
               "alternate": 1, "residue": 1, "shift": 2, "compose": 2}
@@ -116,6 +120,7 @@ class _Parser:
         self.i = 0
         self.series_mode = series_mode
         self.letters = []  # (letter, column) of each generator atom, as read
+        self.depth = 0
 
     def _fail(self, message, pos):
         # errors at EOF point at the last character, not one past it
@@ -134,6 +139,17 @@ class _Parser:
         if tok[0] != kind:
             self._fail("expected %s" % what, tok[2])
         return self.take()
+
+    def nested(self, pos):
+        """The expression inside a '(', a call or a named-series call opened
+        at column ``pos``, read one level deeper."""
+        if self.depth == NESTING_BOUND:
+            raise CapabilityError("expression nesting bounded at %d (exceeded at column %d)"
+                                  % (NESTING_BOUND, pos))
+        self.depth += 1
+        node = self.expr()
+        self.depth -= 1
+        return node
 
     def parse(self):
         node = self.expr()
@@ -190,7 +206,7 @@ class _Parser:
             return self.generator()
         if tok[0] == "lparen":
             self.take()
-            node = self.expr()
+            node = self.nested(tok[2])
             self.expect("rparen", "')'")
             return node
         if self.series_mode:
@@ -206,10 +222,10 @@ class _Parser:
         if arity is None:
             self._fail("unknown function %r" % name, head[2])
         self.expect("lparen", "'(' after %r" % name)
-        args = [self.expr()]
+        args = [self.nested(head[2])]
         while self.peek()[0] == "comma":
             self.take()
-            args.append(self.expr())
+            args.append(self.nested(head[2]))
         self.expect("rparen", "')'")
         if len(args) != arity:
             self._fail("%s takes %d argument%s" % (name, arity,
@@ -222,7 +238,7 @@ class _Parser:
             if structures.named_series(head[1]) is None:
                 self._fail("no named series for letter %r" % head[1], head[2])
             self.take()
-            arg = self.expr()
+            arg = self.nested(head[2])
             self.expect("rparen", "')'")
             return ("sercall", head[1], arg, head[2])
         self.expect("lbrack", "'[' after generator letter")

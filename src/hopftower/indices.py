@@ -1,5 +1,5 @@
-"""Compositions and partitions of nonnegative integers, and the one check on
-an integer argument.
+"""Compositions and partitions of nonnegative integers, the rearrangements of
+a partition, and the one check on an integer argument.
 
 Compositions (ordered tuples of positive parts) index the bases of the
 noncommutative and quasisymmetric algebras; partitions (weakly decreasing
@@ -55,6 +55,17 @@ def compositions_of(n):
 def partitions_of(n):
     """All partitions of ``n`` in reverse-lexicographic order."""
     return _partitions_bounded(natural(n, "weight"), n)
+
+
+@lru_cache(maxsize=None)
+def rearrangements_of(lam):
+    """The distinct orderings of the parts of the partition ``lam``, each made
+    once, l! / prod_i m_i! of them, in decreasing lexicographic order: each
+    distinct part in turn leads, followed by the rearrangements of the rest."""
+    if not lam:
+        return ((),)
+    return tuple((part,) + rest for i, part in enumerate(lam) if i == 0 or part != lam[i - 1]
+                 for rest in rearrangements_of(lam[:i] + lam[i + 1:]))
 
 
 @lru_cache(maxsize=None)

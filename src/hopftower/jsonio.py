@@ -219,5 +219,14 @@ def from_document(doc):
         raise DomainError("malformed document: %s" % (exc,)) from exc
 
 
+def parse_json(text):
+    """The JSON value of ``text``; malformed text, or nesting deeper than the
+    decoder's recursion limit, is a ``DomainError``."""
+    try:
+        return json.loads(text)
+    except (json.JSONDecodeError, RecursionError) as exc:
+        raise DomainError("invalid JSON: %s" % (exc,)) from exc
+
+
 def loads(text):
-    return from_document(json.loads(text))
+    return from_document(parse_json(text))

@@ -15,10 +15,10 @@ checks it against the connected-graded recursion through deconcatenation
 """
 
 from functools import lru_cache
-from itertools import accumulate, combinations, permutations
+from itertools import accumulate, combinations
 
 from .errors import AlgebraMismatchError
-from .indices import compositions_of, natural
+from .indices import compositions_of, natural, rearrangements_of
 from .linear import LinearElement, Tensor, add_term, dot, mul_into, settle
 from .nsym import NSymElement
 from . import sym
@@ -114,9 +114,10 @@ def pair_tensor(t_left, t_right):
 
 def include_symmetric(f):
     """Embed a symmetric function: m_lam fans out over its distinct
-    rearrangements, which no two partitions share."""
+    rearrangements, which no two partitions share, each made once by
+    ``indices.rearrangements_of``."""
     fm = sym.convert(sym.SymElement.require(f, "include_symmetric"), "m")
-    return QSymElement({I: c for lam, c in fm.terms.items() for I in set(permutations(lam))})
+    return QSymElement({I: c for lam, c in fm.terms.items() for I in rearrangements_of(lam)})
 
 
 def expand_ordered(f, nvars):

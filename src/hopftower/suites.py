@@ -384,7 +384,7 @@ def suite_comodule_algebroid(weight=None, cap=None):
     dense = {}
     for name, alg in ALGEBROIDS.items():
         for w in range(rank_bound + 1):
-            for s in (0, 1):
+            for s in range(6):
                 dom, _, rows = differential_matrix(alg, w, s)
                 dense[name, w, s] = len(dom), matrix_rank(rows)
 
@@ -449,6 +449,8 @@ def suite_comodule_algebroid(weight=None, cap=None):
 
     def differential_ranks():
         for (name, w, s), (_, want) in dense.items():
+            if s > 1:
+                continue
             got = sparse_rank(differential_rows(ALGEBROIDS[name], w, s)[2])
             yield (name, w, s, got, want), got == want
 
@@ -501,6 +503,16 @@ def suite_comodule_algebroid(weight=None, cap=None):
     results.append(_check("H^*(L_1) by Chevalley-Eilenberg cochains is Goncharova's: one "
                           "class in each weight (3q^2 +- q)/2 (weight <= 30, degrees 0-5)",
                           goncharova()))
+
+    def higher_ranks():
+        for (name, w, s), (dim, rank) in dense.items():
+            if s > 1:
+                got, want = cohomology_rank(name, w, s), dim - rank - dense[name, w, s - 1][1]
+                yield (name, w, s, got, want), got == want
+
+    results.append(_check("H^s equals dim C^s - rank d^s - rank d^(s-1) by dense "
+                          "Gauss-Jordan (weight <= %d, degrees 2-5)" % rank_bound,
+                          higher_ranks()))
     return results
 
 

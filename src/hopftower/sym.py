@@ -39,7 +39,7 @@ denominator.
 """
 
 from functools import lru_cache, partial
-from math import factorial, gcd, lcm, prod
+from math import factorial, lcm, prod
 import warnings
 
 from .errors import DomainError
@@ -256,14 +256,13 @@ def _transition_inverse(basis, w):
     """Inverse of the transition matrix as ``(d, rows)``: ``d`` times the
     inverse is an integer matrix, each of whose rows is held as its nonzero
     (j, entry) pairs, j increasing.  Row j is the ``_solve`` of the j-th unit
-    vector; ``convert`` never builds it, ``verify`` checks it by Gauss-Jordan."""
+    vector; ``convert`` never builds it, ``verify`` checks it by Gauss-Jordan.
+    ``d`` is already least: m_(1^w) = e_w has p_(1^w)-coefficient 1/w!, so
+    w! times the inverse on p has an entry 1."""
     parts, pos, _ = _transition(basis, w)
     scale = factorial(w) if basis == "p" else 1
-    inverse = [tuple(sorted((pos[mu], x) for mu, x in _solve(basis, w, {lam: scale})))
-               for lam in parts]
-    g = gcd(scale, *(y for r in inverse for _, y in r))
-    return scale // g, (tuple(inverse) if g == 1 else tuple(
-        tuple((j, y // g) for j, y in r) for r in inverse))
+    return scale, tuple(tuple(sorted((pos[mu], x) for mu, x in _solve(basis, w, {lam: scale})))
+                        for lam in parts)
 
 
 def _h_swap(coords, w):

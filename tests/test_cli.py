@@ -167,12 +167,30 @@ def test_undecodable_space_file_is_bad_input(tmp_path):
                "invalid start byte\n")
 
 
+def test_deep_json_in_a_space_file_is_bad_input(tmp_path):
+    """5,000 nested lists used to end in a RecursionError traceback."""
+    path = tmp_path / "space.json"
+    path.write_text("[" * 5000 + "]" * 5000)
+    code, out, err = run("charnum", "quasitoric", "--space", "@" + str(path), "--composition", "1")
+    assert (code, out) == (1, "") and err.startswith("error: invalid JSON: maximum recursion")
+
+
+def test_deep_nesting_is_refused_with_its_bound():
+    """300 parentheses or 250 named-series calls used to end in a RecursionError."""
+    for argv in (("eval", "(" * 300 + "1" + ")" * 300),
+                 ("compose", "e(" * 250 + "T" + ")" * 250, "T")):
+        code, out, err = run(*argv)
+        assert (code, out) == (2, "") and "Traceback" not in err, argv
+        assert err.startswith("error: expression nesting bounded at 100 "), err
+    assert run("eval", "(" * 100 + "1" + ")" * 100) == (0, "1", "")
+
+
 def test_capability_errors_exit_2():
     for degree in ("2", "5"):
         assert run("cobar-rank", "--algebroid", "N.N", "--weight", "3", "--degree", degree) == (
-            2, "", "error: cohomology degree %s not supported (only 0 and 1)\n" % degree)
+            0, '{"algebroid":"N.N","weight":3,"degree":%s,"rank":0}' % degree, "")
     assert run("cobar-rank", "--algebroid", "S.B", "--weight", "3", "--degree", "6") == (
-        2, "", "error: cohomology degree 6 not supported (only 0 to 5)\n")
+        0, '{"algebroid":"S.B","weight":3,"degree":6,"rank":0}', "")
     assert run("cobar-rank", "--algebroid", "S.B", "--weight", "21", "--degree", "0") == (
         2, "", "error: cohomology weight bounded at 20 (got 21)\n")
     code, _, err = run("coproduct", "b[1]")
@@ -277,13 +295,13 @@ def test_cobar_rank_json():
 
 
 def test_cobar_rank_reaches_weight_20_and_degree_5_for_sb():
-    """S.B takes the Chevalley-Eilenberg route; N.N keeps degrees 0 and 1."""
+    """S.B takes the Chevalley-Eilenberg route; N.N answers every degree too."""
     assert run("cobar-rank", "--algebroid", "S.B", "--weight", "20", "--degree", "2") == (
         0, '{"algebroid":"S.B","weight":20,"degree":2,"rank":5}', "")
     assert run("cobar-rank", "--algebroid", "S.B", "--weight", "12", "--degree", "5") == (
         0, '{"algebroid":"S.B","weight":12,"degree":5,"rank":0}', "")
     assert run("cobar-rank", "--algebroid", "N.N", "--weight", "2", "--degree", "2") == (
-        2, "", "error: cohomology degree 2 not supported (only 0 and 1)\n")
+        0, '{"algebroid":"N.N","weight":2,"degree":2,"rank":0}', "")
 
 
 def test_console_entry_point_subprocess():

@@ -329,6 +329,13 @@ def test_missing_keys_are_named():
             from_document(doc)
 
 
+def test_malformed_or_deep_json_text_is_a_domain_error():
+    """``loads`` used to raise a raw JSONDecodeError or RecursionError."""
+    for text in ("{", "[" * 5000 + "]" * 5000):
+        with pytest.raises(DomainError, match="^invalid JSON: "):
+            loads(text)
+
+
 def test_malformed_documents_raise_domain_error():
     malformed = ["x", [],
                  {"algebra": "sym", "terms": [1]},

@@ -1,6 +1,9 @@
 """Index enumeration against brute-force oracles."""
 
-from hopftower.indices import compositions_of, index_sort_key, partitions_of
+from itertools import permutations
+
+from hopftower.indices import (compositions_of, index_sort_key, partitions_of,
+                                rearrangements_of)
 
 
 def brute_compositions(n):
@@ -63,3 +66,11 @@ def test_sort_key_orders_by_weight_then_position():
     # all weight-2 indices come before all weight-3 indices
     w = [sum(i) for i in ordered]
     assert w == sorted(w)
+
+
+def test_rearrangements_are_the_distinct_permutations():
+    for w in range(9):
+        for lam in partitions_of(w):
+            got = rearrangements_of(lam)
+            assert len(got) == len(set(got)) and set(got) == set(permutations(lam)), lam
+    assert rearrangements_of((2, 1, 1)) == ((2, 1, 1), (1, 2, 1), (1, 1, 2))

@@ -5,6 +5,7 @@ sums over compositions and over coarsenings of the reversal), which were
 frozen independently of the recursive implementations.
 """
 
+import signal
 from fractions import Fraction
 
 import pytest
@@ -165,6 +166,20 @@ def test_include_symmetric_sums_rearrangements():
     assert include_symmetric(m(1)) == M(1)
     assert include_symmetric(e(2)) == M(1, 1)
     assert include_symmetric(m(2, 2)) == M(2, 2)
+
+
+def test_include_symmetric_makes_each_rearrangement_once():
+    """m_(1^16) has one rearrangement; walking its 16! orderings cannot finish."""
+    signal.signal(signal.SIGALRM, _timeout)
+    signal.alarm(5)
+    try:
+        assert include_symmetric(m(*[1] * 16)) == M(*[1] * 16)
+    finally:
+        signal.alarm(0)
+
+
+def _timeout(signum, frame):
+    raise TimeoutError("include_symmetric walked every ordering")
 
 
 def test_pairing_against_inclusion_detects_rearrangement():

@@ -11,8 +11,8 @@ from fractions import Fraction
 import pytest
 
 from hopftower import cli
-from hopftower.algebroid import SB, coface, differential
-from hopftower.errors import AlgebraMismatchError, CapabilityError, DomainError, ExpressionError
+from hopftower.algebroid import SB, coface
+from hopftower.errors import AlgebraMismatchError, DomainError, ExpressionError
 from hopftower.exactlinalg import invert_matrix
 from hopftower.expr import parse_element, parse_series
 from hopftower.jsonio import document_for
@@ -39,11 +39,6 @@ def _noncommutative_tensor_series():
     return TruncatedSeries(space, {1: 1, 2: Tensor((NSymElement,) * 2, {((1,), (2,)): 1})}, 3)
 
 
-def _level_three():
-    """A level-3 S.B cochain: one base slot and three H slots."""
-    return Tensor.of(SB.base_element((1,)), *[SB.hopf_element((1,))] * 3)
-
-
 CASES = [
     ("charnum cp needs --dim", ("charnum", "cp")),
     ("charnum quasitoric needs --space and --composition", ("charnum", "quasitoric")),
@@ -52,8 +47,6 @@ CASES = [
     ("residue is univariate only", lambda: _bivariate().residue()),
     ("shift is univariate only", lambda: _bivariate().shift(1)),
     ("alternate is univariate only", lambda: _bivariate().alternate()),
-    ("cobar differential bounded at level 2 (got 3)",
-     lambda: differential(SB, _level_three()), CapabilityError),
     ("matrix is not square", lambda: invert_matrix([[1, 2]])),
     ("matrix is singular", lambda: invert_matrix([[1, 2], [2, 4]])),
     ("inversion needs a nonzero rational times 1 as constant term", lambda: _t().invert()),
