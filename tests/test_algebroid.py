@@ -243,7 +243,7 @@ def test_differential_is_the_alternating_sum_of_cofaces():
 def test_sparse_rows_are_the_differential_without_unit_slots():
     """Both callers of the accumulator agree: each row of ``differential_rows``
     is exactly the terms of ``differential`` on its basis key that have no
-    unit H slot, at every level the differential takes."""
+    unit H slot, at levels 0-3."""
     for alg in ALGEBROIDS.values():
         for s in range(4):
             level = Tensor((alg.base_cls,) + (alg.hopf_cls,) * s)
