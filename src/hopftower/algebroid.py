@@ -14,16 +14,14 @@ straight into one raw dict, splicing the coaction of the base index, the
 coproduct of each inner slot and the trailing unit slot key by key, and the
 result is settled once.  The accumulator builds no element: it reads each
 slot index's image from the word-image memo of ``linear`` (``image_items``
-of the algebroid's letter maps ``base_gen`` and ``hopf_gen``).  ``coface``,
-``differential_matrix``, ``invariants_rank_oracle`` and the ``verify``
-suites keep calling the public ``coaction`` and ``h_coproduct`` on built
-elements.  That slow route shares the generator images and the word images
-with the fast one: ``coaction_sym``, ``fdb_coproduct`` and ``bfk_coproduct``
-extend over words through ``linear.on_words``, which reads the same
-``word_image`` entries that ``image_items`` gives the accumulator.  What the
-slow route checks independently is the rest: the splicing of those images
-into level keys, the projection onto normalized cochains, and the
-elimination.
+of ``base_gen`` and ``hopf_gen``, the letter maps of the algebroid's two
+rows).  ``coface``, ``differential_matrix``, ``invariants_rank_oracle`` and
+the ``verify`` suites keep calling its ``coaction`` and ``h_coproduct``,
+which read the rows' coproducts, on built elements.  That slow route shares the generator
+and word images with the fast one, since each row's coproduct is
+``linear.on_words`` of its letter map.  What it checks independently is the
+rest: the splicing of those images into level keys, the projection onto
+normalized cochains, and the elimination.
 
 Cohomology ranks are computed over the rationals on the normalized
 subcomplex (all H slots of positive weight), one weight at a time; it has
@@ -65,7 +63,8 @@ Appl. 7, 1973).  A Hopf class that is not commutative is refused.
 
 ``cohomology_rank`` takes the CE route for a commutative Hopf class (S.B)
 up to weight 20, and the cobar route otherwise (N.N) up to weight 5, in any
-degree: a degree above the weight is 0 without a walk, as C^s is empty.
+degree.  Each route answers 0 at once where its cochains are empty: the
+cobar route above the weight, the CE route where s(s+1)/2 exceeds it.
 ``cobar_rank`` and the dense ``differential_matrix`` stay the oracles in
 ``verify``, and ``invariants_rank_oracle``, counted by the dense
 ``exactlinalg.matrix_rank``, is H^0's.  A negative degree or weight is a
@@ -77,7 +76,7 @@ from functools import lru_cache, partial
 from itertools import product
 
 from . import structures
-from .diffeo import _bfk_coproduct_gen, _coaction_gen, _fdb_coproduct_gen, bfk_coproduct
+from .diffeo import bfk_coproduct
 from .errors import AlgebraMismatchError, CapabilityError, DomainError
 from .exactlinalg import matrix_rank, sparse_leads
 from .indices import compositions_of, natural
@@ -91,24 +90,25 @@ CE_WEIGHT_BOUND = 20
 class SplitAlgebroid:
     """Bundle of the data the cobar machinery needs for one algebroid: the
     labels of the ``structures.STRUCTURES`` rows of its coaction and of the
-    coproduct of its Hopf algebra, and the letter maps ``linear.on_words``
-    extends to them (``base_gen`` on e-basis or word indices of the base,
-    ``hopf_gen`` on indices of H).  The tags ``base`` and ``hopf`` are read
-    off the rows once; ``coaction`` and ``h_coproduct`` read them per call."""
+    coproduct of its Hopf algebra.  The tags ``base`` and ``hopf`` and the
+    rows' letter maps (``base_gen`` on e-basis or word indices of the base,
+    ``hopf_gen`` on indices of H) are read off the rows once, when it is
+    built, and a row with no letter map is refused; ``coaction`` and
+    ``h_coproduct`` read the rows per call."""
 
     __slots__ = ("name", "coaction_row", "coproduct_row", "base", "hopf",
                  "base_gen", "hopf_gen")
 
-    def __init__(self, name, coaction_row, coproduct_row, base_gen, hopf_gen):
+    def __init__(self, name, coaction_row, coproduct_row):
         rows = structures.STRUCTURES
         for label in (coaction_row, coproduct_row):
             if not isinstance(label, str) or label not in rows:
                 raise DomainError("unknown structure %r (known: %s)" % (label, list(rows)))
-        self.name = name
-        self.coaction_row, self.coproduct_row = coaction_row, coproduct_row
-        self.base, self.hopf = rows[coaction_row].algebra, rows[coproduct_row].algebra
-        self.base_gen = base_gen
-        self.hopf_gen = hopf_gen
+            if rows[label].gen is None:
+                raise DomainError("structure %r has no letter map" % label)
+        self.name, self.coaction_row, self.coproduct_row = name, coaction_row, coproduct_row
+        self.base, self.base_gen = rows[coaction_row].algebra, rows[coaction_row].gen
+        self.hopf, self.hopf_gen = rows[coproduct_row].algebra, rows[coproduct_row].gen
 
     coaction = property(lambda self: structures.STRUCTURES[self.coaction_row].coproduct)
     h_coproduct = property(lambda self: structures.STRUCTURES[self.coproduct_row].coproduct)
@@ -139,14 +139,15 @@ class SplitAlgebroid:
         return "SplitAlgebroid(%s)" % self.name
 
 
-SB = SplitAlgebroid("S.B", "sym-fdb-coaction", "fdb", _coaction_gen, _fdb_coproduct_gen)
-NN = SplitAlgebroid("N.N", "bfk", "bfk", _bfk_coproduct_gen, _bfk_coproduct_gen)
+SB = SplitAlgebroid("S.B", "sym-fdb-coaction", "fdb")
+NN = SplitAlgebroid("N.N", "bfk", "bfk")
 
 ALGEBROIDS = {"S.B": SB, "N.N": NN}
 
 
 def coface(alg, x, i):
     """The i-th coface on a level-n element (0 <= i <= n+1)."""
+    alg = _algebroid(alg)
     x = alg.as_level(x)
     n = x.arity - 1
     if natural(i, "coface index") > n + 1:
@@ -186,6 +187,7 @@ def _cofaces_into(out, alg, terms, n):
 
 def differential(alg, x):
     """Alternating sum of cofaces, level n -> n+1, at any level."""
+    alg = _algebroid(alg)
     x = alg.as_level(x)
     n = x.arity - 1
     return x._new(settle(_cofaces_into({}, alg, x.terms, n)),
@@ -216,6 +218,7 @@ def differential_matrix(alg, w, s):
     projected to normalized cochains: the slow route ``verify`` checks
     ``differential_rows`` against.
     """
+    alg = _algebroid(alg)
     dom = _level_basis(alg, w, s)
     cod = _level_basis(alg, w, s + 1)
     col = {key: j for j, key in enumerate(cod)}
@@ -241,6 +244,7 @@ def differential_rows(alg, w, s):
     the ``{column: int}`` dict of its nonzeros, unscaled (the structure
     constants of both algebroids are integers), built by the accumulator.
     """
+    alg = _algebroid(alg)
     dom, cod = _level_basis(alg, w, s), _level_basis(alg, w, s + 1)
     return dom, cod, _sparse_rows(alg, dom, cod, s)
 
@@ -270,10 +274,10 @@ def _sparse_rows(alg, dom, cod, s):
 
 
 def _algebroid(alg):
-    """The algebroid ``alg`` names, or ``alg`` itself."""
-    if not isinstance(alg, str):
+    """``alg`` if it is an algebroid, or the one it names; nothing else."""
+    if isinstance(alg, SplitAlgebroid):
         return alg
-    if alg not in ALGEBROIDS:
+    if not isinstance(alg, str) or alg not in ALGEBROIDS:
         raise DomainError("unknown algebroid %r (known: %s)" % (alg, list(ALGEBROIDS)))
     return ALGEBROIDS[alg]
 
@@ -296,8 +300,11 @@ def _cleared_rank(basis, rows, s):
 
 def cobar_rank(alg, w, s):
     """H^s of the weight-w normalized cobar complex by the cleared loop, with
-    no bound: the route of ``cohomology_rank`` for N.N, and S.B's oracle."""
-    alg, s = _algebroid(alg), natural(s, "degree")
+    no bound: the route of ``cohomology_rank`` for N.N, and S.B's oracle.  A
+    cochain of degree s has weight at least s, so s > w is 0 with no basis."""
+    alg, s, w = _algebroid(alg), natural(s, "degree"), natural(w, "weight")
+    if s > w:
+        return 0
     return _cleared_rank(partial(_level_basis, alg, w), partial(_sparse_rows, alg), s)
 
 
@@ -307,18 +314,13 @@ def cohomology_rank(alg, w, s, weight_bound=WEIGHT_BOUND):
     An algebroid whose Hopf class is commutative takes ``ce_rank``; any other
     takes ``cobar_rank``.  ``weight_bound`` bounds the weight of the cobar
     route, and the CE route answers to at least ``CE_WEIGHT_BOUND``; the
-    weight is the one bound, and a degree above it is 0."""
+    weight is the one bound, and each route answers its own empty degrees."""
     alg = _algebroid(alg)
     s, w = natural(s, "degree"), natural(w, "weight")
-    bound = natural(weight_bound, "weight_bound")
     lie = issubclass(alg.hopf_cls, CommutativeElement)
-    if lie:
-        bound = max(bound, CE_WEIGHT_BOUND)
+    bound = max(natural(weight_bound, "weight_bound"), CE_WEIGHT_BOUND if lie else 0)
     if w > bound:
         raise CapabilityError("cohomology weight bounded at %d (got %d)" % (bound, w))
-    # a normalized cochain of degree s has weight >= s (a CE one s(s+1)/2): C^s is empty
-    if s > w:
-        return 0
     return (ce_rank if lie else cobar_rank)(alg, w, s)
 
 
@@ -422,12 +424,15 @@ def ce_rank(alg, w, s, trivial=False):
     """H^s(g; A) in weight w by the cleared loop on the Chevalley-Eilenberg
     cochains Lambda^s g^* (x) A, g the primitives of the dual of the Hopf
     algebra and A the base; with ``trivial``, H^s(g; Q).  No bound; a Hopf
-    class that is not commutative is refused."""
+    class that is not commutative is refused.  A wedge of s dual generators
+    has weight at least s(s+1)/2, so past that the rank is 0 with no basis."""
     alg = _algebroid(alg)
     if not issubclass(alg.hopf_cls, CommutativeElement):
         raise DomainError("the Chevalley-Eilenberg route needs a commutative Hopf "
                           "algebra; %s has %s" % (alg.name, alg.hopf_cls.__name__))
     s, w = natural(s, "degree"), natural(w, "weight")
+    if s * (s + 1) > 2 * w:
+        return 0
     indices = _scalars if trivial else alg.base_indices
     return _cleared_rank(partial(_ce_basis, indices, w), partial(_ce_rows, alg), s)
 

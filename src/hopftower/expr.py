@@ -43,7 +43,7 @@ long before the parser or the evaluator could exhaust the stack.
 """
 
 from . import structures
-from .errors import AlgebraMismatchError, CapabilityError, ExpressionError
+from .errors import AlgebraMismatchError, CapabilityError, DomainError, ExpressionError
 from .scalars import Q, quotient, rational
 from .series import TruncatedSeries
 from .topology import BetaPolynomial
@@ -115,6 +115,8 @@ def _tokenize(text):
 
 class _Parser:
     def __init__(self, text, series_mode):
+        if not isinstance(text, str):
+            raise DomainError("an expression is a str, not %r" % (text,))
         self.text = text
         self.toks = _tokenize(text)
         self.i = 0

@@ -220,11 +220,12 @@ def from_document(doc):
 
 
 def parse_json(text):
-    """The JSON value of ``text``; malformed text, or nesting deeper than the
-    decoder's recursion limit, is a ``DomainError``."""
+    """The JSON value of ``text``, a ``str``, ``bytes`` or ``bytearray``;
+    any other value, malformed or undecodable text, or nesting deeper than
+    the decoder's recursion limit, is a ``DomainError``."""
     try:
         return json.loads(text)
-    except (json.JSONDecodeError, RecursionError) as exc:
+    except (TypeError, ValueError, RecursionError) as exc:
         raise DomainError("invalid JSON: %s" % (exc,)) from exc
 
 

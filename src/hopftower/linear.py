@@ -39,7 +39,9 @@ inline or the exact kernel of ``scalars``, never a ``Fraction`` operator, so a
 raw sum is canonical, or the ``int`` 0 where terms cancelled; ``settle`` drops
 those zeros, and stores as ``int`` the integral ``Fraction``s the cofaces leave.
 ``add_term``, which settles each term as it lands, is left to ``checked`` and
-the cold paths, and ``+`` settles only the keys it touches.  Every product of
+the cold paths, and ``+`` settles only the keys it touches; one product loop
+still adds each pair through it, ``Polynomial._mul_into``, where a raw sum
+measured no faster, its exponent tuples costing more.  Every product of
 elements, tensors or polynomials, and every coefficient product of a
 truncated series, adds through the value's ``_mul_into(out, a, b)`` hook.  In
 a monomial algebra (words in NSym, partitions in the commutative algebras,
@@ -345,11 +347,14 @@ class SparseSum:
     def __pow__(self, n):
         if not natural(n, "exponent"):
             return self._operand(1)
-        # from x itself, not the unit: a product with the unit would cut a
-        # Laurent view at its lowered cap once more
+        # by squaring, the bits of n from the top, and from x itself, not the
+        # unit: a product with the unit would cut a Laurent view at its
+        # lowered cap once more
         out = self._new(dict(self.terms))
-        for _ in range(n - 1):
-            out = out * self
+        for bit in bin(n)[3:]:
+            out = out * out
+            if bit == "1":
+                out = out * self
         return out
 
     def __str__(self):

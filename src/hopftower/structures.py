@@ -48,7 +48,8 @@ class Structure:
 
     ``flag`` is the ``--structure`` value that picks it, None where the
     algebra carries one structure only; ``bound`` is the weight up to which
-    the Hopf axioms are checked, None where they cannot be.
+    the Hopf axioms are checked, None where they cannot be.  ``gen``, on the
+    rows an algebroid names, is the letter map ``coproduct`` extends over words.
 
     A coproduct or antipode built on ``linear.on_words`` must pass it a
     module-level function or constant as the letter map: the word-image memo
@@ -56,14 +57,15 @@ class Structure:
     hits and adds entries that live as long as the process.
     """
 
-    __slots__ = ("algebra", "flag", "coproduct", "antipode", "bound")
+    __slots__ = ("algebra", "flag", "coproduct", "antipode", "bound", "gen")
 
-    def __init__(self, algebra, flag, coproduct, antipode, bound):
+    def __init__(self, algebra, flag, coproduct, antipode, bound, gen=None):
         self.algebra = algebra
         self.flag = flag
         self.coproduct = coproduct
         self.antipode = antipode
         self.bound = bound
+        self.gen = gen
 
 
 def _bpoly_antipode(f):
@@ -85,11 +87,14 @@ STRUCTURES = {
     "sym-binomial": Structure("sym", "binomial", sym.coproduct, sym.antipode, 7),
     "nsym-binomial": Structure("nsym", "binomial", nsym.coproduct, nsym.antipode, 7),
     "qsym": Structure("qsym", None, qsym.coproduct, qsym.antipode, 6),
-    "fdb": Structure("fdb", None, diffeo.fdb_coproduct, diffeo.fdb_antipode, 6),
-    "bfk": Structure("nsym", "bfk", diffeo.bfk_coproduct, diffeo.bfk_antipode, 6),
+    "fdb": Structure("fdb", None, diffeo.fdb_coproduct, diffeo.fdb_antipode, 6,
+                     diffeo._fdb_coproduct_gen),
+    "bfk": Structure("nsym", "bfk", diffeo.bfk_coproduct, diffeo.bfk_antipode, 6,
+                     diffeo._bfk_coproduct_gen),
     # the coaction of the diffeomorphisms on sym is a coproduct into sym (x) fdb,
     # and the bordism coefficients have an antipode but no coproduct here
-    "sym-fdb-coaction": Structure("sym", "fdb", diffeo.coaction_sym, None, None),
+    "sym-fdb-coaction": Structure("sym", "fdb", diffeo.coaction_sym, None, None,
+                                  diffeo._coaction_gen),
     "bpoly": Structure("bpoly", None, None, _bpoly_antipode, None),
 }
 

@@ -12,7 +12,7 @@ in :mod:`hopftower.suites`.
 
 from functools import lru_cache
 
-from . import diffeo
+from . import structures
 from .diffeo import FdBElement
 from .linear import on_words, recursive_antipode
 
@@ -21,7 +21,7 @@ from .linear import on_words, recursive_antipode
 def _fdb_chi_gen_oracle(n):
     """Antipode of t_n by the connected-graded recursion, not by reversion."""
     return recursive_antipode(
-        diffeo._fdb_coproduct_gen(n),
+        structures.STRUCTURES["fdb"].gen(n),
         lambda idx: on_words(FdBElement.from_index(idx), _fdb_chi_gen_oracle))
 
 

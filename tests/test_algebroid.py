@@ -9,8 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hopftower import algebroid, diffeo, exactlinalg, structures
-from hopftower.algebroid import (ALGEBROIDS, coface, cohomology_rank,
-                                 differential, differential_matrix,
+from hopftower.algebroid import (ALGEBROIDS, NN, SB, ce_rank, cobar_rank, coface,
+                                 cohomology_rank, differential, differential_matrix,
                                  differential_rows, invariants_rank_oracle,
                                  right_unit_functional)
 from hopftower.diffeo import bfk_coproduct
@@ -179,6 +179,29 @@ def test_unknown_algebroid_names_are_domain_errors():
                  lambda: invariants_rank_oracle("X.Y", 1)):
         with pytest.raises(DomainError, match=r"'S\.B', 'N\.N'"):
             call()
+
+
+# every public function of the complex, called with its algebroid argument
+_TAKES_AN_ALGEBROID = {
+    "coface": lambda alg: coface(alg, e(1), 1),
+    "differential": lambda alg: differential(alg, e(1)),
+    "differential_matrix": lambda alg: differential_matrix(alg, 2, 0),
+    "differential_rows": lambda alg: differential_rows(alg, 2, 0),
+    "cohomology_rank": lambda alg: cohomology_rank(alg, 2, 1),
+    "cobar_rank": lambda alg: cobar_rank(alg, 2, 1),
+    "ce_rank": lambda alg: ce_rank(alg, 2, 1),
+    "invariants_rank_oracle": lambda alg: invariants_rank_oracle(alg, 2),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_TAKES_AN_ALGEBROID))
+def test_each_function_takes_a_name_or_an_algebroid_and_nothing_else(name):
+    """A float, None or an element used to end in a raw AttributeError."""
+    call = _TAKES_AN_ALGEBROID[name]
+    assert call("S.B") == call(ALGEBROIDS["S.B"])
+    for bad in (None, 1.5, 2, e(1), ["S.B"], b"S.B", "X.Y"):
+        with pytest.raises(DomainError, match=r"^unknown algebroid .* \(known: \['S\.B', "):
+            call(bad)
 
 
 def _nonzeros(row):
@@ -514,6 +537,34 @@ def test_a_degree_above_the_weight_is_answered_without_a_walk():
 
 def _timeout(signum, frame):
     raise TimeoutError("cohomology_rank walked past the weight")
+
+
+@pytest.mark.parametrize("call", [
+    lambda: ce_rank(SB, 20, 6),
+    lambda: ce_rank(SB, 14, 5),
+    lambda: ce_rank(SB, 9, 4, trivial=True),
+    lambda: cobar_rank(NN, 5, 6),
+    lambda: cohomology_rank("N.N", 5, 10 ** 6),
+    lambda: cohomology_rank("S.B", 20, 6),
+], ids=["ce 20 6", "ce 14 5", "ce trivial 9 4", "cobar 5 6", "N.N 5 10**6", "S.B 20 6"])
+def test_each_route_answers_its_empty_degrees_without_eliminating(monkeypatch, call):
+    """A cobar cochain of degree s has weight at least s, a CE one at least
+    s(s+1)/2, with either coefficients; past that each route answers 0
+    before it builds a basis or a row."""
+    def refuse(rows):
+        raise AssertionError("an empty degree was eliminated")
+
+    monkeypatch.setattr(algebroid, "sparse_leads", refuse)
+    assert call() == 0
+
+
+def test_cohomology_rank_leaves_the_empty_degrees_to_the_routes(monkeypatch):
+    """The weight bound and the choice of route stay in ``cohomology_rank``."""
+    seen = []
+    monkeypatch.setattr(algebroid, "ce_rank", lambda alg, w, s: seen.append((alg, w, s)) or 7)
+    monkeypatch.setattr(algebroid, "cobar_rank", lambda alg, w, s: seen.append((alg, w, s)) or 8)
+    assert (cohomology_rank("S.B", 20, 6), cohomology_rank("N.N", 5, 9)) == (7, 8)
+    assert seen == [(SB, 20, 6), (NN, 5, 9)]
 
 
 def test_d_squared_is_zero_at_levels_three_and_four():

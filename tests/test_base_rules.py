@@ -9,6 +9,7 @@ and explained.
 
 import ast
 import io
+import signal
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -54,10 +55,33 @@ VALUES = {
 
 @pytest.mark.parametrize("kind", list(VALUES))
 def test_powers_are_repeated_products(kind):
+    """Powers go by squaring; each equals the product of its factors taken
+    one at a time, the cap of a series included.  QSym stops at 5, where
+    the quasi-shuffles of the repeated product are already in the tens of
+    thousands of terms."""
     x = VALUES[kind]
     assert x ** 3 == x * x * x
     assert x ** 1 == x
     assert x ** 0 == 1 == x._operand(1)
+    product = x
+    for n in range(2, 6 if kind == "qsym" else 10):
+        product = product * x
+        assert x ** n == product and type(x ** n) is type(product), n
+        assert getattr(x ** n, "cap", None) == getattr(product, "cap", None), n
+
+
+def test_a_large_power_takes_few_products():
+    def timeout(signum, frame):
+        raise TimeoutError("e[1]^100000 made a product per factor")
+
+    signal.signal(signal.SIGALRM, timeout)
+    signal.alarm(5)
+    try:
+        out, err = io.StringIO(), io.StringIO()
+        assert run_command(["eval", "e[1]^100000"], out, err) == 0
+    finally:
+        signal.alarm(0)
+    assert out.getvalue() == "e[%s]\n" % ",".join(["1"] * 100000)
 
 
 @pytest.mark.parametrize("kind", list(VALUES))

@@ -11,11 +11,12 @@ from fractions import Fraction
 import pytest
 
 from hopftower import cli
-from hopftower.algebroid import SB, coface
+from hopftower.algebroid import (SB, coface, cohomology_rank, differential,
+                                 differential_matrix, differential_rows)
 from hopftower.errors import AlgebraMismatchError, DomainError, ExpressionError
 from hopftower.exactlinalg import invert_matrix
 from hopftower.expr import parse_element, parse_series
-from hopftower.jsonio import document_for
+from hopftower.jsonio import document_for, loads
 from hopftower.linear import Tensor, TensorSpace
 from hopftower.nsym import NSymElement, z_series
 from hopftower.qsym import QSymElement, pair_tensor
@@ -94,6 +95,18 @@ CASES = [
      lambda: parse_series("b[1]*T + t[1]*T", 2), AlgebraMismatchError),
     ("reversion requires commutative coefficients",
      lambda: _noncommutative_tensor_series().revert()),
+    ("unknown algebroid None (known: ['S.B', 'N.N'])", lambda: coface(None, e(1), 0)),
+    ("unknown algebroid 1.5 (known: ['S.B', 'N.N'])", lambda: differential(1.5, e(1))),
+    ("unknown algebroid e[1] (known: ['S.B', 'N.N'])",
+     lambda: differential_matrix(e(1), 1, 0)),
+    ("unknown algebroid None (known: ['S.B', 'N.N'])", lambda: differential_rows(None, 1, 0)),
+    ("unknown algebroid 2 (known: ['S.B', 'N.N'])", lambda: cohomology_rank(2, 1, 0)),
+    ("an expression is a str, not None", lambda: parse_element(None)),
+    ("an expression is a str, not 3", lambda: parse_series(3, 2)),
+    ("invalid JSON: the JSON object must be str, bytes or bytearray, not NoneType",
+     lambda: loads(None)),
+    ("invalid JSON: 'utf-8' codec can't decode byte 0xff in position 0: invalid start byte",
+     lambda: loads(b"\xff")),
 ]
 
 

@@ -126,11 +126,13 @@ def test_every_algebra_multiplies_by_a_key_product_or_its_own_basis_product():
 
 
 def _add_toy(monkeypatch):
-    """Register the toy algebra and its structure, as the test above does."""
+    """Register the toy algebra and its structure, with the letter map its
+    coproduct extends, as the test above does."""
     monkeypatch.setitem(structures.ALGEBRAS, "toy",
                         structures.Algebra(YElement, ("y",), partitions_of))
     monkeypatch.setitem(structures.STRUCTURES, "toy",
-                        structures.Structure("toy", None, y_coproduct, y_antipode, 3))
+                        structures.Structure("toy", None, y_coproduct, y_antipode, 3,
+                                             _y_coproduct_gen))
 
 
 def test_one_row_adds_an_algebroid(monkeypatch):
@@ -138,9 +140,10 @@ def test_one_row_adds_an_algebroid(monkeypatch):
     of the toy Hopf algebra on itself, which is cofree: H^0 is the scalars
     and H^1 vanishes."""
     _add_toy(monkeypatch)
-    toy = SplitAlgebroid("toy", "toy", "toy", _y_coproduct_gen, _y_coproduct_gen)
+    toy = SplitAlgebroid("toy", "toy", "toy")
     assert (toy.base, toy.hopf, toy.coaction, toy.h_coproduct) == (
         "toy", "toy", y_coproduct, y_coproduct)
+    assert toy.base_gen is toy.hopf_gen is _y_coproduct_gen
     monkeypatch.setitem(ALGEBROIDS, "toy", toy)
     for w in range(5):
         assert cohomology_rank("toy", w, 0) == invariants_rank_oracle(toy, w) == (1 if w == 0 else 0)
@@ -161,7 +164,16 @@ def test_one_row_adds_an_algebroid(monkeypatch):
 def test_an_algebroid_on_an_unknown_row_is_refused(rows):
     """It used to raise a raw KeyError (or TypeError for a list) from the lookup."""
     with pytest.raises(DomainError, match=r"^unknown structure .* \(known: \['sym-binomial', "):
-        SplitAlgebroid("x", *rows, None, None)
+        SplitAlgebroid("x", *rows)
+
+
+@pytest.mark.parametrize("rows", [("sym-binomial", "fdb"), ("sym-fdb-coaction", "qsym")])
+def test_an_algebroid_on_a_row_without_a_letter_map_is_refused(rows):
+    """The fast routes read each row's letter map, so a row without one is
+    refused when the algebroid is built, not on its first rank."""
+    label = next(label for label in rows if structures.STRUCTURES[label].gen is None)
+    with pytest.raises(DomainError, match=r"^structure %r has no letter map$" % label):
+        SplitAlgebroid("x", *rows)
 
 
 def test_an_algebroid_reads_its_rows_at_each_call(monkeypatch):
