@@ -93,8 +93,7 @@ class SplitAlgebroid:
     coproduct of its Hopf algebra.  The tags ``base`` and ``hopf`` and the
     rows' letter maps (``base_gen`` on e-basis or word indices of the base,
     ``hopf_gen`` on indices of H) are read off the rows once, when it is
-    built, and a row with no letter map is refused; ``coaction`` and
-    ``h_coproduct`` read the rows per call."""
+    built; ``coaction`` and ``h_coproduct`` read the rows per call."""
 
     __slots__ = ("name", "coaction_row", "coproduct_row", "base", "hopf",
                  "base_gen", "hopf_gen")
@@ -104,8 +103,6 @@ class SplitAlgebroid:
         for label in (coaction_row, coproduct_row):
             if not isinstance(label, str) or label not in rows:
                 raise DomainError("unknown structure %r (known: %s)" % (label, list(rows)))
-            if rows[label].gen is None:
-                raise DomainError("structure %r has no letter map" % label)
         self.name, self.coaction_row, self.coproduct_row = name, coaction_row, coproduct_row
         self.base, self.base_gen = rows[coaction_row].algebra, rows[coaction_row].gen
         self.hopf, self.hopf_gen = rows[coproduct_row].algebra, rows[coproduct_row].gen

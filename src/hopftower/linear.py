@@ -344,17 +344,32 @@ class SparseSum:
                     out[k] = c if old is None else qadd(old, c)
         return out
 
+    def _one_term(self):
+        """Whether this is one term whose coefficient is a number or, in
+        turn, one term."""
+        if len(self.terms) != 1:
+            return False
+        c, = self.terms.values()
+        return not isinstance(c, SparseSum) or c._one_term()
+
     def __pow__(self, n):
         if not natural(n, "exponent"):
             return self._operand(1)
-        # by squaring, the bits of n from the top, and from x itself, not the
-        # unit: a product with the unit would cut a Laurent view at its
-        # lowered cap once more
+        # from x itself, not the unit: a product with the unit would cut a
+        # Laurent view at its lowered cap once more
         out = self._new(dict(self.terms))
-        for bit in bin(n)[3:]:
-            out = out * out
-            if bit == "1":
-                out = out * self
+        if n > 1 and len(self.terms) == 1 and (self * self)._one_term():
+            # a monomial, whose every power is one term: by squaring, over
+            # the bits of n from the top
+            for bit in bin(n)[3:]:
+                out = out * out
+                if bit == "1":
+                    out = out * self
+            return out
+        # powers that grow: one factor at a time, so that no product pairs
+        # two large powers (Fateman, Stud. Appl. Math. 53, 1974)
+        for _ in range(n - 1):
+            out = out * self
         return out
 
     def __str__(self):

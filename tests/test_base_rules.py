@@ -53,13 +53,34 @@ VALUES = {
 }
 
 
-@pytest.mark.parametrize("kind", list(VALUES))
+# one term each, whose square is one term: these power by squaring
+MONOMIALS = {
+    "sym e": e(2, 1).scale(3),
+    "nsym": z(1, 2),
+    "shift view": TruncatedSeries(Fraction, {3: Fraction(2, 3)}, 9).shift(-2),
+    "nsym series": TruncatedSeries(NSymElement, {1: z(1)}, 12),
+    "degree polynomial": Polynomial(3, {(1, 0, 0): b(1)}, 10),
+}
+# one term each, whose square has several: these take one factor at a time
+ONE_TERM = {
+    "sym m": m(2, 1),
+    "qsym": M(1),
+    "sym m series": TruncatedSeries(SymElement, {1: m(1)}, 12),
+}
+POWERED = {**VALUES, **{"monomial " + k: x for k, x in MONOMIALS.items()},
+           **{"one-term " + k: x for k, x in ONE_TERM.items()}}
+
+
+@pytest.mark.parametrize("kind", list(POWERED))
 def test_powers_are_repeated_products(kind):
-    """Powers go by squaring; each equals the product of its factors taken
-    one at a time, the cap of a series included.  QSym stops at 5, where
-    the quasi-shuffles of the repeated product are already in the tens of
+    """Each power equals the product of its factors taken one at a time, the
+    cap of a series included, whether it goes by squaring (a one-term x
+    whose square is one term) or not.  QSym stops at 5, where the
+    quasi-shuffles of the repeated product are already in the tens of
     thousands of terms."""
-    x = VALUES[kind]
+    x = POWERED[kind]
+    if kind.startswith(("monomial", "one-term")):
+        assert (x * x)._one_term() == kind.startswith("monomial")
     assert x ** 3 == x * x * x
     assert x ** 1 == x
     assert x ** 0 == 1 == x._operand(1)
@@ -82,6 +103,23 @@ def test_a_large_power_takes_few_products():
     finally:
         signal.alarm(0)
     assert out.getvalue() == "e[%s]\n" % ",".join(["1"] * 100000)
+
+
+@pytest.mark.parametrize("x", [M(1) + M(1, 2), M(1), m(2, 1)])
+def test_a_power_that_grows_multiplies_by_the_base(monkeypatch, x):
+    """Squaring x^3 would pair two powers of many terms, whose quasi-shuffles
+    or m-products cost far more than x^5 * x; every product has x on the
+    right instead."""
+    cls, seen = type(x), []
+    mul_into = cls._mul_into
+
+    def counted(self, out, a, b):
+        seen.append(b.terms == x.terms)
+        return mul_into(self, out, a, b)
+
+    monkeypatch.setattr(cls, "_mul_into", counted)
+    x ** 6
+    assert all(seen) and len(seen) >= 5
 
 
 @pytest.mark.parametrize("kind", list(VALUES))

@@ -167,15 +167,6 @@ def test_an_algebroid_on_an_unknown_row_is_refused(rows):
         SplitAlgebroid("x", *rows)
 
 
-@pytest.mark.parametrize("rows", [("sym-binomial", "fdb"), ("sym-fdb-coaction", "qsym")])
-def test_an_algebroid_on_a_row_without_a_letter_map_is_refused(rows):
-    """The fast routes read each row's letter map, so a row without one is
-    refused when the algebroid is built, not on its first rank."""
-    label = next(label for label in rows if structures.STRUCTURES[label].gen is None)
-    with pytest.raises(DomainError, match=r"^structure %r has no letter map$" % label):
-        SplitAlgebroid("x", *rows)
-
-
 def test_an_algebroid_reads_its_rows_at_each_call(monkeypatch):
     """A test double that rebinds a row reaches the algebroid's coaction."""
     calls = []
