@@ -58,9 +58,11 @@ composition, ``exp``, ``log`` and ``invert``), the series product,
 
 Each coproduct, coaction and antipode is given on the generators and then
 extended over words.  ``on_words`` does that extension, multiplicatively or
-as an antimorphism.  ``word_image`` builds the image of one word by a plain
-loop over its letters (so a word of any length needs no recursion) and
-memoises it per letter map and word.  Two readers share the memo, and
+as an antimorphism.  ``word_image`` builds the image of one word as the
+product of the images of its two halves, the first as long as the largest
+power of two below the word's length, both read through the memo it keeps per
+letter map and word: each new word costs one product, and a word of n letters
+recurses about log2 n deep.  Two readers share the memo, and
 neither hands out its dicts: ``on_words`` copies the terms into a fresh
 result (a one-word input, the common case, is one ``dict`` copy, or one
 ``scale`` when its coefficient is not 1), and ``image_items`` gives a
@@ -783,14 +785,16 @@ def binomial_gen(cls, k):
 
 @lru_cache(maxsize=None)
 def word_image(gen, letters):
-    """The product gen(l_1) * ... * gen(l_r) over the word ``letters``, built
-    by a plain loop; memoised, and read only by ``on_words`` and
-    ``image_items``."""
-    letters = iter(letters)
-    image = gen(next(letters, 0))
-    for k in letters:
-        image = image * gen(k)
-    return image
+    """The product gen(l_1) * ... * gen(l_r) over the word ``letters``, gen(0)
+    for the empty word; memoised, and read only by ``on_words`` and
+    ``image_items``.  A word of n >= 2 letters is the product of the images
+    of its first h letters and of the rest, h the largest power of two below
+    n, both read through this memo."""
+    n = len(letters)
+    if n < 2:
+        return gen(letters[0] if n else 0)
+    h = 1 << (n - 1).bit_length() - 1
+    return word_image(gen, letters[:h]) * word_image(gen, letters[h:])
 
 
 def on_words(f, gen, reverse=False):
