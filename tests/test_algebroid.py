@@ -23,6 +23,7 @@ from hopftower.sym import convert, e, h, m, p
 
 def test_both_algebroids_are_registered():
     assert set(ALGEBROIDS) == {"S.B", "N.N"}
+    assert repr(ALGEBROIDS["S.B"]) == "SplitAlgebroid(S.B)"
 
 
 def test_cosimplicial_identities_low_weight():

@@ -11,8 +11,10 @@ from pathlib import Path
 
 import pytest
 
-from hopftower import cli
+from hopftower import cli, topology
 from hopftower.cli import run_command
+from hopftower.diffeo import FdBElement, bfk_abelianize
+from hopftower.jsonio import loads
 from hopftower.verify import DOCUMENTED_INVOCATIONS
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -131,6 +133,21 @@ def test_series_commands_json_default():
     assert doc["vars"] == 2 and doc["cap"] == 2
     back_code, back_out, _ = run("fgl", "--cap", "2")
     assert back_out == out  # byte stable across runs
+
+
+@pytest.mark.parametrize("cap", range(1, 8))
+def test_the_fdb_group_law_is_the_abelianized_bfk_law(cap):
+    """``fgl --structure fdb`` prints the group law over the commutative
+    diffeomorphism algebra: coefficient by coefficient, the abelianization of
+    the noncommutative law ``cp_infinity_coproduct``."""
+    code, out, err = run("fgl", "--structure", "fdb", "--cap", str(cap))
+    assert (code, err) == (0, "")
+    got = loads(out)
+    want = topology.cp_infinity_coproduct(cap)
+    assert (got.algebra, got.cap, got.nvars) == (FdBElement, cap, 2)
+    assert set(got.terms) <= set(want.terms)
+    for k, c in want.terms.items():
+        assert got.coefficient(k) == bfk_abelianize(c), k
 
 
 def test_charnum_and_crn():

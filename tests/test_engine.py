@@ -12,6 +12,7 @@ properties check that every result is canonical, equal to its rebuild through
 the validating constructor, and shares no dict with its operands.
 """
 
+import sys
 from fractions import Fraction
 from functools import partial
 from operator import add, sub
@@ -348,9 +349,52 @@ def test_repeated_binomial_coproducts_hit_the_memo():
         assert word_image.cache_info().hits > hits
 
 
-def test_a_two_thousand_letter_word_needs_no_recursion():
-    word = z(1) ** 2000
-    assert nsym.antipode(word) == word
+@pytest.mark.parametrize("name", list(WORD_MAPS))
+def test_each_new_word_image_costs_one_product(name, monkeypatch):
+    """A cold build of every word to weight 7 multiplies once per memo miss of
+    a word of two letters or more.  Each one-letter word and the empty word
+    is itself a word of weight <= 7, so those make the other 8 misses."""
+    _, _, words, gen, reverse = WORD_MAPS[name]
+    for k in range(8):
+        gen(k)  # the letter images come from the letter map's own memo
+    kind, products = type(gen(1)), []
+    mul = kind.__mul__
+
+    def counted(x, y):
+        products.append(y)
+        return mul(x, y)
+
+    word_image.cache_clear()
+    monkeypatch.setattr(kind, "__mul__", counted)
+    for w in range(8):
+        for word in words(w):
+            word_image(gen, word[::-1] if reverse else word)
+    info = word_image.cache_info()
+    assert info.misses == info.currsize
+    assert len(products) == info.misses - 8 > 0
+
+
+def _depth():
+    frame, depth = sys._getframe(), 0
+    while frame is not None:
+        frame, depth = frame.f_back, depth + 1
+    return depth
+
+
+def test_a_long_word_recurses_about_log2_n_deep():
+    """``Z[1]^4096`` is built from its halves: its antipode runs within 100
+    frames of the caller, and adds one memo entry per power-of-two length."""
+    n = 4096
+    word = z(1) ** n
+    word_image.cache_clear()
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(_depth() + 100)
+    try:
+        image = nsym.antipode(word)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert image == word
+    assert word_image.cache_info().currsize <= 2 * (n.bit_length() - 1)
 
 
 # -- the tensor constructor canonicalises slot keys ----------------------------

@@ -103,3 +103,12 @@ def test_foreign_values_are_refused(kind):
         for op in (lambda: x + other, lambda: x - other, lambda: x * other):
             with pytest.raises(AlgebraMismatchError):
                 op()
+
+
+@pytest.mark.parametrize("kind", list(KINDS))
+def test_equality_and_the_left_scalar_action_leave_a_str_to_python(kind):
+    x = KINDS[kind][0]
+    assert x.__eq__("1") is NotImplemented and x.__rmul__("1") is NotImplemented
+    assert x != "1"
+    with pytest.raises(TypeError):
+        "1" * x

@@ -122,6 +122,13 @@ def test_running_or_naming_a_suite_loads_the_suites(use):
                   "assert 'hopftower.suites' in sys.modules\n" % use)
 
 
+def test_any_other_package_attribute_is_missing():
+    """The package's lazy ``__getattr__`` serves ``run_suites`` alone."""
+    import hopftower
+    with pytest.raises(AttributeError, match="module 'hopftower' has no attribute 'nonexistent'"):
+        hopftower.nonexistent
+
+
 def test_the_counts_report_is_unchanged():
     assert _python("-m", "hopftower", "verify", "--suite", "counts") == "\n".join(
         FULL_REPORT[-6:-3] + ["3/3 checks passed", ""])
