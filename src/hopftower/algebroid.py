@@ -37,29 +37,37 @@ eliminates them sparsest column first.
 ``differential_matrix`` keeps the slow route: dense rows from the ``coface``
 tensors, summed and then projected.
 
-``_cleared_rank`` is the one rank loop, over two callables: the basis of
-level t and the integer rows of d^t on a list of level-t keys.  It clears,
-as persistent-homology codes do (Chen and Kerber, EuroCG 2011; Bauer, Kerber
-and Reininghaus, 2014).  It walks the degrees up from 0; the leads of the
-pivot rows of d^(t-1) pick out level-t keys whose unit vectors, with
-im d^(t-1), span level t, and since d^t d^(t-1) = 0, the rank of d^t is the
-rank of its rows on the other keys.  So no row on a lead is built, and H^s
-is the number of kept level-s keys less the leads of d^s.  ``cobar_rank``
-runs it on the normalized cobar complex.
+``_Walk`` is the one rank loop, over two callables: the basis of level t
+and the integer rows of d^t on a list of level-t keys.  It clears, as
+persistent-homology codes do (Chen and Kerber, EuroCG 2011; Bauer, Kerber
+and Reininghaus, 2014; Bauer, J. Appl. Comput. Topol. 5, 2021).  It walks
+the degrees up from 0; the leads of the pivot rows of d^(t-1) pick out
+level-t keys whose unit vectors, with im d^(t-1), span level t, and since
+d^t d^(t-1) = 0, the rank of d^t is the rank of its rows on the other keys.
+So no row on a lead is built, and H^s is the number of kept level-s keys
+less the leads of d^s.  The walk is resumable: it keeps the ranks found so
+far, the basis of the next level and the last leads, so ``rank(s)`` walks
+on only past the degree it has reached, and once it has answered its top
+nonempty degree it keeps the ranks alone.  The walks are memoised for the
+life of the process by two ``lru_cache``s, ``_cobar_walk`` keyed by the
+algebroid and the weight and ``_ce_walk`` by those and ``trivial``, so each
+weight's complex is walked once whatever degrees are asked, in any order.
+``cobar_rank`` reads the walk of the normalized cobar complex.
 
-``ce_rank`` runs it on the Chevalley-Eilenberg cochains Lambda^s g^* (x) A,
-for an algebroid whose Hopf class is commutative.  Such an H is the graded
-dual of U(g) over Q, g spanned by the xi_n dual to its generators t_n
-(Milnor and Moore, Ann. of Math. 81, 1965), so the cobar cohomology is
-H^*(g; A) (Ravenel, App. A1).  The bracket [xi_a, xi_b] is read off the
-``hopf_gen`` image of t_(a+b), and xi_n acts on a base generator by the
-terms of its ``base_gen`` image whose right slot is t_n, a . xi =
-(id (x) xi) psi(a) with no sign, extended to monomials as a derivation.  The
-memos are module-level ``lru_cache``s that read ``image_items``, so no
-element is built.  For S.B, g is L_1 and the CE cochains in degrees 1-3 at
-weight 12 are 6, 33 and 272 times fewer than the cobar levels; with trivial
-coefficients (``trivial=True``) the ranks are Goncharova's (Funct. Anal.
-Appl. 7, 1973).  A Hopf class that is not commutative is refused.
+``ce_rank`` reads the walk of the Chevalley-Eilenberg cochains
+Lambda^s g^* (x) A, for an algebroid whose Hopf class is commutative.  Such
+an H is the graded dual of U(g) over Q, g spanned by the xi_n dual to its
+generators t_n (Milnor and Moore, Ann. of Math. 81, 1965), so the cobar
+cohomology is H^*(g; A) (Ravenel, App. A1).  The bracket [xi_a, xi_b] is
+read off the ``hopf_gen`` image of t_(a+b), and xi_n acts on a base
+generator by the terms of its ``base_gen`` image whose right slot is t_n,
+a . xi = (id (x) xi) psi(a) with no sign, extended to monomials as a
+derivation.  The bracket and the action are memoised by module-level
+``lru_cache``s that read ``image_items``, so no element is built.  For S.B, g is L_1 and the CE
+cochains in degrees 1-3 at weight 12 are 6, 33 and 272 times fewer than the
+cobar levels; with trivial coefficients (``trivial=True``) the ranks are
+Goncharova's (Funct. Anal. Appl. 7, 1973).  A Hopf class that is not
+commutative is refused.
 
 ``cohomology_rank`` takes the CE route for a commutative Hopf class (S.B)
 up to weight 20, and the cobar route otherwise (N.N) up to weight 5, in any
@@ -74,6 +82,7 @@ domain error, and a weight above the bound raises a capability error.
 from bisect import bisect
 from functools import lru_cache, partial
 from itertools import product
+from math import isqrt
 
 from . import structures
 from .diffeo import bfk_coproduct
@@ -279,30 +288,54 @@ def _algebroid(alg):
     return ALGEBROIDS[alg]
 
 
-def _cleared_rank(basis, rows, s):
-    """H^s of a cochain complex given by ``basis(t)``, the basis of level t,
-    and ``rows(keys, cod, t)``, the integer ``{column: int}`` rows of d^t on
-    the level-t ``keys`` into the level-(t+1) basis ``cod``.
+class _Walk:
+    """The cleared walk of a cochain complex given by ``basis(t)``, the basis
+    of level t, and ``rows(keys, cod, t)``, the integer ``{column: int}`` rows
+    of d^t on the level-t ``keys`` into the level-(t+1) basis ``cod``, up to
+    its top nonempty degree ``top``.
 
     Clearing: d^t vanishes on im d^(t-1), which the unit vectors off its
     leads complete to all of level t, so d^t is built and eliminated on the
-    other keys only; each level basis is built once."""
-    cod, leads = basis(0), set()
-    for t in range(s + 1):
-        dom, cod = cod, basis(t + 1)
-        kept = [key for j, key in enumerate(dom) if j not in leads]
-        leads = sparse_leads(rows(kept, cod, t))
-    return len(kept) - len(leads)
+    other keys only; each level basis is built once.  ``ranks`` holds H^t of
+    the degrees walked, ``cod`` the basis of the next level and ``leads`` the
+    leads of the last d^t; a step commits all three only once its
+    elimination returns, so a step that raises leaves the walk where it was.
+    Past ``top`` the basis and leads are dropped."""
+
+    __slots__ = ("basis", "rows", "top", "ranks", "cod", "leads")
+
+    def __init__(self, basis, rows, top):
+        self.basis, self.rows, self.top = basis, rows, top
+        self.ranks, self.cod, self.leads = [], basis(0), set()
+
+    def rank(self, s):
+        """H^s, 0 <= s <= ``top``, walking on from the last degree reached."""
+        ranks = self.ranks
+        while len(ranks) <= s:
+            t = len(ranks)
+            cod = self.basis(t + 1)
+            kept = [key for j, key in enumerate(self.cod) if j not in self.leads]
+            leads = sparse_leads(self.rows(kept, cod, t))
+            self.cod, self.leads = (None, None) if t == self.top else (cod, leads)
+            ranks.append(len(kept) - len(leads))
+        return ranks[s]
+
+
+@lru_cache(maxsize=None)
+def _cobar_walk(alg, w):
+    """The walk of the weight-w normalized cobar complex of ``alg``, whose
+    top degree is w."""
+    return _Walk(partial(_level_basis, alg, w), partial(_sparse_rows, alg), w)
 
 
 def cobar_rank(alg, w, s):
-    """H^s of the weight-w normalized cobar complex by the cleared loop, with
+    """H^s of the weight-w normalized cobar complex by its memoised walk, with
     no bound: the route of ``cohomology_rank`` for N.N, and S.B's oracle.  A
     cochain of degree s has weight at least s, so s > w is 0 with no basis."""
     alg, s, w = _algebroid(alg), natural(s, "degree"), natural(w, "weight")
     if s > w:
         return 0
-    return _cleared_rank(partial(_level_basis, alg, w), partial(_sparse_rows, alg), s)
+    return _cobar_walk(alg, w).rank(s)
 
 
 def cohomology_rank(alg, w, s, weight_bound=WEIGHT_BOUND):
@@ -418,20 +451,34 @@ def _ce_rows(alg, keys, cod, t):
 
 
 def ce_rank(alg, w, s, trivial=False):
-    """H^s(g; A) in weight w by the cleared loop on the Chevalley-Eilenberg
+    """H^s(g; A) in weight w by the memoised walk of the Chevalley-Eilenberg
     cochains Lambda^s g^* (x) A, g the primitives of the dual of the Hopf
     algebra and A the base; with ``trivial``, H^s(g; Q).  No bound; a Hopf
     class that is not commutative is refused.  A wedge of s dual generators
-    has weight at least s(s+1)/2, so past that the rank is 0 with no basis."""
+    has weight at least s(s+1)/2, so past ``_ce_top`` the rank is 0 with no
+    basis."""
     alg = _algebroid(alg)
     if not issubclass(alg.hopf_cls, CommutativeElement):
         raise DomainError("the Chevalley-Eilenberg route needs a commutative Hopf "
                           "algebra; %s has %s" % (alg.name, alg.hopf_cls.__name__))
     s, w = natural(s, "degree"), natural(w, "weight")
-    if s * (s + 1) > 2 * w:
+    if s > _ce_top(w):
         return 0
+    return _ce_walk(alg, w, bool(trivial)).rank(s)
+
+
+@lru_cache(maxsize=None)
+def _ce_walk(alg, w, trivial):
+    """The walk of the weight-w CE cochains of ``alg``, with trivial
+    coefficients if ``trivial``."""
     indices = _scalars if trivial else alg.base_indices
-    return _cleared_rank(partial(_ce_basis, indices, w), partial(_ce_rows, alg), s)
+    return _Walk(partial(_ce_basis, indices, w), partial(_ce_rows, alg), _ce_top(w))
+
+
+def _ce_top(w):
+    """The top nonempty CE degree in weight w: the largest s with
+    s(s+1)/2 <= w."""
+    return (isqrt(8 * w + 1) - 1) // 2
 
 
 def invariants_rank_oracle(alg, w):

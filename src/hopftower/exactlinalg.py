@@ -24,11 +24,13 @@ and all arithmetic is exact ``int``.
 pivot rows, and ``sparse_rank`` is their count.  The pivot rows are in
 echelon form and span the row space, so the unit vectors of the other
 columns complete it to the whole space.  That is what clearing needs:
-``algebroid._cleared_rank`` builds no row of d^s on a lead of
-im d^(s-1), since d^s vanishes there.
+``algebroid._Walk`` builds no row of d^s on a lead of im d^(s-1), since
+d^s vanishes there.
 
-``row_reduce`` is plain Gauss-Jordan on rational rows, and ``matrix_rank``,
-the dense oracle, counts its pivots: ``verify`` and
+``row_reduce`` is plain Gauss-Jordan on dense rational rows with
+``Fraction``'s own operators; it touches a row only on the nonzero columns
+of the pivot row it subtracts, which leaves the same reduced form.
+``matrix_rank``, the dense oracle, counts its pivots: ``verify`` and
 ``algebroid.invariants_rank_oracle`` call it as the independent route for
 ranks, which shares no step with ``sparse_leads``.  ``invert_matrix``
 row-reduces [A | I]; only ``verify`` calls it, to check the inverse tables
@@ -104,8 +106,11 @@ def sparse_rank(rows):
 def row_reduce(rows):
     """Gauss-Jordan on a list of equal-length rational rows: the reduced row
     echelon form, entries in the canonical form of ``scalars.rational``, and
-    its pivot columns in order.  The input rows are not modified."""
-    m = [list(map(rational, r)) for r in rows]
+    its pivot columns in order.  An ``int`` entry is already canonical, and a
+    pivot row is scaled, and subtracted from each other row, on its nonzero
+    columns only: elsewhere the entries would stay what they are.  The input
+    rows are not modified."""
+    m = [[x if type(x) is int else rational(x) for x in r] for r in rows]
     pivots = []
     for col in range(len(m[0]) if m else 0):
         top = len(pivots)
@@ -113,12 +118,16 @@ def row_reduce(rows):
         if pivot is None:
             continue
         m[top], m[pivot] = m[pivot], m[top]
-        inv = quotient(1, m[top][col])
-        m[top] = [rational(x * inv) for x in m[top]]
-        for r in range(len(m)):
-            if r != top and m[r][col]:
-                f = m[r][col]
-                m[r] = [rational(a - f * b) for a, b in zip(m[r], m[top])]
+        prow = m[top]
+        support = [j for j in range(col, len(prow)) if prow[j]]
+        inv = quotient(1, prow[col])
+        for j in support:
+            prow[j] = rational(prow[j] * inv)
+        for r, row in enumerate(m):
+            if r != top and row[col]:
+                f = row[col]
+                for j in support:
+                    row[j] = rational(row[j] - f * prow[j])
         pivots.append(col)
     return m, pivots
 

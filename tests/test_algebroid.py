@@ -293,9 +293,23 @@ def test_a_key_outside_the_codomain_is_refused_not_dropped():
             algebroid._sparse_rows(alg, dom, cod[:hit] + cod[hit + 1:], 1)
 
 
+def _clear_walks():
+    """Forget every memoised clearing walk, so the next rank walks again."""
+    algebroid._cobar_walk.cache_clear()
+    algebroid._ce_walk.cache_clear()
+
+
+@pytest.fixture
+def fresh_walks():
+    _clear_walks()
+    yield
+    _clear_walks()
+
+
 def test_cohomology_rank_builds_no_tensors_and_no_dense_matrix(monkeypatch):
     for name in ALGEBROIDS:
         cohomology_rank(name, 4, 1)  # fill the structure-constant memos first
+    _clear_walks()
     calls = []
 
     def counted(name, real):
@@ -314,7 +328,7 @@ def test_cohomology_rank_builds_no_tensors_and_no_dense_matrix(monkeypatch):
     assert calls == []
 
 
-def test_clearing_builds_no_row_of_d1_on_a_lead_of_im_d0():
+def test_clearing_builds_no_row_of_d1_on_a_lead_of_im_d0(fresh_walks):
     """N.N at weight 6: C^0 has 32 keys, C^1 112 and rank d^0 is 32, so the
     cleared H^1 builds 32 + 112 - 32 rows where building every row of both
     differentials took 144."""
@@ -357,6 +371,7 @@ def test_warm_ranks_and_differentials_only_read_the_word_image_memo():
         return [differential(alg, x) for alg, x in inputs]
 
     want = run()  # warms the memos
+    _clear_walks()
     memo = {}
     for alg in ALGEBROIDS.values():
         for gen, indices in ((alg.base_gen, alg.base_indices), (alg.hopf_gen, alg.h_indices)):
@@ -414,7 +429,7 @@ def test_sb_ranks_to_weight_20_and_degree_5_are_pinned():
         assert [cohomology_rank("S.B", w, s) for s in range(6)] == want, w
 
 
-def test_sb_takes_the_chevalley_eilenberg_route_and_nn_the_cobar_route():
+def test_sb_takes_the_chevalley_eilenberg_route_and_nn_the_cobar_route(fresh_walks):
     """No coface is spliced for an S.B rank, and N.N is refused the CE route."""
     watched = algebroid._cofaces_into.__code__
     calls = []
@@ -472,8 +487,10 @@ def _negated(real):
 @pytest.fixture
 def fresh_action():
     algebroid._action.cache_clear()
+    _clear_walks()
     yield
     algebroid._action.cache_clear()
+    _clear_walks()
 
 
 @pytest.mark.parametrize("name, mutant, first", [
@@ -576,3 +593,125 @@ def test_d_squared_is_zero_at_levels_three_and_four():
                 for key in _level_keys(alg, w, n):
                     x = level._new({key: 1})
                     assert not differential(alg, differential(alg, x)), (alg, n, key)
+
+
+# -- one resumable walk per weight --------------------------------------------
+
+def _cofaces_calls(call):
+    """``call()`` and the number of ``_cofaces_into`` calls it made, each of
+    which builds one row of a cobar differential."""
+    watched = algebroid._cofaces_into.__code__
+    calls = []
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code is watched:
+            calls.append(frame.f_code.co_name)
+
+    sys.setprofile(profile)
+    try:
+        result = call()
+    finally:
+        sys.setprofile(None)
+    return result, len(calls)
+
+
+def test_a_degree_walks_on_from_the_degree_below(fresh_walks):
+    """N.N at weight 6: H^0 builds the 32 rows of d^0, and H^1 after it only
+    the 80 rows of d^1 off the leads of im d^0, the 112 of one cold H^1;
+    asked again, neither builds a row."""
+    ranks = [_cofaces_calls(lambda s=s: cohomology_rank("N.N", 6, s, weight_bound=6))
+             for s in (0, 1, 0, 1)]
+    assert ranks == [(0, 32), (0, 80), (0, 0), (0, 0)]
+
+
+# every (w, s) that cohomology_rank answers from a walk or as empty: N.N to
+# weight 6 and one degree past it, S.B to weight 20 and degree 5
+WALK_CASES = ([("N.N", w, s) for w in range(7) for s in range(w + 2)]
+              + [("S.B", w, s) for w in range(21) for s in range(6)])
+
+
+def _pinned_rank(name, w, s):
+    if name == "N.N":
+        return int(w == s == 0)
+    return (1, SB_H1[w], SB_H2[w], SB_H3[w], 0, 0)[s]
+
+
+_FRESH = {}
+
+
+def _fresh_rank(name, w, s):
+    """H^s from a new walk of weight w, not the memoised one, walked to its
+    top degree; past the top the complex is empty and the rank is 0."""
+    if (name, w) not in _FRESH:
+        alg = ALGEBROIDS[name]
+        walk = (algebroid._cobar_walk.__wrapped__(alg, w) if name == "N.N"
+                else algebroid._ce_walk.__wrapped__(alg, w, False))
+        walk.rank(walk.top)
+        _FRESH[name, w] = tuple(walk.ranks)
+    ranks = _FRESH[name, w]
+    return ranks[s] if s < len(ranks) else 0
+
+
+@settings(max_examples=4, deadline=None)
+@given(st.permutations(WALK_CASES))
+def test_any_order_of_degrees_gives_the_pinned_ranks(order):
+    _clear_walks()
+    try:
+        for name, w, s in order:
+            got = cohomology_rank(name, w, s, weight_bound=6)
+            assert got == _pinned_rank(name, w, s) == _fresh_rank(name, w, s), (name, w, s)
+    finally:
+        _clear_walks()
+
+
+class _Interrupted(Exception):
+    pass
+
+
+@pytest.mark.parametrize("name, alg, w, s", [
+    ("_sparse_rows", NN, 5, 3),
+    ("_ce_rows", SB, 12, 3),
+    ("sparse_leads", NN, 5, 3),
+    ("sparse_leads", SB, 12, 3),
+], ids=["cobar rows", "ce rows", "cobar elimination", "ce elimination"])
+def test_a_step_that_raises_leaves_its_walk_where_it_was(monkeypatch, fresh_walks,
+                                                         name, alg, w, s):
+    """The rows or the elimination of degree 1 raise once: the memoised walk
+    keeps degree 0 alone, then walks on to the ranks a fresh walk gives."""
+    real, calls = getattr(algebroid, name), []
+
+    def once(*args):
+        calls.append(args)
+        if len(calls) == 2:
+            raise _Interrupted
+        return real(*args)
+
+    monkeypatch.setattr(algebroid, name, once)
+    with pytest.raises(_Interrupted):
+        cohomology_rank(alg, w, s)
+    walk = algebroid._cobar_walk(alg, w) if alg is NN else algebroid._ce_walk(alg, w, False)
+    assert walk.ranks == [_fresh_rank(alg.name, w, 0)]
+    assert ([cohomology_rank(alg, w, t) for t in range(s + 1)]
+            == [_fresh_rank(alg.name, w, t) for t in range(s + 1)]
+            == [_pinned_rank(alg.name, w, t) for t in range(s + 1)])
+
+
+def test_the_ce_top_degree_is_the_last_nonempty_one():
+    for w in range(200):
+        top = algebroid._ce_top(w)
+        assert top * (top + 1) <= 2 * w < (top + 1) * (top + 2), w
+
+
+@pytest.mark.parametrize("walk, top", [
+    (lambda: algebroid._cobar_walk(NN, 4), 4),
+    (lambda: algebroid._cobar_walk(SB, 3), 3),
+    (lambda: algebroid._ce_walk(SB, 12, False), 4),
+    (lambda: algebroid._ce_walk(SB, 9, True), 3),
+], ids=["cobar N.N", "cobar S.B", "ce", "ce trivial"])
+def test_past_its_top_degree_a_walk_keeps_only_its_ranks(fresh_walks, walk, top):
+    walk = walk()
+    assert walk.top == top
+    walk.rank(top - 1)
+    assert walk.cod and len(walk.ranks) == top
+    walk.rank(top)
+    assert walk.cod is None and walk.leads is None and len(walk.ranks) == top + 1

@@ -11,7 +11,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hopftower.errors import DomainError
-from hopftower.exactlinalg import invert_matrix, matrix_rank, sparse_leads, sparse_rank
+from hopftower.exactlinalg import (invert_matrix, matrix_rank, row_reduce, sparse_leads,
+                                   sparse_rank)
+from hopftower.scalars import rational
 
 entries = st.one_of(
     st.just(Fraction(0)),
@@ -20,8 +22,12 @@ entries = st.one_of(
 )
 
 
+# zeros, ints and Fractions side by side, integral Fractions among them
+mixed_entries = st.one_of(st.just(0), st.integers(-6, 6), entries)
+
+
 @st.composite
-def matrices(draw):
+def matrices(draw, entries=entries):
     """Random rational matrices, tall, wide or square, with some rows that
     repeat or combine earlier ones, shuffled."""
     ncols = draw(st.integers(1, 8))
@@ -187,3 +193,72 @@ def test_invert_matrix_refuses_singular_and_non_square():
         with pytest.raises(DomainError, match="not square"):
             invert_matrix(rows)
     assert invert_matrix([]) == []
+
+
+def _dense_gauss_jordan(rows):
+    """Gauss-Jordan written out densely: at each pivot every entry of the
+    pivot row is scaled and every entry of every other row updated."""
+    m = [[rational(x) for x in r] for r in rows]
+    pivots = []
+    for col in range(len(m[0]) if m else 0):
+        top = len(pivots)
+        below = [r for r in range(top, len(m)) if m[r][col] != 0]
+        if not below:
+            continue
+        m[top], m[below[0]] = m[below[0]], m[top]
+        inv = 1 / Fraction(m[top][col])
+        m[top] = [rational(x * inv) for x in m[top]]
+        for r in range(len(m)):
+            if r != top and m[r][col] != 0:
+                f = m[r][col]
+                m[r] = [rational(a - f * b) for a, b in zip(m[r], m[top])]
+        pivots.append(col)
+    return m, pivots
+
+
+def _types(rows):
+    return [[type(x) for x in r] for r in rows]
+
+
+@settings(max_examples=300, deadline=None)
+@given(matrices(mixed_entries))
+def test_row_reduce_is_the_dense_gauss_jordan(rows):
+    """The same reduced rows with the same canonical types, the same pivots,
+    and the input left as it was, row objects included."""
+    before, held = copy.deepcopy(rows), list(rows)
+    reduced, pivots = row_reduce(rows)
+    want, want_pivots = _dense_gauss_jordan(rows)
+    assert (reduced, pivots) == (want, want_pivots)
+    assert _types(reduced) == _types(want)
+    assert rows == before and _types(rows) == _types(before)
+    assert all(a is b for a, b in zip(rows, held))
+    assert matrix_rank(rows) == len(want_pivots)
+
+
+@st.composite
+def square_matrices(draw):
+    """Square rational matrices of mixed entries; in about half, the last row
+    combines two others, so they are singular."""
+    n = draw(st.integers(1, 6))
+    rows = draw(st.lists(st.lists(mixed_entries, min_size=n, max_size=n),
+                         min_size=n, max_size=n))
+    if n > 1 and draw(st.booleans()):
+        i, j = draw(st.integers(0, n - 2)), draw(st.integers(0, n - 2))
+        a, b = draw(mixed_entries), draw(mixed_entries)
+        rows[-1] = [a * x + b * y for x, y in zip(rows[i], rows[j])]
+    return draw(st.permutations(rows))
+
+
+@settings(max_examples=200, deadline=None)
+@given(square_matrices())
+def test_invert_matrix_is_the_dense_gauss_jordan_of_a_with_i(rows):
+    n = len(rows)
+    want, pivots = _dense_gauss_jordan([list(r) + [int(i == j) for j in range(n)]
+                                        for i, r in enumerate(rows)])
+    if pivots != list(range(n)):
+        with pytest.raises(DomainError, match="singular"):
+            invert_matrix(rows)
+    else:
+        inverse = invert_matrix(rows)
+        assert inverse == [r[n:] for r in want]
+        assert _types(inverse) == _types([r[n:] for r in want])

@@ -52,3 +52,13 @@ def test_the_word_image_memo_is_found_by_the_benchmark():
     layers = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(layers)
     assert "linear.word_image" in layers.find_caches()
+
+
+def test_the_walk_memos_are_found_by_the_benchmark():
+    """A stream that asks ranks starts with cold walks only if the benchmark
+    clears them."""
+    importlib.import_module("hopftower.algebroid")
+    spec = importlib.util.spec_from_file_location("bench_layers", ROOT / "bench" / "layers.py")
+    layers = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(layers)
+    assert {"algebroid._cobar_walk", "algebroid._ce_walk"} <= set(layers.find_caches())
