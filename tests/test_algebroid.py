@@ -2,6 +2,7 @@
 
 import signal
 import sys
+from functools import lru_cache
 from itertools import product
 
 import pytest
@@ -625,7 +626,7 @@ def test_a_degree_walks_on_from_the_degree_below(fresh_walks):
 
 
 # every (w, s) that cohomology_rank answers from a walk or as empty: N.N to
-# weight 6 and one degree past it, S.B to weight 20 and degree 5
+# weight 6 in degrees up to one past the weight, S.B to weight 20 and degree 5
 WALK_CASES = ([("N.N", w, s) for w in range(7) for s in range(w + 2)]
               + [("S.B", w, s) for w in range(21) for s in range(6)])
 
@@ -636,19 +637,20 @@ def _pinned_rank(name, w, s):
     return (1, SB_H1[w], SB_H2[w], SB_H3[w], 0, 0)[s]
 
 
-_FRESH = {}
+@lru_cache(maxsize=None)
+def _fresh_ranks(name, w):
+    """Every rank of a new walk of weight w, not the memoised one, walked to
+    its top degree."""
+    alg = ALGEBROIDS[name]
+    walk = (algebroid._cobar_walk.__wrapped__(alg, w) if name == "N.N"
+            else algebroid._ce_walk.__wrapped__(alg, w, False))
+    walk.rank(walk.top)
+    return tuple(walk.ranks)
 
 
 def _fresh_rank(name, w, s):
-    """H^s from a new walk of weight w, not the memoised one, walked to its
-    top degree; past the top the complex is empty and the rank is 0."""
-    if (name, w) not in _FRESH:
-        alg = ALGEBROIDS[name]
-        walk = (algebroid._cobar_walk.__wrapped__(alg, w) if name == "N.N"
-                else algebroid._ce_walk.__wrapped__(alg, w, False))
-        walk.rank(walk.top)
-        _FRESH[name, w] = tuple(walk.ranks)
-    ranks = _FRESH[name, w]
+    """H^s from a fresh walk; past its top the complex is empty and the rank 0."""
+    ranks = _fresh_ranks(name, w)
     return ranks[s] if s < len(ranks) else 0
 
 
