@@ -34,7 +34,7 @@ of the pivot row it subtracts, which leaves the same reduced form.
 ``algebroid.invariants_rank_oracle`` call it as the independent route for
 ranks, which shares no step with ``sparse_leads``.  ``invert_matrix``
 row-reduces [A | I]; only ``verify`` calls it, to check the inverse tables
-of ``sym``, one substitution solve per unit vector, and its h conversions.
+of ``sym``, packed from its m recursion, and its m-to-h conversions.
 """
 
 from math import gcd

@@ -3,30 +3,25 @@
 The algebra is graded by weight.  Basis indices are partitions; the bases are
 the elementary (e), complete homogeneous (h), power sum (p) and monomial (m)
 families.  e, h and p are multiplicative, so products there just merge
-partitions.  Basis conversions and products in the m basis come from one
-integer count (Macdonald, *Symmetric Functions and Hall Polynomials*, I.2,
-I.6): the coefficient of m_nu in m_lam * m_mu counts the arrangements of lam
-and mu that add up to nu.  e_lam and p_lam are products of their generators,
-with e_k = m_(1^k) and p_k = m_(k), so each row of the e and p tables is a
-product of m forms taken by that count.  The literal expansion as a
-symmetric polynomial in finitely many variables (``expand``) is read through
-QSym, where m_lam is the sum of M_I over the rearrangements I of lam; it stays
-the public evaluation and the independent oracle that ``verify`` checks the
-counts against.
+partitions.  Products in the m basis, and e_lam and p_lam in it (``_m_row``),
+come from one integer count (Macdonald, *Symmetric Functions and Hall
+Polynomials*, I.2, I.6): the coefficient of m_nu in m_lam * m_mu counts the
+arrangements of lam and mu that add up to nu, and e_k = m_(1^k), p_k = m_(k).
+The literal expansion as a symmetric polynomial in finitely many variables
+(``expand``) is read through QSym, where m_lam is the sum of M_I over the
+rearrangements I of lam; it stays the public evaluation and the independent
+oracle that ``verify`` checks the counts against.
 
-A conversion goes through m and inverts no table.  In the order of
-``partitions_of`` (decreasing lex, which refines dominance) the p table is
-lower triangular with diagonal prod_i m_i(lam)!, and w! times its inverse is
-integral; the e table, its row for e_lam moved to the place of lam', is
-unitriangular (I.2, I.6).  So m -> e or p is one substitution pass per weight
-in ints (``_solve``); the inverse is built only for ``verify``, one solve per
-unit vector, to be checked against ``exactlinalg.invert_matrix``.  h has no
-table: h_lam = (-1)^|lam| S(e_lam) and omega swaps e and h, so one map,
-``_h_swap``, trades h and e coordinates both ways.  Between h and p the swap
-is not needed: omega is the sign (-1)^(|lam| - l(lam)) on p_lam (I.2.13), so
-the h coordinates of f are the e ones of omega(f), and ``_p_twist`` applies
-omega on the p side, before p -> e or after e -> p.  m needs no table
-either: its coordinates are the ones the tables land in.
+No conversion builds or reads a table.  Between e, h and p it is
+``on_words`` of a letter map: e and h trade through the antipode's word
+images, as h_lam = (-1)^|lam| S(e_lam), and ``_basis_gen`` holds p_n in e
+and h (Girard-Waring) and n! e_n and n! h_n in p (I.2.14), so into p the
+ints are w! times the coordinates at weight w, divided once.  Out of m it is
+one memoised recursion, ``_m_image``, keyed by the target basis and the
+partition: for k the largest part of lam, p_k m_(lam minus k) is m_lam plus
+shorter m_nu, which peels a partition of many small parts in few steps.  Into
+m it sums the rows ``_m_row`` of f's partitions, h going through e.  The e
+and p tables (``_transition``) and their inverses are ``verify``'s oracle.
 
 The coproduct lives on the e basis (each generator series is grouplike), with
 the other bases reached by conversion.  The antipode takes the basis that
@@ -39,7 +34,7 @@ denominator.
 """
 
 from functools import lru_cache, partial
-from math import factorial, lcm, prod
+from math import factorial, lcm, perm, prod
 import warnings
 
 from .errors import DomainError
@@ -221,60 +216,81 @@ def _m_row(basis, lam):
 @lru_cache(maxsize=None)
 def _transition(basis, w):
     """(partitions of w, their positions, rows): row i gives basis_{lam_i},
-    e or p, in m-coordinates as nonzero (j, entry) pairs, j increasing.
-
-    Each row is the product of the m forms of its generators, e_k = m_(1^k)
-    and p_k = m_(k), taken by the one m-product count (``_m_row``);
-    ``verify`` checks the rows against the literal expansion.
-    """
+    e or p, in m-coordinates as nonzero (j, entry) pairs, j increasing.  The
+    rows are ``_m_row``'s, which ``verify`` checks against the expansion."""
     parts = partitions_of(w)
     pos = {lam: i for i, lam in enumerate(parts)}
     return parts, pos, tuple(tuple(sorted((pos[mu], c) for mu, c in _m_row(basis, lam).items()))
                              for lam in parts)
 
 
-def _solve(basis, w, coords):
-    """The x with x T = v, as (partition, int) pairs, for T the e or p table
-    of weight w and v the dict ``coords`` of m coordinates, scaled so that x
-    is integral (by w! on p).  One pass of substitution, rows last first: a
-    row's diagonal is its first pair on e and its last on p, and every other
-    column of a row is the diagonal of an earlier row, so each division is exact."""
-    parts, _, rows = _transition(basis, w)
-    acc = [coords.get(lam, 0) for lam in parts]
-    lead = -1 if basis == "p" else 0
-    for r in range(len(parts) - 1, -1, -1):
-        i, diagonal = rows[r][lead]
-        x = acc[i] // diagonal
-        if x:
-            for j, y in rows[r]:
-                acc[j] -= x * y
-            yield parts[r], x
+@lru_cache(maxsize=None)
+def _transition_inverse(basis, w):
+    """``(d, rows)``: d times the inverse of ``_transition(basis, w)``, packed
+    as its rows are, row i ``_m_image`` of lam_i, for ``verify``'s Gauss-Jordan
+    check; d = w! on p is least, as e_w = m_(1^w) has p_(1^w)-coefficient 1/w!."""
+    parts = partitions_of(w)
+    pos = {lam: i for i, lam in enumerate(parts)}
+    return (factorial(w) if basis == "p" else 1,
+            tuple(tuple(sorted((pos[mu], x) for mu, x in _m_image(basis, lam).terms.items()))
+                  for lam in parts))
 
 
 @lru_cache(maxsize=None)
-def _transition_inverse(basis, w):
-    """Inverse of the transition matrix as ``(d, rows)``: ``d`` times the
-    inverse is an integer matrix, each of whose rows is held as its nonzero
-    (j, entry) pairs, j increasing.  Row j is the ``_solve`` of the j-th unit
-    vector; ``convert`` never builds it, ``verify`` checks it by Gauss-Jordan.
-    ``d`` is already least: m_(1^w) = e_w has p_(1^w)-coefficient 1/w!, so
-    w! times the inverse on p has an entry 1."""
-    parts, pos, _ = _transition(basis, w)
-    scale = factorial(w) if basis == "p" else 1
-    return scale, tuple(tuple(sorted((pos[mu], x) for mu, x in _solve(basis, w, {lam: scale})))
-                        for lam in parts)
+def _basis_gen(src, to, n):
+    """src_n in the basis ``to``, one of them p, and n! times it on p: p_n =
+    sum (-1)^(n-l) n (l-1)!/prod_i m_i! e_lam over lam |- n of length l
+    (Girard-Waring), in h with the sign (-1)^(l-1), where l!/prod_i m_i! =
+    (-1)^l power_count(-1, lam); n! e_n = sum (-1)^(n-l) n!/z_lam p_lam and
+    n! h_n = sum n!/z_lam p_lam, n!/z_lam the size of a class (I.2.14)."""
+    if not n:
+        return SymElement({(): 1}, to)
+    if src == "p":
+        return SymElement({lam: ((-1) ** n if to == "e" else -1) * n * power_count(-1, lam)
+                           // len(lam) for lam in partitions_of(n)}, to)
+    return SymElement({lam: (-1 if src == "e" and (n - len(lam)) % 2 else 1) * factorial(n)
+                       // (prod(lam) * prod(factorial(lam.count(i)) for i in set(lam)))
+                       for lam in partitions_of(n)}, "p")
 
 
-def _h_swap(coords, w):
-    """Integer h coordinates of weight w, (partition, int) pairs, as e ones, or e as h."""
-    twisted = _antipode_e_gen(0)._new({lam: (-1) ** w * c for lam, c in coords})
-    return on_words(twisted, _antipode_e_gen).terms.items()
+# one letter map per ordered pair with p, so the word-image memo of on_words hits
+_BASIS_GENS = {pair: partial(_basis_gen, *pair)
+               for pair in (("p", "e"), ("p", "h"), ("e", "p"), ("h", "p"))}
 
 
-def _p_twist(coords, w):
-    """p coordinates of weight w, (partition, int) pairs, under omega: the
-    sign (-1)^(w - l(lam)) on p_lam."""
-    return ((lam, -c if (w - len(lam)) % 2 else c) for lam, c in coords)
+@lru_cache(maxsize=None)
+def _m_image(basis, lam):
+    """m_lam in ``basis``, e, h or p, with int coefficients: |lam|! m_lam on p.
+    For k the largest part of lam and mu the rest, p_k m_mu = a m_lam +
+    sum_nu a_nu m_nu, where nu adds k to one distinct part v of mu, a_nu =
+    m_(v+k)(nu) and a = m_k(lam) (the parts of x^nu that p_k can have
+    raised); each nu is shorter than lam, and the division by a is exact."""
+    if not lam:
+        return SymElement({(): 1}, basis)
+    k, mu = lam[0], lam[1:]
+    p_k = (SymElement({(k,): perm(sum(lam), k)}, "p") if basis == "p"
+           else _basis_gen("p", basis, k))
+    out = (p_k * _m_image(basis, mu)).terms
+    for v in set(mu):
+        nu = tuple(sorted(_without(mu, v) + (v + k,), reverse=True))
+        a = nu.count(v + k)
+        for key, c in _m_image(basis, nu).terms.items():
+            out[key] = out.get(key, 0) - a * c
+    a = lam.count(k)
+    return p_k._new({key: c // a for key, c in out.items() if c})
+
+
+def _on_letters(g, src, to):
+    """The int coordinates ``g`` from one of e, h and p into another, w! times
+    them on p at weight w.  e and h trade through the antipode's word images
+    with the sign (-1)^|lam|; into p each letter n gives n! src_n, so src_lam
+    first takes the factor |lam|! / prod_i lam_i!."""
+    if to == "p":
+        g = g._new({lam: c * (factorial(sum(lam)) // prod(map(factorial, lam)))
+                    for lam, c in g.terms.items()})
+    elif src != "p":
+        g = g._new({lam: -c if sum(lam) % 2 else c for lam, c in g.terms.items()})
+    return on_words(g, _BASIS_GENS.get((src, to), _antipode_e_gen)).terms
 
 
 def convert(f, to, integral=False):
@@ -291,44 +307,27 @@ def convert(f, to, integral=False):
         raise DomainError("unknown symmetric function basis %r" % (to,))
     if SymElement.require(f, "convert").basis == to:
         return f
-    src, hub = ("e" if basis == "h" else basis for basis in (f.basis, to))
-    # h is read as e through omega: by the sign on the p side between h and
-    # p, by the swap on the h side otherwise
-    if {f.basis, to} == {"h", "p"}:
-        before, after = (_p_twist, None) if f.basis == "p" else (None, _p_twist)
+    # integer numerators over one common denominator d keep every sum below
+    # in int arithmetic; on p they are w! times the coordinates of weight w
+    src, d = f.basis, lcm(*(c.denominator for c in f.terms.values()))
+    g = f._new({lam: c.numerator * (d // c.denominator) for lam, c in f.terms.items()})
+    if src == "h" and to == "m":
+        g, src = g._new(_on_letters(g, "h", "e")), "e"
+    if "m" not in (src, to):
+        out = _on_letters(g, src, to)
     else:
-        before = _h_swap if f.basis == "h" else None
-        after = _h_swap if to == "h" else None
-    by_weight = {}
-    for lam, c in f.terms.items():
-        by_weight.setdefault(sum(lam), []).append((lam, c))
-    out = {}
-    for w, comp in sorted(by_weight.items()):
-        # integer numerators over one common denominator d keep every sum
-        # below in int arithmetic, through omega, through m and back
-        d = lcm(*(c.denominator for _, c in comp))
-        coords = ((lam, c.numerator * (d // c.denominator)) for lam, c in comp)
-        coords = before(coords, w) if before else coords
-        if src != hub and src != "m":
-            # into m row by row: only the rows of f's own partitions are built
-            acc = {}
-            for lam, c in coords:
-                for mu, x in _m_row(src, lam).items():
-                    acc[mu] = acc.get(mu, 0) + c * x
-            coords = settle(acc).items()
-        if src != hub and hub != "m":
-            scale = factorial(w) if hub == "p" else 1
-            # coords reads d lazily, so the dict reads it before d changes
-            coords = _solve(hub, w, {lam: scale * c for lam, c in coords})
-            d *= scale
-        coords = after(coords, w) if after else coords
-        for lam, c in coords:
-            out[lam] = c if d == 1 else quotient(c, d)
+        out = {}
+        for lam, c in g.terms.items():
+            for mu, x in (_m_row(src, lam) if to == "m" else _m_image(to, lam).terms).items():
+                out[mu] = out.get(mu, 0) + c * x
+        out = settle(out)
+    if to == "p":
+        out = {mu: quotient(c, d * factorial(sum(mu))) for mu, c in out.items()}
+    elif d > 1:
+        out = {mu: quotient(c, d) for mu, c in out.items()}
     result = f._new(out, to)
-    if integral:
-        den = lcm(*(c.denominator for c in f.terms.values()))
-        if any(den % c.denominator for c in result.terms.values()):
-            raise DomainError("conversion to %s-basis is not integral here" % to)
+    if integral and any(d % c.denominator for c in result.terms.values()):
+        raise DomainError("conversion to %s-basis is not integral here" % to)
     return result
 
 

@@ -62,3 +62,13 @@ def test_the_walk_memos_are_found_by_the_benchmark():
     layers = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(layers)
     assert {"algebroid._cobar_walk", "algebroid._ce_walk"} <= set(layers.find_caches())
+
+
+def test_the_conversion_memos_are_found_by_the_benchmark():
+    """A stream that converts sym elements starts with a cold recursion out
+    of m and cold letter maps only if the benchmark clears them."""
+    importlib.import_module("hopftower.sym")
+    spec = importlib.util.spec_from_file_location("bench_layers", ROOT / "bench" / "layers.py")
+    layers = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(layers)
+    assert {"sym._m_image", "sym._basis_gen", "sym._antipode_e_gen"} <= set(layers.find_caches())

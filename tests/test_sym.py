@@ -213,9 +213,9 @@ def test_cold_conversions_never_call_gauss_jordan():
 
 
 def test_no_conversion_builds_the_inverse_table():
-    """A conversion solves x T = v once per weight; ``_transition_inverse``
-    (watched by code object, under its cache) is built only for the
-    Gauss-Jordan check."""
+    """A conversion out of m runs the recursion of ``_m_image``;
+    ``_transition_inverse`` (watched by code object, under its cache) is built
+    only for the Gauss-Jordan check."""
     _clear_sym_caches()
     inverse = sym._transition_inverse.__wrapped__.__code__
     calls = []
@@ -262,12 +262,12 @@ def test_m_conversions_at_weights_ten_to_twelve_equal_gauss_jordan():
 
 
 def test_no_table_is_ever_built_or_read_for_h():
-    """h is traded with e through the antipode memo, so no table function
-    (watched by code object, under its cache) sees the basis ``"h"``."""
+    """h is traded with e through the antipode memo, so no table is built and
+    the one row function a conversion runs, ``_m_row`` (watched by code
+    object, under its cache, with the tables), never sees the basis ``"h"``."""
     _clear_sym_caches()
     watched = {fn.__wrapped__.__code__ for fn in (sym._m_row, sym._transition,
                                                   sym._transition_inverse)}
-    watched.add(sym._solve.__code__)
     calls = []
 
     def profile(frame, event, arg):
@@ -283,35 +283,43 @@ def test_no_table_is_ever_built_or_read_for_h():
                     convert(f, to)
     finally:
         sys.setprofile(None)
-    assert calls and all(basis != "h" for _, basis in calls), \
-        sorted({call for call in calls if call[1] == "h"})
+    assert calls and set(calls) <= {("_m_row", "e"), ("_m_row", "p")}, \
+        sorted(set(calls) - {("_m_row", "e"), ("_m_row", "p")})
 
 
 def test_h_and_p_trade_through_the_omega_sign_without_the_swap(monkeypatch):
-    """omega is (-1)^(|lam| - l(lam)) on p_lam, so p -> h and h -> p twist the
-    p side and read h as e; neither calls ``_h_swap``, and both agree with
-    the route through e, which does."""
-    swaps = []
-    swap = sym._h_swap
-    monkeypatch.setattr(sym, "_h_swap", lambda *args: swaps.append(args) or swap(*args))
+    """omega is (-1)^(n - 1) on p_n, so the letter maps between h and p are
+    those between e and p with the omega sign: on the letter on the p side,
+    on each p_lam on the other.  p -> h and h -> p read them and never the
+    antipode's images that swap h and e, and both agree with the route
+    through e, which does."""
+    for n in range(9):
+        assert sym._basis_gen("p", "h", n).terms == {
+            lam: (-1) ** (n - 1) * c if n else c
+            for lam, c in sym._basis_gen("p", "e", n).terms.items()}, n
+        assert sym._basis_gen("h", "p", n).terms == {
+            lam: (-1) ** (n - len(lam)) * c for lam, c in sym._basis_gen("e", "p", n).terms.items()}, n
+    # every letter map a conversion reads, memo hit or not, passes on_words
+    gens = []
+    monkeypatch.setattr(sym, "on_words", lambda f, gen: gens.append(gen) or linear.on_words(f, gen))
     for w in range(7):
         for src, to in (("p", "h"), ("h", "p")):
             f = SymElement({lam: Fraction(k + 1, 3) for k, lam in enumerate(partitions_of(w))},
                            src)
             direct = convert(f, to)
-            assert not swaps
+            assert gens == [sym._BASIS_GENS[src, to]]
             assert direct.basis == to and direct == convert(convert(f, "e"), to)
-            assert swaps or w == 0
-            swaps.clear()
+            assert sym._antipode_e_gen in gens
+            gens.clear()
 
 
 def test_no_table_is_ever_built_or_read_for_m():
-    """m is the coordinates the tables land in, so no table function (watched
-    by code object, under its cache) sees the basis ``"m"``, and m -> p
-    builds no e row."""
-    watched = {fn.__wrapped__.__code__ for fn in (sym._m_row, sym._transition,
+    """A conversion out of m is the recursion of ``_m_image`` in the target
+    basis and builds no row at all, and one into m builds only the e and p
+    rows of ``_m_row``; no function of either kind (watched by code object,
+    under its cache, with the tables) sees the basis ``"m"``."""
+    watched = {fn.__wrapped__.__code__ for fn in (sym._m_row, sym._m_image, sym._transition,
                                                   sym._transition_inverse)}
-    watched.add(sym._solve.__code__)
     calls = []
 
     def profile(frame, event, arg):
@@ -328,11 +336,81 @@ def test_no_table_is_ever_built_or_read_for_m():
                     convert(SymElement({lam: 1 for lam in partitions_of(w)}, src), to)
         finally:
             sys.setprofile(None)
-        return {basis for _, basis in calls}
+        return set(calls)
 
-    assert watch([(basis, "m") for basis in sym.BASES]
-                 + [("m", basis) for basis in sym.BASES]) == {"e", "p"}
-    assert watch([("m", "p")]) == {"p"}
+    assert watch([(basis, "m") for basis in sym.BASES]) == {("_m_row", "e"), ("_m_row", "p")}
+    assert watch([("m", basis) for basis in sym.BASES]) == {("_m_image", basis)
+                                                           for basis in ("e", "h", "p")}
+    assert watch([("m", "p")]) == {("_m_image", "p")}
+
+
+def test_no_conversion_antipode_or_hall_pair_builds_a_table():
+    """The e and p tables and their inverses (watched by code object, under
+    their caches) are ``verify``'s oracles only: no conversion between any two
+    bases, no antipode and no Hall pair builds one, to weight 8."""
+    _clear_sym_caches()
+    tables = {fn.__wrapped__.__code__ for fn in (sym._transition, sym._transition_inverse)}
+    calls = []
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code in tables:
+            calls.append((frame.f_code.co_name, frame.f_locals["basis"], frame.f_locals["w"]))
+
+    sys.setprofile(profile)
+    try:
+        for w in range(9):
+            elements = {basis: SymElement({lam: k + 1 for k, lam in enumerate(partitions_of(w))},
+                                          basis) for basis in sym.BASES}
+            for src, f in elements.items():
+                antipode(f)
+                for to, g in elements.items():
+                    convert(f, to)
+                    hall_pair(f, g)
+    finally:
+        sys.setprofile(None)
+    assert calls == []
+
+
+def test_letter_maps_equal_the_route_through_m_by_gauss_jordan():
+    """Between e, h and p, ``convert`` of every unit vector to weight 8, and
+    of seeded random elements (``int`` and ``Fraction`` coefficients) at
+    weights 9 and 10, equals the route through m: the source's rows in m
+    times the Gauss-Jordan inverse of the target's, types included."""
+    rng = random.Random(20261022)
+    for w in range(11):
+        parts = partitions_of(w)
+        inverses = {to: invert_matrix(_converted_rows(to, "m", w)) for to in ("e", "h", "p")}
+        for src in ("e", "h", "p"):
+            rows = _converted_rows(src, "m", w)
+            elements = ([SymElement({lam: 1}, src) for lam in parts] if w <= 8 else
+                        [SymElement({rng.choice(parts): coefficient() for _ in range(4)}, src)
+                         for coefficient in (lambda: rng.randint(-9, 9),
+                                             lambda: Fraction(rng.randint(-9, 9), rng.randint(1, 6)))
+                         for _ in range(2)])
+            for to in ("e", "h", "p"):
+                if to == src:
+                    continue
+                for f in elements:
+                    in_m = [sum(c * rows[parts.index(lam)][k] for lam, c in f.terms.items())
+                            for k in range(len(parts))]
+                    want = {}
+                    for j, mu in enumerate(parts):
+                        x = sum(y * inverses[to][k][j] for k, y in enumerate(in_m))
+                        if x:
+                            want[mu] = x
+                    got = convert(f, to).terms
+                    assert got == want, (w, src, to, f)
+                    assert all(type(c) is (int if want[k].denominator == 1 else Fraction)
+                               for k, c in got.items()), (w, src, to, f)
+
+
+def test_cold_m_conversion_peels_the_largest_part():
+    """m_(2,1^18) -> e peels the 2 first, so the recursion memo stays small;
+    peeling the ones first fills it with thousands of partitions."""
+    _clear_sym_caches()
+    # e_1 e_19 = m_(2,1^18) + 20 m_(1^20)
+    assert convert(m(2, *[1] * 18), "e") == e(19, 1) - e(20).scale(20)
+    assert sym._m_image.cache_info().currsize < 250
 
 
 def test_conversions_are_canonical_and_share_no_dict_with_a_cache():
@@ -444,13 +522,14 @@ def test_antipode_of_p_converts_nothing_and_of_h_reads_no_table():
     finally:
         sys.setprofile(None)
     assert calls == []
-    # the watch sees the m route, which converts through p
+    # the watch sees the m route, which converts through p and back by rows,
+    # with no table
     sys.setprofile(profile)
     try:
         antipode(m(2, 1))
     finally:
         sys.setprofile(None)
-    assert "convert" in calls and "_transition" in calls
+    assert set(calls) == {"convert", "_m_row"}
 
 
 def test_generating_series_identity():
