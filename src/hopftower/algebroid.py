@@ -91,6 +91,7 @@ from .exactlinalg import matrix_rank, sparse_leads
 from .indices import compositions_of, natural
 from .linear import CommutativeElement, Tensor, image_items, settle
 from .nsym import NSymElement
+from .scalars import clear_denominators, quotient
 
 WEIGHT_BOUND = 5
 CE_WEIGHT_BOUND = 20
@@ -174,10 +175,13 @@ def _cofaces_into(out, alg, terms, n):
     word-image memo by ``image_items`` of ``base_gen`` at slot 0 and
     ``hopf_gen`` above (on slot indices the public coaction and coproduct are
     exactly ``on_words`` of these letter maps); the last coface appends a
-    unit slot."""
+    unit slot.  The arithmetic is ``int`` alone: at a coefficient that is not
+    an ``int`` it stops and returns None."""
     get = out.get
     gens = (alg.base_gen,) + (alg.hopf_gen,) * n
     for key, c in terms.items():
+        if type(c) is not int:
+            return None
         for i, gen in enumerate(gens):
             signed = -c if i % 2 else c
             head, rest = key[:i], key[i + 1:]
@@ -196,8 +200,12 @@ def differential(alg, x):
     alg = _algebroid(alg)
     x = alg.as_level(x)
     n = x.arity - 1
-    return x._new(settle(_cofaces_into({}, alg, x.terms, n)),
-                  (alg.base_cls,) + (alg.hopf_cls,) * (n + 1))
+    out = _cofaces_into({}, alg, x.terms, n)
+    if out is None:
+        # Fraction coefficients: the cofaces of the numerators over one denominator
+        d, terms = clear_denominators(x.terms)
+        out = {k: quotient(c, d) for k, c in _cofaces_into({}, alg, terms, n).items()}
+    return x._new(settle(out), (alg.base_cls,) + (alg.hopf_cls,) * (n + 1))
 
 
 # -- normalized complex and ranks -----------------------------------------

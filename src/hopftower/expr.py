@@ -44,7 +44,7 @@ long before the parser or the evaluator could exhaust the stack.
 
 from . import structures
 from .errors import AlgebraMismatchError, CapabilityError, DomainError, ExpressionError
-from .scalars import Q, quotient, rational
+from .scalars import Q, qneg, quotient, rational
 from .series import TruncatedSeries
 from .topology import BetaPolynomial
 
@@ -330,7 +330,7 @@ def _evaluate(node, cap):
     for sign, sub in node[1]:
         v = _evaluate(sub, cap)
         if sign < 0:
-            v = -v
+            v = qneg(v)
         if out is not None and cap is not None:
             out, v = _unify(out, v)
         out = v if out is None else out + v

@@ -34,10 +34,10 @@ constants safe to share.
 Every hot sum (a product, ``Tensor.apply``, ``on_words``, the cobar cofaces of
 ``algebroid``) adds raw terms into a plain dict and settles once: a key seen
 first stores its value as is, and a structure constant 1 is not multiplied.
-Outside ``algebroid`` each coefficient product and sum is ``int`` arithmetic
-inline or the exact kernel of ``scalars``, never a ``Fraction`` operator, so a
-raw sum is canonical, or the ``int`` 0 where terms cancelled; ``settle`` drops
-those zeros, and stores as ``int`` the integral ``Fraction``s the cofaces leave.
+Each coefficient product, sum and negation is ``int`` arithmetic inline or
+the exact kernel of ``scalars`` (the cofaces see ``int``s alone), never a
+``Fraction`` operator, so a raw sum is canonical, or the ``int`` 0 where
+terms cancelled; ``settle`` drops those zeros.
 ``add_term``, which settles each term as it lands, is left to ``checked`` and
 the cold paths, and ``+`` settles only the keys it touches; one product loop
 still adds each pair through it, ``Polynomial._mul_into``, where a raw sum
@@ -81,7 +81,7 @@ from operator import add, le
 
 from .errors import AlgebraMismatchError, DomainError
 from .indices import index_sort_key, natural
-from .scalars import qadd, qmul, rational
+from .scalars import qadd, qmul, qneg, rational
 
 
 def add_term(data, idx, coeff):
@@ -140,14 +140,15 @@ def mul_into(out, a_terms, b_terms, basis_mul):
 
 def settle(out):
     """The raw sums of ``out`` as stored terms: zeros dropped, an integral
-    ``Fraction`` (only the cofaces leave one) stored as its ``int``, and an
-    element kept when nonzero.  ``out`` itself comes back when it needs neither."""
+    ``Fraction`` (which no loop of the package leaves) stored as its ``int``,
+    and an element kept when nonzero.  ``out`` itself comes back when it
+    needs neither."""
     for c in out.values():
         # the type first: a Fraction's truth test is a Python-level call, so
-        # the rebuild reads a Fraction's numerator instead
-        if not c if type(c) is not Fraction else c.denominator == 1:
-            return {k: c.numerator if type(c) is Fraction and c.denominator == 1 else c
-                    for k, c in out.items() if (c.numerator if type(c) is Fraction else c)}
+        # the rebuild reads a Fraction's slots instead
+        if not c if type(c) is not Fraction else c._denominator == 1:
+            return {k: c._numerator if type(c) is Fraction and c._denominator == 1 else c
+                    for k, c in out.items() if (c._numerator if type(c) is Fraction else c)}
     return out
 
 
@@ -293,7 +294,7 @@ class SparseSum:
     __radd__ = __add__
 
     def __neg__(self):
-        return self._new({k: -c for k, c in self.terms.items()})
+        return self._new({k: -c if type(c) is int else qneg(c) for k, c in self.terms.items()})
 
     def __sub__(self, other):
         return self + (-self._operand(other))

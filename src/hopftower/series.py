@@ -33,7 +33,7 @@ from operator import add
 from .errors import AlgebraMismatchError, DomainError
 from .indices import natural, partitions_of, power_count
 from .linear import SparseSum, add_product, add_term, checked, settle_sums, substitute
-from .scalars import Q, coefficient_algebra, quotient
+from .scalars import Q, coefficient_algebra, qneg, quotient
 
 
 def _zero_key(nvars):
@@ -270,7 +270,7 @@ class TruncatedSeries(SparseSum):
                     add_product(total, n, f[k], v, scalar)
             # [T^n] f(g) = g_n + sum_{k >= 2} f_k [T^n] g^k vanishes
             for v in settle_sums(total, scalar).values():
-                g[n] = -v
+                g[n] = qneg(v)
         return self._new(g)
 
     def residue(self):
@@ -318,7 +318,7 @@ class TruncatedSeries(SparseSum):
         """Substitute T -> -T in a univariate series."""
         if self.nvars != 1:
             raise DomainError("alternate is univariate only")
-        return self._new({k: (v if k % 2 == 0 else -v) for k, v in self.terms.items()})
+        return self._new({k: (v if k % 2 == 0 else qneg(v)) for k, v in self.terms.items()})
 
     # -- bivariate plumbing -----------------------------------------------
 

@@ -34,14 +34,14 @@ denominator.
 """
 
 from functools import lru_cache, partial
-from math import factorial, lcm, perm, prod
+from math import factorial, perm, prod
 import warnings
 
 from .errors import DomainError
 from .indices import natural, partitions_of, power_count
 from .linear import (CommutativeElement, Polynomial, binomial_gen, dot, mul_into,
                      on_words, settle)
-from .scalars import quotient
+from .scalars import clear_denominators, qneg, quotient
 from .series import TruncatedSeries
 
 BASES = ("e", "h", "p", "m")
@@ -309,8 +309,8 @@ def convert(f, to, integral=False):
         return f
     # integer numerators over one common denominator d keep every sum below
     # in int arithmetic; on p they are w! times the coordinates of weight w
-    src, d = f.basis, lcm(*(c.denominator for c in f.terms.values()))
-    g = f._new({lam: c.numerator * (d // c.denominator) for lam, c in f.terms.items()})
+    d, g = clear_denominators(f.terms)
+    src, g = f.basis, f._new(g)
     if src == "h" and to == "m":
         g, src = g._new(_on_letters(g, "h", "e")), "e"
     if "m" not in (src, to):
@@ -358,7 +358,7 @@ def antipode(f):
     Each basis takes the route the module docstring gives."""
     f = SymElement.require(f, "antipode")
     if f.basis == "p":
-        return f._new({lam: -c if len(lam) % 2 else c for lam, c in f.terms.items()})
+        return f._new({lam: qneg(c) if len(lam) % 2 else c for lam, c in f.terms.items()})
     if f.basis == "m":
         return convert(antipode(convert(f, "p")), "m")
     return f._new(on_words(f, _antipode_e_gen).terms)
@@ -374,7 +374,7 @@ def involution(f, which):
     if which not in ("dual", "whitney", "omega"):
         raise DomainError("unknown involution %r" % (which,))
     fe = convert(SymElement.require(f, "involution"), "e")
-    return fe._new({lam: -c if which != "omega" and sum(lam) % 2 else c
+    return fe._new({lam: qneg(c) if which != "omega" and sum(lam) % 2 else c
                     for lam, c in fe.terms.items()}, "e" if which == "dual" else "h")
 
 

@@ -22,7 +22,7 @@ from hypothesis import strategies as st
 
 from hopftower.errors import DomainError
 from hopftower.nsym import NSymElement, z
-from hopftower.scalars import _coprime, qadd, qmul, quotient
+from hopftower.scalars import _coprime, parse_scalar, qadd, qmul, qneg, quotient, rational
 from hopftower.series import TruncatedSeries
 from hopftower.topology import BElement, BetaPolynomial
 
@@ -203,3 +203,54 @@ def test_an_element_operand_falls_back_to_the_operator():
         assert qadd(a, b) == a + b
     scaled = BetaPolynomial({1: x, 2: half}).scale(Fraction(2, 3)).terms
     assert scaled == {1: x.scale(Fraction(2, 3)), 2: BElement({(): Fraction(1, 3)})}
+
+
+@settings(max_examples=400, deadline=None)
+@given(canonical)
+def test_the_kernel_negation_agrees_with_fraction_and_stays_canonical(a):
+    q = qneg(a)
+    assert _is_canonical(q, -Fraction(a))
+    assert _readings(q) == _readings(-Fraction(a))
+
+
+def _parsed(text):
+    """``parse_scalar(text)`` as (value, type), or the message it refused with."""
+    try:
+        q = parse_scalar(text)
+    except DomainError as exc:
+        return str(exc)
+    return q, type(q)
+
+
+def _fractions_reading(text):
+    """What ``Fraction``'s own parser makes of ``text``, in the same shape."""
+    try:
+        q = rational(Fraction(text.strip()))
+    except (ValueError, ZeroDivisionError):
+        return "not a rational literal: %r" % (text,)
+    return q, type(q)
+
+
+@pytest.mark.parametrize("text", [
+    "3", "-3", "-0", "007", "0/5", "4/2", "-6/4", " 2 ", "+3", "1.5", "1e3", "3/-4",
+    "1/0", "", "-", "/", "3/", "--3", "١", "١/٢",
+    "-0/5", "0/00", "3/4/5", "1_000", "9" * 5000])
+def test_a_literal_parses_as_fractions_own_parser_reads_it(text):
+    assert _parsed(text) == _fractions_reading(text)
+
+
+@settings(max_examples=400, deadline=None)
+@given(canonical)
+def test_the_written_form_of_a_scalar_parses_back_to_it(q):
+    assert _parsed(str(q)) == (q, type(q)) == _fractions_reading(str(q))
+
+
+@settings(max_examples=300, deadline=None)
+@given(canonical, integers)
+def test_an_integral_fraction_operand_gives_the_canonical_result(a, k):
+    # Fraction's own operators leave Fraction(k, 1); the kernel reads it as k
+    for q, value in ((qmul(a, Fraction(k)), Fraction(a) * k), (qmul(Fraction(k), a), a * k),
+                     (qadd(a, Fraction(k)), Fraction(a) + k), (qadd(Fraction(k), a), a + k),
+                     (qadd(Fraction(k), Fraction(-k)), 0), (qneg(Fraction(k)), -k)):
+        assert _is_canonical(q, value)
+        assert _readings(q) == _readings(Fraction(value))
